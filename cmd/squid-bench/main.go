@@ -31,7 +31,6 @@ func main() {
 		csv        = flag.String("csv", "", "also write sweep results (fig9-fig17) as CSV to this file")
 		benchJSON  = flag.String("bench-json", "", "run the hot-path benchmark suite instead of figures and write the snapshot (BENCH_*.json) to this file")
 		schedJSON  = flag.String("sched-json", "", "run the concurrent-load scheduler benchmark (serial vs worker pool under deadline-bounded bursts) and write the snapshot (BENCH_2.json) to this file")
-		wireJSON   = flag.String("wire-json", "", "run the wire-codec benchmark (binary vs gob: encode cost, bytes per message, TCP throughput, ring bytes per query) and write the snapshot (BENCH_3.json) to this file")
 		desJSON    = flag.String("des-json", "", "run the discrete-event backend's planet-scale sweep (100 to 10000 nodes, full churn+query storms) and write the snapshot (BENCH_4.json) to this file")
 		streamJSON = flag.String("stream-json", "", "run the streaming scenarios (top-k early-termination savings, popular-cluster cache hit rate under a Zipf storm) and write the snapshot (BENCH_5.json) to this file")
 		traceDemo  = flag.Bool("trace-demo", false, "run one traced query under message drops and render its refinement tree (uses -nodes, -keys, -drop)")
@@ -57,9 +56,6 @@ func main() {
 		}
 		if *schedJSON != "" {
 			return runSchedJSON(*schedJSON)
-		}
-		if *wireJSON != "" {
-			return runWireJSON(*wireJSON)
 		}
 		if *desJSON != "" {
 			return runDesJSON(*desJSON)

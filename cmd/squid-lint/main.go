@@ -18,7 +18,6 @@
 //	scratchalias  retained/clobbered slices from the sfc ...Into APIs
 //	nondet        wall clock / global rand in determinism-critical packages
 //	rpcerr        silently dropped errors on the transport/chord RPC path
-//	wirecodec     binary codec registration and framing discipline
 //	confine       //lint:confine fields touched off their owning goroutine
 //	lockcheck     //lint:guarded-by fields touched without the mutex held
 //	allocfree     allocation constructs on //lint:allocfree hot paths

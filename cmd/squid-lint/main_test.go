@@ -27,7 +27,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"ringcmp", "scratchalias", "nondet", "rpcerr",
-		"wirecodec", "confine", "lockcheck", "allocfree",
+		"confine", "lockcheck", "allocfree",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())

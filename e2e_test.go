@@ -50,6 +50,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 
 	start := func(args ...string) *exec.Cmd {
 		cmd := exec.Command(nodeBin, args...)
+		cmd.SysProcAttr = daemonAttr()
 		var logBuf bytes.Buffer
 		cmd.Stdout = &logBuf
 		cmd.Stderr = &logBuf

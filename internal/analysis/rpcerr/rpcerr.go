@@ -3,7 +3,7 @@
 // Every error returned along the transport.Endpoint / chord RPC surface —
 // any function or method declared in a transport or chord package whose
 // results include an error, plus net and io calls made from inside a
-// transport package (the connection-negotiation path) — must be checked
+// transport package (the connection handshake) — must be checked
 // or explicitly discarded.
 // Silent drops on this path were the root cause of the PR 1 hang class:
 // a Send that fails unreachable, unobserved, leaves a subtree waiting on
@@ -45,9 +45,10 @@ var Analyzer = &analysis.Analyzer{
 var rpcPkgs = map[string]bool{"transport": true, "chord": true}
 
 // wirePkgs are standard-library packages whose error returns join the
-// contract inside a transport package: the PR 7 negotiation path writes
+// contract inside a transport package: the connection handshake writes
 // the preamble with net.Conn.Write and reads the ack with io.ReadFull,
-// and a dropped error there silently downgrades a peer to gob.
+// and a dropped error there leaves a peer waiting on bytes that were never
+// sent.
 var wirePkgs = map[string]bool{"net": true, "io": true}
 
 func run(pass *analysis.Pass) error {

@@ -11,7 +11,6 @@ import (
 	"squid/internal/analysis/ringcmp"
 	"squid/internal/analysis/rpcerr"
 	"squid/internal/analysis/scratchalias"
-	"squid/internal/analysis/wirecodec"
 )
 
 // Analyzers returns the full squid-lint suite in stable order.
@@ -21,7 +20,6 @@ func Analyzers() []*analysis.Analyzer {
 		scratchalias.Analyzer,
 		nodeterminism.Analyzer,
 		rpcerr.Analyzer,
-		wirecodec.Analyzer,
 		confine.Analyzer,
 		lockcheck.Analyzer,
 		allocfree.Analyzer,

@@ -24,8 +24,8 @@ func (r NodeRef) String() string {
 	return fmt.Sprintf("%x@%s", uint64(r.ID), r.Addr)
 }
 
-// Protocol messages. All are sent through the transport and registered for
-// gob so the same protocol runs over TCP.
+// Protocol messages. Each has a wire codec (wire.go) so the same protocol
+// runs over TCP.
 
 // FindMsg asks the ring to locate successor(Target). It is routed greedily
 // via finger tables; the owner replies to ReplyTo with a FoundMsg carrying
@@ -153,23 +153,4 @@ type AppMsg struct {
 // both transports deliver locally.
 type invokeMsg struct {
 	fn func()
-}
-
-func init() {
-	transport.Register(FindMsg{})
-	transport.Register(FoundMsg{})
-	transport.Register(RouteMsg{})
-	transport.Register(JoinReqMsg{})
-	transport.Register(JoinAckMsg{})
-	transport.Register(JoinNackMsg{})
-	transport.Register(JoinConfirmMsg{})
-	transport.Register(HandoffMsg{})
-	transport.Register(NotifyMsg{})
-	transport.Register(GetStateMsg{})
-	transport.Register(StateMsg{})
-	transport.Register(LeaveMsg{})
-	transport.Register(SuccChangedMsg{})
-	transport.Register(AppMsg{})
-	transport.Register([]Item{})
-	transport.Register(NodeRef{})
 }

@@ -16,7 +16,7 @@ import (
 // 8-byte words; hop counts, loads and element counts are varints;
 // addresses are length-prefixed strings; interface-valued payloads go
 // through Encoder.Any (registered dynamic types only — an unregistered
-// payload falls the whole envelope back to gob at the transport).
+// payload makes the transport refuse the whole envelope).
 const (
 	tagFindMsg = wire.TagChordBase + iota
 	tagFoundMsg

@@ -8,6 +8,8 @@
 // Flooding finds only what the TTL radius reaches: recall is not
 // guaranteed, and message cost grows with the whole network rather than
 // with the result set — the two defects Squid's structured approach fixes.
+// Peers run on the in-process transport, which passes messages as values,
+// so the message types below have no wire codec.
 package gnutella
 
 import (
@@ -32,11 +34,6 @@ type queryMsg struct {
 type resultMsg struct {
 	QID     uint64
 	Matches []squid.Element
-}
-
-func init() {
-	transport.Register(queryMsg{})
-	transport.Register(resultMsg{})
 }
 
 // Peer is one unstructured participant.

@@ -11,6 +11,8 @@
 // messages), and queries move whole postings lists (bandwidth scales with
 // the most popular keyword, not the result). Partial keywords, wildcards
 // and ranges are not supported at all — the gap Squid's SFC index fills.
+// Nodes run on the in-process transport, which passes messages as values,
+// so the message types below have no wire codec.
 package invindex
 
 import (
@@ -46,13 +48,6 @@ type postingsMsg struct {
 
 // bucket is the stored value for one hash key (handover unit).
 type bucket map[string][]squid.Element
-
-func init() {
-	transport.Register(postMsg{})
-	transport.Register(getMsg{})
-	transport.Register(postingsMsg{})
-	transport.Register(bucket{})
-}
 
 // App is the per-node inverted-index application.
 type App struct {

@@ -274,22 +274,7 @@ type childCall struct {
 	timer    transport.Timer
 }
 
-// NewEngine creates an engine over the given keyword space from an Options
-// struct.
-//
-// Deprecated: use New with functional options (FromOptions bridges an
-// assembled Options struct). NewEngine is kept as a shim for existing
-// callers and behaves identically.
-func NewEngine(space *keyspace.Space, opts Options) *Engine {
-	return newEngine(space, opts)
-}
-
-// newEngine is the shared constructor behind New and NewEngine. Attach the
-// engine to its node before use:
-//
-//	eng := squid.New(space, squid.WithReplication(2))
-//	node := chord.NewNode(chordCfg, id, eng)
-//	eng.Attach(node)
+// newEngine fills in the Options defaults and builds the engine behind New.
 func newEngine(space *keyspace.Space, opts Options) *Engine {
 	if opts.InitialClusters <= 0 {
 		opts.InitialClusters = 1 << space.Dims()

@@ -28,9 +28,8 @@ type LookupMsg struct {
 	Key     uint64
 	ReplyTo transport.Addr
 	Token   uint64
-	// Trace is the tracing context of the dispatching subtree. Old-format
-	// payloads decode it as the zero ref, which OrRoot defaults to a root
-	// span — wire compatibility is a protocol promise.
+	// Trace is the tracing context of the dispatching subtree. The zero
+	// ref carries no context; OrRoot turns it into a root span.
 	Trace telemetry.TraceRef
 }
 
@@ -85,7 +84,7 @@ type ClusterQueryMsg struct {
 	// SubResultMsg then carries only the not-yet-forwarded remainder.
 	Stream bool
 	// Trace is the tracing context of the dispatching subtree (see
-	// LookupMsg.Trace for the old-format default).
+	// LookupMsg.Trace).
 	Trace telemetry.TraceRef
 }
 
@@ -102,9 +101,8 @@ type QueryAckMsg struct {
 // counterpart of the paper's aggregation optimization. Receivers unpack
 // and handle the entries in order, exactly as if they had arrived as
 // separate messages; each entry keeps its own token, ack request, and
-// trace context. Single-entry rounds are sent as plain ClusterQueryMsg, so
-// peers that predate batching interoperate unchanged (the gob wire-compat
-// tests pin both directions).
+// trace context. Single-entry rounds are sent as plain ClusterQueryMsg:
+// the wrapper would add bytes and an unpack step and coalesce nothing.
 type BatchMsg struct {
 	Queries []ClusterQueryMsg
 }
@@ -114,7 +112,7 @@ type BatchMsg struct {
 // and no SubResultMsg will come. The dispatcher maps the shed onto its
 // recovery path — re-dispatch after RetryAfterMS (counting against the
 // subtree's retry budget), or degrade to a partial result when no recovery
-// machinery is armed. Old peers never send it; old receivers ignore it.
+// machinery is armed.
 type QueryShedMsg struct {
 	QID   QueryID
 	Token uint64
@@ -134,8 +132,7 @@ type SubResultMsg struct {
 	Matches    []Element
 	Incomplete bool
 	// Spans carries the subtree's collected trace spans up toward the query
-	// root (empty when the query is not sampled). Old-format receivers
-	// ignore the field; old-format senders omit it.
+	// root (empty when the query is not sampled).
 	Spans []telemetry.Span
 }
 
@@ -200,25 +197,4 @@ type ClientResultMsg struct {
 	QID     QueryID
 	Matches []Element
 	Err     string
-}
-
-func init() {
-	transport.Register(PublishMsg{})
-	transport.Register(UnpublishMsg{})
-	transport.Register(LookupMsg{})
-	transport.Register(ClusterQueryMsg{})
-	transport.Register(BatchMsg{})
-	transport.Register(QueryAckMsg{})
-	transport.Register(QueryShedMsg{})
-	transport.Register(SubResultMsg{})
-	transport.Register(PartialResultMsg{})
-	transport.Register(QueryCancelMsg{})
-	transport.Register(ClientPublishMsg{})
-	transport.Register(ClientUnpublishMsg{})
-	transport.Register(ClientQueryMsg{})
-	transport.Register(ClientResultMsg{})
-	transport.Register(Element{})
-	transport.Register([]Element{})
-	transport.Register(keyspace.Query{})
-	transport.Register(keyspace.Term{})
 }

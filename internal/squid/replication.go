@@ -5,7 +5,6 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/sfc"
-	"squid/internal/transport"
 )
 
 // ReplicaMsg pushes copies of stored items to a successor for fault
@@ -15,12 +14,6 @@ import (
 // into the main store, so data survives node failures.
 type ReplicaMsg struct {
 	Items []chord.Item
-}
-
-func init() {
-	transport.Register(ReplicaMsg{})
-	//lint:allow-wirecodec []chord.Item's binary codec is registered in package chord, next to the type
-	transport.Register([]chord.Item{})
 }
 
 // replicate pushes the given items to the first Options.Replicas live

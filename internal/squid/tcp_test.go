@@ -52,7 +52,7 @@ func (c *clientSink) Deliver(from transport.Addr, msg any) {
 
 // TestTCPEndToEnd runs the full production path: three squid peers over
 // real TCP sockets, protocol joins, client publishes and a flexible query
-// through the wire protocol (gob frames) — exactly what cmd/squid-node and
+// through the binary wire protocol — exactly what cmd/squid-node and
 // squidctl do.
 func TestTCPEndToEnd(t *testing.T) {
 	space, err := keyspace.NewWordSpace(2, 16)

@@ -2,7 +2,6 @@ package squid_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -18,114 +17,6 @@ import (
 	"squid/internal/telemetry"
 	"squid/internal/transport"
 )
-
-// Old-format query messages as they existed before trace propagation: no
-// Trace ref, no Spans. Gob matches struct fields by name, so encoding
-// these and decoding into the current types reproduces exactly what an
-// un-upgraded peer puts on the wire.
-type legacyLookupMsg struct {
-	QID     uint64
-	Query   keyspace.Query
-	Key     uint64
-	ReplyTo transport.Addr
-	Token   uint64
-}
-
-type legacyClusterQueryMsg struct {
-	QID      uint64
-	Query    keyspace.Query
-	Clusters []squid.ClusterRef
-	ReplyTo  transport.Addr
-	Token    uint64
-	Ack      bool
-}
-
-type legacySubResultMsg struct {
-	QID        uint64
-	Token      uint64
-	Matches    []squid.Element
-	Incomplete bool
-}
-
-// TestWireLegacyDecode locks the gob wire compatibility promise: payloads
-// from peers that predate tracing decode cleanly, and their absent trace
-// context defaults to a sampled root span (TraceRef.OrRoot). The reverse
-// direction — new payloads read by old peers — must also decode, with the
-// unknown trace fields skipped.
-func TestWireLegacyDecode(t *testing.T) {
-	query := keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard()}
-
-	t.Run("lookup", func(t *testing.T) {
-		old := legacyLookupMsg{QID: 7, Query: query, Key: 99, ReplyTo: "r", Token: 5}
-		var cur squid.LookupMsg
-		reGob(t, old, &cur)
-		if uint64(cur.QID) != old.QID || cur.Key != old.Key || cur.ReplyTo != old.ReplyTo || cur.Token != old.Token {
-			t.Fatalf("legacy fields mangled: %+v", cur)
-		}
-		if cur.Trace != (telemetry.TraceRef{}) {
-			t.Fatalf("legacy payload decoded a non-zero trace ref: %+v", cur.Trace)
-		}
-		ref := cur.Trace.OrRoot()
-		if !ref.Sampled() || ref.Parent != 0 || ref.Depth != 0 {
-			t.Fatalf("absent trace context must default to a sampled root span, got %+v", ref)
-		}
-	})
-
-	t.Run("cluster-query", func(t *testing.T) {
-		old := legacyClusterQueryMsg{
-			QID: 3, Query: query, Clusters: []squid.ClusterRef{{Prefix: 9, Level: 2, Complete: true}},
-			ReplyTo: "r", Token: 8, Ack: true,
-		}
-		var cur squid.ClusterQueryMsg
-		reGob(t, old, &cur)
-		if uint64(cur.QID) != old.QID || len(cur.Clusters) != 1 || cur.Clusters[0] != old.Clusters[0] || !cur.Ack {
-			t.Fatalf("legacy fields mangled: %+v", cur)
-		}
-		if !cur.Trace.OrRoot().Sampled() {
-			t.Fatal("absent trace context must default to a sampled root span")
-		}
-	})
-
-	t.Run("sub-result", func(t *testing.T) {
-		old := legacySubResultMsg{QID: 3, Token: 8, Incomplete: true}
-		var cur squid.SubResultMsg
-		reGob(t, old, &cur)
-		if uint64(cur.QID) != old.QID || !cur.Incomplete || len(cur.Spans) != 0 {
-			t.Fatalf("legacy fields mangled: %+v", cur)
-		}
-	})
-
-	t.Run("new-to-old", func(t *testing.T) {
-		cur := squid.ClusterQueryMsg{
-			QID: 4, Query: query, ReplyTo: "r", Token: 9,
-			Trace: telemetry.TraceRef{Parent: 11, Depth: 2, Mode: telemetry.TraceOn},
-		}
-		var old legacyClusterQueryMsg
-		reGob(t, cur, &old)
-		if old.QID != uint64(cur.QID) || old.ReplyTo != cur.ReplyTo || old.Token != cur.Token {
-			t.Fatalf("old receiver mangled new payload: %+v", old)
-		}
-		res := squid.SubResultMsg{QID: 4, Token: 9, Spans: []telemetry.Span{{QID: 4, ID: 1, Node: 2}}}
-		var oldRes legacySubResultMsg
-		reGob(t, res, &oldRes)
-		if oldRes.QID != uint64(res.QID) || oldRes.Token != res.Token {
-			t.Fatalf("old receiver mangled new sub-result: %+v", oldRes)
-		}
-	})
-}
-
-// reGob encodes src and decodes the stream into dst, concretely (not via a
-// registered interface envelope, whose type names would collide).
-func reGob(t *testing.T, src, dst any) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
-		t.Fatalf("encode %T: %v", src, err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(dst); err != nil {
-		t.Fatalf("decode %T into %T: %v", src, dst, err)
-	}
-}
 
 // tracedNetwork builds a simulated network with query tracing enabled and
 // the fault layer installed (quiet until a drop rate is set).

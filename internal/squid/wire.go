@@ -12,8 +12,8 @@ import (
 // BatchMsg and SubResultMsg are the per-query hot path, ReplicaMsg the
 // replication delta, the rest ride along so a whole client interaction
 // stays binary. Tags live in the squid range (32-63, see
-// wire.TagSquidBase) and are frozen like the chord set; gob remains the
-// compatibility oracle via the equivalence tests in wire_equiv_test.go.
+// wire.TagSquidBase) and are frozen like the chord set; gob is the test
+// oracle via the equivalence tests in wire_equiv_test.go.
 //
 // Layout conventions follow internal/chord/wire.go: uniform 64-bit hashes
 // (ring and node IDs) are fixed 8-byte words; cluster prefixes are

@@ -7,9 +7,8 @@ import (
 )
 
 // TestWireTagRegistry pins the squid tag block's tag ↔ type binding.
-// Mixed-version interop (see the TCP mixed-wire test) depends on these
-// numbers never moving: a renumbered tag decodes as the wrong type on an
-// older peer. Adding a message appends a row here; reordering or deleting
+// Peers built at different commits depend on these numbers never moving:
+// a renumbered tag decodes as the wrong type on the other side. Adding a message appends a row here; reordering or deleting
 // one is a wire break and must fail loudly.
 func TestWireTagRegistry(t *testing.T) {
 	want := map[uint64]string{

@@ -11,20 +11,17 @@ import (
 // issues it at the query root, every trace span and telemetry surface
 // carries it, and squidctl feeds it back to the trace endpoint. It is a
 // distinct type so query ids cannot be mixed up with span ids or ring
-// keys at compile time; squid re-exports it as squid.QueryID. The wire
-// representation is unchanged (gob encodes named integers structurally),
-// so old peers interoperate.
+// keys at compile time; squid re-exports it as squid.QueryID.
 type QueryID uint64
 
 // TraceMode says what a message's trace context means. The zero value is
-// deliberately TraceAbsent: old-format gob payloads that predate tracing
-// decode to it, and OrRoot turns it into a sampled root context — the
-// wire-compat default the protocol promises.
+// deliberately TraceAbsent: a message built without trace context carries
+// it, and OrRoot turns it into a sampled root context.
 type TraceMode uint8
 
 const (
-	// TraceAbsent marks a ref decoded from a message with no trace context
-	// (an old-format payload). OrRoot treats it as a fresh root span.
+	// TraceAbsent marks a ref from a message with no trace context. OrRoot
+	// treats it as a fresh root span.
 	TraceAbsent TraceMode = iota
 	// TraceOff marks a query whose initiator is not collecting spans.
 	TraceOff
@@ -35,8 +32,8 @@ const (
 
 // TraceRef is the trace context a query-tree RPC carries downward: the
 // parent span the receiver should attach under, the receiver's refinement
-// depth, and whether spans are being collected at all. It is gob-friendly
-// and cheap to copy.
+// depth, and whether spans are being collected at all. It is a plain
+// value, cheap to copy.
 type TraceRef struct {
 	Parent uint64 // span id of the dispatching subtree; 0 at the root
 	Depth  int    // refinement depth of the receiver (root children are 1)
@@ -46,10 +43,10 @@ type TraceRef struct {
 // Sampled reports whether the receiver should record and return spans.
 func (r TraceRef) Sampled() bool { return r.Mode == TraceOn }
 
-// OrRoot normalizes a ref decoded from the wire: a context-free old-format
-// payload (zero ref) defaults to a sampled root span, so pre-tracing peers
-// still yield observable subtrees instead of silently vanishing from the
-// trace. Refs that carry explicit context pass through unchanged.
+// OrRoot normalizes a ref decoded from the wire: a context-free (zero) ref
+// defaults to a sampled root span, so a subtree dispatched without context
+// still yields an observable subtree instead of silently vanishing from
+// the trace. Refs that carry explicit context pass through unchanged.
 func (r TraceRef) OrRoot() TraceRef {
 	if r.Mode == TraceAbsent {
 		return TraceRef{Parent: 0, Depth: 0, Mode: TraceOn}
@@ -64,12 +61,12 @@ func (r TraceRef) Child(spanID uint64) TraceRef {
 }
 
 // Span is one node's record of handling one slice of a query tree. All
-// fields are value types so spans travel by gob inside SubResultMsg.
+// fields are value types so spans travel inline inside SubResultMsg.
 type Span struct {
 	QID    QueryID // query id; doubles as the trace id
-	ID     uint64 // unique within the trace
-	Parent uint64 // parent span id; 0 for the root span
-	Depth  int    // refinement depth (root is 0)
+	ID     uint64  // unique within the trace
+	Parent uint64  // parent span id; 0 for the root span
+	Depth  int     // refinement depth (root is 0)
 
 	Node uint64 // ring identifier of the recording node
 	Addr string // transport address of the recording node

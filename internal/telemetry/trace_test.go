@@ -69,13 +69,13 @@ func TestTraceRender(t *testing.T) {
 }
 
 func TestTraceRefDefaults(t *testing.T) {
-	var legacy TraceRef // what an old-format gob payload decodes to
-	if legacy.Sampled() {
+	var zero TraceRef // what a message without trace context carries
+	if zero.Sampled() {
 		t.Fatalf("zero ref must not claim to be sampled")
 	}
-	root := legacy.OrRoot()
+	root := zero.OrRoot()
 	if root.Parent != 0 || root.Depth != 0 || !root.Sampled() {
-		t.Fatalf("OrRoot() of a legacy ref = %+v, want a sampled root context", root)
+		t.Fatalf("OrRoot() of a zero ref = %+v, want a sampled root context", root)
 	}
 
 	explicit := TraceRef{Parent: 9, Depth: 2, Mode: TraceOff}

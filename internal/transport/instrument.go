@@ -64,21 +64,13 @@ type tcpMetrics struct {
 	errors   *telemetry.Counter
 	latency  *telemetry.Histogram
 
-	// Wire-codec accounting (DESIGN.md §4i): frames by codec, write
-	// coalescing, negotiation outcomes and rejected inbound frames.
-	frames               frameCounters
-	flushes              *telemetry.Counter
-	frameRejected        *telemetry.Counter
-	dials                *telemetry.Counter
-	dialsCoalesced       *telemetry.Counter
-	negotiationFallbacks *telemetry.Counter
-}
-
-// frameCounters split outbound frames by the codec that carried them.
-type frameCounters struct {
-	binary      *telemetry.Counter // wire-codec frames on negotiated connections
-	gob         *telemetry.Counter // legacy gob-stream frames
-	gobFallback *telemetry.Counter // gob bodies inside binary frames (no codec for the type)
+	// Framing accounting (DESIGN.md §4i): frames, write coalescing, dials
+	// and rejected inbound frames.
+	frames         *telemetry.Counter
+	flushes        *telemetry.Counter
+	frameRejected  *telemetry.Counter
+	dials          *telemetry.Counter
+	dialsCoalesced *telemetry.Counter
 }
 
 // tcpLatencyBucketsNS spans 50µs to 2s in roughly 5x steps — LAN writes
@@ -92,6 +84,9 @@ var tcpLatencyBucketsNS = []int64{
 // traffic starts (immediately after ListenTCP). The registry's injected
 // clock times each send, including dial and one re-dial retry.
 func (ep *TCPEndpoint) Instrument(reg *telemetry.Registry) {
+	// frames_total keeps its codec label, always "binary": readers look the
+	// family up as a CounterVec labelled codec, and the registry panics on
+	// a lookup whose shape differs from the registration.
 	frames := reg.CounterVec("squid_transport_tcp_frames_total",
 		"outbound frames by codec", "codec")
 	ep.met.Store(&tcpMetrics{
@@ -106,11 +101,7 @@ func (ep *TCPEndpoint) Instrument(reg *telemetry.Registry) {
 			"sends that failed after the re-dial retry"),
 		latency: reg.Histogram("squid_transport_tcp_send_latency_ns",
 			"wall time per send, dial included", tcpLatencyBucketsNS),
-		frames: frameCounters{
-			binary:      frames.With("binary"),
-			gob:         frames.With("gob"),
-			gobFallback: frames.With("gob_fallback"),
-		},
+		frames: frames.With("binary"),
 		flushes: reg.Counter("squid_transport_tcp_flushes_total",
 			"outbound buffer flushes (syscalls); frames_total minus this is the write coalescing win"),
 		frameRejected: reg.Counter("squid_transport_frame_rejected_total",
@@ -119,8 +110,6 @@ func (ep *TCPEndpoint) Instrument(reg *telemetry.Registry) {
 			"outbound connection dials"),
 		dialsCoalesced: reg.Counter("squid_transport_tcp_dials_coalesced_total",
 			"sends that joined another sender's in-flight dial instead of dialing"),
-		negotiationFallbacks: reg.Counter("squid_transport_tcp_negotiation_fallback_total",
-			"connections re-dialed in gob mode after the peer declined the binary codec"),
 	})
 }
 

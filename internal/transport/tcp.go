@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,64 +21,38 @@ import (
 var (
 	// TCPDialTimeout bounds connection establishment to a peer.
 	TCPDialTimeout = 5 * time.Second
-	// TCPNegotiateTimeout bounds the codec-negotiation round trip on a
-	// fresh connection. A peer that closes the connection instead of
-	// acking is a pre-binary build (gob fallback); a peer that answers
-	// nothing at all within this window is wedged and the dial fails.
+	// TCPNegotiateTimeout bounds the preamble/ack handshake on a fresh
+	// connection. A peer that closes instead of acking, or answers nothing
+	// within this window, fails the dial.
 	TCPNegotiateTimeout = 1 * time.Second
 	// TCPWriteTimeout bounds each message write on an established
 	// connection (0 disables the deadline).
 	TCPWriteTimeout = 10 * time.Second
-	// MaxInboundFrame bounds one inbound message's wire size on both the
-	// binary and gob paths. A corrupt or hostile length must fail fast
-	// (counted by squid_transport_frame_rejected_total) instead of making
-	// the read loop allocate unboundedly.
+	// MaxInboundFrame bounds one inbound message's wire size. A corrupt or
+	// hostile length must fail fast (counted by
+	// squid_transport_frame_rejected_total) instead of making the read loop
+	// allocate unboundedly.
 	MaxInboundFrame = 32 << 20
 )
 
-// Binary-protocol preamble. A gob stream can never begin with a zero
-// byte (gob frames a non-zero byte count first), so the first inbound
-// byte cleanly discriminates the codecs: new dialers lead with
-// {0, 'S', 'Q', 'W', version}, then the dialer's address, and wait for
-// the one-byte ack. A pre-binary peer feeds the preamble to its gob
-// decoder, errors out and closes — the dialer reads EOF instead of the
-// ack, re-dials in gob mode and remembers the peer is gob-only. See
-// DESIGN.md §4i.
+// Connection preamble: dialers lead with {0, 'S', 'Q', 'W', version},
+// then the dialer's address, and wait for the one-byte ack before sending
+// frames. An inbound connection that opens with anything else is rejected.
+// See DESIGN.md §4i.
 const (
-	wireMagic0  = 0x00
 	wireVersion = 0x01
 	wireAck     = 0x01
 )
 
-var wirePreamble = [5]byte{wireMagic0, 'S', 'Q', 'W', wireVersion}
+var wirePreamble = [5]byte{0x00, 'S', 'Q', 'W', wireVersion}
 
-// maxPreambleAddr bounds the dialer-address string accepted during
-// negotiation.
+// maxPreambleAddr bounds the dialer-address string accepted during the
+// handshake.
 const maxPreambleAddr = 512
 
-// frameGob tags a frame whose body is a standalone gob stream — the
-// escape hatch for messages without a binary codec (wire.EncodeMessage
-// declined). Registered wire tags start at wire.TagNil+1.
-const frameGob = 0x00
-
-var errFrameTooLarge = errors.New("transport: inbound frame exceeds MaxInboundFrame")
-
-// WireMode selects an endpoint's codec behaviour — primarily a test
-// knob; production endpoints stay on WireAuto.
-type WireMode int
-
-const (
-	// WireAuto (default) negotiates the binary codec per connection and
-	// falls back to gob when the peer declines.
-	WireAuto WireMode = iota
-	// WireGob always dials in gob mode but still accepts binary inbound —
-	// a node whose operator pinned the oracle codec.
-	WireGob
-	// WireLegacy emulates a pre-wire-codec build: gob outbound and a
-	// sniff-free gob inbound loop that rejects binary preambles exactly
-	// like an old binary would.
-	WireLegacy
-)
+// errNoCodec reports a message that wire.EncodeMessage declined: its type,
+// or a value nested inside it, has no wire.Register codec.
+var errNoCodec = errors.New("transport: no wire codec")
 
 // TCPEndpoint attaches a protocol handler to a real TCP listener. Each
 // inbound connection is decoded by its own goroutine, but deliveries are
@@ -101,10 +73,7 @@ type TCPEndpoint struct {
 	mu      sync.Mutex
 	conns   map[Addr]*outConn  //lint:guarded-by mu
 	dialing map[Addr]*dialCall //lint:guarded-by mu
-	// gobOnly remembers peers that declined binary negotiation.
-	gobOnly map[Addr]bool //lint:guarded-by mu
-	mode    WireMode      //lint:guarded-by mu
-	closed  bool          //lint:guarded-by mu
+	closed  bool               //lint:guarded-by mu
 
 	deliver chan envelope
 	done    chan struct{}
@@ -129,13 +98,8 @@ type outConn struct {
 	bw      *bufio.Writer //lint:guarded-by mu
 	pending atomic.Int32
 
-	binary bool
-	// enc carries gob-mode framing (nil on binary connections).
-	enc *gob.Encoder //lint:guarded-by mu
-	// wenc is the binary-mode frame buffer.
+	// wenc is the frame staging buffer.
 	wenc wire.Encoder //lint:guarded-by mu
-	// scratch buffers gob-fallback bodies on binary connections.
-	scratch bytes.Buffer //lint:guarded-by mu
 }
 
 // ListenTCP binds to bind (e.g. "127.0.0.1:0") and serves the handler.
@@ -154,7 +118,6 @@ func ListenTCP(bind string, h Handler) (*TCPEndpoint, error) {
 		ln:      ln,
 		conns:   make(map[Addr]*outConn),
 		dialing: make(map[Addr]*dialCall),
-		gobOnly: make(map[Addr]bool),
 		deliver: make(chan envelope, 1024),
 		done:    make(chan struct{}),
 	}
@@ -166,16 +129,10 @@ func ListenTCP(bind string, h Handler) (*TCPEndpoint, error) {
 // Addr returns the bound address ("host:port").
 func (ep *TCPEndpoint) Addr() Addr { return ep.addr }
 
-// SetWireMode pins the endpoint's codec behaviour. Call before traffic
-// starts; established connections keep their negotiated codec.
-func (ep *TCPEndpoint) SetWireMode(m WireMode) {
-	ep.mu.Lock()
-	ep.mode = m
-	ep.mu.Unlock()
-}
-
 // Send encodes msg to the peer at to, dialing or reusing a cached
-// connection. Self-sends bypass the network.
+// connection. Self-sends bypass the network. A message without a wire
+// codec (wire.EncodeMessage declines it) fails with an error and writes
+// nothing.
 func (ep *TCPEndpoint) Send(to Addr, msg any) error {
 	m := ep.met.Load()
 	if m == nil {
@@ -214,6 +171,9 @@ func (ep *TCPEndpoint) send(to Addr, msg any) error {
 		return err
 	}
 	if err := ep.writeMsg(oc, msg); err != nil {
+		if errors.Is(err, errNoCodec) {
+			return err // nothing was written; the connection is fine
+		}
 		// Drop the stale connection and retry once on a fresh dial.
 		ep.dropConn(to, oc)
 		oc, derr := ep.connTo(to)
@@ -232,28 +192,11 @@ func (ep *TCPEndpoint) send(to Addr, msg any) error {
 // the configured deadline and group-flushes: while other senders are
 // queued on the same connection their frames share the flush, so a burst
 // to one destination is one syscall, not one per message.
-func (oc *outConn) sendLocked(write func() error) error {
-	if TCPWriteTimeout > 0 {
-		if err := oc.conn.SetWriteDeadline(time.Now().Add(TCPWriteTimeout)); err != nil {
-			return err
-		}
-	}
-	return write()
-}
-
 func (ep *TCPEndpoint) writeMsg(oc *outConn, msg any) error {
 	oc.pending.Add(1)
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
-	err := oc.sendLocked(func() error {
-		if oc.binary {
-			return ep.writeBinaryFrame(oc, msg)
-		}
-		if m := ep.met.Load(); m != nil {
-			m.frames.gob.Inc()
-		}
-		return oc.enc.Encode(wireEnvelope{From: string(ep.addr), Payload: msg})
-	})
+	err := ep.appendFrame(oc, msg)
 	// Group flush: the last sender out writes the coalesced buffer. A
 	// sender that sees pending > 0 may skip the flush — the queued sender
 	// it observed is blocked on this mutex and will flush (or pass the
@@ -273,35 +216,29 @@ func (ep *TCPEndpoint) writeMsg(oc *outConn, msg any) error {
 	return err
 }
 
-// writeBinaryFrame appends one length-prefixed frame: wire tag + body for
-// codec-registered messages, or the frameGob escape (tag 0 + standalone
-// gob stream) for the long tail. The frame is fully staged in memory
-// before any byte reaches the write buffer, so encode errors never leave
-// a torn frame on the stream. The staged path allocates nothing: the
-// encoder's buffer and the header array are reused frame over frame.
+// appendFrame arms the write deadline (it also covers the flush that
+// follows) and appends one length-prefixed frame: wire tag + body. The
+// frame is fully staged in memory before any byte reaches the write
+// buffer, so a message without a codec (or with an unregistered nested
+// payload) fails without leaving a torn frame on the stream. The staged
+// path allocates nothing: the encoder's buffer and the header array are
+// reused frame over frame.
 //
 //lint:holds oc.mu
-func (ep *TCPEndpoint) writeBinaryFrame(oc *outConn, msg any) error {
-	m := ep.met.Load()
-	oc.wenc.Reset()
-	if wire.EncodeMessage(&oc.wenc, msg) {
-		if m != nil {
-			m.frames.binary.Inc()
+func (ep *TCPEndpoint) appendFrame(oc *outConn, msg any) error {
+	if TCPWriteTimeout > 0 {
+		if err := oc.conn.SetWriteDeadline(time.Now().Add(TCPWriteTimeout)); err != nil {
+			return err
 		}
-		return writeFrame(oc.bw, oc.wenc.Bytes())
 	}
-	// Fallback: no codec (or an unregistered nested payload) — ship a
-	// tagged standalone gob body so old and new message types coexist on
-	// one connection.
-	oc.scratch.Reset()
-	oc.scratch.WriteByte(frameGob)
-	if err := gob.NewEncoder(&oc.scratch).Encode(wireEnvelope{From: string(ep.addr), Payload: msg}); err != nil {
-		return err
+	oc.wenc.Reset()
+	if !wire.EncodeMessage(&oc.wenc, msg) {
+		return fmt.Errorf("%w: %T", errNoCodec, msg)
 	}
-	if m != nil {
-		m.frames.gobFallback.Inc()
+	if m := ep.met.Load(); m != nil {
+		m.frames.Inc()
 	}
-	return writeFrame(oc.bw, oc.scratch.Bytes())
+	return writeFrame(oc.bw, oc.wenc.Bytes())
 }
 
 // writeFrame writes the 4-byte big-endian length header and the body.
@@ -354,10 +291,9 @@ func (ep *TCPEndpoint) connTo(to Addr) (*outConn, error) {
 		}
 		call := &dialCall{done: make(chan struct{})}
 		ep.dialing[to] = call
-		mode := ep.mode
 		ep.mu.Unlock()
 
-		call.oc, call.err = ep.dial(to, mode)
+		call.oc, call.err = ep.dial(to)
 
 		ep.mu.Lock()
 		delete(ep.dialing, to)
@@ -375,105 +311,51 @@ func (ep *TCPEndpoint) connTo(to Addr) (*outConn, error) {
 	}
 }
 
-// dial establishes and (in WireAuto mode) negotiates one outbound
-// connection.
-func (ep *TCPEndpoint) dial(to Addr, mode WireMode) (*outConn, error) {
+// dial establishes one outbound connection and runs the handshake. Any
+// failure — refused, reset, closed on the preamble, silent past
+// TCPNegotiateTimeout, a wrong ack — fails with ErrUnreachable.
+func (ep *TCPEndpoint) dial(to Addr) (*outConn, error) {
 	m := ep.met.Load()
 	if m != nil {
 		m.dials.Inc()
 	}
-	tryBinary := mode == WireAuto && !ep.peerGobOnly(to)
 	conn, err := net.DialTimeout("tcp", string(to), TCPDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, to, err)
 	}
-	if tryBinary {
-		ok, nerr := ep.negotiate(conn)
-		if ok {
-			return ep.newOutConn(conn, true), nil
-		}
+	if err := ep.handshake(conn); err != nil {
 		_ = conn.Close() // the dial is already failing; the close error adds nothing
-		if nerr != nil {
-			// The peer answered nothing inside the negotiation window: it
-			// is wedged, not old — failing is truthful, falling back to a
-			// gob stream it also is not reading would only hide it.
-			return nil, fmt.Errorf("%w: negotiate %s: %v", ErrUnreachable, to, nerr)
-		}
-		// Peer declined (pre-binary build closed the connection on the
-		// preamble): remember and re-dial gob.
-		ep.mu.Lock()
-		ep.gobOnly[to] = true
-		ep.mu.Unlock()
-		if m != nil {
-			m.negotiationFallbacks.Inc()
-		}
-		conn, err = net.DialTimeout("tcp", string(to), TCPDialTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("%w: dial %s: %v", ErrUnreachable, to, err)
-		}
+		return nil, fmt.Errorf("%w: handshake %s: %v", ErrUnreachable, to, err)
 	}
-	return ep.newOutConn(conn, false), nil
-}
-
-// negotiate runs the dialer side of the codec handshake: preamble +
-// self-address out, one ack byte back, all under TCPNegotiateTimeout.
-// ok means the peer acked binary. A false return with nil error is a
-// decline (gob fallback); a non-nil error is a dead/wedged peer.
-func (ep *TCPEndpoint) negotiate(conn net.Conn) (bool, error) {
-	deadline := time.Now().Add(TCPNegotiateTimeout)
-	if err := conn.SetDeadline(deadline); err != nil {
-		return false, nil
-	}
-	var e wire.Encoder
-	e.Reset()
-	e.String(string(ep.addr))
-	if _, err := conn.Write(wirePreamble[:]); err != nil {
-		return false, timeoutOrDecline(err)
-	}
-	if _, err := conn.Write(e.Bytes()); err != nil {
-		return false, timeoutOrDecline(err)
-	}
-	var ack [1]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack[0] != wireAck {
-		if err != nil {
-			return false, timeoutOrDecline(err)
-		}
-		return false, nil
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		return false, nil
-	}
-	return true, nil
-}
-
-// timeoutOrDecline maps a negotiation I/O error: timeouts surface (the
-// peer is unresponsive), everything else — EOF, reset — reads as an old
-// peer rejecting the preamble and returns nil for the gob fallback.
-func timeoutOrDecline(err error) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return err
-	}
-	return nil
-}
-
-func (ep *TCPEndpoint) newOutConn(conn net.Conn, binaryMode bool) *outConn {
 	var w io.Writer = conn
-	if m := ep.met.Load(); m != nil {
+	if m != nil {
 		w = &countingWriter{w: conn, c: m.bytes}
 	}
-	oc := &outConn{conn: conn, bw: bufio.NewWriter(w), binary: binaryMode}
-	if !binaryMode {
-		//lint:allow-lockcheck the outConn is still private to this constructor
-		oc.enc = gob.NewEncoder(oc.bw)
-	}
-	return oc
+	return &outConn{conn: conn, bw: bufio.NewWriter(w)}, nil
 }
 
-func (ep *TCPEndpoint) peerGobOnly(to Addr) bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.gobOnly[to]
+// handshake runs the dialer side of the connection handshake: preamble +
+// self-address out, one ack byte back, all under TCPNegotiateTimeout.
+func (ep *TCPEndpoint) handshake(conn net.Conn) error {
+	if err := conn.SetDeadline(time.Now().Add(TCPNegotiateTimeout)); err != nil {
+		return err
+	}
+	var e wire.Encoder
+	e.String(string(ep.addr))
+	if _, err := conn.Write(wirePreamble[:]); err != nil {
+		return err
+	}
+	if _, err := conn.Write(e.Bytes()); err != nil {
+		return err
+	}
+	var ack [1]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return err
+	}
+	if ack[0] != wireAck {
+		return fmt.Errorf("bad ack %#x", ack[0])
+	}
+	return conn.SetDeadline(time.Time{})
 }
 
 func (ep *TCPEndpoint) dropConn(to Addr, oc *outConn) {
@@ -522,44 +404,26 @@ func (ep *TCPEndpoint) rejectFrame() {
 	}
 }
 
-// readLoop serves one inbound connection. The first byte discriminates
-// the codec: a zero byte can only be a binary preamble (gob always leads
-// with a non-zero count), anything else is a gob stream. WireLegacy
-// endpoints skip the sniff and behave exactly like a pre-binary build.
+// readLoop serves one inbound connection: it validates the preamble,
+// acks, then decodes length-prefixed frames. A connection that opens with
+// anything but the preamble, and any oversized, truncated or undecodable
+// frame, is counted and closed — a corrupt stream has no recoverable
+// framing. A connection that closes before its first byte (a liveness
+// probe) is not counted.
 func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	defer func() {
 		_ = conn.Close() // inbound loop exit: the decode error, if any, was already counted
 	}()
 	br := bufio.NewReader(conn)
-
-	ep.mu.Lock()
-	legacy := ep.mode == WireLegacy
-	ep.mu.Unlock()
-
-	if !legacy {
-		first, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		if first[0] == wireMagic0 {
-			ep.readBinary(conn, br)
-			return
-		}
-	}
-	ep.readGob(conn, br)
-}
-
-// readBinary validates the preamble, acks, then decodes length-prefixed
-// frames. Any oversized, truncated or undecodable frame is counted and
-// kills the connection — a corrupt stream has no recoverable framing.
-func (ep *TCPEndpoint) readBinary(conn net.Conn, br *bufio.Reader) {
 	var pre [5]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != wirePreamble {
-		ep.rejectFrame()
+		if err != io.EOF {
+			ep.rejectFrame()
+		}
 		return
 	}
 	// Dialer address, bounded: sent once per connection instead of per
-	// frame (one of the binary format's per-message savings over gob).
+	// frame.
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := 0
 	for {
@@ -607,21 +471,10 @@ func (ep *TCPEndpoint) readBinary(conn net.Conn, br *bufio.Reader) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		var msg any
-		if body[0] == frameGob {
-			var env wireEnvelope
-			if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&env); err != nil {
-				ep.rejectFrame()
-				return
-			}
-			msg = env.Payload
-		} else {
-			v, err := wire.DecodeMessage(body)
-			if err != nil {
-				ep.rejectFrame()
-				return
-			}
-			msg = v
+		msg, err := wire.DecodeMessage(body)
+		if err != nil {
+			ep.rejectFrame()
+			return
 		}
 		if m := ep.met.Load(); m != nil {
 			m.received.Inc()
@@ -634,54 +487,6 @@ func (ep *TCPEndpoint) readBinary(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// readGob decodes the legacy stream format. The reader is wrapped in a
-// per-message byte limit so a corrupt or hostile gob length costs at most
-// MaxInboundFrame before the connection dies, mirroring the binary path.
-func (ep *TCPEndpoint) readGob(conn net.Conn, br *bufio.Reader) {
-	lr := &frameLimitReader{r: br}
-	dec := gob.NewDecoder(lr)
-	for {
-		lr.n = 0
-		var env wireEnvelope
-		if err := dec.Decode(&env); err != nil {
-			if lr.tripped {
-				ep.rejectFrame()
-			}
-			return
-		}
-		if m := ep.met.Load(); m != nil {
-			m.received.Inc()
-		}
-		select {
-		case ep.deliver <- envelope{from: Addr(env.From), msg: env.Payload}:
-		case <-ep.done:
-			return
-		}
-	}
-}
-
-// frameLimitReader caps the bytes one gob message may pull. The read
-// loop resets n before each Decode; tripping the cap poisons the reader
-// so the decoder's next read fails too.
-type frameLimitReader struct {
-	r       io.Reader
-	n       int
-	tripped bool
-}
-
-func (l *frameLimitReader) Read(p []byte) (int, error) {
-	if l.tripped || l.n >= MaxInboundFrame {
-		l.tripped = true
-		return 0, errFrameTooLarge
-	}
-	if rem := MaxInboundFrame - l.n; len(p) > rem {
-		p = p[:rem]
-	}
-	n, err := l.r.Read(p)
-	l.n += n
-	return n, err
-}
-
 func (ep *TCPEndpoint) deliverLoop() {
 	for {
 		select {
@@ -691,14 +496,6 @@ func (ep *TCPEndpoint) deliverLoop() {
 			return
 		}
 	}
-}
-
-// wireEnvelope is the gob frame exchanged between TCP endpoints (the
-// legacy stream format and the binary path's gob-fallback body). Payload
-// types must be registered with Register.
-type wireEnvelope struct {
-	From    string
-	Payload any
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)

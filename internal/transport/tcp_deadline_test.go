@@ -1,20 +1,29 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
+
+	"squid/internal/wire"
 )
 
 type tcpBlob struct{ B []byte }
 
-func init() { gob.Register(tcpBlob{}) }
+func init() {
+	wire.Register(20_003, tcpBlob{},
+		func(e *wire.Encoder, v any) { e.RawBytes(v.(tcpBlob).B) },
+		func(d *wire.Decoder) any { return tcpBlob{B: d.RawBytes()} })
+}
 
-// TestTCPWriteDeadline: a peer that accepts connections but never drains
-// its socket must not wedge the sender — once the kernel buffers fill, the
-// write deadline fires and Send fails with ErrUnreachable in bounded time.
+// TestTCPWriteDeadline: a peer that completes the handshake but never
+// drains its socket must not wedge the sender — once the kernel buffers
+// fill, the write deadline fires and Send fails with ErrUnreachable in
+// bounded time.
 func TestTCPWriteDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -29,8 +38,27 @@ func TestTCPWriteDeadline(t *testing.T) {
 			if err != nil {
 				return
 			}
-			defer conn.Close()
-			<-stop // hold the connection open without ever reading
+			go func() {
+				defer conn.Close()
+				// Read the preamble and the dialer address, ack, then hold
+				// the connection open without ever reading again.
+				br := bufio.NewReader(conn)
+				var pre [len(wirePreamble)]byte
+				if _, err := io.ReadFull(br, pre[:]); err != nil {
+					return
+				}
+				n, err := binary.ReadUvarint(br)
+				if err != nil {
+					return
+				}
+				if _, err := io.ReadFull(br, make([]byte, n)); err != nil {
+					return
+				}
+				if _, err := conn.Write([]byte{wireAck}); err != nil {
+					return
+				}
+				<-stop
+			}()
 		}
 	}()
 

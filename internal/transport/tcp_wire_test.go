@@ -3,9 +3,11 @@ package transport
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,19 +15,16 @@ import (
 	"squid/internal/wire"
 )
 
-// wireTestMsg has a binary codec; wireGobMsg only has gob. Both travel
-// through the same endpoints so the tests below can steer a frame down
-// either path. Tags sit far above the protocol ranges.
+// wireTestMsg has a wire codec; wireNoCodecMsg has none, so TCP refuses
+// to send it. Tags sit far above the protocol ranges.
 type wireTestMsg struct {
 	N uint64
 	S string
 }
 
-type wireGobMsg struct{ S string }
+type wireNoCodecMsg struct{ S string }
 
 func init() {
-	gob.Register(wireTestMsg{})
-	gob.Register(wireGobMsg{})
 	wire.Register(20_001, wireTestMsg{},
 		func(e *wire.Encoder, v any) {
 			m := v.(wireTestMsg)
@@ -85,9 +84,8 @@ func waitCounter(t *testing.T, c *telemetry.Counter, want uint64) {
 	t.Fatalf("counter stuck at %d, want >= %d", c.Value(), want)
 }
 
-// TestTCPBinaryNegotiation: two current builds negotiate the binary codec
-// and codec-registered messages travel as binary frames — zero gob frames
-// on the connection.
+// TestTCPBinaryNegotiation: two endpoints complete the preamble handshake
+// and messages travel as binary frames, one per Send, on one dial.
 func TestTCPBinaryNegotiation(t *testing.T) {
 	a, b, _, rb, ma, _ := wirePair(t)
 	for i := 0; i < 3; i++ {
@@ -99,102 +97,95 @@ func TestTCPBinaryNegotiation(t *testing.T) {
 	if want := string(a.Addr()) + ":{0 bin}"; got[0] != want {
 		t.Errorf("first delivery = %q, want %q", got[0], want)
 	}
-	if n := ma.frames.binary.Value(); n != 3 {
+	if n := ma.frames.Value(); n != 3 {
 		t.Errorf("binary frames = %d, want 3", n)
 	}
-	if n := ma.frames.gob.Value(); n != 0 {
-		t.Errorf("gob frames = %d, want 0", n)
-	}
-	if n := ma.negotiationFallbacks.Value(); n != 0 {
-		t.Errorf("negotiation fallbacks = %d, want 0", n)
+	if n := ma.dials.Value(); n != 1 {
+		t.Errorf("dials = %d, want 1", n)
 	}
 }
 
-// TestTCPGobFallbackFrame: a message type without a binary codec still
-// crosses a negotiated binary connection, via the tagged gob-body escape.
-func TestTCPGobFallbackFrame(t *testing.T) {
+// TestTCPNoCodecSendFails: a message type without a wire codec fails
+// Send with an error, puts no frame or byte on the connection, and leaves
+// the connection usable for the next message.
+func TestTCPNoCodecSendFails(t *testing.T) {
 	a, b, _, rb, ma, _ := wirePair(t)
-	if err := a.Send(b.Addr(), wireGobMsg{S: "legacy-payload"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(b.Addr(), wireTestMsg{N: 1, S: "bin"}); err != nil {
-		t.Fatal(err)
-	}
-	waitMsgs(t, rb, 2)
-	if n := ma.frames.gobFallback.Value(); n != 1 {
-		t.Errorf("gob-fallback frames = %d, want 1", n)
-	}
-	if n := ma.frames.binary.Value(); n != 1 {
-		t.Errorf("binary frames = %d, want 1", n)
-	}
-}
-
-// TestTCPLegacyPeerFallback: dialing a pre-binary build (emulated by
-// WireLegacy) falls back to a pure gob connection after the peer rejects
-// the preamble, and the peer is remembered as gob-only so later dials
-// skip the failed negotiation.
-func TestTCPLegacyPeerFallback(t *testing.T) {
-	a, b, _, rb, ma, _ := wirePair(t)
-	b.SetWireMode(WireLegacy)
-	if err := a.Send(b.Addr(), wireTestMsg{N: 7, S: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	got := waitMsgs(t, rb, 1)
-	if want := string(a.Addr()) + ":{7 old}"; got[0] != want {
-		t.Errorf("delivery = %q, want %q", got[0], want)
-	}
-	if n := ma.negotiationFallbacks.Value(); n != 1 {
-		t.Errorf("negotiation fallbacks = %d, want 1", n)
-	}
-	if n := ma.frames.gob.Value(); n != 1 {
-		t.Errorf("gob frames = %d, want 1", n)
-	}
-	if !a.peerGobOnly(b.Addr()) {
-		t.Error("peer not remembered as gob-only")
-	}
-
-	// Force a re-dial: the endpoint must go straight to gob this time.
-	a.mu.Lock()
-	oc := a.conns[b.Addr()]
-	a.mu.Unlock()
-	a.dropConn(b.Addr(), oc)
-	if err := a.Send(b.Addr(), wireTestMsg{N: 8, S: "again"}); err != nil {
-		t.Fatal(err)
-	}
-	waitMsgs(t, rb, 2)
-	if n := ma.negotiationFallbacks.Value(); n != 1 {
-		t.Errorf("re-dial negotiated again: fallbacks = %d, want still 1", n)
-	}
-}
-
-// TestTCPWireGobMode: an endpoint pinned to WireGob dials gob outright —
-// no preamble, no fallback counter — but still accepts binary inbound.
-func TestTCPWireGobMode(t *testing.T) {
-	a, b, _, rb, ma, mb := wirePair(t)
-	a.SetWireMode(WireGob)
-	if err := a.Send(b.Addr(), wireTestMsg{N: 1, S: "gob"}); err != nil {
+	if err := a.Send(b.Addr(), wireTestMsg{N: 1, S: "prime"}); err != nil {
 		t.Fatal(err)
 	}
 	waitMsgs(t, rb, 1)
-	if n := ma.frames.gob.Value(); n != 1 {
-		t.Errorf("gob frames = %d, want 1", n)
+	frames, bytes := ma.frames.Value(), ma.bytes.Value()
+
+	err := a.Send(b.Addr(), wireNoCodecMsg{S: "no codec"})
+	if !errors.Is(err, errNoCodec) {
+		t.Fatalf("send of a codec-less type: err = %v, want errNoCodec", err)
 	}
-	if n := ma.negotiationFallbacks.Value(); n != 0 {
-		t.Errorf("fallbacks = %d, want 0", n)
+	if n := ma.frames.Value(); n != frames {
+		t.Errorf("frames = %d after the failed send, want %d", n, frames)
+	}
+	if n := ma.bytes.Value(); n != bytes {
+		t.Errorf("bytes written = %d after the failed send, want %d", n, bytes)
 	}
 
-	// The reverse direction still negotiates binary.
-	ra := a.handler.(*recorder)
-	if err := b.Send(a.Addr(), wireTestMsg{N: 2, S: "rev"}); err != nil {
+	if err := a.Send(b.Addr(), wireTestMsg{N: 2, S: "after"}); err != nil {
 		t.Fatal(err)
 	}
-	waitMsgs(t, ra, 1)
-	if n := mb.frames.binary.Value(); n != 1 {
-		t.Errorf("b->a binary frames = %d, want 1", n)
+	if got := waitMsgs(t, rb, 2); len(got) != 2 {
+		t.Errorf("deliveries = %v, want the two codec messages only", got)
+	}
+	if n := ma.dials.Value(); n != 1 {
+		t.Errorf("dials = %d, want 1: the failed send must not drop the connection", n)
 	}
 }
 
-// rawHandshake dials to and completes the binary negotiation by hand,
+// TestTCPPreambleRejectedUnreachable: a peer that closes the connection on
+// the preamble (as a build without this handshake would) fails Send with
+// ErrUnreachable after exactly one dial — there is no other format to
+// retry in.
+func TestTCPPreambleRejectedUnreachable(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			var pre [len(wirePreamble)]byte
+			_, _ = io.ReadFull(conn, pre[:]) // whatever arrives, the answer is a close
+			conn.Close()
+		}
+	}()
+
+	ep, err := ListenTCP("127.0.0.1:0", &recorder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.Instrument(telemetry.NewRegistry(time.Now))
+	m := ep.met.Load()
+
+	err = ep.Send(Addr(ln.Addr().String()), wireTestMsg{N: 1, S: "x"})
+	if !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("send to a preamble-rejecting peer: err = %v, want ErrUnreachable", err)
+	}
+	if n := m.dials.Value(); n != 1 {
+		t.Errorf("dials = %d, want 1 (no re-dial)", n)
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Errorf("peer accepted %d connections, want 1", n)
+	}
+	if n := m.frames.Value(); n != 0 {
+		t.Errorf("frames = %d, want 0", n)
+	}
+}
+
+// rawHandshake dials to and completes the preamble handshake by hand,
 // returning the open connection ready for frames.
 func rawHandshake(t *testing.T, to Addr) net.Conn {
 	t.Helper()
@@ -260,7 +251,7 @@ func TestTCPFrameRejectedCorrupt(t *testing.T) {
 	ep.Instrument(telemetry.NewRegistry(time.Now))
 	m := ep.met.Load()
 
-	// Zero lead byte (binary sniff) but garbage magic.
+	// Right lead byte, garbage magic.
 	conn, err := net.Dial("tcp", string(ep.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +276,10 @@ func TestTCPFrameRejectedCorrupt(t *testing.T) {
 	}
 }
 
-// TestTCPGobStreamBounded: the legacy gob read path enforces the same
-// inbound cap — one hostile message trips frameRejected instead of
-// allocating without bound. (The cap is a package global shared with live
-// read loops, so the test crosses the real 32MB limit rather than
-// shrinking it and racing other connections.)
-func TestTCPGobStreamBounded(t *testing.T) {
+// TestTCPGobStreamRejected: an inbound connection that opens with anything
+// but the preamble — here a gob stream, whose first byte is non-zero — is
+// counted, closed, and delivers nothing.
+func TestTCPGobStreamRejected(t *testing.T) {
 	r := &recorder{}
 	ep, err := ListenTCP("127.0.0.1:0", r)
 	if err != nil {
@@ -305,19 +294,21 @@ func TestTCPGobStreamBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	// Within the cap: delivered.
-	if err := enc.Encode(wireEnvelope{From: "x", Payload: wireGobMsg{S: "small"}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMsgs(t, r, 1)
-	// Over the cap: rejected, connection dead. The write side may itself
-	// error once the endpoint hangs up mid-message — that's fine.
-	big := wireGobMsg{S: string(make([]byte, MaxInboundFrame+(1<<20)))}
-	_ = enc.Encode(wireEnvelope{From: "x", Payload: big})
+	env := struct {
+		From    string
+		Payload wireTestMsg
+	}{From: "x", Payload: wireTestMsg{N: 1, S: "gob"}}
+	// gob writes the type description and the value separately; the
+	// endpoint may hang up after the first, failing the second write.
+	_ = gob.NewEncoder(conn).Encode(env)
 	waitCounter(t, m.frameRejected, 1)
-	if got := r.snapshot(); len(got) != 1 {
-		t.Errorf("oversize gob message delivered: %d messages", len(got))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	if _, err := conn.Read(b[:]); err == nil {
+		t.Error("connection still open after a gob stream")
+	}
+	if got := r.snapshot(); len(got) != 0 {
+		t.Errorf("gob stream delivered messages: %v", got)
 	}
 }
 
@@ -391,7 +382,7 @@ func TestTCPWriteCoalescing(t *testing.T) {
 	if n := ma.flushes.Value() - flushesBefore; n != 1 {
 		t.Errorf("burst of %d sends cost %d flushes, want 1 (group commit)", burst, n)
 	}
-	if n := ma.frames.binary.Value(); n != 1+burst {
+	if n := ma.frames.Value(); n != 1+burst {
 		t.Errorf("binary frames = %d, want %d", n, 1+burst)
 	}
 }

@@ -4,16 +4,14 @@
 // deployments.
 //
 // The contract is asynchronous, at-most-once, FIFO-per-receiver delivery of
-// arbitrary (registered) message values. Handlers run one message at a time
+// message values. The in-process transport passes any value; TCP carries
+// only types with a wire.Register codec. Handlers run one message at a time
 // per endpoint, so protocol state needs no locking as long as it is touched
 // only from the handler goroutine; use Endpoint.Send to the endpoint's own
 // address to inject work into that goroutine from outside.
 package transport
 
-import (
-	"encoding/gob"
-	"errors"
-)
+import "errors"
 
 // Addr is an opaque peer address: a symbolic name in the in-process network,
 // "host:port" over TCP.
@@ -50,9 +48,3 @@ var ErrUnreachable = errors.New("transport: destination unreachable")
 
 // ErrClosed reports that the sending endpoint itself has been closed.
 var ErrClosed = errors.New("transport: endpoint closed")
-
-// Register makes a message type encodable by wire transports (gob). The
-// in-process transport passes values directly and does not need it, but
-// protocol packages should register all their message types at init so the
-// same code runs over TCP.
-func Register(v any) { gob.Register(v) }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"squid/internal/wire"
 )
 
 type recorder struct {
@@ -208,8 +210,13 @@ func TestInprocConcurrentSenders(t *testing.T) {
 
 type wirePing struct{ N int }
 
+func init() {
+	wire.Register(20_002, wirePing{},
+		func(e *wire.Encoder, v any) { e.Int(int64(v.(wirePing).N)) },
+		func(d *wire.Decoder) any { return wirePing{N: int(d.Int())} })
+}
+
 func TestTCPRoundTrip(t *testing.T) {
-	Register(wirePing{})
 	ra, rb := &recorder{}, &recorder{}
 	a, err := ListenTCP("127.0.0.1:0", ra)
 	if err != nil {
@@ -243,7 +250,6 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPSelfSend(t *testing.T) {
-	Register(wirePing{})
 	ra := &recorder{}
 	a, err := ListenTCP("127.0.0.1:0", ra)
 	if err != nil {
@@ -276,7 +282,6 @@ func TestTCPUnreachableAndClose(t *testing.T) {
 }
 
 func TestTCPPeerRestart(t *testing.T) {
-	Register(wirePing{})
 	ra := &recorder{}
 	a, err := ListenTCP("127.0.0.1:0", ra)
 	if err != nil {

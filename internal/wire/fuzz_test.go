@@ -42,7 +42,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	EncodeMessage(&e, testMsg{A: "seed", B: 7})
 	f.Add(append([]byte(nil), e.Bytes()...))
 	f.Add([]byte{0x01})       // TagNil is not a valid top-level message
-	f.Add([]byte{0x00})       // reserved transport tag
+	f.Add([]byte{0x00})       // reserved tag 0
 	f.Add([]byte{0x91, 0x4e}) // tag 10001, empty body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := DecodeMessage(data)

@@ -11,7 +11,7 @@ import (
 // once shipped, a tag's layout is frozen — a layout change means a new
 // tag with the old decoder retained for compatibility (DESIGN.md §4i).
 //
-//	0        reserved by the transport for gob-fallback frames
+//	0        reserved; never registered, rejected on decode
 //	1        nil interface value (Any)
 //	2-7      reserved
 //	8-31     internal/chord
@@ -53,10 +53,9 @@ var (
 )
 
 // Register binds tag to prototype's concrete type. It is called from
-// protocol packages' init functions, next to the matching
-// transport.Register call (the squid-lint wirecodec analyzer enforces the
-// pairing). Duplicate tags or types panic: the registry is a compile-time
-// contract, not runtime configuration.
+// protocol packages' init functions; a type without a codec cannot cross
+// a TCP connection. Duplicate tags or types panic: the registry is a
+// compile-time contract, not runtime configuration.
 func Register(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	if tag <= TagNil {
 		panic(fmt.Sprintf("wire: tag %d is reserved", tag))
@@ -116,7 +115,7 @@ func Codecs() []*Codec {
 // EncodeMessage appends tag + body for msg. It reports false — leaving
 // possibly partial bytes in the buffer, so Reset before reuse — when
 // msg's type, or a nested dynamic value inside it, has no codec; the
-// transport then falls back to a gob frame for this message.
+// transport then refuses to send the message.
 //
 //lint:allocfree
 func EncodeMessage(e *Encoder, msg any) bool {
@@ -150,8 +149,8 @@ func DecodeMessage(b []byte) (any, error) {
 // Any encodes a dynamically typed value (an interface field such as
 // chord.RouteMsg.Payload): tag + body, or TagNil for nil. An
 // unregistered dynamic type poisons the encoder so EncodeMessage reports
-// false and the whole envelope falls back to gob — a message is either
-// fully binary or fully gob, never spliced.
+// false for the whole envelope — a message is encoded whole or not at
+// all.
 //
 //lint:allocfree
 func (e *Encoder) Any(v any) {
@@ -161,7 +160,7 @@ func (e *Encoder) Any(v any) {
 	}
 	c := Lookup(v)
 	if c == nil {
-		//lint:allow-allocfree error path: the message falls back to gob
+		//lint:allow-allocfree error path: the message is refused
 		e.fail(fmt.Errorf("wire: no codec for %T", v))
 		return
 	}

@@ -1,12 +1,10 @@
-// Package wire is Squid's hand-rolled binary codec for the hot-path
-// protocol messages. encoding/gob pays a per-connection type-description
-// tax and a per-message type-name tax on every interface-valued field —
-// measurable as 5-10x payload inflation on the cluster-query path (see
-// BENCH_3.json). This package replaces it with a fixed-layout,
-// zero-alloc-on-encode format while keeping gob as the compatibility
-// oracle: every codec is equivalence-tested against gob round trips, and
-// the TCP transport negotiates per connection so binary and gob-only peers
-// interoperate (see internal/transport and DESIGN.md §4i).
+// Package wire is Squid's hand-rolled binary codec, the only format the TCP
+// transport speaks (see internal/transport and DESIGN.md §4i). It is
+// fixed-layout and zero-alloc on encode, and carries no type names: a
+// self-describing codec such as encoding/gob pays a per-connection
+// type-description tax and a per-message type-name tax on every
+// interface-valued field. Every codec is equivalence-tested against gob
+// round trips, which serve as the oracle in tests only.
 //
 // Layout discipline: each message type owns one tag (registry.go) and one
 // fixed field order. Integers are unsigned varints (lengths, counts,

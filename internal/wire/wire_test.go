@@ -219,8 +219,8 @@ func TestNestedAny(t *testing.T) {
 		t.Fatalf("nil payload decoded as %#v", v)
 	}
 
-	// An unregistered nested payload poisons the whole message so the
-	// transport falls the envelope back to gob — never a spliced frame.
+	// An unregistered nested payload poisons the whole message, so the
+	// transport refuses it rather than send a partial frame.
 	e.Reset()
 	if EncodeMessage(&e, testNested{Inner: testUnregistered{}}) {
 		t.Fatal("unregistered nested payload accepted")
@@ -228,10 +228,12 @@ func TestNestedAny(t *testing.T) {
 }
 
 func TestDecodeMessageUnknownTag(t *testing.T) {
-	var e Encoder
-	e.Uvarint(9_999_999)
-	if _, err := DecodeMessage(e.Bytes()); err == nil {
-		t.Fatal("unknown tag decoded")
+	for _, tag := range []uint64{0, 9_999_999} {
+		var e Encoder
+		e.Uvarint(tag)
+		if _, err := DecodeMessage(e.Bytes()); err == nil {
+			t.Fatalf("tag %d decoded", tag)
+		}
 	}
 }
 
@@ -245,6 +247,9 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		fn()
 	}
+	expectPanic("reserved tag 0", func() {
+		Register(0, testUnregistered{}, func(*Encoder, any) {}, func(*Decoder) any { return nil })
+	})
 	expectPanic("reserved tag", func() {
 		Register(TagNil, testMsg{}, func(*Encoder, any) {}, func(*Decoder) any { return nil })
 	})
