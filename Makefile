@@ -25,8 +25,9 @@ cover:
 lint:
 	scripts/lint.sh
 
+# The end-to-end benchmark BENCHMARK.json declares (see bench/README.md).
 bench:
-	scripts/bench.sh
+	bash bench/run.sh
 
 # Short local fuzz sweep (10s per target); CI's nightly job runs 60s each.
 fuzz:

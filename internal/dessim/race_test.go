@@ -1,0 +1,5 @@
+//go:build race
+
+package dessim_test
+
+const raceEnabled = true

@@ -1,8 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section 4) on simulated networks, at configurable scale. The
-// full-scale runs (1 000-5 400 nodes, 2*10^5-10^6 keys) are driven by
-// cmd/squid-bench; the benchmark suite runs the same code at reduced scale.
-// See DESIGN.md Section 4 for the experiment index and EXPERIMENTS.md for
+// evaluation (Section 4) on simulated networks, at configurable scale, from
+// reduced sizes up to the full 1 000-5 400 nodes and 2*10^5-10^6 keys;
+// cmd/squid-figures drives it. See DESIGN.md Section 4 for the experiment index and EXPERIMENTS.md for
 // recorded paper-vs-measured results.
 package experiments
 

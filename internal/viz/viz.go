@@ -1,5 +1,5 @@
 // Package viz renders the experiment harness's data as terminal charts, so
-// cmd/squid-bench output visually mirrors the paper's figures: line-ish
+// cmd/squid-figures output visually mirrors the paper's figures: line-ish
 // series for the scaling sweeps (Figs. 9-17), histograms for the index and
 // load distributions (Figs. 18-19).
 package viz

@@ -155,63 +155,3 @@ func (g *QueryGen) wordRange() keyspace.Term {
 	}
 	return keyspace.Range(a, b)
 }
-
-// Pool draws n queries up front (the paper's Q1/Q2 mix), forming the
-// candidate set a browsing population revisits.
-func (g *QueryGen) Pool(n int) []keyspace.Query {
-	out := make([]keyspace.Query, n)
-	for i := range out {
-		if i%2 == 0 {
-			out[i] = g.Q1()
-		} else {
-			out[i] = g.Q2()
-		}
-	}
-	return out
-}
-
-// ZipfRepeats replays a query pool Zipf(s)-weighted: the head of the pool
-// dominates the draw sequence the way popular searches dominate real
-// traffic. This is the repetition a popular-cluster result cache feeds on —
-// a uniform replay would make every cache look useless.
-func ZipfRepeats(pool []keyspace.Query, seed int64, s float64, n int) []keyspace.Query {
-	if s <= 1 {
-		// math/rand's Zipf needs s > 1; this is the closest draw to the
-		// experiments' nominal Zipf(1.0) popularity.
-		s = 1.01
-	}
-	rng := rand.New(rand.NewSource(seed))
-	zipf := rand.NewZipf(rng, s, 1, uint64(len(pool)-1))
-	out := make([]keyspace.Query, n)
-	for i := range out {
-		out[i] = pool[zipf.Uint64()]
-	}
-	return out
-}
-
-// StreamStorm is a browsing-style streaming workload: a Zipf-repeated
-// query sequence with a per-query top-k limit (0 = full drain). Feed each
-// (Queries[i], Limits[i]) pair to QueryStream.
-type StreamStorm struct {
-	Queries []keyspace.Query
-	Limits  []int
-}
-
-// NewStreamStorm draws a streaming storm: pool distinct queries replayed
-// Zipf(zipfS)-weighted n times, where every other draw streams with
-// Limit(topK) and the rest drain fully — the mixed browsing population the
-// streaming experiments measure (top-k savings on the limited half, cache
-// hits on the repeats).
-func NewStreamStorm(v *Vocabulary, seed int64, dims, pool, n, topK int, zipfS float64) StreamStorm {
-	gen := NewQueryGen(v, seed, dims)
-	st := StreamStorm{
-		Queries: ZipfRepeats(gen.Pool(pool), seed+1, zipfS, n),
-		Limits:  make([]int, n),
-	}
-	for i := range st.Limits {
-		if i%2 == 1 {
-			st.Limits[i] = topK
-		}
-	}
-	return st
-}
