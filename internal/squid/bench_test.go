@@ -1,6 +1,7 @@
 package squid_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -115,6 +116,39 @@ func BenchmarkEngineQuery_Uninstrumented(b *testing.B) {
 // per-query sampled tracing costs more and is opt-in.
 func BenchmarkEngineQuery_Instrumented(b *testing.B) {
 	benchEngineQuery(b, buildBenchNetwork(b, 100, 10_000, true))
+}
+
+// BenchmarkStreamRangeQuery drains a QueryStream of the full-space query
+// from a consumer goroutine, as a client of a ring does: the streaming
+// result path (scan, partial relays at inner nodes, root delivery) with
+// every stored element matching.
+func BenchmarkStreamRangeQuery(b *testing.B) {
+	nw := benchNetwork(b, 100, 10_000)
+	q := keyspace.MustParse("(*, *)")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := nw.Peers[i%len(nw.Peers)]
+		started := make(chan *squid.ResultStream, 1)
+		sim.MustInvoke(p, func() {
+			s, err := p.Engine.QueryStream(context.Background(), q)
+			if err != nil {
+				b.Error(err)
+			}
+			started <- s
+		})
+		s := <-started
+		if s == nil {
+			b.FailNow()
+		}
+		n := 0
+		for batch, ok := s.Next(); ok; batch, ok = s.Next() {
+			n += len(batch)
+		}
+		if s.Err() != nil || n != 10_000 {
+			b.Fatalf("stream delivered %d matches, err %v", n, s.Err())
+		}
+	}
 }
 
 // BenchmarkWildcardQuery measures the worst-case full-space query.

@@ -1,11 +1,12 @@
 package squid
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -198,11 +199,12 @@ type subtree struct {
 	ctxStop     chan struct{} // closed on completion to release the context watcher
 
 	// Streaming state. A streaming root carries its sink; matches flow out
-	// through it as children report instead of accumulating in matches.
-	// Non-root subtrees of a streaming query set streamUp and forward each
-	// increment to the parent as a PartialResultMsg; forwarded counts the
-	// matches already shipped that way so the terminal SubResultMsg carries
-	// only the remainder.
+	// through it as children report instead of accumulating in matches
+	// (an unlimited root holds only its own local matches there until its
+	// dispatch round completes). Non-root subtrees of a streaming query set
+	// streamUp and forward each increment to the parent as a
+	// PartialResultMsg; matches then keeps only what was not forwarded,
+	// which the terminal SubResultMsg carries.
 	stream    streamSink // non-nil at a streaming root
 	limit     int        // stop after this many delivered matches (0 = unlimited)
 	afterPos  uint64     // cursor restriction: deliver only curve indices >= afterPos
@@ -210,7 +212,6 @@ type subtree struct {
 	hasPos    bool
 	delivered int  // matches pushed to the stream so far
 	streamUp  bool // non-root: forward increments to the parent
-	forwarded int  // matches already shipped upstream in partials
 	cutLo     uint64
 	cutSkip   int  // elements at cutLo already delivered
 	cutSet    bool // (cutLo, cutSkip) is the lowest coordinate never delivered
@@ -244,7 +245,7 @@ type subtree struct {
 	level        int
 	clustersIn   int // clusters this subtree received
 	localDone    int // clusters resolved against the local store
-	localMatches int // matches found locally (st.matches also aggregates children)
+	localMatches int // matches found locally (st.matches may also hold children's)
 	retries      int // re-dispatches this subtree performed on its children
 	startNS      int64
 	spans        []telemetry.Span
@@ -638,25 +639,27 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 		e.noteProcessed(qid, local, len(matches), e.opts.Sink != nil && local > 0)
 		st.localDone = local
 		st.localMatches = len(matches)
-		if st.stream == nil {
+		// A streaming root holds its local matches until the dispatch round
+		// has registered every child: a cancellation arriving before or
+		// during their delivery can then name both the held matches and the
+		// outstanding subtrees in the resume cursor, instead of reporting a
+		// falsely exhausted stream before any child existed. A limited
+		// stream holds them in its ordered buffer, an unlimited one as the
+		// filtered slice itself.
+		switch {
+		case st.stream == nil:
 			st.matches = matches
-		} else {
-			// The local matches are held until the dispatch round has
-			// registered every child: a cancellation arriving before or
-			// during their delivery can then name both the buffered matches
-			// and the outstanding subtrees in the resume cursor, instead of
-			// reporting a falsely exhausted stream before any child existed.
+		case st.limit > 0:
 			e.bufferMatches(st, e.filterResumed(st, matches))
+		default:
+			st.matches = e.filterResumed(st, matches)
 		}
 		if st.stream != nil && st.limit > 0 && len(remote) > streamDispatchWindow {
 			// Windowed dispatch: only the lowest clusters go out now; the
 			// rest wait in pending and are never sent if the limit is
 			// satisfied first. The pending tail is copied out of the
 			// scheduler's reusable frontier buffer.
-			curve := e.space.Curve()
-			sort.Slice(remote, func(i, j int) bool {
-				return remote[i].Span(curve).Lo < remote[j].Span(curve).Lo
-			})
+			sortBySpan(remote, e.space.Curve())
 			st.pending = append([]sfc.Refined(nil), remote[streamDispatchWindow:]...)
 			remote = remote[:streamDispatchWindow]
 		}
@@ -666,7 +669,9 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 				if st.limit > 0 {
 					e.advanceOrdered(st)
 				} else {
-					e.drainBuffered(st)
+					held := st.matches
+					st.matches = nil
+					e.pushUnordered(st, held)
 				}
 			}
 			e.checkSubtree(st)
@@ -708,6 +713,12 @@ func (e *Engine) rootDeliver(st *subtree, batch []Element) {
 		e.advanceOrdered(st)
 		return
 	}
+	e.pushUnordered(st, batch)
+}
+
+// pushUnordered pushes already-filtered matches out of an unlimited stream
+// as one batch, as they are.
+func (e *Engine) pushUnordered(st *subtree, batch []Element) {
 	if len(batch) == 0 {
 		return
 	}
@@ -726,22 +737,6 @@ func (e *Engine) bufferMatches(st *subtree, batch []Element) {
 		}
 		st.buf = append(st.buf, bufferedMatch{el: m, idx: idx})
 	}
-}
-
-// drainBuffered pushes everything an unlimited stream buffered before its
-// dispatch round completed (the root's own local matches) as one batch.
-func (e *Engine) drainBuffered(st *subtree) {
-	if len(st.buf) == 0 {
-		return
-	}
-	batch := make([]Element, len(st.buf))
-	for i, b := range st.buf {
-		batch[i] = b.el
-	}
-	st.buf = nil
-	st.delivered += len(batch)
-	st.stream.pushBatch(st.qid, batch)
-	e.met.streamBatches.Inc()
 }
 
 // filterResumed drops the matches a resumed stream's earlier pages already
@@ -822,7 +817,7 @@ func (e *Engine) advanceOrdered(st *subtree) {
 		return
 	}
 	frontier, bounded := e.frontierOf(st)
-	sort.SliceStable(st.buf, func(i, j int) bool { return st.buf[i].idx < st.buf[j].idx })
+	slices.SortStableFunc(st.buf, func(a, b bufferedMatch) int { return cmp.Compare(a.idx, b.idx) })
 	n := 0
 	for n < len(st.buf) && (!bounded || st.buf[n].idx < frontier) {
 		n++
@@ -1195,9 +1190,11 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 	if st.stream != nil {
 		// Streaming queries tear outstanding subtrees down actively: the
 		// consumer walked away, so the refinement tail is cancelled instead
-		// of left to finish into a void. Matches still buffered by an
-		// ordered (limited) stream were found but never delivered — their
-		// lowest coordinate feeds the resume cursor.
+		// of left to finish into a void. Matches still held — in a limited
+		// stream's ordered buffer, or an unlimited root's local matches
+		// awaiting the end of its dispatch round — were found but never
+		// delivered: their lowest coordinate feeds the resume cursor.
+		e.bufferMatches(st, st.matches)
 		if len(st.buf) > 0 {
 			lo := st.buf[0].idx
 			for _, b := range st.buf[1:] {
@@ -1308,13 +1305,8 @@ func (e *Engine) finishSubtree(st *subtree) {
 			e.met.cacheBypass.Inc()
 		}
 	}
-	tail := st.matches
-	if st.forwarded > 0 && st.forwarded <= len(tail) {
-		// Streaming subtrees already shipped this prefix as partials.
-		tail = tail[st.forwarded:]
-	}
 	e.send(st.parent, SubResultMsg{
-		QID: st.qid, Token: st.parentToken, Matches: tail, Incomplete: st.incomplete,
+		QID: st.qid, Token: st.parentToken, Matches: st.matches, Incomplete: st.incomplete,
 		Spans: st.spans,
 	})
 }
@@ -1468,7 +1460,7 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, q keyspace.Query, qid Quer
 		done()
 	}
 
-	sort.Slice(remote, func(i, j int) bool { return remote[i].Span(curve).Lo < remote[j].Span(curve).Lo })
+	sortBySpan(remote, curve)
 	var step func(rem []sfc.Refined)
 	step = func(rem []sfc.Refined) {
 		if len(rem) == 0 || st.finished {
@@ -1529,6 +1521,13 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, q keyspace.Query, qid Quer
 		})
 	}
 	step(remote)
+}
+
+// sortBySpan orders clusters by the low end of their curve spans. The spans
+// of one query's clusters are disjoint, so their low ends are distinct and
+// the order is total.
+func sortBySpan(cls []sfc.Refined, curve sfc.Curve) {
+	slices.SortFunc(cls, func(a, b sfc.Refined) int { return cmp.Compare(a.Span(curve).Lo, b.Span(curve).Lo) })
 }
 
 func (e *Engine) send(to transport.Addr, msg any) bool {
@@ -1736,23 +1735,25 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 			return // cancelled while the refinement job was in flight
 		}
 		e.noteProcessed(m.QID, local, len(matches), e.opts.Sink != nil)
-		st.matches = matches
 		st.localDone = local
 		st.localMatches = len(matches)
 		if len(remote) == 0 {
 			// Leaf of the query tree: finish immediately (records the span
 			// and ships it with the result).
+			st.matches = matches
 			st.dispatched = true
 			e.finishSubtree(st)
 			return
 		}
-		if st.streamUp && len(matches) > 0 && len(remote) > 0 {
+		if st.streamUp {
 			// Stream the local matches up right away: the initiator can act
 			// on them (fill a page, satisfy a limit) while this subtree's
 			// children are still refining. A leaf (no remote children)
 			// completes immediately — its terminal SubResultMsg carries the
 			// matches, so a separate partial would only double the traffic.
 			e.forwardPartial(st, matches)
+		} else {
+			st.matches = matches
 		}
 		e.dispatchRemote(remote, m.Query, m.QID, st, false, func() {
 			st.dispatched = true
@@ -1833,26 +1834,39 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 		if st.finished {
 			return
 		}
+	} else if last := st.dispatched && st.done >= st.sent; st.streamUp && !last {
+		// Relay the increment upward now — unless this report completes
+		// the subtree, in which case the terminal SubResultMsg about to go
+		// out carries it.
+		e.forwardPartial(st, m.Matches)
 	} else {
-		last := st.dispatched && st.done >= st.sent
-		if st.streamUp && len(m.Matches) > 0 && !last {
-			// Relay the increment upward now — unless this report completes
-			// the subtree, in which case the terminal SubResultMsg about to
-			// go out carries it (matches stays a forwarded-prefix + tail).
-			e.forwardPartial(st, m.Matches)
-		}
-		st.matches = append(st.matches, m.Matches...)
+		st.addMatches(m.Matches)
 	}
 	e.checkSubtree(st)
 }
 
+// addMatches folds a child's matches into st.matches. An empty subtree
+// adopts the child's slice instead of copying it, clipped to its length:
+// another holder (a result-cache entry sent to many parents) may share its
+// backing array, so the next append must reallocate rather than write into
+// spare capacity.
+func (st *subtree) addMatches(batch []Element) {
+	if len(st.matches) == 0 {
+		st.matches = batch[:len(batch):len(batch)]
+		return
+	}
+	st.matches = append(st.matches, batch...)
+}
+
 // forwardPartial ships one increment of a streaming subtree's matches to
-// its parent and records it as forwarded, so the terminal SubResultMsg
-// excludes it.
+// its parent; the subtree keeps nothing of it, so the terminal SubResultMsg
+// carries only what was never forwarded.
 func (e *Engine) forwardPartial(st *subtree, batch []Element) {
+	if len(batch) == 0 {
+		return
+	}
 	e.met.partialsSent.Inc()
 	e.send(st.parent, PartialResultMsg{QID: st.qid, Token: st.parentToken, Matches: batch})
-	st.forwarded += len(batch)
 }
 
 // handlePartialResult folds one streamed increment from a child subtree in:
@@ -1868,14 +1882,14 @@ func (e *Engine) handlePartialResult(m PartialResultMsg) {
 	if st.finished || len(m.Matches) == 0 {
 		return
 	}
-	if st.stream != nil {
+	switch {
+	case st.stream != nil:
 		e.rootDeliver(st, m.Matches)
-		return
-	}
-	if st.streamUp {
+	case st.streamUp:
 		e.forwardPartial(st, m.Matches)
+	default:
+		st.addMatches(m.Matches)
 	}
-	st.matches = append(st.matches, m.Matches...)
 }
 
 // handleQueryCancel tears down the addressed remote subtree: it stops

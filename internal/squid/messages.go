@@ -122,10 +122,11 @@ type QueryShedMsg struct {
 }
 
 // SubResultMsg reports a completed subtree of the query's refinement tree
-// to its parent: all matches found in that subtree. Incomplete marks a
-// subtree that abandoned part of its refinement to failures; it propagates
-// up so the root can degrade to an explicit partial Result instead of a
-// silently short one.
+// to its parent: the matches found in that subtree, less those a streaming
+// subtree already relayed in PartialResultMsgs (it keeps nothing it
+// relayed). Incomplete marks a subtree that abandoned part of its
+// refinement to failures; it propagates up so the root can degrade to an
+// explicit partial Result instead of a silently short one.
 type SubResultMsg struct {
 	QID        QueryID
 	Token      uint64
@@ -140,9 +141,10 @@ type SubResultMsg struct {
 // query root before the subtree completes: the dispatching subtree's local
 // matches as soon as its own refinement finishes, and each child batch as
 // it reports. Token names the parent's child call, exactly as in
-// SubResultMsg; the parent appends the matches without advancing its
-// completion accounting (only the terminal SubResultMsg does that), so
-// streaming rides the existing Dijkstra-Scholten termination unchanged.
+// SubResultMsg; the parent relays the matches on (or, at the root,
+// delivers them) without advancing its completion accounting (only the
+// terminal SubResultMsg does that), so streaming rides the existing
+// Dijkstra-Scholten termination unchanged.
 // Sent only inside subtrees flagged ClusterQueryMsg.Stream; stragglers
 // arriving after the child completed or was abandoned are dropped like
 // straggler SubResultMsgs.

@@ -210,13 +210,24 @@ func (s *scheduler) worker() {
 	}
 }
 
+// scanBufs holds the buffers refineClusters scans into. One process-wide
+// pool rather than a buffer per worker or per engine: a ring of many
+// members would otherwise keep one grown buffer alive per worker.
+var scanBufs = sync.Pool{New: func() any { return new([]Element) }}
+
 // refineClusters is processClusters detached from live engine state: it
 // resolves the locally owned parts of cls against store and collects the
 // parts to forward, classifying ownership against the arc snapshot. It is
 // pure with respect to the engine — safe on any goroutine — and returns
 // the (reusable) frontier stack to its caller. See Engine.processClusters
 // for the run-boundary rationale.
+//
+// Matches are scanned into a pooled buffer and copied out once into an
+// exactly-sized slice (nil when nothing matched), which the caller owns
+// and may send as it is.
 func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryID, cls []sfc.Refined, q keyspace.Query, region sfc.Region, scratch *sfc.Scratch, frontier []sfc.Refined) (matches []Element, remote []sfc.Refined, local int, frontierOut []sfc.Refined) {
+	buf := scanBufs.Get().(*[]Element)
+	scan := (*buf)[:0]
 	curve := space.Curve()
 	frontier = frontier[:0]
 	for _, c := range cls {
@@ -244,7 +255,7 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 			// matching all terms are returned).
 			store.ScanSpan(span, func(_ uint64, elem Element) {
 				if space.Matches(q, elem.Values) {
-					matches = append(matches, elem)
+					scan = append(scan, elem)
 				}
 			})
 			continue
@@ -253,5 +264,13 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 		// region pruning) and reclassify the children.
 		frontier = sfc.RefineStepInto(frontier, curve, x.Cluster, region, scratch)
 	}
+	if len(scan) > 0 {
+		matches = make([]Element, len(scan))
+		copy(matches, scan)
+	}
+	// Drop the buffer's references to stored elements before pooling it.
+	clear(scan)
+	*buf = scan[:0]
+	scanBufs.Put(buf)
 	return matches, remote, local, frontier[:0]
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"squid/internal/chord"
 	"squid/internal/keyspace"
+	"squid/internal/sfc"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/transport"
@@ -54,6 +57,79 @@ func TestStreamMatchesQuery(t *testing.T) {
 		if !sr.Cursor.Exhausted() {
 			t.Errorf("%s: fully delivered stream's cursor not exhausted", qs)
 		}
+	}
+}
+
+// TestStreamExactlyOnce follows every match of a streamed broad query up
+// the refinement tree, with recovery deadlines armed (so children ack).
+// Each node must send upward, in PartialResultMsg and SubResultMsg, exactly
+// the matches it found locally plus those its children sent it — the root
+// delivering instead of sending — and the root must deliver exactly the
+// brute-force set. An inner node that relayed an increment and then sent
+// it again in its terminal result breaks the first equation.
+func TestStreamExactlyOnce(t *testing.T) {
+	nw := buildNetwork(t, 40, 3000, squid.Options{SubtreeTimeout: 30 * time.Second})
+	q := keyspace.MustParse("(*, *)")
+
+	var mu sync.Mutex
+	in := map[transport.Addr]int{}
+	out := map[transport.Addr]int{}
+	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
+		nw.Metrics.Observe(from, to, msg)
+		app, ok := msg.(chord.AppMsg)
+		if !ok {
+			return
+		}
+		var n int
+		switch m := app.Payload.(type) {
+		case squid.PartialResultMsg:
+			n = len(m.Matches)
+		case squid.SubResultMsg:
+			n = len(m.Matches)
+		default:
+			return
+		}
+		mu.Lock()
+		out[from] += n
+		in[to] += n
+		mu.Unlock()
+	})
+	sr, qm := nw.QueryStream(0, q)
+	if sr.Err != nil {
+		t.Fatal(sr.Err)
+	}
+	if want := len(nw.BruteForceMatches(q)); len(sr.Matches) != want {
+		t.Fatalf("delivered %d matches, brute force %d", len(sr.Matches), want)
+	}
+	if qm.PartialMessages == 0 {
+		t.Fatal("no PartialResultMsg sent: the query never streamed")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	root := nw.Peers[0].Addr()
+	relays := 0
+	for _, p := range nw.Peers {
+		a := p.Addr()
+		local := 0
+		p.Engine.LocalStore().ScanSpan(sfc.Interval{Lo: 0, Hi: 1<<nw.Space.IndexBits() - 1}, func(_ uint64, e squid.Element) {
+			if nw.Space.Matches(q, e.Values) {
+				local++
+			}
+		})
+		up := out[a]
+		if a == root {
+			up += len(sr.Matches)
+		}
+		if up != local+in[a] {
+			t.Errorf("node %s: sent up %d matches, found %d and received %d", a, up, local, in[a])
+		}
+		if a != root && in[a] > 0 && out[a] > 0 {
+			relays++
+		}
+	}
+	if relays == 0 {
+		t.Error("no inner node relayed its children's matches")
 	}
 }
 
