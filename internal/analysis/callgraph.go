@@ -30,9 +30,10 @@ const (
 	// KindDynamic is an interface-method call resolved to a package-local
 	// concrete implementation via the method set.
 	KindDynamic
-	// KindLexical links a function to a literal nested inside it. It is
-	// not a call — it says the literal's body was created (and captures
-	// variables) in the parent's context.
+	// KindLexical links a function to a literal nested inside it, or to a
+	// package-local method whose bound value (x.m) it takes. It is not a
+	// call — it says the function value was created (and captures
+	// variables or its receiver) in the parent's context.
 	KindLexical
 )
 
@@ -59,6 +60,8 @@ type FuncNode struct {
 	// as an argument. Analyzers use it to classify escape routes: a
 	// literal handed to chord's Invoke re-enters the delivery goroutine,
 	// one handed to time.AfterFunc runs on the runtime timer goroutine.
+	// A declared method whose bound value (x.m) is passed records the
+	// same, so it escapes the way a literal in that position would.
 	PassedTo []*types.Func
 }
 
@@ -244,9 +247,31 @@ func (b *graphBuilder) walkBody(ctx *FuncNode, body *ast.BlockStmt) {
 			}
 			b.bindStmt(ctx, idents, n.Values)
 			return false
+		case *ast.SelectorExpr:
+			b.methodValue(ctx, n)
 		}
 		return true
 	})
+}
+
+// methodValue adds the lexical edge for a bound method value x.m taken in
+// ctx (a selector that is not itself called) and returns the method's
+// node; nil when e is not a method value of a package-local method.
+func (b *graphBuilder) methodValue(ctx *FuncNode, e ast.Expr) *FuncNode {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	s, ok := b.pass.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return nil
+	}
+	m, _ := s.Obj().(*types.Func)
+	n := b.g.byObj[m]
+	if n != nil {
+		b.edge(&CallEdge{Caller: ctx, Callee: n, Site: sel, Kind: KindLexical})
+	}
+	return n
 }
 
 // lit creates the node and lexical edge for a literal and walks its body
@@ -264,27 +289,40 @@ func (b *graphBuilder) lit(ctx *FuncNode, l *ast.FuncLit) *FuncNode {
 }
 
 // bindStmt records `f := func(...)` / `f = func(...)` / `var f = func(...)`
-// bindings and walks the non-literal parts of the statement.
+// bindings, and `f := x.m` bindings of method values, and walks the
+// non-literal parts of the statement.
 func (b *graphBuilder) bindStmt(ctx *FuncNode, lhs, rhs []ast.Expr) {
 	for i, r := range rhs {
-		if l, ok := r.(*ast.FuncLit); ok && i < len(lhs) {
-			if id, ok := lhs[i].(*ast.Ident); ok {
-				obj := b.pass.Info.Defs[id]
-				if obj == nil {
-					obj = b.pass.Info.Uses[id]
-				}
-				// Bind before walking the body so `step = func(...)`
-				// can call itself recursively through the binding.
-				n := &FuncNode{Lit: l, Parent: ctx}
-				b.g.Nodes = append(b.g.Nodes, n)
-				b.g.byLit[l] = n
-				if obj != nil {
-					b.bindings[obj] = append(b.bindings[obj], n)
-				}
-				b.edge(&CallEdge{Caller: ctx, Callee: n, Site: l, Kind: KindLexical})
-				b.walkBody(n, l.Body)
-				continue
+		var id *ast.Ident
+		var obj types.Object
+		if i < len(lhs) {
+			id, _ = lhs[i].(*ast.Ident)
+		}
+		if id != nil {
+			obj = b.pass.Info.Defs[id]
+			if obj == nil {
+				obj = b.pass.Info.Uses[id]
 			}
+		}
+		if n := b.methodValue(ctx, r); n != nil {
+			if obj != nil {
+				b.bindings[obj] = append(b.bindings[obj], n)
+			}
+			b.walkExpr(ctx, ast.Unparen(r).(*ast.SelectorExpr).X)
+			continue
+		}
+		if l, ok := r.(*ast.FuncLit); ok && id != nil {
+			// Bind before walking the body so `step = func(...)` can
+			// call itself recursively through the binding.
+			n := &FuncNode{Lit: l, Parent: ctx}
+			b.g.Nodes = append(b.g.Nodes, n)
+			b.g.byLit[l] = n
+			if obj != nil {
+				b.bindings[obj] = append(b.bindings[obj], n)
+			}
+			b.edge(&CallEdge{Caller: ctx, Callee: n, Site: l, Kind: KindLexical})
+			b.walkBody(n, l.Body)
+			continue
 		}
 		b.walkExpr(ctx, r)
 	}
@@ -306,13 +344,15 @@ func (b *graphBuilder) walkExpr(ctx *FuncNode, e ast.Expr) {
 		case *ast.CallExpr:
 			b.call(ctx, n, KindCall, n, false)
 			return false
+		case *ast.SelectorExpr:
+			b.methodValue(ctx, n)
 		}
 		return true
 	})
 }
 
 // call resolves one call site and adds its edges, then walks Fun and the
-// arguments (recording PassedTo for literal arguments).
+// arguments (recording PassedTo for literal and method-value arguments).
 func (b *graphBuilder) call(ctx *FuncNode, call *ast.CallExpr, kind CallKind, site ast.Node, deferred bool) {
 	info := b.pass.Info
 	fun := ast.Unparen(call.Fun)
@@ -371,6 +411,14 @@ func (b *graphBuilder) call(ctx *FuncNode, call *ast.CallExpr, kind CallKind, si
 			if target != nil {
 				n.PassedTo = append(n.PassedTo, target)
 			}
+			continue
+		}
+		// A bound method value escapes like a literal in its place.
+		if n := b.methodValue(ctx, arg); n != nil {
+			if target != nil {
+				n.PassedTo = append(n.PassedTo, target)
+			}
+			b.walkExpr(ctx, arg.(*ast.SelectorExpr).X)
 			continue
 		}
 		// A bound literal handed onward by name inherits the escape route.

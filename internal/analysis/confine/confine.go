@@ -17,7 +17,8 @@
 // goroutine by the node's delivery loop, so it counts as a fresh
 // entrypoint for every label. Literals handed to the time package
 // (AfterFunc, …) run on the runtime timer goroutine and are treated like
-// go launches.
+// go launches. A bound method value (x.m) passed or assigned is treated
+// exactly like a literal in the same position.
 package confine
 
 import (
@@ -63,12 +64,10 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	// Invoke re-entry literals are fresh roots for every label; literals
-	// handed to the time package run on the timer goroutine.
+	// Invoke re-entry literals (and bound method values) are fresh roots
+	// for every label; those handed to the time package run on the timer
+	// goroutine.
 	for _, n := range g.Nodes {
-		if n.Lit == nil {
-			continue
-		}
 		if passedToInvoke(n) {
 			for l := range labels {
 				roots[l] = append(roots[l], n)
@@ -77,9 +76,10 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// A label's ownership propagates along same-goroutine edges: plain and
-	// deferred calls, dynamic dispatch, and lexical nesting — except into
-	// literals that leave the goroutine (go launch, timer callback) or
-	// that are themselves re-entry roots.
+	// deferred calls, dynamic dispatch, and lexical nesting (a literal, or
+	// a bound method value taken) — except into function values that leave
+	// the goroutine (go launch, timer callback) or that are themselves
+	// re-entry roots.
 	follow := func(e *analysis.CallEdge) bool {
 		switch e.Kind {
 		case analysis.KindGo:
@@ -100,10 +100,7 @@ func run(pass *analysis.Pass) error {
 	// edge — including go — but not into re-entry literals.
 	var taintRoots []*analysis.FuncNode
 	for _, n := range g.Nodes {
-		if n.Lit != nil && (n.LaunchedByGo || passedToTimer(n)) {
-			taintRoots = append(taintRoots, n)
-		}
-		if n.Lit == nil && n.LaunchedByGo {
+		if n.LaunchedByGo || passedToTimer(n) {
 			taintRoots = append(taintRoots, n)
 		}
 	}

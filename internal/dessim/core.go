@@ -13,7 +13,11 @@
 // pure function of its seed. The nondet analyzer enforces the discipline.
 package dessim
 
-import "time"
+import (
+	"time"
+
+	"squid/internal/transport"
+)
 
 // VTime is a point in virtual time, in nanoseconds since the simulation
 // started. It advances only when the event loop executes a scheduled event;
@@ -24,12 +28,19 @@ type VTime int64
 // events return to a free list and are reused by later schedules, with gen
 // bumped on each release so a stale timer handle can never cancel the
 // entry's next occupant.
+//
+// An event is either a callback (fn) or a message delivery, whose fields
+// ride inline in the entry (net non-nil) so a send allocates no closure.
 type event struct {
 	at  VTime
 	seq uint64
 	gen uint32
 	idx int32 // position in the heap; -1 while on the free list
 	fn  func()
+
+	net      *Net
+	from, to transport.Addr
+	msg      any
 }
 
 // Core is the event loop: a virtual clock and a binary min-heap of events
@@ -80,10 +91,27 @@ func (c *Core) deadline(d time.Duration) VTime {
 	return c.now + VTime(d)
 }
 
-// schedule inserts an event at absolute virtual time at and returns its
-// handle plus the generation that makes the handle valid for cancel. at
-// must not be in the past.
+// schedule inserts a callback event at absolute virtual time at and
+// returns its handle plus the generation that makes the handle valid for
+// cancel. at must not be in the past.
 func (c *Core) schedule(at VTime, fn func()) (*event, uint32) {
+	ev := c.push(at)
+	ev.fn = fn
+	return ev, ev.gen
+}
+
+// scheduleDelivery inserts a delivery of msg from → to at absolute virtual
+// time at, carried inline in the pooled entry. It takes a sequence number
+// exactly as schedule does, so the heap order does not depend on which
+// kind of event a send became.
+func (c *Core) scheduleDelivery(at VTime, n *Net, from, to transport.Addr, msg any) {
+	ev := c.push(at)
+	ev.net, ev.from, ev.to, ev.msg = n, from, to, msg
+}
+
+// push takes an entry from the free list (or allocates one), stamps it with
+// the next sequence number and inserts it into the heap.
+func (c *Core) push(at VTime) *event {
 	if at < c.now {
 		at = c.now
 	}
@@ -96,11 +124,11 @@ func (c *Core) schedule(at VTime, fn func()) (*event, uint32) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn = at, c.seq, fn
+	ev.at, ev.seq = at, c.seq
 	ev.idx = int32(len(c.heap))
 	c.heap = append(c.heap, ev)
 	c.siftUp(len(c.heap) - 1)
-	return ev, ev.gen
+	return ev
 }
 
 // cancel removes a pending event, reporting whether it was still pending.
@@ -109,7 +137,7 @@ func (c *Core) schedule(at VTime, fn func()) (*event, uint32) {
 // slots (every completed RPC cancels its timeout, so at planet scale dead
 // entries would otherwise dominate the heap and its sift costs).
 func (c *Core) cancel(ev *event, gen uint32) bool {
-	if ev == nil || ev.gen != gen || ev.fn == nil {
+	if ev == nil || ev.gen != gen || ev.idx < 0 {
 		return false
 	}
 	c.remove(int(ev.idx))
@@ -118,9 +146,10 @@ func (c *Core) cancel(ev *event, gen uint32) bool {
 }
 
 // release returns a removed entry to the free list, invalidating any
-// outstanding handles to it.
+// outstanding handles to it and dropping its references for the collector.
 func (c *Core) release(ev *event) {
 	ev.fn = nil
+	ev.net, ev.from, ev.to, ev.msg = nil, "", "", nil
 	ev.gen++
 	ev.idx = -1
 	c.free = append(c.free, ev)
@@ -135,10 +164,14 @@ func (c *Core) Step() bool {
 	ev := c.heap[0]
 	c.remove(0)
 	c.now = ev.at
-	fn := ev.fn
-	c.release(ev) // before fn: the callback may schedule and reuse this entry
+	fn, net, from, to, msg := ev.fn, ev.net, ev.from, ev.to, ev.msg
+	c.release(ev) // before running it: the event may schedule and reuse this entry
 	c.steps++
-	fn()
+	if net != nil {
+		net.deliver(from, to, msg)
+	} else {
+		fn()
+	}
 	return true
 }
 

@@ -50,7 +50,8 @@ type Net struct {
 	minLat   time.Duration
 	maxLat   time.Duration
 	linkRate map[linkKey]float64
-	links    map[linkKey]*linkState
+	links    map[uint64]linkState      // by value, keyed by endpoint numbers from<<32 | to
+	ids      map[transport.Addr]uint32 // endpoint numbers in order of first use, never reused
 	group    map[transport.Addr]int
 	split    bool
 	crashed  map[transport.Addr]bool
@@ -98,7 +99,8 @@ func NewNet(core *Core, cfg NetConfig) *Net {
 		minLat:   cfg.MinLatency,
 		maxLat:   cfg.MaxLatency,
 		linkRate: make(map[linkKey]float64),
-		links:    make(map[linkKey]*linkState),
+		links:    make(map[uint64]linkState),
+		ids:      make(map[transport.Addr]uint32),
 		group:    make(map[transport.Addr]int),
 		crashed:  make(map[transport.Addr]bool),
 	}
@@ -176,21 +178,31 @@ func (n *Net) Restart(name transport.Addr) { delete(n.crashed, name) }
 // stack's fault layer.
 func (n *Net) Stats() transport.FaultStats { return n.stats }
 
-// link returns the state of one directed link, seeding its random sequence
-// on first use from the net seed and the link's name — as in
-// transport.Faulty, a link's fault schedule depends only on the seed and
-// its own message order, never on cross-link interleaving.
-func (n *Net) link(k linkKey) *linkState {
-	if s, ok := n.links[k]; ok {
-		return s
+// id returns an endpoint's number, assigning the next one on first use.
+func (n *Net) id(a transport.Addr) uint32 {
+	if id, ok := n.ids[a]; ok {
+		return id
+	}
+	id := uint32(len(n.ids))
+	n.ids[a] = id
+	return id
+}
+
+// link returns the key and current state of one directed link, seeding its
+// random sequence on first use from the net seed and the link's name — as
+// in transport.Faulty, a link's fault schedule depends only on the seed and
+// its own message order, never on cross-link interleaving. The caller
+// stores the advanced state back under the key.
+func (n *Net) link(from, to transport.Addr) (uint64, linkState) {
+	key := uint64(n.id(from))<<32 | uint64(n.id(to))
+	if s, ok := n.links[key]; ok {
+		return key, s
 	}
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(k.from)) // hash.Hash.Write never fails
-	_, _ = h.Write([]byte{0})      // hash.Hash.Write never fails
-	_, _ = h.Write([]byte(k.to))   // hash.Hash.Write never fails
-	s := &linkState{rng: uint64(n.seed) ^ h.Sum64()}
-	n.links[k] = s
-	return s
+	_, _ = h.Write([]byte(from)) // hash.Hash.Write never fails
+	_, _ = h.Write([]byte{0})    // hash.Hash.Write never fails
+	_, _ = h.Write([]byte(to))   // hash.Hash.Write never fails
+	return key, linkState{rng: uint64(n.seed) ^ h.Sum64()}
 }
 
 // send runs one message through the fault plan and schedules a delivery
@@ -203,7 +215,7 @@ func (n *Net) send(from, to transport.Addr, msg any) error {
 		// Self-delivery: exempt from faults and latency; the sequence
 		// tie-break keeps it FIFO after earlier same-instant work.
 		n.accept(from, to, msg)
-		n.deliverAt(n.core.now, from, to, msg)
+		n.core.scheduleDelivery(n.core.now, n, from, to, msg)
 		return nil
 	}
 	if n.crashed[from] || n.crashed[to] {
@@ -214,19 +226,19 @@ func (n *Net) send(from, to transport.Addr, msg any) error {
 		n.stats.PartitionDrops++
 		return nil
 	}
-	k := linkKey{from, to}
 	rate := n.dropRate
 	if len(n.linkRate) > 0 {
-		if r, ok := n.linkRate[k]; ok {
+		if r, ok := n.linkRate[linkKey{from, to}]; ok {
 			rate = r
 		}
 	}
-	st := n.link(k)
+	key, st := n.link(from, to)
 	// Always consume both draws so the link's schedule does not shift when
 	// latency settings change mid-run.
 	dropDraw := st.float64()
 	latDraw := st.float64()
 	if rate > 0 && dropDraw < rate {
+		n.links[key] = st
 		n.stats.Dropped++
 		return nil
 	}
@@ -242,9 +254,10 @@ func (n *Net) send(from, to transport.Addr, msg any) error {
 		at = st.floor
 	}
 	st.floor = at
+	n.links[key] = st
 	n.stats.Delivered++
 	n.accept(from, to, msg)
-	n.deliverAt(at, from, to, msg)
+	n.core.scheduleDelivery(at, n, from, to, msg)
 	return nil
 }
 
@@ -255,15 +268,13 @@ func (n *Net) accept(from, to transport.Addr, msg any) {
 	}
 }
 
-// deliverAt schedules the delivery event. Liveness is re-checked at the
-// delivery instant: a destination killed while the message was in flight
-// swallows it, exactly like the goroutine stack.
-func (n *Net) deliverAt(at VTime, from, to transport.Addr, msg any) {
-	n.core.schedule(at, func() {
-		if h, ok := n.boxes[to]; ok {
-			h.Deliver(from, msg)
-		}
-	})
+// deliver runs one delivery event. Liveness is re-checked at the delivery
+// instant: a destination killed while the message was in flight swallows
+// it, exactly like the goroutine stack.
+func (n *Net) deliver(from, to transport.Addr, msg any) {
+	if h, ok := n.boxes[to]; ok {
+		h.Deliver(from, msg)
+	}
 }
 
 // endpoint is one peer's attachment to the event-core network.

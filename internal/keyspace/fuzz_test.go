@@ -6,14 +6,18 @@ import (
 	"squid/internal/sfc"
 )
 
+// parseCorpus seeds FuzzParse; TestRegionMatchesNewRegion reuses it as a
+// query corpus.
+var parseCorpus = []string{
+	"(computer, network)", "(comp*, *)", "(256-512, *, 10-*)", "(*-*)",
+	"a,b", "()", "(,)", "(a**, b)", "(-)", "(--)", "(*, *, *, *, *)",
+	"(a-b-c)", "  ( x , y )  ", "(*)",
+}
+
 // FuzzParse ensures the query parser never panics and that parsed queries
 // either round-trip through String->Parse or fail cleanly.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"(computer, network)", "(comp*, *)", "(256-512, *, 10-*)", "(*-*)",
-		"a,b", "()", "(,)", "(a**, b)", "(-)", "(--)", "(*, *, *, *, *)",
-		"(a-b-c)", "  ( x , y )  ", "(*)",
-	} {
+	for _, seed := range parseCorpus {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -1,7 +1,9 @@
 package keyspace
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -341,6 +343,61 @@ func TestSpacePadding(t *testing.T) {
 	}
 	if s.Matches(MustParse("(a, b, c)"), []string{"a", "b"}) {
 		t.Error("over-long query should not match")
+	}
+}
+
+// TestRegionMatchesNewRegion pins Space.Region to the normalizing
+// reference: for every parseable corpus query plus an inverted range, it
+// equals sfc.NewRegion over the raw per-dimension intervals, and it
+// allocates at most twice. TestBoxRegionMatchesNewRegion in sfc holds the
+// clipping of the shared backing array.
+func TestRegionMatchesNewRegion(t *testing.T) {
+	s, err := NewWordSpace(3, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{Range("zebra", "apple"), Wildcard()},
+		{Prefix("comp"), Range("z", "a"), Exact("grid")},
+	}
+	for _, in := range parseCorpus {
+		if q, err := Parse(in); err == nil {
+			queries = append(queries, q)
+		}
+	}
+	for _, q := range queries {
+		got, err := s.Region(q)
+		if len(q) > s.Dims() {
+			if err == nil {
+				t.Errorf("Region(%s): over-long query accepted", q)
+			}
+			continue
+		}
+		raw := make([][]sfc.Interval, s.Dims())
+		var refErr error
+		for i := range raw {
+			term := Wildcard()
+			if i < len(q) {
+				term = q[i]
+			}
+			iv, err := s.Dimension(i).Interval(term)
+			refErr = cmp.Or(refErr, err)
+			raw[i] = []sfc.Interval{iv}
+		}
+		if (err != nil) != (refErr != nil) {
+			t.Fatalf("Region(%s) error %v, per-dimension intervals error %v", q, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		if want := sfc.NewRegion(raw); !reflect.DeepEqual(got, want) {
+			t.Errorf("Region(%s) = %v, NewRegion = %v", q, got, want)
+		}
+	}
+
+	q := MustParse("(comp*, net*, *)")
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.Region(q) }); n > 2 {
+		t.Errorf("Region: %.1f allocs per call, want at most 2", n)
 	}
 }
 

@@ -104,12 +104,13 @@ func (s *Space) Index(values []string) (uint64, error) {
 
 // Region translates a query into the coordinate region its matches occupy.
 // Queries shorter than the dimensionality are padded with wildcards; longer
-// queries are an error.
+// queries are an error. A query has one term per dimension, so the region
+// is an sfc.BoxRegion: two allocations.
 func (s *Space) Region(q Query) (sfc.Region, error) {
 	if len(q) > len(s.dims) {
 		return nil, fmt.Errorf("keyspace: query %s has %d terms for a %d-dimensional space", q, len(q), len(s.dims))
 	}
-	raw := make([][]sfc.Interval, len(s.dims))
+	ivs := make([]sfc.Interval, len(s.dims))
 	for i, d := range s.dims {
 		t := Wildcard()
 		if i < len(q) {
@@ -119,9 +120,9 @@ func (s *Space) Region(q Query) (sfc.Region, error) {
 		if err != nil {
 			return nil, err
 		}
-		raw[i] = []sfc.Interval{iv}
+		ivs[i] = iv
 	}
-	return sfc.NewRegion(raw), nil
+	return sfc.BoxRegion(ivs), nil
 }
 
 // Matches applies the query exactly to a data element's values — the final

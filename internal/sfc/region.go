@@ -103,6 +103,24 @@ func NewRegion(dims [][]Interval) Region {
 	return r
 }
 
+// BoxRegion builds the region of one raw interval per dimension, equal to
+// NewRegion with a single interval in each dimension: an inverted interval
+// (Lo > Hi) is an empty set, any other is already normalized. It costs one
+// allocation beyond ivs, which becomes the backing array of the sets — each
+// a clipped view, so an append to one never writes into its neighbour — and
+// must not be modified afterwards.
+func BoxRegion(ivs []Interval) Region {
+	r := make(Region, len(ivs))
+	for i, iv := range ivs {
+		if iv.Lo > iv.Hi {
+			r[i] = ivs[i:i:i]
+			continue
+		}
+		r[i] = ivs[i : i+1 : i+1]
+	}
+	return r
+}
+
 // FullRegion returns the region covering the whole cube of the given curve
 // geometry (every dimension unconstrained).
 func FullRegion(dims, bits int) Region {

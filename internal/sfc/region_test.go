@@ -170,6 +170,51 @@ func TestFullRegion(t *testing.T) {
 	}
 }
 
+// TestBoxRegionMatchesNewRegion pins BoxRegion to the normalizing
+// reference: with one interval per dimension, including inverted, point
+// and full-width ones, it equals NewRegion, its sets share no spare
+// capacity, and it allocates once.
+func TestBoxRegionMatchesNewRegion(t *testing.T) {
+	top := ^uint64(0)
+	cases := [][]Interval{
+		nil,
+		{{3, 7}},
+		{{5, 2}, {0, 1}},
+		{{0, top}, {9, 9}, {top, top}},
+		{{1, 0}, {top, 0}, {4, 4}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 100 {
+		ivs := make([]Interval, 1+rng.Intn(4))
+		for i := range ivs {
+			ivs[i] = Interval{rng.Uint64() % 16, rng.Uint64() % 16}
+		}
+		cases = append(cases, ivs)
+	}
+	for _, ivs := range cases {
+		raw := make([][]Interval, len(ivs))
+		for i, iv := range ivs {
+			raw[i] = []Interval{iv}
+		}
+		want := NewRegion(raw)
+		got := BoxRegion(append([]Interval(nil), ivs...))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("BoxRegion(%v) = %v, NewRegion = %v", ivs, got, want)
+		}
+		for i, set := range got {
+			if cap(set) != len(set) {
+				t.Errorf("BoxRegion(%v) dimension %d: cap %d > len %d, an append would write into the next dimension",
+					ivs, i, cap(set), len(set))
+			}
+		}
+	}
+
+	ivs := []Interval{{0, 7}, {3, 3}, {2, 9}}
+	if n := testing.AllocsPerRun(100, func() { _ = BoxRegion(ivs) }); n > 1 {
+		t.Errorf("BoxRegion: %.1f allocs per call, want 1", n)
+	}
+}
+
 func TestRegionCubeTests(t *testing.T) {
 	// Region x in [4,11], y in [0,3] on an 8x8 (bits=3)... use bits=4 space.
 	r := NewRegion([][]Interval{{{4, 11}}, {{0, 3}}})

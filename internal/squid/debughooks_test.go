@@ -1,22 +1,14 @@
 package squid
 
-import (
-	"squid/internal/chord"
-	"squid/internal/transport"
-)
+import "squid/internal/transport"
 
-// SetDebugDispatch (test hook) reports each flushed dispatch round as the
-// per-destination entry counts.
-func SetDebugDispatch(fn func(node chord.ID, entries []int)) {
-	if fn == nil {
-		debugDispatch = nil
-		return
-	}
-	debugDispatch = func(node chord.ID, dests []transport.Addr, byDest map[transport.Addr][]pendingDispatch) {
-		sizes := make([]int, len(dests))
-		for i, d := range dests {
-			sizes[i] = len(byDest[d])
-		}
-		fn(node, sizes)
-	}
+// SetDebugDispatch (test hook) reports each dispatch round the engine
+// flushes as its destinations in flush order and the entries buffered for
+// each. Pass nil to remove. Call it on the delivery goroutine.
+func (e *Engine) SetDebugDispatch(fn func(dests []transport.Addr, entries []int)) {
+	e.debugDispatch = fn
 }
+
+// OpenChildren (test hook) returns the number of dispatched child subtrees
+// the engine still tracks. Call it on the delivery goroutine.
+func (e *Engine) OpenChildren() int { return len(e.children) }

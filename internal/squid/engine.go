@@ -176,6 +176,11 @@ type Engine struct {
 	// the fingerprint of the replica set the last full push went to.
 	dirtyKeys      []uint64 //lint:confine delivery
 	lastReplicaSet string   //lint:confine delivery
+
+	// debugDispatch, when set (tests only), observes every dispatch round
+	// this engine flushes: its destinations in flush order and the entries
+	// buffered for each.
+	debugDispatch func(dests []transport.Addr, entries []int)
 }
 
 // subtree tracks one node's in-flight piece of a query's refinement tree:
@@ -268,8 +273,8 @@ func (st *subtree) childRef() telemetry.TraceRef {
 type childCall struct {
 	st       *subtree
 	token    uint64
-	clusters []ClusterRef // re-dispatch payload; nil for exact lookups
-	key      uint64       // curve index the re-dispatch routes to
+	clusters []sfc.Refined // re-dispatch payload, shared with the sent message; nil for exact lookups
+	key      uint64        // curve index the re-dispatch routes to
 	attempts int
 	acked    bool
 	timer    transport.Timer
@@ -663,7 +668,7 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 			st.pending = append([]sfc.Refined(nil), remote[streamDispatchWindow:]...)
 			remote = remote[:streamDispatchWindow]
 		}
-		e.dispatchRemote(remote, q, qid, st, true, func() {
+		e.dispatchRemote(remote, st, true, func() {
 			st.dispatched = true
 			if st.stream != nil && !st.finished {
 				if st.limit > 0 {
@@ -902,7 +907,7 @@ func (e *Engine) refillWindow(st *subtree) {
 	next := st.pending[:n]
 	st.pending = st.pending[n:]
 	st.dispatched = false
-	e.dispatchRemote(next, st.q, st.qid, st, true, func() {
+	e.dispatchRemote(next, st, true, func() {
 		st.dispatched = true
 		if !st.finished {
 			e.advanceOrdered(st)
@@ -1065,7 +1070,7 @@ func (e *Engine) noteProcessed(qid QueryID, clusters, matches int, sink bool) {
 // addChild registers one dispatched child of st under a fresh token and
 // arms its recovery deadline. clusters is the re-dispatch payload (nil for
 // an exact lookup of key).
-func (e *Engine) addChild(st *subtree, key uint64, clusters []ClusterRef) uint64 {
+func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint64 {
 	e.nextToken++
 	c := &childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
 	e.children[c.token] = c
@@ -1314,9 +1319,6 @@ func (e *Engine) finishSubtree(st *subtree) {
 // debugScan, when set (tests only), observes every cluster scan.
 var debugScan func(node chord.ID, qid QueryID, span sfc.Interval)
 
-// debugDispatch, when set (tests only), observes every flushed dispatch round.
-var debugDispatch func(node chord.ID, dests []transport.Addr, byDest map[transport.Addr][]pendingDispatch)
-
 // processClusters resolves the locally owned parts of the given clusters
 // and collects the parts that must be forwarded (pruned by the query
 // region). It walks each cluster's refinement subtree: a subtree whose
@@ -1342,11 +1344,37 @@ func (e *Engine) processClusters(qid QueryID, cls []sfc.Refined, q keyspace.Quer
 }
 
 // pendingDispatch is one resolved send of a dispatch round, buffered until
-// the round flushes: the message plus its clusters (the blind-route
-// fallback payload should the destination be dead at flush time).
+// the round flushes. The message's clusters double as the blind-route
+// fallback payload should the destination be dead at flush time.
 type pendingDispatch struct {
-	msg      ClusterQueryMsg
-	clusters []sfc.Refined
+	dest transport.Addr
+	msg  ClusterQueryMsg
+}
+
+// dispatchRound is one dispatchRemote call in progress: the subtree it
+// dispatches for, the sorted clusters not yet resolved to an owner, and the
+// sends buffered so far. Its steps are methods, so a round costs one
+// allocation plus the probe callback, bound once.
+type dispatchRound struct {
+	e      *Engine
+	st     *subtree
+	root   bool
+	ack    bool
+	stream bool
+	self   transport.Addr
+	curve  sfc.Curve
+	done   func()
+
+	// rem is the sorted tail of clusters not yet resolved; rem[0] is the
+	// one being probed while a lookup is in flight.
+	rem     []sfc.Refined
+	onFound func(chord.FoundMsg, error) // found, bound once per round
+	// pending buffers the resolved sends, grouped by destination in
+	// first-touch order (deterministic flush order for the simulator).
+	// inline backs it: on the benchmark workloads 74–100 % of rounds
+	// buffer at most two sends (des-wan-mix 88 %, inproc-range 74 %).
+	pending []pendingDispatch
+	inline  [2]pendingDispatch
 }
 
 // dispatchRemote forwards clusters rooted at other nodes, registering each
@@ -1361,166 +1389,202 @@ type pendingDispatch struct {
 // wrap-arc owner, whose low and wrap segments are separate runs of the
 // sorted cluster list) receives all its messages as one BatchMsg instead of
 // several transmissions. Single-message destinations get a plain
-// ClusterQueryMsg, so the batching is invisible to peers that predate it.
+// ClusterQueryMsg.
 //
 // root marks dispatches from the query initiator: only there may the
 // probe cache short-circuit the handshake. Receivers always probe, so a
 // stale cache entry costs one extra forward and can never loop.
-func (e *Engine) dispatchRemote(remote []sfc.Refined, q keyspace.Query, qid QueryID, st *subtree, root bool, done func()) {
+//
+// remote is sorted in place, and the messages share sub-slices of it.
+func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree, root bool, done func()) {
 	if len(remote) == 0 {
 		done()
 		return
 	}
-	curve := e.space.Curve()
-	self := e.node.Self().Addr
-	ack := e.opts.SubtreeTimeout > 0
-	stream := st.stream != nil || st.streamUp
-	// routeOne blind-routes a single cluster as its own tracked child. A
-	// subtree that finished while dispatch was in flight (streaming root hit
-	// its limit, remote subtree cancelled) dispatches nothing more — the
-	// undelivered curve position feeds the resume cursor instead.
-	routeOne := func(c sfc.Refined) {
-		lo := c.Span(curve).Lo
-		if st.finished {
-			st.noteCut(lo)
-			return
-		}
-		refs := toRefs([]sfc.Refined{c})
-		tok := e.addChild(st, lo, refs)
-		e.node.Route(chord.ID(lo), ClusterQueryMsg{
-			QID: qid, Query: q, Clusters: refs, ReplyTo: self, Token: tok, Ack: ack, Stream: stream,
-			Trace: st.childRef(),
-		}, uint64(qid))
+	r := &dispatchRound{
+		e: e, st: st, root: root, done: done,
+		ack:    e.opts.SubtreeTimeout > 0,
+		stream: st.stream != nil || st.streamUp,
+		self:   e.node.Self().Addr,
+		curve:  e.space.Curve(),
 	}
 	if e.opts.DisableAggregation {
-		for _, c := range remote {
-			routeOne(c)
+		for i := range remote {
+			r.routeOne(remote[i : i+1 : i+1])
 		}
 		done()
 		return
 	}
+	sortBySpan(remote, r.curve)
+	r.rem = remote
+	r.pending = r.inline[:0]
+	r.onFound = r.found
+	r.step()
+}
 
-	// The round's send buffer, keyed by destination in first-touch order
-	// (deterministic flush order for the simulator).
-	var dests []transport.Addr
-	byDest := make(map[transport.Addr][]pendingDispatch)
-	enqueue := func(dest transport.Addr, msg ClusterQueryMsg, cls []sfc.Refined) {
-		if _, ok := byDest[dest]; !ok {
-			dests = append(dests, dest)
-		}
-		byDest[dest] = append(byDest[dest], pendingDispatch{msg: msg, clusters: cls})
+// routeOne blind-routes a single cluster (a one-element slice) as its own
+// tracked child. A subtree that finished while dispatch was in flight
+// (streaming root hit its limit, remote subtree cancelled) dispatches
+// nothing more — the undelivered curve position feeds the resume cursor
+// instead.
+func (r *dispatchRound) routeOne(cls []sfc.Refined) {
+	e, st := r.e, r.st
+	lo := cls[0].Span(r.curve).Lo
+	if st.finished {
+		st.noteCut(lo)
+		return
 	}
-	flush := func() {
-		if st.finished {
-			// The subtree completed while probes were in flight (limit hit,
-			// cancelled): the buffered children were already torn down —
-			// drop the round instead of dispatching work nobody will read.
-			for _, dest := range dests {
-				for _, p := range byDest[dest] {
-					e.dropChild(p.msg.Token)
-					for _, c := range p.clusters {
-						st.noteCut(c.Span(curve).Lo)
-					}
-				}
-			}
-			done()
-			return
-		}
-		if debugDispatch != nil {
-			debugDispatch(e.node.Self().ID, dests, byDest)
-		}
-		for _, dest := range dests {
-			entries := byDest[dest]
-			var ok bool
-			if len(entries) == 1 {
-				ok = e.send(dest, entries[0].msg)
-			} else {
-				b := BatchMsg{Queries: make([]ClusterQueryMsg, len(entries))}
-				for i, p := range entries {
-					b.Queries[i] = p.msg
-				}
-				if ok = e.send(dest, b); ok {
-					e.met.batchesSent.Inc()
-					e.met.batchedMsgs.Add(uint64(len(entries)))
-				}
-			}
-			if !ok {
-				// Destination died between probe and flush: untrack each
-				// buffered child and blind-route its clusters through the
-				// ring, which resolves to the current owner.
-				e.cacheDrop(dest)
-				for _, p := range entries {
-					e.dropChild(p.msg.Token)
-					for _, c := range p.clusters {
-						routeOne(c)
-					}
-				}
-			}
-		}
-		done()
-	}
+	tok := e.addChild(st, lo, cls)
+	e.node.Route(chord.ID(lo), r.message(cls, tok), uint64(st.qid))
+}
 
-	sortBySpan(remote, curve)
-	var step func(rem []sfc.Refined)
-	step = func(rem []sfc.Refined) {
-		if len(rem) == 0 || st.finished {
-			// Finished mid-probe (limit satisfied by an earlier batch): the
-			// sorted tail starts at rem[0], the lowest undispatched position.
-			if len(rem) > 0 {
-				st.noteCut(rem[0].Span(curve).Lo)
-			}
-			flush()
-			return
-		}
-		head := chord.ID(rem[0].Span(curve).Lo)
-		if root && e.opts.ProbeCacheSize > 0 {
-			arc, ok := e.cacheLookup(head)
-			if ok {
+// message builds the ClusterQueryMsg for one child of the round.
+func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) ClusterQueryMsg {
+	st := r.st
+	return ClusterQueryMsg{
+		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: r.self, Token: tok,
+		Ack: r.ack, Stream: r.stream, Trace: st.childRef(),
+	}
+}
+
+// step resolves the owner of the lowest remaining cluster: from the probe
+// cache at the root, else by a FindSuccessor probe answered in found. With
+// nothing left, or the subtree finished mid-probe (limit satisfied by an
+// earlier batch), it flushes; the sorted tail then starts at rem[0], the
+// lowest undispatched position.
+func (r *dispatchRound) step() {
+	e := r.e
+	for len(r.rem) > 0 && !r.st.finished {
+		head := chord.ID(r.rem[0].Span(r.curve).Lo)
+		if r.root && e.opts.ProbeCacheSize > 0 {
+			if arc, ok := e.cacheLookup(head); ok {
 				e.met.probeHits.Inc()
-				n := 1
-				sp := e.node.Space()
-				for n < len(rem) && sp.Between(chord.ID(rem[n].Span(curve).Lo), arc.pred.ID, arc.owner.ID) {
-					n++
-				}
-				refs := toRefs(rem[:n])
-				tok := e.addChild(st, uint64(head), refs)
-				enqueue(arc.owner.Addr, ClusterQueryMsg{QID: qid, Query: q, Clusters: refs, ReplyTo: self, Token: tok, Ack: ack, Stream: stream, Trace: st.childRef()}, rem[:n])
-				step(rem[n:])
-				return
+				r.enqueue(arc.owner.Addr, r.runIn(arc.pred.ID, arc.owner.ID))
+				continue
 			}
 			e.met.probeMisses.Inc()
 		}
-		e.node.FindSuccessor(head, uint64(qid), func(m chord.FoundMsg, err error) {
-			if st.finished {
-				// Finished while this probe was in flight.
-				st.noteCut(rem[0].Span(curve).Lo)
-				flush()
-				return
+		e.node.FindSuccessor(head, uint64(r.st.qid), r.onFound)
+		return
+	}
+	if len(r.rem) > 0 {
+		r.st.noteCut(r.rem[0].Span(r.curve).Lo)
+	}
+	r.flush()
+}
+
+// found takes the probe's answer for rem[0]. A failed probe (ring
+// unstable) falls back to blind routing for the head cluster; a subtree
+// that finished while the probe was in flight stops in step.
+func (r *dispatchRound) found(m chord.FoundMsg, err error) {
+	switch {
+	case r.st.finished:
+	case err != nil:
+		r.routeOne(r.rem[:1:1])
+		r.rem = r.rem[1:]
+	default:
+		r.e.cacheInsert(m.Pred, m.Owner)
+		n := 1
+		if !m.Pred.IsZero() {
+			n = r.runIn(m.Pred.ID, m.Owner.ID)
+		}
+		r.enqueue(m.Owner.Addr, n)
+	}
+	r.step()
+}
+
+// runIn returns the length of the run of remaining clusters (at least the
+// head) whose low ends fall inside the arc (pred, owner]. The list is
+// sorted, so the run is a prefix.
+func (r *dispatchRound) runIn(pred, owner chord.ID) int {
+	sp := r.e.node.Space()
+	n := 1
+	for n < len(r.rem) && sp.Between(chord.ID(r.rem[n].Span(r.curve).Lo), pred, owner) {
+		n++
+	}
+	return n
+}
+
+// enqueue registers the first n remaining clusters as one child bound for
+// dest and buffers its message behind dest's earlier entries.
+func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
+	cls := r.rem[:n:n]
+	r.rem = r.rem[n:]
+	tok := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
+	at := len(r.pending)
+	for i := len(r.pending) - 1; i >= 0; i-- {
+		if r.pending[i].dest == dest {
+			at = i + 1
+			break
+		}
+	}
+	r.pending = slices.Insert(r.pending, at, pendingDispatch{dest: dest, msg: r.message(cls, tok)})
+}
+
+// flush sends the buffered round, one transmission per destination: one
+// entry as a plain ClusterQueryMsg, several as a BatchMsg.
+func (r *dispatchRound) flush() {
+	e, st := r.e, r.st
+	if st.finished {
+		// The subtree completed while probes were in flight (limit hit,
+		// cancelled): the buffered children were already torn down — drop
+		// the round instead of dispatching work nobody will read.
+		for _, p := range r.pending {
+			e.dropChild(p.msg.Token)
+			for _, c := range p.msg.Clusters {
+				st.noteCut(c.Span(r.curve).Lo)
 			}
-			if err != nil {
-				// Ring unstable: fall back to blind routing for the head
-				// cluster and keep going.
-				routeOne(rem[0])
-				step(rem[1:])
-				return
+		}
+		r.done()
+		return
+	}
+	if e.debugDispatch != nil {
+		var dests []transport.Addr
+		var entries []int
+		for _, p := range r.pending {
+			if n := len(dests); n > 0 && dests[n-1] == p.dest {
+				entries[n-1]++
+				continue
 			}
-			e.cacheInsert(m.Pred, m.Owner)
-			// Batch the run of siblings falling inside the owner's arc
-			// (pred, owner]. The list is sorted, so the run is a prefix.
-			n := 1
-			if !m.Pred.IsZero() {
-				sp := e.node.Space()
-				for n < len(rem) && sp.Between(chord.ID(rem[n].Span(curve).Lo), m.Pred.ID, m.Owner.ID) {
-					n++
+			dests = append(dests, p.dest)
+			entries = append(entries, 1)
+		}
+		e.debugDispatch(dests, entries)
+	}
+	for rest := r.pending; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].dest == rest[0].dest {
+			n++
+		}
+		group, dest := rest[:n], rest[0].dest
+		rest = rest[n:]
+		var ok bool
+		if n == 1 {
+			ok = e.send(dest, group[0].msg)
+		} else {
+			b := BatchMsg{Queries: make([]ClusterQueryMsg, n)}
+			for i, p := range group {
+				b.Queries[i] = p.msg
+			}
+			if ok = e.send(dest, b); ok {
+				e.met.batchesSent.Inc()
+				e.met.batchedMsgs.Add(uint64(n))
+			}
+		}
+		if !ok {
+			// Destination died between probe and flush: untrack each
+			// buffered child and blind-route its clusters through the
+			// ring, which resolves to the current owner.
+			e.cacheDrop(dest)
+			for _, p := range group {
+				e.dropChild(p.msg.Token)
+				for i := range p.msg.Clusters {
+					r.routeOne(p.msg.Clusters[i : i+1 : i+1])
 				}
 			}
-			refs := toRefs(rem[:n])
-			tok := e.addChild(st, uint64(chord.ID(rem[0].Span(curve).Lo)), refs)
-			enqueue(m.Owner.Addr, ClusterQueryMsg{QID: qid, Query: q, Clusters: refs, ReplyTo: self, Token: tok, Ack: ack, Stream: stream, Trace: st.childRef()}, rem[:n])
-			step(rem[n:])
-		})
+		}
 	}
-	step(remote)
+	r.done()
 }
 
 // sortBySpan orders clusters by the low end of their curve spans. The spans
@@ -1717,7 +1781,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		curve := e.space.Curve()
 		st.cacheSpans = make([]sfc.Interval, len(m.Clusters))
 		for i, c := range m.Clusters {
-			st.cacheSpans[i] = sfc.Cluster{Prefix: c.Prefix, Level: c.Level}.Span(curve)
+			st.cacheSpans[i] = c.Span(curve)
 		}
 	}
 	if len(m.Clusters) > 0 {
@@ -1730,7 +1794,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		st.startNS = e.nowNS()
 	}
 	e.inbound[inboundKey{from: m.ReplyTo, token: m.Token}] = st
-	admitted := e.submitClusters(m.QID, fromRefs(m.Clusters), m.Query, region, func(matches []Element, remote []sfc.Refined, local int) {
+	admitted := e.submitClusters(m.QID, m.Clusters, m.Query, region, func(matches []Element, remote []sfc.Refined, local int) {
 		if st.finished {
 			return // cancelled while the refinement job was in flight
 		}
@@ -1755,7 +1819,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		} else {
 			st.matches = matches
 		}
-		e.dispatchRemote(remote, m.Query, m.QID, st, false, func() {
+		e.dispatchRemote(remote, st, false, func() {
 			st.dispatched = true
 			e.checkSubtree(st)
 		})

@@ -33,31 +33,6 @@ type LookupMsg struct {
 	Trace telemetry.TraceRef
 }
 
-// ClusterRef is a cluster of the query's refinement tree in transit:
-// prefix/level per sfc.Cluster plus the Complete flag (subcube entirely
-// inside the query region).
-type ClusterRef struct {
-	Prefix   uint64
-	Level    int
-	Complete bool
-}
-
-func toRefs(in []sfc.Refined) []ClusterRef {
-	out := make([]ClusterRef, len(in))
-	for i, c := range in {
-		out[i] = ClusterRef{Prefix: c.Prefix, Level: c.Level, Complete: c.Complete}
-	}
-	return out
-}
-
-func fromRefs(in []ClusterRef) []sfc.Refined {
-	out := make([]sfc.Refined, len(in))
-	for i, c := range in {
-		out[i] = sfc.Refined{Cluster: sfc.Cluster{Prefix: c.Prefix, Level: c.Level}, Complete: c.Complete}
-	}
-	return out
-}
-
 // ClusterQueryMsg ships one or more clusters of a query's refinement tree
 // to the node owning their lowest indices. With the aggregation
 // optimization a message batches all sibling clusters owned by one node.
@@ -68,9 +43,13 @@ func fromRefs(in []ClusterRef) []sfc.Refined {
 // (Dijkstra-Scholten-style termination), which keeps completion detection
 // independent of message ordering across transports.
 type ClusterQueryMsg struct {
-	QID      QueryID
-	Query    keyspace.Query
-	Clusters []ClusterRef
+	QID   QueryID
+	Query keyspace.Query
+	// Clusters are the refinement-tree clusters to resolve, each with its
+	// Complete flag (subcube entirely inside the query region). The slice
+	// is shared with the sender's bookkeeping and read-only once sent:
+	// nobody writes to it after the message leaves.
+	Clusters []sfc.Refined
 	ReplyTo  transport.Addr
 	Token    uint64
 	// Ack asks the receiver to confirm receipt with a QueryAckMsg before

@@ -47,7 +47,7 @@ func newResultCache(max int) *resultCache {
 // text plus every cluster's prefix/level/complete triple. Identical repeat
 // queries refine identically over a stable ring, so popular traffic
 // collapses onto few keys.
-func resultCacheKey(q keyspace.Query, cls []ClusterRef) string {
+func resultCacheKey(q keyspace.Query, cls []sfc.Refined) string {
 	var b strings.Builder
 	b.WriteString(q.String())
 	for _, c := range cls {

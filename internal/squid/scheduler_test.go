@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
-	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
@@ -401,11 +401,20 @@ func TestWrapArcBatchedDispatch(t *testing.T) {
 
 	// Record the shape of every dispatch round: a batch is a round entry
 	// with more than one message buffered for one destination.
-	var rounds [][]int
-	squid.SetDebugDispatch(func(_ chord.ID, entries []int) {
-		rounds = append(rounds, append([]int(nil), entries...))
-	})
-	defer squid.SetDebugDispatch(nil)
+	var (
+		mu     sync.Mutex
+		rounds [][]int
+	)
+	for _, p := range nw.Peers {
+		sim.MustInvoke(p, func() {
+			p.Engine.SetDebugDispatch(func(_ []transport.Addr, entries []int) {
+				mu.Lock()
+				defer mu.Unlock()
+				rounds = append(rounds, append([]int(nil), entries...))
+			})
+		})
+	}
+	nw.Quiesce()
 
 	q := keyspace.MustParse("(*, e)")
 	want := len(nw.BruteForceMatches(q))
@@ -435,6 +444,8 @@ func TestWrapArcBatchedDispatch(t *testing.T) {
 		t.Fatal("no BatchMsg coalesced across wrap-arc dispatch rounds")
 	}
 	coalesced := false
+	mu.Lock()
+	defer mu.Unlock()
 	for _, r := range rounds {
 		for _, n := range r {
 			if n > 1 {

@@ -3,6 +3,7 @@ package squid
 import (
 	"squid/internal/chord"
 	"squid/internal/keyspace"
+	"squid/internal/sfc"
 	"squid/internal/telemetry"
 	"squid/internal/transport"
 	"squid/internal/wire"
@@ -204,13 +205,12 @@ func decodeClusterQuery(d *wire.Decoder) ClusterQueryMsg {
 	m.QID = QueryID(d.Uvarint())
 	m.Query = decodeQuery(d)
 	if n := d.Len(3); n > 0 { // prefix varint + level + flag
-		m.Clusters = make([]ClusterRef, n)
+		m.Clusters = make([]sfc.Refined, n)
 		for i := range m.Clusters {
-			m.Clusters[i] = ClusterRef{
-				Prefix:   d.Uvarint(),
-				Level:    int(d.Int()),
-				Complete: d.Bool(),
-			}
+			c := &m.Clusters[i]
+			c.Prefix = d.Uvarint()
+			c.Level = int(d.Int())
+			c.Complete = d.Bool()
 		}
 	}
 	m.ReplyTo = transport.Addr(d.String())

@@ -10,6 +10,7 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
+	"squid/internal/sfc"
 	"squid/internal/squid"
 	"squid/internal/telemetry"
 	"squid/internal/transport"
@@ -142,11 +143,16 @@ func genSpans(r *rand.Rand) []telemetry.Span {
 	return out
 }
 
-func genClusters(r *rand.Rand) []squid.ClusterRef {
+// refined builds one cluster of a ClusterQueryMsg.
+func refined(prefix uint64, level int, complete bool) sfc.Refined {
+	return sfc.Refined{Cluster: sfc.Cluster{Prefix: prefix, Level: level}, Complete: complete}
+}
+
+func genClusters(r *rand.Rand) []sfc.Refined {
 	n := 1 + r.Intn(5)
-	out := make([]squid.ClusterRef, n)
+	out := make([]sfc.Refined, n)
 	for i := range out {
-		out[i] = squid.ClusterRef{Prefix: r.Uint64(), Level: r.Intn(64), Complete: r.Intn(2) == 0}
+		out[i] = refined(r.Uint64(), r.Intn(64), r.Intn(2) == 0)
 	}
 	return out
 }
@@ -368,12 +374,12 @@ func TestWireRoundTrip(t *testing.T) {
 		chord.LeaveMsg{Leaving: ref, Pred: ref, Items: []chord.Item{{Key: 1, Value: []squid.Element{elem}}}},
 		chord.SuccChangedMsg{NewSucc: ref},
 		chord.AppMsg{From: "c", Payload: squid.ClusterQueryMsg{
-			QID: 3, Query: query, Clusters: []squid.ClusterRef{{Prefix: 9, Level: 2, Complete: true}},
+			QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)},
 			ReplyTo: "r", Token: 8,
 		}},
 		chord.AppMsg{From: "c", Payload: squid.BatchMsg{Queries: []squid.ClusterQueryMsg{
-			{QID: 3, Query: query, Clusters: []squid.ClusterRef{{Prefix: 9, Level: 2, Complete: true}}, ReplyTo: "r", Token: 8},
-			{QID: 3, Query: query, Clusters: []squid.ClusterRef{{Prefix: 12, Level: 1}}, ReplyTo: "r", Token: 9, Ack: true},
+			{QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)}, ReplyTo: "r", Token: 8},
+			{QID: 3, Query: query, Clusters: []sfc.Refined{refined(12, 1, false)}, ReplyTo: "r", Token: 9, Ack: true},
 		}}},
 		chord.AppMsg{From: "c", Payload: squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25}},
 		chord.AppMsg{From: "c", Payload: squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}}},
@@ -439,7 +445,7 @@ func FuzzWireCluster(f *testing.F) {
 		msg := squid.ClusterQueryMsg{
 			QID:      telemetry.QueryID(qid),
 			Query:    keyspace.Query{keyspace.Exact(word), keyspace.Wildcard()},
-			Clusters: []squid.ClusterRef{{Prefix: prefix, Level: level, Complete: complete}},
+			Clusters: []sfc.Refined{refined(prefix, level, complete)},
 			ReplyTo:  transport.Addr(reply),
 			Token:    token,
 			Ack:      ack,
