@@ -51,7 +51,7 @@ const helpText = `commands:
   leave <i>                     peer i leaves voluntarily
   kill <i>                      peer i fails abruptly
   stabilize [rounds]            run stabilization rounds (default 3)
-  balance [rounds]              run runtime load balancing (default 5; goroutine backend)
+  balance [rounds]              run runtime load balancing (default 5)
   loads                         show the load distribution
   peers                         list peers with their loads
   verify                        check ring and data-placement consistency
@@ -65,36 +65,6 @@ const helpText = `commands:
   help                          this text
   quit`
 
-// network is the backend-independent surface the REPL drives: both the
-// goroutine simulator (sim.Network) and the discrete-event simulator
-// (dessim.Network) satisfy it, so every command below works unchanged on
-// either backend.
-type network interface {
-	Preload(elems []squid.Element) error
-	Publish(via int, elem squid.Element) error
-	Query(via int, q keyspace.Query) (squid.Result, sim.QueryMetrics)
-	QueryKeywords(via int, words []string) squid.Result
-	StabilizeAll(rounds int)
-	LoadVector() []int
-	TotalKeys() int
-	VerifyConsistent() error
-	CheckRing() []chord.Violation
-	AddPeer(id chord.ID) (*sim.Peer, error)
-	RemovePeer(i int)
-	KillPeer(i int)
-	ChordCounters() chord.Counters
-	RecoveryCounters() squid.RecoveryCounters
-	PeerList() []*sim.Peer
-	KeySpace() *keyspace.Space
-	Registry() *telemetry.Registry
-	TraceStore() *telemetry.TraceStore
-}
-
-var (
-	_ network = (*sim.Network)(nil)
-	_ network = (*dessim.Network)(nil)
-)
-
 // faultSurface is the fault-injection controls shared by the goroutine
 // stack's fault layer (transport.Faulty) and the event-core transport
 // (dessim.Net).
@@ -107,7 +77,7 @@ type faultSurface interface {
 
 type session struct {
 	backend string // "goroutine" (default) or "des"
-	net     network
+	net     *sim.Network
 	faults  faultSurface
 	rng     *rand.Rand
 }
@@ -174,13 +144,7 @@ func (s *session) exec(line string) error {
 		fmt.Printf("ran %d stabilization rounds\n", rounds)
 		return nil
 	case "balance":
-		// Runtime load balancing drives peers through the goroutine
-		// network's blocking helpers; it has no event-core port yet.
-		g, ok := s.net.(*sim.Network)
-		if !ok {
-			return fmt.Errorf("balance requires the goroutine backend (restart without -backend=des)")
-		}
-		rounds, err := loadbalance.Balance(g, 2.0, atoiDefault(args, 0, 5))
+		rounds, err := loadbalance.Balance(s.net, 2.0, atoiDefault(args, 0, 5))
 		if err != nil {
 			return err
 		}
@@ -194,7 +158,7 @@ func (s *session) exec(line string) error {
 		return nil
 	case "peers":
 		loads := s.net.LoadVector()
-		for i, p := range s.net.PeerList() {
+		for i, p := range s.net.Peers {
 			fmt.Printf("%3d  id=%016x  keys=%d\n", i, uint64(p.ID()), loads[i])
 		}
 		return nil
@@ -217,7 +181,7 @@ func (s *session) exec(line string) error {
 	case "trace":
 		return s.trace(args)
 	case "metrics":
-		return s.net.Registry().WritePrometheus(os.Stdout)
+		return s.net.Telemetry.WritePrometheus(os.Stdout)
 	}
 	return fmt.Errorf("unknown command %q (try 'help')", cmd)
 }
@@ -244,7 +208,7 @@ func (s *session) crash(args []string, down bool) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: %s <peer-index>", verb)
 	}
-	peers := s.net.PeerList()
+	peers := s.net.Peers
 	i, err := strconv.Atoi(args[0])
 	if err != nil || i < 0 || i >= len(peers) {
 		return fmt.Errorf("peer index out of range (0..%d)", len(peers)-1)
@@ -349,7 +313,7 @@ func (s *session) build(args []string) error {
 		if err != nil {
 			return err
 		}
-		s.net, s.faults = nw, nw.Net
+		s.net, s.faults = nw.Network, nw.Net
 		fmt.Printf("built %d-peer event-core network over a %d-D, %d-bit keyword space\n", nodes, dims, bits)
 		return nil
 	}
@@ -459,7 +423,7 @@ func (s *session) load(args []string) error {
 		return err
 	}
 	vocab := workload.NewVocabulary(s.rng.Int63(), maxInt(200, keys/20), 1.2)
-	tuples := workload.KeyTuples(vocab, s.rng.Int63(), keys, s.net.KeySpace().Dims())
+	tuples := workload.KeyTuples(vocab, s.rng.Int63(), keys, s.net.Space.Dims())
 	if err := s.net.Preload(workload.Elements(tuples)); err != nil {
 		return err
 	}
@@ -477,12 +441,9 @@ func (s *session) publish(args []string) error {
 	if len(args) > 1 {
 		name = strings.Join(args[1:], " ")
 	}
-	via := s.rng.Intn(len(s.net.PeerList()))
+	via := s.rng.Intn(len(s.net.Peers))
 	if err := s.net.Publish(via, squid.Element{Values: values, Data: name}); err != nil {
 		return err
-	}
-	if g, ok := s.net.(*sim.Network); ok {
-		g.Quiesce() // the event backend's Publish already ran to quiescence
 	}
 	fmt.Printf("published %v as %q via peer %d\n", values, name, via)
 	return nil
@@ -496,7 +457,7 @@ func (s *session) query(qs string) error {
 	if err != nil {
 		return err
 	}
-	res, qm := s.net.Query(s.rng.Intn(len(s.net.PeerList())), q)
+	res, qm := s.net.Query(s.rng.Intn(len(s.net.Peers)), q)
 	if res.Err != nil && !errors.Is(res.Err, squid.ErrPartialResult) {
 		return res.Err
 	}
@@ -516,7 +477,7 @@ func (s *session) keywords(words []string) error {
 	if len(words) == 0 {
 		return fmt.Errorf("usage: keywords <w1> [w2..]")
 	}
-	res := s.net.QueryKeywords(s.rng.Intn(len(s.net.PeerList())), words)
+	res := s.net.QueryKeywords(s.rng.Intn(len(s.net.Peers)), words)
 	if res.Err != nil {
 		return res.Err
 	}
@@ -526,7 +487,7 @@ func (s *session) keywords(words []string) error {
 }
 
 func (s *session) trace(args []string) error {
-	traces := s.net.TraceStore()
+	traces := s.net.Traces
 	if traces == nil {
 		return fmt.Errorf("tracing is not enabled on this network")
 	}
@@ -569,13 +530,13 @@ func (s *session) join(args []string) error {
 		}
 		id = chord.ID(v)
 	} else {
-		id = chord.ID(s.rng.Uint64() & ((uint64(1) << s.net.KeySpace().IndexBits()) - 1))
+		id = chord.ID(s.rng.Uint64() & ((uint64(1) << s.net.Space.IndexBits()) - 1))
 	}
 	p, err := s.net.AddPeer(id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("peer %016x joined (%d peers now)\n", uint64(p.ID()), len(s.net.PeerList()))
+	fmt.Printf("peer %016x joined (%d peers now)\n", uint64(p.ID()), len(s.net.Peers))
 	return nil
 }
 
@@ -583,7 +544,7 @@ func (s *session) leave(args []string, kill bool) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: %s <peer-index>", map[bool]string{true: "kill", false: "leave"}[kill])
 	}
-	peers := s.net.PeerList()
+	peers := s.net.Peers
 	i, err := strconv.Atoi(args[0])
 	if err != nil || i < 0 || i >= len(peers) {
 		return fmt.Errorf("peer index out of range (0..%d)", len(peers)-1)

@@ -55,8 +55,8 @@ func TestSessionExec(t *testing.T) {
 }
 
 // TestSessionExecDES drives the same command set through the discrete-event
-// backend: every REPL command except balance (goroutine-only) must work
-// identically, and the scale command must run its planet-scale storm.
+// backend: every REPL command must work identically, and the scale command
+// must run its planet-scale storm.
 func TestSessionExecDES(t *testing.T) {
 	s := &session{backend: "des", rng: rand.New(rand.NewSource(1))}
 	steps := []string{
@@ -72,6 +72,7 @@ func TestSessionExecDES(t *testing.T) {
 		"verify",
 		"loads",
 		"peers",
+		"balance 2",
 		"check",
 		"crash 2",
 		"restart 2",
@@ -84,8 +85,5 @@ func TestSessionExecDES(t *testing.T) {
 		if err := s.exec(cmd); err != nil {
 			t.Fatalf("%q: %v", cmd, err)
 		}
-	}
-	if err := s.exec("balance 2"); err == nil {
-		t.Error("balance should be rejected on the des backend")
 	}
 }

@@ -1,8 +1,9 @@
-// Package dessim is the discrete-event simulation backend: a virtual clock,
-// a single-threaded event heap, and a transport whose every message is a
-// scheduled future event. Where internal/sim runs one goroutine mailbox per
-// peer over real channels — faithful but capped around a hundred nodes —
-// dessim runs the same protocol code with zero goroutines per node, so
+// Package dessim is the discrete-event driver of the internal/sim harness:
+// a virtual clock, a single-threaded event heap, and a transport whose
+// every message is a scheduled future event. Where sim's goroutine driver
+// runs one mailbox goroutine per peer over real channels — faithful but
+// capped around a hundred nodes — dessim runs the same harness and
+// protocol code with zero goroutines per node, so
 // planet-scale rings (10⁴–10⁵ peers) bootstrap, churn, and answer query
 // storms in seconds of wall time, exactly as the paper's own simulator
 // measured its figures.

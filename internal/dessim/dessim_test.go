@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
+	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/transport"
 	"squid/internal/workload"
@@ -196,7 +197,7 @@ func TestPublishRoutesThroughOverlay(t *testing.T) {
 	}
 	owner := nw.SuccessorOf(idx)
 	found := false
-	nw.invoke(owner, func() { found = len(owner.Engine.LocalStore().At(idx)) == 1 })
+	sim.MustInvoke(owner, func() { found = len(owner.Engine.LocalStore().At(idx)) == 1 })
 	nw.Run()
 	if !found {
 		t.Error("published element not at oracle owner")

@@ -15,8 +15,9 @@ import (
 // TestCrossBackendEquivalence pins the property that makes the event core a
 // drop-in backend: for the same seed, the goroutine and discrete-event
 // simulators build the identical ring (same identifiers, same addresses),
-// place the identical data, and give the identical answers — matches and
-// message counts — to the identical queries. Experiments validated at
+// place the identical data, and give the identical answers — matches,
+// message counts, Limit pages with their cursors, and keyword results — to
+// the identical queries. Experiments validated at
 // debuggable scale on one backend are then trustworthy at paper scale on
 // the other.
 func TestCrossBackendEquivalence(t *testing.T) {
@@ -73,7 +74,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		if (gRes.Err == nil) != (dRes.Err == nil) {
 			t.Fatalf("query %s: errors differ: %v vs %v", q, gRes.Err, dRes.Err)
 		}
-		if g, d := matchSet(gRes), matchSet(dRes); g != d {
+		if g, d := matchSet(gRes.Matches), matchSet(dRes.Matches); g != d {
 			t.Errorf("query %s: matches differ:\n goroutine %s\n event     %s", q, g, d)
 		}
 		if gQM.Messages() != dQM.Messages() {
@@ -86,13 +87,36 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		if g, d := len(gQM.ProcessingNodes), len(dQM.ProcessingNodes); g != d {
 			t.Errorf("query %s: processing-node counts differ: %d vs %d", q, g, d)
 		}
+
+		// A Limit(k) page delivers the k lowest curve positions, so its
+		// matches and resume cursor are the same on either driver.
+		gPage, _ := goro.QueryStream(via, q, squid.Limit(3))
+		dPage, _ := des.QueryStream(via, q, squid.Limit(3))
+		if (gPage.Err == nil) != (dPage.Err == nil) {
+			t.Fatalf("stream %s: errors differ: %v vs %v", q, gPage.Err, dPage.Err)
+		}
+		if g, d := matchSet(gPage.Matches), matchSet(dPage.Matches); g != d {
+			t.Errorf("stream %s: pages differ:\n goroutine %s\n event     %s", q, g, d)
+		}
+		if gPage.Cursor != dPage.Cursor {
+			t.Errorf("stream %s: cursors differ", q)
+		}
+	}
+
+	words := []string{vocab.Words[0]}
+	gKw, dKw := goro.QueryKeywords(0, words), des.QueryKeywords(0, words)
+	if gKw.Err != nil || dKw.Err != nil {
+		t.Fatalf("keywords %v: errors %v vs %v", words, gKw.Err, dKw.Err)
+	}
+	if g, d := matchSet(gKw.Matches), matchSet(dKw.Matches); g != d {
+		t.Errorf("keywords %v: matches differ:\n goroutine %s\n event     %s", words, g, d)
 	}
 }
 
-// matchSet collapses a result to its sorted payload tags.
-func matchSet(res squid.Result) string {
-	tags := make([]string, len(res.Matches))
-	for i, m := range res.Matches {
+// matchSet collapses matches to their sorted payload tags.
+func matchSet(ms []squid.Element) string {
+	tags := make([]string, len(ms))
+	for i, m := range ms {
 		tags[i] = m.Data
 	}
 	sort.Strings(tags)

@@ -1,15 +1,10 @@
 package dessim
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
 	"time"
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
-	"squid/internal/sfc"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/telemetry"
@@ -17,7 +12,7 @@ import (
 )
 
 // Config describes a simulated network on the event core. It mirrors
-// sim.Config so experiments port between backends by swapping the
+// sim.Config so experiments port between drivers by swapping the
 // constructor; the transport knobs live in Net (latency and faults are
 // native to the event transport rather than a wrapping layer).
 type Config struct {
@@ -44,217 +39,59 @@ type Config struct {
 	// Trace enables distributed query tracing into Network.Traces.
 	Trace bool
 	// CheckInvariants asserts the global ring invariants (chord.CheckRing)
-	// after every StabilizeAll round, as in the goroutine backend.
+	// after every StabilizeAll round, as on the goroutine driver.
 	CheckInvariants bool
 }
 
 // ErrIncomplete reports that a query's completion callback had not fired
 // when the event queue drained — the query lost its result path (e.g. its
 // initiator was killed) and no timer remained to recover it.
-var ErrIncomplete = errors.New("dessim: query did not complete before the event queue drained")
+var ErrIncomplete = sim.ErrIncomplete
 
-// Network is a simulated Squid deployment on the discrete-event core: the
-// sim.Network surface with zero goroutines per peer and virtual time. All
-// methods must be called from the single simulation goroutine; drivers that
-// in the goroutine backend block on channels instead schedule events and
-// run the loop to quiescence.
+// Network is the sim.Network harness on the discrete-event driver: zero
+// goroutines per peer and virtual time. All methods must be called from the
+// single simulation goroutine; every harness helper runs the event loop to
+// quiescence before it returns.
 type Network struct {
-	cfg Config
+	*sim.Network
 	// Core is the event loop; its Steps counter is the experiment's work
 	// metric and its clock the virtual timeline.
 	Core *Core
 	// Net is the event-core transport with its native fault injection.
-	Net     *Net
-	Space   *keyspace.Space
-	Metrics *sim.Metrics
-	// Telemetry aggregates every peer's instruments on the virtual clock:
-	// timestamps are deterministic simulated times, not wall-clock reads.
-	Telemetry *telemetry.Registry
-	// Traces holds reassembled query traces; nil unless Config.Trace.
-	Traces *telemetry.TraceStore
-	// Peers is sorted by ring identifier.
-	Peers []*sim.Peer
-
-	rng     *rand.Rand
-	nextIdx int
-
-	ringViolations *telemetry.CounterVec
-	hardViolations uint64
+	Net *Net
 }
 
 // Build constructs a network of cfg.Nodes peers with uniformly random
 // identifiers, installs a consistent ring directly (oracle bootstrap — no
 // join messages), and wires metrics. Identifier assignment is
 // sim.UniqueIDs, so the same seed yields the same ring as the goroutine
-// backend.
-func Build(cfg Config) (*Network, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("dessim: need at least one node, got %d", cfg.Nodes)
-	}
-	if cfg.Space == nil {
-		return nil, fmt.Errorf("dessim: nil keyword space")
-	}
-	nw := newNetwork(cfg)
-	space := chord.Space{Bits: cfg.Space.IndexBits()}
-	for _, id := range sim.UniqueIDs(nw.rng, cfg.Nodes, space) {
-		p, err := nw.newPeer(chord.ID(id))
-		if err != nil {
-			return nil, err
-		}
-		nw.Peers = append(nw.Peers, p)
-	}
-	nw.sortPeers()
-	nw.installRing()
-	return nw, nil
-}
+// driver.
+func Build(cfg Config) (*Network, error) { return BuildWithIDs(cfg, nil) }
 
-// BuildWithIDs is Build with explicit node identifiers (tests).
+// BuildWithIDs is Build with explicit node identifiers.
 func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
-	if cfg.Space == nil {
-		return nil, fmt.Errorf("dessim: nil keyword space")
-	}
-	nw := newNetwork(cfg)
-	for _, id := range ids {
-		p, err := nw.newPeer(chord.ID(id))
-		if err != nil {
-			return nil, err
-		}
-		nw.Peers = append(nw.Peers, p)
-	}
-	nw.sortPeers()
-	nw.installRing()
-	return nw, nil
-}
-
-func newNetwork(cfg Config) *Network {
 	core := NewCore()
-	nw := &Network{
-		cfg:       cfg,
-		Core:      core,
-		Net:       NewNet(core, cfg.Net),
-		Space:     cfg.Space,
-		Metrics:   sim.NewMetrics(),
-		Telemetry: telemetry.NewRegistry(core.WallClock()),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-	nw.Net.SetObserver(nw.Metrics.Observe)
-	if cfg.Trace {
-		nw.Traces = telemetry.NewTraceStore(0)
-	}
-	nw.ringViolations = nw.Telemetry.CounterVec("squid_ring_violations_total",
-		"ring invariant violations observed by the global checker", "kind")
-	return nw
-}
-
-func (nw *Network) newPeer(id chord.ID) (*sim.Peer, error) {
-	opts := nw.cfg.Engine
-	opts.Sink = nw.Metrics
-	opts.Telemetry = nw.Telemetry
-	opts.Traces = nw.Traces
-	opts.Clock = nw.Core.Clock()
-	// Serial engines: refinement runs inline on the delivery event. A
-	// worker pool would hand jobs to free-running goroutines and break the
-	// single-threaded determinism contract.
-	opts.Workers = -1
-	if opts.MaxInflight == 0 {
-		// As in the goroutine backend: deterministic experiments assert
-		// exact results, which admission-control shedding would perturb.
-		opts.MaxInflight = 1 << 30
-	}
-	eng := squid.New(nw.Space, squid.FromOptions(opts))
-	ccfg := nw.cfg.Chord
-	ccfg.Space = chord.Space{Bits: nw.Space.IndexBits()}
-	ccfg.SuccListLen = nw.cfg.SuccListLen
-	ccfg.Telemetry = nw.Telemetry
-	ccfg.Clock = nw.Core.Clock()
-	node := chord.NewNode(ccfg, id, eng)
-	eng.Attach(node)
-	addr := transport.Addr(fmt.Sprintf("p%d", nw.nextIdx))
-	nw.nextIdx++
-	ep, err := nw.Net.Listen(addr, node)
+	nw := &Network{Core: core, Net: NewNet(core, cfg.Net)}
+	h, err := sim.BuildOn(sim.Config{
+		Nodes:           cfg.Nodes,
+		Space:           cfg.Space,
+		Seed:            cfg.Seed,
+		SuccListLen:     cfg.SuccListLen,
+		Engine:          cfg.Engine,
+		Chord:           cfg.Chord,
+		Trace:           cfg.Trace,
+		CheckInvariants: cfg.CheckInvariants,
+	}, driver{core: core, net: nw.Net}, telemetry.NewRegistry(core.WallClock()), ids,
+		func(h *sim.Network) { nw.Net.SetObserver(h.Metrics.Observe) })
 	if err != nil {
 		return nil, err
 	}
-	node.Start(ep)
-	nw.Metrics.RegisterAddr(addr, id)
-	return &sim.Peer{Node: node, Engine: eng}, nil
+	nw.Network = h
+	return nw, nil
 }
 
-// invoke schedules fn on p's delivery context (a self-send event) and
-// panics if the peer is dead — the event-core analogue of sim.MustInvoke:
-// a driver addressing a dead peer fails loudly instead of silently never
-// running its continuation.
-func (nw *Network) invoke(p *sim.Peer, fn func()) {
-	if err := p.Node.Invoke(fn); err != nil {
-		panic(fmt.Sprintf("dessim: Invoke on dead peer %s: %v", p.Addr(), err))
-	}
-}
-
-func (nw *Network) sortPeers() {
-	// The ring is kept as a linearly sorted snapshot; successorPeer handles
-	// the wrap point by taking index 0 past the last peer.
-	//lint:allow-ringcmp canonical linear order of the snapshot table; wrap handled in successorPeer
-	sort.Slice(nw.Peers, func(i, j int) bool { return nw.Peers[i].ID() < nw.Peers[j].ID() })
-}
-
-// installRing writes consistent pred/succ/finger state into every peer
-// directly, then runs the install events.
-func (nw *Network) installRing() {
-	n := len(nw.Peers)
-	succLen := nw.cfg.SuccListLen
-	if succLen <= 0 {
-		succLen = 4
-	}
-	space := chord.Space{Bits: nw.Space.IndexBits()}
-	for i, p := range nw.Peers {
-		pred := nw.Peers[(i+n-1)%n].Node.Self()
-		var succs []chord.NodeRef
-		for k := 1; k <= succLen && k < n+1; k++ {
-			succs = append(succs, nw.Peers[(i+k)%n].Node.Self())
-		}
-		if len(succs) == 0 {
-			succs = []chord.NodeRef{p.Node.Self()}
-		}
-		fingers := make([]chord.NodeRef, space.Bits)
-		for b := 0; b < space.Bits; b++ {
-			target := space.Add(p.ID(), uint64(1)<<uint(b))
-			fingers[b] = nw.successorPeer(target).Node.Self()
-		}
-		p := p
-		nw.invoke(p, func() { p.Node.InstallRing(pred, succs, fingers) })
-	}
-	nw.Run()
-}
-
-// successorPeer returns the live peer owning the given identifier.
-func (nw *Network) successorPeer(id chord.ID) *sim.Peer {
-	//lint:allow-ringcmp binary search over the sorted snapshot; the wrap-around successor is index 0, taken below
-	i := sort.Search(len(nw.Peers), func(i int) bool { return nw.Peers[i].ID() >= id })
-	if i == len(nw.Peers) {
-		i = 0
-	}
-	return nw.Peers[i]
-}
-
-// SuccessorOf exposes the oracle owner of a curve index.
-func (nw *Network) SuccessorOf(idx uint64) *sim.Peer { return nw.successorPeer(chord.ID(idx)) }
-
-// PeerList returns the live peers in ring order — the backend-independent
-// accessor surface shared with sim.Network, through which squid-sim's REPL
-// drives either simulator behind one interface.
-func (nw *Network) PeerList() []*sim.Peer { return nw.Peers }
-
-// KeySpace returns the keyword space the network indexes.
-func (nw *Network) KeySpace() *keyspace.Space { return nw.Space }
-
-// Registry returns the network's telemetry registry.
-func (nw *Network) Registry() *telemetry.Registry { return nw.Telemetry }
-
-// TraceStore returns the query trace store, nil unless tracing was enabled.
-func (nw *Network) TraceStore() *telemetry.TraceStore { return nw.Traces }
-
-// Run drains the event heap — the event core's quiesce. Every driver below
-// ends with one, so the network is idle between driver calls.
+// Run drains the event heap — the event core's quiesce. Every harness
+// helper ends with one, so the network is idle between helper calls.
 func (nw *Network) Run() { nw.Core.Run() }
 
 // Schedule runs fn on the event loop after d of virtual time. Use it to
@@ -262,82 +99,13 @@ func (nw *Network) Run() { nw.Core.Run() }
 // of concurrent queries at staggered virtual instants.
 func (nw *Network) Schedule(d time.Duration, fn func()) { nw.Core.After(d, fn) }
 
-// Preload bulk-inserts elements at their owners directly (no routing
-// messages), grouping by owner for efficiency — the paper simulator's
-// pre-placed keys.
-func (nw *Network) Preload(elems []squid.Element) error {
-	groups := make(map[*sim.Peer][]squid.Element)
-	for _, e := range elems {
-		idx, err := nw.Space.Index(e.Values)
-		if err != nil {
-			return err
-		}
-		owner := nw.successorPeer(chord.ID(idx))
-		groups[owner] = append(groups[owner], e)
-	}
-	for p, batch := range groups {
-		p, batch := p, batch
-		nw.invoke(p, func() { _ = p.Engine.StoreDirectBatch(batch) })
-	}
-	nw.Run()
-	return nil
-}
-
-// Publish routes an element through the overlay from the given peer.
-func (nw *Network) Publish(via int, elem squid.Element) error {
-	p := nw.Peers[via]
-	var err error
-	nw.invoke(p, func() { err = p.Engine.Publish(elem) })
-	nw.Run()
-	return err
-}
-
-// Query runs a flexible query from the given peer to completion and
-// returns it with the query's cost metrics. If the completion callback
-// never fires — possible only under faults that strand the result path —
-// the returned Result carries ErrIncomplete.
-func (nw *Network) Query(via int, q keyspace.Query) (squid.Result, sim.QueryMetrics) {
-	p := nw.Peers[via]
-	var (
-		qid  squid.QueryID
-		res  squid.Result
-		done bool
-	)
-	nw.invoke(p, func() {
-		qid = p.Engine.Query(q, func(r squid.Result) { res, done = r, true })
-	})
-	nw.Run()
-	if !done {
-		res = squid.Result{QID: qid, Query: q, Err: ErrIncomplete}
-	}
-	return res, nw.Metrics.ForQuery(qid)
-}
-
-// QueryKeywords runs a position-free keyword query (combination tuples)
-// from the given peer to completion, as Query does for flexible queries.
-func (nw *Network) QueryKeywords(via int, words []string) squid.Result {
-	p := nw.Peers[via]
-	var (
-		res  squid.Result
-		done bool
-	)
-	nw.invoke(p, func() {
-		p.Engine.QueryKeywords(words, func(r squid.Result) { res, done = r, true })
-	})
-	nw.Run()
-	if !done {
-		res = squid.Result{Err: ErrIncomplete}
-	}
-	return res
-}
-
 // StartQuery launches a query at a future virtual instant without waiting
 // for it; cb (which may be nil) receives the result when it completes.
 // Pair with Run to drive overlapping query storms.
 func (nw *Network) StartQuery(at time.Duration, via int, q keyspace.Query, cb func(squid.Result)) {
 	nw.Schedule(at, func() {
 		p := nw.Peers[via]
-		nw.invoke(p, func() {
+		sim.MustInvoke(p, func() {
 			p.Engine.Query(q, func(r squid.Result) {
 				if cb != nil {
 					cb(r)
@@ -347,224 +115,42 @@ func (nw *Network) StartQuery(at time.Duration, via int, q keyspace.Query, cb fu
 	})
 }
 
-// BruteForceMatches scans every peer's store directly — the ground truth
-// for the "all matches are found" guarantee.
-func (nw *Network) BruteForceMatches(q keyspace.Query) []squid.Element {
-	var out []squid.Element
-	for _, p := range nw.Peers {
-		p := p
-		nw.invoke(p, func() {
-			st := p.Engine.LocalStore()
-			st.ScanSpan(fullSpan(nw.Space.IndexBits()), func(_ uint64, e squid.Element) {
-				if nw.Space.Matches(q, e.Values) {
-					out = append(out, e)
-				}
-			})
-		})
-	}
-	nw.Run()
-	return out
+// driver is the harness's event-core driver: peers attach to Net, engines
+// and chord timers run on the virtual clock, and waiting is running the
+// event loop dry.
+type driver struct {
+	core *Core
+	net  *Net
 }
 
-// fullSpan is the whole index space as a scan interval.
-func fullSpan(bits int) sfc.Interval {
-	if bits >= 64 {
-		return sfc.Interval{Lo: 0, Hi: ^uint64(0)}
-	}
-	return sfc.Interval{Lo: 0, Hi: (uint64(1) << bits) - 1}
+func (d driver) Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
+	return d.net.Listen(addr, h)
 }
 
-// LoadVector returns the number of stored keys per peer, in ring order —
-// the paper's Fig. 19 load-distribution data.
-func (nw *Network) LoadVector() []int {
-	out := make([]int, len(nw.Peers))
-	for i, p := range nw.Peers {
-		i, p := i, p
-		nw.invoke(p, func() { out[i] = p.Engine.LocalStore().Keys() })
-	}
-	nw.Run()
-	return out
+func (d driver) Kill(addr transport.Addr) { d.net.Kill(addr) }
+
+func (d driver) Crashed(addr transport.Addr) bool { return d.net.Crashed(addr) }
+
+// Configure puts every timer on the virtual clock and makes engines serial:
+// refinement runs inline on the delivery event, since a worker pool would
+// hand jobs to free-running goroutines and break the single-threaded
+// determinism contract.
+func (d driver) Configure(opts *squid.Options, ccfg *chord.Config) {
+	opts.Clock = d.core.Clock()
+	opts.Workers = -1
+	ccfg.Clock = d.core.Clock()
 }
 
-// AddPeer joins a new peer with the given identifier through the protocol
-// (seeded at a random existing peer) and returns it.
-func (nw *Network) AddPeer(id chord.ID) (*sim.Peer, error) {
-	p, err := nw.newPeer(id)
-	if err != nil {
-		return nil, err
-	}
-	seed := nw.Peers[nw.rng.Intn(len(nw.Peers))]
-	joinErr := error(nil)
-	nw.invoke(p, func() { p.Node.Join(seed.Addr(), func(e error) { joinErr = e }) })
-	nw.Run()
-	if joinErr != nil {
-		nw.Net.Kill(p.Addr())
-		return nil, joinErr
-	}
-	nw.Peers = append(nw.Peers, p)
-	nw.sortPeers()
-	return p, nil
-}
+func (d driver) Quiesce() { d.core.Run() }
 
-// RemovePeer makes the peer at index i (in current ring order) leave
-// voluntarily.
-func (nw *Network) RemovePeer(i int) {
-	p := nw.Peers[i]
-	nw.invoke(p, func() { p.Node.Leave() })
-	nw.Run()
-	nw.Net.Kill(p.Addr())
-	nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
-}
-
-// KillPeer fails the peer at index i abruptly (no handover).
-func (nw *Network) KillPeer(i int) {
-	p := nw.Peers[i]
-	nw.Net.Kill(p.Addr())
-	nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
-}
-
-// StabilizeAll runs the given number of stabilization rounds on every peer
-// (stabilize + finger fix + predecessor check), draining the event queue
-// between rounds. With Config.CheckInvariants set, the global ring checker
-// runs after every round.
-func (nw *Network) StabilizeAll(rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, p := range nw.Peers {
-			p := p
-			nw.invoke(p, func() {
-				p.Node.CheckPredecessor()
-				p.Node.Stabilize()
-				p.Node.FixFingers()
-			})
-		}
-		nw.Run()
-		if nw.cfg.CheckInvariants {
-			nw.CheckRing()
-		}
+// Await runs the event loop dry and reports whether done closed on the way;
+// an open done means the operation's result path was lost.
+func (d driver) Await(done <-chan struct{}) bool {
+	d.core.Run()
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
-}
-
-// SnapshotRing captures every reachable peer's neighbor state. Crashed
-// (black-holed) peers are skipped: they are not ring members and their
-// frozen state would read as stale garbage.
-func (nw *Network) SnapshotRing() []chord.Snapshot {
-	snaps := make([]chord.Snapshot, 0, len(nw.Peers))
-	for _, p := range nw.Peers {
-		p := p
-		if nw.Net.Crashed(p.Addr()) {
-			continue
-		}
-		i := len(snaps)
-		snaps = append(snaps, chord.Snapshot{})
-		nw.invoke(p, func() { snaps[i] = p.Node.Snapshot() })
-	}
-	nw.Run()
-	return snaps
-}
-
-// CheckRing snapshots the network and verifies the global ring invariants,
-// recording every violation to the squid_ring_violations_total telemetry
-// family and accumulating hard ones in RingViolations.
-func (nw *Network) CheckRing() []chord.Violation {
-	space := chord.Space{Bits: nw.Space.IndexBits()}
-	vs := chord.CheckRing(space, nw.SnapshotRing())
-	for _, v := range vs {
-		nw.ringViolations.With(string(v.Kind)).Inc()
-	}
-	nw.hardViolations += uint64(len(chord.HardViolations(vs)))
-	return vs
-}
-
-// RingViolations returns the cumulative count of hard (non-transient)
-// invariant violations observed by CheckRing since the network was built.
-func (nw *Network) RingViolations() uint64 { return nw.hardViolations }
-
-// PushReplicasAll makes every peer push replicas of its store to its
-// successors (run after Preload when the engines have Replicas > 0).
-func (nw *Network) PushReplicasAll() {
-	for _, p := range nw.Peers {
-		p := p
-		nw.invoke(p, func() { p.Engine.PushReplicas() })
-	}
-	nw.Run()
-}
-
-// VerifyConsistent checks that every peer's predecessor and successor
-// match the oracle ring order and that every stored key lies within its
-// holder's arc. It returns the first inconsistency found, or nil.
-func (nw *Network) VerifyConsistent() error {
-	n := len(nw.Peers)
-	type snap struct {
-		pred, succ chord.NodeRef
-		keys       []uint64
-	}
-	snaps := make([]snap, n)
-	for i, p := range nw.Peers {
-		i, p := i, p
-		nw.invoke(p, func() {
-			var keys []uint64
-			p.Engine.LocalStore().ScanSpan(fullSpan(nw.Space.IndexBits()), func(k uint64, _ squid.Element) {
-				if len(keys) == 0 || keys[len(keys)-1] != k {
-					keys = append(keys, k)
-				}
-			})
-			snaps[i] = snap{pred: p.Node.Pred(), succ: p.Node.Succ(), keys: keys}
-		})
-	}
-	nw.Run()
-	space := chord.Space{Bits: nw.Space.IndexBits()}
-	for i, p := range nw.Peers {
-		st := snaps[i]
-		wantPred := nw.Peers[(i+n-1)%n].Node.Self()
-		wantSucc := nw.Peers[(i+1)%n].Node.Self()
-		if st.pred.Addr != wantPred.Addr {
-			return fmt.Errorf("dessim: peer %s pred=%s want %s", p.Node.Self(), st.pred, wantPred)
-		}
-		if st.succ.Addr != wantSucc.Addr {
-			return fmt.Errorf("dessim: peer %s succ=%s want %s", p.Node.Self(), st.succ, wantSucc)
-		}
-		for _, k := range st.keys {
-			if !space.Between(chord.ID(k), wantPred.ID, p.ID()) {
-				return fmt.Errorf("dessim: peer %s holds key %x outside its arc (%x, %x]",
-					p.Node.Self(), k, uint64(wantPred.ID), uint64(p.ID()))
-			}
-		}
-	}
-	return nil
-}
-
-// TotalKeys sums stored keys across peers.
-func (nw *Network) TotalKeys() int {
-	total := 0
-	for _, n := range nw.LoadVector() {
-		total += n
-	}
-	return total
-}
-
-// ChordCounters sums every live peer's RPC retry/backoff counters.
-func (nw *Network) ChordCounters() chord.Counters {
-	var out chord.Counters
-	for _, p := range nw.Peers {
-		out.Add(p.Node.Counters())
-	}
-	return out
-}
-
-// RecoveryCounters sums every live peer's query-recovery counters.
-func (nw *Network) RecoveryCounters() squid.RecoveryCounters {
-	var out squid.RecoveryCounters
-	for _, p := range nw.Peers {
-		out.Add(p.Engine.Recovery())
-	}
-	return out
-}
-
-// TraceForQuery returns a query's reassembled refinement-tree trace.
-// Requires Config.Trace.
-func (nw *Network) TraceForQuery(qid squid.QueryID) (telemetry.Trace, bool) {
-	if nw.Traces == nil {
-		return telemetry.Trace{}, false
-	}
-	return nw.Traces.Get(qid)
 }

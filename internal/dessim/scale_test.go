@@ -113,35 +113,27 @@ func TestDesScale(t *testing.T) {
 	}
 }
 
-// TestDesPaperScale is the 10⁴-node acceptance experiment, run twice to
-// pin seed-reproducibility at full scale; seed 9101's outcome is pinned
-// too. Skipped in -short runs: it is the slowest test in the repository
-// (though still well under a minute per run — that is the tentpole).
+// TestDesPaperScale is the 10⁴-node acceptance experiment; seed 9101's
+// outcome is pinned, which proves reproducibility across commits
+// (TestStormDeterminism keeps the same-process double run at 1k nodes).
+// Skipped in -short runs: it is the slowest test in the repository (though
+// still well under a minute — that is the tentpole).
 func TestDesPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁴-node paper-scale experiment skipped in short mode")
 	}
 	skipUnderRace(t)
 	start := time.Now()
-	storm1, nw1 := paperScaleRun(t, 10_000, 40_000, 9101)
-	oneRun := time.Since(start)
-	if oneRun > 60*time.Second {
-		t.Fatalf("10⁴-node experiment took %v, budget 60s", oneRun)
+	storm, nw := paperScaleRun(t, 10_000, 40_000, 9101)
+	elapsed := time.Since(start)
+	if elapsed > 60*time.Second {
+		t.Fatalf("10⁴-node experiment took %v, budget 60s", elapsed)
 	}
-	if v := nw1.RingViolations(); v != 0 {
+	if v := nw.RingViolations(); v != 0 {
 		t.Errorf("hard ring violations = %d", v)
 	}
-	checkPinned(t, storm1, nw1.Core.Steps(), 0x76b770a7d5ba8e7d, 16_234_194)
-
-	storm2, nw2 := paperScaleRun(t, 10_000, 40_000, 9101)
-	if storm1 != storm2 {
-		t.Fatalf("same seed diverged at 10⁴ nodes:\n run1 %v\n run2 %v", storm1, storm2)
-	}
-	if nw1.Core.Steps() != nw2.Core.Steps() || nw1.Core.Elapsed() != nw2.Core.Elapsed() {
-		t.Fatalf("event counts diverged: %d/%v vs %d/%v",
-			nw1.Core.Steps(), nw1.Core.Elapsed(), nw2.Core.Steps(), nw2.Core.Elapsed())
-	}
+	checkPinned(t, storm, nw.Core.Steps(), 0x76b770a7d5ba8e7d, 16_234_194)
 	t.Logf("10⁴-node experiment: %v in %v (%d events, %.0f events/sec)",
-		storm1, oneRun.Round(time.Millisecond), nw1.Core.Steps(),
-		float64(nw1.Core.Steps())/oneRun.Seconds())
+		storm, elapsed.Round(time.Millisecond), nw.Core.Steps(),
+		float64(nw.Core.Steps())/elapsed.Seconds())
 }

@@ -9,6 +9,7 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
+	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/workload"
 )
@@ -117,7 +118,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 			}
 			p := nw.Peers[rng.Intn(len(nw.Peers))]
 			if cfg.TopK > 0 && i%2 == 1 {
-				nw.invoke(p, func() {
+				sim.MustInvoke(p, func() {
 					res.Streamed++
 					batches, delivered := 0, 0
 					_, err := p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
@@ -142,7 +143,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 				})
 				return
 			}
-			nw.invoke(p, func() {
+			sim.MustInvoke(p, func() {
 				p.Engine.Query(q, func(r squid.Result) {
 					if r.Err != nil {
 						res.Partial++
@@ -163,9 +164,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 			if len(nw.Peers) < 2 {
 				return
 			}
-			i := rng.Intn(len(nw.Peers))
-			nw.Net.Kill(nw.Peers[i].Addr())
-			nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
+			nw.KillPeer(rng.Intn(len(nw.Peers)))
 		})
 	}
 
@@ -173,21 +172,20 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 		at := cfg.Span*time.Duration(j+1)/time.Duration(cfg.Joins+1) + time.Millisecond
 		nw.Schedule(at, func() {
 			id := chord.ID(rng.Uint64() & space.Mask())
-			p, err := nw.newPeer(id)
+			p, err := nw.NewPeer(id)
 			if err != nil {
 				res.JoinErrs++
 				return
 			}
 			seed := nw.Peers[rng.Intn(len(nw.Peers))]
-			nw.invoke(p, func() {
+			sim.MustInvoke(p, func() {
 				p.Node.Join(seed.Addr(), func(e error) {
 					if e != nil {
 						res.JoinErrs++
 						nw.Net.Kill(p.Addr())
 						return
 					}
-					nw.Peers = append(nw.Peers, p)
-					nw.sortPeers()
+					nw.Admit(p)
 				})
 			})
 		})
@@ -197,8 +195,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 		at := cfg.Span*time.Duration(r+1)/time.Duration(cfg.StabilizeRounds+1) + 2*time.Millisecond
 		nw.Schedule(at, func() {
 			for _, p := range nw.Peers {
-				p := p
-				nw.invoke(p, func() {
+				sim.MustInvoke(p, func() {
 					p.Node.CheckPredecessor()
 					p.Node.Stabilize()
 					p.Node.FixFingers()

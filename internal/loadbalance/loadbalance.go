@@ -101,13 +101,12 @@ func SampledJoin(nw *sim.Network, samples int, randID func() chord.ID) (*sim.Pee
 	for i := range candidates {
 		candidates[i] = randID()
 	}
-	ch := make(chan []CandidateLoad, 1)
+	var loads []CandidateLoad
 	if err := member.Invoke(func() {
-		ProbeLoads(member, candidates, func(ls []CandidateLoad) { ch <- ls })
+		ProbeLoads(member, candidates, func(ls []CandidateLoad) { loads = ls })
 	}); err != nil {
 		return nil, fmt.Errorf("loadbalance: probe invoke: %w", err)
 	}
-	loads := <-ch
 	nw.Quiesce()
 	id, ok := ChooseBest(loads)
 	if !ok {
@@ -147,7 +146,7 @@ func NeighborRound(nw *sim.Network, threshold float64) (int, error) {
 		}
 		if float64(loads[succ]) > threshold*float64(loads[i]+1) && loads[succ] >= 4 {
 			heavy := nw.Peers[succ]
-			median, ok := medianKey(heavy)
+			median, ok := medianKey(nw, heavy)
 			if !ok {
 				continue
 			}
@@ -188,20 +187,10 @@ func Balance(nw *sim.Network, threshold float64, maxRounds int) (int, error) {
 }
 
 // medianKey returns the median stored key of a peer's arc.
-func medianKey(p *sim.Peer) (uint64, bool) {
-	ch := make(chan struct {
-		k  uint64
-		ok bool
-	}, 1)
-	sim.MustInvoke(p, func() {
-		k, ok := p.Engine.LocalStore().MedianKey()
-		ch <- struct {
-			k  uint64
-			ok bool
-		}{k, ok}
-	})
-	r := <-ch
-	return r.k, r.ok
+func medianKey(nw *sim.Network, p *sim.Peer) (k uint64, ok bool) {
+	sim.MustInvoke(p, func() { k, ok = p.Engine.LocalStore().MedianKey() })
+	nw.Quiesce()
+	return k, ok
 }
 
 func peerIndex(nw *sim.Network, id chord.ID) int {
@@ -266,7 +255,7 @@ func (vp *VirtualPool) Split(threshold int) int {
 		if loads[i] <= threshold {
 			continue
 		}
-		if m, ok := medianKey(p); ok {
+		if m, ok := medianKey(vp.nw, p); ok {
 			plan = append(plan, cand{host: vp.assign[p.ID()], target: chord.ID(m)})
 		}
 	}

@@ -1,11 +1,20 @@
 // Package sim builds and drives simulated Squid networks: N peers with
-// goroutine mailboxes over the in-process transport, oracle ring bootstrap
-// and bulk data preload (as the paper's simulator does for its static
-// experiments), protocol-level churn, and the paper's per-query metrics.
+// oracle ring bootstrap and bulk data preload (as the paper's simulator does
+// for its static experiments), protocol-level churn, ring invariant checks,
+// and the paper's per-query metrics.
+//
+// One harness, Network, runs over two drivers. The goroutine driver built
+// by Build gives every peer a mailbox goroutine on the in-process transport
+// (optionally behind the fault layer) and waits on the wall clock. The
+// discrete-event driver in internal/dessim runs the same peers on a virtual
+// clock with zero goroutines per peer. Every helper is written once: invoke
+// work on the peers, let the driver wait for the network to go idle, then
+// read the results.
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -37,7 +46,7 @@ type Config struct {
 	Chord chord.Config
 	// Faults, when non-nil, wraps the in-process transport in a
 	// deterministic fault-injecting layer (drops, delays, partitions,
-	// crashes) exposed as Network.Faulty.
+	// crashes) exposed as Network.Faulty. Goroutine driver only.
 	Faults *transport.FaultConfig
 	// Trace enables distributed query tracing: every Query records its
 	// reassembled refinement-tree spans in Network.Traces.
@@ -49,6 +58,30 @@ type Config struct {
 	// can drive arbitrary rounds and assert a single zero at the end.
 	CheckInvariants bool
 }
+
+// Driver is what differs between the harness's execution backends: where
+// peers attach, how a peer dies, and how the harness waits.
+type Driver interface {
+	// Listen attaches a peer's handler under addr.
+	Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error)
+	// Kill detaches addr permanently.
+	Kill(addr transport.Addr)
+	// Crashed reports whether addr is black-holed (alive but unreachable).
+	Crashed(addr transport.Addr) bool
+	// Configure adjusts a new peer's engine and chord settings (clock,
+	// worker pool) before the peer is built.
+	Configure(opts *squid.Options, ccfg *chord.Config)
+	// Quiesce returns once no message is in flight and no work is pending.
+	Quiesce()
+	// Await waits for done to close and the network to go idle. It reports
+	// false if the network went idle with done still open.
+	Await(done <-chan struct{}) bool
+}
+
+// ErrIncomplete reports that an operation's completion callback had not
+// fired when the network went idle: its result path was lost (e.g. the
+// initiator was killed) and no timer remained to recover it.
+var ErrIncomplete = errors.New("sim: operation did not complete before the network went idle")
 
 // Peer is one simulated participant.
 type Peer struct {
@@ -64,15 +97,18 @@ func (p *Peer) Addr() transport.Addr { return p.Node.Self().Addr }
 
 // Network is a simulated Squid deployment.
 type Network struct {
-	cfg    Config
+	cfg Config
+	drv Driver
+	// Inproc is the goroutine driver's transport; nil on other drivers.
 	Inproc *transport.Inproc
 	// Faulty is the fault-injection layer; nil unless Config.Faults was set.
 	Faulty  *transport.Faulty
 	Space   *keyspace.Space
 	Metrics *Metrics
 	// Telemetry aggregates every peer's and transport layer's instruments.
-	// It runs clock-less (timestamps read as zero) so simulated runs stay
-	// deterministic.
+	// Its clock is the driver's: none on the goroutine driver (timestamps
+	// read as zero, so runs stay deterministic), virtual time on the event
+	// core.
 	Telemetry *telemetry.Registry
 	// Traces holds reassembled query traces; nil unless Config.Trace was set.
 	Traces *telemetry.TraceStore
@@ -87,83 +123,70 @@ type Network struct {
 }
 
 // Build constructs a network of cfg.Nodes peers with uniformly random
-// identifiers, installs a consistent ring directly (oracle bootstrap — no
-// join messages), and wires metrics. Use AddPeer/RemovePeer/KillPeer for
-// protocol-level dynamics afterwards.
-func Build(cfg Config) (*Network, error) {
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("sim: need at least one node, got %d", cfg.Nodes)
-	}
-	if cfg.Space == nil {
-		return nil, fmt.Errorf("sim: nil keyword space")
-	}
-	nw := newNetwork(cfg)
-
-	space := chord.Space{Bits: cfg.Space.IndexBits()}
-	ids := nw.uniqueIDs(cfg.Nodes, space)
-	for _, id := range ids {
-		p, err := nw.newPeer(chord.ID(id))
-		if err != nil {
-			return nil, err
-		}
-		nw.Peers = append(nw.Peers, p)
-	}
-	nw.sortPeers()
-	nw.installRing()
-	return nw, nil
-}
+// identifiers on the goroutine driver, installs a consistent ring directly
+// (oracle bootstrap — no join messages), and wires metrics. Use
+// AddPeer/RemovePeer/KillPeer for protocol-level dynamics afterwards.
+func Build(cfg Config) (*Network, error) { return BuildWithIDs(cfg, nil) }
 
 // BuildWithIDs is Build with explicit node identifiers (tests).
 func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
+	d := &goroutineDriver{}
+	return BuildOn(cfg, d, telemetry.NewRegistry(nil), ids, func(nw *Network) {
+		d.nw = nw
+		nw.Inproc = transport.NewInproc()
+		nw.Inproc.SetObserver(nw.Metrics.Observe)
+		nw.Inproc.Instrument(nw.Telemetry)
+		if cfg.Faults != nil {
+			nw.Faulty = transport.NewFaulty(nw.Inproc, *cfg.Faults)
+			nw.Faulty.Instrument(nw.Telemetry)
+		}
+	})
+}
+
+// BuildOn constructs a network over the given driver and telemetry
+// registry. A nil ids draws cfg.Nodes identifiers with UniqueIDs. wire
+// runs once the harness exists and before the first peer attaches, so the
+// driver can install its transport observer.
+func BuildOn(cfg Config, drv Driver, reg *telemetry.Registry, ids []uint64, wire func(*Network)) (*Network, error) {
 	if cfg.Space == nil {
 		return nil, fmt.Errorf("sim: nil keyword space")
 	}
-	nw := newNetwork(cfg)
-	for _, id := range ids {
-		p, err := nw.newPeer(chord.ID(id))
-		if err != nil {
-			return nil, err
-		}
-		nw.Peers = append(nw.Peers, p)
+	if ids == nil && cfg.Nodes < 1 {
+		return nil, fmt.Errorf("sim: need at least one node, got %d", cfg.Nodes)
 	}
-	nw.sortPeers()
-	nw.installRing()
-	return nw, nil
-}
-
-// newNetwork builds the transport stack, metrics collector, and telemetry
-// shared by Build and BuildWithIDs.
-func newNetwork(cfg Config) *Network {
 	nw := &Network{
 		cfg:       cfg,
-		Inproc:    transport.NewInproc(),
+		drv:       drv,
 		Space:     cfg.Space,
 		Metrics:   NewMetrics(),
-		Telemetry: telemetry.NewRegistry(nil),
+		Telemetry: reg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-	nw.Inproc.SetObserver(nw.Metrics.Observe)
-	nw.Inproc.Instrument(nw.Telemetry)
-	if cfg.Faults != nil {
-		nw.Faulty = transport.NewFaulty(nw.Inproc, *cfg.Faults)
-		nw.Faulty.Instrument(nw.Telemetry)
 	}
 	if cfg.Trace {
 		nw.Traces = telemetry.NewTraceStore(0)
 	}
 	nw.ringViolations = nw.Telemetry.CounterVec("squid_ring_violations_total",
 		"ring invariant violations observed by the global checker", "kind")
-	return nw
-}
-
-func (nw *Network) uniqueIDs(n int, space chord.Space) []uint64 {
-	return UniqueIDs(nw.rng, n, space)
+	wire(nw)
+	if ids == nil {
+		ids = UniqueIDs(nw.rng, cfg.Nodes, chord.Space{Bits: cfg.Space.IndexBits()})
+	}
+	for _, id := range ids {
+		p, err := nw.NewPeer(chord.ID(id))
+		if err != nil {
+			return nil, err
+		}
+		nw.Peers = append(nw.Peers, p)
+	}
+	nw.sortPeers()
+	nw.installRing()
+	return nw, nil
 }
 
 // UniqueIDs draws n distinct ring identifiers from rng over space. It is
-// the single identifier-assignment rule shared by the goroutine and
-// discrete-event backends, so the same seed builds the same ring on either —
-// the property the cross-backend equivalence test pins.
+// the single identifier-assignment rule of every driver, so the same seed
+// builds the same ring on either — the property the cross-backend
+// equivalence test pins.
 func UniqueIDs(rng *rand.Rand, n int, space chord.Space) []uint64 {
 	seen := make(map[uint64]bool, n)
 	out := make([]uint64, 0, n)
@@ -177,7 +200,10 @@ func UniqueIDs(rng *rand.Rand, n int, space chord.Space) []uint64 {
 	return out
 }
 
-func (nw *Network) newPeer(id chord.ID) (*Peer, error) {
+// NewPeer builds a peer with the given identifier, attaches it to the
+// driver under the next free address, and starts it. The peer is not yet
+// a ring member: join it through the protocol, then Admit it.
+func (nw *Network) NewPeer(id chord.ID) (*Peer, error) {
 	opts := nw.cfg.Engine
 	opts.Sink = nw.Metrics
 	opts.Telemetry = nw.Telemetry
@@ -190,16 +216,17 @@ func (nw *Network) newPeer(id chord.ID) (*Peer, error) {
 		// worker pool by far more than the production default allows.)
 		opts.MaxInflight = 1 << 30
 	}
-	eng := squid.New(nw.Space, squid.FromOptions(opts))
 	ccfg := nw.cfg.Chord
 	ccfg.Space = chord.Space{Bits: nw.Space.IndexBits()}
 	ccfg.SuccListLen = nw.cfg.SuccListLen
 	ccfg.Telemetry = nw.Telemetry
+	nw.drv.Configure(&opts, &ccfg)
+	eng := squid.New(nw.Space, squid.FromOptions(opts))
 	node := chord.NewNode(ccfg, id, eng)
 	eng.Attach(node)
 	addr := transport.Addr(fmt.Sprintf("p%d", nw.nextIdx))
 	nw.nextIdx++
-	ep, err := nw.listen(addr, node)
+	ep, err := nw.drv.Listen(addr, node)
 	if err != nil {
 		return nil, err
 	}
@@ -208,27 +235,16 @@ func (nw *Network) newPeer(id chord.ID) (*Peer, error) {
 	return &Peer{Node: node, Engine: eng}, nil
 }
 
-// listen registers a handler on the network's outermost transport layer.
-func (nw *Network) listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
-	if nw.Faulty != nil {
-		return nw.Faulty.Listen(addr, h)
-	}
-	return nw.Inproc.Listen(addr, h)
+// Admit adds a joined peer to the ring-ordered peer table.
+func (nw *Network) Admit(p *Peer) {
+	nw.Peers = append(nw.Peers, p)
+	nw.sortPeers()
 }
 
-// kill removes an address from the transport permanently.
-func (nw *Network) kill(addr transport.Addr) {
-	if nw.Faulty != nil {
-		nw.Faulty.Kill(addr)
-		return
-	}
-	nw.Inproc.Kill(addr)
-}
-
-// MustInvoke schedules fn on p's delivery goroutine and panics if the
-// node's endpoint refuses the work. Driver helpers pair an Invoke with a
-// blocking channel read; a silently dropped Invoke error turns into a
-// deadlock (the hang class rpcerr exists to prevent), so in the
+// MustInvoke schedules fn on p's delivery context and panics if the node's
+// endpoint refuses the work. Harness helpers pair an Invoke with a wait on
+// the driver; a silently dropped Invoke error turns into a deadlock or a
+// missing result (the hang class rpcerr exists to prevent), so in the
 // deterministic harness a refused Invoke — the driver addressing a dead
 // peer — fails loudly instead.
 func MustInvoke(p *Peer, fn func()) {
@@ -267,14 +283,9 @@ func (nw *Network) installRing() {
 			target := space.Add(p.ID(), uint64(1)<<uint(b))
 			fingers[b] = nw.successorPeer(target).Node.Self()
 		}
-		p := p
-		done := make(chan struct{})
-		MustInvoke(p, func() {
-			p.Node.InstallRing(pred, succs, fingers)
-			close(done)
-		})
-		<-done
+		MustInvoke(p, func() { p.Node.InstallRing(pred, succs, fingers) })
 	}
+	nw.drv.Quiesce()
 }
 
 // successorPeer returns the live peer owning the given identifier.
@@ -290,51 +301,9 @@ func (nw *Network) successorPeer(id chord.ID) *Peer {
 // SuccessorOf exposes the oracle owner of a curve index.
 func (nw *Network) SuccessorOf(idx uint64) *Peer { return nw.successorPeer(chord.ID(idx)) }
 
-// PeerList returns the live peers in ring order. Together with KeySpace,
-// Registry, and TraceStore it is the backend-independent accessor surface
-// through which squid-sim's REPL drives either simulator — this goroutine
-// backend or the discrete-event one — behind one interface.
-func (nw *Network) PeerList() []*Peer { return nw.Peers }
-
-// KeySpace returns the keyword space the network indexes.
-func (nw *Network) KeySpace() *keyspace.Space { return nw.Space }
-
-// Registry returns the network's telemetry registry.
-func (nw *Network) Registry() *telemetry.Registry { return nw.Telemetry }
-
-// TraceStore returns the query trace store, nil unless tracing was enabled.
-func (nw *Network) TraceStore() *telemetry.TraceStore { return nw.Traces }
-
-// Quiesce waits for the network to go idle: no message in flight (including
-// messages parked in the fault layer's delay queue, when one is installed)
-// and no refinement job pending on any peer's query scheduler. The loop
-// closes the handoff race between the two: a scheduler completion is a
-// self-send that re-activates the transport, and a delivered message may
-// admit new scheduler jobs — so the network is only idle once a full
-// transport-and-scheduler sweep observed no new send at all (the in-process
-// transport's activity counter is monotonic).
-func (nw *Network) Quiesce() {
-	for {
-		before := nw.Inproc.Activity()
-		nw.transportQuiesce()
-		for _, p := range nw.Peers {
-			p.Engine.WaitIdle()
-		}
-		nw.transportQuiesce()
-		if nw.Inproc.Activity() == before {
-			return
-		}
-	}
-}
-
-// transportQuiesce drains the transport stack alone.
-func (nw *Network) transportQuiesce() {
-	if nw.Faulty != nil {
-		nw.Faulty.Quiesce()
-		return
-	}
-	nw.Inproc.Quiesce()
-}
+// Quiesce waits for the network to go idle: no message in flight and no
+// work pending on any peer.
+func (nw *Network) Quiesce() { nw.drv.Quiesce() }
 
 // Preload bulk-inserts elements at their owners directly (no routing
 // messages), grouping by owner for efficiency. This mirrors the paper's
@@ -350,43 +319,39 @@ func (nw *Network) Preload(elems []squid.Element) error {
 		groups[owner] = append(groups[owner], e)
 	}
 	for p, batch := range groups {
-		p, batch := p, batch
-		if err := p.Node.Invoke(func() {
-			_ = p.Engine.StoreDirectBatch(batch)
-		}); err != nil {
-			return err
-		}
+		MustInvoke(p, func() { _ = p.Engine.StoreDirectBatch(batch) })
 	}
-	nw.Quiesce()
+	nw.drv.Quiesce()
 	return nil
 }
 
-// Publish routes an element through the overlay from the given peer.
+// Publish routes an element through the overlay from the given peer and
+// waits for the network to settle.
 func (nw *Network) Publish(via int, elem squid.Element) error {
 	p := nw.Peers[via]
-	errCh := make(chan error, 1)
-	if err := p.Node.Invoke(func() { errCh <- p.Engine.Publish(elem) }); err != nil {
-		return err
-	}
-	return <-errCh
+	var err error
+	MustInvoke(p, func() { err = p.Engine.Publish(elem) })
+	nw.drv.Quiesce()
+	return err
 }
 
 // Query runs a flexible query from the given peer, waits for its complete
-// result, and returns it with the query's cost metrics.
+// result, and returns it with the query's cost metrics. If the completion
+// callback never fires — possible only under faults that strand the result
+// path — the returned Result carries ErrIncomplete.
 func (nw *Network) Query(via int, q keyspace.Query) (squid.Result, QueryMetrics) {
 	p := nw.Peers[via]
-	resCh := make(chan squid.Result, 1)
-	qidCh := make(chan squid.QueryID, 1)
+	var (
+		qid squid.QueryID
+		res squid.Result
+	)
+	done := make(chan struct{})
 	MustInvoke(p, func() {
-		qid, err := p.Engine.QueryCtx(context.Background(), q, func(r squid.Result) { resCh <- r })
-		if err != nil {
-			resCh <- squid.Result{QID: qid, Query: q, Err: err}
-		}
-		qidCh <- qid
+		qid = p.Engine.Query(q, func(r squid.Result) { res = r; close(done) })
 	})
-	qid := <-qidCh
-	res := <-resCh
-	nw.Quiesce() // let trailing replies settle so counts are exact
+	if !nw.drv.Await(done) {
+		res = squid.Result{QID: qid, Query: q, Err: ErrIncomplete}
+	}
 	return res, nw.Metrics.ForQuery(qid)
 }
 
@@ -406,32 +371,28 @@ type StreamResult struct {
 // metrics. Options pass through to the engine (Limit, WithCursor).
 func (nw *Network) QueryStream(via int, q keyspace.Query, opts ...squid.QueryOption) (StreamResult, QueryMetrics) {
 	p := nw.Peers[via]
-	done := make(chan StreamResult, 1)
-	qidCh := make(chan squid.QueryID, 1)
-	errCh := make(chan error, 1)
+	var sr StreamResult
+	done := make(chan struct{})
 	MustInvoke(p, func() {
-		var sr StreamResult
-		qid, err := p.Engine.QueryStreamFunc(nil, q, func(ev squid.StreamEvent) {
+		var err error
+		sr.QID, err = p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
 			if ev.Done {
-				sr.Err = ev.Err
-				sr.Cursor = ev.Cursor
-				done <- sr
+				sr.Err, sr.Cursor = ev.Err, ev.Cursor
+				close(done)
 				return
 			}
 			sr.Batches = append(sr.Batches, ev.Matches)
 			sr.Matches = append(sr.Matches, ev.Matches...)
 		}, opts...)
-		qidCh <- qid
-		errCh <- err
+		if err != nil {
+			sr.Err = err
+			close(done)
+		}
 	})
-	qid := <-qidCh
-	if err := <-errCh; err != nil {
-		return StreamResult{QID: qid, Err: err}, nw.Metrics.ForQuery(qid)
+	if !nw.drv.Await(done) {
+		sr.Err = ErrIncomplete
 	}
-	sr := <-done
-	sr.QID = qid
-	nw.Quiesce() // let teardown and trailing replies settle so counts are exact
-	return sr, nw.Metrics.ForQuery(qid)
+	return sr, nw.Metrics.ForQuery(sr.QID)
 }
 
 // CancelQuery cancels an in-flight query rooted at the given peer and
@@ -439,10 +400,9 @@ func (nw *Network) QueryStream(via int, q keyspace.Query, opts ...squid.QueryOpt
 // fully counted before the caller inspects metrics.
 func (nw *Network) CancelQuery(via int, qid squid.QueryID) bool {
 	p := nw.Peers[via]
-	ch := make(chan bool, 1)
-	MustInvoke(p, func() { ch <- p.Engine.CancelQuery(qid) })
-	found := <-ch
-	nw.Quiesce()
+	var found bool
+	MustInvoke(p, func() { found = p.Engine.CancelQuery(qid) })
+	nw.drv.Quiesce()
 	return found
 }
 
@@ -450,33 +410,34 @@ func (nw *Network) CancelQuery(via int, qid squid.QueryID) bool {
 // from the given peer and waits for its complete result.
 func (nw *Network) QueryKeywords(via int, words []string) squid.Result {
 	p := nw.Peers[via]
-	resCh := make(chan squid.Result, 1)
+	var res squid.Result
+	done := make(chan struct{})
 	MustInvoke(p, func() {
-		p.Engine.QueryKeywords(words, func(r squid.Result) { resCh <- r })
+		p.Engine.QueryKeywords(words, func(r squid.Result) { res = r; close(done) })
 	})
-	res := <-resCh
-	nw.Quiesce()
+	if !nw.drv.Await(done) {
+		return squid.Result{Err: ErrIncomplete}
+	}
 	return res
 }
 
 // BruteForceMatches scans every peer's store directly — the ground truth
 // for the "all matches are found" guarantee.
 func (nw *Network) BruteForceMatches(q keyspace.Query) []squid.Element {
-	var out []squid.Element
-	for _, p := range nw.Peers {
-		p := p
-		done := make(chan []squid.Element, 1)
+	local := make([][]squid.Element, len(nw.Peers))
+	for i, p := range nw.Peers {
 		MustInvoke(p, func() {
-			var local []squid.Element
-			st := p.Engine.LocalStore()
-			st.ScanSpan(fullSpan(nw.Space.IndexBits()), func(_ uint64, e squid.Element) {
+			p.Engine.LocalStore().ScanSpan(fullSpan(nw.Space.IndexBits()), func(_ uint64, e squid.Element) {
 				if nw.Space.Matches(q, e.Values) {
-					local = append(local, e)
+					local[i] = append(local[i], e)
 				}
 			})
-			done <- local
 		})
-		out = append(out, <-done...)
+	}
+	nw.drv.Quiesce()
+	var out []squid.Element
+	for _, l := range local {
+		out = append(out, l...)
 	}
 	return out
 }
@@ -494,31 +455,31 @@ func fullSpan(bits int) sfc.Interval {
 func (nw *Network) LoadVector() []int {
 	out := make([]int, len(nw.Peers))
 	for i, p := range nw.Peers {
-		p := p
-		ch := make(chan int, 1)
-		MustInvoke(p, func() { ch <- p.Engine.LocalStore().Keys() })
-		out[i] = <-ch
+		MustInvoke(p, func() { out[i] = p.Engine.LocalStore().Keys() })
 	}
+	nw.drv.Quiesce()
 	return out
 }
 
 // AddPeer joins a new peer with the given identifier through the protocol
 // (seeded at a random existing peer) and returns it.
 func (nw *Network) AddPeer(id chord.ID) (*Peer, error) {
-	p, err := nw.newPeer(id)
+	p, err := nw.NewPeer(id)
 	if err != nil {
 		return nil, err
 	}
 	seed := nw.Peers[nw.rng.Intn(len(nw.Peers))]
-	errCh := make(chan error, 1)
-	MustInvoke(p, func() { p.Node.Join(seed.Addr(), func(e error) { errCh <- e }) })
-	if err := <-errCh; err != nil {
-		nw.kill(p.Addr())
-		return nil, err
+	var joinErr error
+	done := make(chan struct{})
+	MustInvoke(p, func() { p.Node.Join(seed.Addr(), func(e error) { joinErr = e; close(done) }) })
+	if !nw.drv.Await(done) {
+		joinErr = ErrIncomplete
 	}
-	nw.Quiesce()
-	nw.Peers = append(nw.Peers, p)
-	nw.sortPeers()
+	if joinErr != nil {
+		nw.drv.Kill(p.Addr())
+		return nil, joinErr
+	}
+	nw.Admit(p)
 	return p, nil
 }
 
@@ -526,18 +487,14 @@ func (nw *Network) AddPeer(id chord.ID) (*Peer, error) {
 // voluntarily.
 func (nw *Network) RemovePeer(i int) {
 	p := nw.Peers[i]
-	done := make(chan struct{})
-	MustInvoke(p, func() { p.Node.Leave(); close(done) })
-	<-done
-	nw.Quiesce()
-	nw.kill(p.Addr())
-	nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
+	MustInvoke(p, p.Node.Leave)
+	nw.drv.Quiesce()
+	nw.KillPeer(i)
 }
 
 // KillPeer fails the peer at index i abruptly (no handover).
 func (nw *Network) KillPeer(i int) {
-	p := nw.Peers[i]
-	nw.kill(p.Addr())
+	nw.drv.Kill(nw.Peers[i].Addr())
 	nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
 }
 
@@ -548,14 +505,13 @@ func (nw *Network) KillPeer(i int) {
 func (nw *Network) StabilizeAll(rounds int) {
 	for r := 0; r < rounds; r++ {
 		for _, p := range nw.Peers {
-			p := p
 			MustInvoke(p, func() {
 				p.Node.CheckPredecessor()
 				p.Node.Stabilize()
 				p.Node.FixFingers()
 			})
 		}
-		nw.Quiesce()
+		nw.drv.Quiesce()
 		if nw.cfg.CheckInvariants {
 			nw.CheckRing()
 		}
@@ -566,16 +522,17 @@ func (nw *Network) StabilizeAll(rounds int) {
 // currently black-holed by the fault layer are skipped: a crashed process
 // is not a ring member, and its frozen state would read as stale garbage.
 func (nw *Network) SnapshotRing() []chord.Snapshot {
-	snaps := make([]chord.Snapshot, 0, len(nw.Peers))
+	live := make([]*Peer, 0, len(nw.Peers))
 	for _, p := range nw.Peers {
-		p := p
-		if nw.Faulty != nil && nw.Faulty.Crashed(p.Addr()) {
-			continue
+		if !nw.drv.Crashed(p.Addr()) {
+			live = append(live, p)
 		}
-		ch := make(chan chord.Snapshot, 1)
-		MustInvoke(p, func() { ch <- p.Node.Snapshot() })
-		snaps = append(snaps, <-ch)
 	}
+	snaps := make([]chord.Snapshot, len(live))
+	for i, p := range live {
+		MustInvoke(p, func() { snaps[i] = p.Node.Snapshot() })
+	}
+	nw.drv.Quiesce()
 	return snaps
 }
 
@@ -603,10 +560,9 @@ func (nw *Network) RingViolations() uint64 { return nw.hardViolations }
 // successors (run after Preload when the engines have Replicas > 0).
 func (nw *Network) PushReplicasAll() {
 	for _, p := range nw.Peers {
-		p := p
 		MustInvoke(p, func() { p.Engine.PushReplicas() })
 	}
-	nw.Quiesce()
+	nw.drv.Quiesce()
 }
 
 // VerifyConsistent checks that every peer's predecessor and successor
@@ -620,9 +576,8 @@ func (nw *Network) VerifyConsistent() error {
 		pred, succ chord.NodeRef
 		keys       []uint64
 	}
+	snaps := make([]snap, n)
 	for i, p := range nw.Peers {
-		p := p
-		ch := make(chan snap, 1)
 		MustInvoke(p, func() {
 			var keys []uint64
 			p.Engine.LocalStore().ScanSpan(fullSpan(nw.Space.IndexBits()), func(k uint64, _ squid.Element) {
@@ -630,9 +585,13 @@ func (nw *Network) VerifyConsistent() error {
 					keys = append(keys, k)
 				}
 			})
-			ch <- snap{pred: p.Node.Pred(), succ: p.Node.Succ(), keys: keys}
+			snaps[i] = snap{pred: p.Node.Pred(), succ: p.Node.Succ(), keys: keys}
 		})
-		st := <-ch
+	}
+	nw.drv.Quiesce()
+	space := chord.Space{Bits: nw.Space.IndexBits()}
+	for i, p := range nw.Peers {
+		st := snaps[i]
 		wantPred := nw.Peers[(i+n-1)%n].Node.Self()
 		wantSucc := nw.Peers[(i+1)%n].Node.Self()
 		if st.pred.Addr != wantPred.Addr {
@@ -641,7 +600,6 @@ func (nw *Network) VerifyConsistent() error {
 		if st.succ.Addr != wantSucc.Addr {
 			return fmt.Errorf("sim: peer %s succ=%s want %s", p.Node.Self(), st.succ, wantSucc)
 		}
-		space := chord.Space{Bits: nw.Space.IndexBits()}
 		for _, k := range st.keys {
 			if !space.Between(chord.ID(k), wantPred.ID, p.ID()) {
 				return fmt.Errorf("sim: peer %s holds key %x outside its arc (%x, %x]",
@@ -693,4 +651,73 @@ func (nw *Network) RecoveryCounters() squid.RecoveryCounters {
 		out.Add(p.Engine.Recovery())
 	}
 	return out
+}
+
+// goroutineDriver runs every peer as a mailbox goroutine on the in-process
+// transport, behind the fault layer when one is configured, and waits on
+// the wall clock.
+type goroutineDriver struct{ nw *Network }
+
+func (d *goroutineDriver) Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
+	if d.nw.Faulty != nil {
+		return d.nw.Faulty.Listen(addr, h)
+	}
+	return d.nw.Inproc.Listen(addr, h)
+}
+
+func (d *goroutineDriver) Kill(addr transport.Addr) {
+	if d.nw.Faulty != nil {
+		d.nw.Faulty.Kill(addr)
+		return
+	}
+	d.nw.Inproc.Kill(addr)
+}
+
+func (d *goroutineDriver) Crashed(addr transport.Addr) bool {
+	return d.nw.Faulty != nil && d.nw.Faulty.Crashed(addr)
+}
+
+// Configure keeps the options as given: real timers and the engine's
+// default worker pool.
+func (d *goroutineDriver) Configure(*squid.Options, *chord.Config) {}
+
+// Quiesce waits for the network to go idle: no message in flight (including
+// messages parked in the fault layer's delay queue, when one is installed)
+// and no refinement job pending on any peer's query scheduler. The loop
+// closes the handoff race between the two: a scheduler completion is a
+// self-send that re-activates the transport, and a delivered message may
+// admit new scheduler jobs — so the network is only idle once a full
+// transport-and-scheduler sweep observed no new send at all (the in-process
+// transport's activity counter is monotonic).
+func (d *goroutineDriver) Quiesce() {
+	for {
+		before := d.nw.Inproc.Activity()
+		d.transportQuiesce()
+		for _, p := range d.nw.Peers {
+			p.Engine.WaitIdle()
+		}
+		d.transportQuiesce()
+		if d.nw.Inproc.Activity() == before {
+			return
+		}
+	}
+}
+
+// transportQuiesce drains the transport stack alone.
+func (d *goroutineDriver) transportQuiesce() {
+	if d.nw.Faulty != nil {
+		d.nw.Faulty.Quiesce()
+		return
+	}
+	d.nw.Inproc.Quiesce()
+}
+
+// Await blocks until done closes, then quiesces so trailing replies are
+// counted. It must block rather than trust an idle transport: on the wall
+// clock a recovery timer can still complete the operation after the
+// transport goes quiet.
+func (d *goroutineDriver) Await(done <-chan struct{}) bool {
+	<-done
+	d.Quiesce()
+	return true
 }

@@ -286,7 +286,7 @@ func TestInstalledFingersCorrect(t *testing.T) {
 }
 
 // Regression for the silent-Invoke-drop hang class (squid-lint rpcerr):
-// driver helpers pair Invoke with a blocking channel read, so an Invoke
+// harness helpers pair Invoke with a wait on the driver, so an Invoke
 // refused by a dead endpoint must fail loudly instead of deadlocking.
 func TestMustInvokePanicsOnDeadPeer(t *testing.T) {
 	nw, err := Build(Config{Nodes: 3, Space: testSpace(t), Seed: 7})
@@ -294,7 +294,7 @@ func TestMustInvokePanicsOnDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := nw.Peers[0]
-	nw.kill(p.Addr())
+	nw.drv.Kill(p.Addr())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("MustInvoke on a killed peer did not panic")

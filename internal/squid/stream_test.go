@@ -429,7 +429,7 @@ func TestStreamResultStreamPull(t *testing.T) {
 func resultCacheCounts(nw *sim.Network) (hits, misses uint64) {
 	vec := nw.Telemetry.CounterVec("squid_result_cache_total",
 		"popular-cluster result-cache lookups on incoming cluster batches", "node", "outcome")
-	for _, p := range nw.PeerList() {
+	for _, p := range nw.Peers {
 		node := strconv.FormatUint(uint64(p.ID()), 16)
 		hits += vec.With(node, "hit").Value()
 		misses += vec.With(node, "miss").Value()
