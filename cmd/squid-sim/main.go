@@ -65,20 +65,9 @@ const helpText = `commands:
   help                          this text
   quit`
 
-// faultSurface is the fault-injection controls shared by the goroutine
-// stack's fault layer (transport.Faulty) and the event-core transport
-// (dessim.Net).
-type faultSurface interface {
-	SetDropRate(p float64)
-	Crash(name transport.Addr)
-	Restart(name transport.Addr)
-	Stats() transport.FaultStats
-}
-
 type session struct {
 	backend string // "goroutine" (default) or "des"
 	net     *sim.Network
-	faults  faultSurface
 	rng     *rand.Rand
 }
 
@@ -194,7 +183,7 @@ func (s *session) setFaults(args []string) error {
 	if err != nil || rate < 0 || rate > 1 {
 		return fmt.Errorf("drop rate must be in [0, 1]")
 	}
-	s.faults.SetDropRate(rate)
+	s.net.Faults.SetDropRate(rate)
 	if rate == 0 {
 		fmt.Println("faults cleared; run 'stabilize' to restore full recall")
 	} else {
@@ -215,10 +204,10 @@ func (s *session) crash(args []string, down bool) error {
 	}
 	addr := peers[i].Addr()
 	if down {
-		s.faults.Crash(addr)
+		s.net.Faults.Crash(addr)
 		fmt.Printf("peer %d black-holed (state survives; 'restart %d' revives it)\n", i, i)
 	} else {
-		s.faults.Restart(addr)
+		s.net.Faults.Restart(addr)
 		fmt.Printf("peer %d back online\n", i)
 	}
 	return nil
@@ -250,7 +239,7 @@ func (s *session) check() error {
 }
 
 func (s *session) stats() error {
-	fs := s.faults.Stats()
+	fs := s.net.Faults.Stats()
 	cc := s.net.ChordCounters()
 	rc := s.net.RecoveryCounters()
 	fmt.Printf("transport: delivered=%d dropped=%d delayed=%d partition-drops=%d crash-drops=%d\n",
@@ -313,7 +302,7 @@ func (s *session) build(args []string) error {
 		if err != nil {
 			return err
 		}
-		s.net, s.faults = nw.Network, nw.Net
+		s.net = nw.Network
 		fmt.Printf("built %d-peer event-core network over a %d-D, %d-bit keyword space\n", nodes, dims, bits)
 		return nil
 	}
@@ -332,7 +321,7 @@ func (s *session) build(args []string) error {
 			RPCTimeout: 100 * time.Millisecond,
 			RPCRetries: 4,
 		},
-		Faults: &transport.FaultConfig{Seed: s.rng.Int63()},
+		Faults: transport.FaultConfig{Seed: s.rng.Int63()},
 		Trace:  true,
 		// Every 'stabilize' round also runs the ring-invariant checker;
 		// 'check' runs it on demand and 'metrics' shows the counts.
@@ -341,7 +330,7 @@ func (s *session) build(args []string) error {
 	if err != nil {
 		return err
 	}
-	s.net, s.faults = nw, nw.Faulty
+	s.net = nw
 	fmt.Printf("built %d-peer network over a %d-D, %d-bit keyword space\n", nodes, dims, bits)
 	return nil
 }

@@ -6,7 +6,7 @@
 // (internal/sfc), the telemetry registry (internal/telemetry, whose
 // injectable clock is the whole point — reading the wall clock directly
 // would leak nondeterminism into every instrumented package) and the
-// fault-injection layer (internal/transport's faulty*.go files), and the
+// fault plan (internal/transport's faulty*.go files), and the
 // membership-correctness surface (internal/chord's and internal/squid's
 // invariant* and churn* files — the ring checker and the churn soaks must
 // replay bit-for-bit so a violation is a protocol bug, never flake) are
@@ -33,7 +33,7 @@ import (
 // Analyzer is the nodeterminism pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nondet",
-	Doc:  "forbids time.Now/timers and global math/rand in determinism-critical packages (sim, dessim, sfc, telemetry, wire, workload, transport's faulty layer, chord/squid invariant and churn files)",
+	Doc:  "forbids time.Now/timers and global math/rand in determinism-critical packages (sim, dessim, sfc, telemetry, wire, workload, transport's fault plan, chord/squid invariant and churn files)",
 	Run:  run,
 }
 

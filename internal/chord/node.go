@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"squid/internal/telemetry"
@@ -331,13 +332,15 @@ func (n *Node) closestPreceding(target ID) NodeRef {
 // forwardToward sends msg one hop toward successor(target), skipping dead
 // candidates. It reports whether the message was handed to someone.
 func (n *Node) forwardToward(target ID, msg any) bool {
-	// Primary candidate, then progressively safer fallbacks.
-	tried := map[transport.Addr]bool{n.self.Addr: true}
+	// Primary candidate, then progressively safer fallbacks. The candidates
+	// number a few dozen at most, so the tried set is a short slice.
+	var buf [16]transport.Addr
+	tried := append(buf[:0], n.self.Addr)
 	try := func(c NodeRef) bool {
-		if c.IsZero() || tried[c.Addr] {
+		if c.IsZero() || slices.Contains(tried, c.Addr) {
 			return false
 		}
-		tried[c.Addr] = true
+		tried = append(tried, c.Addr)
 		if n.send(c.Addr, msg) {
 			return true
 		}

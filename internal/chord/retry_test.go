@@ -56,7 +56,7 @@ func TestRetryExhaustion(t *testing.T) {
 // link succeeds once the fault clears — the backoff policy rides out the
 // outage instead of surfacing it.
 func TestRetryRecovers(t *testing.T) {
-	net := transport.NewFaulty(transport.NewInproc(), transport.FaultConfig{Seed: 9})
+	net := transport.NewInproc()
 	space := MustSpace(10)
 
 	mk := func(name transport.Addr, id ID) *Node {
@@ -85,7 +85,7 @@ func TestRetryRecovers(t *testing.T) {
 
 	// Everything a sends to b vanishes; the find must fail over to the
 	// retry path rather than resolve.
-	net.SetLinkDrop("a", "b", 1.0)
+	net.Faults().SetLinkDrop("a", "b", 1.0)
 	done := make(chan FoundMsg, 1)
 	a.Invoke(func() {
 		a.FindSuccessor(500, 0, func(m FoundMsg, err error) {
@@ -97,7 +97,7 @@ func TestRetryRecovers(t *testing.T) {
 	})
 	// Let at least one attempt time out, then heal the link.
 	time.Sleep(40 * time.Millisecond)
-	net.SetLinkDrop("a", "b", 0)
+	net.Faults().SetLinkDrop("a", "b", 0)
 
 	select {
 	case m := <-done:

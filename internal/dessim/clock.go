@@ -32,7 +32,7 @@ type virtualClock struct{ core *Core }
 
 func (vc virtualClock) AfterFunc(d time.Duration, fn func()) transport.Timer {
 	t := &virtualTimer{core: vc.core, fn: fn}
-	t.ev, t.gen = vc.core.schedule(vc.core.deadline(d), fn)
+	t.id, t.gen = vc.core.schedule(vc.core.deadline(d), fn)
 	return t
 }
 
@@ -41,19 +41,19 @@ var _ transport.Clock = virtualClock{}
 // virtualTimer adapts a scheduled event to the transport.Timer surface.
 // Stop and Reset report whether the timer was still pending, matching the
 // time package's semantics. The generation pins the handle to this timer's
-// occupancy of the pooled heap entry: once the event fires or is cancelled
+// occupancy of the pooled slab entry: once the event fires or is cancelled
 // the entry may be reused, and a stale Stop must not touch its new owner.
 type virtualTimer struct {
 	core *Core
-	ev   *event
+	id   uint32
 	gen  uint32
 	fn   func()
 }
 
-func (t *virtualTimer) Stop() bool { return t.core.cancel(t.ev, t.gen) }
+func (t *virtualTimer) Stop() bool { return t.core.cancel(t.id, t.gen) }
 
 func (t *virtualTimer) Reset(d time.Duration) bool {
-	was := t.core.cancel(t.ev, t.gen)
-	t.ev, t.gen = t.core.schedule(t.core.deadline(d), t.fn)
+	was := t.core.cancel(t.id, t.gen)
+	t.id, t.gen = t.core.schedule(t.core.deadline(d), t.fn)
 	return was
 }

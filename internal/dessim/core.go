@@ -25,23 +25,31 @@ import (
 // wall-clock progress never moves it.
 type VTime int64
 
-// event is one heap entry. Entries are pooled: executed and cancelled
-// events return to a free list and are reused by later schedules, with gen
-// bumped on each release so a stale timer handle can never cancel the
-// entry's next occupant.
+// event is one scheduled entry. Entries live in the core's slab and are
+// pooled: executed and cancelled events return to a free list and are
+// reused by later schedules, with the entry's generation bumped on each
+// release so a stale timer handle can never cancel its next occupant.
 //
 // An event is either a callback (fn) or a message delivery, whose fields
-// ride inline in the entry (net non-nil) so a send allocates no closure.
+// ride inline in the entry (box non-nil) so a send allocates no closure.
+// It is 64 bytes, one cache line: the bookkeeping a sift or a cancel
+// touches lives in the core's dense arrays instead.
 type event struct {
-	at  VTime
-	seq uint64
-	gen uint32
-	idx int32 // position in the heap; -1 while on the free list
-	fn  func()
+	fn func()
 
-	net      *Net
+	box      *box
 	from, to transport.Addr
 	msg      any
+}
+
+// slot is one heap position: the event's ordering key (time, sequence)
+// held inline, so sifting compares contiguous slots instead of chasing
+// every entry, and the entry's slab index. A slot holds no pointer, so the
+// collector never scans the heap.
+type slot struct {
+	at  VTime
+	seq uint64
+	id  uint32
 }
 
 // Core is the event loop: a virtual clock and a binary min-heap of events
@@ -52,11 +60,14 @@ type event struct {
 // goroutine and all protocol code runs inside event callbacks on that same
 // goroutine.
 type Core struct {
-	now   VTime
-	seq   uint64
-	heap  []*event
-	free  []*event
-	steps uint64 // events executed since creation
+	now    VTime
+	seq    uint64
+	heap   []slot
+	events []event  // the entry slab, indexed by slot.id
+	pos    []int32  // heap position of each entry; -1 while it is free
+	gens   []uint32 // generation of each entry, bumped on release
+	free   []uint32 // free entries, reused last-in first-out
+	steps  uint64   // events executed since creation
 }
 
 // NewCore returns an event core at virtual time zero.
@@ -95,41 +106,43 @@ func (c *Core) deadline(d time.Duration) VTime {
 // schedule inserts a callback event at absolute virtual time at and
 // returns its handle plus the generation that makes the handle valid for
 // cancel. at must not be in the past.
-func (c *Core) schedule(at VTime, fn func()) (*event, uint32) {
-	ev := c.push(at)
-	ev.fn = fn
-	return ev, ev.gen
+func (c *Core) schedule(at VTime, fn func()) (uint32, uint32) {
+	id := c.push(at)
+	c.events[id].fn = fn
+	return id, c.gens[id]
 }
 
-// scheduleDelivery inserts a delivery of msg from → to at absolute virtual
-// time at, carried inline in the pooled entry. It takes a sequence number
-// exactly as schedule does, so the heap order does not depend on which
-// kind of event a send became.
-func (c *Core) scheduleDelivery(at VTime, n *Net, from, to transport.Addr, msg any) {
-	ev := c.push(at)
-	ev.net, ev.from, ev.to, ev.msg = n, from, to, msg
+// scheduleDelivery inserts a delivery of msg from → to's mailbox b at
+// absolute virtual time at, carried inline in the pooled entry. It takes a
+// sequence number exactly as schedule does, so the heap order does not
+// depend on which kind of event a send became.
+func (c *Core) scheduleDelivery(at VTime, b *box, from, to transport.Addr, msg any) {
+	ev := &c.events[c.push(at)]
+	ev.box, ev.from, ev.to, ev.msg = b, from, to, msg
 }
 
-// push takes an entry from the free list (or allocates one), stamps it with
-// the next sequence number and inserts it into the heap.
-func (c *Core) push(at VTime) *event {
+// push takes an entry from the free list (or grows the slab), stamps it
+// with the next sequence number and inserts it into the heap. It returns
+// the entry's slab index; a pointer into the slab is only good until the
+// next push.
+func (c *Core) push(at VTime) uint32 {
 	if at < c.now {
 		at = c.now
 	}
 	c.seq++
-	var ev *event
+	var id uint32
 	if n := len(c.free); n > 0 {
-		ev = c.free[n-1]
-		c.free[n-1] = nil
+		id = c.free[n-1]
 		c.free = c.free[:n-1]
 	} else {
-		ev = new(event)
+		id = uint32(len(c.events))
+		c.events = append(c.events, event{})
+		c.pos = append(c.pos, -1)
+		c.gens = append(c.gens, 0)
 	}
-	ev.at, ev.seq = at, c.seq
-	ev.idx = int32(len(c.heap))
-	c.heap = append(c.heap, ev)
-	c.siftUp(len(c.heap) - 1)
-	return ev
+	c.heap = append(c.heap, slot{})
+	c.siftUp(len(c.heap)-1, slot{at: at, seq: c.seq, id: id})
+	return id
 }
 
 // cancel removes a pending event, reporting whether it was still pending.
@@ -137,23 +150,22 @@ func (c *Core) push(at VTime) *event {
 // cancelled and reused; removal is eager so dead entries never occupy heap
 // slots (every completed RPC cancels its timeout, so at planet scale dead
 // entries would otherwise dominate the heap and its sift costs).
-func (c *Core) cancel(ev *event, gen uint32) bool {
-	if ev == nil || ev.gen != gen || ev.idx < 0 {
+func (c *Core) cancel(id, gen uint32) bool {
+	if c.gens[id] != gen || c.pos[id] < 0 {
 		return false
 	}
-	c.remove(int(ev.idx))
-	c.release(ev)
+	c.remove(int(c.pos[id]))
+	c.release(id)
 	return true
 }
 
 // release returns a removed entry to the free list, invalidating any
 // outstanding handles to it and dropping its references for the collector.
-func (c *Core) release(ev *event) {
-	ev.fn = nil
-	ev.net, ev.from, ev.to, ev.msg = nil, "", "", nil
-	ev.gen++
-	ev.idx = -1
-	c.free = append(c.free, ev)
+func (c *Core) release(id uint32) {
+	c.events[id] = event{}
+	c.gens[id]++
+	c.pos[id] = -1
+	c.free = append(c.free, id)
 }
 
 // Step executes the next event, advancing the virtual clock to its instant.
@@ -162,14 +174,15 @@ func (c *Core) Step() bool {
 	if len(c.heap) == 0 {
 		return false
 	}
-	ev := c.heap[0]
+	top := c.heap[0]
 	c.remove(0)
-	c.now = ev.at
-	fn, net, from, to, msg := ev.fn, ev.net, ev.from, ev.to, ev.msg
-	c.release(ev) // before running it: the event may schedule and reuse this entry
+	c.now = top.at
+	ev := &c.events[top.id]
+	fn, b, from, to, msg := ev.fn, ev.box, ev.from, ev.to, ev.msg
+	c.release(top.id) // before running it: the event may schedule and reuse this entry
 	c.steps++
-	if net != nil {
-		net.deliver(from, to, msg)
+	if b != nil {
+		b.deliver(from, to, msg)
 	} else {
 		fn()
 	}
@@ -194,19 +207,22 @@ func (c *Core) Run() uint64 {
 }
 
 // remove deletes the entry at heap index i, restoring the invariant. The
-// caller still holds the *event and must release it.
+// caller must release the entry.
 //
 //lint:allocfree
 func (c *Core) remove(i int) {
 	last := len(c.heap) - 1
-	if i != last {
-		c.swap(i, last)
-	}
-	c.heap[last] = nil // release the reference for the collector
+	moved := c.heap[last]
 	c.heap = c.heap[:last]
-	if i < last {
-		c.siftDown(i)
-		c.siftUp(i)
+	if i == last {
+		return
+	}
+	// Refill the hole at i with the former last slot: it sinks if it is
+	// later than i's children, or rises if it is earlier than i's parent.
+	if i > 0 && moved.before(c.heap[(i-1)/2]) {
+		c.siftUp(i, moved)
+	} else {
+		c.siftDown(i, moved)
 	}
 }
 
@@ -214,57 +230,61 @@ func (c *Core) remove(i int) {
 // an instant.
 //
 //lint:allocfree
-func (c *Core) before(i, j int) bool {
-	a, b := c.heap[i], c.heap[j]
+func (a slot) before(b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// swap exchanges two heap entries, keeping their back-indices current.
+// place stores s at heap index i and records the position for cancel.
 //
 //lint:allocfree
-func (c *Core) swap(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.heap[i].idx = int32(i)
-	c.heap[j].idx = int32(j)
+func (c *Core) place(i int, s slot) {
+	c.heap[i] = s
+	c.pos[s.id] = int32(i)
 }
 
-// siftUp restores the heap invariant from a freshly appended leaf. This and
-// siftDown are the simulator's hottest path — two heap operations per
-// message at 10⁶+ events per experiment — and are pinned allocation-free.
+// siftUp fills the hole at index i with s, moving earlier-ordered ancestors
+// down past it. This and siftDown are the simulator's hottest path — two
+// heap operations per message at 10⁶+ events per experiment — and are
+// pinned allocation-free. Both move a hole rather than swapping, so each
+// level costs one slot write and one position update — in the dense pos
+// array, not in the scattered entries.
 //
 //lint:allocfree
-func (c *Core) siftUp(i int) {
+func (c *Core) siftUp(i int, s slot) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !c.before(i, parent) {
-			return
+		p := c.heap[parent]
+		if !s.before(p) {
+			break
 		}
-		c.swap(i, parent)
+		c.place(i, p)
 		i = parent
 	}
+	c.place(i, s)
 }
 
-// siftDown restores the heap invariant downward from index i.
+// siftDown fills the hole at index i with s, moving earlier-ordered
+// children up past it.
 //
 //lint:allocfree
-func (c *Core) siftDown(i int) {
+func (c *Core) siftDown(i int, s slot) {
 	n := len(c.heap)
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		next := 2*i + 1
+		if next >= n {
+			break
 		}
-		next := left
-		if right := left + 1; right < n && c.before(right, left) {
+		if right := next + 1; right < n && c.heap[right].before(c.heap[next]) {
 			next = right
 		}
-		if !c.before(next, i) {
-			return
+		if !c.heap[next].before(s) {
+			break
 		}
-		c.swap(i, next)
+		c.place(i, c.heap[next])
 		i = next
 	}
+	c.place(i, s)
 }

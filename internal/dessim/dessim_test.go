@@ -271,7 +271,7 @@ func TestLatencyAndFaults(t *testing.T) {
 	if nw.Core.Elapsed() == 0 {
 		t.Error("latency injection did not advance virtual time")
 	}
-	st := nw.Net.Stats()
+	st := nw.Faults.Stats()
 	if st.Delayed == 0 {
 		t.Error("no messages recorded as delayed")
 	}
@@ -303,17 +303,17 @@ func TestCrashPartitionFaults(t *testing.T) {
 	// round can do. The chaos contract (and the goroutine soak) crash nodes
 	// under query traffic, not under their own stabilization.
 	victim := nw.Peers[1].Addr()
-	nw.Net.Crash(victim)
-	if !nw.Net.Crashed(victim) {
+	nw.Faults.Crash(victim)
+	if !nw.Faults.Crashed(victim) {
 		t.Fatal("Crashed = false after Crash")
 	}
 	if res, _ := nw.Query(4, keyspace.MustParse("(*, *)")); res.Err == nil {
 		t.Error("whole-space query with a crashed owner reported success")
 	}
-	if nw.Net.Stats().CrashDrops == 0 {
+	if nw.Faults.Stats().CrashDrops == 0 {
 		t.Error("traffic into a crashed peer not accounted as crash drops")
 	}
-	nw.Net.Restart(victim)
+	nw.Faults.Restart(victim)
 	nw.StabilizeAll(8)
 	if err := nw.VerifyConsistent(); err != nil {
 		t.Fatalf("ring not consistent after crash restart: %v", err)
@@ -323,7 +323,7 @@ func TestCrashPartitionFaults(t *testing.T) {
 	for _, p := range nw.Peers[:4] {
 		half = append(half, p.Addr())
 	}
-	nw.Net.Partition(half)
+	nw.Faults.Partition(half)
 	// A whole-space query from inside one partition half needs peers in the
 	// other half; with no recovery timers configured its result path is
 	// severed outright, so the event queue drains without a completion and
@@ -332,10 +332,10 @@ func TestCrashPartitionFaults(t *testing.T) {
 	if res.Err == nil {
 		t.Error("whole-space query across an active partition reported success")
 	}
-	if nw.Net.Stats().PartitionDrops == 0 {
+	if nw.Faults.Stats().PartitionDrops == 0 {
 		t.Error("cross-partition traffic not accounted")
 	}
-	nw.Net.Heal()
+	nw.Faults.Heal()
 	nw.StabilizeAll(8)
 	if err := nw.VerifyConsistent(); err != nil {
 		t.Fatalf("ring not consistent after heal: %v", err)

@@ -67,7 +67,7 @@ func stormFixture(t *testing.T, seed int64) (string, dessim.StormResult, uint64)
 	})
 	events := nw.Core.Steps() // before TotalKeys, which runs events of its own
 	transcript := fmt.Sprintf("storm{%v} steps=%d vtime=%v faults=%+v peers=%d keys=%d hardViolations=%d",
-		storm, events, nw.Core.Elapsed(), nw.Net.Stats(), len(nw.Peers), nw.TotalKeys(),
+		storm, events, nw.Core.Elapsed(), nw.Faults.Stats(), len(nw.Peers), nw.TotalKeys(),
 		nw.RingViolations())
 	return transcript, storm, events
 }

@@ -1,6 +1,8 @@
 package dessim_test
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,4 +63,63 @@ func BenchmarkNetDeliver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		step()
 	}
+}
+
+// sendSequence attaches endpoints a and b through listen, sends n sequenced
+// messages a → b, waits for the network to go idle, and returns the
+// sequence numbers b received, in arrival order.
+func sendSequence(t *testing.T, listen func(transport.Addr, transport.Handler) (transport.Endpoint, error), wait func(), n int) []int {
+	t.Helper()
+	var (
+		mu  sync.Mutex
+		got []int
+	)
+	a, err := listen("a", transport.HandlerFunc(func(transport.Addr, any) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := listen("b", transport.HandlerFunc(func(_ transport.Addr, msg any) {
+		mu.Lock()
+		got = append(got, msg.(int))
+		mu.Unlock()
+	})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := a.Send("b", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait()
+	mu.Lock()
+	defer mu.Unlock()
+	return got
+}
+
+// TestFaultPlanSameOnBothDrivers pins the single fault plan: one seed drops
+// exactly the same messages on the goroutine transport (wall clock) and on
+// the event core (virtual time), and both account them identically.
+func TestFaultPlanSameOnBothDrivers(t *testing.T) {
+	cfg := dessim.NetConfig{Seed: 42, DropRate: 0.3}
+	const n = 400
+
+	in := transport.NewInproc()
+	in.SetFaults(transport.NewFaults(cfg))
+	viaInproc := sendSequence(t, in.Listen, in.Quiesce, n)
+
+	core := dessim.NewCore()
+	net := dessim.NewNet(core, cfg)
+	viaDES := sendSequence(t, net.Listen, func() { core.Run() }, n)
+
+	if !slices.Equal(viaInproc, viaDES) {
+		t.Fatalf("same plan, different deliveries: inproc %d/%d, event core %d/%d",
+			len(viaInproc), n, len(viaDES), n)
+	}
+	if len(viaDES) == 0 || len(viaDES) == n {
+		t.Fatalf("drop rate 0.3 delivered %d/%d: lottery not applied", len(viaDES), n)
+	}
+	if a, b := in.Faults().Stats(), net.Faults.Stats(); a != b {
+		t.Fatalf("fault stats differ: inproc %+v, event core %+v", a, b)
+	}
+	t.Logf("both drivers delivered %d/%d", len(viaDES), n)
 }

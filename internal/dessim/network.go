@@ -13,15 +13,14 @@ import (
 
 // Config describes a simulated network on the event core. It mirrors
 // sim.Config so experiments port between drivers by swapping the
-// constructor; the transport knobs live in Net (latency and faults are
-// native to the event transport rather than a wrapping layer).
+// constructor; Net configures the fault plan in place of sim.Config.Faults.
 type Config struct {
 	// Nodes is the initial network size.
 	Nodes int
 	// Space is the keyword space shared by all peers.
 	Space *keyspace.Space
 	// Seed drives all randomness (node identifiers, churn targets). The
-	// transport's fault/latency lottery is seeded separately via Net.Seed.
+	// fault plan's lottery is seeded separately via Net.Seed.
 	Seed int64
 	// SuccListLen is each node's successor-list length (default 4).
 	SuccListLen int
@@ -57,7 +56,8 @@ type Network struct {
 	// Core is the event loop; its Steps counter is the experiment's work
 	// metric and its clock the virtual timeline.
 	Core *Core
-	// Net is the event-core transport with its native fault injection.
+	// Net is the event-core transport; its fault plan is also the
+	// harness's Faults.
 	Net *Net
 }
 
@@ -82,7 +82,10 @@ func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
 		Trace:           cfg.Trace,
 		CheckInvariants: cfg.CheckInvariants,
 	}, driver{core: core, net: nw.Net}, telemetry.NewRegistry(core.WallClock()), ids,
-		func(h *sim.Network) { nw.Net.SetObserver(h.Metrics.Observe) })
+		func(h *sim.Network) {
+			h.Faults = nw.Net.Faults
+			nw.Net.SetObserver(h.Metrics.Observe)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +131,6 @@ func (d driver) Listen(addr transport.Addr, h transport.Handler) (transport.Endp
 }
 
 func (d driver) Kill(addr transport.Addr) { d.net.Kill(addr) }
-
-func (d driver) Crashed(addr transport.Addr) bool { return d.net.Crashed(addr) }
 
 // Configure puts every timer on the virtual clock and makes engines serial:
 // refinement runs inline on the delivery event, since a worker pool would

@@ -80,16 +80,16 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestDesScale is the CI smoke for the event core's whole point: a
-// 5 000-node ring — 50× past where the goroutine backend tops out — runs
-// the full paper-scale experiment (bootstrap, 10 invariant-checked
-// stabilization rounds, a 1 000-query churn storm) inside a strict
-// wall-clock budget, single-threaded and race-free by construction. Seed
-// 9001's outcome is pinned.
+// TestDesScale is the tier-1 smoke for the event core's whole point: a
+// 1 000-node ring — ten times past where the goroutine backend tops out —
+// runs the full paper-scale experiment (bootstrap, 10 invariant-checked
+// stabilization rounds, a 1 000-query churn storm) in a few seconds,
+// single-threaded and race-free by construction. Seed 9001's outcome is
+// pinned; TestDesPaperScale covers 10⁴ nodes.
 func TestDesScale(t *testing.T) {
 	skipUnderRace(t)
 	start := time.Now()
-	storm, nw := paperScaleRun(t, 5000, 20000, 9001)
+	storm, nw := paperScaleRun(t, 1000, 4000, 9001)
 	elapsed := time.Since(start)
 
 	if storm.Complete == 0 {
@@ -101,16 +101,10 @@ func TestDesScale(t *testing.T) {
 	if v := nw.RingViolations(); v != 0 {
 		t.Errorf("hard ring violations = %d", v)
 	}
-	checkPinned(t, storm, nw.Core.Steps(), 0x8f7ecae9840a4aed, 5_718_027)
-	t.Logf("5k-node experiment: %v in %v (%d events, %.0f events/sec, virtual %v)",
+	checkPinned(t, storm, nw.Core.Steps(), 0xb825fa816bd65133, 980_867)
+	t.Logf("1k-node experiment: %v in %v (%d events, %.0f events/sec, virtual %v)",
 		storm, elapsed.Round(time.Millisecond), nw.Core.Steps(),
 		float64(nw.Core.Steps())/elapsed.Seconds(), nw.Core.Elapsed().Round(time.Second))
-
-	// The wall-clock budget is the acceptance bar: if the event core ever
-	// regresses to where planet scale takes minutes, this fails loudly.
-	if elapsed > 60*time.Second {
-		t.Fatalf("5k-node experiment took %v, budget 60s", elapsed)
-	}
 }
 
 // TestDesPaperScale is the 10⁴-node acceptance experiment; seed 9101's

@@ -31,12 +31,6 @@ type QueryMetrics struct {
 	PayloadHops int
 	// ResultMessages counts result reports back to the initiator.
 	ResultMessages int
-	// BatchMessages counts BatchMsg transmissions. Each batch entry is
-	// already tallied in ClusterMessages/PayloadHops exactly as if it had
-	// been sent alone, so the paper's message counts are unchanged by
-	// batching; this counter measures transmissions saved (entries minus
-	// batches).
-	BatchMessages int
 	// PartialMessages counts PartialResultMsg transmissions — early result
 	// batches flowing up a streaming query's tree ahead of subtree
 	// completion.
@@ -240,19 +234,6 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 			qm := ms.query(p.QID)
 			qm.ClusterMessages++
 			qm.PayloadHops++
-			ms.mu.Unlock()
-		case squid.BatchMsg:
-			// Count each entry as if it had been its own transmission:
-			// batching must not perturb the experiments' exact counts.
-			ms.mu.Lock()
-			for _, cq := range p.Queries {
-				qm := ms.query(cq.QID)
-				qm.ClusterMessages++
-				qm.PayloadHops++
-			}
-			if len(p.Queries) > 0 {
-				ms.query(p.Queries[0].QID).BatchMessages++
-			}
 			ms.mu.Unlock()
 		case squid.SubResultMsg:
 			ms.mu.Lock()

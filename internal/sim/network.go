@@ -5,11 +5,11 @@
 //
 // One harness, Network, runs over two drivers. The goroutine driver built
 // by Build gives every peer a mailbox goroutine on the in-process transport
-// (optionally behind the fault layer) and waits on the wall clock. The
-// discrete-event driver in internal/dessim runs the same peers on a virtual
-// clock with zero goroutines per peer. Every helper is written once: invoke
-// work on the peers, let the driver wait for the network to go idle, then
-// read the results.
+// and waits on the wall clock. The discrete-event driver in internal/dessim
+// runs the same peers on a virtual clock with zero goroutines per peer.
+// Both transports consult one transport.Faults plan, exposed as
+// Network.Faults. Every helper is written once: invoke work on the peers,
+// let the driver wait for the network to go idle, then read the results.
 package sim
 
 import (
@@ -44,10 +44,11 @@ type Config struct {
 	// RPCBackoff, StabilizeEvery, ...). Space and SuccListLen are managed by
 	// the simulator and ignored here.
 	Chord chord.Config
-	// Faults, when non-nil, wraps the in-process transport in a
-	// deterministic fault-injecting layer (drops, delays, partitions,
-	// crashes) exposed as Network.Faulty. Goroutine driver only.
-	Faults *transport.FaultConfig
+	// Faults configures the in-process transport's fault plan (drops,
+	// delays, partitions, crashes), exposed as Network.Faults. The zero
+	// value injects nothing. The event core takes its plan's configuration
+	// from dessim.Config.Net instead.
+	Faults transport.FaultConfig
 	// Trace enables distributed query tracing: every Query records its
 	// reassembled refinement-tree spans in Network.Traces.
 	Trace bool
@@ -66,8 +67,6 @@ type Driver interface {
 	Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error)
 	// Kill detaches addr permanently.
 	Kill(addr transport.Addr)
-	// Crashed reports whether addr is black-holed (alive but unreachable).
-	Crashed(addr transport.Addr) bool
 	// Configure adjusts a new peer's engine and chord settings (clock,
 	// worker pool) before the peer is built.
 	Configure(opts *squid.Options, ccfg *chord.Config)
@@ -101,8 +100,8 @@ type Network struct {
 	drv Driver
 	// Inproc is the goroutine driver's transport; nil on other drivers.
 	Inproc *transport.Inproc
-	// Faulty is the fault-injection layer; nil unless Config.Faults was set.
-	Faulty  *transport.Faulty
+	// Faults is the transport's fault plan, set by either driver.
+	Faults  *transport.Faults
 	Space   *keyspace.Space
 	Metrics *Metrics
 	// Telemetry aggregates every peer's and transport layer's instruments.
@@ -136,17 +135,16 @@ func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
 		nw.Inproc = transport.NewInproc()
 		nw.Inproc.SetObserver(nw.Metrics.Observe)
 		nw.Inproc.Instrument(nw.Telemetry)
-		if cfg.Faults != nil {
-			nw.Faulty = transport.NewFaulty(nw.Inproc, *cfg.Faults)
-			nw.Faulty.Instrument(nw.Telemetry)
-		}
+		nw.Faults = transport.NewFaults(cfg.Faults)
+		nw.Inproc.SetFaults(nw.Faults)
 	})
 }
 
 // BuildOn constructs a network over the given driver and telemetry
 // registry. A nil ids draws cfg.Nodes identifiers with UniqueIDs. wire
 // runs once the harness exists and before the first peer attaches, so the
-// driver can install its transport observer.
+// driver can install its transport observer; it must set Network.Faults,
+// which is then instrumented on the registry.
 func BuildOn(cfg Config, drv Driver, reg *telemetry.Registry, ids []uint64, wire func(*Network)) (*Network, error) {
 	if cfg.Space == nil {
 		return nil, fmt.Errorf("sim: nil keyword space")
@@ -168,6 +166,7 @@ func BuildOn(cfg Config, drv Driver, reg *telemetry.Registry, ids []uint64, wire
 	nw.ringViolations = nw.Telemetry.CounterVec("squid_ring_violations_total",
 		"ring invariant violations observed by the global checker", "kind")
 	wire(nw)
+	nw.Faults.Instrument(nw.Telemetry)
 	if ids == nil {
 		ids = UniqueIDs(nw.rng, cfg.Nodes, chord.Space{Bits: cfg.Space.IndexBits()})
 	}
@@ -519,12 +518,12 @@ func (nw *Network) StabilizeAll(rounds int) {
 }
 
 // SnapshotRing captures every reachable peer's neighbor state. Peers
-// currently black-holed by the fault layer are skipped: a crashed process
+// currently black-holed by the fault plan are skipped: a crashed process
 // is not a ring member, and its frozen state would read as stale garbage.
 func (nw *Network) SnapshotRing() []chord.Snapshot {
 	live := make([]*Peer, 0, len(nw.Peers))
 	for _, p := range nw.Peers {
-		if !nw.drv.Crashed(p.Addr()) {
+		if !nw.Faults.Crashed(p.Addr()) {
 			live = append(live, p)
 		}
 	}
@@ -654,62 +653,39 @@ func (nw *Network) RecoveryCounters() squid.RecoveryCounters {
 }
 
 // goroutineDriver runs every peer as a mailbox goroutine on the in-process
-// transport, behind the fault layer when one is configured, and waits on
-// the wall clock.
+// transport and waits on the wall clock.
 type goroutineDriver struct{ nw *Network }
 
 func (d *goroutineDriver) Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
-	if d.nw.Faulty != nil {
-		return d.nw.Faulty.Listen(addr, h)
-	}
 	return d.nw.Inproc.Listen(addr, h)
 }
 
-func (d *goroutineDriver) Kill(addr transport.Addr) {
-	if d.nw.Faulty != nil {
-		d.nw.Faulty.Kill(addr)
-		return
-	}
-	d.nw.Inproc.Kill(addr)
-}
-
-func (d *goroutineDriver) Crashed(addr transport.Addr) bool {
-	return d.nw.Faulty != nil && d.nw.Faulty.Crashed(addr)
-}
+func (d *goroutineDriver) Kill(addr transport.Addr) { d.nw.Inproc.Kill(addr) }
 
 // Configure keeps the options as given: real timers and the engine's
 // default worker pool.
 func (d *goroutineDriver) Configure(*squid.Options, *chord.Config) {}
 
 // Quiesce waits for the network to go idle: no message in flight (including
-// messages parked in the fault layer's delay queue, when one is installed)
-// and no refinement job pending on any peer's query scheduler. The loop
-// closes the handoff race between the two: a scheduler completion is a
-// self-send that re-activates the transport, and a delivered message may
-// admit new scheduler jobs — so the network is only idle once a full
-// transport-and-scheduler sweep observed no new send at all (the in-process
-// transport's activity counter is monotonic).
+// messages held back by an injected delay) and no refinement job pending on
+// any peer's query scheduler. The loop closes the handoff race between the
+// two: a scheduler completion is a self-send that re-activates the
+// transport, and a delivered message may admit new scheduler jobs — so the
+// network is only idle once a full transport-and-scheduler sweep observed
+// no new send at all (the in-process transport's activity counter is
+// monotonic).
 func (d *goroutineDriver) Quiesce() {
 	for {
 		before := d.nw.Inproc.Activity()
-		d.transportQuiesce()
+		d.nw.Inproc.Quiesce()
 		for _, p := range d.nw.Peers {
 			p.Engine.WaitIdle()
 		}
-		d.transportQuiesce()
+		d.nw.Inproc.Quiesce()
 		if d.nw.Inproc.Activity() == before {
 			return
 		}
 	}
-}
-
-// transportQuiesce drains the transport stack alone.
-func (d *goroutineDriver) transportQuiesce() {
-	if d.nw.Faulty != nil {
-		d.nw.Faulty.Quiesce()
-		return
-	}
-	d.nw.Inproc.Quiesce()
 }
 
 // Await blocks until done closes, then quiesces so trailing replies are

@@ -24,7 +24,7 @@ func chordRetryConfig() chord.Config {
 	}
 }
 
-// chaosNetwork builds a simulated network with the fault layer installed
+// chaosNetwork builds a simulated network with a fault plan configured
 // and the full recovery stack enabled: chord RPC retries, engine subtree
 // re-dispatch, and a hard query deadline so no query can hang the test.
 func chaosNetwork(t *testing.T, nodes int, seed int64) (*sim.Network, *keyspace.Space) {
@@ -42,7 +42,7 @@ func chaosNetwork(t *testing.T, nodes int, seed int64) (*sim.Network, *keyspace.
 			QueryDeadline:  2 * time.Second,
 		},
 		Chord: chordRetryConfig(),
-		Faults: &transport.FaultConfig{
+		Faults: transport.FaultConfig{
 			Seed: seed + 1, // drop rate starts at 0; raised per phase
 		},
 		CheckInvariants: true,
@@ -126,7 +126,7 @@ func TestChaosSoak(t *testing.T) {
 		keyspace.MustParse("(*, *)"),
 	}
 
-	// Baseline: with the fault layer installed but quiet, recall is exact.
+	// Baseline: with the fault plan configured but quiet, recall is exact.
 	for _, q := range queries {
 		truth := dataSet(nw.BruteForceMatches(q))
 		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
@@ -138,11 +138,11 @@ func TestChaosSoak(t *testing.T) {
 
 	// Chaos phase: ≥10% message loss plus one crashed (black-holed) node
 	// per 50-query block.
-	nw.Faulty.SetDropRate(0.12)
+	nw.Faults.SetDropRate(0.12)
 	complete, partial := 0, 0
 	for block := 0; block < 2; block++ {
 		crashed := rng.Intn(len(nw.Peers))
-		nw.Faulty.Crash(nw.Peers[crashed].Addr())
+		nw.Faults.Crash(nw.Peers[crashed].Addr())
 		for i := 0; i < 50; i++ {
 			q := queries[rng.Intn(len(queries))]
 			via := rng.Intn(len(nw.Peers))
@@ -158,12 +158,12 @@ func TestChaosSoak(t *testing.T) {
 				partial++
 			}
 		}
-		nw.Faulty.Restart(nw.Peers[crashed].Addr())
+		nw.Faults.Restart(nw.Peers[crashed].Addr())
 	}
 	if partial == 0 {
 		t.Error("chaos phase produced no partial results — faults were not exercised")
 	}
-	st := nw.Faulty.Stats()
+	st := nw.Faults.Stats()
 	if st.Dropped == 0 || st.CrashDrops == 0 {
 		t.Errorf("fault stats %+v: expected injected drops and crash drops", st)
 	}
@@ -178,7 +178,7 @@ func TestChaosSoak(t *testing.T) {
 		complete, partial, st, rec, nw.ChordCounters())
 
 	// Faults clear: one stabilization round must restore exact recall.
-	nw.Faulty.SetDropRate(0)
+	nw.Faults.SetDropRate(0)
 	nw.StabilizeAll(1)
 	nw.PushReplicasAll()
 	for _, q := range queries {
@@ -207,7 +207,7 @@ func TestChaosQuerySubsetProperty(t *testing.T) {
 	nw, _ := chaosNetwork(t, 12, 5001)
 	rng := rand.New(rand.NewSource(5002))
 	elems := chaosPublish(t, nw, rng, 200)
-	nw.Faulty.SetDropRate(0.25)
+	nw.Faults.SetDropRate(0.25)
 
 	randTerm := func() string {
 		switch rng.Intn(3) {

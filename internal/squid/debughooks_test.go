@@ -3,9 +3,10 @@ package squid
 import "squid/internal/transport"
 
 // SetDebugDispatch (test hook) reports each dispatch round the engine
-// flushes as its destinations in flush order and the entries buffered for
-// each. Pass nil to remove. Call it on the delivery goroutine.
-func (e *Engine) SetDebugDispatch(fn func(dests []transport.Addr, entries []int)) {
+// flushes as its destinations in flush order and the number of cluster runs
+// that joined an earlier run's message. Pass nil to remove. Call it on the
+// delivery goroutine.
+func (e *Engine) SetDebugDispatch(fn func(dests []transport.Addr, merged int)) {
 	e.debugDispatch = fn
 }
 

@@ -178,9 +178,9 @@ type Engine struct {
 	lastReplicaSet string   //lint:confine delivery
 
 	// debugDispatch, when set (tests only), observes every dispatch round
-	// this engine flushes: its destinations in flush order and the entries
-	// buffered for each.
-	debugDispatch func(dests []transport.Addr, entries []int)
+	// this engine flushes: its destinations in flush order and the number
+	// of runs that joined an earlier run's message.
+	debugDispatch func(dests []transport.Addr, merged int)
 }
 
 // subtree tracks one node's in-flight piece of a query's refinement tree:
@@ -1369,12 +1369,13 @@ type dispatchRound struct {
 	// one being probed while a lookup is in flight.
 	rem     []sfc.Refined
 	onFound func(chord.FoundMsg, error) // found, bound once per round
-	// pending buffers the resolved sends, grouped by destination in
+	// pending buffers the resolved sends, one per destination in
 	// first-touch order (deterministic flush order for the simulator).
 	// inline backs it: on the benchmark workloads 74–100 % of rounds
 	// buffer at most two sends (des-wan-mix 88 %, inproc-range 74 %).
 	pending []pendingDispatch
 	inline  [2]pendingDispatch
+	merged  int // runs that joined an earlier run's message (debugDispatch)
 }
 
 // dispatchRemote forwards clusters rooted at other nodes, registering each
@@ -1385,11 +1386,10 @@ type dispatchRound struct {
 // without it, each cluster is routed independently.
 //
 // Resolved sends are buffered per destination for the length of the round
-// and flushed at its end: a destination that resolved more than once (the
-// wrap-arc owner, whose low and wrap segments are separate runs of the
-// sorted cluster list) receives all its messages as one BatchMsg instead of
-// several transmissions. Single-message destinations get a plain
-// ClusterQueryMsg.
+// and flushed at its end, one ClusterQueryMsg per destination: a
+// destination that resolved more than once (the wrap-arc owner, whose low
+// and wrap segments are separate runs of the sorted cluster list) gets all
+// its runs in one message, as the paper's aggregation intends.
 //
 // root marks dispatches from the query initiator: only there may the
 // probe cache short-circuit the handshake. Receivers always probe, so a
@@ -1505,24 +1505,32 @@ func (r *dispatchRound) runIn(pred, owner chord.ID) int {
 	return n
 }
 
-// enqueue registers the first n remaining clusters as one child bound for
-// dest and buffers its message behind dest's earlier entries.
+// enqueue buffers the first n remaining clusters for dest. A destination
+// already buffered this round takes them into its pending message and that
+// message's child, whose key stays its lowest cluster; otherwise they
+// become a new child. The run is capped, so appending to it copies.
 func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
 	cls := r.rem[:n:n]
 	r.rem = r.rem[n:]
-	tok := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
-	at := len(r.pending)
-	for i := len(r.pending) - 1; i >= 0; i-- {
-		if r.pending[i].dest == dest {
-			at = i + 1
-			break
+	for i := range r.pending {
+		p := &r.pending[i]
+		if p.dest != dest {
+			continue
+		}
+		// A child abandoned while the round waited on a probe is not
+		// extended; the run then becomes a child of its own.
+		if c, ok := r.e.children[p.msg.Token]; ok {
+			p.msg.Clusters = append(p.msg.Clusters, cls...)
+			c.clusters = p.msg.Clusters
+			r.merged++
+			return
 		}
 	}
-	r.pending = slices.Insert(r.pending, at, pendingDispatch{dest: dest, msg: r.message(cls, tok)})
+	tok := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
+	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.message(cls, tok)})
 }
 
-// flush sends the buffered round, one transmission per destination: one
-// entry as a plain ClusterQueryMsg, several as a BatchMsg.
+// flush sends the buffered round, one ClusterQueryMsg per destination.
 func (r *dispatchRound) flush() {
 	e, st := r.e, r.st
 	if st.finished {
@@ -1539,48 +1547,21 @@ func (r *dispatchRound) flush() {
 		return
 	}
 	if e.debugDispatch != nil {
-		var dests []transport.Addr
-		var entries []int
-		for _, p := range r.pending {
-			if n := len(dests); n > 0 && dests[n-1] == p.dest {
-				entries[n-1]++
-				continue
-			}
-			dests = append(dests, p.dest)
-			entries = append(entries, 1)
+		dests := make([]transport.Addr, len(r.pending))
+		for i, p := range r.pending {
+			dests[i] = p.dest
 		}
-		e.debugDispatch(dests, entries)
+		e.debugDispatch(dests, r.merged)
 	}
-	for rest := r.pending; len(rest) > 0; {
-		n := 1
-		for n < len(rest) && rest[n].dest == rest[0].dest {
-			n++
-		}
-		group, dest := rest[:n], rest[0].dest
-		rest = rest[n:]
-		var ok bool
-		if n == 1 {
-			ok = e.send(dest, group[0].msg)
-		} else {
-			b := BatchMsg{Queries: make([]ClusterQueryMsg, n)}
-			for i, p := range group {
-				b.Queries[i] = p.msg
-			}
-			if ok = e.send(dest, b); ok {
-				e.met.batchesSent.Inc()
-				e.met.batchedMsgs.Add(uint64(n))
-			}
-		}
-		if !ok {
-			// Destination died between probe and flush: untrack each
+	for _, p := range r.pending {
+		if !e.send(p.dest, p.msg) {
+			// Destination died between probe and flush: untrack the
 			// buffered child and blind-route its clusters through the
 			// ring, which resolves to the current owner.
-			e.cacheDrop(dest)
-			for _, p := range group {
-				e.dropChild(p.msg.Token)
-				for i := range p.msg.Clusters {
-					r.routeOne(p.msg.Clusters[i : i+1 : i+1])
-				}
+			e.cacheDrop(p.dest)
+			e.dropChild(p.msg.Token)
+			for i := range p.msg.Clusters {
+				r.routeOne(p.msg.Clusters[i : i+1 : i+1])
 			}
 		}
 	}
@@ -1628,12 +1609,6 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 		e.handleLookup(m)
 	case ClusterQueryMsg:
 		e.handleClusterQuery(m)
-	case BatchMsg:
-		// Unpack in order: each entry is handled exactly as if it had
-		// arrived as its own ClusterQueryMsg.
-		for _, cq := range m.Queries {
-			e.handleClusterQuery(cq)
-		}
 	case QueryAckMsg:
 		e.handleAck(m)
 	case QueryShedMsg:

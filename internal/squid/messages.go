@@ -75,17 +75,6 @@ type QueryAckMsg struct {
 	Token uint64
 }
 
-// BatchMsg coalesces every same-destination ClusterQueryMsg of one
-// dispatch round into a single transmission — the batched-dispatch
-// counterpart of the paper's aggregation optimization. Receivers unpack
-// and handle the entries in order, exactly as if they had arrived as
-// separate messages; each entry keeps its own token, ack request, and
-// trace context. Single-entry rounds are sent as plain ClusterQueryMsg:
-// the wrapper would add bytes and an unpack step and coalesce nothing.
-type BatchMsg struct {
-	Queries []ClusterQueryMsg
-}
-
 // QueryShedMsg tells a dispatcher that the receiver refused its
 // ClusterQueryMsg under admission control: the subtree was not processed
 // and no SubResultMsg will come. The dispatcher maps the shed onto its

@@ -50,14 +50,12 @@ type engineMetrics struct {
 	probeMisses *telemetry.Counter
 
 	// Query-scheduler instruments: pool depth, queue wait, admission sheds
-	// (by where the shed was observed) and batched-dispatch coalescing.
-	schedDepth  *telemetry.Gauge
-	schedWait   *telemetry.Histogram
-	shedRoot    *telemetry.Counter
-	shedRemote  *telemetry.Counter
-	shedChild   *telemetry.Counter
-	batchesSent *telemetry.Counter
-	batchedMsgs *telemetry.Counter
+	// (by where the shed was observed).
+	schedDepth *telemetry.Gauge
+	schedWait  *telemetry.Histogram
+	shedRoot   *telemetry.Counter
+	shedRemote *telemetry.Counter
+	shedChild  *telemetry.Counter
 
 	keysHeld     *telemetry.Gauge
 	replicaItems *telemetry.Counter
@@ -119,10 +117,6 @@ func newEngineMetrics(reg *telemetry.Registry, id uint64) engineMetrics {
 		shedRoot:   shed.With(node, "root"),
 		shedRemote: shed.With(node, "remote"),
 		shedChild:  shed.With(node, "child"),
-		batchesSent: reg.CounterVec("squid_dispatch_batches_total",
-			"BatchMsg transmissions (dispatch rounds that coalesced >1 message to one destination)", "node").With(node),
-		batchedMsgs: reg.CounterVec("squid_dispatch_batched_queries_total",
-			"ClusterQueryMsg entries shipped inside BatchMsg transmissions", "node").With(node),
 		keysHeld: reg.GaugeVec("squid_store_keys_held",
 			"distinct curve indices in the node's primary store", "node").With(node),
 		replicaItems: reg.CounterVec("squid_replication_items_pushed_total",

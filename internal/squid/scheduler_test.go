@@ -139,7 +139,7 @@ func TestSchedulerMatchesSerial(t *testing.T) {
 				t.Errorf("%s via %d: serial %d matches, sched %d", qs, via, len(resA.Matches), len(resB.Matches))
 			}
 			if qmA.ClusterMessages != qmB.ClusterMessages || qmA.PayloadHops != qmB.PayloadHops ||
-				qmA.RouteMessages != qmB.RouteMessages || qmA.BatchMessages != qmB.BatchMessages {
+				qmA.RouteMessages != qmB.RouteMessages {
 				t.Errorf("%s via %d: cost diverged: serial %+v sched %+v", qs, via, qmA, qmB)
 			}
 		}
@@ -269,7 +269,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 			Nodes: 6, Space: space, Seed: seed,
 			// No SubtreeTimeout and no QueryDeadline: nothing but the
 			// context can end a query whose child subtree is black-holed.
-			Faults: &transport.FaultConfig{Seed: seed + 1},
+			Faults: transport.FaultConfig{Seed: seed + 1},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +300,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 		// Black-hole every peer but the root: remote subtrees never answer,
 		// so the query stays open until the context ends it.
 		for _, p := range nw.Peers[1:] {
-			nw.Faulty.Crash(p.Addr())
+			nw.Faults.Crash(p.Addr())
 		}
 		p := nw.Peers[0]
 		ctx, cancel := context.WithCancel(context.Background())
@@ -334,7 +334,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		nw := build(7601)
 		for _, p := range nw.Peers[1:] {
-			nw.Faulty.Crash(p.Addr())
+			nw.Faults.Crash(p.Addr())
 		}
 		p := nw.Peers[0]
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -358,18 +358,18 @@ func TestQueryCtxCancellation(t *testing.T) {
 	})
 }
 
-// TestWrapArcBatchedDispatch pins batched dispatch on the topology that
-// produces it. The query (*, e) decomposes into curve clusters at both
-// extremes of the index space (the Hilbert curve splits a fixed second
-// axis across the first and last quadrants) plus a group in between. Node
-// identifiers are placed so the wrap-arc owner (id 0x10000000, predecessor
-// 0xD0000000) owns both extreme groups while a middle node owns the rest:
-// a dispatch round at either non-owning peer then resolves the wrap
-// owner's low and high runs as SEPARATE runs of its sorted cluster list —
-// split by the middle node's run — and must coalesce them into one
-// BatchMsg. At the middle node the two runs are adjacent, so plain
-// run-aggregation merges them into a single ClusterQueryMsg and no batch
-// is needed; both cases keep exact recall and exact per-message counts.
+// TestWrapArcBatchedDispatch pins one message per destination per dispatch
+// round on the topology that tests it. The query (*, e) decomposes into
+// curve clusters at both extremes of the index space (the Hilbert curve
+// splits a fixed second axis across the first and last quadrants) plus a
+// group in between. Node identifiers are placed so the wrap-arc owner (id
+// 0x10000000, predecessor 0xD0000000) owns both extreme groups while a
+// middle node owns the rest: a dispatch round at either non-owning peer
+// then resolves the wrap owner's low and high runs as SEPARATE runs of its
+// sorted cluster list — split by the middle node's run — and must merge
+// them into the wrap owner's one ClusterQueryMsg. At the middle node the
+// two runs are adjacent, so plain run-aggregation merges them; both cases
+// keep exact recall and exact per-message counts.
 func TestWrapArcBatchedDispatch(t *testing.T) {
 	space := schedSpace(t)
 	var elems []squid.Element
@@ -399,18 +399,20 @@ func TestWrapArcBatchedDispatch(t *testing.T) {
 	}
 	nw.Quiesce()
 
-	// Record the shape of every dispatch round: a batch is a round entry
-	// with more than one message buffered for one destination.
+	// Record every dispatch round: its destinations and how many runs
+	// joined an earlier run's message.
 	var (
 		mu     sync.Mutex
-		rounds [][]int
+		dests  [][]transport.Addr
+		merged int
 	)
 	for _, p := range nw.Peers {
 		sim.MustInvoke(p, func() {
-			p.Engine.SetDebugDispatch(func(_ []transport.Addr, entries []int) {
+			p.Engine.SetDebugDispatch(func(d []transport.Addr, m int) {
 				mu.Lock()
 				defer mu.Unlock()
-				rounds = append(rounds, append([]int(nil), entries...))
+				dests = append(dests, d)
+				merged += m
 			})
 		})
 	}
@@ -421,8 +423,11 @@ func TestWrapArcBatchedDispatch(t *testing.T) {
 	if want == 0 {
 		t.Fatal("query matches nothing; corpus construction broken")
 	}
-	batched := 0
+	total := 0
 	for via := 0; via < len(nw.Peers); via++ {
+		mu.Lock()
+		dests, merged = nil, 0
+		mu.Unlock()
 		res, qm := nw.Query(via, q)
 		if res.Err != nil {
 			t.Fatalf("via %d: %v", via, res.Err)
@@ -430,31 +435,32 @@ func TestWrapArcBatchedDispatch(t *testing.T) {
 		if len(res.Matches) != want {
 			t.Errorf("via %d: %d matches, want %d", via, len(res.Matches), want)
 		}
-		// Exact-count invariant: every ClusterQueryMsg is tallied
-		// individually whether or not it rode inside a BatchMsg.
 		if qm.PayloadHops != qm.ClusterMessages {
-			t.Errorf("via %d: batching perturbed counts: %+v", via, qm)
+			t.Errorf("via %d: a cluster was blind-routed: %+v", via, qm)
 		}
-		if via >= 2 && qm.BatchMessages == 0 {
-			t.Errorf("via %d: wrap owner's split runs did not coalesce into a BatchMsg", via)
-		}
-		batched += qm.BatchMessages
-	}
-	if batched == 0 {
-		t.Fatal("no BatchMsg coalesced across wrap-arc dispatch rounds")
-	}
-	coalesced := false
-	mu.Lock()
-	defer mu.Unlock()
-	for _, r := range rounds {
-		for _, n := range r {
-			if n > 1 {
-				coalesced = true
+		mu.Lock()
+		sent := 0
+		for _, round := range dests {
+			seen := map[transport.Addr]bool{}
+			for _, d := range round {
+				if seen[d] {
+					t.Errorf("via %d: round %v sends %s more than one ClusterQueryMsg", via, round, d)
+				}
+				seen[d] = true
 			}
+			sent += len(round)
 		}
+		if sent != qm.ClusterMessages {
+			t.Errorf("via %d: rounds flushed %d messages, the network carried %d", via, sent, qm.ClusterMessages)
+		}
+		if via >= 2 && merged == 0 {
+			t.Errorf("via %d: wrap owner's split runs were not merged into one message", via)
+		}
+		total += merged
+		mu.Unlock()
 	}
-	if !coalesced {
-		t.Error("no dispatch round buffered >1 message for one destination")
+	if total == 0 {
+		t.Fatal("no dispatch round merged runs for a repeat destination")
 	}
 }
 
@@ -480,14 +486,14 @@ func TestChaosOverloadSoak(t *testing.T) {
 			MaxInflight:    3,
 		},
 		Chord:  chordRetryConfig(),
-		Faults: &transport.FaultConfig{Seed: 7702},
+		Faults: transport.FaultConfig{Seed: 7702},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7703))
 	chaosPublish(t, nw, rng, 200)
-	nw.Faulty.SetDropRate(0.15)
+	nw.Faults.SetDropRate(0.15)
 
 	queries := []keyspace.Query{
 		keyspace.MustParse("(*, *)"),

@@ -328,10 +328,10 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 	nw, err := sim.Build(sim.Config{
 		Nodes: 30, Space: space, Seed: 42,
-		Faults: &transport.FaultConfig{
-			Seed:     43,
-			MinDelay: 2 * time.Millisecond,
-			MaxDelay: 6 * time.Millisecond,
+		Faults: transport.FaultConfig{
+			Seed:       43,
+			MinLatency: 2 * time.Millisecond,
+			MaxLatency: 6 * time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -517,7 +517,7 @@ func TestStreamUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.PushReplicasAll()
-	nw.Faulty.SetDropRate(0.10)
+	nw.Faults.SetDropRate(0.10)
 
 	queries := []string{"(comp*, *)", "(*, net*)", "(data*, *)", "(*, *)"}
 	for i, qs := range queries {
@@ -534,6 +534,6 @@ func TestStreamUnderChaos(t *testing.T) {
 			t.Errorf("%s: Limit(10) delivered %d", qs, len(sr.Matches))
 		}
 	}
-	nw.Faulty.SetDropRate(0)
+	nw.Faults.SetDropRate(0)
 	nw.Quiesce()
 }

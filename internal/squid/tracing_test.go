@@ -19,7 +19,7 @@ import (
 )
 
 // tracedNetwork builds a simulated network with query tracing enabled and
-// the fault layer installed (quiet until a drop rate is set).
+// a seeded fault plan (quiet until a drop rate is set).
 func tracedNetwork(t *testing.T, nodes int, seed int64) *sim.Network {
 	t.Helper()
 	space, err := keyspace.NewWordSpace(2, 16)
@@ -34,7 +34,7 @@ func tracedNetwork(t *testing.T, nodes int, seed int64) *sim.Network {
 			QueryDeadline:  2 * time.Second,
 		},
 		Chord:  chordRetryConfig(),
-		Faults: &transport.FaultConfig{Seed: seed + 1},
+		Faults: transport.FaultConfig{Seed: seed + 1},
 		Trace:  true,
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestChaosTraceCoverage(t *testing.T) {
 		keyspace.MustParse("(*, *)"),
 	}
 
-	nw.Faulty.SetDropRate(0.15)
+	nw.Faults.SetDropRate(0.15)
 	complete, partial := 0, 0
 	for i := 0; i < 60; i++ {
 		q := queries[rng.Intn(len(queries))]
@@ -173,7 +173,7 @@ func TestChaosTraceCoverage(t *testing.T) {
 	if partial == 0 {
 		t.Error("no partial queries under drops — faults were not exercised")
 	}
-	t.Logf("trace chaos: %d complete / %d partial; faults %+v", complete, partial, nw.Faulty.Stats())
+	t.Logf("trace chaos: %d complete / %d partial; faults %+v", complete, partial, nw.Faults.Stats())
 }
 
 // TestTelemetryHTTPEndToEnd serves a live network's registry and trace

@@ -9,8 +9,8 @@ import (
 	"squid/internal/wire"
 )
 
-// Binary wire codecs for the squid engine's message set — ClusterQueryMsg,
-// BatchMsg and SubResultMsg are the per-query hot path, ReplicaMsg the
+// Binary wire codecs for the squid engine's message set — ClusterQueryMsg
+// and SubResultMsg are the per-query hot path, ReplicaMsg the
 // replication delta, the rest ride along so a whole client interaction
 // stays binary. Tags live in the squid range (32-63, see
 // wire.TagSquidBase) and are frozen like the chord set; gob is the test
@@ -29,7 +29,7 @@ const (
 	tagLookupMsg
 	tagClusterQueryMsg
 	tagQueryAckMsg
-	tagBatchMsg
+	_ // TagSquidBase+5, retired with BatchMsg: never reuse
 	tagQueryShedMsg
 	tagSubResultMsg
 	tagReplicaMsg
@@ -270,24 +270,6 @@ func init() {
 			var m QueryAckMsg
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
-			return m
-		})
-	wire.Register(tagBatchMsg, BatchMsg{},
-		func(e *wire.Encoder, v any) {
-			m := v.(BatchMsg)
-			e.Uvarint(uint64(len(m.Queries)))
-			for _, q := range m.Queries {
-				encodeClusterQuery(e, q)
-			}
-		},
-		func(d *wire.Decoder) any {
-			var m BatchMsg
-			if n := d.Len(8); n > 0 {
-				m.Queries = make([]ClusterQueryMsg, n)
-				for i := range m.Queries {
-					m.Queries[i] = decodeClusterQuery(d)
-				}
-			}
 			return m
 		})
 	wire.Register(tagQueryShedMsg, QueryShedMsg{},

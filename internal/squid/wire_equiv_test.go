@@ -239,13 +239,6 @@ var wireGens = map[reflect.Type]wireGen{
 	reflect.TypeOf(squid.QueryAckMsg{}): func(r *rand.Rand) any {
 		return squid.QueryAckMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Token: uint64(r.Intn(1 << 20))}
 	},
-	reflect.TypeOf(squid.BatchMsg{}): func(r *rand.Rand) any {
-		qs := make([]squid.ClusterQueryMsg, 1+r.Intn(4))
-		for i := range qs {
-			qs[i] = genClusterQuery(r)
-		}
-		return squid.BatchMsg{Queries: qs}
-	},
 	reflect.TypeOf(squid.QueryShedMsg{}): func(r *rand.Rand) any {
 		return squid.QueryShedMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), RetryAfterMS: int64(r.Intn(5000))}
@@ -377,10 +370,6 @@ func TestWireRoundTrip(t *testing.T) {
 			QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)},
 			ReplyTo: "r", Token: 8,
 		}},
-		chord.AppMsg{From: "c", Payload: squid.BatchMsg{Queries: []squid.ClusterQueryMsg{
-			{QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)}, ReplyTo: "r", Token: 8},
-			{QID: 3, Query: query, Clusters: []sfc.Refined{refined(12, 1, false)}, ReplyTo: "r", Token: 9, Ack: true},
-		}}},
 		chord.AppMsg{From: "c", Payload: squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25}},
 		chord.AppMsg{From: "c", Payload: squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}}},
 		chord.AppMsg{From: "c", Payload: squid.LookupMsg{QID: 1, Query: query, Key: 77, ReplyTo: "r", Token: 5}},
@@ -413,7 +402,6 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	msgs := []any{
 		genClusterQuery(r),
-		squid.BatchMsg{Queries: []squid.ClusterQueryMsg{genClusterQuery(r), genClusterQuery(r)}},
 		squid.SubResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
 		squid.PartialResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
 		squid.QueryCancelMsg{QID: 9, Token: 4, ReplyTo: "10.0.0.1:4000"},
@@ -494,6 +482,18 @@ func FuzzWireSubResult(f *testing.F) {
 // FuzzWireFrame hammers the registry decoder with arbitrary frames: no
 // input may panic or allocate past the frame's own size (nightly fuzz
 // cron; the primitive-level twin lives in internal/wire).
+// retiredBatchFrame is a frame in the layout of the deleted BatchMsg
+// (tag TagSquidBase+5, an entry count, then ClusterQueryMsg bodies), as a
+// peer built before its removal would send it.
+func retiredBatchFrame(r *rand.Rand) []byte {
+	var cq wire.Encoder
+	wire.EncodeMessage(&cq, genClusterQuery(r))
+	var e wire.Encoder
+	e.Uvarint(wire.TagSquidBase + 5)
+	e.Uvarint(1)
+	return append(e.Bytes(), cq.Bytes()[1:]...) // squid tags are one varint byte
+}
+
 func FuzzWireFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
 	for _, c := range wire.Codecs() {
@@ -507,6 +507,7 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	}
+	f.Add(retiredBatchFrame(r))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.DecodeMessage(data)
 		if err != nil {

@@ -1,6 +1,8 @@
 package squid_test
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
 	"squid/internal/wire"
@@ -9,7 +11,8 @@ import (
 // TestWireTagRegistry pins the squid tag block's tag ↔ type binding.
 // Peers built at different commits depend on these numbers never moving:
 // a renumbered tag decodes as the wrong type on the other side. Adding a message appends a row here; reordering or deleting
-// one is a wire break and must fail loudly.
+// one is a wire break and must fail loudly. A deleted message's tag is
+// retired: it stays unbound forever.
 func TestWireTagRegistry(t *testing.T) {
 	want := map[uint64]string{
 		wire.TagSquidBase + 0:  "squid.PublishMsg",
@@ -17,7 +20,6 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 2:  "squid.LookupMsg",
 		wire.TagSquidBase + 3:  "squid.ClusterQueryMsg",
 		wire.TagSquidBase + 4:  "squid.QueryAckMsg",
-		wire.TagSquidBase + 5:  "squid.BatchMsg",
 		wire.TagSquidBase + 6:  "squid.QueryShedMsg",
 		wire.TagSquidBase + 7:  "squid.SubResultMsg",
 		wire.TagSquidBase + 8:  "squid.ReplicaMsg",
@@ -32,6 +34,9 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 17: "squid.PartialResultMsg",
 		wire.TagSquidBase + 18: "squid.QueryCancelMsg",
 	}
+	retired := []uint64{
+		wire.TagSquidBase + 5, // BatchMsg
+	}
 	got := map[uint64]string{}
 	for _, c := range wire.Codecs() {
 		if c.Tag >= wire.TagSquidBase {
@@ -42,6 +47,14 @@ func TestWireTagRegistry(t *testing.T) {
 		if got[tag] != typ {
 			t.Errorf("tag %d: bound to %q, want %q", tag, got[tag], typ)
 		}
+	}
+	for _, tag := range retired {
+		if typ, ok := got[tag]; ok {
+			t.Errorf("retired tag %d is bound to %s", tag, typ)
+		}
+	}
+	if v, err := wire.DecodeMessage(retiredBatchFrame(rand.New(rand.NewSource(1)))); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("a frame under the retired BatchMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
 	}
 	for tag, typ := range got {
 		if _, ok := want[tag]; !ok {

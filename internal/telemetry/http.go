@@ -9,10 +9,10 @@ import (
 // traceSummary is the /traces listing entry.
 type traceSummary struct {
 	QID     QueryID `json:"qid"`
-	Partial bool   `json:"partial"`
-	Spans   int    `json:"spans"`
-	Matches int    `json:"matches"`
-	Nodes   int    `json:"nodes"`
+	Partial bool    `json:"partial"`
+	Spans   int     `json:"spans"`
+	Matches int     `json:"matches"`
+	Nodes   int     `json:"nodes"`
 }
 
 // NewHandler serves a registry and trace store over HTTP:

@@ -24,11 +24,18 @@ func (r *faultRecorder) snapshot() []any {
 	return append([]any(nil), r.msgs...)
 }
 
-// runSchedule sends n sequenced messages a->b through a fresh Faulty
+// faultyInproc returns an in-process network under a fresh fault plan.
+func faultyInproc(cfg FaultConfig) *Inproc {
+	f := NewInproc()
+	f.SetFaults(NewFaults(cfg))
+	return f
+}
+
+// runSchedule sends n sequenced messages a->b through a fresh faulty
 // network with the given seed and returns which sequence numbers arrived.
 func runSchedule(t *testing.T, seed int64, rate float64, n int) []any {
 	t.Helper()
-	f := NewFaulty(NewInproc(), FaultConfig{Seed: seed, DropRate: rate})
+	f := faultyInproc(FaultConfig{Seed: seed, DropRate: rate})
 	rec := &faultRecorder{}
 	a, err := f.Listen("a", HandlerFunc(func(Addr, any) {}))
 	if err != nil {
@@ -82,7 +89,7 @@ func TestFaultyDeterministicSchedule(t *testing.T) {
 // TestFaultySelfSendExempt: self-sends must never be faulted — both
 // transports use them to drive the endpoint's own goroutine.
 func TestFaultySelfSendExempt(t *testing.T) {
-	f := NewFaulty(NewInproc(), FaultConfig{Seed: 1, DropRate: 1.0})
+	f := faultyInproc(FaultConfig{Seed: 1, DropRate: 1.0})
 	rec := &faultRecorder{}
 	a, err := f.Listen("a", rec)
 	if err != nil {
@@ -100,7 +107,7 @@ func TestFaultySelfSendExempt(t *testing.T) {
 }
 
 func TestFaultyPartitionAndHeal(t *testing.T) {
-	f := NewFaulty(NewInproc(), FaultConfig{Seed: 7})
+	f := faultyInproc(FaultConfig{Seed: 7})
 	rec := &faultRecorder{}
 	a, err := f.Listen("a", HandlerFunc(func(Addr, any) {}))
 	if err != nil {
@@ -110,7 +117,7 @@ func TestFaultyPartitionAndHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.Partition([]Addr{"a"}, []Addr{"b"})
+	f.Faults().Partition([]Addr{"a"}, []Addr{"b"})
 	if err := a.Send("b", "lost"); err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +125,11 @@ func TestFaultyPartitionAndHeal(t *testing.T) {
 	if len(rec.snapshot()) != 0 {
 		t.Fatal("message crossed an active partition")
 	}
-	if s := f.Stats(); s.PartitionDrops != 1 {
+	if s := f.Faults().Stats(); s.PartitionDrops != 1 {
 		t.Fatalf("PartitionDrops = %d, want 1", s.PartitionDrops)
 	}
 
-	f.Heal()
+	f.Faults().Heal()
 	if err := a.Send("b", "through"); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestFaultyPartitionAndHeal(t *testing.T) {
 }
 
 func TestFaultyCrashRestart(t *testing.T) {
-	f := NewFaulty(NewInproc(), FaultConfig{Seed: 7})
+	f := faultyInproc(FaultConfig{Seed: 7})
 	rec := &faultRecorder{}
 	a, err := f.Listen("a", HandlerFunc(func(Addr, any) {}))
 	if err != nil {
@@ -143,7 +150,7 @@ func TestFaultyCrashRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f.Crash("b")
+	f.Faults().Crash("b")
 	// Both directions are black holes while crashed, and the sender sees
 	// success — a crash is indistinguishable from loss.
 	if err := a.Send("b", "vanished"); err != nil {
@@ -153,11 +160,11 @@ func TestFaultyCrashRestart(t *testing.T) {
 	if len(rec.snapshot()) != 0 {
 		t.Fatal("crashed endpoint received a message")
 	}
-	if s := f.Stats(); s.CrashDrops != 1 {
+	if s := f.Faults().Stats(); s.CrashDrops != 1 {
 		t.Fatalf("CrashDrops = %d, want 1", s.CrashDrops)
 	}
 
-	f.Restart("b")
+	f.Faults().Restart("b")
 	if err := a.Send("b", "back"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +172,20 @@ func TestFaultyCrashRestart(t *testing.T) {
 	if got := rec.snapshot(); len(got) != 1 || got[0] != "back" {
 		t.Fatalf("after restart got %v, want [back]", got)
 	}
+
+	// Killing an endpoint clears its crash mark along with the endpoint.
+	f.Faults().Crash("b")
+	f.Kill("b")
+	if f.Faults().Crashed("b") {
+		t.Fatal("Kill left the crash mark behind")
+	}
 }
 
-// TestFaultyDelayQuiesce: Quiesce must account for messages sitting in the
-// delay stage, not just the inner network.
+// TestFaultyDelayQuiesce: Quiesce must account for messages held back by an
+// injected delay, not just queued ones.
 func TestFaultyDelayQuiesce(t *testing.T) {
-	f := NewFaulty(NewInproc(), FaultConfig{
-		Seed: 3, MinDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
+	f := faultyInproc(FaultConfig{
+		Seed: 3, MinLatency: 2 * time.Millisecond, MaxLatency: 10 * time.Millisecond,
 	})
 	rec := &faultRecorder{}
 	a, err := f.Listen("a", HandlerFunc(func(Addr, any) {}))
@@ -191,7 +205,7 @@ func TestFaultyDelayQuiesce(t *testing.T) {
 	if got := len(rec.snapshot()); got != n {
 		t.Fatalf("delivered %d/%d after Quiesce", got, n)
 	}
-	if s := f.Stats(); s.Delayed != n {
+	if s := f.Faults().Stats(); s.Delayed != n {
 		t.Fatalf("Delayed = %d, want %d", s.Delayed, n)
 	}
 }

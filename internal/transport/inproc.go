@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Observer inspects every message accepted for delivery on an in-process
@@ -17,11 +18,18 @@ type Observer func(from, to Addr, msg any)
 // Inproc tracks in-flight work so callers can wait for the network to
 // quiesce — the simulation primitive behind every experiment in this
 // repository.
+//
+// Every send between distinct endpoints runs through the network's fault
+// plan on the wall clock: a dropped message vanishes (the sender sees
+// success) and a delayed one is enqueued by a timer when it arrives. A
+// fresh network's plan is empty and injects nothing.
 type Inproc struct {
 	mu       sync.Mutex
 	boxes    map[Addr]*mailbox
 	observer Observer
+	faults   *Faults
 	met      *inprocMetrics
+	epoch    time.Time // origin of the timeline the fault plan sees
 
 	// In-flight accounting is a cond-guarded counter rather than a
 	// WaitGroup: recovery timers may inject messages concurrently with
@@ -39,9 +47,28 @@ type Inproc struct {
 
 // NewInproc returns an empty in-process network.
 func NewInproc() *Inproc {
-	n := &Inproc{boxes: make(map[Addr]*mailbox)}
+	n := &Inproc{
+		boxes:  make(map[Addr]*mailbox),
+		faults: NewFaults(FaultConfig{}),
+		epoch:  time.Now(),
+	}
 	n.icond = sync.NewCond(&n.imu)
 	return n
+}
+
+// SetFaults installs the fault plan that decides every non-self send. Call
+// before traffic starts (like SetObserver).
+func (n *Inproc) SetFaults(f *Faults) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.faults = f
+}
+
+// Faults returns the network's fault plan.
+func (n *Inproc) Faults() *Faults {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.faults
 }
 
 // SetObserver installs the message observer. Pass nil to remove. Must not
@@ -74,20 +101,23 @@ func (n *Inproc) Listen(name Addr, h Handler) (Endpoint, error) {
 }
 
 // Kill abruptly detaches the named endpoint, modelling a node failure:
-// queued messages are dropped and future sends fail with ErrUnreachable.
+// queued messages are dropped, future sends fail with ErrUnreachable, and
+// any crash mark is cleared.
 func (n *Inproc) Kill(name Addr) {
 	n.mu.Lock()
 	box := n.boxes[name]
 	delete(n.boxes, name)
+	faults := n.faults
 	n.mu.Unlock()
+	faults.Restart(name)
 	if box != nil {
 		box.close()
 	}
 }
 
-// Quiesce blocks until no message is queued or being handled anywhere in
-// the network. It is only meaningful while no external goroutine keeps
-// injecting messages.
+// Quiesce blocks until no message is queued, being handled, or held back
+// by an injected delay anywhere in the network. It is only meaningful while
+// no external goroutine keeps injecting messages.
 func (n *Inproc) Quiesce() {
 	n.imu.Lock()
 	for n.inflight > 0 {
@@ -119,32 +149,53 @@ func (n *Inproc) done() {
 
 func (n *Inproc) send(from, to Addr, msg any) error {
 	n.mu.Lock()
-	box := n.boxes[to]
-	obs := n.observer
-	met := n.met
+	box, faults := n.boxes[to], n.faults
+	obs, met := n.observer, n.met
 	n.mu.Unlock()
-	if box == nil {
-		if met != nil {
-			met.unreachable.Inc()
+	if box != nil && from != to {
+		now := int64(time.Since(n.epoch))
+		at, ok := faults.Admit(from, to, now)
+		if !ok {
+			return nil
 		}
-		return ErrUnreachable
+		if at > now {
+			// The delayed message counts as in flight until its timer
+			// enqueues it, so Quiesce waits for it.
+			n.track()
+			time.AfterFunc(time.Duration(at-now), func() {
+				n.mu.Lock()
+				box := n.boxes[to]
+				n.mu.Unlock()
+				_ = n.deliver(box, obs, met, from, msg) // destination may have died meanwhile
+				n.done()
+			})
+			return nil
+		}
 	}
-	n.track()
-	if !box.enqueue(from, msg) {
+	return n.deliver(box, obs, met, from, msg)
+}
+
+// deliver enqueues a message that survived the fault plan into box, the
+// destination's mailbox (nil once the endpoint is gone).
+func (n *Inproc) deliver(box *mailbox, obs Observer, met *inprocMetrics, from Addr, msg any) error {
+	if box != nil {
+		n.track()
+		if box.enqueue(from, msg) {
+			n.activity.Add(1)
+			if met != nil {
+				met.sent.Inc()
+			}
+			if obs != nil {
+				obs(from, box.addr, msg)
+			}
+			return nil
+		}
 		n.done()
-		if met != nil {
-			met.unreachable.Inc()
-		}
-		return ErrUnreachable
 	}
-	n.activity.Add(1)
 	if met != nil {
-		met.sent.Inc()
+		met.unreachable.Inc()
 	}
-	if obs != nil {
-		obs(from, to, msg)
-	}
-	return nil
+	return ErrUnreachable
 }
 
 type envelope struct {

@@ -26,10 +26,10 @@ func (n *Inproc) Instrument(reg *telemetry.Registry) {
 	n.mu.Unlock()
 }
 
-// faultyMetrics mirror the Faulty layer's FaultStats atomics onto a
-// registry (the atomics stay authoritative for deterministic experiment
-// accounting; the mirror is for scraping).
-type faultyMetrics struct {
+// faultMetrics mirror a fault plan's FaultStats onto a registry (the stats
+// stay authoritative for deterministic experiment accounting; the mirror is
+// for scraping).
+type faultMetrics struct {
 	delivered *telemetry.Counter
 	dropped   *telemetry.Counter
 	delayed   *telemetry.Counter
@@ -37,12 +37,12 @@ type faultyMetrics struct {
 	crash     *telemetry.Counter
 }
 
-// Instrument attaches the fault layer's counters to a registry. Call
+// Instrument attaches the fault plan's counters to a registry. Call
 // before traffic starts.
-func (f *Faulty) Instrument(reg *telemetry.Registry) {
+func (f *Faults) Instrument(reg *telemetry.Registry) {
 	events := reg.CounterVec("squid_transport_fault_events_total",
 		"injected-fault outcomes per message", "event")
-	m := &faultyMetrics{
+	m := &faultMetrics{
 		delivered: events.With("delivered"),
 		dropped:   events.With("dropped"),
 		delayed:   events.With("delayed"),

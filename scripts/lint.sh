@@ -3,13 +3,21 @@
 #
 #   scripts/lint.sh [packages ...]
 #
-# Packages default to ./... . Always runs go vet and the in-repo
+# Packages default to ./... . Always runs gofmt, go vet and the in-repo
 # squid-lint analyzer suite (see DESIGN.md §4e); staticcheck and
 # govulncheck run too when they are on PATH (CI installs them, local
 # machines may not have them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 pkgs=("${@:-./...}")
+
+echo "== gofmt -l"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "$unformatted"
+  echo "gofmt: the files above are not formatted (run gofmt -w)"
+  exit 1
+fi
 
 echo "== go vet ${pkgs[*]}"
 go vet "${pkgs[@]}"
