@@ -29,11 +29,7 @@ lint:
 bench:
 	bash bench/run.sh
 
-# Short local fuzz sweep (10s per target); CI's nightly job runs 60s each.
+# Short local fuzz sweep over every Fuzz target (10s each); CI's nightly
+# job runs the same script at 60s each.
 fuzz:
-	for f in FuzzHilbertRoundTrip FuzzRefineStepSound FuzzKernelEquivalence; do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/sfc || exit 1; \
-	done
-	for f in FuzzParse FuzzWordDimConsistency FuzzSpaceSoundness; do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/keyspace || exit 1; \
-	done
+	scripts/fuzz.sh 10s

@@ -240,14 +240,17 @@ func (s *session) check() error {
 
 func (s *session) stats() error {
 	fs := s.net.Faults.Stats()
-	cc := s.net.ChordCounters()
-	rc := s.net.RecoveryCounters()
+	reg := s.net.Telemetry
+	retries := reg.CounterVec("squid_chord_rpc_retries_total", "", "node", "op")
+	failures := reg.CounterVec("squid_chord_rpc_failures_total", "", "node", "op")
+	recovery := reg.CounterVec("squid_engine_recovery_total", "", "node", "event")
 	fmt.Printf("transport: delivered=%d dropped=%d delayed=%d partition-drops=%d crash-drops=%d\n",
 		fs.Delivered, fs.Dropped, fs.Delayed, fs.PartitionDrops, fs.CrashDrops)
 	fmt.Printf("chord rpc: find-retries=%d find-failures=%d state-retries=%d state-failures=%d\n",
-		cc.FindRetries, cc.FindFailures, cc.StateRetries, cc.StateFailures)
+		retries.Sum("op", "find"), failures.Sum("op", "find"), retries.Sum("op", "state"), failures.Sum("op", "state"))
 	fmt.Printf("recovery:  redispatches=%d abandoned=%d partial-results=%d acks=%d\n",
-		rc.Redispatches, rc.Abandoned, rc.Partials, rc.Acks)
+		recovery.Sum("event", "redispatch"), recovery.Sum("event", "abandon"),
+		recovery.Sum("event", "partial"), recovery.Sum("event", "ack"))
 	return nil
 }
 
@@ -452,8 +455,14 @@ func (s *session) query(qs string) error {
 	}
 	fmt.Printf("%d matches  routing=%d processing=%d data=%d messages=%d  (qid %d; 'trace' renders the tree)\n",
 		len(res.Matches), len(qm.RoutingNodes), len(qm.ProcessingNodes), len(qm.DataNodes), qm.Messages(), res.QID)
-	if qm.Redispatches > 0 || qm.Abandoned > 0 {
-		fmt.Printf("recovery: %d subtree re-dispatches, %d abandoned\n", qm.Redispatches, qm.Abandoned)
+	if tr, ok := s.net.Traces.Get(res.QID); ok {
+		redispatches := 0
+		for _, sp := range tr.Spans {
+			redispatches += sp.Retries
+		}
+		if lost := len(tr.Lost()); redispatches > 0 || lost > 0 {
+			fmt.Printf("recovery: %d subtree re-dispatches, %d abandoned\n", redispatches, lost)
+		}
 	}
 	if res.Err != nil {
 		fmt.Printf("PARTIAL result: %v\n", res.Err)

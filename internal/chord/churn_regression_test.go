@@ -137,7 +137,7 @@ func TestRegressionDeadSuccessorAdoption(t *testing.T) {
 				healedAt = round
 			}
 		}
-		return healedAt, r.check(u, s), u.Counters().SuccRejects
+		return healedAt, r.check(u, s), u.ctr.succRejects.Value()
 	}
 
 	t.Run("legacy", func(t *testing.T) {

@@ -6,34 +6,6 @@ import (
 	"squid/internal/telemetry"
 )
 
-// Counters is a snapshot of a node's cumulative fault-recovery counters.
-// They quantify recovery cost under churn: every retry is a failed RPC the
-// backoff policy absorbed instead of surfacing to the caller.
-type Counters struct {
-	// FindRetries counts FindSuccessor attempts beyond each call's first.
-	FindRetries uint64
-	// StateRetries counts state-probe attempts beyond each call's first.
-	StateRetries uint64
-	// FindFailures counts FindSuccessor calls that failed after all
-	// configured retries.
-	FindFailures uint64
-	// StateFailures counts state probes that failed after all retries.
-	StateFailures uint64
-	// SuccRejects counts successor candidates stabilization refused to
-	// adopt because their reachability probe failed (Zave's corrected
-	// adopt-after-probe rule; always zero under LegacyRules).
-	SuccRejects uint64
-}
-
-// Add accumulates another snapshot (for network-wide aggregation).
-func (c *Counters) Add(o Counters) {
-	c.FindRetries += o.FindRetries
-	c.StateRetries += o.StateRetries
-	c.FindFailures += o.FindFailures
-	c.StateFailures += o.StateFailures
-	c.SuccRejects += o.SuccRejects
-}
-
 // lookupHopBuckets bounds the lookup-hop histogram: a consistent ring
 // resolves in O(log N) hops, so small powers of two cover realistic rings
 // and the +Inf bucket catches churn detours.
@@ -77,21 +49,5 @@ func newNodeMetrics(reg *telemetry.Registry, id ID) nodeMetrics {
 			"routed messages forwarded one hop toward their key", "node").With(node),
 		succRejects: reg.CounterVec("squid_chord_succ_candidates_rejected_total",
 			"successor candidates refused by stabilization because their reachability probe failed", "node").With(node),
-	}
-}
-
-// Counters snapshots the node's recovery counters. Safe from any goroutine.
-//
-// The same data is published per node through the telemetry registry as
-// the squid_chord_rpc_retries_total and squid_chord_rpc_failures_total
-// families; scrape-based consumers should read those instead of polling
-// this accessor.
-func (n *Node) Counters() Counters {
-	return Counters{
-		FindRetries:   n.ctr.findRetries.Value(),
-		StateRetries:  n.ctr.stateRetries.Value(),
-		FindFailures:  n.ctr.findFailures.Value(),
-		StateFailures: n.ctr.stateFailures.Value(),
-		SuccRejects:   n.ctr.succRejects.Value(),
 	}
 }

@@ -43,12 +43,11 @@ func TestRetryExhaustion(t *testing.T) {
 			t.Fatalf("request %d against black hole should fail after retries", i)
 		}
 	}
-	c := n.Counters()
-	if c.FindRetries != 2 || c.FindFailures != 1 {
-		t.Errorf("find counters = %+v, want 2 retries / 1 failure", c)
+	if r, f := n.ctr.findRetries.Value(), n.ctr.findFailures.Value(); r != 2 || f != 1 {
+		t.Errorf("find counters = %d retries / %d failures, want 2 / 1", r, f)
 	}
-	if c.StateRetries != 2 || c.StateFailures != 1 {
-		t.Errorf("state counters = %+v, want 2 retries / 1 failure", c)
+	if r, f := n.ctr.stateRetries.Value(), n.ctr.stateFailures.Value(); r != 2 || f != 1 {
+		t.Errorf("state counters = %d retries / %d failures, want 2 / 1", r, f)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestRetryRecovers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("find never completed after the link healed")
 	}
-	if c := a.Counters(); c.FindRetries == 0 {
+	if a.ctr.findRetries.Value() == 0 {
 		t.Error("recovery consumed no retries — fault was not exercised")
 	}
 }

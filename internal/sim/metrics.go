@@ -48,15 +48,6 @@ type QueryMetrics struct {
 	DataNodes map[chord.ID]bool
 	// Matches is the total number of matching elements reported.
 	Matches int
-
-	// Redispatches counts child subtrees re-sent after missing their
-	// recovery deadline (engine fault recovery).
-	Redispatches int
-	// Abandoned counts child subtrees given up on after exhausting
-	// re-dispatch retries.
-	Abandoned int
-	// Partial marks a query that completed with squid.ErrPartialResult.
-	Partial bool
 }
 
 // Messages is the paper's headline message count: the forward-path
@@ -159,36 +150,6 @@ func (ms *Metrics) Processed(qid squid.QueryID, node chord.ID, clusters, matches
 	qm.Matches += matches
 }
 
-// Redispatched implements squid.RecoverySink.
-func (ms *Metrics) Redispatched(qid squid.QueryID) {
-	if qid == 0 {
-		return
-	}
-	ms.mu.Lock()
-	ms.query(qid).Redispatches++
-	ms.mu.Unlock()
-}
-
-// Abandoned implements squid.RecoverySink.
-func (ms *Metrics) Abandoned(qid squid.QueryID) {
-	if qid == 0 {
-		return
-	}
-	ms.mu.Lock()
-	ms.query(qid).Abandoned++
-	ms.mu.Unlock()
-}
-
-// Partial implements squid.RecoverySink.
-func (ms *Metrics) Partial(qid squid.QueryID) {
-	if qid == 0 {
-		return
-	}
-	ms.mu.Lock()
-	ms.query(qid).Partial = true
-	ms.mu.Unlock()
-}
-
 // Observe implements the transport.Observer contract: it classifies every
 // message the simulated network carries and attributes traced ones to
 // their query.
@@ -268,7 +229,4 @@ func (ms *Metrics) Reset() {
 	ms.mu.Unlock()
 }
 
-var (
-	_ squid.MetricsSink  = (*Metrics)(nil)
-	_ squid.RecoverySink = (*Metrics)(nil)
-)
+var _ squid.MetricsSink = (*Metrics)(nil)

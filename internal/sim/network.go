@@ -618,40 +618,6 @@ func (nw *Network) TotalKeys() int {
 	return total
 }
 
-// ChordCounters sums every live peer's RPC retry/backoff counters — the
-// ring-level recovery cost under churn and faults. It is a convenience
-// aggregation over per-node state; code that already holds
-// Network.Telemetry can read the chord_rpc_* families directly.
-func (nw *Network) ChordCounters() chord.Counters {
-	var out chord.Counters
-	for _, p := range nw.Peers {
-		out.Add(p.Node.Counters())
-	}
-	return out
-}
-
-// TraceForQuery returns a query's reassembled refinement-tree trace.
-// Requires Config.Trace; the trace is complete once Query has returned
-// (result delivery happens-after the root records the trace).
-func (nw *Network) TraceForQuery(qid squid.QueryID) (telemetry.Trace, bool) {
-	if nw.Traces == nil {
-		return telemetry.Trace{}, false
-	}
-	return nw.Traces.Get(qid)
-}
-
-// RecoveryCounters sums every live peer's query-recovery counters — the
-// engine-level cost of riding out lost subtrees. Like ChordCounters it is a
-// convenience aggregation; the squid_engine_recovery_total family in
-// Network.Telemetry carries the same data per node.
-func (nw *Network) RecoveryCounters() squid.RecoveryCounters {
-	var out squid.RecoveryCounters
-	for _, p := range nw.Peers {
-		out.Add(p.Engine.Recovery())
-	}
-	return out
-}
-
 // goroutineDriver runs every peer as a mailbox goroutine on the in-process
 // transport and waits on the wall clock.
 type goroutineDriver struct{ nw *Network }

@@ -167,15 +167,16 @@ func TestChaosSoak(t *testing.T) {
 	if st.Dropped == 0 || st.CrashDrops == 0 {
 		t.Errorf("fault stats %+v: expected injected drops and crash drops", st)
 	}
-	rec := nw.RecoveryCounters()
-	if rec.Redispatches == 0 {
+	redispatches := nw.Telemetry.CounterVec("squid_engine_recovery_total", "", "node", "event").Sum("event", "redispatch")
+	if redispatches == 0 {
 		t.Error("no subtree re-dispatches despite message loss")
 	}
-	if cc := nw.ChordCounters(); cc.FindRetries == 0 {
+	findRetries := nw.Telemetry.CounterVec("squid_chord_rpc_retries_total", "", "node", "op").Sum("op", "find")
+	if findRetries == 0 {
 		t.Error("no chord RPC retries despite message loss")
 	}
-	t.Logf("chaos: %d complete / %d partial; faults %+v; recovery %+v; chord %+v",
-		complete, partial, st, rec, nw.ChordCounters())
+	t.Logf("chaos: %d complete / %d partial; faults %+v; %d redispatches; %d find retries",
+		complete, partial, st, redispatches, findRetries)
 
 	// Faults clear: one stabilization round must restore exact recall.
 	nw.Faults.SetDropRate(0)

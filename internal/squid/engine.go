@@ -115,18 +115,6 @@ type Options struct {
 // elements held by unreachable nodes.
 var ErrPartialResult = errors.New("squid: partial result: query subtree lost to failures")
 
-// RecoverySink is an optional MetricsSink extension: sinks that implement
-// it also receive fault-recovery events, correlated by query id.
-type RecoverySink interface {
-	// Redispatched records that a lost or overdue child subtree was sent
-	// again through ring routing.
-	Redispatched(qid QueryID)
-	// Abandoned records that a child subtree exhausted its re-dispatches.
-	Abandoned(qid QueryID)
-	// Partial records that the query completed with an incomplete result.
-	Partial(qid QueryID)
-}
-
 // Result is the outcome of a flexible query: every stored element matching
 // the query, gathered from all data nodes.
 type Result struct {
@@ -364,15 +352,6 @@ func (e *Engine) WaitIdle() {
 	if e.sched != nil {
 		e.sched.waitIdle()
 	}
-}
-
-// SchedulerDepth returns the number of admitted-but-unfinished refinement
-// jobs (0 in serial mode). Safe from any goroutine.
-func (e *Engine) SchedulerDepth() int {
-	if e.sched == nil {
-		return 0
-	}
-	return e.sched.depth()
 }
 
 // newSpanID issues a span identifier unique across the query tree: a
@@ -1118,9 +1097,6 @@ func (e *Engine) childExpired(tok uint64) {
 	if c.attempts >= e.opts.SubtreeRetries {
 		delete(e.children, tok)
 		e.met.abandoned.Inc()
-		if rs, ok := e.opts.Sink.(RecoverySink); ok {
-			rs.Abandoned(c.st.qid)
-		}
 		if c.st.spanID != 0 {
 			c.st.spans = append(c.st.spans, e.lostSpan(c.st, c))
 		}
@@ -1132,9 +1108,6 @@ func (e *Engine) childExpired(tok uint64) {
 	c.attempts++
 	c.acked = false
 	e.met.redispatches.Inc()
-	if rs, ok := e.opts.Sink.(RecoverySink); ok {
-		rs.Redispatched(c.st.qid)
-	}
 	st := c.st
 	st.retries++
 	if c.clusters == nil {
@@ -1279,9 +1252,6 @@ func (e *Engine) finishSubtree(st *subtree) {
 				err = st.cancelErr
 			}
 			e.met.partials.Inc()
-			if rs, ok := e.opts.Sink.(RecoverySink); ok {
-				rs.Partial(st.qid)
-			}
 		}
 		if st.spanID != 0 && e.opts.Traces != nil {
 			e.opts.Traces.Add(telemetry.Trace{QID: st.qid, Partial: st.incomplete, Spans: st.spans})
@@ -1827,9 +1797,6 @@ func (e *Engine) handleShed(m QueryShedMsg) {
 		// SubtreeTimeout == 0: the subtree cannot be retried.
 		delete(e.children, m.Token)
 		e.met.abandoned.Inc()
-		if rs, ok := e.opts.Sink.(RecoverySink); ok {
-			rs.Abandoned(c.st.qid)
-		}
 		if c.st.spanID != 0 {
 			c.st.spans = append(c.st.spans, e.lostSpan(c.st, c))
 		}

@@ -7,7 +7,6 @@ import (
 
 	"squid/internal/keyspace"
 	"squid/internal/telemetry"
-	"squid/internal/transport"
 )
 
 // QueryID identifies one flexible query across the system. It is
@@ -79,12 +78,6 @@ func WithSubtreeTimeout(d time.Duration) Option {
 	return func(o *Options) { o.SubtreeTimeout = d }
 }
 
-// WithSubtreeRetries caps re-dispatches per child subtree.
-// See Options.SubtreeRetries.
-func WithSubtreeRetries(n int) Option {
-	return func(o *Options) { o.SubtreeRetries = n }
-}
-
 // WithWorkers sets the query scheduler's pool size. See Options.Workers;
 // WithSerialProcessing disables the pool entirely.
 func WithWorkers(n int) Option {
@@ -117,18 +110,6 @@ func WithResultCache(size int) Option {
 	return func(o *Options) { o.ResultCacheSize = size }
 }
 
-// WithInitialClusters caps the initiator's local refinement breadth.
-// See Options.InitialClusters.
-func WithInitialClusters(n int) Option {
-	return func(o *Options) { o.InitialClusters = n }
-}
-
-// WithoutAggregation disables the sibling-cluster aggregation optimization.
-// See Options.DisableAggregation.
-func WithoutAggregation() Option {
-	return func(o *Options) { o.DisableAggregation = true }
-}
-
 // WithSink feeds per-query processing metrics to sink.
 // See Options.Sink.
 func WithSink(sink MetricsSink) Option {
@@ -145,10 +126,4 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // See Options.Traces.
 func WithTraces(store *telemetry.TraceStore) Option {
 	return func(o *Options) { o.Traces = store }
-}
-
-// WithClock supplies the engine's recovery and deadline timers.
-// See Options.Clock.
-func WithClock(c transport.Clock) Option {
-	return func(o *Options) { o.Clock = c }
 }

@@ -1,85 +1,69 @@
 package squid
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"squid/internal/chord"
 	"squid/internal/sfc"
+	"squid/internal/wire"
 )
 
-// storeImage is the serialized form of a Store.
-type storeImage struct {
-	Version int
-	Keys    []uint64
-	Buckets [][]Element
-}
+// storeImageVersion leads every store image. Version 1 was a gob stream;
+// version 2 is the wire codec: the version, the key count, then each key
+// (8 bytes) followed by its bucket of elements.
+const storeImageVersion = 2
 
-const storeImageVersion = 1
-
-// WriteTo serializes the store (gob). Implements io.WriterTo.
+// WriteTo serializes the store on the wire codec. Implements io.WriterTo.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
+	var e wire.Encoder
 	s.mu.RLock()
-	img := storeImage{Version: storeImageVersion, Keys: append([]uint64(nil), s.sorted...)}
-	img.Buckets = make([][]Element, len(img.Keys))
-	for i, k := range img.Keys {
-		img.Buckets[i] = s.byKey[k]
+	e.Uvarint(storeImageVersion)
+	e.Uvarint(uint64(len(s.sorted)))
+	for _, k := range s.sorted {
+		e.U64(k)
+		encodeElements(&e, s.byKey[k])
 	}
 	s.mu.RUnlock()
-	cw := &countingWriter{w: w}
-	if err := gob.NewEncoder(cw).Encode(img); err != nil {
-		return cw.n, fmt.Errorf("squid: store save: %w", err)
+	n, err := w.Write(e.Bytes())
+	if err != nil {
+		return int64(n), fmt.Errorf("squid: store save: %w", err)
 	}
-	return cw.n, nil
+	return int64(n), nil
 }
 
-// ReadFrom replaces the store's contents with a serialized image.
-// Implements io.ReaderFrom.
+// ReadFrom replaces the store's contents with a serialized image. The
+// whole image is decoded and checked before the store changes, so a
+// refused image leaves it as it was. Implements io.ReaderFrom.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	cr := &countingReader{r: r}
-	var img storeImage
-	if err := gob.NewDecoder(cr).Decode(&img); err != nil {
-		return cr.n, fmt.Errorf("squid: store load: %w", err)
+	b, err := io.ReadAll(r)
+	n := int64(len(b))
+	if err != nil {
+		return n, fmt.Errorf("squid: store load: %w", err)
 	}
-	if img.Version != storeImageVersion {
-		return cr.n, fmt.Errorf("squid: store image version %d unsupported", img.Version)
+	d := wire.NewDecoder(b)
+	if v := d.Uvarint(); d.Err() == nil && v != storeImageVersion {
+		return n, fmt.Errorf("squid: store image version %d unsupported", v)
 	}
-	if len(img.Keys) != len(img.Buckets) {
-		return cr.n, fmt.Errorf("squid: corrupt store image: %d keys, %d buckets", len(img.Keys), len(img.Buckets))
+	keys := make([]uint64, d.Len(9)) // ≥ 8-byte key + bucket count
+	buckets := make([][]Element, len(keys))
+	for i := range keys {
+		keys[i] = d.U64()
+		buckets[i] = decodeElements(d)
+	}
+	if err := d.Close(); err != nil {
+		return n, fmt.Errorf("squid: store load: %w", err)
 	}
 	s.mu.Lock()
-	s.byKey = make(map[uint64][]Element, len(img.Keys))
+	defer s.mu.Unlock()
+	s.byKey = make(map[uint64][]Element, len(keys))
 	s.sorted = s.sorted[:0]
-	s.mu.Unlock()
-	for i, k := range img.Keys {
-		for _, e := range img.Buckets[i] {
-			s.Add(k, e)
+	for i, k := range keys {
+		for _, e := range buckets[i] {
+			s.addLocked(k, e)
 		}
 	}
-	return cr.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return n, nil
 }
 
 // SaveState serializes the engine's primary store (replicas are soft state

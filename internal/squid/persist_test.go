@@ -2,6 +2,7 @@ package squid
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 
 func TestStoreLoadRejectsGarbage(t *testing.T) {
 	s := NewStore(chord.Space{Bits: 16})
-	if _, err := s.ReadFrom(strings.NewReader("not a gob stream")); err == nil {
+	if _, err := s.ReadFrom(strings.NewReader("not a store image")); err == nil {
 		t.Error("garbage should fail to load")
 	}
 	if _, err := s.ReadFrom(bytes.NewReader(nil)); err == nil {
@@ -71,5 +72,52 @@ func TestStoreSaveLoadEmpty(t *testing.T) {
 	}
 	if r.Keys() != 0 {
 		t.Errorf("empty round trip has %d keys", r.Keys())
+	}
+}
+
+// TestStoreLoadRefusesBadImages: a truncated image, a version-1 (gob)
+// image, an image with trailing bytes and one of an unknown version are
+// each refused, and the refusal leaves the store's contents as they were.
+func TestStoreLoadRefusesBadImages(t *testing.T) {
+	src := NewStore(chord.Space{Bits: 16})
+	src.Add(100, Element{Values: []string{"a", "b"}, Data: "one"})
+	src.Add(7, Element{Values: []string{"x"}, Data: "two"})
+	var good bytes.Buffer
+	if _, err := src.WriteTo(&good); err != nil {
+		t.Fatal(err)
+	}
+
+	// The version-1 layout, encoded as that version's WriteTo did.
+	var v1 bytes.Buffer
+	type storeImage struct {
+		Version int
+		Keys    []uint64
+		Buckets [][]Element
+	}
+	if err := gob.NewEncoder(&v1).Encode(storeImage{
+		Version: 1,
+		Keys:    []uint64{7},
+		Buckets: [][]Element{{{Values: []string{"x"}, Data: "two"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, img := range map[string][]byte{
+		"truncated":  good.Bytes()[:good.Len()-3],
+		"gob v1":     v1.Bytes(),
+		"trailing":   append(append([]byte(nil), good.Bytes()...), 0, 1, 2),
+		"version 3":  append([]byte{3}, good.Bytes()[1:]...),
+		"key only":   good.Bytes()[:2+8],
+		"huge count": {2, 0xff, 0xff, 0xff, 0xff, 0x0f},
+	} {
+		dst := NewStore(chord.Space{Bits: 16})
+		dst.Add(999, Element{Values: []string{"k"}, Data: "kept"})
+		if _, err := dst.ReadFrom(bytes.NewReader(img)); err == nil {
+			t.Errorf("%s: image accepted", name)
+		}
+		if dst.Keys() != 1 || dst.Elements() != 1 || len(dst.At(999)) != 1 {
+			t.Errorf("%s: refused load changed the store: %d keys / %d elements",
+				name, dst.Keys(), dst.Elements())
+		}
 	}
 }

@@ -6,31 +6,6 @@ import (
 	"squid/internal/telemetry"
 )
 
-// RecoveryCounters is a snapshot of an engine's cumulative query-recovery
-// counters. Together with chord.Counters they quantify what failures cost:
-// every re-dispatch is a subtree the deadline machinery saved, every
-// abandonment a subtree it could not.
-type RecoveryCounters struct {
-	// Redispatches counts child subtrees re-sent after missing their
-	// deadline.
-	Redispatches uint64
-	// Abandoned counts child subtrees given up on after exhausting
-	// re-dispatch retries.
-	Abandoned uint64
-	// Partials counts root queries that completed with ErrPartialResult.
-	Partials uint64
-	// Acks counts child-receipt confirmations that re-armed a deadline.
-	Acks uint64
-}
-
-// Add accumulates another snapshot (for network-wide aggregation).
-func (c *RecoveryCounters) Add(o RecoveryCounters) {
-	c.Redispatches += o.Redispatches
-	c.Abandoned += o.Abandoned
-	c.Partials += o.Partials
-	c.Acks += o.Acks
-}
-
 // engineMetrics holds this engine's children of the shared telemetry
 // families. Instruments are atomic: any goroutine (metric scrapers, the
 // simulator) may snapshot them without entering the node's delivery
@@ -134,23 +109,5 @@ func newEngineMetrics(reg *telemetry.Registry, id uint64) engineMetrics {
 		cacheHits:   rcache.With(node, "hit"),
 		cacheMisses: rcache.With(node, "miss"),
 		cacheBypass: rcache.With(node, "bypass"),
-	}
-}
-
-// Recovery snapshots the engine's recovery counters. Safe from any
-// goroutine. Zero before the engine is attached to its node.
-//
-// This is a convenience snapshot over the telemetry registry; new code that
-// already holds the shared *telemetry.Registry should read the
-// squid_engine_recovery_total family directly instead.
-func (e *Engine) Recovery() RecoveryCounters {
-	if e.met.redispatches == nil {
-		return RecoveryCounters{}
-	}
-	return RecoveryCounters{
-		Redispatches: e.met.redispatches.Value(),
-		Abandoned:    e.met.abandoned.Value(),
-		Partials:     e.met.partials.Value(),
-		Acks:         e.met.acks.Value(),
 	}
 }

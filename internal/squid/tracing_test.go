@@ -75,7 +75,7 @@ func TestTraceCompleteness(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", qs, res.Err)
 		}
-		tr, ok := nw.TraceForQuery(res.QID)
+		tr, ok := nw.Traces.Get(res.QID)
 		if !ok {
 			t.Fatalf("%s: no trace recorded", qs)
 		}
@@ -101,7 +101,7 @@ func TestTraceCompleteness(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	tr, ok := nw.TraceForQuery(res.QID)
+	tr, ok := nw.Traces.Get(res.QID)
 	if !ok {
 		t.Fatal("exact query: no trace recorded")
 	}
@@ -147,7 +147,7 @@ func TestChaosTraceCoverage(t *testing.T) {
 		label := fmt.Sprintf("query %d %s", i, q)
 		checkSound(t, label, res, truth)
 
-		tr, ok := nw.TraceForQuery(res.QID)
+		tr, ok := nw.Traces.Get(res.QID)
 		if !ok {
 			t.Fatalf("%s: no trace recorded", label)
 		}

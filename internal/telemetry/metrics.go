@@ -123,6 +123,31 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return new(Counter) }).(*Counter)
 }
 
+// Sum totals the children whose label equals value, or every child when
+// label is empty. A label the family does not carry sums to 0. Safe from
+// any goroutine, including while children are being added.
+func (v *CounterVec) Sum(label, value string) uint64 {
+	f := v.f
+	col := -1
+	for i, l := range f.labels {
+		if l == label {
+			col = i
+		}
+	}
+	if label != "" && col < 0 {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var total uint64
+	for _, ch := range f.order {
+		if col < 0 || ch.values[col] == value {
+			total += ch.metric.(*Counter).Value()
+		}
+	}
+	return total
+}
+
 // GaugeVec is a gauge family partitioned by labels.
 type GaugeVec struct{ f *family }
 

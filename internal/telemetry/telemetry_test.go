@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -83,6 +85,60 @@ func TestVecChildrenCachedAndLabeled(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestCounterVecSum(t *testing.T) {
+	r := NewRegistry(nil)
+	v := r.CounterVec("squid_rpc_total", "per-node RPCs", "node", "op")
+	v.With("n1", "find").Add(2)
+	v.With("n2", "find").Add(3)
+	v.With("n1", "state").Add(7)
+	for _, c := range []struct {
+		label, value string
+		want         uint64
+	}{
+		{"op", "find", 5},
+		{"op", "state", 7},
+		{"node", "n1", 9},
+		{"op", "absent", 0},
+		{"", "", 12},
+		{"", "ignored", 12},
+		{"zone", "n1", 0},
+	} {
+		if got := v.Sum(c.label, c.value); got != c.want {
+			t.Errorf("Sum(%q, %q) = %d, want %d", c.label, c.value, got, c.want)
+		}
+	}
+}
+
+// TestCounterVecSumConcurrent reads sums while other goroutines add
+// children and increment them; run under -race.
+func TestCounterVecSumConcurrent(t *testing.T) {
+	r := NewRegistry(nil)
+	v := r.CounterVec("squid_rpc_total", "per-node RPCs", "node", "op")
+	const writers, perWriter = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				v.With(strconv.Itoa(w*perWriter+i), "find").Inc()
+			}
+		}(w)
+	}
+	var last uint64
+	for i := 0; i < 100; i++ {
+		s := v.Sum("op", "find")
+		if s < last {
+			t.Fatalf("sum went backwards: %d after %d", s, last)
+		}
+		last = s
+	}
+	wg.Wait()
+	if got := v.Sum("", ""); got != writers*perWriter {
+		t.Fatalf("final sum = %d, want %d", got, writers*perWriter)
 	}
 }
 
