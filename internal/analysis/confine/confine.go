@@ -15,10 +15,12 @@
 // owning goroutine. The one sanctioned way back is re-entry: a function
 // literal passed to a callee named Invoke is re-executed on the delivery
 // goroutine by the node's delivery loop, so it counts as a fresh
-// entrypoint for every label. Literals handed to the time package
-// (AfterFunc, …) run on the runtime timer goroutine and are treated like
-// go launches. A bound method value (x.m) passed or assigned is treated
-// exactly like a literal in the same position.
+// entrypoint for every label. Timer callbacks run on the runtime timer
+// goroutine and are treated like go launches: literals handed to the time
+// package (AfterFunc, …), every Fire method whose receiver implements
+// transport.TimerHandler, and literals converted to a func type that
+// implements it (transport.TimerFunc). A bound method value (x.m) passed
+// or assigned is treated exactly like a literal in the same position.
 package confine
 
 import (
@@ -65,8 +67,11 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	// Invoke re-entry literals (and bound method values) are fresh roots
-	// for every label; those handed to the time package run on the timer
-	// goroutine.
+	// for every label; timer callbacks run on the timer goroutine.
+	timer := timerCallbacks(pass, g)
+	offGoroutine := func(n *analysis.FuncNode) bool {
+		return n.LaunchedByGo || passedToTimer(n) || timer[n]
+	}
 	for _, n := range g.Nodes {
 		if passedToInvoke(n) {
 			for l := range labels {
@@ -86,7 +91,7 @@ func run(pass *analysis.Pass) error {
 			return false
 		case analysis.KindLexical:
 			l := e.Callee
-			return !l.LaunchedByGo && !passedToTimer(l) && !passedToInvoke(l)
+			return !offGoroutine(l) && !passedToInvoke(l)
 		}
 		return true
 	}
@@ -100,7 +105,7 @@ func run(pass *analysis.Pass) error {
 	// edge — including go — but not into re-entry literals.
 	var taintRoots []*analysis.FuncNode
 	for _, n := range g.Nodes {
-		if n.LaunchedByGo || passedToTimer(n) {
+		if offGoroutine(n) {
 			taintRoots = append(taintRoots, n)
 		}
 	}
@@ -129,7 +134,7 @@ func run(pass *analysis.Pass) error {
 			switch {
 			case tainted[ctx]:
 				pass.Reportf(sel.Sel.Pos(),
-					"%s is confined to the %q goroutine but %s runs on a goroutine launched with go (re-enter via Invoke)",
+					"%s is confined to the %q goroutine but %s runs on another goroutine, a go launch or a timer (re-enter via Invoke)",
 					v.Name(), label, ctx.Name())
 			case !labeled[label][ctx]:
 				pass.Reportf(sel.Sel.Pos(),
@@ -203,4 +208,61 @@ func passedToTimer(n *analysis.FuncNode) bool {
 		}
 	}
 	return false
+}
+
+// timerCallbacks returns the package's transport.TimerHandler callbacks:
+// every method named Fire whose receiver implements the interface, and
+// every function literal converted to a func type that implements it.
+// A Clock runs them on its own goroutine (the runtime timer goroutine for
+// the real clock), so they must re-enter via Invoke like a time.AfterFunc
+// literal.
+func timerCallbacks(pass *analysis.Pass, g *analysis.CallGraph) map[*analysis.FuncNode]bool {
+	iface := timerHandler(pass.Pkg)
+	if iface == nil {
+		return nil
+	}
+	out := make(map[*analysis.FuncNode]bool)
+	for _, n := range g.Nodes {
+		if n.Obj == nil || n.Obj.Name() != "Fire" {
+			continue
+		}
+		if recv := n.Obj.Type().(*types.Signature).Recv(); recv != nil && types.Implements(recv.Type(), iface) {
+			out[n] = true
+		}
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(node ast.Node) bool {
+			call, ok := node.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit)
+			if !ok {
+				return true
+			}
+			if tv, ok := pass.Info.Types[call.Fun]; ok && tv.IsType() && types.Implements(tv.Type, iface) {
+				if n := g.LitNode(lit); n != nil {
+					out[n] = true
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// timerHandler returns the TimerHandler interface of the transport package
+// pkg is or imports, or nil.
+func timerHandler(pkg *types.Package) *types.Interface {
+	for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+		if analysis.PkgPathTail(p.Path()) != "transport" {
+			continue
+		}
+		if obj, ok := p.Scope().Lookup("TimerHandler").(*types.TypeName); ok {
+			if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
+				return iface
+			}
+		}
+	}
+	return nil
 }

@@ -44,13 +44,13 @@ func (e *Engine) Stray() {
 //lint:entry delivery
 func (e *Engine) Launch(s *sched) {
 	go func() {
-		e.children[3] = 4 // want `children is confined to the "delivery" goroutine but function literal in Engine\.Launch runs on a goroutine launched with go`
+		e.children[3] = 4 // want `children is confined to the "delivery" goroutine but function literal in Engine\.Launch runs on another goroutine`
 		_ = e.Invoke(func() {
 			e.nextTok++ // re-entry: back on the delivery goroutine
 		})
 	}()
 	time.AfterFunc(time.Second, func() {
-		s.owner = 1 // want `owner is confined to the "delivery" goroutine but function literal in Engine\.Launch runs on a goroutine launched with go`
+		s.owner = 1 // want `owner is confined to the "delivery" goroutine but function literal in Engine\.Launch runs on another goroutine`
 		_ = e.Invoke(func() {
 			s.owner = 2 // re-entry: fine
 		})
@@ -80,5 +80,5 @@ func (e *Engine) Spawn() {
 }
 
 func (e *Engine) background() {
-	e.nextTok++ // want `nextTok is confined to the "delivery" goroutine but Engine\.background runs on a goroutine launched with go`
+	e.nextTok++ // want `nextTok is confined to the "delivery" goroutine but Engine\.background runs on another goroutine`
 }

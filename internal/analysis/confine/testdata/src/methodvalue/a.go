@@ -58,10 +58,10 @@ func (e *Engine) Arm() {
 
 // expire runs on the runtime timer goroutine.
 func (e *Engine) expire() {
-	e.cache = nil // want `cache is confined to the "delivery" goroutine but Engine\.expire runs on a goroutine launched with go`
+	e.cache = nil // want `cache is confined to the "delivery" goroutine but Engine\.expire runs on another goroutine`
 }
 
 // halt reaches the timer through a local binding.
 func (e *Engine) halt() {
-	e.cache = e.cache[:0] // want `cache is confined to the "delivery" goroutine but Engine\.halt runs on a goroutine launched with go` `cache is confined to the "delivery" goroutine but Engine\.halt runs on a goroutine launched with go`
+	e.cache = e.cache[:0] // want `cache is confined to the "delivery" goroutine but Engine\.halt runs on another goroutine` `cache is confined to the "delivery" goroutine but Engine\.halt runs on another goroutine`
 }

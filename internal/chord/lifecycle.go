@@ -43,7 +43,7 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 	}
 	n.joinDone = done
 	tok := n.token()
-	n.pendingFinds[tok] = &pendingCall[FoundMsg]{cb: func(m FoundMsg, err error) {
+	n.pendingFinds[tok] = findCall{join: true, cb: func(m FoundMsg, err error) {
 		if err != nil {
 			n.finishJoin(err)
 			return

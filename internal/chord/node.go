@@ -99,8 +99,8 @@ type Node struct {
 	predSuspect bool
 
 	nextToken     uint64
-	pendingFinds  map[uint64]*pendingCall[FoundMsg]
-	pendingStates map[uint64]*pendingCall[StateMsg]
+	pendingFinds  map[uint64]findCall
+	pendingStates map[uint64]stateCall
 	joinDone      func(error)
 
 	// rng drives retry jitter; seeded by the node identifier so backoff
@@ -112,9 +112,66 @@ type Node struct {
 	running bool
 }
 
-type pendingCall[T any] struct {
-	cb    func(T, error)
-	timer transport.Timer
+// findCall is one outstanding FindSuccessor attempt, keyed by its token in
+// pendingFinds. It carries everything a retry needs, so a retry re-enters
+// findOnce from the entry instead of from a continuation closure.
+type findCall struct {
+	target  ID
+	trace   uint64
+	attempt int
+	join    bool // Join's own lookup: errors go straight to cb, never retried
+	cb      func(FoundMsg, error)
+	timer   transport.Timer
+}
+
+// stateCall is one outstanding state probe, keyed by its token in
+// pendingStates.
+type stateCall struct {
+	peer    transport.Addr
+	attempt int
+	cb      func(StateMsg, error)
+	timer   transport.Timer
+}
+
+// RPC timeout tags are token<<1 | kind, so one handler serves both tables.
+const (
+	findRPC  = 0
+	stateRPC = 1
+)
+
+// rpcTimers is the node's handler for RPC timeouts: a timeout fires
+// Fire(token<<1|kind), which hops onto the delivery goroutine before it
+// touches the pending tables.
+type rpcTimers Node
+
+func (t *rpcTimers) Fire(tag uint64) {
+	n := (*Node)(t)
+	_ = n.Invoke(func() { n.rpcExpired(tag) }) // endpoint closed: the node is detached, its pending tables die with it
+}
+
+// rpcExpired fails the pending RPC a timeout names, if it is still pending.
+func (n *Node) rpcExpired(tag uint64) {
+	tok := tag >> 1
+	if tag&1 == findRPC {
+		if c, ok := n.pendingFinds[tok]; ok {
+			delete(n.pendingFinds, tok)
+			n.findDone(c, FoundMsg{}, ErrTimeout)
+		}
+		return
+	}
+	if c, ok := n.pendingStates[tok]; ok {
+		delete(n.pendingStates, tok)
+		n.stateDone(c, StateMsg{}, ErrTimeout)
+	}
+}
+
+// armRPC starts the timeout of the RPC with token tok (a zero Timer when
+// timeouts are disabled).
+func (n *Node) armRPC(tok, kind uint64) transport.Timer {
+	if n.cfg.RPCTimeout <= 0 {
+		return transport.Timer{}
+	}
+	return n.cfg.Clock.Arm(n.cfg.RPCTimeout, (*rpcTimers)(n), tok<<1|kind)
 }
 
 // NewNode creates a node with the given identifier. app may be nil (NopApp).
@@ -132,8 +189,8 @@ func NewNode(cfg Config, id ID, app App) *Node {
 		self:          NodeRef{ID: folded},
 		app:           app,
 		fingers:       make([]NodeRef, cfg.Space.Bits),
-		pendingFinds:  make(map[uint64]*pendingCall[FoundMsg]),
-		pendingStates: make(map[uint64]*pendingCall[StateMsg]),
+		pendingFinds:  make(map[uint64]findCall),
+		pendingStates: make(map[uint64]stateCall),
 		rng:           rand.New(rand.NewSource(int64(uint64(id)) + 1)),
 		ctr:           newNodeMetrics(cfg.Telemetry, folded),
 	}
@@ -447,9 +504,9 @@ func (n *Node) retryAfter(attempt int, fn func()) {
 		fn()
 		return
 	}
-	n.cfg.Clock.AfterFunc(d, func() {
+	n.cfg.Clock.Arm(d, transport.TimerFunc(func(uint64) {
 		_ = n.Invoke(fn) // endpoint closed: the retry dies with the node
-	})
+	}), 0)
 }
 
 // FindSuccessor resolves successor(target) and calls cb with the owner (and
@@ -458,53 +515,42 @@ func (n *Node) retryAfter(attempt int, fn func()) {
 // unreachable next hop) are retried up to Config.RPCRetries times with
 // jittered exponential backoff before cb receives the error.
 func (n *Node) FindSuccessor(target ID, trace uint64, cb func(FoundMsg, error)) {
-	n.findAttempt(target, trace, 0, cb)
+	n.findOnce(findCall{target: target, trace: trace, cb: cb})
 }
 
-func (n *Node) findAttempt(target ID, trace uint64, attempt int, cb func(FoundMsg, error)) {
-	n.findOnce(target, trace, func(m FoundMsg, err error) {
-		if err == nil {
-			cb(m, err)
-			return
-		}
-		if attempt >= n.cfg.RPCRetries || !retryable(err) {
-			n.ctr.findFailures.Inc()
-			cb(m, err)
-			return
-		}
-		n.ctr.findRetries.Inc()
-		n.retryAfter(attempt, func() { n.findAttempt(target, trace, attempt+1, cb) })
-	})
-}
-
-// findOnce performs a single FindSuccessor attempt.
-func (n *Node) findOnce(target ID, trace uint64, cb func(FoundMsg, error)) {
-	target = n.cfg.Space.Fold(uint64(target))
-	if n.Owns(target) {
-		cb(FoundMsg{Owner: n.self, Pred: n.pred}, nil)
+// findOnce performs one FindSuccessor attempt for c.
+func (n *Node) findOnce(c findCall) {
+	c.target = n.cfg.Space.Fold(uint64(c.target))
+	if n.Owns(c.target) {
+		c.cb(FoundMsg{Owner: n.self, Pred: n.pred}, nil)
 		return
 	}
 	tok := n.token()
-	pc := &pendingCall[FoundMsg]{cb: cb}
-	if n.cfg.RPCTimeout > 0 {
-		pc.timer = n.cfg.Clock.AfterFunc(n.cfg.RPCTimeout, func() {
-			_ = n.Invoke(func() { // endpoint closed: the node is detached, its pending map dies with it
-				if _, ok := n.pendingFinds[tok]; ok {
-					delete(n.pendingFinds, tok)
-					cb(FoundMsg{}, ErrTimeout)
-				}
-			})
-		})
-	}
-	n.pendingFinds[tok] = pc
-	msg := FindMsg{Target: target, Token: tok, ReplyTo: n.self.Addr, Hops: 1, Trace: trace}
-	if !n.forwardToward(target, msg) {
+	c.timer = n.armRPC(tok, findRPC)
+	n.pendingFinds[tok] = c
+	msg := FindMsg{Target: c.target, Token: tok, ReplyTo: n.self.Addr, Hops: 1, Trace: c.trace}
+	if !n.forwardToward(c.target, msg) {
 		delete(n.pendingFinds, tok)
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		cb(FoundMsg{}, ErrTimeout)
+		c.timer.Stop()
+		n.findDone(c, FoundMsg{}, ErrTimeout)
 	}
+}
+
+// findDone completes one attempt of c: success and final failures reach
+// the caller, transient ones retry after the backoff.
+func (n *Node) findDone(c findCall, m FoundMsg, err error) {
+	if err == nil || c.join {
+		c.cb(m, err)
+		return
+	}
+	if c.attempt >= n.cfg.RPCRetries || !retryable(err) {
+		n.ctr.findFailures.Inc()
+		c.cb(m, err)
+		return
+	}
+	n.ctr.findRetries.Inc()
+	c.attempt++
+	n.retryAfter(c.attempt-1, func() { n.findOnce(c) })
 }
 
 func (n *Node) handleFind(m FindMsg) {
@@ -523,66 +569,52 @@ func (n *Node) handleFind(m FindMsg) {
 }
 
 func (n *Node) handleFound(m FoundMsg) {
-	pc, ok := n.pendingFinds[m.Token]
+	c, ok := n.pendingFinds[m.Token]
 	if !ok {
 		return
 	}
 	delete(n.pendingFinds, m.Token)
-	if pc.timer != nil {
-		pc.timer.Stop()
-	}
+	c.timer.Stop()
 	if m.Owner.IsZero() {
-		pc.cb(m, ErrLookupFailed)
+		n.findDone(c, m, ErrLookupFailed)
 		return
 	}
 	n.ctr.lookupHops.Observe(int64(m.Hops))
-	pc.cb(m, nil)
+	n.findDone(c, m, nil)
 }
 
 // getState asks peer for its neighbor state, retrying transient failures
 // per the node's retry policy.
 func (n *Node) getState(peer transport.Addr, cb func(StateMsg, error)) {
-	n.stateAttempt(peer, 0, cb)
+	n.stateOnce(stateCall{peer: peer, cb: cb})
 }
 
-func (n *Node) stateAttempt(peer transport.Addr, attempt int, cb func(StateMsg, error)) {
-	n.stateOnce(peer, func(m StateMsg, err error) {
-		if err == nil {
-			cb(m, err)
-			return
-		}
-		if attempt >= n.cfg.RPCRetries || !retryable(err) {
-			n.ctr.stateFailures.Inc()
-			cb(m, err)
-			return
-		}
-		n.ctr.stateRetries.Inc()
-		n.retryAfter(attempt, func() { n.stateAttempt(peer, attempt+1, cb) })
-	})
-}
-
-// stateOnce performs a single state probe.
-func (n *Node) stateOnce(peer transport.Addr, cb func(StateMsg, error)) {
+// stateOnce performs one state probe for c.
+func (n *Node) stateOnce(c stateCall) {
 	tok := n.token()
-	pc := &pendingCall[StateMsg]{cb: cb}
-	if n.cfg.RPCTimeout > 0 {
-		pc.timer = n.cfg.Clock.AfterFunc(n.cfg.RPCTimeout, func() {
-			_ = n.Invoke(func() { // endpoint closed: the node is detached, its pending map dies with it
-				if _, ok := n.pendingStates[tok]; ok {
-					delete(n.pendingStates, tok)
-					cb(StateMsg{}, ErrTimeout)
-				}
-			})
-		})
-	}
-	n.pendingStates[tok] = pc
-	if !n.send(peer, GetStateMsg{Token: tok, ReplyTo: n.self.Addr}) {
+	c.timer = n.armRPC(tok, stateRPC)
+	n.pendingStates[tok] = c
+	if !n.send(c.peer, GetStateMsg{Token: tok, ReplyTo: n.self.Addr}) {
 		delete(n.pendingStates, tok)
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-		cb(StateMsg{}, transport.ErrUnreachable)
+		c.timer.Stop()
+		n.stateDone(c, StateMsg{}, transport.ErrUnreachable)
 	}
+}
+
+// stateDone completes one probe of c, retrying transient failures.
+func (n *Node) stateDone(c stateCall, m StateMsg, err error) {
+	if err == nil {
+		c.cb(m, err)
+		return
+	}
+	if c.attempt >= n.cfg.RPCRetries || !retryable(err) {
+		n.ctr.stateFailures.Inc()
+		c.cb(m, err)
+		return
+	}
+	n.ctr.stateRetries.Inc()
+	c.attempt++
+	n.retryAfter(c.attempt-1, func() { n.stateOnce(c) })
 }
 
 // GetStateOf exposes the state probe for drivers and the load-balancing
@@ -602,15 +634,13 @@ func (n *Node) handleGetState(m GetStateMsg) {
 }
 
 func (n *Node) handleState(m StateMsg) {
-	pc, ok := n.pendingStates[m.Token]
+	c, ok := n.pendingStates[m.Token]
 	if !ok {
 		return
 	}
 	delete(n.pendingStates, m.Token)
-	if pc.timer != nil {
-		pc.timer.Stop()
-	}
-	pc.cb(m, nil)
+	c.timer.Stop()
+	n.stateDone(c, m, nil)
 }
 
 // trimSuccs bounds a successor list to the configured length, dropping

@@ -49,6 +49,13 @@ func TestRetryExhaustion(t *testing.T) {
 	if r, f := n.ctr.stateRetries.Value(), n.ctr.stateFailures.Value(); r != 2 || f != 1 {
 		t.Errorf("state counters = %d retries / %d failures, want 2 / 1", r, f)
 	}
+	// Every attempt's entry left its table: the final failure leaks
+	// neither a pending call nor, through it, an armed timer.
+	sizes := make(chan [2]int, 1)
+	n.Invoke(func() { sizes <- [2]int{len(n.pendingFinds), len(n.pendingStates)} })
+	if got := <-sizes; got != [2]int{} {
+		t.Errorf("pending finds/states = %d/%d after exhaustion, want 0/0", got[0], got[1])
+	}
 }
 
 // TestRetryRecovers: a lookup whose first attempts are eaten by a lossy

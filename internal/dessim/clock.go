@@ -15,7 +15,7 @@ var desEpoch = time.Date(2003, time.June, 22, 0, 0, 0, 0, time.UTC)
 // Clock returns a transport.Clock over the core's virtual timeline. Inject
 // it into chord.Config.Clock and squid's Options.Clock so RPC timeouts,
 // retry backoff, and recovery deadlines fire as scheduled events instead of
-// runtime timers. Callbacks run on the event loop — which in this backend
+// runtime timers. Handlers fire on the event loop — which in this backend
 // is the delivery context itself, so the usual hand-off-via-Invoke contract
 // is trivially satisfied.
 func (c *Core) Clock() transport.Clock { return virtualClock{c} }
@@ -28,32 +28,27 @@ func (c *Core) WallClock() func() time.Time {
 	return func() time.Time { return desEpoch.Add(c.Elapsed()) }
 }
 
+// virtualClock is both the Clock and the TimerQueue of the core: a timer is
+// a pooled event entry carrying its handler and tag inline, and its handle
+// is the entry plus its generation, so arming, stopping and resetting a
+// timer allocate nothing.
 type virtualClock struct{ core *Core }
 
-func (vc virtualClock) AfterFunc(d time.Duration, fn func()) transport.Timer {
-	t := &virtualTimer{core: vc.core, fn: fn}
-	t.id, t.gen = vc.core.schedule(vc.core.deadline(d), fn)
-	return t
+//lint:allocfree
+func (vc virtualClock) Arm(d time.Duration, h transport.TimerHandler, tag uint64) transport.Timer {
+	id, gen := vc.Schedule(d, h, tag)
+	return transport.NewTimer(vc, h, tag, id, gen)
 }
 
-var _ transport.Clock = virtualClock{}
-
-// virtualTimer adapts a scheduled event to the transport.Timer surface.
-// Stop and Reset report whether the timer was still pending, matching the
-// time package's semantics. The generation pins the handle to this timer's
-// occupancy of the pooled slab entry: once the event fires or is cancelled
-// the entry may be reused, and a stale Stop must not touch its new owner.
-type virtualTimer struct {
-	core *Core
-	id   uint32
-	gen  uint32
-	fn   func()
+//lint:allocfree
+func (vc virtualClock) Schedule(d time.Duration, h transport.TimerHandler, tag uint64) (uint32, uint32) {
+	return vc.core.schedule(vc.core.deadline(d), h, tag)
 }
 
-func (t *virtualTimer) Stop() bool { return t.core.cancel(t.id, t.gen) }
+//lint:allocfree
+func (vc virtualClock) Cancel(id, gen uint32) bool { return vc.core.cancel(id, gen) }
 
-func (t *virtualTimer) Reset(d time.Duration) bool {
-	was := t.core.cancel(t.id, t.gen)
-	t.id, t.gen = t.core.schedule(t.core.deadline(d), t.fn)
-	return was
-}
+var (
+	_ transport.Clock      = virtualClock{}
+	_ transport.TimerQueue = virtualClock{}
+)

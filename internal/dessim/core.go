@@ -30,16 +30,18 @@ type VTime int64
 // reused by later schedules, with the entry's generation bumped on each
 // release so a stale timer handle can never cancel its next occupant.
 //
-// An event is either a callback (fn) or a message delivery, whose fields
-// ride inline in the entry (box non-nil) so a send allocates no closure.
-// It is 64 bytes, one cache line: the bookkeeping a sift or a cancel
-// touches lives in the core's dense arrays instead.
+// An event is either a timer — a handler and its tag, fired as h.Fire(tag)
+// — or a message delivery (box non-nil). Both ride inline in the entry, so
+// neither a send nor a timer allocates. It is 64 bytes, one cache line:
+// the bookkeeping a sift or a cancel touches lives in the core's dense
+// arrays instead.
 type event struct {
-	fn func()
+	h   transport.TimerHandler
+	tag uint64
 
-	box      *box
-	from, to transport.Addr
-	msg      any
+	box  *box
+	from transport.Addr
+	msg  any
 }
 
 // slot is one heap position: the event's ordering key (time, sequence)
@@ -90,12 +92,20 @@ func (c *Core) Pending() int { return len(c.heap) }
 
 // After schedules fn to run after d of virtual time. A non-positive d runs
 // fn at the current instant, after already-scheduled same-instant events.
+// It is a timer whose handler is fn itself.
 func (c *Core) After(d time.Duration, fn func()) {
-	c.schedule(c.deadline(d), fn)
+	c.schedule(c.deadline(d), thunk(fn), 0)
 }
+
+// thunk adapts a plain callback to the timer handler an event carries.
+type thunk func()
+
+func (f thunk) Fire(uint64) { f() }
 
 // deadline converts a relative delay to an absolute virtual instant,
 // clamping non-positive delays to now.
+//
+//lint:allocfree
 func (c *Core) deadline(d time.Duration) VTime {
 	if d < 0 {
 		d = 0
@@ -103,28 +113,33 @@ func (c *Core) deadline(d time.Duration) VTime {
 	return c.now + VTime(d)
 }
 
-// schedule inserts a callback event at absolute virtual time at and
-// returns its handle plus the generation that makes the handle valid for
-// cancel. at must not be in the past.
-func (c *Core) schedule(at VTime, fn func()) (uint32, uint32) {
+// schedule inserts a timer event firing h.Fire(tag) at absolute virtual
+// time at and returns its entry plus the generation that makes the handle
+// valid for cancel. at must not be in the past.
+//
+//lint:allocfree
+func (c *Core) schedule(at VTime, h transport.TimerHandler, tag uint64) (uint32, uint32) {
 	id := c.push(at)
-	c.events[id].fn = fn
+	ev := &c.events[id]
+	ev.h, ev.tag = h, tag
 	return id, c.gens[id]
 }
 
-// scheduleDelivery inserts a delivery of msg from → to's mailbox b at
+// scheduleDelivery inserts a delivery of msg from → mailbox b at
 // absolute virtual time at, carried inline in the pooled entry. It takes a
 // sequence number exactly as schedule does, so the heap order does not
 // depend on which kind of event a send became.
-func (c *Core) scheduleDelivery(at VTime, b *box, from, to transport.Addr, msg any) {
+func (c *Core) scheduleDelivery(at VTime, b *box, from transport.Addr, msg any) {
 	ev := &c.events[c.push(at)]
-	ev.box, ev.from, ev.to, ev.msg = b, from, to, msg
+	ev.box, ev.from, ev.msg = b, from, msg
 }
 
 // push takes an entry from the free list (or grows the slab), stamps it
 // with the next sequence number and inserts it into the heap. It returns
 // the entry's slab index; a pointer into the slab is only good until the
 // next push.
+//
+//lint:allocfree
 func (c *Core) push(at VTime) uint32 {
 	if at < c.now {
 		at = c.now
@@ -150,6 +165,8 @@ func (c *Core) push(at VTime) uint32 {
 // cancelled and reused; removal is eager so dead entries never occupy heap
 // slots (every completed RPC cancels its timeout, so at planet scale dead
 // entries would otherwise dominate the heap and its sift costs).
+//
+//lint:allocfree
 func (c *Core) cancel(id, gen uint32) bool {
 	if c.gens[id] != gen || c.pos[id] < 0 {
 		return false
@@ -161,6 +178,8 @@ func (c *Core) cancel(id, gen uint32) bool {
 
 // release returns a removed entry to the free list, invalidating any
 // outstanding handles to it and dropping its references for the collector.
+//
+//lint:allocfree
 func (c *Core) release(id uint32) {
 	c.events[id] = event{}
 	c.gens[id]++
@@ -178,13 +197,13 @@ func (c *Core) Step() bool {
 	c.remove(0)
 	c.now = top.at
 	ev := &c.events[top.id]
-	fn, b, from, to, msg := ev.fn, ev.box, ev.from, ev.to, ev.msg
+	h, tag, b, from, msg := ev.h, ev.tag, ev.box, ev.from, ev.msg
 	c.release(top.id) // before running it: the event may schedule and reuse this entry
 	c.steps++
 	if b != nil {
-		b.deliver(from, to, msg)
+		b.deliver(from, msg)
 	} else {
-		fn()
+		h.Fire(tag)
 	}
 	return true
 }

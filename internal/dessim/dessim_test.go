@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
@@ -63,11 +64,24 @@ func TestCoreSameInstantFIFO(t *testing.T) {
 	}
 }
 
+// TestEventIsOneCacheLine pins the event entry at 64 bytes: a timer's
+// handler and tag share the line with a delivery's fields.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Errorf("event is %d bytes, want 64", n)
+	}
+}
+
+// tagCounter counts Fire calls per tag.
+type tagCounter map[uint64]int
+
+func (tc tagCounter) Fire(tag uint64) { tc[tag]++ }
+
 func TestCoreTimerStopReset(t *testing.T) {
 	c := NewCore()
 	clock := c.Clock()
-	fired := 0
-	tm := clock.AfterFunc(10*time.Millisecond, func() { fired++ })
+	fired := tagCounter{}
+	tm := clock.Arm(10*time.Millisecond, fired, 1)
 	if !tm.Stop() {
 		t.Error("Stop on pending timer should report true")
 	}
@@ -75,17 +89,17 @@ func TestCoreTimerStopReset(t *testing.T) {
 		t.Error("second Stop should report false")
 	}
 	c.Run()
-	if fired != 0 {
-		t.Errorf("stopped timer fired %d times", fired)
+	if len(fired) != 0 {
+		t.Errorf("stopped timer fired: %v", fired)
 	}
 
-	tm = clock.AfterFunc(10*time.Millisecond, func() { fired++ })
+	tm = clock.Arm(10*time.Millisecond, fired, 2)
 	if !tm.Reset(20 * time.Millisecond) {
 		t.Error("Reset on pending timer should report true")
 	}
 	c.Run()
-	if fired != 1 {
-		t.Errorf("reset timer fired %d times, want 1", fired)
+	if fired[2] != 1 || len(fired) != 1 {
+		t.Errorf("reset timer fired %v, want tag 2 once", fired)
 	}
 	// The stopped timer's drain must not have advanced the clock (a
 	// cancelled event is skipped, not executed), so only the reset timer's
@@ -95,6 +109,25 @@ func TestCoreTimerStopReset(t *testing.T) {
 	}
 	if c.Pending() != 0 {
 		t.Errorf("Pending = %d after drain", c.Pending())
+	}
+
+	// A fired handle is stale: its entry was released, and Stop must not
+	// cancel the entry's next occupant.
+	other := clock.Arm(time.Millisecond, fired, 3)
+	if tm.Stop() {
+		t.Error("Stop on a fired timer should report false")
+	}
+	if c.Pending() != 1 {
+		t.Errorf("stale Stop cancelled another timer: Pending = %d", c.Pending())
+	}
+	other.Stop()
+
+	var zero transport.Timer
+	if zero.Stop() || zero.Reset(time.Millisecond) {
+		t.Error("zero Timer: Stop and Reset should report false")
+	}
+	if c.Pending() != 0 {
+		t.Errorf("zero Timer Reset armed something: Pending = %d", c.Pending())
 	}
 }
 

@@ -37,6 +37,7 @@ type Net struct {
 // marks the box dead; only then does a delivery go back to the name.
 type box struct {
 	net  *Net
+	addr transport.Addr
 	h    transport.Handler
 	dead bool
 }
@@ -63,7 +64,7 @@ func (n *Net) Listen(name transport.Addr, h transport.Handler) (transport.Endpoi
 	if _, dup := n.boxes[name]; dup {
 		return nil, fmt.Errorf("dessim: address %q already in use", name)
 	}
-	n.boxes[name] = &box{net: n, h: h}
+	n.boxes[name] = &box{net: n, addr: name, h: h}
 	return &endpoint{net: n, addr: name}, nil
 }
 
@@ -95,7 +96,7 @@ func (n *Net) send(from, to transport.Addr, msg any) error {
 		at = VTime(t)
 	}
 	n.accept(from, to, msg)
-	n.core.scheduleDelivery(at, b, from, to, msg)
+	n.core.scheduleDelivery(at, b, from, msg)
 	return nil
 }
 
@@ -110,10 +111,10 @@ func (n *Net) accept(from, to transport.Addr, msg any) {
 // instant: a destination killed while the message was in flight swallows
 // it, exactly like the goroutine stack — unless a new listener has since
 // attached under the same name, which then takes the message.
-func (b *box) deliver(from, to transport.Addr, msg any) {
+func (b *box) deliver(from transport.Addr, msg any) {
 	if b.dead {
 		var ok bool
-		if b, ok = b.net.boxes[to]; !ok {
+		if b, ok = b.net.boxes[b.addr]; !ok {
 			return
 		}
 	}

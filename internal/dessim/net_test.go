@@ -53,6 +53,36 @@ func TestNetDeliverAllocFree(t *testing.T) {
 	}
 }
 
+// nopHandler is a timer handler that does nothing.
+type nopHandler struct{}
+
+func (nopHandler) Fire(uint64) {}
+
+// TestVirtualTimerAllocFree pins the value-handle timer: once the core has
+// a pooled entry, arming a timer on the virtual clock, resetting it and
+// stopping it allocate nothing.
+func TestVirtualTimerAllocFree(t *testing.T) {
+	core := dessim.NewCore()
+	clock := core.Clock()
+	var h transport.TimerHandler = nopHandler{}
+	cycle := func() {
+		tm := clock.Arm(time.Second, h, 7)
+		if !tm.Reset(2*time.Second) || !tm.Stop() {
+			t.Fatal("Reset and Stop on a pending timer should report true")
+		}
+	}
+	cycle() // warm: allocates the pooled entry, the heap and the free list
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("Arm + Reset + Stop: %.1f allocs, want 0", n)
+	}
+	if core.Pending() != 0 {
+		t.Errorf("Pending = %d after stopping every timer", core.Pending())
+	}
+}
+
 // BenchmarkNetDeliver measures one message through the event network: the
 // fault and latency draws, the inline delivery event, and its Step.
 func BenchmarkNetDeliver(b *testing.B) {

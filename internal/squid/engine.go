@@ -929,9 +929,7 @@ func (e *Engine) teardownChildren(st *subtree) {
 			continue
 		}
 		delete(e.children, tok)
-		if c.timer != nil {
-			c.timer.Stop()
-		}
+		c.timer.Stop()
 		st.noteCut(c.key)
 		e.sendCancel(st, c)
 	}
@@ -1067,21 +1065,27 @@ func (e *Engine) dropChild(tok uint64) {
 		return
 	}
 	delete(e.children, tok)
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	c.timer.Stop()
 	c.st.sent--
 }
 
-// armChild starts (or restarts) a child's recovery deadline.
+// armChild starts (or restarts) a child's recovery deadline, tagged with
+// the child's token.
 func (e *Engine) armChild(c *childCall) {
 	if e.opts.SubtreeTimeout <= 0 {
 		return
 	}
-	tok := c.token
-	c.timer = e.opts.Clock.AfterFunc(e.opts.SubtreeTimeout, func() {
-		_ = e.node.Invoke(func() { e.childExpired(tok) }) // node detached: no children left to expire
-	})
+	c.timer = e.opts.Clock.Arm(e.opts.SubtreeTimeout, (*childTimers)(e), c.token)
+}
+
+// childTimers is the engine's handler for child recovery deadlines: a
+// deadline fires Fire(token), which hops onto the delivery goroutine
+// before it touches the child table.
+type childTimers Engine
+
+func (t *childTimers) Fire(tok uint64) {
+	e := (*Engine)(t)
+	_ = e.node.Invoke(func() { e.childExpired(tok) }) // node detached: no children left to expire
 }
 
 // childExpired handles a child subtree that missed its deadline: it is
@@ -1134,26 +1138,36 @@ func (e *Engine) handleAck(m QueryAckMsg) {
 	}
 	c.acked = true
 	e.met.acks.Inc()
-	if c.timer != nil {
-		c.timer.Reset(e.opts.SubtreeTimeout)
-	}
+	c.timer.Reset(e.opts.SubtreeTimeout)
 }
 
-// startDeadline arms the overall query deadline on a root subtree.
+// startDeadline arms the overall query deadline on a root subtree, tagged
+// with its query ID.
 func (e *Engine) startDeadline(st *subtree) {
 	if e.opts.QueryDeadline <= 0 || st.parent != "" {
 		return
 	}
-	st.deadline = e.opts.Clock.AfterFunc(e.opts.QueryDeadline, func() {
-		_ = e.node.Invoke(func() { e.queryExpired(st) }) // node detached: the query died with its node
-	})
+	st.deadline = e.opts.Clock.Arm(e.opts.QueryDeadline, (*deadlineTimers)(e), uint64(st.qid))
+}
+
+// deadlineTimers is the engine's handler for query deadlines: a deadline
+// fires Fire(qid), which hops onto the delivery goroutine before it looks
+// the root up.
+type deadlineTimers Engine
+
+func (t *deadlineTimers) Fire(qid uint64) {
+	e := (*Engine)(t)
+	_ = e.node.Invoke(func() { e.queryExpired(QueryID(qid)) }) // node detached: the query died with its node
 }
 
 // queryExpired force-completes a root subtree whose overall deadline
 // passed: outstanding children are cancelled and the callback fires with
-// whatever was gathered, marked partial.
-func (e *Engine) queryExpired(st *subtree) {
-	e.cancelQuery(st, nil)
+// whatever was gathered, marked partial. A root that already finished has
+// left e.roots, so its deadline finds nothing.
+func (e *Engine) queryExpired(qid QueryID) {
+	if st, ok := e.roots[qid]; ok {
+		e.cancelQuery(st, nil)
+	}
 }
 
 // cancelQuery force-completes a root subtree before its children reported:
@@ -1192,9 +1206,7 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 	for tok, c := range e.children {
 		if c.st == st {
 			delete(e.children, tok)
-			if c.timer != nil {
-				c.timer.Stop()
-			}
+			c.timer.Stop()
 			// Cancelled children never reported: mark them lost in the
 			// trace so the dump shows where the deadline cut the tree.
 			if st.spanID != 0 {
@@ -1230,9 +1242,7 @@ func (e *Engine) finishSubtree(st *subtree) {
 		return
 	}
 	st.finished = true
-	if st.deadline != nil {
-		st.deadline.Stop()
-	}
+	st.deadline.Stop()
 	if st.ctxStop != nil {
 		close(st.ctxStop) // release the context watcher
 		st.ctxStop = nil
@@ -1793,8 +1803,8 @@ func (e *Engine) handleShed(m QueryShedMsg) {
 		return
 	}
 	e.met.shedChild.Inc()
-	if c.timer == nil {
-		// SubtreeTimeout == 0: the subtree cannot be retried.
+	if e.opts.SubtreeTimeout <= 0 {
+		// No recovery deadline is armed: the subtree cannot be retried.
 		delete(e.children, m.Token)
 		e.met.abandoned.Inc()
 		if c.st.spanID != 0 {
@@ -1819,9 +1829,7 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 		return // straggler: child already answered, abandoned, or expired
 	}
 	delete(e.children, m.Token)
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	c.timer.Stop()
 	st := c.st
 	if st.finished {
 		return
