@@ -548,3 +548,32 @@ func TestWordDimValueHighEdges(t *testing.T) {
 		t.Error("overlong z-word outside its truncation's prefix interval")
 	}
 }
+
+// TestIndexAllocFree pins Index at zero allocations on the Hilbert and
+// Morton curves: publish, unpublish and the resumed-stream filters index
+// every element they touch.
+func TestIndexAllocFree(t *testing.T) {
+	dims := make([]Dimension, 3)
+	for i := range dims {
+		d, err := NewWordDim("w", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dims[i] = d
+	}
+	values := []string{"computer", "network", "grid"}
+	for _, curve := range []sfc.Curve{sfc.MustHilbert(3, 16), sfc.MustMorton(3, 16)} {
+		s := MustNew(curve, dims...)
+		pt, err := s.Point(values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := s.Index(values)
+		if err != nil || idx != curve.Encode(pt) {
+			t.Fatalf("%T: Index = %d, %v; want %d", curve, idx, err, curve.Encode(pt))
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = s.Index(values) }); n != 0 {
+			t.Errorf("%T: Index %.1f allocs per call, want 0", curve, n)
+		}
+	}
+}

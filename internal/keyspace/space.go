@@ -74,10 +74,18 @@ func (s *Space) IndexBits() int { return s.curve.IndexBits() }
 // Point encodes a data element's values (one per dimension) into cube
 // coordinates. Missing trailing values encode as the empty string.
 func (s *Space) Point(values []string) ([]uint64, error) {
-	if len(values) > len(s.dims) {
-		return nil, fmt.Errorf("keyspace: %d values for a %d-dimensional space", len(values), len(s.dims))
-	}
 	pt := make([]uint64, len(s.dims))
+	if err := s.encodePoint(pt, values); err != nil {
+		return nil, err
+	}
+	return pt, nil
+}
+
+// encodePoint fills pt (one slot per dimension) with values' coordinates.
+func (s *Space) encodePoint(pt []uint64, values []string) error {
+	if len(values) > len(s.dims) {
+		return fmt.Errorf("keyspace: %d values for a %d-dimensional space", len(values), len(s.dims))
+	}
 	for i, d := range s.dims {
 		v := ""
 		if i < len(values) {
@@ -85,21 +93,37 @@ func (s *Space) Point(values []string) ([]uint64, error) {
 		}
 		c, err := d.Encode(v)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pt[i] = c
 	}
-	return pt, nil
+	return nil
 }
 
 // Index maps a data element's values to its curve index — the element's DHT
-// key.
+// key. On Hilbert and Morton spaces of up to 8 dimensions it allocates
+// nothing: the point lives in a stack buffer, and the concrete curve is
+// called directly so the buffer does not escape through the interface.
 func (s *Space) Index(values []string) (uint64, error) {
-	pt, err := s.Point(values)
-	if err != nil {
+	var buf [8]uint64
+	if len(s.dims) > len(buf) {
+		pt, err := s.Point(values)
+		if err != nil {
+			return 0, err
+		}
+		return s.curve.Encode(pt), nil
+	}
+	pt := buf[:len(s.dims)]
+	if err := s.encodePoint(pt, values); err != nil {
 		return 0, err
 	}
-	return s.curve.Encode(pt), nil
+	switch c := s.curve.(type) {
+	case sfc.Hilbert:
+		return c.Encode(pt), nil
+	case sfc.Morton:
+		return c.Encode(pt), nil
+	}
+	return s.curve.Encode(append([]uint64(nil), pt...)), nil
 }
 
 // Region translates a query into the coordinate region its matches occupy.

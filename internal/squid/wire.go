@@ -66,6 +66,9 @@ func encodeElements(e *wire.Encoder, els []Element) {
 	}
 }
 
+// decodeElements decodes a list bound for a Store (replica items,
+// handover buckets, a store image): every string is its own copy, so a
+// stored element never pins the frame it arrived in.
 func decodeElements(d *wire.Decoder) []Element {
 	n := d.Len(2) // ≥ values count + data length
 	if n == 0 {
@@ -75,6 +78,41 @@ func decodeElements(d *wire.Decoder) []Element {
 	for i := range out {
 		out[i] = decodeElement(d)
 	}
+	return out
+}
+
+// decodeMatches decodes a transient result list — the matches of a
+// SubResultMsg, PartialResultMsg or ClientResultMsg — in three
+// allocations whatever its length: the []Element, one []string slab for
+// every element's Values, and one shared copy of the list's bytes that
+// every string slices. A caller holding one match holds its batch's
+// bytes, so store-bound lists use decodeElements instead.
+func decodeMatches(d *wire.Decoder) []Element {
+	n := d.Len(2) // ≥ values count + data length
+	if n == 0 {
+		return nil
+	}
+	out := make([]Element, n)
+	d.Share()
+	var slab []string
+	for i := range out {
+		el := &out[i]
+		if k := d.Len(1); k > 0 {
+			if len(slab) < k {
+				// Size for every element left at this one's width, but
+				// never past the frame: each value costs ≥ 1 byte, so a
+				// hostile count cannot outgrow the input.
+				slab = make([]string, max(k, min(k*(n-i), d.Remaining())))
+			}
+			el.Values = slab[:k:k]
+			slab = slab[k:]
+			for j := range el.Values {
+				el.Values[j] = d.String()
+			}
+		}
+		el.Data = d.String()
+	}
+	d.Unshare()
 	return out
 }
 
@@ -299,7 +337,7 @@ func init() {
 			var m SubResultMsg
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
-			m.Matches = decodeElements(d)
+			m.Matches = decodeMatches(d)
 			m.Incomplete = d.Bool()
 			m.Spans = decodeSpans(d)
 			return m
@@ -357,7 +395,7 @@ func init() {
 			var m ClientResultMsg
 			m.Token = d.Uvarint()
 			m.QID = QueryID(d.Uvarint())
-			m.Matches = decodeElements(d)
+			m.Matches = decodeMatches(d)
 			m.Err = d.String()
 			return m
 		})
@@ -384,7 +422,7 @@ func init() {
 			var m PartialResultMsg
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
-			m.Matches = decodeElements(d)
+			m.Matches = decodeMatches(d)
 			return m
 		})
 	wire.Register(tagQueryCancelMsg, QueryCancelMsg{},

@@ -479,9 +479,6 @@ func FuzzWireSubResult(f *testing.F) {
 	})
 }
 
-// FuzzWireFrame hammers the registry decoder with arbitrary frames: no
-// input may panic or allocate past the frame's own size (nightly fuzz
-// cron; the primitive-level twin lives in internal/wire).
 // retiredBatchFrame is a frame in the layout of the deleted BatchMsg
 // (tag TagSquidBase+5, an entry count, then ClusterQueryMsg bodies), as a
 // peer built before its removal would send it.
@@ -494,8 +491,28 @@ func retiredBatchFrame(r *rand.Rand) []byte {
 	return append(e.Bytes(), cq.Bytes()[1:]...) // squid tags are one varint byte
 }
 
+// fuzzDecoder is reused across every FuzzWireFrame input, the way a TCP
+// connection reuses its decoder frame after frame.
+var fuzzDecoder wire.Decoder
+
+// FuzzWireFrame hammers the registry decoder with arbitrary frames: no
+// input may panic; whatever decodes must re-encode and decode to the
+// same value; and a decoder reused from the previous input (which may
+// have failed mid-list) must decode exactly what a fresh one does
+// (nightly fuzz cron; the primitive-level twin lives in internal/wire).
+// Allocation is bounded by Decoder.Len's rule — no count is trusted past
+// the frame's remaining bytes — which TestDecodeHostileCounts checks on
+// a worst case.
 func FuzzWireFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(11))
+	// A result list cut off mid-way, so the reused decoder meets the next
+	// seed with a failed list behind it.
+	var cut wire.Encoder
+	wire.EncodeMessage(&cut, squid.PartialResultMsg{QID: 1, Token: 2, Matches: []squid.Element{
+		{Values: []string{"computer", "network"}, Data: "report.pdf"},
+		{Values: []string{"grid"}, Data: "x"},
+	}})
+	f.Add(append([]byte(nil), cut.Bytes()[:cut.Len()-1]...))
 	for _, c := range wire.Codecs() {
 		if !protocolCodec(c) {
 			continue
@@ -510,6 +527,10 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(retiredBatchFrame(r))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.DecodeMessage(data)
+		reused, reusedErr := fuzzDecoder.Message(data)
+		if (err != nil) != (reusedErr != nil) || !reflect.DeepEqual(reused, v) {
+			t.Fatalf("reused decoder disagrees with a fresh one:\n fresh  %#v (%v)\n reused %#v (%v)", v, err, reused, reusedErr)
+		}
 		if err != nil {
 			return
 		}

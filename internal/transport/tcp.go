@@ -453,7 +453,11 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		return
 	}
 
+	// body and dec are reused frame after frame: decoded values never
+	// alias body (wire.Decoder copies every string it returns), so the
+	// next frame may overwrite it.
 	var body []byte
+	var dec wire.Decoder
 	for {
 		var hdr [4]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -471,7 +475,7 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
-		msg, err := wire.DecodeMessage(body)
+		msg, err := dec.Message(body)
 		if err != nil {
 			ep.rejectFrame()
 			return

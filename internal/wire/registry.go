@@ -128,9 +128,16 @@ func EncodeMessage(e *Encoder, msg any) bool {
 	return e.err == nil
 }
 
-// DecodeMessage parses one tagged message from a complete frame.
-func DecodeMessage(b []byte) (any, error) {
-	d := NewDecoder(b)
+// DecodeMessage parses one tagged message from a complete frame with a
+// fresh decoder. A loop over many frames should reuse one Decoder and
+// call Message instead.
+func DecodeMessage(b []byte) (any, error) { return new(Decoder).Message(b) }
+
+// Message re-aims d at a complete frame and parses one tagged message
+// from it: Reset, decode, Close. The decoded value never aliases b, so
+// the caller may reuse b for the next frame.
+func (d *Decoder) Message(b []byte) (any, error) {
+	d.Reset(b)
 	tag := d.Uvarint()
 	if d.err != nil {
 		return nil, d.err

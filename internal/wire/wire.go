@@ -138,21 +138,50 @@ func (e *Encoder) fail(err error) {
 // Decoder consumes one encoded frame. Errors are sticky: after the first
 // truncation or corruption, every subsequent read returns a zero value,
 // so codecs can decode straight-line and check Err once at the end.
+//
+// A Decoder is reusable: Reset (or Message) re-aims it at the next frame,
+// so a connection owns one and decodes every frame through it.
 type Decoder struct {
 	buf []byte
 	off int
 	err error
+	// shared is a copy of buf[base:] while a Share scope is open; String
+	// then returns substrings of it instead of copying each string.
+	shared string
+	base   int
 }
 
 // NewDecoder wraps one frame's bytes.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// Reset re-aims the decoder at a new frame, clearing state.
+// Reset re-aims the decoder at a new frame, clearing state and ending
+// any Share scope.
 func (d *Decoder) Reset(b []byte) {
 	d.buf = b
 	d.off = 0
 	d.err = nil
+	d.Unshare()
 }
+
+// Share opens a shared-string scope: it copies the unread frame bytes
+// into one string, and until Unshare every String returns a substring of
+// that copy — one allocation for any number of strings. Strings decoded
+// in the scope keep the whole copy alive, so share only transient values
+// (a result list on its way to a requester), never values a long-lived
+// structure retains. The copy never aliases the frame, which the caller
+// may reuse for the next one. Scopes do not nest.
+func (d *Decoder) Share() {
+	if d.err != nil {
+		return
+	}
+	d.shared = string(d.buf[d.off:])
+	d.base = d.off
+}
+
+// Unshare closes the Share scope: later strings get their own copies.
+//
+//lint:allocfree
+func (d *Decoder) Unshare() { d.shared = "" }
 
 // Err returns the sticky decode error, or nil.
 func (d *Decoder) Err() error { return d.err }
@@ -235,7 +264,9 @@ func (d *Decoder) Bool() bool {
 }
 
 // String reads a length-prefixed string. The length is validated against
-// the remaining input before the string is allocated.
+// the remaining input before the string is allocated; inside a Share
+// scope the string is a substring of the scope's copy and allocates
+// nothing.
 func (d *Decoder) String() string {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -245,7 +276,15 @@ func (d *Decoder) String() string {
 		d.fail(ErrTruncated)
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	if n == 0 {
+		return "" // not a zero-length slice of a shared copy, which would pin it
+	}
+	var s string
+	if d.shared != "" {
+		s = d.shared[d.off-d.base : d.off-d.base+int(n)]
+	} else {
+		s = string(d.buf[d.off : d.off+int(n)])
+	}
 	d.off += int(n)
 	return s
 }

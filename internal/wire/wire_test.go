@@ -132,6 +132,33 @@ func TestLenGuardsHostileCounts(t *testing.T) {
 	}
 }
 
+// TestDecoderShare checks a Share scope: strings in it are one copy of
+// the frame (never the frame itself), Unshare and Reset end the scope,
+// and the strings read after it decode the same.
+func TestDecoderShare(t *testing.T) {
+	var e Encoder
+	for _, s := range []string{"computer", "", "q", "network", "grid"} {
+		e.String(s)
+	}
+	frame := append([]byte(nil), e.Bytes()...)
+	var d Decoder
+	d.Reset(frame)
+	d.Share()
+	a, empty, q := d.String(), d.String(), d.String()
+	d.Unshare()
+	b := d.String()
+	d.Share()
+	d.Reset(frame[len(frame)-5:])
+	c := d.String()
+	clear(frame)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a != "computer" || empty != "" || q != "q" || b != "network" || c != "grid" {
+		t.Fatalf("decoded %q %q %q %q %q after zeroing the frame", a, empty, q, b, c)
+	}
+}
+
 func TestBoolRejectsJunk(t *testing.T) {
 	d := NewDecoder([]byte{7})
 	d.Bool()
