@@ -142,9 +142,6 @@ type client struct {
 }
 
 func (c *client) Deliver(from transport.Addr, msg any) {
-	if m, ok := msg.(chord.AppMsg); ok {
-		msg = m.Payload
-	}
 	select {
 	case c.results <- msg:
 	default:
@@ -175,9 +172,9 @@ func run(node transport.Addr, timeout time.Duration, args []string) error {
 		for _, v := range strings.Split(*values, ",") {
 			vals = append(vals, strings.TrimSpace(v))
 		}
-		msg := chord.AppMsg{From: ep.Addr(), Payload: squid.ClientPublishMsg{
+		msg := squid.ClientPublishMsg{
 			Elem: squid.Element{Values: vals, Data: *data},
-		}}
+		}
 		if err := ep.Send(node, msg); err != nil {
 			return err
 		}
@@ -198,9 +195,9 @@ func run(node transport.Addr, timeout time.Duration, args []string) error {
 		for _, v := range strings.Split(*values, ",") {
 			vals = append(vals, strings.TrimSpace(v))
 		}
-		msg := chord.AppMsg{From: ep.Addr(), Payload: squid.ClientUnpublishMsg{
+		msg := squid.ClientUnpublishMsg{
 			Elem: squid.Element{Values: vals, Data: *data},
-		}}
+		}
 		if err := ep.Send(node, msg); err != nil {
 			return err
 		}
@@ -216,9 +213,9 @@ func run(node transport.Addr, timeout time.Duration, args []string) error {
 			return fmt.Errorf("query: missing query string")
 		}
 		q := strings.Join(fs.Args(), " ")
-		msg := chord.AppMsg{From: ep.Addr(), Payload: squid.ClientQueryMsg{
+		msg := squid.ClientQueryMsg{
 			Query: q, ReplyTo: ep.Addr(), Token: uint64(time.Now().UnixNano()), Limit: *limit,
-		}}
+		}
 		if err := ep.Send(node, msg); err != nil {
 			return err
 		}

@@ -139,10 +139,11 @@ type SuccChangedMsg struct {
 	NewSucc NodeRef
 }
 
-// AppMsg wraps an application payload sent directly to a known peer
-// (bypassing ring routing); the receiving node hands Payload to its App.
-// Squid's aggregation optimization uses this to ship a batched sub-query
-// to the owner it just probed.
+// AppMsg is the envelope direct sends used to carry.
+//
+// Deprecated: SendApp sends payloads bare and Node.Deliver hands any type it
+// does not know to its App, so nothing sends or unwraps AppMsg. The type and
+// its codec remain only for the benchmark's echo probe.
 type AppMsg struct {
 	From    transport.Addr
 	Payload any

@@ -221,7 +221,8 @@ func (n *Node) Invoke(fn func()) error {
 	return n.ep.Send(n.self.Addr, invokeMsg{fn: fn})
 }
 
-// Deliver implements transport.Handler; it dispatches protocol messages.
+// Deliver implements transport.Handler: it dispatches chord's own messages
+// and hands anything else, a peer's SendApp payload, to the App.
 func (n *Node) Deliver(from transport.Addr, msg any) {
 	switch m := msg.(type) {
 	case invokeMsg:
@@ -252,16 +253,17 @@ func (n *Node) Deliver(from transport.Addr, msg any) {
 		n.handleLeave(m)
 	case SuccChangedMsg:
 		n.handleSuccChanged(m)
-	case AppMsg:
-		n.app.Deliver(m.From, n.self.ID, m.Payload)
+	default:
+		n.app.Deliver(from, n.self.ID, msg)
 	}
 }
 
 // SendApp sends an application payload directly to the peer at to,
-// bypassing ring routing; it arrives at that peer's App.Deliver. Reports
-// whether the transport accepted the message.
+// bypassing ring routing; it arrives at that peer's App.Deliver with this
+// node's address as from. The payload travels bare: every transport already
+// names the sender. Reports whether the transport accepted the message.
 func (n *Node) SendApp(to transport.Addr, payload any) bool {
-	return n.send(to, AppMsg{From: n.self.Addr, Payload: payload})
+	return n.send(to, payload)
 }
 
 // Running reports whether the node is an active ring member.

@@ -145,9 +145,9 @@ func TestEveryMessageEncodable(t *testing.T) {
 	// The scenario must keep reaching the paths it exists to cover.
 	for _, want := range []string{
 		"chord.JoinReqMsg", "chord.LeaveMsg", "chord.HandoffMsg", "chord.StateMsg",
-		"chord.AppMsg(squid.ReplicaMsg)", "chord.RouteMsg(squid.PublishMsg)", "chord.RouteMsg(squid.UnpublishMsg)",
-		"chord.AppMsg(squid.ClusterQueryMsg)", "chord.AppMsg(squid.SubResultMsg)",
-		"chord.AppMsg(squid.PartialResultMsg)", "chord.RouteMsg(squid.QueryCancelMsg)",
+		"squid.ReplicaMsg", "chord.RouteMsg(squid.PublishMsg)", "chord.RouteMsg(squid.UnpublishMsg)",
+		"squid.ClusterQueryMsg", "squid.SubResultMsg",
+		"squid.PartialResultMsg", "chord.RouteMsg(squid.QueryCancelMsg)",
 	} {
 		if seen[want] == 0 {
 			t.Errorf("scenario sent no %s", want)
@@ -155,12 +155,10 @@ func TestEveryMessageEncodable(t *testing.T) {
 	}
 }
 
-// kind names a message by type, and an envelope by its payload's type too.
+// kind names a message by type, and a routed envelope by its payload's
+// type too.
 func kind(msg any) string {
-	switch m := msg.(type) {
-	case chord.AppMsg:
-		return fmt.Sprintf("%T(%T)", m, m.Payload)
-	case chord.RouteMsg:
+	if m, ok := msg.(chord.RouteMsg); ok {
 		return fmt.Sprintf("%T(%T)", m, m.Payload)
 	}
 	return fmt.Sprintf("%T", msg)

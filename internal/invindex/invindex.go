@@ -273,10 +273,8 @@ func BuildNetwork(bits, n int, seed int64) (*Network, error) {
 		switch m := msg.(type) {
 		case chord.RouteMsg:
 			trace = m.Trace
-		case chord.AppMsg:
-			if p, ok := m.Payload.(postingsMsg); ok {
-				trace = p.QID
-			}
+		case postingsMsg:
+			trace = m.QID
 		}
 		if trace != 0 {
 			nw.msgMu.Lock()

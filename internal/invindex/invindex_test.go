@@ -106,6 +106,26 @@ func TestPublishAndQuery(t *testing.T) {
 	}
 }
 
+// TestQueryCountsPostingsReplies: the owner answers each word with one
+// postingsMsg sent bare, and the query's message count must include it. On
+// a one-peer ring every lookup resolves locally without a routed hop, so
+// the count is exactly the postings replies: one per distinct word.
+func TestQueryCountsPostingsReplies(t *testing.T) {
+	nw, err := BuildNetwork(32, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Publish(0, squid.Element{Values: []string{"computer", "network"}, Data: "d"})
+	nw.Quiesce()
+	res := nw.Query(0, []string{"computer", "network", "computer"})
+	if len(res.Matches) != 1 {
+		t.Fatalf("found %d matches, want 1", len(res.Matches))
+	}
+	if res.Messages != 2 {
+		t.Errorf("messages = %d, want 2 postings replies", res.Messages)
+	}
+}
+
 func TestQueryCostScalesWithPostings(t *testing.T) {
 	nw, err := BuildNetwork(32, 25, 9)
 	if err != nil {

@@ -188,27 +188,24 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 		ms.mu.Lock()
 		ms.query(squid.QueryID(m.Trace)).ProbeReplies++
 		ms.mu.Unlock()
-	case chord.AppMsg:
-		switch p := m.Payload.(type) {
-		case squid.ClusterQueryMsg:
-			ms.mu.Lock()
-			qm := ms.query(p.QID)
-			qm.ClusterMessages++
-			qm.PayloadHops++
-			ms.mu.Unlock()
-		case squid.SubResultMsg:
-			ms.mu.Lock()
-			ms.query(p.QID).ResultMessages++
-			ms.mu.Unlock()
-		case squid.PartialResultMsg:
-			ms.mu.Lock()
-			ms.query(p.QID).PartialMessages++
-			ms.mu.Unlock()
-		case squid.QueryCancelMsg:
-			ms.mu.Lock()
-			ms.query(p.QID).CancelMessages++
-			ms.mu.Unlock()
-		}
+	case squid.ClusterQueryMsg:
+		ms.mu.Lock()
+		qm := ms.query(m.QID)
+		qm.ClusterMessages++
+		qm.PayloadHops++
+		ms.mu.Unlock()
+	case squid.SubResultMsg:
+		ms.mu.Lock()
+		ms.query(m.QID).ResultMessages++
+		ms.mu.Unlock()
+	case squid.PartialResultMsg:
+		ms.mu.Lock()
+		ms.query(m.QID).PartialMessages++
+		ms.mu.Unlock()
+	case squid.QueryCancelMsg:
+		ms.mu.Lock()
+		ms.query(m.QID).CancelMessages++
+		ms.mu.Unlock()
 	}
 }
 

@@ -3,11 +3,13 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/squid"
+	"squid/internal/transport"
 )
 
 func testSpace(t testing.TB) *keyspace.Space {
@@ -311,4 +313,61 @@ func TestMustInvokeRunsOnLivePeer(t *testing.T) {
 	done := make(chan struct{})
 	MustInvoke(nw.Peers[0], func() { close(done) })
 	<-done
+}
+
+// TestMetricsCountBarePayloads: direct sends carry engine payloads bare,
+// so the observer must count them by their own types. A wrapping observer
+// tallies every ClusterQueryMsg, SubResultMsg and PartialResultMsg of one
+// streamed query; the query's metrics must agree with it exactly.
+func TestMetricsCountBarePayloads(t *testing.T) {
+	nw, err := Build(Config{Nodes: 30, Space: testSpace(t), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	elems := make([]squid.Element, 1500)
+	for i := range elems {
+		elems[i] = squid.Element{Values: []string{randWord(rng), randWord(rng)}, Data: fmt.Sprintf("d%d", i)}
+	}
+	if err := nw.Preload(elems); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	clusters, results, partials := map[squid.QueryID]int{}, map[squid.QueryID]int{}, map[squid.QueryID]int{}
+	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
+		nw.Metrics.Observe(from, to, msg)
+		mu.Lock()
+		defer mu.Unlock()
+		switch m := msg.(type) {
+		case squid.ClusterQueryMsg:
+			clusters[m.QID]++
+		case squid.SubResultMsg:
+			results[m.QID]++
+		case squid.PartialResultMsg:
+			partials[m.QID]++
+		}
+	})
+	sr, _ := nw.QueryStream(0, keyspace.MustParse("(*, *)"))
+	if sr.Err != nil {
+		t.Fatal(sr.Err)
+	}
+	nw.Quiesce()
+
+	qm := nw.Metrics.ForQuery(sr.QID)
+	mu.Lock()
+	defer mu.Unlock()
+	t.Logf("cluster %d, result %d, partial %d messages", qm.ClusterMessages, qm.ResultMessages, qm.PartialMessages)
+	if qm.ClusterMessages == 0 {
+		t.Fatal("no ClusterQueryMsg counted: the query never left its root")
+	}
+	if qm.ClusterMessages != clusters[sr.QID] {
+		t.Errorf("ClusterMessages = %d, observer saw %d", qm.ClusterMessages, clusters[sr.QID])
+	}
+	if qm.ResultMessages != results[sr.QID] {
+		t.Errorf("ResultMessages = %d, observer saw %d", qm.ResultMessages, results[sr.QID])
+	}
+	if qm.PartialMessages != partials[sr.QID] {
+		t.Errorf("PartialMessages = %d, observer saw %d", qm.PartialMessages, partials[sr.QID])
+	}
 }

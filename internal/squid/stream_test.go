@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
 	"squid/internal/sim"
@@ -76,12 +75,8 @@ func TestStreamExactlyOnce(t *testing.T) {
 	out := map[transport.Addr]int{}
 	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
-		app, ok := msg.(chord.AppMsg)
-		if !ok {
-			return
-		}
 		var n int
-		switch m := app.Payload.(type) {
+		switch m := msg.(type) {
 		case squid.PartialResultMsg:
 			n = len(m.Matches)
 		case squid.SubResultMsg:

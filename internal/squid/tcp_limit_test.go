@@ -81,9 +81,9 @@ func TestTCPClientQueryLimit(t *testing.T) {
 		{"computation", "theory"},
 	}
 	for i, d := range docs {
-		msg := chord.AppMsg{From: client.Addr(), Payload: squid.ClientPublishMsg{
+		msg := squid.ClientPublishMsg{
 			Elem: squid.Element{Values: []string{d[0], d[1]}, Data: fmt.Sprintf("doc%d", i)},
-		}}
+		}
 		if err := client.Send(a.ep.Addr(), msg); err != nil {
 			t.Fatal(err)
 		}
@@ -93,9 +93,9 @@ func TestTCPClientQueryLimit(t *testing.T) {
 	// whole corpus before asserting on the limited one.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		q := chord.AppMsg{From: client.Addr(), Payload: squid.ClientQueryMsg{
+		q := squid.ClientQueryMsg{
 			Query: "(comp*, *)", ReplyTo: client.Addr(), Token: 1,
-		}}
+		}
 		if err := client.Send(a.ep.Addr(), q); err != nil {
 			t.Fatal(err)
 		}
@@ -114,9 +114,9 @@ func TestTCPClientQueryLimit(t *testing.T) {
 	}
 
 	for _, limit := range []int{1, 2, 10} {
-		q := chord.AppMsg{From: client.Addr(), Payload: squid.ClientQueryMsg{
+		q := squid.ClientQueryMsg{
 			Query: "(comp*, *)", ReplyTo: client.Addr(), Token: uint64(100 + limit), Limit: limit,
-		}}
+		}
 		if err := client.Send(a.ep.Addr(), q); err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,6 @@ type clientSink struct {
 }
 
 func (c *clientSink) Deliver(from transport.Addr, msg any) {
-	if m, ok := msg.(chord.AppMsg); ok {
-		msg = m.Payload
-	}
 	select {
 	case c.results <- msg:
 	default:
@@ -96,9 +93,9 @@ func TestTCPEndToEnd(t *testing.T) {
 		{"database", "systems"},
 	}
 	for i, d := range docs {
-		msg := chord.AppMsg{From: client.Addr(), Payload: squid.ClientPublishMsg{
+		msg := squid.ClientPublishMsg{
 			Elem: squid.Element{Values: []string{d[0], d[1]}, Data: fmt.Sprintf("doc%d", i)},
-		}}
+		}
 		if err := client.Send(a.ep.Addr(), msg); err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +106,9 @@ func TestTCPEndToEnd(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var got squid.ClientResultMsg
 	for time.Now().Before(deadline) {
-		q := chord.AppMsg{From: client.Addr(), Payload: squid.ClientQueryMsg{
+		q := squid.ClientQueryMsg{
 			Query: "(comp*, *)", ReplyTo: client.Addr(), Token: uint64(time.Now().UnixNano()),
-		}}
+		}
 		if err := client.Send(a.ep.Addr(), q); err != nil {
 			t.Fatal(err)
 		}

@@ -366,17 +366,17 @@ func TestWireRoundTrip(t *testing.T) {
 		chord.StateMsg{Token: 2, Self: ref, Pred: ref, Succs: []chord.NodeRef{ref}, Load: 7},
 		chord.LeaveMsg{Leaving: ref, Pred: ref, Items: []chord.Item{{Key: 1, Value: []squid.Element{elem}}}},
 		chord.SuccChangedMsg{NewSucc: ref},
-		chord.AppMsg{From: "c", Payload: squid.ClusterQueryMsg{
+		squid.ClusterQueryMsg{
 			QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)},
 			ReplyTo: "r", Token: 8,
-		}},
-		chord.AppMsg{From: "c", Payload: squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25}},
-		chord.AppMsg{From: "c", Payload: squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}}},
-		chord.AppMsg{From: "c", Payload: squid.LookupMsg{QID: 1, Query: query, Key: 77, ReplyTo: "r", Token: 5}},
-		chord.AppMsg{From: "c", Payload: squid.ReplicaMsg{Items: []chord.Item{{Key: 4, Value: []squid.Element{elem}}}}},
-		chord.AppMsg{From: "c", Payload: squid.ClientPublishMsg{Elem: elem}},
-		chord.AppMsg{From: "c", Payload: squid.ClientQueryMsg{Query: "(a*, *)", ReplyTo: "r", Token: 6}},
-		chord.AppMsg{From: "c", Payload: squid.ClientResultMsg{Token: 6, Matches: []squid.Element{elem}, Err: "no"}},
+		},
+		squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25},
+		squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}},
+		squid.LookupMsg{QID: 1, Query: query, Key: 77, ReplyTo: "r", Token: 5},
+		squid.ReplicaMsg{Items: []chord.Item{{Key: 4, Value: []squid.Element{elem}}}},
+		squid.ClientPublishMsg{Elem: elem},
+		squid.ClientQueryMsg{Query: "(a*, *)", ReplyTo: "r", Token: 6},
+		squid.ClientResultMsg{Token: 6, Matches: []squid.Element{elem}, Err: "no"},
 	}
 	var e wire.Encoder
 	for _, msg := range msgs {

@@ -38,9 +38,10 @@ var (
 // Connection preamble: dialers lead with {0, 'S', 'Q', 'W', version},
 // then the dialer's address, and wait for the one-byte ack before sending
 // frames. An inbound connection that opens with anything else is rejected.
-// See DESIGN.md §4i.
+// Version 2 frames carry application payloads bare, relying on the
+// preamble's address as their sender. See DESIGN.md §4i.
 const (
-	wireVersion = 0x01
+	wireVersion = 0x02
 	wireAck     = 0x01
 )
 

@@ -276,6 +276,45 @@ func TestTCPFrameRejectedCorrupt(t *testing.T) {
 	}
 }
 
+// TestTCPPreambleOldVersionRejected: a dialer with the right magic but
+// version 1 — a build whose frames wrapped every direct payload in an
+// envelope — is refused at the handshake: counted, never acked, and
+// nothing it sends is delivered.
+func TestTCPPreambleOldVersionRejected(t *testing.T) {
+	r := &recorder{}
+	ep, err := ListenTCP("127.0.0.1:0", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.Instrument(telemetry.NewRegistry(time.Now))
+	m := ep.met.Load()
+
+	conn, err := net.Dial("tcp", string(ep.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var e wire.Encoder
+	e.String("1.2.3.4:5")
+	frame := append([]byte{0x00, 'S', 'Q', 'W', 0x01}, e.Bytes()...)
+	e.Reset()
+	wire.EncodeMessage(&e, wireTestMsg{N: 1, S: "v1"})
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(e.Len()))
+	frame = append(append(frame, hdr[:]...), e.Bytes()...)
+	_, _ = conn.Write(frame) // the endpoint may hang up mid-write
+	waitCounter(t, m.frameRejected, 1)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ack [1]byte
+	if n, err := conn.Read(ack[:]); err == nil {
+		t.Errorf("old-version dialer got %d byte(s) back (%#x), want a hang-up", n, ack[0])
+	}
+	if got := r.snapshot(); len(got) != 0 {
+		t.Errorf("old-version connection delivered messages: %v", got)
+	}
+}
+
 // TestTCPGobStreamRejected: an inbound connection that opens with anything
 // but the preamble — here a gob stream, whose first byte is non-zero — is
 // counted, closed, and delivers nothing.
