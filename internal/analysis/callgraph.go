@@ -12,8 +12,9 @@ import (
 // discipline and alloc-free analyzers share. It turns one type-checked
 // package into a static call graph: a node per declared function and per
 // function literal, an edge per call site, with `go` launches, deferred
-// calls, interface dispatch (expanded over the package-local method set)
-// and the lexical nesting of literals all represented explicitly. On top
+// calls, interface dispatch (expanded over the package-local method set),
+// the lexical nesting of literals and the methods bound by taking a method
+// value or passing a value as an interface all represented explicitly. On top
 // of the graph, Reachable answers the transitive queries the analyzers
 // ask ("which functions run on the delivery goroutine?", "which
 // functions sit on an alloc-free hot path?").
@@ -31,8 +32,10 @@ const (
 	// concrete implementation via the method set.
 	KindDynamic
 	// KindLexical links a function to a literal nested inside it, or to a
-	// package-local method whose bound value (x.m) it takes. It is not a
-	// call — it says the function value was created (and captures
+	// package-local method whose bound value (x.m) it takes — explicitly,
+	// or by passing a package-local value x to an interface-typed
+	// parameter, which binds x's methods that satisfy the interface. It is
+	// not a call — it says the function value was created (and captures
 	// variables or its receiver) in the parent's context.
 	KindLexical
 )
@@ -60,8 +63,9 @@ type FuncNode struct {
 	// as an argument. Analyzers use it to classify escape routes: a
 	// literal handed to chord's Invoke re-enters the delivery goroutine,
 	// one handed to time.AfterFunc runs on the runtime timer goroutine.
-	// A declared method whose bound value (x.m) is passed records the
-	// same, so it escapes the way a literal in that position would.
+	// A declared method whose bound value (x.m) is passed — or whose
+	// receiver is passed as an interface value it helps satisfy — records
+	// the same, so it escapes the way a literal in that position would.
 	PassedTo []*types.Func
 }
 
@@ -404,7 +408,8 @@ func (b *graphBuilder) call(ctx *FuncNode, call *ast.CallExpr, kind CallKind, si
 			}
 		}
 	}
-	for _, arg := range call.Args {
+	for i, arg := range call.Args {
+		b.interfaceArg(ctx, call, i, target)
 		arg = ast.Unparen(arg)
 		if l, ok := arg.(*ast.FuncLit); ok {
 			n := b.lit(ctx, l)
@@ -432,6 +437,69 @@ func (b *graphBuilder) call(ctx *FuncNode, call *ast.CallExpr, kind CallKind, si
 			}
 		}
 		b.walkExpr(ctx, arg)
+	}
+}
+
+// interfaceArg binds methods through an interface-typed argument: when
+// call's i-th argument is a value of a package-local concrete type and the
+// parameter it lands in is a non-empty interface, the callee may call any
+// method of the interface on it — so each method of the argument's type
+// that satisfies the interface gets the KindLexical edge (and PassedTo
+// entry) a bound method value x.m in that position would.
+func (b *graphBuilder) interfaceArg(ctx *FuncNode, call *ast.CallExpr, i int, target *types.Func) {
+	info := b.pass.Info
+	tv, ok := info.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return // a conversion, not a call
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	var pt types.Type
+	switch last := params.Len() - 1; {
+	case sig.Variadic() && i >= last:
+		pt = params.At(last).Type()
+		if call.Ellipsis == token.NoPos {
+			pt = pt.(*types.Slice).Elem()
+		}
+	case i < params.Len():
+		pt = params.At(i).Type()
+	default:
+		return
+	}
+	iface, ok := pt.Underlying().(*types.Interface)
+	if !ok || iface.NumMethods() == 0 {
+		return
+	}
+	at := info.TypeOf(call.Args[i])
+	if at == nil || types.IsInterface(at) {
+		return
+	}
+	base := at
+	if p, ok := at.(*types.Pointer); ok {
+		base = p.Elem()
+	}
+	named, ok := base.(*types.Named)
+	if !ok || named.Obj().Pkg() != b.pass.Pkg {
+		return
+	}
+	for j := 0; j < iface.NumMethods(); j++ {
+		m := iface.Method(j)
+		obj, _, _ := types.LookupFieldOrMethod(at, true, m.Pkg(), m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		n := b.g.byObj[fn.Origin()]
+		if n == nil {
+			continue
+		}
+		b.edge(&CallEdge{Caller: ctx, Callee: n, Site: call.Args[i], Kind: KindLexical})
+		if target != nil {
+			n.PassedTo = append(n.PassedTo, target)
+		}
 	}
 }
 

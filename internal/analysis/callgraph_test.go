@@ -203,3 +203,62 @@ func f() {}
 		}
 	}
 }
+
+// TestCallGraphInterfaceArgs pins the interface-argument rule: a
+// package-local value passed to an interface-typed parameter binds the
+// methods of its type that satisfy the interface, as a bound method value
+// x.m would — including through a variadic parameter — and nothing is
+// bound through an empty interface or for methods outside the interface.
+func TestCallGraphInterfaceArgs(t *testing.T) {
+	pass := loadSource(t, `package tmp
+
+type handler interface{ Found(int) }
+
+type round struct{}
+
+func (r *round) Found(int) {}
+func (r *round) other()    {}
+
+type other struct{}
+
+func (other) Found(int) {}
+
+func lookup(h handler)        { h.Found(1) }
+func lookupAll(hs ...handler) {}
+func keep(v any)              {}
+
+func step() {
+	r := &round{}
+	lookup(r)
+	lookupAll(other{})
+	keep(r)
+}
+`)
+	g := BuildCallGraph(pass)
+	step := func() *FuncNode {
+		for _, n := range g.Nodes {
+			if n.Obj != nil && n.Obj.Name() == "step" {
+				return n
+			}
+		}
+		t.Fatal("no node for step")
+		return nil
+	}()
+	bound := make(map[string]int)
+	for _, e := range step.Out {
+		if e.Kind == KindLexical && e.Callee != nil && e.Callee.Obj != nil {
+			bound[e.Callee.Name()]++
+			var to []string
+			for _, f := range e.Callee.PassedTo {
+				to = append(to, f.Name())
+			}
+			if len(to) != 1 || (to[0] != "lookup" && to[0] != "lookupAll") {
+				t.Errorf("%s PassedTo = %v, want its one interface-typed callee", e.Callee.Name(), to)
+			}
+		}
+	}
+	want := map[string]int{"round.Found": 1, "other.Found": 1}
+	if len(bound) != len(want) || bound["round.Found"] != 1 || bound["other.Found"] != 1 {
+		t.Errorf("methods bound by step = %v, want %v", bound, want)
+	}
+}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestConfine(t *testing.T) {
-	analysistest.Run(t, "testdata", confine.Analyzer, "engine", "methodvalue", "timerhandler")
+	analysistest.Run(t, "testdata", confine.Analyzer, "engine", "methodvalue", "timerhandler", "foundhandler")
 }

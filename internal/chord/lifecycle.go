@@ -43,7 +43,7 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 	}
 	n.joinDone = done
 	tok := n.token()
-	n.pendingFinds[tok] = findCall{join: true, cb: func(m FoundMsg, err error) {
+	n.pendingFinds[tok] = findCall{join: true, h: FoundFunc(func(m FoundMsg, err error) {
 		if err != nil {
 			n.finishJoin(err)
 			return
@@ -55,7 +55,7 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 		if !n.send(m.Owner.Addr, JoinReqMsg{New: n.self}) {
 			n.finishJoin(transport.ErrUnreachable)
 		}
-	}}
+	})}
 	if !n.send(seed, FindMsg{Target: n.self.ID, Token: tok, ReplyTo: n.self.Addr, Hops: 1}) {
 		delete(n.pendingFinds, tok)
 		n.finishJoin(transport.ErrUnreachable)

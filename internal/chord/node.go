@@ -119,8 +119,8 @@ type findCall struct {
 	target  ID
 	trace   uint64
 	attempt int
-	join    bool // Join's own lookup: errors go straight to cb, never retried
-	cb      func(FoundMsg, error)
+	join    bool // Join's own lookup: errors go straight to h, never retried
+	h       FoundHandler
 	timer   transport.Timer
 }
 
@@ -511,20 +511,38 @@ func (n *Node) retryAfter(attempt int, fn func()) {
 	}), 0)
 }
 
-// FindSuccessor resolves successor(target) and calls cb with the owner (and
-// the owner's predecessor, which Squid's aggregation optimization uses to
-// batch sub-queries). Transient failures (timeout, unstable ring,
-// unreachable next hop) are retried up to Config.RPCRetries times with
-// jittered exponential backoff before cb receives the error.
+// FoundHandler receives the answer to one FindSuccessor lookup. A caller
+// that keeps per-lookup state in a struct can be its own handler, so a
+// lookup costs it no callback closure.
+type FoundHandler interface {
+	Found(m FoundMsg, err error)
+}
+
+// FoundFunc adapts a plain function to FoundHandler.
+type FoundFunc func(FoundMsg, error)
+
+// Found calls f(m, err).
+func (f FoundFunc) Found(m FoundMsg, err error) { f(m, err) }
+
+// FindSuccessor is FindSuccessorTo with a function callback.
 func (n *Node) FindSuccessor(target ID, trace uint64, cb func(FoundMsg, error)) {
-	n.findOnce(findCall{target: target, trace: trace, cb: cb})
+	n.FindSuccessorTo(target, trace, FoundFunc(cb))
+}
+
+// FindSuccessorTo resolves successor(target) and calls h.Found with the
+// owner (and the owner's predecessor, which Squid's aggregation
+// optimization uses to batch sub-queries). Transient failures (timeout,
+// unstable ring, unreachable next hop) are retried up to Config.RPCRetries
+// times with jittered exponential backoff before h receives the error.
+func (n *Node) FindSuccessorTo(target ID, trace uint64, h FoundHandler) {
+	n.findOnce(findCall{target: target, trace: trace, h: h})
 }
 
 // findOnce performs one FindSuccessor attempt for c.
 func (n *Node) findOnce(c findCall) {
 	c.target = n.cfg.Space.Fold(uint64(c.target))
 	if n.Owns(c.target) {
-		c.cb(FoundMsg{Owner: n.self, Pred: n.pred}, nil)
+		c.h.Found(FoundMsg{Owner: n.self, Pred: n.pred}, nil)
 		return
 	}
 	tok := n.token()
@@ -542,12 +560,12 @@ func (n *Node) findOnce(c findCall) {
 // the caller, transient ones retry after the backoff.
 func (n *Node) findDone(c findCall, m FoundMsg, err error) {
 	if err == nil || c.join {
-		c.cb(m, err)
+		c.h.Found(m, err)
 		return
 	}
 	if c.attempt >= n.cfg.RPCRetries || !retryable(err) {
 		n.ctr.findFailures.Inc()
-		c.cb(m, err)
+		c.h.Found(m, err)
 		return
 	}
 	n.ctr.findRetries.Inc()

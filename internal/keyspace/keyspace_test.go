@@ -401,6 +401,64 @@ func TestRegionMatchesNewRegion(t *testing.T) {
 	}
 }
 
+// TestRegionIntoMatchesRegion pins RegionInto to Region on generated
+// queries — every term kind, wildcard padding, over-long queries and
+// unencodable words — through one buffer reused across all of them, errors
+// included, and pins a reused buffer at zero allocations.
+func TestRegionIntoMatchesRegion(t *testing.T) {
+	s, err := NewWordSpace(3, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	word := func() string {
+		if rng.Intn(20) == 0 {
+			return "bad!" + randomWord(rng) // unsupported character
+		}
+		return randomWord(rng)
+	}
+	term := func() Term {
+		switch rng.Intn(4) {
+		case 0:
+			return Exact(word())
+		case 1:
+			return Prefix(word()[:1])
+		case 2:
+			return Range(word(), word())
+		}
+		return Wildcard()
+	}
+	var buf RegionBuf
+	var errs, oks int
+	for range 2000 {
+		q := make(Query, rng.Intn(s.Dims()+2))
+		for i := range q {
+			q[i] = term()
+		}
+		want, wantErr := s.Region(q)
+		got, err := s.RegionInto(q, &buf)
+		if (err != nil) != (wantErr != nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("RegionInto(%s) error %v, Region error %v", q, err, wantErr)
+		}
+		if err != nil {
+			errs++
+			continue
+		}
+		oks++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("RegionInto(%s) = %v, Region = %v", q, got, want)
+		}
+	}
+	if errs == 0 || oks == 0 {
+		t.Fatalf("generator produced %d errors and %d regions, want both", errs, oks)
+	}
+
+	q := MustParse("(comp*, net*, *)")
+	if n := testing.AllocsPerRun(100, func() { _, _ = s.RegionInto(q, &buf) }); n != 0 {
+		t.Errorf("RegionInto: %.1f allocs per call with a reused buffer, want 0", n)
+	}
+}
+
 func TestSpaceValidation(t *testing.T) {
 	curve := sfc.MustHilbert(2, 16)
 	w16 := MustWordDim("a", 16)

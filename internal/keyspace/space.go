@@ -128,13 +128,29 @@ func (s *Space) Index(values []string) (uint64, error) {
 
 // Region translates a query into the coordinate region its matches occupy.
 // Queries shorter than the dimensionality are padded with wildcards; longer
-// queries are an error. A query has one term per dimension, so the region
-// is an sfc.BoxRegion: two allocations.
-func (s *Space) Region(q Query) (sfc.Region, error) {
+// queries are an error. It is RegionInto with a fresh buffer: two
+// allocations, the intervals and the region's set headers.
+func (s *Space) Region(q Query) (sfc.Region, error) { return s.RegionInto(q, new(RegionBuf)) }
+
+// RegionBuf is the reusable backing of the regions RegionInto builds. A
+// region built in a buffer is valid until the buffer's next use; a buffer
+// must not be shared between goroutines.
+type RegionBuf struct {
+	ivs    []sfc.Interval
+	region sfc.Region
+}
+
+// RegionInto is Region building the region in buf: a query has one term per
+// dimension, so the region is an sfc.BoxRegion over one interval per
+// dimension, and after the buffer's first use it allocates nothing.
+func (s *Space) RegionInto(q Query, buf *RegionBuf) (sfc.Region, error) {
 	if len(q) > len(s.dims) {
 		return nil, fmt.Errorf("keyspace: query %s has %d terms for a %d-dimensional space", q, len(q), len(s.dims))
 	}
-	ivs := make([]sfc.Interval, len(s.dims))
+	if cap(buf.ivs) < len(s.dims) {
+		buf.ivs = make([]sfc.Interval, len(s.dims))
+	}
+	ivs := buf.ivs[:len(s.dims)]
 	for i, d := range s.dims {
 		t := Wildcard()
 		if i < len(q) {
@@ -146,7 +162,8 @@ func (s *Space) Region(q Query) (sfc.Region, error) {
 		}
 		ivs[i] = iv
 	}
-	return sfc.BoxRegion(ivs), nil
+	buf.region = sfc.BoxRegionInto(buf.region, ivs)
+	return buf.region, nil
 }
 
 // Matches applies the query exactly to a data element's values — the final

@@ -106,11 +106,19 @@ func NewRegion(dims [][]Interval) Region {
 // BoxRegion builds the region of one raw interval per dimension, equal to
 // NewRegion with a single interval in each dimension: an inverted interval
 // (Lo > Hi) is an empty set, any other is already normalized. It costs one
-// allocation beyond ivs, which becomes the backing array of the sets — each
-// a clipped view, so an append to one never writes into its neighbour — and
-// must not be modified afterwards.
-func BoxRegion(ivs []Interval) Region {
-	r := make(Region, len(ivs))
+// allocation beyond ivs; see BoxRegionInto for the aliasing rules.
+func BoxRegion(ivs []Interval) Region { return BoxRegionInto(nil, ivs) }
+
+// BoxRegionInto is BoxRegion building the region in r's backing array,
+// which it replaces only when it is nil or shorter than ivs: with a reused
+// r and ivs it allocates nothing. ivs becomes the backing array of the
+// sets — each a clipped view, so an append to one never writes into its
+// neighbour — and must not be modified while the region is in use.
+func BoxRegionInto(r Region, ivs []Interval) Region {
+	if r == nil || cap(r) < len(ivs) {
+		r = make(Region, len(ivs))
+	}
+	r = r[:len(ivs)]
 	for i, iv := range ivs {
 		if iv.Lo > iv.Hi {
 			r[i] = ivs[i:i:i]

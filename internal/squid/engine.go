@@ -154,11 +154,12 @@ type Engine struct {
 
 	// Per-engine refinement scratch. Engine state is confined to the
 	// node's delivery goroutine, so the buffers are reused across queries:
-	// the refinement inner loop of processClusters and the coarse
-	// decomposition in Query allocate nothing in steady state.
-	scratch  sfc.Scratch   //lint:confine delivery
-	coarse   []sfc.Refined //lint:confine delivery
-	frontier []sfc.Refined //lint:confine delivery
+	// the query region, the refinement inner loop of processClusters and
+	// the coarse decomposition in Query allocate nothing in steady state.
+	region   keyspace.RegionBuf //lint:confine delivery
+	scratch  sfc.Scratch        //lint:confine delivery
+	coarse   []sfc.Refined      //lint:confine delivery
+	frontier []sfc.Refined      //lint:confine delivery
 
 	// Delta-replication state: the keys mutated since the last push and
 	// the fingerprint of the replica set the last full push went to.
@@ -548,7 +549,7 @@ func (e *Engine) QueryCtx(ctx context.Context, q keyspace.Query, cb func(Result)
 // sink will never fire.
 func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) error {
 	qid := st.qid
-	region, err := e.space.Region(q)
+	region, err := e.space.RegionInto(q, &e.region)
 	if err != nil {
 		return err
 	}
@@ -616,51 +617,7 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 	}
 	st.clustersIn = len(cls)
 	e.sampleRoot(st)
-	admitted := e.submitClusters(qid, cls, q, region, func(matches []Element, remote []sfc.Refined, local int) {
-		if st.finished {
-			return // cancelled while the refinement job was in flight
-		}
-		e.noteProcessed(qid, local, len(matches), e.opts.Sink != nil && local > 0)
-		st.localDone = local
-		st.localMatches = len(matches)
-		// A streaming root holds its local matches until the dispatch round
-		// has registered every child: a cancellation arriving before or
-		// during their delivery can then name both the held matches and the
-		// outstanding subtrees in the resume cursor, instead of reporting a
-		// falsely exhausted stream before any child existed. A limited
-		// stream holds them in its ordered buffer, an unlimited one as the
-		// filtered slice itself.
-		switch {
-		case st.stream == nil:
-			st.matches = matches
-		case st.limit > 0:
-			e.bufferMatches(st, e.filterResumed(st, matches))
-		default:
-			st.matches = e.filterResumed(st, matches)
-		}
-		if st.stream != nil && st.limit > 0 && len(remote) > streamDispatchWindow {
-			// Windowed dispatch: only the lowest clusters go out now; the
-			// rest wait in pending and are never sent if the limit is
-			// satisfied first. The pending tail is copied out of the
-			// scheduler's reusable frontier buffer.
-			sortBySpan(remote, e.space.Curve())
-			st.pending = append([]sfc.Refined(nil), remote[streamDispatchWindow:]...)
-			remote = remote[:streamDispatchWindow]
-		}
-		e.dispatchRemote(remote, st, true, func() {
-			st.dispatched = true
-			if st.stream != nil && !st.finished {
-				if st.limit > 0 {
-					e.advanceOrdered(st)
-				} else {
-					held := st.matches
-					st.matches = nil
-					e.pushUnordered(st, held)
-				}
-			}
-			e.checkSubtree(st)
-		})
-	})
+	admitted := e.submitClusters(st, cls, region)
 	if !admitted {
 		e.met.shedRoot.Inc()
 		return &OverloadError{RetryAfter: e.retryAfterHint()}
@@ -675,6 +632,60 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 	e.startDeadline(st)
 	e.watchCtx(ctx, st)
 	return nil
+}
+
+// rootResolved takes a root's refined coarse clusters: it keeps or
+// streams the local matches and dispatches the rest.
+func (e *Engine) rootResolved(st *subtree, matches []Element, remote []sfc.Refined, local int) {
+	e.noteProcessed(st.qid, local, len(matches), e.opts.Sink != nil && local > 0)
+	st.localDone = local
+	st.localMatches = len(matches)
+	// A streaming root holds its local matches until the dispatch round
+	// has registered every child: a cancellation arriving before or
+	// during their delivery can then name both the held matches and the
+	// outstanding subtrees in the resume cursor, instead of reporting a
+	// falsely exhausted stream before any child existed. A limited
+	// stream holds them in its ordered buffer, an unlimited one as the
+	// filtered slice itself.
+	switch {
+	case st.stream == nil:
+		st.matches = matches
+	case st.limit > 0:
+		e.bufferMatches(st, e.filterResumed(st, matches))
+	default:
+		st.matches = e.filterResumed(st, matches)
+	}
+	if st.stream != nil && st.limit > 0 && len(remote) > streamDispatchWindow {
+		// Windowed dispatch: only the lowest clusters go out now; the
+		// rest wait in pending and are never sent if the limit is
+		// satisfied first. remote is this root's own slice, and the
+		// round's messages take capped runs of the window, so pending
+		// shares its tail without a copy.
+		sortBySpan(remote, e.space.Curve())
+		st.pending = remote[streamDispatchWindow:]
+		remote = remote[:streamDispatchWindow:streamDispatchWindow]
+	}
+	e.dispatchRemote(remote, st)
+}
+
+// roundDone ends a dispatch round of st: every child message is sent. A
+// streaming root then releases what it held back for the round — the
+// ordered buffer of a limited stream, the local matches of an unlimited
+// one — and the subtree completes if nothing is outstanding. A cluster
+// subtree has no stream, and only a limited stream refills its window,
+// so the one function serves every round.
+func (e *Engine) roundDone(st *subtree) {
+	st.dispatched = true
+	if st.stream != nil && !st.finished {
+		if st.limit > 0 {
+			e.advanceOrdered(st)
+		} else {
+			held := st.matches
+			st.matches = nil
+			e.pushUnordered(st, held)
+		}
+	}
+	e.checkSubtree(st)
 }
 
 // bufferedMatch is one match held back by a limited (ordered) stream until
@@ -886,13 +897,7 @@ func (e *Engine) refillWindow(st *subtree) {
 	next := st.pending[:n]
 	st.pending = st.pending[n:]
 	st.dispatched = false
-	e.dispatchRemote(next, st, true, func() {
-		st.dispatched = true
-		if !st.finished {
-			e.advanceOrdered(st)
-		}
-		e.checkSubtree(st)
-	})
+	e.dispatchRemote(next, st)
 }
 
 // dropPending folds a limited stream's never-dispatched clusters into the
@@ -975,22 +980,36 @@ func (st *subtree) rootCursor() Cursor {
 	return encodeCursor(st.q, pos, skip, false)
 }
 
-// submitClusters hands one batch of clusters to the scheduler (or runs it
-// inline in serial mode); complete always executes on the delivery
-// goroutine. It reports false when the admission cap rejected the job —
-// the caller sheds instead of queueing.
-func (e *Engine) submitClusters(qid QueryID, cls []sfc.Refined, q keyspace.Query, region sfc.Region, complete func(matches []Element, remote []sfc.Refined, local int)) bool {
+// submitClusters hands one batch of st's clusters to the scheduler (or
+// runs it inline in serial mode); its outcome always reaches resolved on
+// the delivery goroutine. It reports false when the admission cap
+// rejected the job — the caller sheds instead of queueing. A worker
+// rebuilds the region from the query, so region serves the inline path
+// only.
+func (e *Engine) submitClusters(st *subtree, cls []sfc.Refined, region sfc.Region) bool {
 	if e.sched == nil {
-		matches, remote, local := e.processClusters(qid, cls, q, region)
-		complete(matches, remote, local)
+		matches, remote, local := e.processClusters(st.qid, cls, st.q, region)
+		e.resolved(st, matches, remote, local)
 		return true
 	}
 	return e.sched.trySubmit(&refineJob{
-		qid: qid, q: q, region: region, clusters: cls,
+		st: st, qid: st.qid, q: st.q, clusters: cls,
 		arc:      e.arcView(),
 		enqueued: e.opts.Telemetry.Now(),
-		complete: complete,
 	})
+}
+
+// resolved takes one refinement job's outcome for st: the local matches,
+// the clusters to forward and the number resolved here.
+func (e *Engine) resolved(st *subtree, matches []Element, remote []sfc.Refined, local int) {
+	if st.finished {
+		return // cancelled while the refinement job was in flight
+	}
+	if st.parent == "" {
+		e.rootResolved(st, matches, remote, local)
+		return
+	}
+	e.clusterResolved(st, matches, remote, local)
 }
 
 // retryAfterHint derives the admission-control backoff hint from the
@@ -1333,8 +1352,8 @@ type pendingDispatch struct {
 
 // dispatchRound is one dispatchRemote call in progress: the subtree it
 // dispatches for, the sorted clusters not yet resolved to an owner, and the
-// sends buffered so far. Its steps are methods, so a round costs one
-// allocation plus the probe callback, bound once.
+// sends buffered so far. Its steps are methods and it is its own
+// chord.FoundHandler, so a round costs one allocation.
 type dispatchRound struct {
 	e      *Engine
 	st     *subtree
@@ -1343,12 +1362,10 @@ type dispatchRound struct {
 	stream bool
 	self   transport.Addr
 	curve  sfc.Curve
-	done   func()
 
 	// rem is the sorted tail of clusters not yet resolved; rem[0] is the
 	// one being probed while a lookup is in flight.
-	rem     []sfc.Refined
-	onFound func(chord.FoundMsg, error) // found, bound once per round
+	rem []sfc.Refined
 	// pending buffers the resolved sends, one per destination in
 	// first-touch order (deterministic flush order for the simulator).
 	// inline backs it: on the benchmark workloads 74–100 % of rounds
@@ -1359,10 +1376,10 @@ type dispatchRound struct {
 }
 
 // dispatchRemote forwards clusters rooted at other nodes, registering each
-// dispatched message as a tracked child of st, and calls done once every
-// child message has been sent. With aggregation enabled it probes the
-// owner of the first (lowest) cluster, then ships every sibling owned by
-// that node's arc as one message (the paper's second optimization);
+// dispatched message as a tracked child of st, and calls roundDone once
+// every child message has been sent. With aggregation enabled it probes
+// the owner of the first (lowest) cluster, then ships every sibling owned
+// by that node's arc as one message (the paper's second optimization);
 // without it, each cluster is routed independently.
 //
 // Resolved sends are buffered per destination for the length of the round
@@ -1371,18 +1388,18 @@ type dispatchRound struct {
 // and wrap segments are separate runs of the sorted cluster list) gets all
 // its runs in one message, as the paper's aggregation intends.
 //
-// root marks dispatches from the query initiator: only there may the
-// probe cache short-circuit the handshake. Receivers always probe, so a
-// stale cache entry costs one extra forward and can never loop.
+// Only at the query initiator (st has no parent) may the probe cache
+// short-circuit the handshake. Receivers always probe, so a stale cache
+// entry costs one extra forward and can never loop.
 //
 // remote is sorted in place, and the messages share sub-slices of it.
-func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree, root bool, done func()) {
+func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree) {
 	if len(remote) == 0 {
-		done()
+		e.roundDone(st)
 		return
 	}
 	r := &dispatchRound{
-		e: e, st: st, root: root, done: done,
+		e: e, st: st, root: st.parent == "",
 		ack:    e.opts.SubtreeTimeout > 0,
 		stream: st.stream != nil || st.streamUp,
 		self:   e.node.Self().Addr,
@@ -1392,13 +1409,12 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree, root bool, do
 		for i := range remote {
 			r.routeOne(remote[i : i+1 : i+1])
 		}
-		done()
+		e.roundDone(st)
 		return
 	}
 	sortBySpan(remote, r.curve)
 	r.rem = remote
 	r.pending = r.inline[:0]
-	r.onFound = r.found
 	r.step()
 }
 
@@ -1428,7 +1444,7 @@ func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) ClusterQueryMsg {
 }
 
 // step resolves the owner of the lowest remaining cluster: from the probe
-// cache at the root, else by a FindSuccessor probe answered in found. With
+// cache at the root, else by a FindSuccessor probe answered in Found. With
 // nothing left, or the subtree finished mid-probe (limit satisfied by an
 // earlier batch), it flushes; the sorted tail then starts at rem[0], the
 // lowest undispatched position.
@@ -1444,7 +1460,7 @@ func (r *dispatchRound) step() {
 			}
 			e.met.probeMisses.Inc()
 		}
-		e.node.FindSuccessor(head, uint64(r.st.qid), r.onFound)
+		e.node.FindSuccessorTo(head, uint64(r.st.qid), r)
 		return
 	}
 	if len(r.rem) > 0 {
@@ -1453,10 +1469,10 @@ func (r *dispatchRound) step() {
 	r.flush()
 }
 
-// found takes the probe's answer for rem[0]. A failed probe (ring
+// Found takes the probe's answer for rem[0]. A failed probe (ring
 // unstable) falls back to blind routing for the head cluster; a subtree
 // that finished while the probe was in flight stops in step.
-func (r *dispatchRound) found(m chord.FoundMsg, err error) {
+func (r *dispatchRound) Found(m chord.FoundMsg, err error) {
 	switch {
 	case r.st.finished:
 	case err != nil:
@@ -1523,7 +1539,7 @@ func (r *dispatchRound) flush() {
 				st.noteCut(c.Span(r.curve).Lo)
 			}
 		}
-		r.done()
+		e.roundDone(st)
 		return
 	}
 	if e.debugDispatch != nil {
@@ -1545,7 +1561,7 @@ func (r *dispatchRound) flush() {
 			}
 		}
 	}
-	r.done()
+	e.roundDone(st)
 }
 
 // sortBySpan orders clusters by the low end of their curve spans. The spans
@@ -1706,9 +1722,11 @@ func (e *Engine) handleLookup(m LookupMsg) {
 
 func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	ref := m.Trace.OrRoot()
-	region, err := e.space.Region(m.Query)
+	region, err := e.space.RegionInto(m.Query, &e.region)
 	if err != nil {
-		e.send(m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token})
+		// The query cannot be evaluated here: report the subtree lost, so
+		// the root returns ErrPartialResult rather than a short answer.
+		e.send(m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Incomplete: true})
 		return
 	}
 	var cacheKey string
@@ -1749,36 +1767,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		st.startNS = e.nowNS()
 	}
 	e.inbound[inboundKey{from: m.ReplyTo, token: m.Token}] = st
-	admitted := e.submitClusters(m.QID, m.Clusters, m.Query, region, func(matches []Element, remote []sfc.Refined, local int) {
-		if st.finished {
-			return // cancelled while the refinement job was in flight
-		}
-		e.noteProcessed(m.QID, local, len(matches), e.opts.Sink != nil)
-		st.localDone = local
-		st.localMatches = len(matches)
-		if len(remote) == 0 {
-			// Leaf of the query tree: finish immediately (records the span
-			// and ships it with the result).
-			st.matches = matches
-			st.dispatched = true
-			e.finishSubtree(st)
-			return
-		}
-		if st.streamUp {
-			// Stream the local matches up right away: the initiator can act
-			// on them (fill a page, satisfy a limit) while this subtree's
-			// children are still refining. A leaf (no remote children)
-			// completes immediately — its terminal SubResultMsg carries the
-			// matches, so a separate partial would only double the traffic.
-			e.forwardPartial(st, matches)
-		} else {
-			st.matches = matches
-		}
-		e.dispatchRemote(remote, st, false, func() {
-			st.dispatched = true
-			e.checkSubtree(st)
-		})
-	})
+	admitted := e.submitClusters(st, m.Clusters, region)
 	if !admitted {
 		// Shed before acking: confirming receipt of work we refuse would
 		// suppress the dispatcher's recovery instead of engaging it.
@@ -1790,6 +1779,34 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	if m.Ack {
 		e.send(m.ReplyTo, QueryAckMsg{QID: m.QID, Token: m.Token})
 	}
+}
+
+// clusterResolved takes a remote subtree's refined clusters: a leaf of the
+// query tree finishes at once, an inner subtree keeps or streams up its
+// local matches and dispatches the rest.
+func (e *Engine) clusterResolved(st *subtree, matches []Element, remote []sfc.Refined, local int) {
+	e.noteProcessed(st.qid, local, len(matches), e.opts.Sink != nil)
+	st.localDone = local
+	st.localMatches = len(matches)
+	if len(remote) == 0 {
+		// Leaf of the query tree: finish immediately (records the span
+		// and ships it with the result).
+		st.matches = matches
+		st.dispatched = true
+		e.finishSubtree(st)
+		return
+	}
+	if st.streamUp {
+		// Stream the local matches up right away: the initiator can act
+		// on them (fill a page, satisfy a limit) while this subtree's
+		// children are still refining. A leaf (no remote children)
+		// completes immediately — its terminal SubResultMsg carries the
+		// matches, so a separate partial would only double the traffic.
+		e.forwardPartial(st, matches)
+	} else {
+		st.matches = matches
+	}
+	e.dispatchRemote(remote, st)
 }
 
 // handleShed maps an admission-control refusal onto the recovery path: the

@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	"squid/internal/chord"
+	"squid/internal/dessim"
 	"squid/internal/keyspace"
+	"squid/internal/sfc"
 	"squid/internal/sim"
 	"squid/internal/squid"
+	"squid/internal/transport"
 )
 
 var testVocab = []string{
@@ -318,5 +321,64 @@ func TestProcessingScalesSublinearly(t *testing.T) {
 	}
 	if p < d {
 		t.Errorf("processing %d < data %d", p, d)
+	}
+}
+
+// replySink records the application payloads a bare chord node receives.
+type replySink struct {
+	chord.NopApp
+	got []any
+}
+
+func (s *replySink) Deliver(_ transport.Addr, _ chord.ID, payload any) {
+	s.got = append(s.got, payload)
+}
+
+// TestUnevaluableClusterQueryReportsIncomplete sends a remote hop a
+// ClusterQueryMsg whose query has more terms than the space has
+// dimensions. The hop cannot evaluate it, so its reply must say the
+// subtree is incomplete: a complete-looking empty reply would let the
+// root return a short answer with a nil error instead of
+// ErrPartialResult.
+func TestUnevaluableClusterQueryReportsIncomplete(t *testing.T) {
+	space, err := keyspace.NewWordSpace(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := dessim.NewCore()
+	net := dessim.NewNet(core, dessim.NetConfig{})
+	cfg := chord.Config{Space: chord.Space{Bits: space.IndexBits()}, Clock: core.Clock()}
+	start := func(name transport.Addr, id chord.ID, app chord.App) *chord.Node {
+		n := chord.NewNode(cfg, id, app)
+		ep, err := net.Listen(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start(ep)
+		return n
+	}
+	sink := &replySink{}
+	root := start("root", 10, sink)
+	eng := squid.New(space, squid.FromOptions(squid.Options{Workers: -1, Clock: core.Clock()}))
+	hop := start("hop", 200, eng)
+	eng.Attach(hop)
+
+	q := keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard(), keyspace.Exact("grid")}
+	if !root.SendApp(hop.Self().Addr, squid.ClusterQueryMsg{
+		QID: 1, Query: q, Clusters: []sfc.Refined{{}},
+		ReplyTo: root.Self().Addr, Token: 7,
+	}) {
+		t.Fatal("SendApp refused")
+	}
+	core.Run()
+	if len(sink.got) != 1 {
+		t.Fatalf("root received %d replies, want 1: %#v", len(sink.got), sink.got)
+	}
+	r, ok := sink.got[0].(squid.SubResultMsg)
+	if !ok || r.QID != 1 || r.Token != 7 {
+		t.Fatalf("reply %#v, want the SubResultMsg for token 7", sink.got[0])
+	}
+	if !r.Incomplete {
+		t.Errorf("a hop that cannot evaluate its query replied complete: %#v", r)
 	}
 }

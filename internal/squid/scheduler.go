@@ -20,11 +20,14 @@ import (
 //     an immutable arcView of the node's owned arc at submit time. Workers
 //     read only that snapshot, the Store (whose readers are lock-protected)
 //     and the immutable keyword space — never live engine or node state.
-//   - Results return to the delivery goroutine via node.Invoke; all
-//     engine/subtree mutation stays confined there. Self-sends are exempt
-//     from fault injection, so a completion can only be lost if the node
-//     itself died — in which case finish() still runs, keeping the pending
-//     count exact for the simulator's quiesce protocol.
+//   - Results return to the delivery goroutine via node.Invoke, which
+//     hands them with the job's subtree to Engine.resolved; all
+//     engine/subtree mutation stays confined there. A worker never reads
+//     the subtree: it rebuilds the query region in its own RegionBuf.
+//     Self-sends are exempt from fault injection, so a completion can
+//     only be lost if the node itself died — in which case finish() still
+//     runs, keeping the pending count exact for the simulator's quiesce
+//     protocol.
 //   - Admission control: at most cap jobs may be admitted-but-unfinished;
 //     beyond that trySubmit refuses and the caller sheds the work with
 //     ErrOverloaded instead of queueing without bound.
@@ -49,15 +52,14 @@ type scheduler struct {
 }
 
 // refineJob carries one batch of clusters from the delivery goroutine to a
-// worker, and its completion back.
+// worker, and its outcome back to the subtree st.
 type refineJob struct {
+	st       *subtree // delivery goroutine only: the worker passes it through
 	qid      QueryID
 	q        keyspace.Query
-	region   sfc.Region
 	clusters []sfc.Refined
 	arc      arcView
 	enqueued time.Time // registry clock; zero (and wait reads 0) in simulation
-	complete func(matches []Element, remote []sfc.Refined, local int)
 }
 
 // arcView is the immutable snapshot of a node's owned arc a worker
@@ -187,22 +189,26 @@ func (s *scheduler) depth() int {
 	return s.pending
 }
 
-// worker drains the job channel with its own refinement scratch (the
-// per-worker counterpart of the engine's zero-alloc buffers).
+// worker drains the job channel with its own region buffer and refinement
+// scratch (the per-worker counterpart of the engine's zero-alloc buffers).
 func (s *scheduler) worker() {
+	var rbuf keyspace.RegionBuf
 	var scratch sfc.Scratch
 	var frontier []sfc.Refined
 	e := s.e
 	for {
 		j := s.next()
 		e.met.schedWait.Observe(int64(e.opts.Telemetry.Since(j.enqueued)))
+		// The delivery goroutine built this query's region before it
+		// submitted the job, so rebuilding it cannot fail.
+		region, _ := e.space.RegionInto(j.q, &rbuf)
 		var matches []Element
 		var remote []sfc.Refined
 		var local int
 		matches, remote, local, frontier = refineClusters(
-			e.store, e.space, j.arc, j.qid, j.clusters, j.q, j.region, &scratch, frontier)
+			e.store, e.space, j.arc, j.qid, j.clusters, j.q, region, &scratch, frontier)
 		if err := e.node.Invoke(func() {
-			j.complete(matches, remote, local)
+			e.resolved(j.st, matches, remote, local)
 			s.finish()
 		}); err != nil {
 			s.finish() // node detached: the query died with its node
@@ -210,10 +216,14 @@ func (s *scheduler) worker() {
 	}
 }
 
-// scanBufs holds the buffers refineClusters scans into. One process-wide
-// pool rather than a buffer per worker or per engine: a ring of many
-// members would otherwise keep one grown buffer alive per worker.
-var scanBufs = sync.Pool{New: func() any { return new([]Element) }}
+// scanBufs and remoteBufs hold the buffers refineClusters collects
+// matches and forwarded clusters into. One process-wide pool each rather
+// than a buffer per worker or per engine: a ring of many members would
+// otherwise keep one grown buffer alive per worker.
+var (
+	scanBufs   = sync.Pool{New: func() any { return new([]Element) }}
+	remoteBufs = sync.Pool{New: func() any { return new([]sfc.Refined) }}
+)
 
 // refineClusters is processClusters detached from live engine state: it
 // resolves the locally owned parts of cls against store and collects the
@@ -222,17 +232,20 @@ var scanBufs = sync.Pool{New: func() any { return new([]Element) }}
 // the (reusable) frontier stack to its caller. See Engine.processClusters
 // for the run-boundary rationale.
 //
-// Matches are scanned into a pooled buffer and copied out once into an
-// exactly-sized slice (nil when nothing matched), which the caller owns
-// and may send as it is.
+// Matches and forwarded clusters are collected in pooled buffers and each
+// copied out once into an exactly-sized slice (nil when empty), which the
+// caller owns: it may send the matches as they are and sort the remote
+// clusters in place.
 func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryID, cls []sfc.Refined, q keyspace.Query, region sfc.Region, scratch *sfc.Scratch, frontier []sfc.Refined) (matches []Element, remote []sfc.Refined, local int, frontierOut []sfc.Refined) {
 	buf := scanBufs.Get().(*[]Element)
 	scan := (*buf)[:0]
+	rbuf := remoteBufs.Get().(*[]sfc.Refined)
+	rem := (*rbuf)[:0]
 	curve := space.Curve()
 	frontier = frontier[:0]
 	for _, c := range cls {
 		if !arc.owns(c.Span(curve).Lo) {
-			remote = append(remote, c)
+			rem = append(rem, c)
 			continue
 		}
 		local++
@@ -243,7 +256,7 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 		frontier = frontier[:len(frontier)-1]
 		span := x.Span(curve)
 		if !arc.owns(span.Lo) {
-			remote = append(remote, x)
+			rem = append(rem, x)
 			continue
 		}
 		if span.Hi <= arc.runEnd(span.Lo) {
@@ -268,9 +281,15 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 		matches = make([]Element, len(scan))
 		copy(matches, scan)
 	}
+	if len(rem) > 0 {
+		remote = make([]sfc.Refined, len(rem))
+		copy(remote, rem)
+	}
 	// Drop the buffer's references to stored elements before pooling it.
 	clear(scan)
 	*buf = scan[:0]
 	scanBufs.Put(buf)
+	*rbuf = rem[:0]
+	remoteBufs.Put(rbuf)
 	return matches, remote, local, frontier[:0]
 }
