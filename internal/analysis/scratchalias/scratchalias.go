@@ -13,6 +13,10 @@
 // overwrite. Likewise, refilling the same destination buffer while a slice
 // from its previous fill is still live clobbers the earlier result.
 //
+// The same contract covers messages that travel by pointer (sent.go): a
+// message handed to a send or back to its transport.MsgPool is dead to
+// the caller, except in the branch taken when the send failed.
+//
 // Deliberate exceptions carry //lint:allow-scratchalias <reason>.
 package scratchalias
 
@@ -27,7 +31,7 @@ import (
 // Analyzer is the scratchalias pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "scratchalias",
-	Doc:  "flags retained or clobbered slices returned by the sfc ...Into(dst, scratch) APIs",
+	Doc:  "flags retained or clobbered slices returned by the sfc ...Into(dst, scratch) APIs, and reads of a message after it was sent or recycled",
 	Run:  run,
 }
 
@@ -39,6 +43,7 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			checkFunc(pass, fn)
+			checkSent(pass, fn.Body)
 		}
 	}
 	return nil

@@ -56,7 +56,10 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 			n.finishJoin(transport.ErrUnreachable)
 		}
 	})}
-	if !n.send(seed, FindMsg{Target: n.self.ID, Token: tok, ReplyTo: n.self.Addr, Hops: 1}) {
+	m := finds.Get()
+	*m = FindMsg{Target: n.self.ID, Token: tok, ReplyTo: n.self.Addr, Hops: 1}
+	if !n.send(seed, m) {
+		finds.Put(m)
 		delete(n.pendingFinds, tok)
 		n.finishJoin(transport.ErrUnreachable)
 	}

@@ -26,6 +26,17 @@ func (r NodeRef) String() string {
 
 // Protocol messages. Each has a wire codec (wire.go) so the same protocol
 // runs over TCP.
+//
+// The per-hop kinds — FindMsg, FoundMsg and RouteMsg — travel by pointer
+// and are recycled through one pool per kind: a message passed to a send
+// is dead to the sender, a forwarding hop re-sends the pointer it
+// received, and a terminal handler copies the value out and puts the
+// pointer back (transport.MsgPool). Every other kind travels as a value.
+var (
+	finds  transport.MsgPool[FindMsg]
+	founds transport.MsgPool[FoundMsg]
+	routes transport.MsgPool[RouteMsg]
+)
 
 // FindMsg asks the ring to locate successor(Target). It is routed greedily
 // via finger tables; the owner replies to ReplyTo with a FoundMsg carrying

@@ -227,11 +227,13 @@ func (n *Node) Deliver(from transport.Addr, msg any) {
 	switch m := msg.(type) {
 	case invokeMsg:
 		m.fn()
-	case FindMsg:
+	case *FindMsg:
 		n.handleFind(m)
-	case FoundMsg:
-		n.handleFound(m)
-	case RouteMsg:
+	case *FoundMsg:
+		v := *m
+		founds.Put(m)
+		n.handleFound(v)
+	case *RouteMsg:
 		n.handleRoute(m)
 	case JoinReqMsg:
 		n.handleJoinReq(m)
@@ -376,7 +378,13 @@ func (n *Node) closestPreceding(target ID) NodeRef {
 			best, bestDist = c, d
 		}
 	}
-	for _, f := range n.fingers {
+	for i, f := range n.fingers {
+		// Fingers come in runs: every finger start inside one node's arc
+		// names that node. A repeat of the finger before it cannot change
+		// the choice (ties keep the first), so it is not weighed again.
+		if i > 0 && f == n.fingers[i-1] {
+			continue
+		}
 		consider(f)
 	}
 	for _, s := range n.succs {
@@ -461,20 +469,29 @@ func (n *Node) dropDead(dead NodeRef) {
 // Route delivers payload to App.Deliver on successor(key). trace tags the
 // message for per-operation metrics (0 = untraced).
 func (n *Node) Route(key ID, payload any, trace uint64) {
-	n.handleRoute(RouteMsg{Key: n.cfg.Space.Fold(uint64(key)), From: n.self.Addr, Payload: payload, Trace: trace})
+	m := routes.Get()
+	*m = RouteMsg{Key: n.cfg.Space.Fold(uint64(key)), From: n.self.Addr, Payload: payload, Trace: trace}
+	n.handleRoute(m)
 }
 
-func (n *Node) handleRoute(m RouteMsg) {
+// handleRoute owns m: it delivers the payload here, forwards m itself one
+// hop on, or drops it.
+func (n *Node) handleRoute(m *RouteMsg) {
 	if n.Owns(m.Key) {
-		n.app.Deliver(m.From, m.Key, m.Payload)
+		from, key, payload := m.From, m.Key, m.Payload
+		routes.Put(m)
+		n.app.Deliver(from, key, payload)
 		return
 	}
 	if m.Hops >= n.maxHops() {
+		routes.Put(m)
 		return // transient routing loop; drop rather than spin forever
 	}
 	m.Hops++
 	n.ctr.routeForwards.Inc()
-	n.forwardToward(m.Key, m)
+	if !n.forwardToward(m.Key, m) {
+		routes.Put(m)
+	}
 }
 
 // retryable reports whether a failed RPC is worth repeating: transient
@@ -548,8 +565,10 @@ func (n *Node) findOnce(c findCall) {
 	tok := n.token()
 	c.timer = n.armRPC(tok, findRPC)
 	n.pendingFinds[tok] = c
-	msg := FindMsg{Target: c.target, Token: tok, ReplyTo: n.self.Addr, Hops: 1, Trace: c.trace}
+	msg := finds.Get()
+	*msg = FindMsg{Target: c.target, Token: tok, ReplyTo: n.self.Addr, Hops: 1, Trace: c.trace}
 	if !n.forwardToward(c.target, msg) {
+		finds.Put(msg)
 		delete(n.pendingFinds, tok)
 		c.timer.Stop()
 		n.findDone(c, FoundMsg{}, ErrTimeout)
@@ -573,19 +592,34 @@ func (n *Node) findDone(c findCall, m FoundMsg, err error) {
 	n.retryAfter(c.attempt-1, func() { n.findOnce(c) })
 }
 
-func (n *Node) handleFind(m FindMsg) {
+// handleFind owns m: it answers the lookup here or forwards m itself one
+// hop on.
+func (n *Node) handleFind(m *FindMsg) {
 	if n.Owns(m.Target) {
-		n.send(m.ReplyTo, FoundMsg{Token: m.Token, Owner: n.self, Pred: n.pred, Hops: m.Hops, Trace: m.Trace})
+		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Owner: n.self, Pred: n.pred, Hops: m.Hops, Trace: m.Trace})
+		finds.Put(m)
 		return
 	}
 	if m.Hops >= n.maxHops() {
 		// Routing loop during churn: fail the lookup so the caller can
 		// retry after stabilization repairs the ring.
-		n.send(m.ReplyTo, FoundMsg{Token: m.Token, Hops: m.Hops, Trace: m.Trace})
+		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Hops: m.Hops, Trace: m.Trace})
+		finds.Put(m)
 		return
 	}
 	m.Hops++
-	n.forwardToward(m.Target, m)
+	if !n.forwardToward(m.Target, m) {
+		finds.Put(m)
+	}
+}
+
+// sendFound sends a lookup's answer in a pooled FoundMsg.
+func (n *Node) sendFound(to transport.Addr, v FoundMsg) {
+	m := founds.Get()
+	*m = v
+	if !n.send(to, m) {
+		founds.Put(m)
+	}
 }
 
 func (n *Node) handleFound(m FoundMsg) {

@@ -90,9 +90,9 @@ func decodeItems(d *wire.Decoder) []Item {
 }
 
 func init() {
-	wire.Register(tagFindMsg, FindMsg{},
+	wire.Register(tagFindMsg, (*FindMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(FindMsg)
+			m := v.(*FindMsg)
 			e.U64(uint64(m.Target))
 			e.Uvarint(m.Token)
 			e.String(string(m.ReplyTo))
@@ -100,7 +100,7 @@ func init() {
 			e.U64(m.Trace)
 		},
 		func(d *wire.Decoder) any {
-			var m FindMsg
+			m := finds.Get()
 			m.Target = ID(d.U64())
 			m.Token = d.Uvarint()
 			m.ReplyTo = transport.Addr(d.String())
@@ -108,9 +108,9 @@ func init() {
 			m.Trace = d.U64()
 			return m
 		})
-	wire.Register(tagFoundMsg, FoundMsg{},
+	wire.Register(tagFoundMsg, (*FoundMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(FoundMsg)
+			m := v.(*FoundMsg)
 			e.Uvarint(m.Token)
 			encodeNodeRef(e, m.Owner)
 			encodeNodeRef(e, m.Pred)
@@ -118,7 +118,7 @@ func init() {
 			e.U64(m.Trace)
 		},
 		func(d *wire.Decoder) any {
-			var m FoundMsg
+			m := founds.Get()
 			m.Token = d.Uvarint()
 			m.Owner = decodeNodeRef(d)
 			m.Pred = decodeNodeRef(d)
@@ -126,9 +126,9 @@ func init() {
 			m.Trace = d.U64()
 			return m
 		})
-	wire.Register(tagRouteMsg, RouteMsg{},
+	wire.Register(tagRouteMsg, (*RouteMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(RouteMsg)
+			m := v.(*RouteMsg)
 			e.U64(uint64(m.Key))
 			e.String(string(m.From))
 			e.Any(m.Payload)
@@ -136,7 +136,7 @@ func init() {
 			e.U64(m.Trace)
 		},
 		func(d *wire.Decoder) any {
-			var m RouteMsg
+			m := routes.Get()
 			m.Key = ID(d.U64())
 			m.From = transport.Addr(d.String())
 			m.Payload = d.Any()

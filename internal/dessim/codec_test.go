@@ -145,9 +145,9 @@ func TestEveryMessageEncodable(t *testing.T) {
 	// The scenario must keep reaching the paths it exists to cover.
 	for _, want := range []string{
 		"chord.JoinReqMsg", "chord.LeaveMsg", "chord.HandoffMsg", "chord.StateMsg",
-		"squid.ReplicaMsg", "chord.RouteMsg(squid.PublishMsg)", "chord.RouteMsg(squid.UnpublishMsg)",
-		"squid.ClusterQueryMsg", "squid.SubResultMsg",
-		"squid.PartialResultMsg", "chord.RouteMsg(squid.QueryCancelMsg)",
+		"squid.ReplicaMsg", "*chord.RouteMsg(squid.PublishMsg)", "*chord.RouteMsg(squid.UnpublishMsg)",
+		"*squid.ClusterQueryMsg", "*squid.SubResultMsg",
+		"*squid.PartialResultMsg", "*chord.RouteMsg(squid.QueryCancelMsg)",
 	} {
 		if seen[want] == 0 {
 			t.Errorf("scenario sent no %s", want)
@@ -158,7 +158,7 @@ func TestEveryMessageEncodable(t *testing.T) {
 // kind names a message by type, and a routed envelope by its payload's
 // type too.
 func kind(msg any) string {
-	if m, ok := msg.(chord.RouteMsg); ok {
+	if m, ok := msg.(*chord.RouteMsg); ok {
 		return fmt.Sprintf("%T(%T)", m, m.Payload)
 	}
 	return fmt.Sprintf("%T", msg)

@@ -28,8 +28,15 @@ type Net struct {
 	Faults *transport.Faults
 
 	core     *Core
-	boxes    map[transport.Addr]*box
+	boxes    map[transport.Addr]boxRef
 	observer transport.Observer
+}
+
+// boxRef is a live mailbox with its endpoint number beside it, so a send
+// learns the number from the name lookup without touching the box.
+type boxRef struct {
+	b   *box
+	num uint32
 }
 
 // box is one attached endpoint's mailbox. A delivery event carries the box
@@ -47,12 +54,14 @@ func NewNet(core *Core, cfg NetConfig) *Net {
 	return &Net{
 		Faults: transport.NewFaults(cfg),
 		core:   core,
-		boxes:  make(map[transport.Addr]*box),
+		boxes:  make(map[transport.Addr]boxRef),
 	}
 }
 
 // SetObserver installs the message observer, called for every message
-// accepted for delivery (after the fault plan). Pass nil to remove.
+// accepted for delivery (after the fault plan), before its delivery is
+// scheduled: the observer reads a message the receiver will own and must
+// not retain it (transport.Observer). Pass nil to remove.
 func (n *Net) SetObserver(o transport.Observer) { n.observer = o }
 
 // Listen attaches a handler under the given name and returns its endpoint.
@@ -64,39 +73,43 @@ func (n *Net) Listen(name transport.Addr, h transport.Handler) (transport.Endpoi
 	if _, dup := n.boxes[name]; dup {
 		return nil, fmt.Errorf("dessim: address %q already in use", name)
 	}
-	n.boxes[name] = &box{net: n, addr: name, h: h}
-	return &endpoint{net: n, addr: name}, nil
+	num := n.Faults.Number(name)
+	n.boxes[name] = boxRef{b: &box{net: n, addr: name, h: h}, num: num}
+	return &endpoint{net: n, addr: name, num: num}, nil
 }
 
 // Kill permanently detaches the named endpoint: scheduled deliveries to it
 // evaporate, future sends fail with ErrUnreachable, and any crash mark is
 // cleared.
 func (n *Net) Kill(name transport.Addr) {
-	if b, ok := n.boxes[name]; ok {
-		b.dead = true
+	if r, ok := n.boxes[name]; ok {
+		r.b.dead = true
 		delete(n.boxes, name)
 	}
 	n.Faults.Restart(name)
 }
 
-// send runs one message through the fault plan and schedules a delivery
-// event for the survivors. A self-delivery lands at the sending instant;
-// the sequence tie-break keeps it FIFO after earlier same-instant work.
-func (n *Net) send(from, to transport.Addr, msg any) error {
-	b, ok := n.boxes[to]
+// send runs one message from endpoint e through the fault plan and
+// schedules a delivery event for the survivors. The plan sees both ends by
+// number, so the destination's name is looked up once, here. A
+// self-delivery lands at the sending instant; the sequence tie-break keeps
+// it FIFO after earlier same-instant work.
+func (n *Net) send(e *endpoint, to transport.Addr, msg any) error {
+	r, ok := n.boxes[to]
 	if !ok {
 		return transport.ErrUnreachable
 	}
+	from := e.addr
 	at := n.core.now
-	if from != to {
-		t, ok := n.Faults.Admit(from, to, int64(at))
+	if e.num != r.num { // not a self-send: the numbers are per name
+		t, ok := n.Faults.AdmitNumbered(e.num, r.num, int64(at))
 		if !ok {
 			return nil
 		}
 		at = VTime(t)
 	}
 	n.accept(from, to, msg)
-	n.core.scheduleDelivery(at, b, from, msg)
+	n.core.scheduleDelivery(at, r.b, from, msg)
 	return nil
 }
 
@@ -113,10 +126,11 @@ func (n *Net) accept(from, to transport.Addr, msg any) {
 // attached under the same name, which then takes the message.
 func (b *box) deliver(from transport.Addr, msg any) {
 	if b.dead {
-		var ok bool
-		if b, ok = b.net.boxes[b.addr]; !ok {
+		r, ok := b.net.boxes[b.addr]
+		if !ok {
 			return
 		}
+		b = r.b
 	}
 	b.h.Deliver(from, msg)
 }
@@ -125,6 +139,7 @@ func (b *box) deliver(from transport.Addr, msg any) {
 type endpoint struct {
 	net    *Net
 	addr   transport.Addr
+	num    uint32 // the fault plan's number for addr
 	closed bool
 }
 
@@ -134,7 +149,7 @@ func (e *endpoint) Send(to transport.Addr, msg any) error {
 	if e.closed {
 		return transport.ErrClosed
 	}
-	return e.net.send(e.addr, to, msg)
+	return e.net.send(e, to, msg)
 }
 
 func (e *endpoint) Close() error {

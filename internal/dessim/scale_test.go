@@ -120,13 +120,15 @@ func TestDesPaperScale(t *testing.T) {
 	start := time.Now()
 	storm, nw := paperScaleRun(t, 10_000, 40_000, 9101)
 	elapsed := time.Since(start)
-	if elapsed > 60*time.Second {
-		t.Fatalf("10⁴-node experiment took %v, budget 60s", elapsed)
-	}
+	// The outcome is checked before the budget, so an overrun still says
+	// whether the run replayed as pinned.
 	if v := nw.RingViolations(); v != 0 {
 		t.Errorf("hard ring violations = %d", v)
 	}
 	checkPinned(t, storm, nw.Core.Steps(), 0x76b770a7d5ba8e7d, 16_234_194)
+	if elapsed > 60*time.Second {
+		t.Fatalf("10⁴-node experiment took %v, budget 60s", elapsed)
+	}
 	t.Logf("10⁴-node experiment: %v in %v (%d events, %.0f events/sec)",
 		storm, elapsed.Round(time.Millisecond), nw.Core.Steps(),
 		float64(nw.Core.Steps())/elapsed.Seconds())

@@ -271,7 +271,7 @@ func BuildNetwork(bits, n int, seed int64) (*Network, error) {
 	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
 		trace := uint64(0)
 		switch m := msg.(type) {
-		case chord.RouteMsg:
+		case *chord.RouteMsg:
 			trace = m.Trace
 		case postingsMsg:
 			trace = m.QID

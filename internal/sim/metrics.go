@@ -152,10 +152,11 @@ func (ms *Metrics) Processed(qid squid.QueryID, node chord.ID, clusters, matches
 
 // Observe implements the transport.Observer contract: it classifies every
 // message the simulated network carries and attributes traced ones to
-// their query.
+// their query. The per-hop kinds arrive as pointers (the only form they
+// travel in); Observe reads them and keeps nothing.
 func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 	switch m := msg.(type) {
-	case chord.RouteMsg:
+	case *chord.RouteMsg:
 		if m.Trace == 0 {
 			return
 		}
@@ -163,7 +164,7 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 		qm := ms.query(squid.QueryID(m.Trace))
 		qm.RouteMessages++
 		switch m.Payload.(type) {
-		case squid.ClusterQueryMsg:
+		case *squid.ClusterQueryMsg:
 			qm.PayloadHops++
 		case squid.QueryCancelMsg:
 			// Teardown rides the ring (the child's owner may have moved);
@@ -172,7 +173,7 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 		}
 		qm.RoutingNodes[ms.idByAddr[to]] = true
 		ms.mu.Unlock()
-	case chord.FindMsg:
+	case *chord.FindMsg:
 		if m.Trace == 0 {
 			return
 		}
@@ -181,24 +182,24 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 		qm.ProbeMessages++
 		qm.RoutingNodes[ms.idByAddr[to]] = true
 		ms.mu.Unlock()
-	case chord.FoundMsg:
+	case *chord.FoundMsg:
 		if m.Trace == 0 {
 			return
 		}
 		ms.mu.Lock()
 		ms.query(squid.QueryID(m.Trace)).ProbeReplies++
 		ms.mu.Unlock()
-	case squid.ClusterQueryMsg:
+	case *squid.ClusterQueryMsg:
 		ms.mu.Lock()
 		qm := ms.query(m.QID)
 		qm.ClusterMessages++
 		qm.PayloadHops++
 		ms.mu.Unlock()
-	case squid.SubResultMsg:
+	case *squid.SubResultMsg:
 		ms.mu.Lock()
 		ms.query(m.QID).ResultMessages++
 		ms.mu.Unlock()
-	case squid.PartialResultMsg:
+	case *squid.PartialResultMsg:
 		ms.mu.Lock()
 		ms.query(m.QID).PartialMessages++
 		ms.mu.Unlock()

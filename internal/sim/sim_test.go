@@ -340,11 +340,11 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch m := msg.(type) {
-		case squid.ClusterQueryMsg:
+		case *squid.ClusterQueryMsg:
 			clusters[m.QID]++
-		case squid.SubResultMsg:
+		case *squid.SubResultMsg:
 			results[m.QID]++
-		case squid.PartialResultMsg:
+		case *squid.PartialResultMsg:
 			partials[m.QID]++
 		}
 	})

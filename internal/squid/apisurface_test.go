@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"squid/internal/analysis"
@@ -21,15 +22,7 @@ import (
 //
 //	SQUID_UPDATE_API=1 go test -run TestAPISurface ./internal/squid
 func TestAPISurface(t *testing.T) {
-	root, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load("squid/internal/squid")
+	pkg, err := moduleLoader(t).Load("squid/internal/squid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +61,27 @@ func TestAPISurface(t *testing.T) {
 		}
 	}
 	t.Error("exported API surface changed; if intended, regenerate with SQUID_UPDATE_API=1 go test -run TestAPISurface ./internal/squid")
+}
+
+var (
+	loaderOnce   sync.Once
+	sharedLoader *analysis.Loader
+	loaderErr    error
+)
+
+// moduleLoader returns one loader for the module, shared by the tests that
+// type-check it, so the standard library is checked from source once.
+func moduleLoader(t *testing.T) *analysis.Loader {
+	loaderOnce.Do(func() {
+		var root string
+		if root, loaderErr = analysis.FindModuleRoot("."); loaderErr == nil {
+			sharedLoader, loaderErr = analysis.NewLoader(root)
+		}
+	})
+	if loaderErr != nil {
+		t.Fatal(loaderErr)
+	}
+	return sharedLoader
 }
 
 func toSet(lines []string) map[string]bool {

@@ -1139,11 +1139,13 @@ func (e *Engine) childExpired(tok uint64) {
 			Trace: st.childRef(),
 		}, uint64(st.qid))
 	} else {
-		e.node.Route(chord.ID(c.key), ClusterQueryMsg{
+		m := clusterQueries.Get()
+		*m = ClusterQueryMsg{
 			QID: st.qid, Query: st.q, Clusters: c.clusters,
 			ReplyTo: e.node.Self().Addr, Token: c.token, Ack: true,
 			Trace: st.childRef(),
-		}, uint64(st.qid))
+		}
+		e.node.Route(chord.ID(c.key), m, uint64(st.qid))
 	}
 	e.armChild(c)
 }
@@ -1309,7 +1311,7 @@ func (e *Engine) finishSubtree(st *subtree) {
 			e.met.cacheBypass.Inc()
 		}
 	}
-	e.send(st.parent, SubResultMsg{
+	sendPooled(e, &subResults, st.parent, SubResultMsg{
 		QID: st.qid, Token: st.parentToken, Matches: st.matches, Incomplete: st.incomplete,
 		Spans: st.spans,
 	})
@@ -1347,7 +1349,7 @@ func (e *Engine) processClusters(qid QueryID, cls []sfc.Refined, q keyspace.Quer
 // fallback payload should the destination be dead at flush time.
 type pendingDispatch struct {
 	dest transport.Addr
-	msg  ClusterQueryMsg
+	msg  *ClusterQueryMsg
 }
 
 // dispatchRound is one dispatchRemote call in progress: the subtree it
@@ -1434,13 +1436,16 @@ func (r *dispatchRound) routeOne(cls []sfc.Refined) {
 	e.node.Route(chord.ID(lo), r.message(cls, tok), uint64(st.qid))
 }
 
-// message builds the ClusterQueryMsg for one child of the round.
-func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) ClusterQueryMsg {
+// message builds the ClusterQueryMsg for one child of the round, in a
+// pooled message its send hands over.
+func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) *ClusterQueryMsg {
 	st := r.st
-	return ClusterQueryMsg{
+	m := clusterQueries.Get()
+	*m = ClusterQueryMsg{
 		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: r.self, Token: tok,
 		Ack: r.ack, Stream: r.stream, Trace: st.childRef(),
 	}
+	return m
 }
 
 // step resolves the owner of the lowest remaining cluster: from the probe
@@ -1538,6 +1543,7 @@ func (r *dispatchRound) flush() {
 			for _, c := range p.msg.Clusters {
 				st.noteCut(c.Span(r.curve).Lo)
 			}
+			clusterQueries.Put(p.msg)
 		}
 		e.roundDone(st)
 		return
@@ -1559,6 +1565,7 @@ func (r *dispatchRound) flush() {
 			for i := range p.msg.Clusters {
 				r.routeOne(p.msg.Clusters[i : i+1 : i+1])
 			}
+			clusterQueries.Put(p.msg)
 		}
 	}
 	e.roundDone(st)
@@ -1573,6 +1580,16 @@ func sortBySpan(cls []sfc.Refined, curve sfc.Curve) {
 
 func (e *Engine) send(to transport.Addr, msg any) bool {
 	return e.node.SendApp(to, msg)
+}
+
+// sendPooled sends v in a message from pool, which the send hands over to
+// the receiver; a failed send puts it back.
+func sendPooled[T any](e *Engine, pool *transport.MsgPool[T], to transport.Addr, v T) {
+	m := pool.Get()
+	*m = v
+	if !e.send(to, m) {
+		pool.Put(m)
+	}
 }
 
 // syncKeys refreshes the keys-held gauge after a store mutation. The Store
@@ -1603,16 +1620,24 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 		e.handleUnpublish(m)
 	case LookupMsg:
 		e.handleLookup(m)
-	case ClusterQueryMsg:
-		e.handleClusterQuery(m)
-	case QueryAckMsg:
-		e.handleAck(m)
+	case *ClusterQueryMsg:
+		v := *m
+		clusterQueries.Put(m)
+		e.handleClusterQuery(v)
+	case *QueryAckMsg:
+		v := *m
+		queryAcks.Put(m)
+		e.handleAck(v)
 	case QueryShedMsg:
 		e.handleShed(m)
-	case SubResultMsg:
-		e.handleSubResult(m)
-	case PartialResultMsg:
-		e.handlePartialResult(m)
+	case *SubResultMsg:
+		v := *m
+		subResults.Put(m)
+		e.handleSubResult(v)
+	case *PartialResultMsg:
+		v := *m
+		partialResults.Put(m)
+		e.handlePartialResult(v)
 	case QueryCancelMsg:
 		e.handleQueryCancel(m)
 	case ReplicaMsg:
@@ -1717,7 +1742,7 @@ func (e *Engine) handleLookup(m LookupMsg) {
 			Matches: len(matches), StartNS: now, EndNS: now,
 		}}
 	}
-	e.send(m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches, Spans: spans})
+	sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches, Spans: spans})
 }
 
 func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
@@ -1726,7 +1751,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	if err != nil {
 		// The query cannot be evaluated here: report the subtree lost, so
 		// the root returns ErrPartialResult rather than a short answer.
-		e.send(m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Incomplete: true})
+		sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Incomplete: true})
 		return
 	}
 	var cacheKey string
@@ -1738,7 +1763,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 			// refinement entirely and answer now — the result supersedes any
 			// requested ack.
 			e.met.cacheHits.Inc()
-			e.send(m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches})
+			sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches})
 			return
 		}
 		// Not counted as a miss yet: whether this lookup was cacheable at
@@ -1777,7 +1802,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		return
 	}
 	if m.Ack {
-		e.send(m.ReplyTo, QueryAckMsg{QID: m.QID, Token: m.Token})
+		sendPooled(e, &queryAcks, m.ReplyTo, QueryAckMsg{QID: m.QID, Token: m.Token})
 	}
 }
 
@@ -1897,7 +1922,7 @@ func (e *Engine) forwardPartial(st *subtree, batch []Element) {
 		return
 	}
 	e.met.partialsSent.Inc()
-	e.send(st.parent, PartialResultMsg{QID: st.qid, Token: st.parentToken, Matches: batch})
+	sendPooled(e, &partialResults, st.parent, PartialResultMsg{QID: st.qid, Token: st.parentToken, Matches: batch})
 }
 
 // handlePartialResult folds one streamed increment from a child subtree in:

@@ -364,7 +364,7 @@ func TestUnevaluableClusterQueryReportsIncomplete(t *testing.T) {
 	eng.Attach(hop)
 
 	q := keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard(), keyspace.Exact("grid")}
-	if !root.SendApp(hop.Self().Addr, squid.ClusterQueryMsg{
+	if !root.SendApp(hop.Self().Addr, &squid.ClusterQueryMsg{
 		QID: 1, Query: q, Clusters: []sfc.Refined{{}},
 		ReplyTo: root.Self().Addr, Token: 7,
 	}) {
@@ -374,7 +374,7 @@ func TestUnevaluableClusterQueryReportsIncomplete(t *testing.T) {
 	if len(sink.got) != 1 {
 		t.Fatalf("root received %d replies, want 1: %#v", len(sink.got), sink.got)
 	}
-	r, ok := sink.got[0].(squid.SubResultMsg)
+	r, ok := sink.got[0].(*squid.SubResultMsg)
 	if !ok || r.QID != 1 || r.Token != 7 {
 		t.Fatalf("reply %#v, want the SubResultMsg for token 7", sink.got[0])
 	}

@@ -7,6 +7,18 @@ import (
 	"squid/internal/transport"
 )
 
+// The per-hop query kinds — ClusterQueryMsg, QueryAckMsg, SubResultMsg and
+// PartialResultMsg — travel by pointer and are recycled through one pool
+// per kind (transport.MsgPool): a message passed to a send is dead to the
+// sender, and the engine copies a received one out and puts the pointer
+// back before handling it. Every other kind travels as a value.
+var (
+	clusterQueries transport.MsgPool[ClusterQueryMsg]
+	queryAcks      transport.MsgPool[QueryAckMsg]
+	subResults     transport.MsgPool[SubResultMsg]
+	partialResults transport.MsgPool[PartialResultMsg]
+)
+
 // PublishMsg carries a data element to the node owning its curve index.
 type PublishMsg struct {
 	Elem Element

@@ -77,9 +77,9 @@ func TestStreamExactlyOnce(t *testing.T) {
 		nw.Metrics.Observe(from, to, msg)
 		var n int
 		switch m := msg.(type) {
-		case squid.PartialResultMsg:
+		case *squid.PartialResultMsg:
 			n = len(m.Matches)
-		case squid.SubResultMsg:
+		case *squid.SubResultMsg:
 			n = len(m.Matches)
 		default:
 			return

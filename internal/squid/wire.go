@@ -222,7 +222,7 @@ func decodeSpans(d *wire.Decoder) []telemetry.Span {
 }
 
 //lint:allocfree
-func encodeClusterQuery(e *wire.Encoder, m ClusterQueryMsg) {
+func encodeClusterQuery(e *wire.Encoder, m *ClusterQueryMsg) {
 	e.Uvarint(uint64(m.QID))
 	encodeQuery(e, m.Query)
 	e.Uvarint(uint64(len(m.Clusters)))
@@ -238,8 +238,10 @@ func encodeClusterQuery(e *wire.Encoder, m ClusterQueryMsg) {
 	encodeTraceRef(e, m.Trace)
 }
 
-func decodeClusterQuery(d *wire.Decoder) ClusterQueryMsg {
-	var m ClusterQueryMsg
+// decodeClusterQuery fills a pooled message, which the receiving handler
+// owns.
+func decodeClusterQuery(d *wire.Decoder) *ClusterQueryMsg {
+	m := clusterQueries.Get()
 	m.QID = QueryID(d.Uvarint())
 	m.Query = decodeQuery(d)
 	if n := d.Len(3); n > 0 { // prefix varint + level + flag
@@ -295,17 +297,17 @@ func init() {
 			m.Trace = decodeTraceRef(d)
 			return m
 		})
-	wire.Register(tagClusterQueryMsg, ClusterQueryMsg{},
-		func(e *wire.Encoder, v any) { encodeClusterQuery(e, v.(ClusterQueryMsg)) },
+	wire.Register(tagClusterQueryMsg, (*ClusterQueryMsg)(nil),
+		func(e *wire.Encoder, v any) { encodeClusterQuery(e, v.(*ClusterQueryMsg)) },
 		func(d *wire.Decoder) any { return decodeClusterQuery(d) })
-	wire.Register(tagQueryAckMsg, QueryAckMsg{},
+	wire.Register(tagQueryAckMsg, (*QueryAckMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(QueryAckMsg)
+			m := v.(*QueryAckMsg)
 			e.Uvarint(uint64(m.QID))
 			e.Uvarint(m.Token)
 		},
 		func(d *wire.Decoder) any {
-			var m QueryAckMsg
+			m := queryAcks.Get()
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
 			return m
@@ -324,9 +326,9 @@ func init() {
 			m.RetryAfterMS = d.Int()
 			return m
 		})
-	wire.Register(tagSubResultMsg, SubResultMsg{},
+	wire.Register(tagSubResultMsg, (*SubResultMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(SubResultMsg)
+			m := v.(*SubResultMsg)
 			e.Uvarint(uint64(m.QID))
 			e.Uvarint(m.Token)
 			encodeElements(e, m.Matches)
@@ -334,7 +336,7 @@ func init() {
 			encodeSpans(e, m.Spans)
 		},
 		func(d *wire.Decoder) any {
-			var m SubResultMsg
+			m := subResults.Get()
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
 			m.Matches = decodeMatches(d)
@@ -411,15 +413,15 @@ func init() {
 	wire.Register(tagKeyspaceTerm, keyspace.Term{},
 		func(e *wire.Encoder, v any) { encodeTerm(e, v.(keyspace.Term)) },
 		func(d *wire.Decoder) any { return decodeTerm(d) })
-	wire.Register(tagPartialResultMsg, PartialResultMsg{},
+	wire.Register(tagPartialResultMsg, (*PartialResultMsg)(nil),
 		func(e *wire.Encoder, v any) {
-			m := v.(PartialResultMsg)
+			m := v.(*PartialResultMsg)
 			e.Uvarint(uint64(m.QID))
 			e.Uvarint(m.Token)
 			encodeElements(e, m.Matches)
 		},
 		func(d *wire.Decoder) any {
-			var m PartialResultMsg
+			m := partialResults.Get()
 			m.QID = QueryID(d.Uvarint())
 			m.Token = d.Uvarint()
 			m.Matches = decodeMatches(d)

@@ -38,13 +38,14 @@ func encodeFrame(t testing.TB, msg any) []byte {
 
 // TestDecodeMatchesAllocs pins a result list's decode at a constant
 // number of allocations through a reused decoder: the []Element, the
-// values slab, the list's shared string and the boxed message.
+// values slab, the list's shared string and the message (from its pool,
+// which no handler refills here).
 func TestDecodeMatchesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, c := range []struct{ n, k int }{{8, 2}, {64, 3}} {
-		frame := encodeFrame(t, SubResultMsg{QID: 7, Token: 3, Matches: resultList(c.n, c.k)})
+		frame := encodeFrame(t, &SubResultMsg{QID: 7, Token: 3, Matches: resultList(c.n, c.k)})
 		var d wire.Decoder
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := d.Message(frame); err != nil {
@@ -62,8 +63,8 @@ func TestDecodeMatchesAllocs(t *testing.T) {
 func TestDecodeMatchesCopiesFrame(t *testing.T) {
 	matches := resultList(16, 3)
 	msgs := []any{
-		SubResultMsg{QID: 7, Token: 3, Matches: matches, Incomplete: true},
-		PartialResultMsg{QID: 7, Token: 3, Matches: matches},
+		&SubResultMsg{QID: 7, Token: 3, Matches: matches, Incomplete: true},
+		&PartialResultMsg{QID: 7, Token: 3, Matches: matches},
 		ClientResultMsg{Token: 3, QID: 7, Matches: matches, Err: "partial result"},
 		ReplicaMsg{Items: []chord.Item{{Key: 5, Value: matches}}},
 	}
@@ -85,11 +86,11 @@ func TestDecodeMatchesCopiesFrame(t *testing.T) {
 // capped at its own length, so appending to one never overwrites the
 // next element's values in the shared slab.
 func TestDecodeMatchesValuesCapped(t *testing.T) {
-	got, err := wire.DecodeMessage(encodeFrame(t, PartialResultMsg{Matches: resultList(4, 2)}))
+	got, err := wire.DecodeMessage(encodeFrame(t, &PartialResultMsg{Matches: resultList(4, 2)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, el := range got.(PartialResultMsg).Matches {
+	for i, el := range got.(*PartialResultMsg).Matches {
 		if cap(el.Values) != len(el.Values) {
 			t.Fatalf("element %d: Values len %d cap %d", i, len(el.Values), cap(el.Values))
 		}
@@ -159,7 +160,7 @@ func TestDecodeHostileCounts(t *testing.T) {
 // BenchmarkDecodeMatches decodes a 64-element SubResultMsg through one
 // reused decoder, as a TCP connection's read loop does.
 func BenchmarkDecodeMatches(b *testing.B) {
-	frame := encodeFrame(b, SubResultMsg{QID: 7, Token: 3, Matches: resultList(64, 3)})
+	frame := encodeFrame(b, &SubResultMsg{QID: 7, Token: 3, Matches: resultList(64, 3)})
 	var d wire.Decoder
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))

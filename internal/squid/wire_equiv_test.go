@@ -157,8 +157,8 @@ func genClusters(r *rand.Rand) []sfc.Refined {
 	return out
 }
 
-func genClusterQuery(r *rand.Rand) squid.ClusterQueryMsg {
-	return squid.ClusterQueryMsg{
+func genClusterQuery(r *rand.Rand) *squid.ClusterQueryMsg {
+	return &squid.ClusterQueryMsg{
 		QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
 		Clusters: genClusters(r), ReplyTo: genAddr(r),
 		Token: uint64(r.Intn(1 << 20)), Ack: r.Intn(2) == 0, Stream: r.Intn(2) == 0,
@@ -169,16 +169,16 @@ func genClusterQuery(r *rand.Rand) squid.ClusterQueryMsg {
 // wireGens covers every registered codec tag. Adding a codec without
 // adding a generator fails TestWireEquivalence's completeness check.
 var wireGens = map[reflect.Type]wireGen{
-	reflect.TypeOf(chord.FindMsg{}): func(r *rand.Rand) any {
-		return chord.FindMsg{Target: chord.ID(r.Uint64()), Token: uint64(r.Intn(1 << 20)),
+	reflect.TypeOf(&chord.FindMsg{}): func(r *rand.Rand) any {
+		return &chord.FindMsg{Target: chord.ID(r.Uint64()), Token: uint64(r.Intn(1 << 20)),
 			ReplyTo: genAddr(r), Hops: r.Intn(40), Trace: r.Uint64()}
 	},
-	reflect.TypeOf(chord.FoundMsg{}): func(r *rand.Rand) any {
-		return chord.FoundMsg{Token: uint64(r.Intn(1 << 20)), Owner: genNodeRef(r),
+	reflect.TypeOf(&chord.FoundMsg{}): func(r *rand.Rand) any {
+		return &chord.FoundMsg{Token: uint64(r.Intn(1 << 20)), Owner: genNodeRef(r),
 			Pred: genNodeRef(r), Hops: r.Intn(40), Trace: r.Uint64()}
 	},
-	reflect.TypeOf(chord.RouteMsg{}): func(r *rand.Rand) any {
-		return chord.RouteMsg{Key: chord.ID(r.Uint64()), From: genAddr(r),
+	reflect.TypeOf(&chord.RouteMsg{}): func(r *rand.Rand) any {
+		return &chord.RouteMsg{Key: chord.ID(r.Uint64()), From: genAddr(r),
 			Payload: squid.PublishMsg{Elem: genElement(r)}, Hops: r.Intn(40), Trace: r.Uint64()}
 	},
 	reflect.TypeOf(chord.JoinReqMsg{}): func(r *rand.Rand) any {
@@ -235,21 +235,21 @@ var wireGens = map[reflect.Type]wireGen{
 		return squid.LookupMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
 			Key: r.Uint64(), ReplyTo: genAddr(r), Token: uint64(r.Intn(1 << 20)), Trace: genTraceRef(r)}
 	},
-	reflect.TypeOf(squid.ClusterQueryMsg{}): func(r *rand.Rand) any { return genClusterQuery(r) },
-	reflect.TypeOf(squid.QueryAckMsg{}): func(r *rand.Rand) any {
-		return squid.QueryAckMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Token: uint64(r.Intn(1 << 20))}
+	reflect.TypeOf(&squid.ClusterQueryMsg{}): func(r *rand.Rand) any { return genClusterQuery(r) },
+	reflect.TypeOf(&squid.QueryAckMsg{}): func(r *rand.Rand) any {
+		return &squid.QueryAckMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Token: uint64(r.Intn(1 << 20))}
 	},
 	reflect.TypeOf(squid.QueryShedMsg{}): func(r *rand.Rand) any {
 		return squid.QueryShedMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), RetryAfterMS: int64(r.Intn(5000))}
 	},
-	reflect.TypeOf(squid.SubResultMsg{}): func(r *rand.Rand) any {
-		return squid.SubResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
+	reflect.TypeOf(&squid.SubResultMsg{}): func(r *rand.Rand) any {
+		return &squid.SubResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), Matches: genElements(r),
 			Incomplete: r.Intn(4) == 0, Spans: genSpans(r)}
 	},
-	reflect.TypeOf(squid.PartialResultMsg{}): func(r *rand.Rand) any {
-		return squid.PartialResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
+	reflect.TypeOf(&squid.PartialResultMsg{}): func(r *rand.Rand) any {
+		return &squid.PartialResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), Matches: genElements(r)}
 	},
 	reflect.TypeOf(squid.QueryCancelMsg{}): func(r *rand.Rand) any {
@@ -291,6 +291,15 @@ func init() {
 // ranges (as opposed to test-only registrations far above them).
 func protocolCodec(c *wire.Codec) bool { return c.Tag < 1000 }
 
+// kindName names a message kind independent of the form it is sent in,
+// so moving a kind between value and pointer form keeps its subtest name.
+func kindName(typ reflect.Type) string {
+	if typ.Kind() == reflect.Pointer {
+		typ = typ.Elem()
+	}
+	return typ.String()
+}
+
 func TestWireEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, c := range wire.Codecs() {
@@ -302,7 +311,7 @@ func TestWireEquivalence(t *testing.T) {
 			t.Errorf("codec tag %d (%v) has no generator: every registered wire codec must be equivalence-tested", c.Tag, c.Type)
 			continue
 		}
-		t.Run(c.Type.String(), func(t *testing.T) {
+		t.Run(kindName(c.Type), func(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				msg := gen(r)
 				if reflect.TypeOf(msg) != c.Type {
@@ -355,9 +364,9 @@ func TestWireRoundTrip(t *testing.T) {
 	query := keyspace.Query{keyspace.Exact("a"), keyspace.Prefix("b"), keyspace.Wildcard(), keyspace.Range("1", "9")}
 
 	msgs := []any{
-		chord.FindMsg{Target: 7, Token: 1, ReplyTo: "x", Hops: 3, Trace: 9},
-		chord.FoundMsg{Token: 1, Owner: ref, Pred: ref, Hops: 2, Trace: 9},
-		chord.RouteMsg{Key: 5, From: "y", Payload: squid.PublishMsg{Elem: elem}, Hops: 1, Trace: 4},
+		&chord.FindMsg{Target: 7, Token: 1, ReplyTo: "x", Hops: 3, Trace: 9},
+		&chord.FoundMsg{Token: 1, Owner: ref, Pred: ref, Hops: 2, Trace: 9},
+		&chord.RouteMsg{Key: 5, From: "y", Payload: squid.PublishMsg{Elem: elem}, Hops: 1, Trace: 4},
 		chord.JoinReqMsg{New: ref, Hops: 1},
 		chord.JoinAckMsg{Pred: ref, Succs: []chord.NodeRef{ref, ref}, Items: []chord.Item{{Key: 3, Value: []squid.Element{elem}}}},
 		chord.JoinNackMsg{Reason: "collision"},
@@ -366,12 +375,12 @@ func TestWireRoundTrip(t *testing.T) {
 		chord.StateMsg{Token: 2, Self: ref, Pred: ref, Succs: []chord.NodeRef{ref}, Load: 7},
 		chord.LeaveMsg{Leaving: ref, Pred: ref, Items: []chord.Item{{Key: 1, Value: []squid.Element{elem}}}},
 		chord.SuccChangedMsg{NewSucc: ref},
-		squid.ClusterQueryMsg{
+		&squid.ClusterQueryMsg{
 			QID: 3, Query: query, Clusters: []sfc.Refined{refined(9, 2, true)},
 			ReplyTo: "r", Token: 8,
 		},
 		squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25},
-		squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}},
+		&squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}},
 		squid.LookupMsg{QID: 1, Query: query, Key: 77, ReplyTo: "r", Token: 5},
 		squid.ReplicaMsg{Items: []chord.Item{{Key: 4, Value: []squid.Element{elem}}}},
 		squid.ClientPublishMsg{Elem: elem},
@@ -402,8 +411,8 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	msgs := []any{
 		genClusterQuery(r),
-		squid.SubResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
-		squid.PartialResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
+		&squid.SubResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
+		&squid.PartialResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
 		squid.QueryCancelMsg{QID: 9, Token: 4, ReplyTo: "10.0.0.1:4000"},
 		chord.AppMsg{From: "10.0.0.1:4000", Payload: genClusterQuery(r)},
 		chord.StateMsg{Token: 1, Self: genNodeRef(r), Pred: genNodeRef(r), Succs: genNodeRefs(r), Load: 12},
@@ -430,7 +439,7 @@ func FuzzWireCluster(f *testing.F) {
 	f.Add(uint64(1), "computer", uint64(6), 3, true, "10.0.0.1:9", uint64(7), false)
 	f.Add(uint64(0), "", uint64(0), 0, false, "", uint64(0), true)
 	f.Fuzz(func(t *testing.T, qid uint64, word string, prefix uint64, level int, complete bool, reply string, token uint64, ack bool) {
-		msg := squid.ClusterQueryMsg{
+		msg := &squid.ClusterQueryMsg{
 			QID:      telemetry.QueryID(qid),
 			Query:    keyspace.Query{keyspace.Exact(word), keyspace.Wildcard()},
 			Clusters: []sfc.Refined{refined(prefix, level, complete)},
@@ -459,7 +468,7 @@ func FuzzWireSubResult(f *testing.F) {
 	f.Add(uint64(1), uint64(2), "doc.pdf", "computer", false)
 	f.Add(uint64(0), uint64(0), "", "", true)
 	f.Fuzz(func(t *testing.T, qid, token uint64, data, value string, incomplete bool) {
-		msg := squid.SubResultMsg{
+		msg := &squid.SubResultMsg{
 			QID:        telemetry.QueryID(qid),
 			Token:      token,
 			Matches:    []squid.Element{{Values: []string{value}, Data: data}},
@@ -508,7 +517,7 @@ func FuzzWireFrame(f *testing.F) {
 	// A result list cut off mid-way, so the reused decoder meets the next
 	// seed with a failed list behind it.
 	var cut wire.Encoder
-	wire.EncodeMessage(&cut, squid.PartialResultMsg{QID: 1, Token: 2, Matches: []squid.Element{
+	wire.EncodeMessage(&cut, &squid.PartialResultMsg{QID: 1, Token: 2, Matches: []squid.Element{
 		{Values: []string{"computer", "network"}, Data: "report.pdf"},
 		{Values: []string{"grid"}, Data: "x"},
 	}})

@@ -8,20 +8,38 @@ import (
 	"squid/internal/wire"
 )
 
-// TestWireTagRegistry pins the squid tag block's tag ↔ type binding.
+// TestWireTagRegistry pins the chord and squid tag blocks' tag ↔ type
+// binding, pointer form included: a kind that travels by pointer is
+// registered as *T and its value form not at all.
 // Peers built at different commits depend on these numbers never moving:
 // a renumbered tag decodes as the wrong type on the other side. Adding a message appends a row here; reordering or deleting
 // one is a wire break and must fail loudly. A deleted message's tag is
 // retired: it stays unbound forever.
 func TestWireTagRegistry(t *testing.T) {
 	want := map[uint64]string{
+		wire.TagChordBase + 0:  "*chord.FindMsg",
+		wire.TagChordBase + 1:  "*chord.FoundMsg",
+		wire.TagChordBase + 2:  "*chord.RouteMsg",
+		wire.TagChordBase + 3:  "chord.JoinReqMsg",
+		wire.TagChordBase + 4:  "chord.JoinAckMsg",
+		wire.TagChordBase + 5:  "chord.JoinNackMsg",
+		wire.TagChordBase + 6:  "chord.JoinConfirmMsg",
+		wire.TagChordBase + 7:  "chord.HandoffMsg",
+		wire.TagChordBase + 8:  "chord.NotifyMsg",
+		wire.TagChordBase + 9:  "chord.GetStateMsg",
+		wire.TagChordBase + 10: "chord.StateMsg",
+		wire.TagChordBase + 11: "chord.LeaveMsg",
+		wire.TagChordBase + 12: "chord.SuccChangedMsg",
+		wire.TagChordBase + 13: "chord.AppMsg",
+		wire.TagChordBase + 14: "chord.NodeRef",
+		wire.TagChordBase + 15: "[]chord.Item",
 		wire.TagSquidBase + 0:  "squid.PublishMsg",
 		wire.TagSquidBase + 1:  "squid.UnpublishMsg",
 		wire.TagSquidBase + 2:  "squid.LookupMsg",
-		wire.TagSquidBase + 3:  "squid.ClusterQueryMsg",
-		wire.TagSquidBase + 4:  "squid.QueryAckMsg",
+		wire.TagSquidBase + 3:  "*squid.ClusterQueryMsg",
+		wire.TagSquidBase + 4:  "*squid.QueryAckMsg",
 		wire.TagSquidBase + 6:  "squid.QueryShedMsg",
-		wire.TagSquidBase + 7:  "squid.SubResultMsg",
+		wire.TagSquidBase + 7:  "*squid.SubResultMsg",
 		wire.TagSquidBase + 8:  "squid.ReplicaMsg",
 		wire.TagSquidBase + 9:  "squid.ClientPublishMsg",
 		wire.TagSquidBase + 10: "squid.ClientUnpublishMsg",
@@ -31,7 +49,7 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 14: "[]squid.Element",
 		wire.TagSquidBase + 15: "keyspace.Query",
 		wire.TagSquidBase + 16: "keyspace.Term",
-		wire.TagSquidBase + 17: "squid.PartialResultMsg",
+		wire.TagSquidBase + 17: "*squid.PartialResultMsg",
 		wire.TagSquidBase + 18: "squid.QueryCancelMsg",
 	}
 	retired := []uint64{
@@ -39,7 +57,7 @@ func TestWireTagRegistry(t *testing.T) {
 	}
 	got := map[uint64]string{}
 	for _, c := range wire.Codecs() {
-		if c.Tag >= wire.TagSquidBase {
+		if c.Tag >= wire.TagChordBase && protocolCodec(c) {
 			got[c.Tag] = c.Type.String()
 		}
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -51,17 +52,17 @@ type Faults struct {
 	dropRate float64
 	minLat   time.Duration
 	maxLat   time.Duration
-	linkRate map[linkKey]float64
-	links    map[uint64]linkState // by value, keyed by endpoint numbers from<<32 | to
-	ids      map[Addr]uint32      // endpoint numbers in order of first use, never reused
-	group    map[Addr]int         // partition group; addresses absent are group 0
-	split    bool                 // a partition is active
-	crashed  map[Addr]bool
+	linkRate map[uint64]float64 // per-link drop overrides, keyed like links
+	links    linkTable          // every directed link that has carried a message
+	ids      map[Addr]uint32    // endpoint numbers in order of first use, never reused
+	names    []Addr             // the name behind each number, for seeding its links
+	group    []int32            // partition group by endpoint number; 0 past the end
+	split    bool               // a partition is active
+	crashed  []bool             // crash mark by endpoint number; false past the end
+	ncrashed int                // marks set in crashed
 	stats    FaultStats
 	met      *faultMetrics
 }
-
-type linkKey struct{ from, to Addr }
 
 // linkState is everything one directed link owns: its private random
 // sequence and its FIFO arrival floor. The generator is splitmix64 rather
@@ -74,6 +75,86 @@ type linkKey struct{ from, to Addr }
 type linkState struct {
 	rng   uint64
 	floor int64
+}
+
+// linkTable holds the state of every directed link, keyed by the endpoint
+// numbers from<<32 | to: an open-addressing table with linear probing, so
+// one probe sequence finds or inserts a link and a send updates it in
+// place. It holds no pointer, so the collector never scans it. It grows by
+// a quarter at four-fifths full and so stays 64–80 % full: a link costs
+// 30–38 bytes (a Go map's entry ~45), and the table never doubles in one
+// step as a 10⁵-link ring crosses a power of two.
+type linkTable struct {
+	slots []linkSlot
+	n     int // links held
+}
+
+// linkSlot is one table entry; key is the link key plus one, so the zero
+// slot is free.
+type linkSlot struct {
+	key uint64
+	linkState
+}
+
+// get returns the state of the link with key k, inserting a zero state
+// (fresh reports it) when the link is new. The pointer is good until the
+// next get.
+func (t *linkTable) get(k uint64) (st *linkState, fresh bool) {
+	if (t.n+1)*5 > len(t.slots)*4 {
+		t.grow()
+	}
+	k++
+	for i := t.home(k); ; i = t.next(i) {
+		s := &t.slots[i]
+		if s.key == k {
+			return &s.linkState, false
+		}
+		if s.key == 0 {
+			s.key = k
+			t.n++
+			return &s.linkState, true
+		}
+	}
+}
+
+// home is the first slot probed for a stored key: its hash scaled onto the
+// table's length, which need not be a power of two.
+func (t *linkTable) home(k uint64) int {
+	hi, _ := bits.Mul64(linkHash(k), uint64(len(t.slots)))
+	return int(hi)
+}
+
+// next is the slot probed after i, wrapping at the end of the table.
+func (t *linkTable) next(i int) int {
+	if i++; i == len(t.slots) {
+		return 0
+	}
+	return i
+}
+
+// grow enlarges the table by a quarter (or sizes it on first use) and
+// reinserts every link.
+func (t *linkTable) grow() {
+	old := t.slots
+	t.slots = make([]linkSlot, max(len(old)+len(old)/4, 1024))
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		i := t.home(s.key)
+		for t.slots[i].key != 0 {
+			i = t.next(i)
+		}
+		t.slots[i] = s
+	}
+}
+
+// linkHash mixes a link key (the splitmix64 finalizer), so the high bits
+// the table indexes by depend on both endpoint numbers.
+func linkHash(k uint64) uint64 {
+	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
+	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
+	return k ^ (k >> 31)
 }
 
 // next advances the splitmix64 sequence (Steele et al., "Fast Splittable
@@ -98,11 +179,8 @@ func NewFaults(cfg FaultConfig) *Faults {
 		dropRate: cfg.DropRate,
 		minLat:   cfg.MinLatency,
 		maxLat:   cfg.MaxLatency,
-		linkRate: make(map[linkKey]float64),
-		links:    make(map[uint64]linkState),
+		linkRate: make(map[uint64]float64),
 		ids:      make(map[Addr]uint32),
-		group:    make(map[Addr]int),
-		crashed:  make(map[Addr]bool),
 	}
 }
 
@@ -116,14 +194,14 @@ func (f *Faults) SetDropRate(p float64) {
 // SetLinkDrop overrides the drop probability of one directed link.
 func (f *Faults) SetLinkDrop(from, to Addr, p float64) {
 	f.mu.Lock()
-	f.linkRate[linkKey{from, to}] = p
+	f.linkRate[linkKey(f.id(from), f.id(to))] = p
 	f.mu.Unlock()
 }
 
 // ClearLinkDrops removes all per-link drop overrides.
 func (f *Faults) ClearLinkDrops() {
 	f.mu.Lock()
-	f.linkRate = make(map[linkKey]float64)
+	f.linkRate = make(map[uint64]float64)
 	f.mu.Unlock()
 }
 
@@ -139,10 +217,14 @@ func (f *Faults) SetDelay(min, max time.Duration) {
 // Messages crossing group boundaries are silently lost.
 func (f *Faults) Partition(groups ...[]Addr) {
 	f.mu.Lock()
-	f.group = make(map[Addr]int)
+	f.group = make([]int32, len(f.names))
 	for i, g := range groups {
 		for _, a := range g {
-			f.group[a] = i + 1
+			id := f.id(a)
+			if int(id) >= len(f.group) {
+				f.group = append(f.group, make([]int32, int(id)+1-len(f.group))...)
+			}
+			f.group[id] = int32(i + 1)
 		}
 	}
 	f.split = true
@@ -152,7 +234,7 @@ func (f *Faults) Partition(groups ...[]Addr) {
 // Heal removes any partition.
 func (f *Faults) Heal() {
 	f.mu.Lock()
-	f.group = make(map[Addr]int)
+	f.group = nil
 	f.split = false
 	f.mu.Unlock()
 }
@@ -162,7 +244,14 @@ func (f *Faults) Heal() {
 // The endpoint's state survives; Restart reconnects it.
 func (f *Faults) Crash(name Addr) {
 	f.mu.Lock()
-	f.crashed[name] = true
+	id := f.id(name)
+	if int(id) >= len(f.crashed) {
+		f.crashed = append(f.crashed, make([]bool, int(id)+1-len(f.crashed))...)
+	}
+	if !f.crashed[id] {
+		f.crashed[id] = true
+		f.ncrashed++
+	}
 	f.mu.Unlock()
 }
 
@@ -170,14 +259,33 @@ func (f *Faults) Crash(name Addr) {
 func (f *Faults) Crashed(name Addr) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.crashed[name]
+	id, ok := f.ids[name]
+	return ok && f.isCrashed(id)
+}
+
+// isCrashed reports the crash mark of an endpoint number. The caller holds
+// f.mu.
+func (f *Faults) isCrashed(id uint32) bool {
+	return int(id) < len(f.crashed) && f.crashed[id]
+}
+
+// groupOf returns the partition group of an endpoint number. The caller
+// holds f.mu.
+func (f *Faults) groupOf(id uint32) int32 {
+	if int(id) < len(f.group) {
+		return f.group[id]
+	}
+	return 0
 }
 
 // Restart reconnects a crashed endpoint. Transports also call it when they
 // kill an endpoint, so a dead address carries no crash mark.
 func (f *Faults) Restart(name Addr) {
 	f.mu.Lock()
-	delete(f.crashed, name)
+	if id, ok := f.ids[name]; ok && f.isCrashed(id) {
+		f.crashed[id] = false
+		f.ncrashed--
+	}
 	f.mu.Unlock()
 }
 
@@ -199,32 +307,58 @@ func (f *Faults) Stats() FaultStats {
 func (f *Faults) Admit(from, to Addr, now int64) (at int64, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.admit(f.id(from), f.id(to), now)
+}
+
+// Number returns the endpoint number of name, assigning the next one on
+// first use; a name keeps its number for the plan's lifetime. A transport
+// that numbers each endpoint once, when it attaches, admits its messages
+// with AdmitNumbered and never looks a name up per message.
+func (f *Faults) Number(name Addr) uint32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.id(name)
+}
+
+// AdmitNumbered is Admit for endpoints given by the numbers Number
+// returned. A message gets the same fate under either call.
+func (f *Faults) AdmitNumbered(from, to uint32, now int64) (at int64, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.admit(from, to, now)
+}
+
+// admit is Admit on endpoint numbers. The caller holds f.mu.
+func (f *Faults) admit(from, to uint32, now int64) (at int64, ok bool) {
 	met := f.met
-	if len(f.crashed) > 0 && (f.crashed[from] || f.crashed[to]) {
+	if f.ncrashed > 0 && (f.isCrashed(from) || f.isCrashed(to)) {
 		f.stats.CrashDrops++
 		if met != nil {
 			met.crash.Inc()
 		}
 		return 0, false
 	}
-	if f.split && f.group[from] != f.group[to] {
+	if f.split && f.groupOf(from) != f.groupOf(to) {
 		f.stats.PartitionDrops++
 		if met != nil {
 			met.partition.Inc()
 		}
 		return 0, false
 	}
+	key := linkKey(from, to)
 	rate := f.dropRate
 	if len(f.linkRate) > 0 {
-		if r, ok := f.linkRate[linkKey{from, to}]; ok {
+		if r, ok := f.linkRate[key]; ok {
 			rate = r
 		}
 	}
-	key, st := f.link(from, to)
+	st, fresh := f.links.get(key)
+	if fresh {
+		st.rng = f.linkSeed(from, to)
+	}
 	dropDraw := st.float64()
 	latDraw := st.float64()
 	if rate > 0 && dropDraw < rate {
-		f.links[key] = st
 		f.stats.Dropped++
 		if met != nil {
 			met.dropped.Inc()
@@ -243,7 +377,6 @@ func (f *Faults) Admit(from, to Addr, now int64) (at int64, ok bool) {
 		at = st.floor
 	}
 	st.floor = at
-	f.links[key] = st
 	f.stats.Delivered++
 	if met != nil {
 		met.delivered.Inc()
@@ -251,19 +384,18 @@ func (f *Faults) Admit(from, to Addr, now int64) (at int64, ok bool) {
 	return at, true
 }
 
-// link returns the key and current state of one directed link, seeding its
-// random sequence on first use from the plan's seed and the link's name.
-// The caller holds f.mu and stores the advanced state back under the key.
-func (f *Faults) link(from, to Addr) (uint64, linkState) {
-	key := uint64(f.id(from))<<32 | uint64(f.id(to))
-	if s, ok := f.links[key]; ok {
-		return key, s
-	}
+// linkKey is the key of the directed link between two endpoint numbers.
+func linkKey(from, to uint32) uint64 { return uint64(from)<<32 | uint64(to) }
+
+// linkSeed starts a link's random sequence from the plan's seed and the
+// two endpoint names, so a link's schedule does not depend on the order in
+// which endpoints were numbered. The caller holds f.mu.
+func (f *Faults) linkSeed(from, to uint32) uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(from)) // hash.Hash.Write never fails
-	_, _ = h.Write([]byte{0})    // hash.Hash.Write never fails
-	_, _ = h.Write([]byte(to))   // hash.Hash.Write never fails
-	return key, linkState{rng: uint64(f.seed) ^ h.Sum64()}
+	_, _ = h.Write([]byte(f.names[from])) // hash.Hash.Write never fails
+	_, _ = h.Write([]byte{0})             // hash.Hash.Write never fails
+	_, _ = h.Write([]byte(f.names[to]))   // hash.Hash.Write never fails
+	return uint64(f.seed) ^ h.Sum64()
 }
 
 // id returns an endpoint's number, assigning the next one on first use.
@@ -271,7 +403,8 @@ func (f *Faults) id(a Addr) uint32 {
 	if id, ok := f.ids[a]; ok {
 		return id
 	}
-	id := uint32(len(f.ids))
+	id := uint32(len(f.names))
 	f.ids[a] = id
+	f.names = append(f.names, a)
 	return id
 }

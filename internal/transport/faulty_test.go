@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -208,4 +210,76 @@ func TestFaultyDelayQuiesce(t *testing.T) {
 	if s := f.Faults().Stats(); s.Delayed != n {
 		t.Fatalf("Delayed = %d, want %d", s.Delayed, n)
 	}
+}
+
+// TestFaultyAdmitNumberedAgrees: admitting by endpoint number gives every
+// message the fate Admit gives it by name — drops, arrival instants, crash
+// and partition losses, per-link overrides — even when the numbers were
+// handed out in a different order, because a link's sequence is seeded
+// from the names. No message crosses a crash, the partition or a certain
+// per-link drop. 20 000 messages over 300 endpoints also grow the link
+// table many times.
+func TestFaultyAdmitNumberedAgrees(t *testing.T) {
+	const n = 300
+	cfg := FaultConfig{Seed: 5, MinLatency: time.Millisecond, MaxLatency: 50 * time.Millisecond, DropRate: 0.2}
+	byName, byNum := NewFaults(cfg), NewFaults(cfg)
+	names := make([]Addr, n)
+	nums := make([]uint32, n)
+	for i := range names {
+		names[i] = Addr(fmt.Sprintf("n%d", i))
+	}
+	for i := n - 1; i >= 0; i-- {
+		nums[i] = byNum.Number(names[i])
+	}
+	both := func(f func(*Faults)) { f(byName); f(byNum) }
+
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 20000; k++ {
+		switch k {
+		case 4000:
+			both(func(f *Faults) { f.Crash(names[3]); f.SetLinkDrop(names[1], names[2], 1) })
+		case 8000:
+			both(func(f *Faults) { f.Partition(names[:10], names[10:40]) })
+		case 12000:
+			both(func(f *Faults) { f.Heal(); f.Restart(names[3]); f.ClearLinkDrops() })
+		}
+		from, to := rng.Intn(n), rng.Intn(n-1)
+		if to >= from {
+			to++
+		}
+		if k%50 == 0 {
+			from, to = 1, 2 // keep the overridden link busy
+		}
+		now := int64(k) * int64(time.Millisecond)
+		at1, ok1 := byName.Admit(names[from], names[to], now)
+		at2, ok2 := byNum.AdmitNumbered(nums[from], nums[to], now)
+		if at1 != at2 || ok1 != ok2 {
+			t.Fatalf("message %d %s->%s: Admit (%d, %v), AdmitNumbered (%d, %v)",
+				k, names[from], names[to], at1, ok1, at2, ok2)
+		}
+		crashed := k >= 4000 && k < 12000 && (from == 3 || to == 3)
+		split := k >= 8000 && k < 12000 && partGroup(from) != partGroup(to)
+		if ok1 && (crashed || split || from == 1 && to == 2 && k >= 4000 && k < 12000) {
+			t.Fatalf("message %d %s->%s admitted through a crash, a partition or a certain drop", k, names[from], names[to])
+		}
+	}
+	s1, s2 := byName.Stats(), byNum.Stats()
+	if s1 != s2 {
+		t.Fatalf("stats differ: by name %+v, by number %+v", s1, s2)
+	}
+	if s1.Dropped == 0 || s1.CrashDrops == 0 || s1.PartitionDrops == 0 || s1.Delivered == 0 {
+		t.Fatalf("schedule missed a fault kind: %+v", s1)
+	}
+}
+
+// partGroup is TestFaultyAdmitNumberedAgrees's partition: n0–n9, n10–n39,
+// and everyone else in the implicit group of the unlisted.
+func partGroup(i int) int {
+	switch {
+	case i < 10:
+		return 1
+	case i < 40:
+		return 2
+	}
+	return 0
 }

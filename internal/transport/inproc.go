@@ -9,8 +9,12 @@ import (
 
 // Observer inspects every message accepted for delivery on an in-process
 // network. Observers run synchronously in the sender's goroutine and must be
-// fast and safe for concurrent use. The simulator uses one to count
-// per-query messages exactly as the paper's simulator does.
+// fast and safe for concurrent use. An observer runs before the receiver
+// can see the message, because the receiver owns what it is handed and may
+// recycle it (MsgPool): an observer must not retain msg or anything it
+// points to. It runs under the destination mailbox's lock, so it must not
+// send. The simulator uses one to count per-query messages exactly as the
+// paper's simulator does.
 type Observer func(from, to Addr, msg any)
 
 // Inproc is an in-memory network connecting endpoints by symbolic name.
@@ -180,13 +184,10 @@ func (n *Inproc) send(from, to Addr, msg any) error {
 func (n *Inproc) deliver(box *mailbox, obs Observer, met *inprocMetrics, from Addr, msg any) error {
 	if box != nil {
 		n.track()
-		if box.enqueue(from, msg) {
+		if box.enqueue(from, msg, obs) {
 			n.activity.Add(1)
 			if met != nil {
 				met.sent.Inc()
-			}
-			if obs != nil {
-				obs(from, box.addr, msg)
 			}
 			return nil
 		}
@@ -235,11 +236,17 @@ func (b *mailbox) Close() error {
 	return nil
 }
 
-func (b *mailbox) enqueue(from Addr, msg any) bool {
+// enqueue appends msg unless the mailbox is closed. obs, when set, sees an
+// accepted message under the lock, before the receiver goroutine can take
+// (and recycle) it.
+func (b *mailbox) enqueue(from Addr, msg any, obs Observer) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return false
+	}
+	if obs != nil {
+		obs(from, b.addr, msg)
 	}
 	b.queue = append(b.queue, envelope{from, msg})
 	b.cond.Signal()

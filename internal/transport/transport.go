@@ -35,7 +35,8 @@ type Endpoint interface {
 	Addr() Addr
 	// Send enqueues msg for delivery to the peer at to. Sending to the
 	// endpoint's own address delivers locally. Send never blocks on the
-	// receiver's processing.
+	// receiver's processing. A message sent by pointer is the receiver's
+	// once Send succeeds (see MsgPool); on failure it stays the caller's.
 	Send(to Addr, msg any) error
 	// Close detaches the endpoint; subsequent sends to it fail with
 	// ErrUnreachable.

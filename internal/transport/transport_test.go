@@ -180,6 +180,31 @@ func TestInprocObserver(t *testing.T) {
 	}
 }
 
+// TestInprocObserverRunsBeforeReceiver checks that the observer sees a
+// message before its receiver can: the receiver owns what it is handed
+// and may recycle it, so an observer running after the enqueue could
+// read a message already zeroed and reused.
+func TestInprocObserverRunsBeforeReceiver(t *testing.T) {
+	net := NewInproc()
+	handled := make(chan struct{}, 1)
+	observed := make(chan struct{})
+	net.SetObserver(func(from, to Addr, msg any) {
+		defer close(observed)
+		select {
+		case <-handled:
+			t.Error("the receiver handled the message before the observer returned")
+		case <-time.After(50 * time.Millisecond):
+		}
+	})
+	a, _ := net.Listen("a", &recorder{})
+	net.Listen("b", HandlerFunc(func(Addr, any) { handled <- struct{}{} }))
+	if err := a.Send("b", 1); err != nil {
+		t.Fatal(err)
+	}
+	<-observed
+	net.Quiesce()
+}
+
 func TestInprocConcurrentSenders(t *testing.T) {
 	net := NewInproc()
 	var total atomic.Int64

@@ -82,7 +82,7 @@ func Register(tag uint64, prototype any, enc EncodeFunc, dec DecodeFunc) {
 
 // Lookup returns the codec for v's dynamic type, or nil.
 //
-//lint:allow-allocfree RLock and map read allocate nothing; reflect.TypeOf of a non-pointer interface is a header read
+//lint:allow-allocfree RLock and map read allocate nothing; reflect.TypeOf of an interface is a header read
 func Lookup(v any) *Codec {
 	regMu.RLock()
 	defer regMu.RUnlock()
