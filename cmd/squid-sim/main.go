@@ -3,12 +3,10 @@
 // watch load balancing — the fastest way to explore the system's
 // behaviour.
 //
-// Two backends share one command set. The default goroutine backend runs
-// every peer as a real mailbox goroutine — faithful concurrency, best for
-// poking at protocol behaviour up to a few hundred nodes. -backend=des
-// runs the discrete-event simulator instead: zero goroutines, virtual
-// time, planet-scale rings. The `scale` command runs a full paper-scale
-// experiment on the event core regardless of the session backend.
+// The network runs on the discrete-event core: zero goroutines per peer,
+// virtual time and wide-area link latency, so a session's answers replay
+// exactly and `build` scales to planet-size rings. The `scale` command
+// runs a full paper-scale experiment in a network of its own.
 //
 //	$ go run ./cmd/squid-sim
 //	squid> build 100
@@ -37,7 +35,6 @@ import (
 	"squid/internal/squid"
 	"squid/internal/stats"
 	"squid/internal/telemetry"
-	"squid/internal/transport"
 	"squid/internal/workload"
 )
 
@@ -66,21 +63,14 @@ const helpText = `commands:
   quit`
 
 type session struct {
-	backend string // "goroutine" (default) or "des"
-	net     *sim.Network
-	rng     *rand.Rand
+	net *sim.Network
+	rng *rand.Rand
 }
 
 func main() {
-	backend := flag.String("backend", "goroutine",
-		"simulator backend: goroutine (one mailbox goroutine per peer) or des (discrete-event, virtual time)")
 	flag.Parse()
-	if *backend != "goroutine" && *backend != "des" {
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want goroutine or des)\n", *backend)
-		os.Exit(2)
-	}
-	fmt.Printf("squid-sim — interactive Squid network simulator (%s backend). Type 'help'.\n", *backend)
-	s := &session{backend: *backend, rng: rand.New(rand.NewSource(1))}
+	fmt.Println("squid-sim — interactive Squid network simulator on the event core. Type 'help'.")
+	s := &session{rng: rand.New(rand.NewSource(1))}
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("squid> ")
 	for sc.Scan() {
@@ -277,55 +267,28 @@ func (s *session) build(args []string) error {
 	if err != nil {
 		return err
 	}
-	if s.backend == "des" {
-		nw, err := dessim.Build(dessim.Config{
-			Nodes: nodes, Space: space, Seed: s.rng.Int63(),
-			// The full recovery stack on virtual time: generous deadlines
-			// cost nothing in wall clock, and impatient ones re-dispatch
-			// subtrees that are still working.
-			Engine: squid.Options{
-				Replicas:       2,
-				SubtreeTimeout: 8 * time.Second,
-				QueryDeadline:  2 * time.Minute,
-			},
-			Chord: chord.Config{
-				RPCTimeout: 400 * time.Millisecond,
-				RPCRetries: 4,
-				RPCBackoff: 10 * time.Millisecond,
-			},
-			// Realistic wide-area latency; 'faults <rate>' adds loss.
-			Net: dessim.NetConfig{
-				Seed:       s.rng.Int63(),
-				MinLatency: 5 * time.Millisecond,
-				MaxLatency: 80 * time.Millisecond,
-			},
-			Trace:           true,
-			CheckInvariants: true,
-		})
-		if err != nil {
-			return err
-		}
-		s.net = nw.Network
-		fmt.Printf("built %d-peer event-core network over a %d-D, %d-bit keyword space\n", nodes, dims, bits)
-		return nil
-	}
-	nw, err := sim.Build(sim.Config{
+	nw, err := dessim.Build(dessim.Config{
 		Nodes: nodes, Space: space, Seed: s.rng.Int63(),
-		// The full recovery stack, so 'faults' and 'crash' demonstrate
-		// graceful degradation instead of a hung REPL.
+		// The full recovery stack on virtual time: generous deadlines
+		// cost nothing in wall clock, and impatient ones re-dispatch
+		// subtrees that are still working.
 		Engine: squid.Options{
 			Replicas:       2,
-			SubtreeTimeout: 150 * time.Millisecond,
-			QueryDeadline:  10 * time.Second,
+			SubtreeTimeout: 8 * time.Second,
+			QueryDeadline:  2 * time.Minute,
 		},
-		// Zero backoff keeps retries inside the quiesce window, so the
-		// synchronous 'stabilize' command still heals deterministically.
 		Chord: chord.Config{
-			RPCTimeout: 100 * time.Millisecond,
+			RPCTimeout: 400 * time.Millisecond,
 			RPCRetries: 4,
+			RPCBackoff: 10 * time.Millisecond,
 		},
-		Faults: transport.FaultConfig{Seed: s.rng.Int63()},
-		Trace:  true,
+		// Realistic wide-area latency; 'faults <rate>' adds loss.
+		Net: dessim.NetConfig{
+			Seed:       s.rng.Int63(),
+			MinLatency: 5 * time.Millisecond,
+			MaxLatency: 80 * time.Millisecond,
+		},
+		Trace: true,
 		// Every 'stabilize' round also runs the ring-invariant checker;
 		// 'check' runs it on demand and 'metrics' shows the counts.
 		CheckInvariants: true,
@@ -333,7 +296,7 @@ func (s *session) build(args []string) error {
 	if err != nil {
 		return err
 	}
-	s.net = nw
+	s.net = nw.Network
 	fmt.Printf("built %d-peer network over a %d-D, %d-bit keyword space\n", nodes, dims, bits)
 	return nil
 }
@@ -341,7 +304,7 @@ func (s *session) build(args []string) error {
 // scale runs a self-contained planet-scale experiment on the event core —
 // bootstrap, Zipf corpus, invariant-checked stabilization, then a churn +
 // query storm — and reports virtual time, events/sec, and the outcome. It
-// leaves the session's network untouched, so it works from either backend.
+// leaves the session's network untouched.
 func (s *session) scale(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: scale <nodes> [queries]")

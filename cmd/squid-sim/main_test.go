@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
+// TestSessionExec drives the core REPL commands through one session:
+// commands before build fail, the command set runs, and malformed commands
+// fail cleanly.
 func TestSessionExec(t *testing.T) {
-	s := &session{backend: "goroutine", rng: rand.New(rand.NewSource(1))}
+	s := &session{rng: rand.New(rand.NewSource(1))}
 	// Commands before build must fail (except build/help).
 	if err := s.exec("query (a, *)"); err == nil {
 		t.Error("query before build should fail")
@@ -54,11 +57,11 @@ func TestSessionExec(t *testing.T) {
 	}
 }
 
-// TestSessionExecDES drives the same command set through the discrete-event
-// backend: every REPL command must work identically, and the scale command
-// must run its planet-scale storm.
+// TestSessionExecDES drives the full command set, check and trace included,
+// through one event-core session, and the scale command must run its
+// planet-scale storm.
 func TestSessionExecDES(t *testing.T) {
-	s := &session{backend: "des", rng: rand.New(rand.NewSource(1))}
+	s := &session{rng: rand.New(rand.NewSource(1))}
 	steps := []string{
 		"build 20",
 		"load 1000",

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -656,9 +655,4 @@ func FuncDirective(pkg *Package, fn *types.Func, name string) (args string, ok b
 		}
 	}
 	return "", false
-}
-
-// DirectiveError formats a malformed-directive error consistently.
-func DirectiveError(fset *token.FileSet, d Directive, msg string) error {
-	return fmt.Errorf("%s: //lint:%s: %s", fset.Position(d.Pos), d.Name, msg)
 }

@@ -2,8 +2,9 @@
 // the packages whose behaviour must replay bit-for-bit from a seed.
 //
 // The simulation substrates (internal/sim and the discrete-event
-// internal/dessim, where virtual time is the only time), the curve kernels
-// (internal/sfc), the telemetry registry (internal/telemetry, whose
+// internal/dessim, where virtual time is the only time), the figure
+// pipeline (internal/experiments and its gnutella and invindex baselines),
+// the curve kernels (internal/sfc), the telemetry registry (internal/telemetry, whose
 // injectable clock is the whole point — reading the wall clock directly
 // would leak nondeterminism into every instrumented package) and the
 // fault plan (internal/transport's faulty*.go files), and the
@@ -33,7 +34,7 @@ import (
 // Analyzer is the nodeterminism pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nondet",
-	Doc:  "forbids time.Now/timers and global math/rand in determinism-critical packages (sim, dessim, sfc, telemetry, wire, workload, transport's fault plan, chord/squid invariant and churn files)",
+	Doc:  "forbids time.Now/timers and global math/rand in determinism-critical packages (sim, dessim, sfc, telemetry, wire, workload, the figure pipeline, transport's fault plan, chord/squid invariant and churn files)",
 	Run:  run,
 }
 
@@ -44,10 +45,13 @@ var Analyzer = &analysis.Analyzer{
 // keyspaces and query mixes bit-for-bit from the configured seed; dessim
 // because the discrete-event simulator's entire contract is that virtual
 // time is the only time — one wall-clock read or global draw and the
-// seed-reproducibility tests become flakes.
+// seed-reproducibility tests become flakes; experiments, gnutella and
+// invindex because they are the figure pipeline, whose every row must be a
+// function of its seeds.
 var criticalPkgs = map[string]bool{
 	"sim": true, "dessim": true, "sfc": true, "telemetry": true,
 	"wire": true, "workload": true,
+	"experiments": true, "gnutella": true, "invindex": true,
 }
 
 // bannedTime are the time package functions that read or schedule against

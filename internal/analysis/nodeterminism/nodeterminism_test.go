@@ -8,5 +8,5 @@ import (
 )
 
 func TestNoDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", nodeterminism.Analyzer, "sim", "dessim", "telemetry", "transport", "chord", "other", "wire", "workload")
+	analysistest.Run(t, "testdata", nodeterminism.Analyzer, "sim", "dessim", "telemetry", "transport", "chord", "other", "wire", "workload", "gnutella")
 }

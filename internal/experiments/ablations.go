@@ -32,7 +32,7 @@ func AblationLoadBalance(nodes, keys int, w io.Writer) ([]LoadBalanceRow, error)
 		if err != nil {
 			return nil, err
 		}
-		nw, err := sim.Build(sim.Config{Nodes: 1, Space: space, Seed: 61})
+		nw, err := build(1, space, 61, squid.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +185,7 @@ func AblationCurve(sc Scale, w io.Writer) ([]CurveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		nw, err := sim.Build(sim.Config{Nodes: sc.Nodes, Space: space, Seed: 74})
+		nw, err := build(sc.Nodes, space, 74, squid.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"squid/internal/dessim"
 	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
@@ -181,12 +182,7 @@ func BuildNetwork(cfg SweepConfig, sc Scale) (*sim.Network, *workload.Vocabulary
 	if err != nil {
 		return nil, nil, err
 	}
-	nw, err := sim.Build(sim.Config{
-		Nodes:  sc.Nodes,
-		Space:  space,
-		Seed:   cfg.Seed,
-		Engine: cfg.Engine,
-	})
+	nw, err := build(sc.Nodes, space, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,6 +192,16 @@ func BuildNetwork(cfg SweepConfig, sc Scale) (*sim.Network, *workload.Vocabulary
 		return nil, nil, err
 	}
 	return nw, vocab, nil
+}
+
+// build constructs a network on the event core. Every figure runs there, so
+// its rows are a function of the seeds alone.
+func build(nodes int, space *keyspace.Space, seed int64, eng squid.Options) (*sim.Network, error) {
+	nw, err := dessim.Build(dessim.Config{Nodes: nodes, Space: space, Seed: seed, Engine: eng})
+	if err != nil {
+		return nil, err
+	}
+	return nw.Network, nil
 }
 
 func makeQueries(cfg SweepConfig, vocab *workload.Vocabulary) []keyspace.Query {

@@ -13,7 +13,6 @@ import (
 	"squid/internal/keyspace"
 	"squid/internal/loadbalance"
 	"squid/internal/sfc"
-	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/stats"
 	"squid/internal/viz"
@@ -210,12 +209,12 @@ type LoadDistributions struct {
 // join-time load balancing only and (b) join-time plus runtime balancing,
 // reporting per-node load distributions.
 func Fig19(nodes, keys int, w io.Writer) (LoadDistributions, error) {
-	build := func(sampled bool, runtimeLB bool) ([]int, error) {
+	grow := func(sampled bool, runtimeLB bool) ([]int, error) {
 		space, err := keyspace.NewWordSpace(2, bits2D)
 		if err != nil {
 			return nil, err
 		}
-		nw, err := sim.Build(sim.Config{Nodes: 1, Space: space, Seed: 19})
+		nw, err := build(1, space, 19, squid.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -249,13 +248,13 @@ func Fig19(nodes, keys int, w io.Writer) (LoadDistributions, error) {
 
 	var out LoadDistributions
 	var err error
-	if out.Uniform, err = build(false, false); err != nil {
+	if out.Uniform, err = grow(false, false); err != nil {
 		return out, err
 	}
-	if out.JoinOnly, err = build(true, false); err != nil {
+	if out.JoinOnly, err = grow(true, false); err != nil {
 		return out, err
 	}
-	if out.JoinAndRun, err = build(true, true); err != nil {
+	if out.JoinAndRun, err = grow(true, true); err != nil {
 		return out, err
 	}
 	if w != nil {
@@ -393,7 +392,7 @@ func BaselinesCompare(nodes, elems int, w io.Writer) ([]BaselineRow, error) {
 	var rows []BaselineRow
 
 	// Squid.
-	nw, err := sim.Build(sim.Config{Nodes: nodes, Space: space, Seed: 43})
+	nw, err := build(nodes, space, 43, squid.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +479,7 @@ func BaselineInverseSFC(nodes, values int, w io.Writer) ([]InverseSFCRow, error)
 	if err != nil {
 		return nil, err
 	}
-	nw, err := sim.Build(sim.Config{Nodes: nodes, Space: space, Seed: 52})
+	nw, err := build(nodes, space, 52, squid.Options{})
 	if err != nil {
 		return nil, err
 	}

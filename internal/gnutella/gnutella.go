@@ -8,15 +8,18 @@
 // Flooding finds only what the TTL radius reaches: recall is not
 // guaranteed, and message cost grows with the whole network rather than
 // with the result set — the two defects Squid's structured approach fixes.
-// Peers run on the in-process transport, which passes messages as values,
-// so the message types below have no wire codec.
+// Peers run on the event core's transport (dessim.Net), which passes
+// messages as values, so the message types below have no wire codec. A
+// flood is therefore a function of the seed: with instant links it reaches
+// every peer first along a shortest path.
 package gnutella
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"sort"
 
+	"squid/internal/dessim"
 	"squid/internal/keyspace"
 	"squid/internal/squid"
 	"squid/internal/transport"
@@ -42,7 +45,6 @@ type Peer struct {
 	ep        transport.Endpoint
 	neighbors []transport.Addr
 
-	mu       sync.Mutex
 	elems    []squid.Element
 	seen     map[uint64]bool
 	pending  map[uint64]*pendingQuery
@@ -69,18 +71,12 @@ func (p *Peer) Start(ep transport.Endpoint) { p.ep = ep }
 
 // SetNeighbors installs the peer's adjacency list.
 func (p *Peer) SetNeighbors(ns []transport.Addr) {
-	p.mu.Lock()
 	p.neighbors = append([]transport.Addr(nil), ns...)
-	p.mu.Unlock()
 }
 
 // AddElement stores an element locally (unstructured systems keep data
 // where it is published).
-func (p *Peer) AddElement(e squid.Element) {
-	p.mu.Lock()
-	p.elems = append(p.elems, e)
-	p.mu.Unlock()
-}
+func (p *Peer) AddElement(e squid.Element) { p.elems = append(p.elems, e) }
 
 // Deliver implements transport.Handler.
 func (p *Peer) Deliver(from transport.Addr, msg any) {
@@ -88,18 +84,14 @@ func (p *Peer) Deliver(from transport.Addr, msg any) {
 	case queryMsg:
 		p.handleQuery(m)
 	case resultMsg:
-		p.mu.Lock()
 		if st, ok := p.pending[m.QID]; ok {
 			st.matches = append(st.matches, m.Matches...)
 		}
-		p.mu.Unlock()
 	}
 }
 
 func (p *Peer) handleQuery(m queryMsg) {
-	p.mu.Lock()
 	if p.seen[m.QID] {
-		p.mu.Unlock()
 		return
 	}
 	p.seen[m.QID] = true
@@ -109,9 +101,6 @@ func (p *Peer) handleQuery(m queryMsg) {
 			local = append(local, e)
 		}
 	}
-	neighbors := append([]transport.Addr(nil), p.neighbors...)
-	p.mu.Unlock()
-
 	if len(local) > 0 {
 		_ = p.ep.Send(m.Origin, resultMsg{QID: m.QID, Matches: local}) // origin may have left; flooding makes no delivery guarantee
 	}
@@ -119,23 +108,21 @@ func (p *Peer) handleQuery(m queryMsg) {
 		return
 	}
 	fwd := queryMsg{QID: m.QID, Query: m.Query, TTL: m.TTL - 1, Origin: m.Origin}
-	for _, n := range neighbors {
+	for _, n := range p.neighbors {
 		if p.ep.Send(n, fwd) == nil {
-			p.mu.Lock()
 			p.messages[m.QID]++
-			p.mu.Unlock()
 		}
 	}
 }
 
-// Network is a simulated unstructured overlay.
+// Network is a simulated unstructured overlay on the event core. Like the
+// core, it is confined to the goroutine that drives it.
 type Network struct {
-	Inproc *transport.Inproc
-	Space  *keyspace.Space
-	Peers  []*Peer
+	Space *keyspace.Space
+	Peers []*Peer
 
+	core    *dessim.Core
 	nextQID uint64
-	mu      sync.Mutex
 }
 
 // Build wires n peers into a random graph of the given average degree.
@@ -143,12 +130,13 @@ func Build(space *keyspace.Space, n, degree int, seed int64) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gnutella: need at least one peer")
 	}
-	nw := &Network{Inproc: transport.NewInproc(), Space: space}
+	nw := &Network{Space: space, core: dessim.NewCore()}
+	net := dessim.NewNet(nw.core, dessim.NetConfig{})
 	addrs := make([]transport.Addr, n)
 	for i := 0; i < n; i++ {
 		p := NewPeer(space)
 		addr := transport.Addr(fmt.Sprintf("g%d", i))
-		ep, err := nw.Inproc.Listen(addr, p)
+		ep, err := net.Listen(addr, p)
 		if err != nil {
 			return nil, err
 		}
@@ -185,6 +173,9 @@ func Build(space *keyspace.Space, n, degree int, seed int64) (*Network, error) {
 		for j := range adj[i] {
 			ns = append(ns, addrs[j])
 		}
+		// Map order is random; sorting fixes the send order, so a flood
+		// reports its matches in the same order every run.
+		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
 		p.SetNeighbors(ns)
 	}
 	return nw, nil
@@ -203,31 +194,20 @@ type FloodResult struct {
 // Query floods q from the given peer with the TTL and returns matches
 // found plus cost. Recall is complete only if the TTL covers the graph.
 func (nw *Network) Query(from int, q keyspace.Query, ttl int) FloodResult {
-	nw.mu.Lock()
 	nw.nextQID++
 	qid := nw.nextQID
-	nw.mu.Unlock()
-
 	origin := nw.Peers[from]
-	origin.mu.Lock()
 	origin.pending[qid] = &pendingQuery{}
-	origin.mu.Unlock()
-
 	origin.handleQuery(queryMsg{QID: qid, Query: q, TTL: ttl, Origin: origin.ep.Addr()})
-	nw.Inproc.Quiesce()
+	nw.core.Run()
 
-	res := FloodResult{}
-	origin.mu.Lock()
-	res.Matches = origin.pending[qid].matches
+	res := FloodResult{Matches: origin.pending[qid].matches}
 	delete(origin.pending, qid)
-	origin.mu.Unlock()
 	for _, p := range nw.Peers {
-		p.mu.Lock()
 		res.Messages += p.messages[qid]
 		if p.seen[qid] {
 			res.Visited++
 		}
-		p.mu.Unlock()
 	}
 	return res
 }

@@ -11,17 +11,18 @@
 // messages), and queries move whole postings lists (bandwidth scales with
 // the most popular keyword, not the result). Partial keywords, wildcards
 // and ranges are not supported at all — the gap Squid's SFC index fills.
-// Nodes run on the in-process transport, which passes messages as values,
-// so the message types below have no wire codec.
+// Nodes run on the event core's transport (dessim.Net), which passes
+// messages as values, so the message types below have no wire codec.
 package invindex
 
 import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"squid/internal/chord"
+	"squid/internal/dessim"
+	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/transport"
 )
@@ -49,11 +50,11 @@ type postingsMsg struct {
 // bucket is the stored value for one hash key (handover unit).
 type bucket map[string][]squid.Element
 
-// App is the per-node inverted-index application.
+// App is the per-node inverted-index application. Like its node, it is
+// confined to the node's delivery context.
 type App struct {
 	space chord.Space
 
-	mu       sync.Mutex
 	postings map[chord.ID]bucket
 	node     *chord.Node
 
@@ -92,19 +93,15 @@ func (a *App) Deliver(from transport.Addr, key chord.ID, payload any) {
 	switch m := payload.(type) {
 	case postMsg:
 		id := HashWord(a.space, m.Word)
-		a.mu.Lock()
 		b, ok := a.postings[id]
 		if !ok {
 			b = bucket{}
 			a.postings[id] = b
 		}
 		b[m.Word] = append(b[m.Word], m.Elem)
-		a.mu.Unlock()
 	case getMsg:
 		id := HashWord(a.space, m.Word)
-		a.mu.Lock()
 		elems := append([]squid.Element(nil), a.postings[id][m.Word]...)
-		a.mu.Unlock()
 		a.node.SendApp(m.ReplyTo, postingsMsg{QID: m.QID, Word: m.Word, Elems: elems})
 	case postingsMsg:
 		g, ok := a.pending[m.QID]
@@ -188,8 +185,6 @@ func Intersect(byWord map[string][]squid.Element) []squid.Element {
 
 // HandoverOut implements chord.App.
 func (a *App) HandoverOut(x, y chord.ID) []chord.Item {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var items []chord.Item
 	for id, b := range a.postings {
 		if a.space.Between(id, x, y) {
@@ -202,8 +197,6 @@ func (a *App) HandoverOut(x, y chord.ID) []chord.Item {
 
 // HandoverIn implements chord.App.
 func (a *App) HandoverIn(items []chord.Item) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, it := range items {
 		b, ok := it.Value.(bucket)
 		if !ok {
@@ -221,17 +214,11 @@ func (a *App) HandoverIn(items []chord.Item) {
 }
 
 // Load implements chord.App: number of posting keys stored.
-func (a *App) Load() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.postings)
-}
+func (a *App) Load() int { return len(a.postings) }
 
 // PostingsSize returns the total number of posting entries at this node —
 // the storage-blowup metric (each element appears once per keyword).
 func (a *App) PostingsSize() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	n := 0
 	for _, b := range a.postings {
 		for _, es := range b {
@@ -244,105 +231,68 @@ func (a *App) PostingsSize() int {
 var _ chord.App = (*App)(nil)
 
 // Network is an inverted-index deployment over an oracle-bootstrapped
-// Chord ring, for the baseline benchmarks.
+// Chord ring on the event core, for the baseline benchmarks. Like the core,
+// it is confined to the goroutine that drives it.
 type Network struct {
-	Inproc *transport.Inproc
-	space  chord.Space
-	peers  []*peer
-	qid    uint64
-	mu     sync.Mutex
-
-	msgMu    sync.Mutex
+	core     *dessim.Core
+	nodes    []*chord.Node // sorted by identifier
+	qid      uint64
 	messages map[uint64]int
 }
 
-type peer struct {
-	node *chord.Node
-	app  *App
-}
-
-// BuildNetwork constructs n nodes with the given ring width.
+// BuildNetwork constructs n nodes with the given ring width. Identifiers
+// are drawn from seed, and the node drawn k-th listens as iv<k>.
 func BuildNetwork(bits, n int, seed int64) (*Network, error) {
 	space, err := chord.NewSpace(bits)
 	if err != nil {
 		return nil, err
 	}
-	nw := &Network{Inproc: transport.NewInproc(), space: space, messages: make(map[uint64]int)}
-	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
-		trace := uint64(0)
+	nw := &Network{core: dessim.NewCore(), messages: make(map[uint64]int)}
+	net := dessim.NewNet(nw.core, dessim.NetConfig{})
+	net.SetObserver(func(from, to transport.Addr, msg any) {
 		switch m := msg.(type) {
 		case *chord.RouteMsg:
-			trace = m.Trace
+			nw.count(m.Trace)
 		case postingsMsg:
-			trace = m.QID
-		}
-		if trace != 0 {
-			nw.msgMu.Lock()
-			nw.messages[trace]++
-			nw.msgMu.Unlock()
+			nw.count(m.QID)
 		}
 	})
-
-	ids := map[uint64]bool{}
+	seen := map[uint64]bool{}
 	rng := newRand(seed)
-	for len(ids) < n {
-		ids[rng.Uint64()&space.Mask()] = true
-	}
-	for id := range ids {
+	for len(nw.nodes) < n {
+		id := rng.Uint64() & space.Mask()
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
 		app := NewApp(space)
-		node := chord.NewNode(chord.Config{Space: space}, chord.ID(id), app)
+		node := chord.NewNode(chord.Config{Space: space, Clock: nw.core.Clock()}, chord.ID(id), app)
 		app.Attach(node)
-		addr := transport.Addr(fmt.Sprintf("iv%d", len(nw.peers)))
-		ep, err := nw.Inproc.Listen(addr, node)
+		ep, err := net.Listen(transport.Addr(fmt.Sprintf("iv%d", len(nw.nodes))), node)
 		if err != nil {
 			return nil, err
 		}
 		node.Start(ep)
-		nw.peers = append(nw.peers, &peer{node: node, app: app})
+		nw.nodes = append(nw.nodes, node)
 	}
-	//lint:allow-ringcmp canonical linear order of the bootstrap table; the wrap-around successor is index 0, taken below
-	sort.Slice(nw.peers, func(i, j int) bool { return nw.peers[i].node.Self().ID < nw.peers[j].node.Self().ID })
-	for i, p := range nw.peers {
-		pred := nw.peers[(i+len(nw.peers)-1)%len(nw.peers)].node.Self()
-		var succs []chord.NodeRef
-		for k := 1; k <= 4 && k <= len(nw.peers); k++ {
-			succs = append(succs, nw.peers[(i+k)%len(nw.peers)].node.Self())
-		}
-		fingers := make([]chord.NodeRef, bits)
-		for b := 0; b < bits; b++ {
-			target := space.Add(p.node.Self().ID, uint64(1)<<uint(b))
-			//lint:allow-ringcmp binary search over the sorted bootstrap table; wrap handled by the j == len reset below
-			j := sort.Search(len(nw.peers), func(j int) bool { return nw.peers[j].node.Self().ID >= target })
-			if j == len(nw.peers) {
-				j = 0
-			}
-			fingers[b] = nw.peers[j].node.Self()
-		}
-		p := p
-		pr, ss, fg := pred, succs, fingers
-		done := make(chan struct{})
-		if err := p.node.Invoke(func() { p.node.InstallRing(pr, ss, fg); close(done) }); err != nil {
-			return nil, fmt.Errorf("invindex: bootstrap invoke: %w", err)
-		}
-		<-done
-	}
+	sim.InstallRing(nw.nodes, 4)
+	nw.core.Run()
 	return nw, nil
 }
 
-// mustInvoke schedules fn on n's delivery goroutine. The baseline network
-// never detaches peers, so a refused Invoke is a harness bug; panicking
-// beats the silent channel-wait deadlock the dropped error would become.
-func mustInvoke(n *chord.Node, fn func()) {
-	if err := n.Invoke(fn); err != nil {
-		panic(fmt.Sprintf("invindex: Invoke on %x: %v", uint64(n.Self().ID), err))
+// count charges one message to a traced query.
+func (nw *Network) count(trace uint64) {
+	if trace != 0 {
+		nw.messages[trace]++
 	}
 }
 
+// app returns the application of the via-th node in ring order.
+func (nw *Network) app(via int) *App { return nw.nodes[via%len(nw.nodes)].App().(*App) }
+
 // Publish indexes an element (k routed messages for k keywords).
-func (nw *Network) Publish(via int, e squid.Element) {
-	p := nw.peers[via%len(nw.peers)]
-	mustInvoke(p.node, func() { p.app.Publish(e, 0) })
-}
+// Call Quiesce before reading the index.
+func (nw *Network) Publish(via int, e squid.Element) { nw.app(via).Publish(e, 0) }
 
 // QueryResult reports one conjunctive query's outcome and cost.
 type QueryResult struct {
@@ -352,38 +302,28 @@ type QueryResult struct {
 
 // Query resolves a conjunctive exact-keyword query from the given peer.
 func (nw *Network) Query(via int, words []string) QueryResult {
-	nw.mu.Lock()
 	nw.qid++
 	qid := nw.qid
-	nw.mu.Unlock()
-
-	p := nw.peers[via%len(nw.peers)]
-	ch := make(chan map[string][]squid.Element, 1)
-	mustInvoke(p.node, func() {
-		p.app.Lookup(qid, words, func(m map[string][]squid.Element) { ch <- m })
-	})
-	byWord := <-ch
-	nw.Inproc.Quiesce()
-	nw.msgMu.Lock()
-	msgs := nw.messages[qid]
-	nw.msgMu.Unlock()
-	return QueryResult{Matches: Intersect(byWord), Messages: msgs}
+	var byWord map[string][]squid.Element
+	nw.app(via).Lookup(qid, words, func(m map[string][]squid.Element) { byWord = m })
+	nw.core.Run()
+	return QueryResult{Matches: Intersect(byWord), Messages: nw.messages[qid]}
 }
 
-// Quiesce waits for the network to drain (e.g. after publishes).
-func (nw *Network) Quiesce() { nw.Inproc.Quiesce() }
+// Quiesce runs the network until it drains (e.g. after publishes).
+func (nw *Network) Quiesce() { nw.core.Run() }
 
 // TotalPostings sums posting entries across nodes (storage blowup).
 func (nw *Network) TotalPostings() int {
 	total := 0
-	for _, p := range nw.peers {
-		total += p.app.PostingsSize()
+	for i := range nw.nodes {
+		total += nw.app(i).PostingsSize()
 	}
 	return total
 }
 
 // Size returns the number of peers.
-func (nw *Network) Size() int { return len(nw.peers) }
+func (nw *Network) Size() int { return len(nw.nodes) }
 
 // newRand isolates the package's randomness.
 func newRand(seed int64) *randSource { return &randSource{state: uint64(seed)*2654435761 + 1} }

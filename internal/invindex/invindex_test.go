@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/squid"
+	"squid/internal/transport"
 )
 
 func TestHashWordStable(t *testing.T) {
@@ -140,5 +141,40 @@ func TestQueryCostScalesWithPostings(t *testing.T) {
 	res := nw.Query(0, []string{"popular", "rare7"})
 	if len(res.Matches) != 1 {
 		t.Fatalf("conjunction found %d", len(res.Matches))
+	}
+}
+
+// TestBuildNetworkReplays pins the address table: the node whose
+// identifier is drawn k-th from the seed listens as ivk, so two builds with
+// one seed agree on every address.
+func TestBuildNetworkReplays(t *testing.T) {
+	const bits, n, seed = 32, 25, 7
+	space, err := chord.NewSpace(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []chord.ID
+	seen := map[chord.ID]bool{}
+	for rng := newRand(seed); len(want) < n; {
+		if id := chord.ID(rng.Uint64() & space.Mask()); !seen[id] {
+			seen[id] = true
+			want = append(want, id)
+		}
+	}
+	for build := 0; build < 2; build++ {
+		nw, err := BuildNetwork(bits, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[transport.Addr]chord.ID{}
+		for _, node := range nw.nodes {
+			got[node.Self().Addr] = node.Self().ID
+		}
+		for k, id := range want {
+			addr := transport.Addr(fmt.Sprintf("iv%d", k))
+			if got[addr] != id {
+				t.Fatalf("build %d: %s has ID %x, want the %d-th draw %x", build, addr, uint64(got[addr]), k, uint64(id))
+			}
+		}
 	}
 }

@@ -259,32 +259,51 @@ func (nw *Network) sortPeers() {
 	sort.Slice(nw.Peers, func(i, j int) bool { return nw.Peers[i].ID() < nw.Peers[j].ID() })
 }
 
-// installRing writes consistent pred/succ/finger state into every peer
-// directly.
+// installRing bootstraps the ring from the oracle, then waits for the
+// installs to run.
 func (nw *Network) installRing() {
-	n := len(nw.Peers)
-	succLen := nw.cfg.SuccListLen
+	nodes := make([]*chord.Node, len(nw.Peers))
+	for i, p := range nw.Peers {
+		nodes[i] = p.Node
+	}
+	InstallRing(nodes, nw.cfg.SuccListLen)
+	nw.drv.Quiesce()
+}
+
+// InstallRing is the oracle bootstrap of every simulated ring, in place of
+// join messages. It sorts nodes by identifier and writes into each the
+// state full stabilization would leave: its predecessor, succLen
+// successors (4 when succLen ≤ 0) and finger table. Each install is
+// invoked on the node's delivery context, so the caller waits for the
+// network to go idle before it uses the ring; a node whose endpoint refuses
+// the work panics, as in MustInvoke.
+func InstallRing(nodes []*chord.Node, succLen int) {
+	//lint:allow-ringcmp canonical linear order of the bootstrap table; the finger search below measures clockwise distance, so the wrap needs no case
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Self().ID < nodes[j].Self().ID })
 	if succLen <= 0 {
 		succLen = 4
 	}
-	space := chord.Space{Bits: nw.Space.IndexBits()}
-	for i, p := range nw.Peers {
-		pred := nw.Peers[(i+n-1)%n].Node.Self()
-		var succs []chord.NodeRef
-		for k := 1; k <= succLen && k < n+1; k++ {
-			succs = append(succs, nw.Peers[(i+k)%n].Node.Self())
+	n := len(nodes)
+	for i, node := range nodes {
+		self, space := node.Self(), node.Space()
+		at := func(k int) chord.NodeRef { return nodes[(i+k)%n].Self() }
+		pred := at(n - 1)
+		succs := make([]chord.NodeRef, 0, min(succLen, n))
+		for k := 1; k <= succLen && k <= n; k++ {
+			succs = append(succs, at(k))
 		}
-		if len(succs) == 0 {
-			succs = []chord.NodeRef{p.Node.Self()}
-		}
+		// Finger b is the first node at least 2^b clockwise of this one; if
+		// no other node is that far, the target wraps round to this node.
 		fingers := make([]chord.NodeRef, space.Bits)
-		for b := 0; b < space.Bits; b++ {
-			target := space.Add(p.ID(), uint64(1)<<uint(b))
-			fingers[b] = nw.successorPeer(target).Node.Self()
+		for b := range fingers {
+			fingers[b] = at(sort.Search(n, func(k int) bool {
+				return space.Dist(self.ID, at(k).ID) >= uint64(1)<<uint(b)
+			}))
 		}
-		MustInvoke(p, func() { p.Node.InstallRing(pred, succs, fingers) })
+		if err := node.Invoke(func() { node.InstallRing(pred, succs, fingers) }); err != nil {
+			panic(fmt.Sprintf("sim: Invoke on dead node %s: %v", self.Addr, err))
+		}
 	}
-	nw.drv.Quiesce()
 }
 
 // successorPeer returns the live peer owning the given identifier.

@@ -468,23 +468,11 @@ func (e *Engine) Unpublish(elem Element) error {
 	return nil
 }
 
-// StoreDirect inserts an element into the local store bypassing routing —
-// the simulator's bulk-preload hook. The caller is responsible for having
-// picked the owning node.
-func (e *Engine) StoreDirect(elem Element) error {
-	idx, err := e.space.Index(elem.Values)
-	if err != nil {
-		return err
-	}
-	e.store.Add(idx, elem)
-	e.noteMutation(idx)
-	e.syncKeys()
-	return nil
-}
-
 // StoreDirectBatch bulk-loads elements into the local store bypassing
-// routing, through the store's sorted-merge path — seeding n elements
-// costs O(n log n) instead of the O(n²) of n StoreDirect calls.
+// routing — the simulator's preload hook; the caller is responsible for
+// having picked the owning node. It goes through the store's sorted-merge
+// path, so seeding n elements costs O(n log n) instead of the O(n²) of n
+// single inserts.
 func (e *Engine) StoreDirectBatch(elems []Element) error {
 	items := make([]chord.Item, 0, len(elems))
 	for _, elem := range elems {

@@ -167,19 +167,6 @@ func (s *Store) Snapshot() []chord.Item {
 	return out
 }
 
-// AddUnique stores the element unless an identical one (same values and
-// payload) already exists under the key; reports whether it was added.
-// Replication uses it so repeated pushes and promotions never duplicate.
-func (s *Store) AddUnique(key uint64, e Element) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.contains(key, e) {
-		return false
-	}
-	s.addLocked(key, e)
-	return true
-}
-
 //lint:holds s.mu
 func (s *Store) contains(key uint64, e Element) bool {
 	for _, have := range s.byKey[key] {
@@ -198,8 +185,10 @@ func (s *Store) AddBatch(items []chord.Item) {
 	s.addBatch(items, false)
 }
 
-// AddBatchUnique is AddBatch with AddUnique's dedup semantics; it returns
-// how many elements were actually added.
+// AddBatchUnique is AddBatch that skips an element when an identical one
+// (same values and payload) already exists under its key; it returns how
+// many elements were actually added. Replication uses it so repeated
+// pushes and promotions never duplicate.
 func (s *Store) AddBatchUnique(items []chord.Item) int {
 	return s.addBatch(items, true)
 }

@@ -205,13 +205,6 @@ func (f *Faults) ClearLinkDrops() {
 	f.mu.Unlock()
 }
 
-// SetDelay changes the injected latency range. max <= 0 disables latency.
-func (f *Faults) SetDelay(min, max time.Duration) {
-	f.mu.Lock()
-	f.minLat, f.maxLat = min, max
-	f.mu.Unlock()
-}
-
 // Partition splits the network: each listed group can only talk within
 // itself, and unlisted addresses form one implicit group of their own.
 // Messages crossing group boundaries are silently lost.
