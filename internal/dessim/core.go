@@ -6,7 +6,10 @@
 // protocol code with zero goroutines per node, so
 // planet-scale rings (10⁴–10⁵ peers) bootstrap, churn, and answer query
 // storms in seconds of wall time, exactly as the paper's own simulator
-// measured its figures.
+// measured its figures. A network here takes the goroutine driver's
+// sim.Config unchanged (Config is an alias); the driver only puts every
+// engine and chord timer on the virtual clock and runs engines serially
+// (Workers = -1).
 //
 // Everything in this package is confined to one goroutine (the test or
 // experiment driver) and reads no wall clock: time is the event heap's

@@ -102,7 +102,7 @@ func (n *Net) send(e *endpoint, to transport.Addr, msg any) error {
 	from := e.addr
 	at := n.core.now
 	if e.num != r.num { // not a self-send: the numbers are per name
-		t, ok := n.Faults.AdmitNumbered(e.num, r.num, int64(at))
+		t, ok := n.Faults.Admit(e.num, r.num, int64(at))
 		if !ok {
 			return nil
 		}

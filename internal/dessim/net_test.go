@@ -153,3 +153,43 @@ func TestFaultPlanSameOnBothDrivers(t *testing.T) {
 	}
 	t.Logf("both drivers delivered %d/%d", len(viaDES), n)
 }
+
+// TestInprocFaultsInstalledAfterListen installs the in-process network's
+// plan after both endpoints attached. SetFaults numbers them in the new
+// plan, so they see the fates the event core gives them, which numbered
+// them at Listen. The plan had numbered the two names in the opposite
+// order before, so an endpoint left with its old number would be admitted
+// as the other one.
+func TestInprocFaultsInstalledAfterListen(t *testing.T) {
+	cfg := dessim.NetConfig{Seed: 42, DropRate: 0.3}
+	const n = 400
+
+	in := transport.NewInproc()
+	plan := transport.NewFaults(cfg)
+	plan.Number("b")
+	plan.Number("a")
+	attached := 0
+	listen := func(name transport.Addr, h transport.Handler) (transport.Endpoint, error) {
+		ep, err := in.Listen(name, h)
+		if attached++; attached == 2 {
+			in.SetFaults(plan)
+		}
+		return ep, err
+	}
+	viaInproc := sendSequence(t, listen, in.Quiesce, n)
+
+	core := dessim.NewCore()
+	net := dessim.NewNet(core, cfg)
+	viaDES := sendSequence(t, net.Listen, func() { core.Run() }, n)
+
+	if !slices.Equal(viaInproc, viaDES) {
+		t.Fatalf("plan installed after Listen, different deliveries: inproc %d/%d, event core %d/%d",
+			len(viaInproc), n, len(viaDES), n)
+	}
+	if len(viaDES) == 0 || len(viaDES) == n {
+		t.Fatalf("drop rate 0.3 delivered %d/%d: lottery not applied", len(viaDES), n)
+	}
+	if a, b := plan.Stats(), net.Faults.Stats(); a != b {
+		t.Fatalf("fault stats differ: inproc %+v, event core %+v", a, b)
+	}
+}

@@ -11,41 +11,9 @@ import (
 	"squid/internal/transport"
 )
 
-// Config describes a simulated network on the event core. It mirrors
-// sim.Config so experiments port between drivers by swapping the
-// constructor; Net configures the fault plan in place of sim.Config.Faults.
-type Config struct {
-	// Nodes is the initial network size.
-	Nodes int
-	// Space is the keyword space shared by all peers.
-	Space *keyspace.Space
-	// Seed drives all randomness (node identifiers, churn targets). The
-	// fault plan's lottery is seeded separately via Net.Seed.
-	Seed int64
-	// SuccListLen is each node's successor-list length (default 4).
-	SuccListLen int
-	// Engine configures every peer's Squid engine. Sink, Telemetry, Traces,
-	// Clock, and Workers are managed by the simulator: engines always run
-	// serially (Workers = -1), because a worker pool's goroutines would
-	// reintroduce scheduling nondeterminism the event core exists to remove.
-	Engine squid.Options
-	// Chord tunes every peer's RPC behavior. Space, SuccListLen, Telemetry,
-	// and Clock are managed by the simulator and ignored here.
-	Chord chord.Config
-	// Net tunes the simulated links: latency distribution, drop rate, and
-	// the fault lottery's seed. The zero value is instant reliable delivery.
-	Net NetConfig
-	// Trace enables distributed query tracing into Network.Traces.
-	Trace bool
-	// CheckInvariants asserts the global ring invariants (chord.CheckRing)
-	// after every StabilizeAll round, as on the goroutine driver.
-	CheckInvariants bool
-}
-
-// ErrIncomplete reports that a query's completion callback had not fired
-// when the event queue drained — the query lost its result path (e.g. its
-// initiator was killed) and no timer remained to recover it.
-var ErrIncomplete = sim.ErrIncomplete
+// Config describes a simulated network; it is sim.Config, so a test moves
+// between the drivers by swapping its constructor.
+type Config = sim.Config
 
 // Network is the sim.Network harness on the discrete-event driver: zero
 // goroutines per peer and virtual time. All methods must be called from the
@@ -72,16 +40,7 @@ func Build(cfg Config) (*Network, error) { return BuildWithIDs(cfg, nil) }
 func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
 	core := NewCore()
 	nw := &Network{Core: core, Net: NewNet(core, cfg.Net)}
-	h, err := sim.BuildOn(sim.Config{
-		Nodes:           cfg.Nodes,
-		Space:           cfg.Space,
-		Seed:            cfg.Seed,
-		SuccListLen:     cfg.SuccListLen,
-		Engine:          cfg.Engine,
-		Chord:           cfg.Chord,
-		Trace:           cfg.Trace,
-		CheckInvariants: cfg.CheckInvariants,
-	}, driver{core: core, net: nw.Net}, telemetry.NewRegistry(core.WallClock()), ids,
+	h, err := sim.BuildOn(cfg, driver{core: core, net: nw.Net}, telemetry.NewRegistry(core.WallClock()), ids,
 		func(h *sim.Network) {
 			h.Faults = nw.Net.Faults
 			nw.Net.SetObserver(h.Metrics.Observe)

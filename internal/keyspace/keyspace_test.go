@@ -41,7 +41,7 @@ func TestParseQuery(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"", "()", "a,,b", "(a*b*, c)"} {
+	for _, bad := range []string{"", "()", "a,,b", "(a*b*, c)", "(unbalanced", "a, b)"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): expected error", bad)
 		}

@@ -100,13 +100,18 @@ func (q Query) IsExact() bool {
 //	(computer, *)          wildcard
 //	(256-512, *, 10-*)     ranges, possibly open-ended
 //
-// The surrounding parentheses are optional. Terms are comma separated; "-"
-// inside a term denotes a range (use Exact directly to construct terms
-// containing literal dashes).
+// The surrounding parentheses are optional but come as a pair. Terms are
+// comma separated; "-" inside a term denotes a range (use Exact directly to
+// construct terms containing literal dashes).
 func Parse(s string) (Query, error) {
 	s = strings.TrimSpace(s)
-	s = strings.TrimPrefix(s, "(")
-	s = strings.TrimSuffix(s, ")")
+	open, closed := strings.HasPrefix(s, "("), strings.HasSuffix(s, ")")
+	if open != closed {
+		return nil, fmt.Errorf("keyspace: unbalanced parenthesis in %q", s)
+	}
+	if open {
+		s = s[1 : len(s)-1]
+	}
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("keyspace: empty query")
 	}

@@ -3,11 +3,12 @@
 // for its static experiments), protocol-level churn, ring invariant checks,
 // and the paper's per-query metrics.
 //
-// One harness, Network, runs over two drivers. The goroutine driver built
-// by Build gives every peer a mailbox goroutine on the in-process transport
-// and waits on the wall clock. The discrete-event driver in internal/dessim
-// runs the same peers on a virtual clock with zero goroutines per peer.
-// Both transports consult one transport.Faults plan, exposed as
+// One harness, Network, runs over two drivers that take the same Config.
+// The goroutine driver built by Build gives every peer a mailbox goroutine
+// on the in-process transport and waits on the wall clock. The
+// discrete-event driver in internal/dessim runs the same peers on a virtual
+// clock with zero goroutines per peer. Both transports consult one
+// transport.Faults plan, built from Config.Net and exposed as
 // Network.Faults. Every helper is written once: invoke work on the peers,
 // let the driver wait for the network to go idle, then read the results.
 package sim
@@ -27,28 +28,33 @@ import (
 	"squid/internal/transport"
 )
 
-// Config describes a simulated network.
+// Config describes a simulated network on either driver, so a test or an
+// experiment moves between them by swapping its constructor.
 type Config struct {
 	// Nodes is the initial network size.
 	Nodes int
 	// Space is the keyword space shared by all peers.
 	Space *keyspace.Space
-	// Seed drives all randomness (node identifiers).
+	// Seed drives the harness's randomness (node identifiers, join seeds).
+	// The fault plan's lottery is seeded separately via Net.Seed.
 	Seed int64
 	// SuccListLen is each node's successor-list length (default 4).
 	SuccListLen int
-	// Engine configures every peer's Squid engine; its Sink is overridden
-	// with the network's metrics collector.
+	// Engine configures every peer's Squid engine. Sink, Telemetry and
+	// Traces are managed by the simulator. The event core also sets Clock
+	// to its virtual clock and Workers to -1: engines run serially there,
+	// because a worker pool's goroutines would reintroduce the scheduling
+	// nondeterminism the event core exists to remove.
 	Engine squid.Options
 	// Chord tunes every peer's RPC behavior (RPCTimeout, RPCRetries,
-	// RPCBackoff, StabilizeEvery, ...). Space and SuccListLen are managed by
-	// the simulator and ignored here.
+	// RPCBackoff, StabilizeEvery, ...). Space, SuccListLen and Telemetry are
+	// managed by the simulator and ignored here; the event core also sets
+	// Clock.
 	Chord chord.Config
-	// Faults configures the in-process transport's fault plan (drops,
-	// delays, partitions, crashes), exposed as Network.Faults. The zero
-	// value injects nothing. The event core takes its plan's configuration
-	// from dessim.Config.Net instead.
-	Faults transport.FaultConfig
+	// Net configures the links' fault plan (seed, latency range, drop
+	// rate), exposed as Network.Faults for drops, partitions and crashes at
+	// run time. The zero value is instant reliable delivery.
+	Net transport.FaultConfig
 	// Trace enables distributed query tracing: every Query records its
 	// reassembled refinement-tree spans in Network.Traces.
 	Trace bool
@@ -98,8 +104,6 @@ func (p *Peer) Addr() transport.Addr { return p.Node.Self().Addr }
 type Network struct {
 	cfg Config
 	drv Driver
-	// Inproc is the goroutine driver's transport; nil on other drivers.
-	Inproc *transport.Inproc
 	// Faults is the transport's fault plan, set by either driver.
 	Faults  *transport.Faults
 	Space   *keyspace.Space
@@ -129,14 +133,13 @@ func Build(cfg Config) (*Network, error) { return BuildWithIDs(cfg, nil) }
 
 // BuildWithIDs is Build with explicit node identifiers (tests).
 func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
-	d := &goroutineDriver{}
+	d := &goroutineDriver{in: transport.NewInproc()}
 	return BuildOn(cfg, d, telemetry.NewRegistry(nil), ids, func(nw *Network) {
 		d.nw = nw
-		nw.Inproc = transport.NewInproc()
-		nw.Inproc.SetObserver(nw.Metrics.Observe)
-		nw.Inproc.Instrument(nw.Telemetry)
-		nw.Faults = transport.NewFaults(cfg.Faults)
-		nw.Inproc.SetFaults(nw.Faults)
+		d.in.SetObserver(nw.Metrics.Observe)
+		d.in.Instrument(nw.Telemetry)
+		nw.Faults = transport.NewFaults(cfg.Net)
+		d.in.SetFaults(nw.Faults)
 	})
 }
 
@@ -639,13 +642,16 @@ func (nw *Network) TotalKeys() int {
 
 // goroutineDriver runs every peer as a mailbox goroutine on the in-process
 // transport and waits on the wall clock.
-type goroutineDriver struct{ nw *Network }
-
-func (d *goroutineDriver) Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
-	return d.nw.Inproc.Listen(addr, h)
+type goroutineDriver struct {
+	nw *Network
+	in *transport.Inproc
 }
 
-func (d *goroutineDriver) Kill(addr transport.Addr) { d.nw.Inproc.Kill(addr) }
+func (d *goroutineDriver) Listen(addr transport.Addr, h transport.Handler) (transport.Endpoint, error) {
+	return d.in.Listen(addr, h)
+}
+
+func (d *goroutineDriver) Kill(addr transport.Addr) { d.in.Kill(addr) }
 
 // Configure keeps the options as given: real timers and the engine's
 // default worker pool.
@@ -661,13 +667,13 @@ func (d *goroutineDriver) Configure(*squid.Options, *chord.Config) {}
 // monotonic).
 func (d *goroutineDriver) Quiesce() {
 	for {
-		before := d.nw.Inproc.Activity()
-		d.nw.Inproc.Quiesce()
+		before := d.in.Activity()
+		d.in.Quiesce()
 		for _, p := range d.nw.Peers {
 			p.Engine.WaitIdle()
 		}
-		d.nw.Inproc.Quiesce()
-		if d.nw.Inproc.Activity() == before {
+		d.in.Quiesce()
+		if d.in.Activity() == before {
 			return
 		}
 	}

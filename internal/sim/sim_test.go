@@ -335,7 +335,7 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 
 	var mu sync.Mutex
 	clusters, results, partials := map[squid.QueryID]int{}, map[squid.QueryID]int{}, map[squid.QueryID]int{}
-	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
+	nw.drv.(*goroutineDriver).in.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
 		mu.Lock()
 		defer mu.Unlock()

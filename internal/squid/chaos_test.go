@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"squid/internal/chord"
+	"squid/internal/dessim"
 	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
@@ -24,17 +25,14 @@ func chordRetryConfig() chord.Config {
 	}
 }
 
-// chaosNetwork builds a simulated network with a fault plan configured
-// and the full recovery stack enabled: chord RPC retries, engine subtree
-// re-dispatch, and a hard query deadline so no query can hang the test.
-func chaosNetwork(t *testing.T, nodes int, seed int64) (*sim.Network, *keyspace.Space) {
+// chaosConfig is the chaos suite's network: a seeded fault plan (quiet
+// until a test sets a drop rate) under the full recovery stack — chord RPC
+// retries, engine subtree re-dispatch, and a hard query deadline so no
+// query can hang the test. Links are instant on either driver.
+func chaosConfig(t testing.TB, nodes int, seed int64) sim.Config {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := sim.Build(sim.Config{
-		Nodes: nodes, Space: space, Seed: seed,
+	return sim.Config{
+		Nodes: nodes, Space: schedSpace(t), Seed: seed,
 		Engine: squid.Options{
 			Replicas:       2,
 			SubtreeTimeout: 50 * time.Millisecond,
@@ -42,15 +40,41 @@ func chaosNetwork(t *testing.T, nodes int, seed int64) (*sim.Network, *keyspace.
 			QueryDeadline:  2 * time.Second,
 		},
 		Chord: chordRetryConfig(),
-		Faults: transport.FaultConfig{
+		Net: transport.FaultConfig{
 			Seed: seed + 1, // drop rate starts at 0; raised per phase
 		},
 		CheckInvariants: true,
-	})
+	}
+}
+
+// seedsOf names a chaos network's two seeds, so a failure message is
+// enough to replay the run that produced it.
+func seedsOf(cfg sim.Config) string {
+	return fmt.Sprintf("ring seed %d, fault seed %d", cfg.Seed, cfg.Net.Seed)
+}
+
+// onGoroutines builds cfg on the goroutine driver: a mailbox goroutine per
+// peer and real timers. Tests of the worker pool, of context watchers and
+// of races between goroutines need it.
+func onGoroutines(t testing.TB, cfg sim.Config) *sim.Network {
+	t.Helper()
+	nw, err := sim.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nw, space
+	return nw
+}
+
+// onEventCore builds cfg on the event core: every timer runs on virtual
+// time, so a soak of timeouts and retries takes no wall time and replays
+// exactly from its seeds.
+func onEventCore(t testing.TB, cfg sim.Config) *dessim.Network {
+	t.Helper()
+	nw, err := dessim.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
 }
 
 // chaosPublish pushes n uniquely tagged elements through the overlay and
@@ -115,7 +139,9 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in short mode")
 	}
-	nw, _ := chaosNetwork(t, 16, 4001)
+	cfg := chaosConfig(t, 16, 4001)
+	seeds := seedsOf(cfg)
+	nw := onEventCore(t, cfg).Network
 	rng := rand.New(rand.NewSource(4002))
 	chaosPublish(t, nw, rng, 300)
 
@@ -130,10 +156,11 @@ func TestChaosSoak(t *testing.T) {
 	for _, q := range queries {
 		truth := dataSet(nw.BruteForceMatches(q))
 		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
+		label := fmt.Sprintf("%s: baseline %s", seeds, q)
 		if res.Err != nil {
-			t.Fatalf("baseline %s: %v", q, res.Err)
+			t.Fatalf("%s: %v", label, res.Err)
 		}
-		checkSound(t, "baseline "+q.String(), res, truth)
+		checkSound(t, label, res, truth)
 	}
 
 	// Chaos phase: ≥10% message loss plus one crashed (black-holed) node
@@ -151,7 +178,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			truth := dataSet(nw.BruteForceMatches(q))
 			res, _ := nw.Query(via, q)
-			label := fmt.Sprintf("block %d query %d %s", block, i, q)
+			label := fmt.Sprintf("%s: block %d query %d %s", seeds, block, i, q)
 			if checkSound(t, label, res, truth) {
 				complete++
 			} else {
@@ -161,19 +188,19 @@ func TestChaosSoak(t *testing.T) {
 		nw.Faults.Restart(nw.Peers[crashed].Addr())
 	}
 	if partial == 0 {
-		t.Error("chaos phase produced no partial results — faults were not exercised")
+		t.Errorf("%s: chaos phase produced no partial results — faults were not exercised", seeds)
 	}
 	st := nw.Faults.Stats()
 	if st.Dropped == 0 || st.CrashDrops == 0 {
-		t.Errorf("fault stats %+v: expected injected drops and crash drops", st)
+		t.Errorf("%s: fault stats %+v: expected injected drops and crash drops", seeds, st)
 	}
 	redispatches := nw.Telemetry.CounterVec("squid_engine_recovery_total", "", "node", "event").Sum("event", "redispatch")
 	if redispatches == 0 {
-		t.Error("no subtree re-dispatches despite message loss")
+		t.Errorf("%s: no subtree re-dispatches despite message loss", seeds)
 	}
 	findRetries := nw.Telemetry.CounterVec("squid_chord_rpc_retries_total", "", "node", "op").Sum("op", "find")
 	if findRetries == 0 {
-		t.Error("no chord RPC retries despite message loss")
+		t.Errorf("%s: no chord RPC retries despite message loss", seeds)
 	}
 	t.Logf("chaos: %d complete / %d partial; faults %+v; %d redispatches; %d find retries",
 		complete, partial, st, redispatches, findRetries)
@@ -185,15 +212,16 @@ func TestChaosSoak(t *testing.T) {
 	for _, q := range queries {
 		truth := dataSet(nw.BruteForceMatches(q))
 		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
+		label := fmt.Sprintf("%s: post-heal %s", seeds, q)
 		if res.Err != nil {
-			t.Fatalf("post-heal %s: %v", q, res.Err)
+			t.Fatalf("%s: %v", label, res.Err)
 		}
-		if !checkSound(t, "post-heal "+q.String(), res, truth) || len(res.Matches) != len(truth) {
-			t.Fatalf("post-heal %s: %d/%d matches", q, len(res.Matches), len(truth))
+		if !checkSound(t, label, res, truth) || len(res.Matches) != len(truth) {
+			t.Fatalf("%s: %d/%d matches", label, len(res.Matches), len(truth))
 		}
 	}
 	if n := nw.RingViolations(); n != 0 {
-		t.Fatalf("%d hard ring violations after heal — crashes and message loss must not break membership", n)
+		t.Fatalf("%s: %d hard ring violations after heal — crashes and message loss must not break membership", seeds, n)
 	}
 }
 
@@ -205,7 +233,9 @@ func TestChaosQuerySubsetProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos property test skipped in short mode")
 	}
-	nw, _ := chaosNetwork(t, 12, 5001)
+	cfg := chaosConfig(t, 12, 5001)
+	seeds := seedsOf(cfg)
+	nw := onEventCore(t, cfg).Network
 	rng := rand.New(rand.NewSource(5002))
 	elems := chaosPublish(t, nw, rng, 200)
 	nw.Faults.SetDropRate(0.25)
@@ -236,10 +266,10 @@ func TestChaosQuerySubsetProperty(t *testing.T) {
 		}
 		q, err := keyspace.Parse(qs)
 		if err != nil {
-			t.Fatalf("generated unparsable query %q: %v", qs, err)
+			t.Fatalf("%s: generated unparsable query %q: %v", seeds, qs, err)
 		}
 		truth := dataSet(nw.BruteForceMatches(q))
 		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
-		checkSound(t, fmt.Sprintf("property query %d %s", i, qs), res, truth)
+		checkSound(t, fmt.Sprintf("%s: property query %d %s", seeds, i, qs), res, truth)
 	}
 }

@@ -23,14 +23,15 @@ var testVocab = []string{
 
 func buildNetwork(t testing.TB, nodes, elems int, opts squid.Options) *sim.Network {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := sim.Build(sim.Config{Nodes: nodes, Space: space, Seed: 42, Engine: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := onGoroutines(t, sim.Config{Nodes: nodes, Space: schedSpace(t), Seed: 42, Engine: opts})
+	preloadDocs(t, nw, elems)
+	return nw
+}
+
+// preloadDocs stores elems documents, each of two random test words, at
+// their owners.
+func preloadDocs(t testing.TB, nw *sim.Network, elems int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	batch := make([]squid.Element, 0, elems)
 	for i := 0; i < elems; i++ {
@@ -42,7 +43,6 @@ func buildNetwork(t testing.TB, nodes, elems int, opts squid.Options) *sim.Netwo
 	if err := nw.Preload(batch); err != nil {
 		t.Fatal(err)
 	}
-	return nw
 }
 
 // sortedData canonicalizes a result set for comparison.

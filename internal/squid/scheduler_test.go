@@ -17,7 +17,7 @@ import (
 )
 
 // schedSpace is the small keyword space shared by the scheduler tests.
-func schedSpace(t *testing.T) *keyspace.Space {
+func schedSpace(t testing.TB) *keyspace.Space {
 	t.Helper()
 	space, err := keyspace.NewWordSpace(2, 16)
 	if err != nil {
@@ -269,7 +269,7 @@ func TestQueryCtxCancellation(t *testing.T) {
 			Nodes: 6, Space: space, Seed: seed,
 			// No SubtreeTimeout and no QueryDeadline: nothing but the
 			// context can end a query whose child subtree is black-holed.
-			Faults: transport.FaultConfig{Seed: seed + 1},
+			Net: transport.FaultConfig{Seed: seed + 1},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -485,8 +485,8 @@ func TestChaosOverloadSoak(t *testing.T) {
 			Workers:        2,
 			MaxInflight:    3,
 		},
-		Chord:  chordRetryConfig(),
-		Faults: transport.FaultConfig{Seed: 7702},
+		Chord: chordRetryConfig(),
+		Net:   transport.FaultConfig{Seed: 7702},
 	})
 	if err != nil {
 		t.Fatal(err)

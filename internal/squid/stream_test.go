@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -67,13 +66,15 @@ func TestStreamMatchesQuery(t *testing.T) {
 // brute-force set. An inner node that relayed an increment and then sent
 // it again in its terminal result breaks the first equation.
 func TestStreamExactlyOnce(t *testing.T) {
-	nw := buildNetwork(t, 40, 3000, squid.Options{SubtreeTimeout: 30 * time.Second})
+	des := onEventCore(t, sim.Config{Nodes: 40, Space: schedSpace(t), Seed: 42,
+		Engine: squid.Options{SubtreeTimeout: 30 * time.Second}})
+	nw := des.Network
+	preloadDocs(t, nw, 3000)
 	q := keyspace.MustParse("(*, *)")
 
-	var mu sync.Mutex
 	in := map[transport.Addr]int{}
 	out := map[transport.Addr]int{}
-	nw.Inproc.SetObserver(func(from, to transport.Addr, msg any) {
+	des.Net.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
 		var n int
 		switch m := msg.(type) {
@@ -84,10 +85,8 @@ func TestStreamExactlyOnce(t *testing.T) {
 		default:
 			return
 		}
-		mu.Lock()
 		out[from] += n
 		in[to] += n
-		mu.Unlock()
 	})
 	sr, qm := nw.QueryStream(0, q)
 	if sr.Err != nil {
@@ -100,8 +99,6 @@ func TestStreamExactlyOnce(t *testing.T) {
 		t.Fatal("no PartialResultMsg sent: the query never streamed")
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	root := nw.Peers[0].Addr()
 	relays := 0
 	for _, p := range nw.Peers {
@@ -323,7 +320,7 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 	nw, err := sim.Build(sim.Config{
 		Nodes: 30, Space: space, Seed: 42,
-		Faults: transport.FaultConfig{
+		Net: transport.FaultConfig{
 			Seed:       43,
 			MinLatency: 2 * time.Millisecond,
 			MaxLatency: 6 * time.Millisecond,
@@ -499,8 +496,7 @@ func TestStreamResultCache(t *testing.T) {
 // or an explicitly partial result, and never deliver after Done. Run with
 // -race this doubles as the streaming data-race check.
 func TestStreamUnderChaos(t *testing.T) {
-	nw, space := chaosNetwork(t, 30, 99)
-	_ = space
+	nw := onGoroutines(t, chaosConfig(t, 30, 99))
 	rngElems := make([]squid.Element, 0, 800)
 	for i := 0; i < 800; i++ {
 		rngElems = append(rngElems, squid.Element{

@@ -9,38 +9,22 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/telemetry"
-	"squid/internal/transport"
 )
 
-// tracedNetwork builds a simulated network with query tracing enabled and
-// a seeded fault plan (quiet until a drop rate is set).
-func tracedNetwork(t *testing.T, nodes int, seed int64) *sim.Network {
+// tracedConfig is chaosConfig with query tracing on and without replicas
+// or invariant checks.
+func tracedConfig(t testing.TB, nodes int, seed int64) sim.Config {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := sim.Build(sim.Config{
-		Nodes: nodes, Space: space, Seed: seed,
-		Engine: squid.Options{
-			SubtreeTimeout: 50 * time.Millisecond,
-			SubtreeRetries: 2,
-			QueryDeadline:  2 * time.Second,
-		},
-		Chord:  chordRetryConfig(),
-		Faults: transport.FaultConfig{Seed: seed + 1},
-		Trace:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw
+	cfg := chaosConfig(t, nodes, seed)
+	cfg.Engine.Replicas = 0
+	cfg.CheckInvariants = false
+	cfg.Trace = true
+	return cfg
 }
 
 // assertTraceCoversOwners checks the headline tracing guarantee: the
@@ -65,7 +49,7 @@ func assertTraceCoversOwners(t *testing.T, label string, nw *sim.Network, tr tel
 // traced network and checks the reassembled tree: one root span, every
 // match attributed, and every owner of a returned key visited.
 func TestTraceCompleteness(t *testing.T) {
-	nw := tracedNetwork(t, 16, 7001)
+	nw := onGoroutines(t, tracedConfig(t, 16, 7001))
 	rng := rand.New(rand.NewSource(7002))
 	elems := chaosPublish(t, nw, rng, 200)
 
@@ -127,7 +111,9 @@ func TestChaosTraceCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace chaos soak skipped in short mode")
 	}
-	nw := tracedNetwork(t, 16, 8001)
+	cfg := tracedConfig(t, 16, 8001)
+	seeds := seedsOf(cfg)
+	nw := onEventCore(t, cfg).Network
 	rng := rand.New(rand.NewSource(8002))
 	chaosPublish(t, nw, rng, 250)
 
@@ -144,7 +130,7 @@ func TestChaosTraceCoverage(t *testing.T) {
 		q := queries[rng.Intn(len(queries))]
 		truth := dataSet(nw.BruteForceMatches(q))
 		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
-		label := fmt.Sprintf("query %d %s", i, q)
+		label := fmt.Sprintf("%s: query %d %s", seeds, i, q)
 		checkSound(t, label, res, truth)
 
 		tr, ok := nw.Traces.Get(res.QID)
@@ -168,10 +154,10 @@ func TestChaosTraceCoverage(t *testing.T) {
 		}
 	}
 	if complete == 0 {
-		t.Error("no complete queries under drops — recovery never succeeded")
+		t.Errorf("%s: no complete queries under drops — recovery never succeeded", seeds)
 	}
 	if partial == 0 {
-		t.Error("no partial queries under drops — faults were not exercised")
+		t.Errorf("%s: no partial queries under drops — faults were not exercised", seeds)
 	}
 	t.Logf("trace chaos: %d complete / %d partial; faults %+v", complete, partial, nw.Faults.Stats())
 }
@@ -180,7 +166,7 @@ func TestChaosTraceCoverage(t *testing.T) {
 // store over HTTP — exactly what squid-node -http exposes and squidctl
 // consumes — and checks both endpoints return the query that just ran.
 func TestTelemetryHTTPEndToEnd(t *testing.T) {
-	nw := tracedNetwork(t, 8, 9001)
+	nw := onGoroutines(t, tracedConfig(t, 8, 9001))
 	rng := rand.New(rand.NewSource(9002))
 	chaosPublish(t, nw, rng, 100)
 	res, _ := nw.Query(0, keyspace.MustParse("(*, *)"))

@@ -289,7 +289,19 @@ func (f *Faults) Stats() FaultStats {
 	return f.stats
 }
 
-// Admit runs one message from → to, sent at instant now (nanoseconds on the
+// Number returns the endpoint number of name, assigning the next one on
+// first use; a name keeps its number for the plan's lifetime. A transport
+// numbers each endpoint once, when it attaches (and again when it is given
+// a new plan), and admits its messages by number, so it never looks a name
+// up per message.
+func (f *Faults) Number(name Addr) uint32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.id(name)
+}
+
+// Admit runs one message between the endpoints numbered from and to (the
+// numbers Number returned), sent at instant now (nanoseconds on the
 // caller's timeline), through the plan. It reports whether the message
 // survives and, if so, the instant it arrives: never before now, and never
 // before an earlier survivor of the same directed link (FIFO per link, as
@@ -297,31 +309,13 @@ func (f *Faults) Stats() FaultStats {
 // working as intended). The checks run in a fixed order — crash, partition,
 // the link's two draws, the FIFO floor — and both draws are always consumed,
 // so a link's schedule does not shift when settings change mid-run.
-func (f *Faults) Admit(from, to Addr, now int64) (at int64, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.admit(f.id(from), f.id(to), now)
-}
-
-// Number returns the endpoint number of name, assigning the next one on
-// first use; a name keeps its number for the plan's lifetime. A transport
-// that numbers each endpoint once, when it attaches, admits its messages
-// with AdmitNumbered and never looks a name up per message.
-func (f *Faults) Number(name Addr) uint32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.id(name)
-}
-
-// AdmitNumbered is Admit for endpoints given by the numbers Number
-// returned. A message gets the same fate under either call.
-func (f *Faults) AdmitNumbered(from, to uint32, now int64) (at int64, ok bool) {
+func (f *Faults) Admit(from, to uint32, now int64) (at int64, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.admit(from, to, now)
 }
 
-// admit is Admit on endpoint numbers. The caller holds f.mu.
+// admit is Admit with f.mu held.
 func (f *Faults) admit(from, to uint32, now int64) (at int64, ok bool) {
 	met := f.met
 	if f.ncrashed > 0 && (f.isCrashed(from) || f.isCrashed(to)) {

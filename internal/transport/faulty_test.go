@@ -212,26 +212,26 @@ func TestFaultyDelayQuiesce(t *testing.T) {
 	}
 }
 
-// TestFaultyAdmitNumberedAgrees: admitting by endpoint number gives every
-// message the fate Admit gives it by name — drops, arrival instants, crash
-// and partition losses, per-link overrides — even when the numbers were
-// handed out in a different order, because a link's sequence is seeded
-// from the names. No message crosses a crash, the partition or a certain
-// per-link drop. 20 000 messages over 300 endpoints also grow the link
-// table many times.
+// TestFaultyAdmitNumberedAgrees: two plans that numbered the same
+// endpoints in opposite orders give every message the same fate — drops,
+// arrival instants, crash and partition losses, per-link overrides —
+// because a link's sequence is seeded from the names, not the numbers. No
+// message crosses a crash, the partition or a certain per-link drop.
+// 20 000 messages over 300 endpoints also grow the link table many times.
 func TestFaultyAdmitNumberedAgrees(t *testing.T) {
 	const n = 300
 	cfg := FaultConfig{Seed: 5, MinLatency: time.Millisecond, MaxLatency: 50 * time.Millisecond, DropRate: 0.2}
-	byName, byNum := NewFaults(cfg), NewFaults(cfg)
+	up, down := NewFaults(cfg), NewFaults(cfg)
 	names := make([]Addr, n)
-	nums := make([]uint32, n)
+	upNums, downNums := make([]uint32, n), make([]uint32, n)
 	for i := range names {
 		names[i] = Addr(fmt.Sprintf("n%d", i))
+		upNums[i] = up.Number(names[i])
 	}
 	for i := n - 1; i >= 0; i-- {
-		nums[i] = byNum.Number(names[i])
+		downNums[i] = down.Number(names[i])
 	}
-	both := func(f func(*Faults)) { f(byName); f(byNum) }
+	both := func(f func(*Faults)) { f(up); f(down) }
 
 	rng := rand.New(rand.NewSource(11))
 	for k := 0; k < 20000; k++ {
@@ -251,10 +251,10 @@ func TestFaultyAdmitNumberedAgrees(t *testing.T) {
 			from, to = 1, 2 // keep the overridden link busy
 		}
 		now := int64(k) * int64(time.Millisecond)
-		at1, ok1 := byName.Admit(names[from], names[to], now)
-		at2, ok2 := byNum.AdmitNumbered(nums[from], nums[to], now)
+		at1, ok1 := up.Admit(upNums[from], upNums[to], now)
+		at2, ok2 := down.Admit(downNums[from], downNums[to], now)
 		if at1 != at2 || ok1 != ok2 {
-			t.Fatalf("message %d %s->%s: Admit (%d, %v), AdmitNumbered (%d, %v)",
+			t.Fatalf("message %d %s->%s: numbered up (%d, %v), numbered down (%d, %v)",
 				k, names[from], names[to], at1, ok1, at2, ok2)
 		}
 		crashed := k >= 4000 && k < 12000 && (from == 3 || to == 3)
@@ -263,9 +263,9 @@ func TestFaultyAdmitNumberedAgrees(t *testing.T) {
 			t.Fatalf("message %d %s->%s admitted through a crash, a partition or a certain drop", k, names[from], names[to])
 		}
 	}
-	s1, s2 := byName.Stats(), byNum.Stats()
+	s1, s2 := up.Stats(), down.Stats()
 	if s1 != s2 {
-		t.Fatalf("stats differ: by name %+v, by number %+v", s1, s2)
+		t.Fatalf("stats differ: numbered up %+v, numbered down %+v", s1, s2)
 	}
 	if s1.Dropped == 0 || s1.CrashDrops == 0 || s1.PartitionDrops == 0 || s1.Delivered == 0 {
 		t.Fatalf("schedule missed a fault kind: %+v", s1)

@@ -60,12 +60,16 @@ func NewInproc() *Inproc {
 	return n
 }
 
-// SetFaults installs the fault plan that decides every non-self send. Call
-// before traffic starts (like SetObserver).
+// SetFaults installs the fault plan that decides every non-self send and
+// numbers the attached endpoints in it. Call before traffic starts (like
+// SetObserver).
 func (n *Inproc) SetFaults(f *Faults) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.faults = f
+	for name, box := range n.boxes {
+		box.num = f.Number(name)
+	}
 }
 
 // Faults returns the network's fault plan.
@@ -97,6 +101,7 @@ func (n *Inproc) Listen(name Addr, h Handler) (Endpoint, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("transport: address %q already in use", name)
 	}
+	box.num = n.faults.Number(name)
 	n.boxes[name] = box
 	n.mu.Unlock()
 
@@ -151,14 +156,21 @@ func (n *Inproc) done() {
 	n.imu.Unlock()
 }
 
-func (n *Inproc) send(from, to Addr, msg any) error {
+// send runs one message from src's endpoint through the fault plan, which
+// sees both ends by their numbers, and enqueues the survivors.
+func (n *Inproc) send(src *mailbox, to Addr, msg any) error {
 	n.mu.Lock()
-	box, faults := n.boxes[to], n.faults
+	box, faults, fromNum := n.boxes[to], n.faults, src.num
 	obs, met := n.observer, n.met
+	var toNum uint32
+	if box != nil {
+		toNum = box.num
+	}
 	n.mu.Unlock()
+	from := src.addr
 	if box != nil && from != to {
 		now := int64(time.Since(n.epoch))
-		at, ok := faults.Admit(from, to, now)
+		at, ok := faults.Admit(fromNum, toNum, now)
 		if !ok {
 			return nil
 		}
@@ -211,6 +223,7 @@ type envelope struct {
 type mailbox struct {
 	net     *Inproc
 	addr    Addr
+	num     uint32 // the fault plan's number for addr; guarded by net.mu
 	handler Handler
 
 	mu     sync.Mutex
@@ -228,7 +241,7 @@ func (b *mailbox) Send(to Addr, msg any) error {
 	if closed {
 		return ErrClosed
 	}
-	return b.net.send(b.addr, to, msg)
+	return b.net.send(b, to, msg)
 }
 
 func (b *mailbox) Close() error {
