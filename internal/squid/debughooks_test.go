@@ -13,3 +13,8 @@ func (e *Engine) SetDebugDispatch(fn func(dests []transport.Addr, merged int)) {
 // OpenChildren (test hook) returns the number of dispatched child subtrees
 // the engine still tracks. Call it on the delivery goroutine.
 func (e *Engine) OpenChildren() int { return len(e.children) }
+
+// HeldBookkeeping (test hook) returns the pooled bookkeeping the engine has
+// taken and not given back: remote subtrees, child calls, dispatch rounds
+// and refinement jobs. Call it on the delivery goroutine.
+func (e *Engine) HeldBookkeeping() int { return e.held }

@@ -151,6 +151,10 @@ type Engine struct {
 	met       engineMetrics
 	spanSeq   uint64     //lint:confine delivery
 	sched     *scheduler // nil in serial mode (Options.Workers < 0)
+	// held counts the pooled bookkeeping this engine has taken and not
+	// given back: remote subtrees, child calls, dispatch rounds and
+	// refinement jobs. It reads 0 once every query here has settled.
+	held int //lint:confine delivery
 
 	// Per-engine refinement scratch. Engine state is confined to the
 	// node's delivery goroutine, so the buffers are reused across queries:
@@ -243,6 +247,86 @@ type subtree struct {
 	retries      int // re-dispatches this subtree performed on its children
 	startNS      int64
 	spans        []telemetry.Span
+
+	// holds counts what references this subtree (see release); released
+	// marks one the poisonReleased switch kept out of the pool.
+	holds    int
+	released bool
+}
+
+// The per-hop bookkeeping comes back through one pool per kind, as the
+// per-hop messages do (messages.go): a remote hop's subtree, each child it
+// dispatches, each dispatch round and each refinement job. Root subtrees
+// are not pooled.
+var (
+	subtrees   transport.MsgPool[subtree]
+	childCalls transport.MsgPool[childCall]
+	rounds     transport.MsgPool[dispatchRound]
+	refineJobs transport.MsgPool[refineJob]
+)
+
+// poisonReleased, set only by this package's tests, makes a release poison
+// its object instead of pooling it: a released subtree is marked, and the
+// handlers that reach a subtree through a child, round or job panic on a
+// marked one (checkLive), as release does on a subtree released more often
+// than it was held. The other kinds are zeroed, so a stale use of one
+// dereferences nil.
+var poisonReleased bool
+
+// checkLive panics on a subtree poisonReleased kept out of the pool: the
+// caller reached it through a holder that no longer held it.
+func (st *subtree) checkLive() {
+	if st.released {
+		panic("squid: subtree used after release")
+	}
+}
+
+// release drops one hold on st. The holders are the handler frame that
+// created st (handleClusterQuery), each of its child calls in e.children,
+// each dispatch round until its flush returns and each refinement job
+// until resolved has run. A remote hop's subtree goes back to its pool once
+// it is finished and nothing holds it. finishSubtree never recycles: its
+// callers read st.finished after it returns. A cancelled subtree goes back
+// when the last of its holders lets go, which may be inside
+// teardownChildren: handleQueryCancel reads nothing of it after that.
+func (e *Engine) release(st *subtree) {
+	st.holds--
+	if poisonReleased && (st.released || st.holds < 0) {
+		panic("squid: subtree released more often than held")
+	}
+	if st.holds > 0 || !st.finished || st.parent == "" {
+		return
+	}
+	e.held--
+	if poisonReleased {
+		st.released = true
+		return
+	}
+	subtrees.Put(st)
+}
+
+// take counts a child call, dispatch round or refinement job just taken
+// from its pool, and its hold on its subtree st.
+func (e *Engine) take(st *subtree) {
+	st.holds++
+	e.held++
+}
+
+// giveBack returns a child call, dispatch round or refinement job to its
+// pool after its last use (under poisonReleased it only zeroes it), and
+// with it that holder's hold on its subtree st. A child goes back once it
+// has left e.children, a round once its flush (or unaggregated loop) has
+// run roundDone, a job once its completion has run resolved or admission
+// refused it.
+func giveBack[T any](e *Engine, pool *transport.MsgPool[T], v *T, st *subtree) {
+	e.held--
+	if poisonReleased {
+		var zero T
+		*v = zero
+	} else {
+		pool.Put(v)
+	}
+	e.release(st)
 }
 
 // childRef derives the trace context for a child subtree dispatched from
@@ -925,6 +1009,7 @@ func (e *Engine) teardownChildren(st *subtree) {
 		c.timer.Stop()
 		st.noteCut(c.key)
 		e.sendCancel(st, c)
+		giveBack(e, &childCalls, c, st)
 	}
 }
 
@@ -980,16 +1065,24 @@ func (e *Engine) submitClusters(st *subtree, cls []sfc.Refined, region sfc.Regio
 		e.resolved(st, matches, remote, local)
 		return true
 	}
-	return e.sched.trySubmit(&refineJob{
+	j := refineJobs.Get()
+	*j = refineJob{
 		st: st, qid: st.qid, q: st.q, clusters: cls,
 		arc:      e.arcView(),
 		enqueued: e.opts.Telemetry.Now(),
-	})
+	}
+	e.take(st)
+	if !e.sched.trySubmit(j) {
+		giveBack(e, &refineJobs, j, st)
+		return false
+	}
+	return true
 }
 
 // resolved takes one refinement job's outcome for st: the local matches,
 // the clusters to forward and the number resolved here.
 func (e *Engine) resolved(st *subtree, matches []Element, remote []sfc.Refined, local int) {
+	st.checkLive()
 	if st.finished {
 		return // cancelled while the refinement job was in flight
 	}
@@ -1056,8 +1149,10 @@ func (e *Engine) noteProcessed(qid QueryID, clusters, matches int, sink bool) {
 // an exact lookup of key).
 func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint64 {
 	e.nextToken++
-	c := &childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
+	c := childCalls.Get()
+	*c = childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
 	e.children[c.token] = c
+	e.take(st)
 	st.sent++
 	e.met.subtreesSent.Inc()
 	e.armChild(c)
@@ -1074,6 +1169,7 @@ func (e *Engine) dropChild(tok uint64) {
 	delete(e.children, tok)
 	c.timer.Stop()
 	c.st.sent--
+	giveBack(e, &childCalls, c, c.st)
 }
 
 // armChild starts (or restarts) a child's recovery deadline, tagged with
@@ -1102,18 +1198,15 @@ func (t *childTimers) Fire(tok uint64) {
 // result.
 func (e *Engine) childExpired(tok uint64) {
 	c, ok := e.children[tok]
-	if !ok || c.st.finished {
+	if !ok {
+		return
+	}
+	c.st.checkLive()
+	if c.st.finished {
 		return
 	}
 	if c.attempts >= e.opts.SubtreeRetries {
-		delete(e.children, tok)
-		e.met.abandoned.Inc()
-		if c.st.spanID != 0 {
-			c.st.spans = append(c.st.spans, e.lostSpan(c.st, c))
-		}
-		c.st.incomplete = true
-		c.st.done++
-		e.checkSubtree(c.st)
+		e.abandonChild(c)
 		return
 	}
 	c.attempts++
@@ -1138,6 +1231,23 @@ func (e *Engine) childExpired(tok uint64) {
 	e.armChild(c)
 }
 
+// abandonChild gives up on a child that cannot be retried (its retries
+// are spent, or no recovery deadline is armed): the subtree completes
+// without it, marked incomplete, so the query degrades to an explicit
+// partial result.
+func (e *Engine) abandonChild(c *childCall) {
+	st := c.st
+	delete(e.children, c.token)
+	e.met.abandoned.Inc()
+	if st.spanID != 0 {
+		st.spans = append(st.spans, e.lostSpan(st, c))
+	}
+	st.incomplete = true
+	st.done++
+	e.checkSubtree(st)
+	giveBack(e, &childCalls, c, st)
+}
+
 // handleAck marks a child as received by its target and grants it a fresh
 // deadline window: the subtree is in progress, not lost.
 func (e *Engine) handleAck(m QueryAckMsg) {
@@ -1145,6 +1255,7 @@ func (e *Engine) handleAck(m QueryAckMsg) {
 	if !ok {
 		return
 	}
+	c.st.checkLive()
 	c.acked = true
 	e.met.acks.Inc()
 	c.timer.Reset(e.opts.SubtreeTimeout)
@@ -1221,6 +1332,7 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 			if st.spanID != 0 {
 				st.spans = append(st.spans, e.lostSpan(st, c))
 			}
+			giveBack(e, &childCalls, c, st)
 		}
 	}
 	st.incomplete = true
@@ -1343,7 +1455,9 @@ type pendingDispatch struct {
 // dispatchRound is one dispatchRemote call in progress: the subtree it
 // dispatches for, the sorted clusters not yet resolved to an owner, and the
 // sends buffered so far. Its steps are methods and it is its own
-// chord.FoundHandler, so a round costs one allocation.
+// chord.FoundHandler, so a round needs no callback. chord calls Found
+// exactly once per FindSuccessorTo, so no answer reaches a round after its
+// flush has given it back to the rounds pool.
 type dispatchRound struct {
 	e      *Engine
 	st     *subtree
@@ -1388,18 +1502,21 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree) {
 		e.roundDone(st)
 		return
 	}
-	r := &dispatchRound{
+	r := rounds.Get()
+	*r = dispatchRound{
 		e: e, st: st, root: st.parent == "",
 		ack:    e.opts.SubtreeTimeout > 0,
 		stream: st.stream != nil || st.streamUp,
 		self:   e.node.Self().Addr,
 		curve:  e.space.Curve(),
 	}
+	e.take(st)
 	if e.opts.DisableAggregation {
 		for i := range remote {
 			r.routeOne(remote[i : i+1 : i+1])
 		}
 		e.roundDone(st)
+		giveBack(e, &rounds, r, st)
 		return
 	}
 	sortBySpan(remote, r.curve)
@@ -1443,6 +1560,7 @@ func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) *ClusterQueryMsg 
 // lowest undispatched position.
 func (r *dispatchRound) step() {
 	e := r.e
+	r.st.checkLive()
 	for len(r.rem) > 0 && !r.st.finished {
 		head := chord.ID(r.rem[0].Span(r.curve).Lo)
 		if r.root && e.opts.ProbeCacheSize > 0 {
@@ -1466,6 +1584,7 @@ func (r *dispatchRound) step() {
 // unstable) falls back to blind routing for the head cluster; a subtree
 // that finished while the probe was in flight stops in step.
 func (r *dispatchRound) Found(m chord.FoundMsg, err error) {
+	r.st.checkLive()
 	switch {
 	case r.st.finished:
 	case err != nil:
@@ -1522,6 +1641,7 @@ func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
 // flush sends the buffered round, one ClusterQueryMsg per destination.
 func (r *dispatchRound) flush() {
 	e, st := r.e, r.st
+	st.checkLive()
 	if st.finished {
 		// The subtree completed while probes were in flight (limit hit,
 		// cancelled): the buffered children were already torn down — drop
@@ -1534,6 +1654,7 @@ func (r *dispatchRound) flush() {
 			clusterQueries.Put(p.msg)
 		}
 		e.roundDone(st)
+		giveBack(e, &rounds, r, st)
 		return
 	}
 	if e.debugDispatch != nil {
@@ -1557,6 +1678,7 @@ func (r *dispatchRound) flush() {
 		}
 	}
 	e.roundDone(st)
+	giveBack(e, &rounds, r, st)
 }
 
 // sortBySpan orders clusters by the low end of their curve spans. The spans
@@ -1758,11 +1880,14 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		// all is only known once the subtree completes (leaf vs inner) —
 		// finishSubtree records it as a miss or a bypass.
 	}
-	st := &subtree{
+	st := subtrees.Get()
+	*st = subtree{
 		qid: m.QID, q: m.Query, parent: m.ReplyTo, parentToken: m.Token,
 		kind: "cluster", clustersIn: len(m.Clusters),
 		streamUp: m.Stream, cacheKey: cacheKey,
+		holds: 1, // this frame's, released on return
 	}
+	e.held++
 	if cacheKey != "" {
 		curve := e.space.Curve()
 		st.cacheSpans = make([]sfc.Interval, len(m.Clusters))
@@ -1785,13 +1910,13 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		// Shed before acking: confirming receipt of work we refuse would
 		// suppress the dispatcher's recovery instead of engaging it.
 		delete(e.inbound, inboundKey{from: m.ReplyTo, token: m.Token})
+		st.finished = true // nothing was admitted, nothing will report
 		e.met.shedRemote.Inc()
 		e.send(m.ReplyTo, QueryShedMsg{QID: m.QID, Token: m.Token, RetryAfterMS: e.retryAfterHint().Milliseconds()})
-		return
-	}
-	if m.Ack {
+	} else if m.Ack {
 		sendPooled(e, &queryAcks, m.ReplyTo, QueryAckMsg{QID: m.QID, Token: m.Token})
 	}
+	e.release(st)
 }
 
 // clusterResolved takes a remote subtree's refined clusters: a leaf of the
@@ -1829,20 +1954,17 @@ func (e *Engine) clusterResolved(st *subtree, matches []Element, remote []sfc.Re
 // instead of hanging on a reply that will never come.
 func (e *Engine) handleShed(m QueryShedMsg) {
 	c, ok := e.children[m.Token]
-	if !ok || c.st.finished {
+	if !ok {
+		return
+	}
+	c.st.checkLive()
+	if c.st.finished {
 		return
 	}
 	e.met.shedChild.Inc()
 	if e.opts.SubtreeTimeout <= 0 {
 		// No recovery deadline is armed: the subtree cannot be retried.
-		delete(e.children, m.Token)
-		e.met.abandoned.Inc()
-		if c.st.spanID != 0 {
-			c.st.spans = append(c.st.spans, e.lostSpan(c.st, c))
-		}
-		c.st.incomplete = true
-		c.st.done++
-		e.checkSubtree(c.st)
+		e.abandonChild(c)
 		return
 	}
 	// Pull the child's recovery deadline forward to the hint: childExpired
@@ -1861,6 +1983,8 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 	delete(e.children, m.Token)
 	c.timer.Stop()
 	st := c.st
+	defer giveBack(e, &childCalls, c, st) // the child holds st until the handler returns
+	st.checkLive()
 	if st.finished {
 		return
 	}
@@ -1923,6 +2047,7 @@ func (e *Engine) handlePartialResult(m PartialResultMsg) {
 		return // straggler: child already answered, abandoned, or cancelled
 	}
 	st := c.st
+	st.checkLive()
 	if st.finished || len(m.Matches) == 0 {
 		return
 	}

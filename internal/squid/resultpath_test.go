@@ -146,8 +146,8 @@ func TestResultCacheAdoptionNoAlias(t *testing.T) {
 	for p := range results {
 		e := newEngine(space, Options{})
 		// Two children outstanding and the dispatch round still open, so
-		// neither report completes the subtree.
-		st := &subtree{qid: 1, sent: 2}
+		// neither report completes the subtree. Each child holds it.
+		st := &subtree{qid: 1, sent: 2, holds: 2}
 		e.children[1] = &childCall{st: st, token: 1}
 		e.children[2] = &childCall{st: st, token: 2}
 		own := []Element{{Values: []string{"data", "data"}, Data: fmt.Sprintf("parent%d", p)}}

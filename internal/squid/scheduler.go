@@ -7,6 +7,7 @@ import (
 	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
+	"squid/internal/transport"
 )
 
 // scheduler runs the CPU-heavy half of query handling — Hilbert refinement
@@ -42,9 +43,9 @@ type scheduler struct {
 	cap     int
 
 	mu       sync.Mutex
-	jobsCond *sync.Cond   // signaled when queue gains a job (workers wait here)
-	idleCond *sync.Cond   // broadcast when pending returns to zero (waitIdle)
-	queue    []*refineJob //lint:guarded-by mu
+	jobsCond *sync.Cond                 // signaled when queue gains a job (workers wait here)
+	idleCond *sync.Cond                 // broadcast when pending returns to zero (waitIdle)
+	queue    transport.FIFO[*refineJob] //lint:guarded-by mu
 	// pending counts admitted jobs whose completion has not yet run.
 	pending int //lint:guarded-by mu
 	// started flips when the workers are spawned (lazily, on first submit).
@@ -52,7 +53,10 @@ type scheduler struct {
 }
 
 // refineJob carries one batch of clusters from the delivery goroutine to a
-// worker, and its outcome back to the subtree st.
+// worker, and its outcome back to the subtree st. Jobs come from the
+// refineJobs pool on the delivery goroutine and go back there once the
+// completion has run resolved (giveBack); the worker reads a job only
+// before it hands the completion to Invoke.
 type refineJob struct {
 	st       *subtree // delivery goroutine only: the worker passes it through
 	qid      QueryID
@@ -131,7 +135,7 @@ func (s *scheduler) trySubmit(j *refineJob) bool {
 	}
 	s.pending++
 	depth := s.pending
-	s.queue = append(s.queue, j)
+	s.queue.Push(j)
 	if !s.started {
 		s.started = true
 		for i := 0; i < s.workers; i++ {
@@ -148,12 +152,10 @@ func (s *scheduler) trySubmit(j *refineJob) bool {
 // processing order, the scheduling fairness the tests pin).
 func (s *scheduler) next() *refineJob {
 	s.mu.Lock()
-	for len(s.queue) == 0 {
+	for s.queue.Len() == 0 {
 		s.jobsCond.Wait()
 	}
-	j := s.queue[0]
-	s.queue[0] = nil
-	s.queue = s.queue[1:]
+	j := s.queue.Pop()
 	s.mu.Unlock()
 	return j
 }
@@ -209,6 +211,7 @@ func (s *scheduler) worker() {
 			e.store, e.space, j.arc, j.qid, j.clusters, j.q, region, &scratch, frontier)
 		if err := e.node.Invoke(func() {
 			e.resolved(j.st, matches, remote, local)
+			giveBack(e, &refineJobs, j, j.st)
 			s.finish()
 		}); err != nil {
 			s.finish() // node detached: the query died with its node

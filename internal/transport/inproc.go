@@ -228,7 +228,7 @@ type mailbox struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []envelope
+	queue  FIFO[envelope]
 	closed bool
 }
 
@@ -261,7 +261,7 @@ func (b *mailbox) enqueue(from Addr, msg any, obs Observer) bool {
 	if obs != nil {
 		obs(from, b.addr, msg)
 	}
-	b.queue = append(b.queue, envelope{from, msg})
+	b.queue.Push(envelope{from, msg})
 	b.cond.Signal()
 	return true
 }
@@ -269,8 +269,8 @@ func (b *mailbox) enqueue(from Addr, msg any, obs Observer) bool {
 func (b *mailbox) close() {
 	b.mu.Lock()
 	b.closed = true
-	dropped := len(b.queue)
-	b.queue = nil
+	dropped := b.queue.Len()
+	b.queue = FIFO[envelope]{}
 	b.cond.Signal()
 	b.mu.Unlock()
 	for i := 0; i < dropped; i++ {
@@ -281,15 +281,14 @@ func (b *mailbox) close() {
 func (b *mailbox) run() {
 	for {
 		b.mu.Lock()
-		for len(b.queue) == 0 && !b.closed {
+		for b.queue.Len() == 0 && !b.closed {
 			b.cond.Wait()
 		}
 		if b.closed {
 			b.mu.Unlock()
 			return
 		}
-		env := b.queue[0]
-		b.queue = b.queue[1:]
+		env := b.queue.Pop()
 		b.mu.Unlock()
 
 		b.handler.Deliver(env.from, env.msg)

@@ -10,6 +10,10 @@ import "sync"
 // back too. A message nobody puts back (dropped by a fault, stranded in
 // a dead mailbox, written to a socket) is simply collected.
 //
+// The query engine recycles its per-hop bookkeeping through the same
+// type: its subtrees, child calls, dispatch rounds and refinement jobs,
+// each given back once nothing holds it.
+//
 // The zero value is ready to use and safe for concurrent use.
 type MsgPool[T any] struct {
 	p sync.Pool
