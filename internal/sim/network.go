@@ -427,19 +427,25 @@ func (nw *Network) CancelQuery(via int, qid squid.QueryID) bool {
 	return found
 }
 
-// QueryKeywords runs a position-free keyword query (combination tuples)
-// from the given peer and waits for its complete result.
+// QueryKeywords runs a position-free keyword query against combination
+// tuples (squid.PublishCombinations) from the given peer: each placement
+// query of squid.KeywordQueries runs to completion in turn, and the answer
+// is their deduplicated union with the first error any of them reported.
 func (nw *Network) QueryKeywords(via int, words []string) squid.Result {
-	p := nw.Peers[via]
-	var res squid.Result
-	done := make(chan struct{})
-	MustInvoke(p, func() {
-		p.Engine.QueryKeywords(words, func(r squid.Result) { res = r; close(done) })
-	})
-	if !nw.drv.Await(done) {
-		return squid.Result{Err: ErrIncomplete}
+	queries, err := squid.KeywordQueries(nw.Space, words)
+	if err != nil {
+		return squid.Result{Err: err}
 	}
-	return res
+	agg := squid.Result{Query: queries[0]}
+	for _, q := range queries {
+		r, _ := nw.Query(via, q)
+		if agg.Err == nil {
+			agg.Err = r.Err
+		}
+		agg.Matches = append(agg.Matches, r.Matches...)
+	}
+	agg.Matches = squid.Dedup(agg.Matches)
+	return agg
 }
 
 // BruteForceMatches scans every peer's store directly — the ground truth

@@ -1,10 +1,8 @@
 package squid
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"squid/internal/keyspace"
@@ -22,15 +20,7 @@ import (
 // tuples published.
 func (e *Engine) PublishCombinations(keywords []string, data string) (int, error) {
 	d := e.space.Dims()
-	words := make([]string, 0, len(keywords))
-	for _, w := range keywords {
-		w = strings.TrimSpace(strings.ToLower(w))
-		if w != "" {
-			words = append(words, w)
-		}
-	}
-	sort.Strings(words)
-	words = dedupSorted(words)
+	words := normalizeKeywords(keywords)
 	if len(words) == 0 {
 		return 0, fmt.Errorf("squid: no usable keywords for %q", data)
 	}
@@ -63,16 +53,6 @@ func (e *Engine) PublishCombinations(keywords []string, data string) (int, error
 	return published, nil
 }
 
-func dedupSorted(ws []string) []string {
-	out := ws[:0]
-	for i, w := range ws {
-		if i == 0 || w != ws[i-1] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // normalizeKeywords lowercases, trims, sorts and deduplicates a keyword
 // list — the canonical form shared by the publish and query sides.
 func normalizeKeywords(words []string) []string {
@@ -83,15 +63,23 @@ func normalizeKeywords(words []string) []string {
 			clean = append(clean, w)
 		}
 	}
-	sort.Strings(clean)
-	return dedupSorted(clean)
+	slices.Sort(clean)
+	return slices.Compact(clean)
 }
 
-// placementQueries expands normalized keywords into every positional
-// placement query: a word may sit on any axis of a sorted combination
-// tuple, so each in-order assignment of the words to the d axes (remaining
-// axes wildcarded) must be queried.
-func placementQueries(clean []string, d int) []keyspace.Query {
+// KeywordQueries turns a conjunctive keyword query against data published
+// with PublishCombinations into the flexible queries that answer it: the
+// words are normalized as on the publish side and, since a word may sit on
+// any axis of a sorted combination tuple, every in-order placement of them
+// on the space's d axes (remaining axes wildcarded) is one query. Run each
+// with Query or QueryStream and merge the answers with Dedup. It needs
+// 1..d distinct words.
+func KeywordQueries(space *keyspace.Space, words []string) ([]keyspace.Query, error) {
+	clean := normalizeKeywords(words)
+	d := space.Dims()
+	if len(clean) == 0 || len(clean) > d {
+		return nil, fmt.Errorf("squid: keyword query needs 1..%d distinct words, got %d", d, len(clean))
+	}
 	var queries []keyspace.Query
 	var place func(wi, dim int, cur keyspace.Query)
 	place = func(wi, dim int, cur keyspace.Query) {
@@ -110,177 +98,7 @@ func placementQueries(clean []string, d int) []keyspace.Query {
 		place(wi, dim+1, append(cur, keyspace.Wildcard()))         // skip axis
 	}
 	place(0, 0, make(keyspace.Query, 0, d))
-	return queries
-}
-
-// QueryKeywords resolves a conjunctive keyword query against data
-// published with PublishCombinations. cb receives a single aggregated,
-// deduplicated result; start failures are reported through cb's Err.
-// Goroutine-confined like Query. See QueryKeywordsCtx.
-func (e *Engine) QueryKeywords(words []string, cb func(Result)) {
-	if err := e.QueryKeywordsCtx(context.Background(), words, cb); err != nil {
-		cb(Result{Err: err})
-	}
-}
-
-// QueryKeywordsCtx resolves a conjunctive keyword query under a context:
-// the words are sorted (matching the publish-side ordering) and, when
-// fewer words than dimensions are given, every positional placement is
-// queried (a word may sit on any axis of a sorted combination tuple). cb
-// fires exactly once — from the node's delivery goroutine — with the
-// aggregated, deduplicated result. A non-nil error means the words were
-// unusable or the context was already done, and cb will never fire.
-// Context cancellation and deadline apply to every placement sub-query as
-// in QueryCtx. Like all engine entry points, call it from App upcalls or
-// through node.Invoke.
-//
-//lint:entry delivery
-func (e *Engine) QueryKeywordsCtx(ctx context.Context, words []string, cb func(Result)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	clean := normalizeKeywords(words)
-	d := e.space.Dims()
-	if len(clean) == 0 || len(clean) > d {
-		return fmt.Errorf("squid: keyword query needs 1..%d distinct words, got %d", d, len(clean))
-	}
-	queries := placementQueries(clean, d)
-
-	agg := &Result{Query: queries[0]}
-	remaining := len(queries)
-	finish := func(r Result) {
-		if r.Err != nil && agg.Err == nil {
-			agg.Err = r.Err
-		}
-		agg.Matches = append(agg.Matches, r.Matches...)
-		remaining--
-		if remaining == 0 {
-			agg.Matches = Dedup(agg.Matches)
-			cb(*agg)
-		}
-	}
-	for _, q := range queries {
-		if _, err := e.QueryCtx(ctx, q, finish); err != nil {
-			// A placement that failed to start counts as completed with its
-			// error, so cb still fires exactly once after the rest drain.
-			finish(Result{Query: q, Err: err})
-		}
-	}
-	return nil
-}
-
-// QueryKeywordsStream is the streaming form of QueryKeywordsCtx: the
-// positional placement sub-queries run as concurrent streams, their
-// batches are multiplexed (deduplicated across placements — a combination
-// element matches several placements) to deliver, and exactly one Done
-// event follows once every placement finishes. Limit(k) applies to the
-// deduplicated union: when k distinct elements have been delivered the
-// remaining placement streams are cancelled. Keyword streams are not
-// resumable — the placements' positions do not compose into one cursor —
-// so WithCursor is rejected and Done carries no cursor; paginate a single
-// query with QueryStream instead. The returned QueryIDs identify the
-// placement streams (cancel them all to stop the keyword query). A
-// non-nil error means nothing was started and deliver will never fire.
-//
-//lint:entry delivery
-func (e *Engine) QueryKeywordsStream(ctx context.Context, words []string, deliver func(StreamEvent), opts ...QueryOption) ([]QueryID, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var cfg queryConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.hasPos || cfg.exhausted {
-		return nil, fmt.Errorf("squid: keyword streams are not resumable; paginate a single query with QueryStream")
-	}
-	clean := normalizeKeywords(words)
-	d := e.space.Dims()
-	if len(clean) == 0 || len(clean) > d {
-		return nil, fmt.Errorf("squid: keyword query needs 1..%d distinct words, got %d", d, len(clean))
-	}
-	queries := placementQueries(clean, d)
-
-	var (
-		qids      []QueryID
-		seen      = map[string]bool{}
-		delivered int
-		remaining = len(queries)
-		finished  bool
-		aggErr    error
-	)
-	done := func() {
-		finished = true
-		deliver(StreamEvent{Done: true, Err: aggErr})
-	}
-	mux := func(ev StreamEvent) {
-		if finished {
-			return
-		}
-		if ev.Done {
-			// context.Canceled from placements we tore down after the limit
-			// was met is expected, not a stream failure.
-			if ev.Err != nil && aggErr == nil && !(delivered >= cfg.limit && cfg.limit > 0 && errors.Is(ev.Err, context.Canceled)) {
-				aggErr = ev.Err
-			}
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-			return
-		}
-		fresh := ev.Matches[:0:0]
-		for _, m := range ev.Matches {
-			if cfg.limit > 0 && delivered+len(fresh) >= cfg.limit {
-				break
-			}
-			if seen[m.Data] {
-				continue
-			}
-			seen[m.Data] = true
-			fresh = append(fresh, m)
-		}
-		if len(fresh) == 0 {
-			return
-		}
-		delivered += len(fresh)
-		deliver(StreamEvent{QID: ev.QID, Matches: fresh})
-		if cfg.limit > 0 && delivered >= cfg.limit {
-			// The union's limit is met: tear down every placement still in
-			// flight. Their Done events drain through the branch above.
-			for _, id := range qids {
-				e.CancelQuery(id)
-			}
-		}
-	}
-	for _, q := range queries {
-		if cfg.limit > 0 && delivered >= cfg.limit {
-			// An earlier placement already filled the union's limit
-			// synchronously; this one need not start at all.
-			mux(StreamEvent{Done: true})
-			continue
-		}
-		var streamOpts []QueryOption
-		if cfg.limit > 0 {
-			// Each placement needs at most the union's k: its own early
-			// termination saves refinement traffic even before the union
-			// fills up.
-			streamOpts = append(streamOpts, Limit(cfg.limit))
-		}
-		qid, err := e.QueryStreamFunc(ctx, q, mux, streamOpts...)
-		if err != nil {
-			mux(StreamEvent{QID: qid, Done: true, Err: err})
-			continue
-		}
-		qids = append(qids, qid)
-	}
-	return qids, nil
+	return queries, nil
 }
 
 // Dedup collapses matches that refer to the same element (same payload),

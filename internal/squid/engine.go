@@ -525,10 +525,6 @@ func (e *Engine) Space() *keyspace.Space { return e.space }
 // oracle preloading by the simulator).
 func (e *Engine) LocalStore() *Store { return e.store }
 
-// ReplicaStore exposes the node's replica buffer (for inspection by tests
-// and the simulator's consistency checks).
-func (e *Engine) ReplicaStore() *Store { return e.replicas }
-
 // Publish routes a data element to the node owning its curve index.
 func (e *Engine) Publish(elem Element) error {
 	idx, err := e.space.Index(elem.Values)
@@ -572,51 +568,36 @@ func (e *Engine) StoreDirectBatch(elems []Element) error {
 	return nil
 }
 
-// Query resolves a flexible query and calls cb exactly once with the
-// complete result set (all matching elements in the system). It returns
-// the query's id for metrics correlation. Query is QueryCtx without
-// cancellation; failures that QueryCtx returns synchronously (bad query,
-// admission shed) are delivered through cb instead, preserving the
-// call-back-exactly-once contract.
+// Query resolves a flexible query and calls cb exactly once, from the
+// node's delivery goroutine, with the complete result set (all matching
+// elements in the system). It returns the query's id for metrics
+// correlation. A query that cannot start (invalid query, admission shed:
+// errors.Is ErrOverloaded, the *OverloadError carrying a retry-after
+// hint) is reported through cb as well.
 //
-//lint:entry delivery
-func (e *Engine) Query(q keyspace.Query, cb func(Result)) QueryID {
-	qid, err := e.QueryCtx(context.Background(), q, cb)
-	if err != nil {
-		cb(Result{QID: qid, Query: q, Err: err})
-	}
-	return qid
-}
-
-// QueryCtx resolves a flexible query under a context. On success cb fires
-// exactly once — from the node's delivery goroutine — with the complete
-// result set. A non-nil error means the query was not started and cb will
-// never fire: the query string was invalid, the context was already done,
-// or the engine shed the query under admission control (errors.Is
-// ErrOverloaded; the *OverloadError carries a retry-after hint).
-//
-// Context cancellation and deadline ride the QueryDeadline machinery: when
-// ctx ends first, outstanding child subtrees are cancelled exactly as on a
-// deadline expiry and cb fires once with every match gathered so far and
-// Err = ctx's error. A ctx deadline therefore bounds the query even when
-// it is shorter than the engine's configured QueryDeadline.
+// Query's root accumulates: the inner subtrees of its refinement tree fold
+// their children's matches into their one SubResultMsg, where those of a
+// stream also relay each increment as a PartialResultMsg. Query therefore
+// sends fewer messages than an unlimited QueryStream of the same query.
+// For cancellation or a context deadline, use QueryStream or
+// QueryStreamFunc.
 //
 // Like all engine entry points, call it from App upcalls or through
 // node.Invoke.
 //
 //lint:entry delivery
-func (e *Engine) QueryCtx(ctx context.Context, q keyspace.Query, cb func(Result)) (QueryID, error) {
+func (e *Engine) Query(q keyspace.Query, cb func(Result)) QueryID {
 	qid := nextQID()
 	e.met.queries.Inc()
-	if err := ctx.Err(); err != nil {
-		return qid, err
-	}
 	st := &subtree{qid: qid, q: q, cb: cb, kind: "root"}
-	return qid, e.startRoot(ctx, q, st)
+	if err := e.startRoot(context.Background(), q, st); err != nil {
+		cb(Result{QID: qid, Query: q, Err: err})
+	}
+	return qid
 }
 
 // startRoot starts a prepared root subtree — callback-delivering
-// (QueryCtx) or streaming (QueryStream) — as the root of the distributed
+// (Query) or streaming (QueryStream) — as the root of the distributed
 // refinement. A non-nil error means nothing was started and the subtree's
 // sink will never fire.
 func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) error {
@@ -1827,11 +1808,7 @@ func (e *Engine) handleClientQuery(m ClientQueryMsg) {
 		}
 		return
 	}
-	if _, err := e.QueryCtx(context.Background(), q, func(r Result) {
-		reply(r.QID, r.Matches, r.Err)
-	}); err != nil {
-		reply(0, nil, err)
-	}
+	e.Query(q, func(r Result) { reply(r.QID, r.Matches, r.Err) })
 }
 
 func (e *Engine) handleLookup(m LookupMsg) {

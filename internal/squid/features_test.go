@@ -2,9 +2,7 @@ package squid_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"sort"
 	"testing"
 
 	"squid/internal/chord"
@@ -64,16 +62,10 @@ func TestPublishCombinations(t *testing.T) {
 		}
 	}
 
-	// QueryKeywords handles position-free keyword search (a word may sit
-	// on any axis of a sorted combination tuple).
-	askWords := func(words ...string) squid.Result {
-		rch := make(chan squid.Result, 1)
-		p1 := nw.Peers[1]
-		p1.Node.Invoke(func() {
-			p1.Engine.QueryKeywords(words, func(r squid.Result) { rch <- r })
-		})
-		return <-rch
-	}
+	// Keyword queries handle position-free search (a word may sit on any
+	// axis of a sorted combination tuple): one placement query per axis
+	// assignment, their union deduplicated.
+	askWords := func(words ...string) squid.Result { return nw.QueryKeywords(1, words) }
 	for _, words := range [][]string{
 		{"storage"}, {"network"}, {"distributed"},
 		{"storage", "distributed"}, // unsorted input is fine
@@ -120,115 +112,6 @@ func TestPublishCombinations(t *testing.T) {
 	})
 	if got := <-ch; got.err == nil {
 		t.Error("empty keywords should error")
-	}
-}
-
-// TestQueryKeywordsStream exercises the streaming keyword multiplexer:
-// placement sub-streams merge into one deduplicated delivery, Limit
-// applies to the distinct union, keyword streams refuse cursors, and
-// QueryKeywordsCtx honours an already-done context.
-func TestQueryKeywordsStream(t *testing.T) {
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := sim.Build(sim.Config{Nodes: 20, Space: space, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := nw.Peers[0]
-	errCh := make(chan error, 1)
-	for _, doc := range []struct {
-		data  string
-		words []string
-	}{
-		{"a.txt", []string{"alpha", "storage", "network"}},
-		{"b.txt", []string{"beta", "storage", "mesh"}},
-		{"c.txt", []string{"gamma", "storage", "grid"}},
-	} {
-		doc := doc
-		p.Node.Invoke(func() {
-			_, err := p.Engine.PublishCombinations(doc.words, doc.data)
-			errCh <- err
-		})
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	nw.Quiesce()
-
-	run := func(words []string, opts ...squid.QueryOption) ([]string, error) {
-		t.Helper()
-		evCh := make(chan squid.StreamEvent, 64)
-		startCh := make(chan error, 1)
-		p1 := nw.Peers[1]
-		p1.Node.Invoke(func() {
-			_, err := p1.Engine.QueryKeywordsStream(context.Background(), words,
-				func(ev squid.StreamEvent) { evCh <- ev }, opts...)
-			startCh <- err
-		})
-		if err := <-startCh; err != nil {
-			t.Fatalf("QueryKeywordsStream(%v): %v", words, err)
-		}
-		nw.Quiesce()
-		var got []string
-		for {
-			select {
-			case ev := <-evCh:
-				if ev.Done {
-					return got, ev.Err
-				}
-				for _, m := range ev.Matches {
-					got = append(got, m.Data)
-				}
-			default:
-				t.Fatalf("QueryKeywordsStream(%v) never delivered Done", words)
-			}
-		}
-	}
-
-	// Unlimited: every matching document exactly once, despite each living
-	// on several combination tuples and matching several placements.
-	got, streamErr := run([]string{"storage"})
-	if streamErr != nil {
-		t.Fatalf("stream error: %v", streamErr)
-	}
-	sort.Strings(got)
-	if want := []string{"a.txt", "b.txt", "c.txt"}; !equalSets(got, want) {
-		t.Errorf("streamed union = %v, want %v", got, want)
-	}
-
-	// Limit applies to the deduplicated union.
-	got, streamErr = run([]string{"storage"}, squid.Limit(2))
-	if streamErr != nil {
-		t.Fatalf("limited stream error: %v", streamErr)
-	}
-	if len(got) != 2 {
-		t.Errorf("Limit(2) delivered %d distinct: %v", len(got), got)
-	}
-
-	// Cursors do not compose across placements: WithCursor is a start error.
-	full, _ := nw.QueryStream(0, keyspace.MustParse("(storage, *)"))
-	startCh := make(chan error, 1)
-	p.Node.Invoke(func() {
-		_, err := p.Engine.QueryKeywordsStream(context.Background(), []string{"storage"},
-			func(squid.StreamEvent) { t.Error("cursor-resumed keyword stream delivered") },
-			squid.WithCursor(full.Cursor))
-		startCh <- err
-	})
-	if err := <-startCh; err == nil {
-		t.Error("WithCursor on a keyword stream should be rejected")
-	}
-
-	// A context that is already done stops QueryKeywordsCtx before start.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p.Node.Invoke(func() {
-		errCh <- p.Engine.QueryKeywordsCtx(ctx, []string{"storage"},
-			func(squid.Result) { t.Error("callback fired after pre-cancelled start") })
-	})
-	if err := <-errCh; err == nil {
-		t.Error("QueryKeywordsCtx with done context should error")
 	}
 }
 

@@ -50,7 +50,7 @@ func (e *Engine) PushReplicas() (items int, full bool) {
 		return 0, false
 	}
 	if e.replicaSet() != e.lastReplicaSet {
-		return e.PushReplicasFull(), true
+		return e.pushReplicasFull(), true
 	}
 	e.dirtyKeys = e.store.TakeDirty(e.dirtyKeys[:0])
 	if len(e.dirtyKeys) == 0 {
@@ -62,11 +62,9 @@ func (e *Engine) PushReplicas() (items int, full bool) {
 	return len(delta), false
 }
 
-// PushReplicasFull unconditionally re-replicates every locally owned item
+// pushReplicasFull unconditionally re-replicates every locally owned item
 // to the current successors and records the replica set it went to.
-//
-//lint:entry delivery
-func (e *Engine) PushReplicasFull() int {
+func (e *Engine) pushReplicasFull() int {
 	if e.opts.Replicas <= 0 {
 		return 0
 	}

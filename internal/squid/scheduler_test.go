@@ -162,28 +162,26 @@ func TestSchedulerFIFOOrder(t *testing.T) {
 	p := nw.Peers[0]
 
 	const n = 6
-	order := make(chan squid.QueryID, n)
+	order := make(chan squid.Result, n)
 	var submitted []squid.QueryID
 	doneSubmit := make(chan struct{})
 	sim.MustInvoke(p, func() {
 		defer close(doneSubmit)
 		for i := 0; i < n; i++ {
-			qid, err := p.Engine.QueryCtx(context.Background(), keyspace.MustParse("(*, *)"), func(r squid.Result) {
-				order <- r.QID
-			})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			submitted = append(submitted, qid)
+			submitted = append(submitted, p.Engine.Query(keyspace.MustParse("(*, *)"), func(r squid.Result) {
+				order <- r
+			}))
 		}
 	})
 	<-doneSubmit
 	for i := 0; i < n; i++ {
 		select {
 		case got := <-order:
-			if got != submitted[i] {
-				t.Fatalf("completion %d: qid %d, want %d (FIFO violated)", i, got, submitted[i])
+			if got.Err != nil {
+				t.Fatalf("completion %d: %v", i, got.Err)
+			}
+			if got.QID != submitted[i] {
+				t.Fatalf("completion %d: qid %d, want %d (FIFO violated)", i, got.QID, submitted[i])
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out waiting for completion %d", i)
@@ -195,7 +193,8 @@ func TestSchedulerFIFOOrder(t *testing.T) {
 // submissions inside a single delivery-goroutine turn cannot be drained
 // (completions queue behind the running handler), so the cap-th-plus-one
 // query must shed synchronously with ErrOverloaded — observable through
-// the typed error, its retry-after hint, and the telemetry registry.
+// QueryStreamFunc's returned error, its retry-after hint, and the
+// telemetry registry.
 func TestOverloadShedsRootQueries(t *testing.T) {
 	nw, err := sim.BuildWithIDs(sim.Config{
 		Space:  schedSpace(t),
@@ -208,12 +207,14 @@ func TestOverloadShedsRootQueries(t *testing.T) {
 	p := nw.Peers[0]
 
 	const n = 6
-	results := make(chan squid.Result, n)
+	results := make(chan error, n)
 	errs := make(chan error, n)
 	sim.MustInvoke(p, func() {
 		for i := 0; i < n; i++ {
-			_, err := p.Engine.QueryCtx(context.Background(), keyspace.MustParse("(*, *)"), func(r squid.Result) {
-				results <- r
+			_, err := p.Engine.QueryStreamFunc(context.Background(), keyspace.MustParse("(*, *)"), func(ev squid.StreamEvent) {
+				if ev.Done {
+					results <- ev.Err
+				}
 			})
 			errs <- err
 		}
@@ -239,9 +240,9 @@ func TestOverloadShedsRootQueries(t *testing.T) {
 	}
 	for i := 0; i < admitted; i++ {
 		select {
-		case r := <-results:
-			if r.Err != nil {
-				t.Fatalf("admitted query failed: %v", r.Err)
+		case err := <-results:
+			if err != nil {
+				t.Fatalf("admitted query failed: %v", err)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("admitted query never completed")
@@ -257,12 +258,13 @@ func TestOverloadShedsRootQueries(t *testing.T) {
 	}
 }
 
-// TestQueryCtxCancellation covers the three context outcomes: a context
-// already done fails synchronously (the callback never fires), a
-// cancellation mid-flight completes the query with the context's error and
-// the matches gathered so far, and a context deadline bounds a query that
-// would otherwise hang forever on a dead peer.
-func TestQueryCtxCancellation(t *testing.T) {
+// TestStreamContextOutcomes covers the three context outcomes of a
+// streaming root: a context already done fails synchronously (nothing is
+// delivered), a cancellation mid-flight finishes the stream with the
+// context's error, and a context deadline bounds a query that would
+// otherwise hang forever on a dead peer. The last two run the root's
+// context watcher goroutine, in the push and the pull form.
+func TestStreamContextOutcomes(t *testing.T) {
 	space := schedSpace(t)
 	build := func(seed int64) *sim.Network {
 		nw, err := sim.Build(sim.Config{
@@ -277,21 +279,29 @@ func TestQueryCtxCancellation(t *testing.T) {
 		schedCorpus(t, nw, 120, seed+2)
 		return nw
 	}
+	q := keyspace.MustParse("(*, *)")
 
 	t.Run("already-done", func(t *testing.T) {
 		nw := build(7401)
 		p := nw.Peers[0]
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		errCh := make(chan error, 1)
+		errCh := make(chan error, 2)
 		sim.MustInvoke(p, func() {
-			_, err := p.Engine.QueryCtx(ctx, keyspace.MustParse("(*, *)"), func(squid.Result) {
-				t.Error("callback fired for a context that was already done")
+			_, err := p.Engine.QueryStreamFunc(ctx, q, func(squid.StreamEvent) {
+				t.Error("stream delivered for a context that was already done")
 			})
 			errCh <- err
+			s, err := p.Engine.QueryStream(ctx, q)
+			if s != nil {
+				t.Error("QueryStream returned a stream for a context that was already done")
+			}
+			errCh <- err
 		})
-		if err := <-errCh; !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+		for range 2 {
+			if err := <-errCh; !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
 		}
 	})
 
@@ -304,30 +314,32 @@ func TestQueryCtxCancellation(t *testing.T) {
 		}
 		p := nw.Peers[0]
 		ctx, cancel := context.WithCancel(context.Background())
-		resCh := make(chan squid.Result, 1)
+		doneCh := make(chan error, 1)
 		errCh := make(chan error, 1)
 		sim.MustInvoke(p, func() {
-			_, err := p.Engine.QueryCtx(ctx, keyspace.MustParse("(*, *)"), func(r squid.Result) {
-				resCh <- r
+			_, err := p.Engine.QueryStreamFunc(ctx, q, func(ev squid.StreamEvent) {
+				if ev.Done {
+					doneCh <- ev.Err
+				}
 			})
 			errCh <- err
 		})
 		if err := <-errCh; err != nil {
-			t.Fatalf("QueryCtx: %v", err)
+			t.Fatalf("QueryStreamFunc: %v", err)
 		}
 		select {
-		case r := <-resCh:
-			t.Fatalf("query completed before cancel: %+v", r)
+		case err := <-doneCh:
+			t.Fatalf("query completed before cancel: %v", err)
 		case <-time.After(50 * time.Millisecond):
 		}
 		cancel()
 		select {
-		case r := <-resCh:
-			if !errors.Is(r.Err, context.Canceled) {
-				t.Fatalf("result err = %v, want context.Canceled", r.Err)
+		case err := <-doneCh:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("stream err = %v, want context.Canceled", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("cancelled query never delivered its result")
+			t.Fatal("cancelled query never finished its stream")
 		}
 	})
 
@@ -339,21 +351,31 @@ func TestQueryCtxCancellation(t *testing.T) {
 		p := nw.Peers[0]
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		resCh := make(chan squid.Result, 1)
+		streamCh := make(chan *squid.ResultStream, 1)
 		sim.MustInvoke(p, func() {
-			if _, err := p.Engine.QueryCtx(ctx, keyspace.MustParse("(*, *)"), func(r squid.Result) {
-				resCh <- r
-			}); err != nil {
-				t.Errorf("QueryCtx: %v", err)
+			s, err := p.Engine.QueryStream(ctx, q)
+			if err != nil {
+				t.Errorf("QueryStream: %v", err)
 			}
+			streamCh <- s
 		})
+		s := <-streamCh
+		if s == nil {
+			t.FailNow()
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for _, ok := s.Next(); ok; _, ok = s.Next() {
+			}
+		}()
 		select {
-		case r := <-resCh:
-			if !errors.Is(r.Err, context.DeadlineExceeded) {
-				t.Fatalf("result err = %v, want context.DeadlineExceeded", r.Err)
+		case <-drained:
+			if !errors.Is(s.Err(), context.DeadlineExceeded) {
+				t.Fatalf("stream err = %v, want context.DeadlineExceeded", s.Err())
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("deadline-bounded query never delivered its result")
+			t.Fatal("deadline-bounded query never finished its stream")
 		}
 	})
 }

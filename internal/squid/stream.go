@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"slices"
 	"sync"
 
 	"squid/internal/keyspace"
@@ -16,6 +17,7 @@ type QueryOption func(*queryConfig)
 
 type queryConfig struct {
 	limit     int
+	cursorQ   keyspace.Query // the query a decoded cursor was taken on
 	afterPos  uint64
 	afterSkip int
 	hasPos    bool
@@ -41,14 +43,17 @@ func Limit(k int) QueryOption {
 // skipping clusters that were already fully delivered. Matches at or past
 // the position that had already been delivered when the cursor was taken
 // may be delivered again (at-least-once pagination); deduplicate pages with
-// Dedup when that matters. An invalid cursor is ignored; an exhausted one
-// yields an immediately-done empty stream.
+// Dedup when that matters. A cursor taken on a different query is refused:
+// the stream does not start and QueryStream/QueryStreamFunc return an
+// error. An undecodable cursor is ignored; an exhausted one yields an
+// immediately-done empty stream.
 func WithCursor(cur Cursor) QueryOption {
 	return func(c *queryConfig) {
 		st, err := cur.decode()
 		if err != nil {
 			return
 		}
+		c.cursorQ = st.q
 		if st.exhausted {
 			c.exhausted = true
 			return
@@ -64,9 +69,10 @@ func WithCursor(cur Cursor) QueryOption {
 // whose results had not been fully delivered when the stream ended, and —
 // because distinct elements can share a curve index (identical keyword
 // tuples) — how many elements at that index were already delivered, in
-// their owner's stable store order. Feed it back via WithCursor (the query
-// itself is recoverable with CursorQuery) to continue a browsing-style
-// iteration where the previous page stopped.
+// their owner's stable store order. Feed it back via WithCursor, with the
+// same query, to continue a browsing-style iteration where the previous
+// page stopped; the captured query is what lets WithCursor refuse a
+// cursor handed to another query.
 type Cursor string
 
 // cursorState is the decoded form: version-tagged so the format can evolve.
@@ -121,16 +127,6 @@ func (c Cursor) decode() (cursorState, error) {
 		return cursorState{}, fmt.Errorf("squid: bad cursor: %w", err)
 	}
 	return st, nil
-}
-
-// CursorQuery recovers the query a cursor was taken over, so a caller can
-// resume a browse without holding the original query alongside the cursor.
-func CursorQuery(cur Cursor) (keyspace.Query, error) {
-	st, err := cur.decode()
-	if err != nil {
-		return nil, err
-	}
-	return st.q, nil
 }
 
 // Exhausted reports whether the cursor marks a fully delivered stream:
@@ -245,20 +241,6 @@ func (s *ResultStream) Cancel() {
 	}
 }
 
-// Collect drains the stream and returns every delivered match with the
-// terminal error — the bridge from streaming back to the one-shot Result
-// shape.
-func (s *ResultStream) Collect() ([]Element, error) {
-	var all []Element
-	for {
-		batch, ok := s.Next()
-		if !ok {
-			return all, s.Err()
-		}
-		all = append(all, batch...)
-	}
-}
-
 // pushBatch implements streamSink (delivery goroutine side).
 func (s *ResultStream) pushBatch(_ QueryID, batch []Element) {
 	s.mu.Lock()
@@ -291,8 +273,15 @@ func (s *ResultStream) finishStream(_ QueryID, err error, cur Cursor) {
 // subtrees so their refinement traffic is never sent, and WithCursor
 // resumes a previous stream's position for browsing-style iteration.
 //
-// A non-nil error means the query was not started (invalid query, context
-// already done, admission shed — see QueryCtx). Like all engine entry
+// When ctx ends before the query completes, outstanding child subtrees are
+// cancelled exactly as on a QueryDeadline expiry and the stream finishes
+// with ctx's error, so a ctx deadline bounds the query even when it is
+// shorter than the engine's QueryDeadline.
+//
+// A non-nil error means the query was not started: the query was invalid,
+// ctx was already done, the cursor was taken on a different query, or the
+// engine shed the query under admission control (errors.Is ErrOverloaded;
+// the *OverloadError carries a retry-after hint). Like all engine entry
 // points, call it from App upcalls or through node.Invoke; the returned
 // stream itself may then be consumed from any goroutine.
 //
@@ -339,6 +328,9 @@ func (e *Engine) queryStream(ctx context.Context, qid QueryID, q keyspace.Query,
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if (cfg.hasPos || cfg.exhausted) && !slices.Equal(cfg.cursorQ, q) {
+		return fmt.Errorf("squid: cursor was taken on %s, not %s", cfg.cursorQ, q)
 	}
 	st := &subtree{
 		qid: qid, q: q, kind: "root",
