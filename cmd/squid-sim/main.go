@@ -41,9 +41,12 @@ import (
 const helpText = `commands:
   build <nodes> [dims] [bits]   build a fresh network (default 2-D, 32-bit axes)
   load <keys>                   preload a synthetic keyword corpus
-  publish <v1,v2,..> [name]     publish one element through a random peer
+  publish <v1,v2,..> [name]     publish one element through a random peer; more
+                                values than dimensions publish every sorted
+                                combination of them (found by 'keywords')
   query <query>                 run a flexible query, e.g. (comp*, *) or (10-20, *)
-  keywords <w1> [w2..]          position-free keyword search (combination tuples)
+  keywords <w1> [w2..]          position-free keyword search over combination
+                                tuples: at most one word per dimension
   join [hex-id]                 protocol-join a new peer (random id if omitted)
   leave <i>                     peer i leaves voluntarily
   kill <i>                      peer i fails abruptly
@@ -238,9 +241,9 @@ func (s *session) stats() error {
 		fs.Delivered, fs.Dropped, fs.Delayed, fs.PartitionDrops, fs.CrashDrops)
 	fmt.Printf("chord rpc: find-retries=%d find-failures=%d state-retries=%d state-failures=%d\n",
 		retries.Sum("op", "find"), failures.Sum("op", "find"), retries.Sum("op", "state"), failures.Sum("op", "state"))
-	fmt.Printf("recovery:  redispatches=%d abandoned=%d partial-results=%d acks=%d\n",
+	fmt.Printf("recovery:  redispatches=%d abandoned=%d partial-results=%d\n",
 		recovery.Sum("event", "redispatch"), recovery.Sum("event", "abandon"),
-		recovery.Sum("event", "partial"), recovery.Sum("event", "ack"))
+		recovery.Sum("event", "partial"))
 	return nil
 }
 
@@ -397,6 +400,14 @@ func (s *session) publish(args []string) error {
 		name = strings.Join(args[1:], " ")
 	}
 	via := s.rng.Intn(len(s.net.Peers))
+	if len(values) > s.net.Space.Dims() {
+		n, err := s.net.PublishCombinations(via, values, name)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("published %v as %q via peer %d (%d combination tuples)\n", values, name, via, n)
+		return nil
+	}
 	if err := s.net.Publish(via, squid.Element{Values: values, Data: name}); err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,4 +91,49 @@ func TestSessionExecDES(t *testing.T) {
 			t.Fatalf("%q: %v", cmd, err)
 		}
 	}
+}
+
+// TestSessionKeywords: a publish with more values than the space has
+// dimensions stores every sorted combination of them, and a keyword search
+// finds the document once, whichever axis its word landed on.
+func TestSessionKeywords(t *testing.T) {
+	s := &session{rng: rand.New(rand.NewSource(1))}
+	for _, cmd := range []string{"build 20", "publish gamma,alpha,beta doc"} {
+		if err := s.exec(cmd); err != nil {
+			t.Fatalf("%q: %v", cmd, err)
+		}
+	}
+	out := captureStdout(t, func() {
+		if err := s.exec("keywords beta"); err != nil {
+			t.Fatalf("keywords beta: %v", err)
+		}
+	})
+	if !strings.HasPrefix(out, "1 matches\n") {
+		t.Errorf("keywords beta printed %q, want 1 match", out)
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	done := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r) // ends when w closes; a read error only shortens the output
+		done <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() {
+		os.Stdout = stdout
+		w.Close() // a second close after the normal path is a no-op error
+	}()
+	fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-done
 }

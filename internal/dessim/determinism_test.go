@@ -151,7 +151,7 @@ func TestStormDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed diverged:\n run1 %s\n run2 %s", a, b)
 	}
-	checkPinned(t, storm, events, 0xbab61ae7c54cb1f0, 337_010)
+	checkPinned(t, storm, events, 0xa65982cc1f94adf9, 339_360)
 	c, _, _ := stormFixture(t, 7002)
 	if a == c {
 		t.Fatalf("different seeds replayed identically: %s", a)

@@ -12,7 +12,7 @@ import (
 )
 
 // TestDesQueryAllocs bounds what a query costs the heap end to end on the
-// event core: root and remote hops, probes, recovery timers and acks, and
+// event core: root and remote hops, probes, recovery timers, and
 // the harness's per-query accounting. 300 paper-mix queries (Q1, Q2 and
 // Q3 ranges) start 20 ms of virtual time apart on a 200-node ring with the
 // probe cache and subtree recovery on. A hop allocates its result slices

@@ -51,7 +51,8 @@ type StormConfig struct {
 type StormResult struct {
 	Complete    int    // queries that finished with nil error
 	Partial     int    // queries that finished with an error
-	Incomplete  int    // query callbacks that never fired (initiator died)
+	Incomplete  int    // query callbacks that never fired
+	Stranded    int    // of Incomplete, those whose initiator is still a member
 	Matches     int    // total matches across completed queries
 	Streamed    int    // queries run as Limit(TopK) streams
 	JoinErrs    int    // protocol joins that failed (e.g. id collision)
@@ -60,8 +61,8 @@ type StormResult struct {
 }
 
 func (r StormResult) String() string {
-	return fmt.Sprintf("complete=%d partial=%d incomplete=%d matches=%d streamed=%d joinErrs=%d steps=%d fp=%016x",
-		r.Complete, r.Partial, r.Incomplete, r.Matches, r.Streamed, r.JoinErrs, r.Steps, r.Fingerprint)
+	return fmt.Sprintf("complete=%d partial=%d incomplete=%d stranded=%d matches=%d streamed=%d joinErrs=%d steps=%d fp=%016x",
+		r.Complete, r.Partial, r.Incomplete, r.Stranded, r.Matches, r.Streamed, r.JoinErrs, r.Steps, r.Fingerprint)
 }
 
 // RunStorm schedules the whole storm and runs the event loop to
@@ -108,6 +109,8 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 
 	startBase := nw.Core.Steps()
 	space := chord.Space{Bits: nw.Space.IndexBits()}
+	// initiator[i] is query i's root peer until its callback fires.
+	initiator := make([]*sim.Peer, cfg.Queries)
 
 	for i, q := range queries {
 		i, q := i, q
@@ -117,6 +120,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 				return
 			}
 			p := nw.Peers[rng.Intn(len(nw.Peers))]
+			initiator[i] = p
 			if cfg.TopK > 0 && i%2 == 1 {
 				sim.MustInvoke(p, func() {
 					res.Streamed++
@@ -127,6 +131,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 							delivered += len(ev.Matches)
 							return
 						}
+						initiator[i] = nil
 						if ev.Err != nil {
 							res.Partial++
 							fold(i, -1, batches)
@@ -137,6 +142,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 						fold(i, delivered, batches)
 					}, squid.Limit(cfg.TopK))
 					if err != nil {
+						initiator[i] = nil
 						res.Partial++
 						fold(i, -1, -1)
 					}
@@ -145,6 +151,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 			}
 			sim.MustInvoke(p, func() {
 				p.Engine.Query(q, func(r squid.Result) {
+					initiator[i] = nil
 					if r.Err != nil {
 						res.Partial++
 						fold(i, -1)
@@ -206,6 +213,15 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 
 	nw.Run()
 	res.Incomplete = cfg.Queries - res.Complete - res.Partial
+	members := make(map[*sim.Peer]bool, len(nw.Peers))
+	for _, p := range nw.Peers {
+		members[p] = true
+	}
+	for _, p := range initiator {
+		if members[p] {
+			res.Stranded++
+		}
+	}
 	res.Steps = nw.Core.Steps() - startBase
 	fold(res.Complete, res.Partial, res.Incomplete, res.Matches, res.Streamed, res.JoinErrs, int(res.Steps), len(nw.Peers))
 	res.Fingerprint = h.Sum64()

@@ -356,6 +356,21 @@ func (nw *Network) Publish(via int, elem squid.Element) error {
 	return err
 }
 
+// PublishCombinations publishes a document described by more keywords than
+// the space has dimensions (squid.Engine.PublishCombinations) through the
+// given peer, waits for the network to settle, and returns the number of
+// tuples published.
+func (nw *Network) PublishCombinations(via int, keywords []string, data string) (int, error) {
+	p := nw.Peers[via]
+	var (
+		n   int
+		err error
+	)
+	MustInvoke(p, func() { n, err = p.Engine.PublishCombinations(keywords, data) })
+	nw.drv.Quiesce()
+	return n, err
+}
+
 // Query runs a flexible query from the given peer, waits for its complete
 // result, and returns it with the query's cost metrics. If the completion
 // callback never fires — possible only under faults that strand the result

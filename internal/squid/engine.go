@@ -61,10 +61,11 @@ type Options struct {
 	// Sink receives per-query processing metrics; may be nil.
 	Sink MetricsSink
 	// SubtreeTimeout arms a recovery deadline on every dispatched child
-	// subtree of a query. A child that has neither replied nor acked
-	// within the deadline is re-dispatched through ring routing, which
-	// resolves to the *current* owner — after a crash that is the dead
-	// node's successor, which holds promoted replicas when Replicas > 0.
+	// subtree of a query. A child that has not replied within
+	// SubtreeTimeout of its dispatch is re-dispatched through ring routing,
+	// which resolves to the *current* owner — after a crash that is the
+	// dead node's successor, which holds promoted replicas when
+	// Replicas > 0.
 	// 0 disables recovery tracking entirely (the simulator's quiesce-based
 	// experiments rely on exact message counts).
 	SubtreeTimeout time.Duration
@@ -339,7 +340,7 @@ func (st *subtree) childRef() telemetry.TraceRef {
 }
 
 // childCall tracks one dispatched child subtree awaiting its SubResultMsg.
-// Each child owns a token — replies and acks correlate to the child, so a
+// Each child owns a token — replies correlate to the child, so a
 // lost child can be re-dispatched individually while the original, if it
 // was merely slow, is harmlessly deduplicated (first reply wins, the
 // second finds no pending call).
@@ -349,7 +350,6 @@ type childCall struct {
 	clusters []sfc.Refined // re-dispatch payload, shared with the sent message; nil for exact lookups
 	key      uint64        // curve index the re-dispatch routes to
 	attempts int
-	acked    bool
 	timer    transport.Timer
 }
 
@@ -514,12 +514,6 @@ func (e *Engine) lostSpan(st *subtree, c *childCall) telemetry.Span {
 	}
 	return s
 }
-
-// Node returns the ring node the engine is attached to.
-func (e *Engine) Node() *chord.Node { return e.node }
-
-// Space returns the engine's keyword space.
-func (e *Engine) Space() *keyspace.Space { return e.space }
 
 // LocalStore exposes the node's local index fragment (for inspection and
 // oracle preloading by the simulator).
@@ -1191,7 +1185,6 @@ func (e *Engine) childExpired(tok uint64) {
 		return
 	}
 	c.attempts++
-	c.acked = false
 	e.met.redispatches.Inc()
 	st := c.st
 	st.retries++
@@ -1204,8 +1197,7 @@ func (e *Engine) childExpired(tok uint64) {
 		m := clusterQueries.Get()
 		*m = ClusterQueryMsg{
 			QID: st.qid, Query: st.q, Clusters: c.clusters,
-			ReplyTo: e.node.Self().Addr, Token: c.token, Ack: true,
-			Trace: st.childRef(),
+			ReplyTo: e.node.Self().Addr, Token: c.token, Trace: st.childRef(),
 		}
 		e.node.Route(chord.ID(c.key), m, uint64(st.qid))
 	}
@@ -1227,19 +1219,6 @@ func (e *Engine) abandonChild(c *childCall) {
 	st.done++
 	e.checkSubtree(st)
 	giveBack(e, &childCalls, c, st)
-}
-
-// handleAck marks a child as received by its target and grants it a fresh
-// deadline window: the subtree is in progress, not lost.
-func (e *Engine) handleAck(m QueryAckMsg) {
-	c, ok := e.children[m.Token]
-	if !ok {
-		return
-	}
-	c.st.checkLive()
-	c.acked = true
-	e.met.acks.Inc()
-	c.timer.Reset(e.opts.SubtreeTimeout)
 }
 
 // startDeadline arms the overall query deadline on a root subtree, tagged
@@ -1443,7 +1422,6 @@ type dispatchRound struct {
 	e      *Engine
 	st     *subtree
 	root   bool
-	ack    bool
 	stream bool
 	self   transport.Addr
 	curve  sfc.Curve
@@ -1486,7 +1464,6 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree) {
 	r := rounds.Get()
 	*r = dispatchRound{
 		e: e, st: st, root: st.parent == "",
-		ack:    e.opts.SubtreeTimeout > 0,
 		stream: st.stream != nil || st.streamUp,
 		self:   e.node.Self().Addr,
 		curve:  e.space.Curve(),
@@ -1529,7 +1506,7 @@ func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) *ClusterQueryMsg 
 	m := clusterQueries.Get()
 	*m = ClusterQueryMsg{
 		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: r.self, Token: tok,
-		Ack: r.ack, Stream: r.stream, Trace: st.childRef(),
+		Stream: r.stream, Trace: st.childRef(),
 	}
 	return m
 }
@@ -1715,10 +1692,6 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 		v := *m
 		clusterQueries.Put(m)
 		e.handleClusterQuery(v)
-	case *QueryAckMsg:
-		v := *m
-		queryAcks.Put(m)
-		e.handleAck(v)
 	case QueryShedMsg:
 		e.handleShed(m)
 	case *SubResultMsg:
@@ -1847,8 +1820,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 		if matches, ok := e.rcache.get(cacheKey); ok {
 			// Popular-cluster hit: this exact batch previously resolved as a
 			// leaf against a store that has not mutated under it since. Skip
-			// refinement entirely and answer now — the result supersedes any
-			// requested ack.
+			// refinement entirely and answer now.
 			e.met.cacheHits.Inc()
 			sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches})
 			return
@@ -1884,14 +1856,10 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	e.inbound[inboundKey{from: m.ReplyTo, token: m.Token}] = st
 	admitted := e.submitClusters(st, m.Clusters, region)
 	if !admitted {
-		// Shed before acking: confirming receipt of work we refuse would
-		// suppress the dispatcher's recovery instead of engaging it.
 		delete(e.inbound, inboundKey{from: m.ReplyTo, token: m.Token})
 		st.finished = true // nothing was admitted, nothing will report
 		e.met.shedRemote.Inc()
 		e.send(m.ReplyTo, QueryShedMsg{QID: m.QID, Token: m.Token, RetryAfterMS: e.retryAfterHint().Milliseconds()})
-	} else if m.Ack {
-		sendPooled(e, &queryAcks, m.ReplyTo, QueryAckMsg{QID: m.QID, Token: m.Token})
 	}
 	e.release(st)
 }
@@ -1946,7 +1914,6 @@ func (e *Engine) handleShed(m QueryShedMsg) {
 	}
 	// Pull the child's recovery deadline forward to the hint: childExpired
 	// then re-routes the subtree through the ring as for a lost child.
-	c.acked = false
 	retry := time.Duration(m.RetryAfterMS) * time.Millisecond
 	retry = min(max(retry, 5*time.Millisecond), e.opts.SubtreeTimeout)
 	c.timer.Reset(retry)

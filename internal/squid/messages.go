@@ -7,14 +7,13 @@ import (
 	"squid/internal/transport"
 )
 
-// The per-hop query kinds — ClusterQueryMsg, QueryAckMsg, SubResultMsg and
+// The per-hop query kinds — ClusterQueryMsg, SubResultMsg and
 // PartialResultMsg — travel by pointer and are recycled through one pool
 // per kind (transport.MsgPool): a message passed to a send is dead to the
 // sender, and the engine copies a received one out and puts the pointer
 // back before handling it. Every other kind travels as a value.
 var (
 	clusterQueries transport.MsgPool[ClusterQueryMsg]
-	queryAcks      transport.MsgPool[QueryAckMsg]
 	subResults     transport.MsgPool[SubResultMsg]
 	partialResults transport.MsgPool[PartialResultMsg]
 )
@@ -64,10 +63,6 @@ type ClusterQueryMsg struct {
 	Clusters []sfc.Refined
 	ReplyTo  transport.Addr
 	Token    uint64
-	// Ack asks the receiver to confirm receipt with a QueryAckMsg before
-	// processing. Dispatchers running a recovery deadline set it so a
-	// slow-but-alive subtree can be told apart from a lost one.
-	Ack bool
 	// Stream marks a subtree of a streaming query: the receiver forwards
 	// matches toward ReplyTo incrementally (PartialResultMsg) as its own
 	// children complete, instead of holding everything for the terminal
@@ -77,14 +72,6 @@ type ClusterQueryMsg struct {
 	// Trace is the tracing context of the dispatching subtree (see
 	// LookupMsg.Trace).
 	Trace telemetry.TraceRef
-}
-
-// QueryAckMsg confirms receipt of a ClusterQueryMsg (sent only when the
-// dispatcher asked via Ack). It re-arms the dispatcher's re-dispatch
-// deadline: the subtree is known to be in progress, not lost in transit.
-type QueryAckMsg struct {
-	QID   QueryID
-	Token uint64
 }
 
 // QueryShedMsg tells a dispatcher that the receiver refused its

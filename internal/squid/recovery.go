@@ -19,7 +19,6 @@ type engineMetrics struct {
 	redispatches *telemetry.Counter
 	abandoned    *telemetry.Counter
 	partials     *telemetry.Counter
-	acks         *telemetry.Counter
 
 	probeHits   *telemetry.Counter
 	probeMisses *telemetry.Counter
@@ -58,7 +57,7 @@ var schedWaitBounds = []int64{100_000, 1_000_000, 10_000_000, 100_000_000, 1_000
 func newEngineMetrics(reg *telemetry.Registry, id uint64) engineMetrics {
 	node := strconv.FormatUint(id, 16)
 	recovery := reg.CounterVec("squid_engine_recovery_total",
-		"query-recovery events: redispatch, abandon, partial, ack", "node", "event")
+		"query-recovery events: redispatch, abandon, partial", "node", "event")
 	probe := reg.CounterVec("squid_engine_probe_cache_total",
 		"owner-probe cache lookups at the query root", "node", "outcome")
 	shed := reg.CounterVec("squid_sched_shed_total",
@@ -82,7 +81,6 @@ func newEngineMetrics(reg *telemetry.Registry, id uint64) engineMetrics {
 		redispatches: recovery.With(node, "redispatch"),
 		abandoned:    recovery.With(node, "abandon"),
 		partials:     recovery.With(node, "partial"),
-		acks:         recovery.With(node, "ack"),
 		probeHits:    probe.With(node, "hit"),
 		probeMisses:  probe.With(node, "miss"),
 		schedDepth: reg.GaugeVec("squid_sched_pending_jobs",

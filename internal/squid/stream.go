@@ -223,22 +223,13 @@ func (s *ResultStream) Err() error {
 }
 
 // Cursor returns the stream's resume cursor: after early termination
-// (Limit reached, Cancel, context done) it marks where refinement was cut
-// so a follow-up query continues from there; after full delivery it is
-// exhausted. Empty until the stream completes.
+// (Limit reached, context cancelled or past its deadline) it marks where
+// refinement was cut so a follow-up query continues from there; after full
+// delivery it is exhausted. Empty until the stream completes.
 func (s *ResultStream) Cursor() Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cursor
-}
-
-// Cancel stops the query: outstanding subtrees are torn down with
-// QueryCancelMsg and the stream completes with the cancellation as its
-// error. Safe from any goroutine; idempotent.
-func (s *ResultStream) Cancel() {
-	if s.cancel != nil {
-		s.cancel()
-	}
 }
 
 // pushBatch implements streamSink (delivery goroutine side).

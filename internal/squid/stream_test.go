@@ -59,7 +59,7 @@ func TestStreamMatchesQuery(t *testing.T) {
 }
 
 // TestStreamExactlyOnce follows every match of a streamed broad query up
-// the refinement tree, with recovery deadlines armed (so children ack).
+// the refinement tree, with recovery deadlines armed on every child.
 // Each node must send upward, in PartialResultMsg and SubResultMsg, exactly
 // the matches it found locally plus those its children sent it — the root
 // delivering instead of sending — and the root must deliver exactly the

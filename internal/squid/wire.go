@@ -28,7 +28,7 @@ const (
 	tagUnpublishMsg
 	tagLookupMsg
 	tagClusterQueryMsg
-	tagQueryAckMsg
+	_ // TagSquidBase+4, retired with QueryAckMsg: never reuse
 	_ // TagSquidBase+5, retired with BatchMsg: never reuse
 	tagQueryShedMsg
 	tagSubResultMsg
@@ -233,7 +233,6 @@ func encodeClusterQuery(e *wire.Encoder, m *ClusterQueryMsg) {
 	}
 	e.String(string(m.ReplyTo))
 	e.Uvarint(m.Token)
-	e.Bool(m.Ack)
 	e.Bool(m.Stream)
 	encodeTraceRef(e, m.Trace)
 }
@@ -255,7 +254,6 @@ func decodeClusterQuery(d *wire.Decoder) *ClusterQueryMsg {
 	}
 	m.ReplyTo = transport.Addr(d.String())
 	m.Token = d.Uvarint()
-	m.Ack = d.Bool()
 	m.Stream = d.Bool()
 	m.Trace = decodeTraceRef(d)
 	return m
@@ -300,18 +298,6 @@ func init() {
 	wire.Register(tagClusterQueryMsg, (*ClusterQueryMsg)(nil),
 		func(e *wire.Encoder, v any) { encodeClusterQuery(e, v.(*ClusterQueryMsg)) },
 		func(d *wire.Decoder) any { return decodeClusterQuery(d) })
-	wire.Register(tagQueryAckMsg, (*QueryAckMsg)(nil),
-		func(e *wire.Encoder, v any) {
-			m := v.(*QueryAckMsg)
-			e.Uvarint(uint64(m.QID))
-			e.Uvarint(m.Token)
-		},
-		func(d *wire.Decoder) any {
-			m := queryAcks.Get()
-			m.QID = QueryID(d.Uvarint())
-			m.Token = d.Uvarint()
-			return m
-		})
 	wire.Register(tagQueryShedMsg, QueryShedMsg{},
 		func(e *wire.Encoder, v any) {
 			m := v.(QueryShedMsg)

@@ -161,7 +161,7 @@ func genClusterQuery(r *rand.Rand) *squid.ClusterQueryMsg {
 	return &squid.ClusterQueryMsg{
 		QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
 		Clusters: genClusters(r), ReplyTo: genAddr(r),
-		Token: uint64(r.Intn(1 << 20)), Ack: r.Intn(2) == 0, Stream: r.Intn(2) == 0,
+		Token: uint64(r.Intn(1 << 20)), Stream: r.Intn(2) == 0,
 		Trace: genTraceRef(r),
 	}
 }
@@ -236,9 +236,6 @@ var wireGens = map[reflect.Type]wireGen{
 			Key: r.Uint64(), ReplyTo: genAddr(r), Token: uint64(r.Intn(1 << 20)), Trace: genTraceRef(r)}
 	},
 	reflect.TypeOf(&squid.ClusterQueryMsg{}): func(r *rand.Rand) any { return genClusterQuery(r) },
-	reflect.TypeOf(&squid.QueryAckMsg{}): func(r *rand.Rand) any {
-		return &squid.QueryAckMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Token: uint64(r.Intn(1 << 20))}
-	},
 	reflect.TypeOf(squid.QueryShedMsg{}): func(r *rand.Rand) any {
 		return squid.QueryShedMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), RetryAfterMS: int64(r.Intn(5000))}
@@ -438,14 +435,14 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 func FuzzWireCluster(f *testing.F) {
 	f.Add(uint64(1), "computer", uint64(6), 3, true, "10.0.0.1:9", uint64(7), false)
 	f.Add(uint64(0), "", uint64(0), 0, false, "", uint64(0), true)
-	f.Fuzz(func(t *testing.T, qid uint64, word string, prefix uint64, level int, complete bool, reply string, token uint64, ack bool) {
+	f.Fuzz(func(t *testing.T, qid uint64, word string, prefix uint64, level int, complete bool, reply string, token uint64, stream bool) {
 		msg := &squid.ClusterQueryMsg{
 			QID:      telemetry.QueryID(qid),
 			Query:    keyspace.Query{keyspace.Exact(word), keyspace.Wildcard()},
 			Clusters: []sfc.Refined{refined(prefix, level, complete)},
 			ReplyTo:  transport.Addr(reply),
 			Token:    token,
-			Ack:      ack,
+			Stream:   stream,
 			Trace:    telemetry.TraceRef{Parent: qid, Depth: level & 0xff, Mode: telemetry.TraceOn},
 		}
 		var e wire.Encoder
@@ -500,6 +497,17 @@ func retiredBatchFrame(r *rand.Rand) []byte {
 	return append(e.Bytes(), cq.Bytes()[1:]...) // squid tags are one varint byte
 }
 
+// retiredAckFrame is a frame in the layout of the deleted QueryAckMsg (tag
+// TagSquidBase+4, then QID and token), as a peer built before its removal
+// would send it.
+func retiredAckFrame() []byte {
+	var e wire.Encoder
+	e.Uvarint(wire.TagSquidBase + 4)
+	e.Uvarint(7)
+	e.Uvarint(9)
+	return e.Bytes()
+}
+
 // fuzzDecoder is reused across every FuzzWireFrame input, the way a TCP
 // connection reuses its decoder frame after frame.
 var fuzzDecoder wire.Decoder
@@ -534,6 +542,7 @@ func FuzzWireFrame(f *testing.F) {
 		}
 	}
 	f.Add(retiredBatchFrame(r))
+	f.Add(retiredAckFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.DecodeMessage(data)
 		reused, reusedErr := fuzzDecoder.Message(data)

@@ -37,7 +37,6 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 1:  "squid.UnpublishMsg",
 		wire.TagSquidBase + 2:  "squid.LookupMsg",
 		wire.TagSquidBase + 3:  "*squid.ClusterQueryMsg",
-		wire.TagSquidBase + 4:  "*squid.QueryAckMsg",
 		wire.TagSquidBase + 6:  "squid.QueryShedMsg",
 		wire.TagSquidBase + 7:  "*squid.SubResultMsg",
 		wire.TagSquidBase + 8:  "squid.ReplicaMsg",
@@ -53,6 +52,7 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 18: "squid.QueryCancelMsg",
 	}
 	retired := []uint64{
+		wire.TagSquidBase + 4, // QueryAckMsg
 		wire.TagSquidBase + 5, // BatchMsg
 	}
 	got := map[uint64]string{}
@@ -73,6 +73,9 @@ func TestWireTagRegistry(t *testing.T) {
 	}
 	if v, err := wire.DecodeMessage(retiredBatchFrame(rand.New(rand.NewSource(1)))); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("a frame under the retired BatchMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
+	}
+	if v, err := wire.DecodeMessage(retiredAckFrame()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("a frame under the retired QueryAckMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
 	}
 	for tag, typ := range got {
 		if _, ok := want[tag]; !ok {

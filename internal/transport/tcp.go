@@ -39,9 +39,10 @@ var (
 // then the dialer's address, and wait for the one-byte ack before sending
 // frames. An inbound connection that opens with anything else is rejected.
 // Version 2 frames carry application payloads bare, relying on the
-// preamble's address as their sender. See DESIGN.md §4i.
+// preamble's address as their sender; version 3 drops the query protocol's
+// receipt ack (ClusterQueryMsg lost a byte). See DESIGN.md §4i.
 const (
-	wireVersion = 0x02
+	wireVersion = 0x03
 	wireAck     = 0x01
 )
 
