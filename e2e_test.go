@@ -38,14 +38,13 @@ func TestBinariesEndToEnd(t *testing.T) {
 	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
 	var procs []*exec.Cmd
 	defer func() {
+		var live []*exec.Cmd
 		for _, p := range procs {
-			if p.Process != nil {
-				p.Process.Signal(syscall.SIGTERM)
+			if p.ProcessState == nil { // not reaped by the departure below
+				live = append(live, p)
 			}
 		}
-		for _, p := range procs {
-			p.Wait()
-		}
+		stopNodes(t, live)
 	}()
 
 	start := func(args ...string) *exec.Cmd {
@@ -165,8 +164,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// Graceful shutdown of one node must not break the others.
-	procs[1].Process.Signal(syscall.SIGTERM)
-	procs[1].Wait()
+	stopNodes(t, procs[1:2])
 	deadline = time.Now().Add(15 * time.Second)
 	ok := false
 	for time.Now().Before(deadline) {
@@ -179,6 +177,40 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if !ok {
 		t.Error("query after graceful departure failed")
+	}
+}
+
+// stopGrace bounds a daemon's exit after SIGTERM; squid-node's graceful
+// leave waits at most 3 s.
+const stopGrace = 10 * time.Second
+
+// stopNodes sends SIGTERM to each daemon and reaps it. One still running
+// stopGrace later is killed, and the test fails naming it.
+func stopNodes(t *testing.T, procs []*exec.Cmd) {
+	t.Helper()
+	exited := make(chan *exec.Cmd)
+	for _, p := range procs {
+		p.Process.Signal(syscall.SIGTERM)
+		go func() {
+			p.Wait()
+			exited <- p
+		}()
+	}
+	running := map[*exec.Cmd]bool{}
+	for _, p := range procs {
+		running[p] = true
+	}
+	grace := time.After(stopGrace)
+	for len(running) > 0 {
+		select {
+		case p := <-exited:
+			delete(running, p)
+		case <-grace:
+			for p := range running {
+				t.Errorf("squid-node %v still running %v after SIGTERM: killed", p.Args[1:], stopGrace)
+				p.Process.Kill()
+			}
+		}
 	}
 }
 

@@ -27,3 +27,10 @@ func (e *Engine) ReplicaStore() *Store { return e.replicas }
 // current successors, as PushReplicas does when the replica set changed.
 // Call it on the delivery goroutine.
 func (e *Engine) PushReplicasFull() int { return e.pushReplicasFull() }
+
+// CursorSkip (test hook) returns how many elements at its curve position
+// the cursor counts as already delivered; 0 for an undecodable cursor.
+func CursorSkip(c Cursor) int {
+	st, _ := c.decode()
+	return st.skip
+}

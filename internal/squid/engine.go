@@ -165,6 +165,7 @@ type Engine struct {
 	scratch  sfc.Scratch        //lint:confine delivery
 	coarse   []sfc.Refined      //lint:confine delivery
 	frontier []sfc.Refined      //lint:confine delivery
+	capKeys  []bufferedMatch    //lint:confine delivery
 
 	// Delta-replication state: the keys mutated since the last push and
 	// the fingerprint of the replica set the last full push went to.
@@ -214,6 +215,10 @@ type subtree struct {
 	cutLo     uint64
 	cutSkip   int  // elements at cutLo already delivered
 	cutSet    bool // (cutLo, cutSkip) is the lowest coordinate never delivered
+	// keep and from are a limited stream's reply cap (ClusterQueryMsg.Keep
+	// and From): set at its root, copied down to every subtree.
+	keep int
+	from uint64
 
 	// Ordered (paged) delivery state, used when limit > 0: arriving matches
 	// buffer here and flow out in curve order once every lower span has
@@ -1197,7 +1202,8 @@ func (e *Engine) childExpired(tok uint64) {
 		m := clusterQueries.Get()
 		*m = ClusterQueryMsg{
 			QID: st.qid, Query: st.q, Clusters: c.clusters,
-			ReplyTo: e.node.Self().Addr, Token: c.token, Trace: st.childRef(),
+			ReplyTo: e.node.Self().Addr, Token: c.token,
+			Keep: st.keep, From: st.from, Trace: st.childRef(),
 		}
 		e.node.Route(chord.ID(c.key), m, uint64(st.qid))
 	}
@@ -1363,7 +1369,7 @@ func (e *Engine) finishSubtree(st *subtree) {
 			// its spans: remember them for the next popular repeat. This was
 			// a cacheable lookup that missed.
 			e.met.cacheMisses.Inc()
-			e.rcache.put(st.cacheKey, st.cacheSpans, st.matches)
+			e.rcache.put(st.cacheKey, st.cacheSpans, st.matches) // uncapped: any page may read it
 		} else {
 			// Subtrees with remote children aggregate other nodes' data,
 			// which local dirty-key tracking cannot invalidate — never
@@ -1371,10 +1377,43 @@ func (e *Engine) finishSubtree(st *subtree) {
 			e.met.cacheBypass.Inc()
 		}
 	}
+	// A leaf's matches, or an accumulating subtree's union, originate here
+	// and take the page cap; a streaming subtree's remainder is a relayed
+	// batch, capped already, which the cap leaves as it is.
 	sendPooled(e, &subResults, st.parent, SubResultMsg{
-		QID: st.qid, Token: st.parentToken, Matches: st.matches, Incomplete: st.incomplete,
-		Spans: st.spans,
+		QID: st.qid, Token: st.parentToken, Matches: e.capReply(st.matches, st.keep, st.from),
+		Incomplete: st.incomplete, Spans: st.spans,
 	})
+}
+
+// capReply sizes one reply batch of a limited stream's subtree to its page
+// (ClusterQueryMsg.Keep): it drops the matches below curve index from and
+// keeps the lowest keep of the rest, in store order within one index.
+// keep <= 0 leaves the batch uncapped. batch itself is never written: a
+// result-cache entry may share it.
+func (e *Engine) capReply(batch []Element, keep int, from uint64) []Element {
+	if keep <= 0 || (from == 0 && len(batch) <= keep) {
+		return batch
+	}
+	keyed := e.capKeys[:0]
+	for _, m := range batch {
+		idx, err := e.space.Index(m.Values)
+		if err == nil && idx < from {
+			continue
+		}
+		keyed = append(keyed, bufferedMatch{el: m, idx: idx}) // unindexable: idx 0, as bufferMatches
+	}
+	out := batch
+	if len(keyed) < len(batch) || len(keyed) > keep {
+		slices.SortStableFunc(keyed, func(a, b bufferedMatch) int { return cmp.Compare(a.idx, b.idx) })
+		out = make([]Element, min(keep, len(keyed)))
+		for i := range out {
+			out[i] = keyed[i].el
+		}
+	}
+	clear(keyed)
+	e.capKeys = keyed[:0]
+	return out
 }
 
 // debugScan, when set (tests only), observes every cluster scan.
@@ -1506,7 +1545,7 @@ func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) *ClusterQueryMsg 
 	m := clusterQueries.Get()
 	*m = ClusterQueryMsg{
 		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: r.self, Token: tok,
-		Stream: r.stream, Trace: st.childRef(),
+		Stream: r.stream, Keep: st.keep, From: st.from, Trace: st.childRef(),
 	}
 	return m
 }
@@ -1822,7 +1861,9 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 			// leaf against a store that has not mutated under it since. Skip
 			// refinement entirely and answer now.
 			e.met.cacheHits.Inc()
-			sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches})
+			sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{
+				QID: m.QID, Token: m.Token, Matches: e.capReply(matches, m.Keep, m.From),
+			})
 			return
 		}
 		// Not counted as a miss yet: whether this lookup was cacheable at
@@ -1833,7 +1874,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	*st = subtree{
 		qid: m.QID, q: m.Query, parent: m.ReplyTo, parentToken: m.Token,
 		kind: "cluster", clustersIn: len(m.Clusters),
-		streamUp: m.Stream, cacheKey: cacheKey,
+		streamUp: m.Stream, keep: m.Keep, from: m.From, cacheKey: cacheKey,
 		holds: 1, // this frame's, released on return
 	}
 	e.held++
@@ -1885,7 +1926,9 @@ func (e *Engine) clusterResolved(st *subtree, matches []Element, remote []sfc.Re
 		// children are still refining. A leaf (no remote children)
 		// completes immediately — its terminal SubResultMsg carries the
 		// matches, so a separate partial would only double the traffic.
-		e.forwardPartial(st, matches)
+		// Relayed child batches were capped where they originated; this
+		// one originates here.
+		e.forwardPartial(st, e.capReply(matches, st.keep, st.from))
 	} else {
 		st.matches = matches
 	}

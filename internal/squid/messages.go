@@ -69,6 +69,17 @@ type ClusterQueryMsg struct {
 	// SubResultMsg, and propagates the flag to its own dispatches. The final
 	// SubResultMsg then carries only the not-yet-forwarded remainder.
 	Stream bool
+	// Keep and From size the replies of a Limit(k) stream's subtree to the
+	// page: every batch of matches the receiver originates (its local
+	// matches, a leaf's terminal result, a result-cache hit) drops those
+	// below curve index From and keeps only the lowest Keep by curve index,
+	// in store order within one index. The root sets Keep = k + skip + 1 and
+	// From to its cursor's position, where skip counts the elements at that
+	// position already delivered (both 0 without a cursor); inner subtrees
+	// copy the pair into their own dispatches. Keep 0 is uncapped, as for
+	// every unlimited query. DESIGN.md §4l says why the cap is exact.
+	Keep int
+	From uint64
 	// Trace is the tracing context of the dispatching subtree (see
 	// LookupMsg.Trace).
 	Trace telemetry.TraceRef

@@ -1,0 +1,98 @@
+package squid
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"squid/internal/keyspace"
+	"squid/internal/telemetry"
+)
+
+// TestCapReplyExact checks the reply cap against the root it feeds: for
+// random batches with runs of equal curve indices and a random page size
+// and cursor, a limited root delivers the same page and takes the same
+// resume cursor from batches capped at the cap streamRoot sets as from the
+// uncapped batches.
+func TestCapReplyExact(t *testing.T) {
+	space, err := keyspace.NewWordSpace(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(space, Options{Workers: -1})
+	e.met = newEngineMetrics(telemetry.NewRegistry(nil), 1)
+	q := keyspace.MustParse("(*, *)")
+	words := []string{"computer", "network", "grid", "data"}
+	index := func(m Element) uint64 {
+		idx, err := space.Index(m.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	rng := rand.New(rand.NewSource(5))
+	shortened := 0
+	for trial := 0; trial < 3000; trial++ {
+		batch := make([]Element, rng.Intn(30))
+		for i := range batch {
+			batch[i] = Element{
+				Values: []string{words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
+				Data:   fmt.Sprintf("d%d", i),
+			}
+		}
+		cfg := queryConfig{limit: 1 + rng.Intn(6)}
+		if len(batch) > 0 && rng.Intn(3) > 0 {
+			cfg.afterPos, cfg.afterSkip, cfg.hasPos = index(batch[rng.Intn(len(batch))]), rng.Intn(4), true
+			if rng.Intn(4) == 0 {
+				cfg.afterPos++ // a position no element holds
+			}
+		}
+		// One or two batches, as from two children: split at a curve index,
+		// since one index is scanned by one node in one batch.
+		var split uint64 = 1<<64 - 1
+		if len(batch) > 0 && rng.Intn(2) == 0 {
+			split = index(batch[rng.Intn(len(batch))])
+		}
+		var lo, hi []Element
+		for _, m := range batch {
+			if index(m) < split {
+				lo = append(lo, m)
+			} else {
+				hi = append(hi, m)
+			}
+		}
+		page := func(batches ...[]Element) ([]string, Cursor) {
+			var got []string
+			var cur Cursor
+			st := streamRoot(QueryID(trial+1), q, funcSink(func(ev StreamEvent) {
+				for _, m := range ev.Matches {
+					got = append(got, m.Data)
+				}
+				if ev.Done {
+					cur = ev.Cursor
+				}
+			}), cfg)
+			st.dispatched = true
+			for _, b := range batches {
+				e.rootDeliver(st, b)
+			}
+			e.checkSubtree(st)
+			return got, cur
+		}
+		c := streamRoot(0, q, nil, cfg)
+		capLo, capHi := e.capReply(lo, c.keep, c.from), e.capReply(hi, c.keep, c.from)
+		if len(capLo)+len(capHi) < len(batch) {
+			shortened++
+		}
+		wantPage, wantCur := page(lo, hi)
+		gotPage, gotCur := page(capLo, capHi)
+		if !slices.Equal(gotPage, wantPage) || gotCur != wantCur {
+			t.Fatalf("trial %d (limit %d, cursor %v at %d skip %d): capped batches give page %v, uncapped %v; cursors equal: %v",
+				trial, cfg.limit, cfg.hasPos, cfg.afterPos, cfg.afterSkip, gotPage, wantPage, gotCur == wantCur)
+		}
+	}
+	if shortened == 0 {
+		t.Fatal("no batch was capped: the property was never exercised")
+	}
+}

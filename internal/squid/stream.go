@@ -34,6 +34,12 @@ type queryConfig struct {
 // k lowest undelivered positions and the resume cursor advances strictly
 // page over page (unlimited streams deliver in completion order instead,
 // trading order for latency).
+//
+// The subtrees of a limited stream send it no more than the page needs:
+// each batch of matches a subtree finds is cut to the lowest k + skip + 1
+// at or past the cursor's position (skip: the elements there already
+// delivered), which leaves the page and its resume cursor exactly as
+// the full batch would (see ClusterQueryMsg.Keep).
 func Limit(k int) QueryOption {
 	return func(c *queryConfig) { c.limit = k }
 }
@@ -323,11 +329,7 @@ func (e *Engine) queryStream(ctx context.Context, qid QueryID, q keyspace.Query,
 	if (cfg.hasPos || cfg.exhausted) && !slices.Equal(cfg.cursorQ, q) {
 		return fmt.Errorf("squid: cursor was taken on %s, not %s", cfg.cursorQ, q)
 	}
-	st := &subtree{
-		qid: qid, q: q, kind: "root",
-		stream: sink, limit: cfg.limit,
-		afterPos: cfg.afterPos, afterSkip: cfg.afterSkip, hasPos: cfg.hasPos,
-	}
+	st := streamRoot(qid, q, sink, cfg)
 	if cfg.exhausted {
 		// Resuming past the end: an empty, already-done stream.
 		st.dispatched = true
@@ -336,6 +338,22 @@ func (e *Engine) queryStream(ctx context.Context, qid QueryID, q keyspace.Query,
 		return nil
 	}
 	return e.startRoot(ctx, q, st)
+}
+
+// streamRoot builds the root subtree of a streaming query. A limited root
+// caps its subtrees' replies at k + skip + 1 matches from its cursor's
+// position (ClusterQueryMsg.Keep): the page, the boundary run the root
+// filters out again, and one more, whose coordinate the page's cut takes.
+func streamRoot(qid QueryID, q keyspace.Query, sink streamSink, cfg queryConfig) *subtree {
+	st := &subtree{
+		qid: qid, q: q, kind: "root",
+		stream: sink, limit: cfg.limit,
+		afterPos: cfg.afterPos, afterSkip: cfg.afterSkip, hasPos: cfg.hasPos,
+	}
+	if cfg.limit > 0 {
+		st.keep, st.from = cfg.limit+cfg.afterSkip+1, cfg.afterPos
+	}
+	return st
 }
 
 // CancelQuery cancels a query rooted at this engine before it completes:

@@ -2,6 +2,7 @@ package squid_test
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strconv"
 	"testing"
@@ -229,6 +230,102 @@ func TestStreamCursorPagination(t *testing.T) {
 		if len(sr.Matches) != 0 || qm.RouteMessages+qm.ClusterMessages+qm.ProbeMessages != 0 {
 			t.Errorf("refused resume still ran: %d matches, %+v", len(sr.Matches), qm)
 		}
+	}
+}
+
+// TestStreamLimitRepliesCapped pages a query whose matches include a run
+// at one curve index to exhaustion through cursors, at several page sizes,
+// on a ring with a result cache. Every SubResultMsg and PartialResultMsg of
+// a Limit(k) page must carry at most k + skip + 1 matches, skip being the
+// elements at the page's cursor position already delivered, and the pages
+// together must deliver the brute-force set in curve order. Unlimited
+// queries of the same query, streamed and one-shot, then return it all.
+func TestStreamLimitRepliesCapped(t *testing.T) {
+	des := onEventCore(t, sim.Config{Nodes: 30, Space: schedSpace(t), Seed: 11,
+		Engine: squid.Options{ResultCacheSize: 64}})
+	nw := des.Network
+	preloadDocs(t, nw, 600)
+	run := make([]squid.Element, 6)
+	for i := range run {
+		run[i] = squid.Element{Values: []string{"computer", "network"}, Data: fmt.Sprintf("run%d", i)}
+	}
+	if err := nw.Preload(run); err != nil {
+		t.Fatal(err)
+	}
+	q := keyspace.MustParse("(comp*, *)")
+	want := sortedData(nw.BruteForceMatches(q))
+	index := func(e squid.Element) uint64 {
+		idx, err := nw.Space.Index(e.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+
+	largest := map[squid.QueryID]int{}
+	des.Net.SetObserver(func(from, to transport.Addr, msg any) {
+		nw.Metrics.Observe(from, to, msg)
+		switch m := msg.(type) {
+		case *squid.SubResultMsg:
+			largest[m.QID] = max(largest[m.QID], len(m.Matches))
+		case *squid.PartialResultMsg:
+			largest[m.QID] = max(largest[m.QID], len(m.Matches))
+		}
+	})
+
+	for _, k := range []int{1, 3, 10} {
+		var cur squid.Cursor
+		seen := map[string]bool{}
+		var firsts []squid.Element
+		for pageNo := 0; ; pageNo++ {
+			if pageNo > len(want)+5 {
+				t.Fatalf("Limit(%d): pagination did not converge", k)
+			}
+			opts := []squid.QueryOption{squid.Limit(k)}
+			skip := 0
+			if pageNo > 0 {
+				opts = append(opts, squid.WithCursor(cur))
+				skip = squid.CursorSkip(cur)
+			}
+			sr, _ := nw.QueryStream(pageNo%len(nw.Peers), q, opts...)
+			if sr.Err != nil {
+				t.Fatalf("Limit(%d) page %d: %v", k, pageNo, sr.Err)
+			}
+			if n := largest[sr.QID]; n > k+skip+1 {
+				t.Errorf("Limit(%d) page %d (skip %d): a reply carried %d matches", k, pageNo, skip, n)
+			}
+			for _, e := range sr.Matches {
+				if !seen[e.Data] {
+					seen[e.Data] = true
+					firsts = append(firsts, e)
+				}
+			}
+			cur = sr.Cursor
+			if cur.Exhausted() {
+				break
+			}
+		}
+		if got := sortedData(firsts); !equalSets(got, want) {
+			t.Errorf("Limit(%d): pages delivered %d distinct matches, brute force %d", k, len(got), len(want))
+		}
+		for i := 1; i < len(firsts); i++ {
+			if index(firsts[i]) < index(firsts[i-1]) {
+				t.Errorf("Limit(%d): match %d (%s) delivered after a higher curve index", k, i, firsts[i].Data)
+				break
+			}
+		}
+	}
+
+	sr, _ := nw.QueryStream(0, q)
+	if sr.Err != nil || !equalSets(sortedData(sr.Matches), want) {
+		t.Errorf("unlimited stream: %d matches (err %v), brute force %d", len(sr.Matches), sr.Err, len(want))
+	}
+	if n := largest[sr.QID]; n <= 3+len(run)+1 {
+		t.Errorf("unlimited stream's largest reply has %d matches: no Limit(3) page could have been capped", n)
+	}
+	res, _ := nw.Query(1, q)
+	if res.Err != nil || !equalSets(sortedData(res.Matches), want) {
+		t.Errorf("unlimited query: %d matches (err %v), brute force %d", len(res.Matches), res.Err, len(want))
 	}
 }
 

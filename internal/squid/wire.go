@@ -1,6 +1,8 @@
 package squid
 
 import (
+	"math"
+
 	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
@@ -233,9 +235,28 @@ func encodeClusterQuery(e *wire.Encoder, m *ClusterQueryMsg) {
 	}
 	e.String(string(m.ReplyTo))
 	e.Uvarint(m.Token)
-	e.Bool(m.Stream)
+	var flags uint64
+	if m.Stream {
+		flags |= clusterStream
+	}
+	if m.Keep > 0 {
+		flags |= clusterCapped
+	}
+	e.Uvarint(flags)
+	if m.Keep > 0 {
+		e.Uvarint(uint64(m.Keep))
+		e.Uvarint(m.From)
+	}
 	encodeTraceRef(e, m.Trace)
 }
+
+// ClusterQueryMsg's flags field: Stream, and a page cap whose Keep and From
+// follow. An uncapped message's flags are one byte, 0 or 1, exactly the
+// Stream bool of the version-3 layout.
+const (
+	clusterStream = 1 << iota
+	clusterCapped
+)
 
 // decodeClusterQuery fills a pooled message, which the receiving handler
 // owns.
@@ -254,7 +275,18 @@ func decodeClusterQuery(d *wire.Decoder) *ClusterQueryMsg {
 	}
 	m.ReplyTo = transport.Addr(d.String())
 	m.Token = d.Uvarint()
-	m.Stream = d.Bool()
+	flags := d.Uvarint()
+	if flags > clusterStream|clusterCapped {
+		d.Corrupt()
+	}
+	m.Stream = flags&clusterStream != 0
+	if flags&clusterCapped != 0 {
+		keep := d.Uvarint()
+		if keep == 0 || keep > math.MaxInt {
+			d.Corrupt()
+		}
+		m.Keep, m.From = int(keep), d.Uvarint()
+	}
 	m.Trace = decodeTraceRef(d)
 	return m
 }

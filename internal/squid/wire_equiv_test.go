@@ -3,7 +3,10 @@ package squid_test
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -158,10 +161,16 @@ func genClusters(r *rand.Rand) []sfc.Refined {
 }
 
 func genClusterQuery(r *rand.Rand) *squid.ClusterQueryMsg {
+	var keep int
+	var from uint64
+	if r.Intn(2) == 0 { // a Limit stream's page cap
+		keep, from = 1+r.Intn(100), r.Uint64()>>r.Intn(64)
+	}
 	return &squid.ClusterQueryMsg{
 		QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
 		Clusters: genClusters(r), ReplyTo: genAddr(r),
 		Token: uint64(r.Intn(1 << 20)), Stream: r.Intn(2) == 0,
+		Keep: keep, From: from,
 		Trace: genTraceRef(r),
 	}
 }
@@ -430,31 +439,106 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
+// clusterGolden is the ClusterQueryMsg of TestWireClusterQueryGolden.
+func clusterGolden(stream bool) *squid.ClusterQueryMsg {
+	return &squid.ClusterQueryMsg{
+		QID: 300, Query: keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard()},
+		Clusters: []sfc.Refined{refined(0x1234, 3, true), refined(7, 5, false)},
+		ReplyTo:  "10.0.0.1:7001", Token: 42, Stream: stream,
+		Trace: telemetry.TraceRef{Parent: 9, Depth: 2, Mode: telemetry.TraceOn},
+	}
+}
+
+// TestWireClusterQueryGolden pins the uncapped ClusterQueryMsg layout to
+// the bytes of wire version 3, whose Stream bool is now the flags field:
+// every unlimited query's messages keep their size to the byte. A flags
+// value with an undefined bit, or a cap bit with Keep 0, is corrupt.
+func TestWireClusterQueryGolden(t *testing.T) {
+	const prefix = "23ac02020204636f6d7000000000000002b4240601070a000d31302e302e302e313a373030312a"
+	for _, c := range []struct {
+		stream bool
+		hex    string
+	}{
+		{false, prefix + "00" + "090402"},
+		{true, prefix + "01" + "090402"},
+	} {
+		var e wire.Encoder
+		if !wire.EncodeMessage(&e, clusterGolden(c.stream)) {
+			t.Fatal("EncodeMessage declined the golden message")
+		}
+		if got := hex.EncodeToString(e.Bytes()); got != c.hex {
+			t.Errorf("Stream %v encodes as\n %s\nwant\n %s", c.stream, got, c.hex)
+		}
+	}
+	for _, tail := range []string{"04", "05", "7f", "8001", "0200" + "0000"} {
+		raw, err := hex.DecodeString(prefix + tail + "090402")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.DecodeMessage(raw); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("flags and cap %s: decode error %v, want ErrCorrupt", tail, err)
+		}
+	}
+}
+
 // FuzzWireCluster round-trips fuzzer-shaped ClusterQueryMsg values
-// through the binary codec (nightly fuzz cron).
+// through the binary codec, and splices fuzzer-chosen flags, Keep and From
+// into the encoded layout: a defined flag set with a positive Keep must
+// decode to the message carrying them and re-encode to the same bytes,
+// anything else must fail as ErrCorrupt (nightly fuzz cron).
 func FuzzWireCluster(f *testing.F) {
-	f.Add(uint64(1), "computer", uint64(6), 3, true, "10.0.0.1:9", uint64(7), false)
-	f.Add(uint64(0), "", uint64(0), 0, false, "", uint64(0), true)
-	f.Fuzz(func(t *testing.T, qid uint64, word string, prefix uint64, level int, complete bool, reply string, token uint64, stream bool) {
+	f.Add(uint64(1), "computer", uint64(6), 3, true, "10.0.0.1:9", uint64(7), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(0), "", uint64(0), 0, false, "", uint64(0), uint64(1), uint64(0), uint64(0))
+	f.Add(uint64(5), "grid", uint64(1<<40), 9, false, "10.0.0.2:9", uint64(3), uint64(3), uint64(12), uint64(1<<33))
+	f.Add(uint64(5), "grid", uint64(1<<40), 9, false, "10.0.0.2:9", uint64(3), uint64(2), uint64(0), uint64(4))
+	f.Add(uint64(2), "net", uint64(9), 1, true, "a:1", uint64(8), uint64(6), uint64(1), uint64(0))
+	f.Fuzz(func(t *testing.T, qid uint64, word string, prefix uint64, level int, complete bool, reply string, token uint64, flags, keep, from uint64) {
 		msg := &squid.ClusterQueryMsg{
 			QID:      telemetry.QueryID(qid),
 			Query:    keyspace.Query{keyspace.Exact(word), keyspace.Wildcard()},
 			Clusters: []sfc.Refined{refined(prefix, level, complete)},
 			ReplyTo:  transport.Addr(reply),
 			Token:    token,
-			Stream:   stream,
 			Trace:    telemetry.TraceRef{Parent: qid, Depth: level & 0xff, Mode: telemetry.TraceOn},
 		}
-		var e wire.Encoder
-		if !wire.EncodeMessage(&e, msg) {
-			t.Fatalf("EncodeMessage declined %#v", msg)
+		// Locate the flags byte of the uncapped layout: the one byte in
+		// which Stream false and Stream true differ.
+		var off, on wire.Encoder
+		wire.EncodeMessage(&off, msg)
+		msg.Stream = true
+		wire.EncodeMessage(&on, msg)
+		at := 0
+		for off.Bytes()[at] == on.Bytes()[at] {
+			at++
 		}
-		got, err := wire.DecodeMessage(e.Bytes())
+		var mid wire.Encoder
+		mid.Uvarint(flags)
+		if flags&2 != 0 {
+			mid.Uvarint(keep)
+			mid.Uvarint(from)
+		}
+		raw := append(append(append([]byte(nil), off.Bytes()[:at]...), mid.Bytes()...), off.Bytes()[at+1:]...)
+
+		got, err := wire.DecodeMessage(raw)
+		if flags > 3 || (flags&2 != 0 && (keep == 0 || keep > math.MaxInt)) {
+			if !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("flags %d keep %d: decode error %v, want ErrCorrupt", flags, keep, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
+		msg.Stream = flags&1 != 0
+		if flags&2 != 0 {
+			msg.Keep, msg.From = int(keep), from
+		}
 		if !reflect.DeepEqual(got, msg) {
 			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, msg)
+		}
+		var back wire.Encoder
+		if !wire.EncodeMessage(&back, msg) || !bytes.Equal(back.Bytes(), raw) {
+			t.Fatalf("re-encode differs from the decoded bytes:\n got %x\nwant %x", back.Bytes(), raw)
 		}
 	})
 }

@@ -40,9 +40,12 @@ var (
 // frames. An inbound connection that opens with anything else is rejected.
 // Version 2 frames carry application payloads bare, relying on the
 // preamble's address as their sender; version 3 drops the query protocol's
-// receipt ack (ClusterQueryMsg lost a byte). See DESIGN.md §4i.
+// receipt ack (ClusterQueryMsg lost a byte); version 4 turns
+// ClusterQueryMsg's Stream byte into a flags field that may carry a page
+// cap (Keep, From), which a version-3 peer would misdecode. See DESIGN.md
+// §4i.
 const (
-	wireVersion = 0x03
+	wireVersion = 0x04
 	wireAck     = 0x01
 )
 

@@ -195,6 +195,11 @@ func (d *Decoder) fail(err error) {
 	}
 }
 
+// Corrupt marks the input corrupt: a codec calls it on a value the
+// primitives read fine but its message cannot hold (an undefined flag bit,
+// a zero where a positive count is required). The first error sticks.
+func (d *Decoder) Corrupt() { d.fail(ErrCorrupt) }
+
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
