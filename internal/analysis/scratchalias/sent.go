@@ -12,7 +12,7 @@ import (
 // This file holds the second half of the aliasing contract: a message
 // that travels by pointer is dead to whoever hands it on. After
 //
-//	n.send(to, m)       // also Send, SendApp, forwardToward, Route
+//	n.send(to, m)       // also Send, SendApp, forward, Route
 //	pool.Put(m)         // transport.MsgPool
 //
 // m belongs to its receiver (which may recycle it at once) or to its
@@ -30,11 +30,11 @@ import (
 // handOff maps each send-like function name to the index of the argument
 // it takes ownership of.
 var handOff = map[string]int{
-	"Send":          1,
-	"send":          1,
-	"SendApp":       1,
-	"forwardToward": 1,
-	"Route":         1,
+	"Send":    1,
+	"send":    1,
+	"SendApp": 1,
+	"forward": 1,
+	"Route":   1,
 }
 
 // checkSent reports reads of a message after the call that handed it on,

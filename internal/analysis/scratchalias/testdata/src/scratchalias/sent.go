@@ -31,6 +31,16 @@ func sendTwice(n *node, m *msg) {
 	n.send("b", m) // want `m is dead after send`
 }
 
+type hop struct{ next transport.Addr }
+
+// forward is chord's routing send: it hands m to the next hop.
+func (n *node) forward(h *hop, m any) bool { return n.send(h.next, m) }
+
+func readAfterForward(n *node, h *hop, m *msg) uint64 {
+	n.forward(h, m)
+	return m.Token // want `m is dead after forward`
+}
+
 func handleAfterPut(m *msg) {
 	msgs.Put(m)
 	handle(m) // want `m is dead after Put`

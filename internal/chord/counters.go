@@ -24,6 +24,9 @@ type nodeMetrics struct {
 	fingerFixes     *telemetry.Counter
 	routeForwards   *telemetry.Counter
 	succRejects     *telemetry.Counter
+
+	// Routed messages dropped at the hop limit, by kind.
+	findDrops, routeDrops, joinDrops, confirmDrops *telemetry.Counter
 }
 
 // newNodeMetrics resolves the node's metric children once, so every
@@ -34,6 +37,8 @@ func newNodeMetrics(reg *telemetry.Registry, id ID) nodeMetrics {
 		"ring RPC attempts beyond each call's first, by operation", "node", "op")
 	failures := reg.CounterVec("squid_chord_rpc_failures_total",
 		"ring RPCs that failed after all configured retries, by operation", "node", "op")
+	drops := reg.CounterVec("squid_chord_hop_limit_drops_total",
+		"routed messages dropped at the hop limit, by kind", "node", "kind")
 	return nodeMetrics{
 		findRetries:   retries.With(node, "find"),
 		stateRetries:  retries.With(node, "state"),
@@ -49,5 +54,7 @@ func newNodeMetrics(reg *telemetry.Registry, id ID) nodeMetrics {
 			"routed messages forwarded one hop toward their key", "node").With(node),
 		succRejects: reg.CounterVec("squid_chord_succ_candidates_rejected_total",
 			"successor candidates refused by stabilization because their reachability probe failed", "node").With(node),
+		findDrops: drops.With(node, "find"), routeDrops: drops.With(node, "route"),
+		joinDrops: drops.With(node, "join"), confirmDrops: drops.With(node, "confirm"),
 	}
 }

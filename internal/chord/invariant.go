@@ -16,8 +16,8 @@ import (
 // state and returns typed violations; the simulator asserts it after every
 // stabilization round, and squid-sim exposes it as the `check` command.
 
-// Snapshot is one node's neighbor state at a point in time, captured in its
-// delivery goroutine by Node.Snapshot.
+// Snapshot is one node's neighbor state. A Node keeps its live state in one,
+// which routing reads in place; Node.Snapshot returns a copy.
 type Snapshot struct {
 	Self    NodeRef
 	Pred    NodeRef
@@ -35,14 +35,9 @@ type Snapshot struct {
 // goroutine-confined state it must be called from the delivery goroutine
 // (via Invoke or an upcall).
 func (n *Node) Snapshot() Snapshot {
-	return Snapshot{
-		Self:        n.self,
-		Pred:        n.pred,
-		Succs:       n.SuccList(),
-		Fingers:     n.Fingers(),
-		Running:     n.running,
-		PredSuspect: n.predSuspect,
-	}
+	s := n.view
+	s.Succs, s.Fingers = n.SuccList(), n.Fingers()
+	return s
 }
 
 // ViolationKind names one broken ring invariant.

@@ -33,12 +33,12 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 	if done == nil {
 		done = func(error) {}
 	}
-	if n.running {
-		done(fmt.Errorf("chord: node %s already in a ring", n.self))
+	if n.view.Running {
+		done(fmt.Errorf("chord: node %s already in a ring", n.view.Self))
 		return
 	}
 	if n.joinDone != nil {
-		done(fmt.Errorf("chord: node %s join already in progress", n.self))
+		done(fmt.Errorf("chord: node %s join already in progress", n.view.Self))
 		return
 	}
 	n.joinDone = done
@@ -48,16 +48,16 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 			n.finishJoin(err)
 			return
 		}
-		if m.Owner.ID == n.self.ID {
-			n.finishJoin(fmt.Errorf("%w: identifier %x already taken", ErrJoinRefused, uint64(n.self.ID)))
+		if m.Owner.ID == n.view.Self.ID {
+			n.finishJoin(fmt.Errorf("%w: identifier %x already taken", ErrJoinRefused, uint64(n.view.Self.ID)))
 			return
 		}
-		if !n.send(m.Owner.Addr, JoinReqMsg{New: n.self}) {
+		if !n.send(m.Owner.Addr, JoinReqMsg{New: n.view.Self}) {
 			n.finishJoin(transport.ErrUnreachable)
 		}
 	})}
 	m := finds.Get()
-	*m = FindMsg{Target: n.self.ID, Token: tok, ReplyTo: n.self.Addr, Hops: 1}
+	*m = FindMsg{Target: n.view.Self.ID, Token: tok, ReplyTo: n.view.Self.Addr, Hops: 1}
 	if !n.send(seed, m) {
 		finds.Put(m)
 		delete(n.pendingFinds, tok)
@@ -75,25 +75,26 @@ func (n *Node) finishJoin(err error) {
 }
 
 func (n *Node) handleJoinReq(m JoinReqMsg) {
-	if !n.running {
+	if !n.view.Running {
 		return
 	}
-	if m.New.ID == n.self.ID {
+	if m.New.ID == n.view.Self.ID {
 		n.send(m.New.Addr, JoinNackMsg{Reason: "identifier collision"})
 		return
 	}
-	if !n.Owns(m.New.ID) {
+	if kind, next := nextHop(n.cfg.Space, &n.view, m.New.ID, m.Hops, nil); kind != hopDeliver {
 		// Ownership moved (concurrent join); route the request onward to the
 		// current owner, bounding detours like any other routed message.
-		if m.Hops >= n.maxHops() {
+		if kind == hopOverLimit {
+			n.ctr.joinDrops.Inc()
 			n.send(m.New.Addr, JoinNackMsg{Reason: "ring unstable, retry"})
 			return
 		}
 		m.Hops++
-		n.forwardToward(m.New.ID, m)
+		n.forward(m.New.ID, next, m)
 		return
 	}
-	if !n.pred.IsZero() && m.New.ID == n.pred.ID && m.New.Addr != n.pred.Addr {
+	if !n.view.Pred.IsZero() && m.New.ID == n.view.Pred.ID && m.New.Addr != n.view.Pred.Addr {
 		n.send(m.New.Addr, JoinNackMsg{Reason: "identifier collision with predecessor"})
 		return
 	}
@@ -102,19 +103,19 @@ func (n *Node) handleJoinReq(m JoinReqMsg) {
 		// joiner has proven it is alive. A joiner that vanished between
 		// request and admission leaves a dead predecessor holding our items
 		// (the regression tests reproduce exactly that).
-		oldPred := n.pred
+		oldPred := n.view.Pred
 		items := n.app.HandoverOut(oldPred.ID, m.New.ID)
 		n.setPred(m.New)
-		succs := n.trimSuccs(append([]NodeRef{n.self}, n.succs...))
+		succs := n.trimSuccs(append([]NodeRef{n.view.Self}, n.view.Succs...))
 		if !n.send(m.New.Addr, JoinAckMsg{Pred: oldPred, Succs: succs, Items: items}) {
 			// The joiner vanished between request and admission: reclaim.
 			n.setPred(oldPred)
 			n.app.HandoverIn(items)
 			return
 		}
-		if oldPred.Addr == n.self.Addr {
+		if oldPred.Addr == n.view.Self.Addr {
 			// We were a singleton; the joiner is now both pred and succ.
-			n.succs = n.trimSuccs([]NodeRef{m.New, n.self})
+			n.view.Succs = n.trimSuccs([]NodeRef{m.New, n.view.Self})
 		} else if !oldPred.IsZero() {
 			n.send(oldPred.Addr, SuccChangedMsg{NewSucc: m.New})
 		}
@@ -123,16 +124,16 @@ func (n *Node) handleJoinReq(m JoinReqMsg) {
 	// Corrected admission: answer with our view of the ring but change no
 	// state. The joiner links itself in as an appendage and confirms with a
 	// JoinConfirmMsg once it is live; ownership moves only then.
-	succs := n.trimSuccs(append([]NodeRef{n.self}, n.succs...))
-	n.send(m.New.Addr, JoinAckMsg{Pred: n.pred, Succs: succs, Deferred: true})
+	succs := n.trimSuccs(append([]NodeRef{n.view.Self}, n.view.Succs...))
+	n.send(m.New.Addr, JoinAckMsg{Pred: n.view.Pred, Succs: succs, Deferred: true})
 }
 
 func (n *Node) handleJoinAck(m JoinAckMsg) {
-	if n.running || n.joinDone == nil {
+	if n.view.Running || n.joinDone == nil {
 		return
 	}
 	succs := n.trimSuccs(m.Succs)
-	if succs[0].Addr == n.self.Addr {
+	if succs[0].Addr == n.view.Self.Addr {
 		// trimSuccs filtered every entry and padded with self: the ack named
 		// no usable successor. Refuse rather than start a one-node "ring"
 		// that shadows the real one (a crafted or truncated ack used to
@@ -144,26 +145,19 @@ func (n *Node) handleJoinAck(m JoinAckMsg) {
 		m.Pred = NodeRef{}
 	}
 	n.setPred(m.Pred)
-	n.succs = succs
-	for i := range n.fingers {
-		n.fingers[i] = n.succs[0]
+	n.view.Succs = succs
+	for i := range n.view.Fingers {
+		n.view.Fingers[i] = n.view.Succs[0]
 	}
 	n.app.HandoverIn(m.Items)
-	n.running = true
+	n.view.Running = true
 	if m.Deferred {
 		// Phase three of the corrected join: we are listening and linked in
 		// as an appendage; ask the owner to splice us in. Items arrive in
 		// the HandoffMsg the owner sends on adoption. If the owner died
 		// since acking, any live successor forwards the confirmation to the
 		// current owner of our identifier.
-		for _, s := range n.succs {
-			if s.Addr == n.self.Addr {
-				continue
-			}
-			if n.send(s.Addr, JoinConfirmMsg{New: n.self, Hops: 1}) {
-				break
-			}
-		}
+		n.sendToSucc(JoinConfirmMsg{New: n.view.Self, Hops: 1})
 	}
 	// Eagerly resolve the finger table; correctness does not depend on it
 	// (stabilization repairs fingers), only routing speed.
@@ -172,33 +166,33 @@ func (n *Node) handleJoinAck(m JoinAckMsg) {
 }
 
 func (n *Node) handleJoinNack(m JoinNackMsg) {
-	if n.running {
+	if n.view.Running {
 		return
 	}
 	n.finishJoin(fmt.Errorf("%w: %s", ErrJoinRefused, m.Reason))
 }
 
 func (n *Node) handleJoinConfirm(m JoinConfirmMsg) {
-	if !n.running || m.New.IsZero() || m.New.Addr == n.self.Addr {
+	if !n.view.Running || m.New.IsZero() || m.New.Addr == n.view.Self.Addr {
 		return
 	}
-	if !n.Owns(m.New.ID) {
+	if kind, next := nextHop(n.cfg.Space, &n.view, m.New.ID, m.Hops, nil); kind != hopDeliver {
 		// Ownership moved between ack and confirm (concurrent admission):
 		// route the confirmation to the current owner, bounded like any
 		// other forwarded message. On overflow the joiner stays an
 		// appendage; stabilization's rectify splices it in later.
-		if m.Hops >= n.maxHops() {
-			return
+		if kind == hopOverLimit {
+			n.ctr.confirmDrops.Inc()
 		}
 		m.Hops++
-		n.forwardToward(m.New.ID, m)
+		n.forward(m.New.ID, next, m)
 		return
 	}
-	if m.New.ID == n.self.ID ||
-		(!n.pred.IsZero() && m.New.ID == n.pred.ID && m.New.Addr != n.pred.Addr) {
+	if m.New.ID == n.view.Self.ID ||
+		(!n.view.Pred.IsZero() && m.New.ID == n.view.Pred.ID && m.New.Addr != n.view.Pred.Addr) {
 		return // identifier collision surfaced after the ack; refuse
 	}
-	if n.pred.Addr == m.New.Addr {
+	if n.view.Pred.Addr == m.New.Addr {
 		return // already spliced (duplicate confirmation)
 	}
 	n.adoptPredHandoff(m.New)
@@ -211,15 +205,15 @@ func (n *Node) handleJoinConfirm(m JoinConfirmMsg) {
 // predecessor died and p closes the ring from further back) no items move:
 // our arc only grows. Reports whether p was adopted.
 func (n *Node) adoptPredHandoff(p NodeRef) bool {
-	if p.IsZero() || p.Addr == n.self.Addr || p.Addr == n.pred.Addr {
+	if p.IsZero() || p.Addr == n.view.Self.Addr || p.Addr == n.view.Pred.Addr {
 		return false
 	}
-	old := n.pred
+	old := n.view.Pred
 	from := old
-	if from.IsZero() || from.Addr == n.self.Addr {
-		from = n.self
+	if from.IsZero() || from.Addr == n.view.Self.Addr {
+		from = n.view.Self
 	}
-	if !n.cfg.Space.BetweenOpen(p.ID, from.ID, n.self.ID) {
+	if !n.cfg.Space.BetweenOpen(p.ID, from.ID, n.view.Self.ID) {
 		n.setPred(p)
 		return true
 	}
@@ -229,13 +223,13 @@ func (n *Node) adoptPredHandoff(p NodeRef) bool {
 		n.app.HandoverIn(items)
 		return false
 	}
-	wasSingleton := n.Succ().Addr == n.self.Addr
+	wasSingleton := n.Succ().Addr == n.view.Self.Addr
 	n.setPred(p)
 	if wasSingleton {
 		// The adopted predecessor is also our only successor.
-		n.succs = n.trimSuccs([]NodeRef{p, n.self})
+		n.view.Succs = n.trimSuccs([]NodeRef{p, n.view.Self})
 	}
-	if !old.IsZero() && old.Addr != n.self.Addr && old.Addr != p.Addr {
+	if !old.IsZero() && old.Addr != n.view.Self.Addr && old.Addr != p.Addr {
 		n.send(old.Addr, SuccChangedMsg{NewSucc: p})
 	}
 	return true
@@ -243,28 +237,28 @@ func (n *Node) adoptPredHandoff(p NodeRef) bool {
 
 func (n *Node) handleHandoff(m HandoffMsg) {
 	n.app.HandoverIn(m.Items)
-	if m.Pred.IsZero() || m.Pred.Addr == n.self.Addr {
+	if m.Pred.IsZero() || m.Pred.Addr == n.view.Self.Addr {
 		return
 	}
 	sp := n.cfg.Space
-	if n.pred.IsZero() || n.pred.Addr == n.self.Addr {
+	if n.view.Pred.IsZero() || n.view.Pred.Addr == n.view.Self.Addr {
 		n.setPred(m.Pred)
 		return
 	}
-	if n.pred.Addr == m.Pred.Addr {
+	if n.view.Pred.Addr == m.Pred.Addr {
 		return
 	}
-	if sp.BetweenOpen(m.Pred.ID, n.pred.ID, n.self.ID) {
+	if sp.BetweenOpen(m.Pred.ID, n.view.Pred.ID, n.view.Self.ID) {
 		// The sender knew a tighter arc boundary than we do (a predecessor
 		// admitted while our ack was in flight): adopt it.
 		n.setPred(m.Pred)
 		return
 	}
-	if sp.BetweenOpen(n.pred.ID, m.Pred.ID, n.self.ID) {
+	if sp.BetweenOpen(n.view.Pred.ID, m.Pred.ID, n.view.Self.ID) {
 		// Our boundary is tighter than the sender knew: the low end of the
 		// transferred arc belongs to our predecessor — spill it forward.
-		spill := n.app.HandoverOut(m.Pred.ID, n.pred.ID)
-		if len(spill) > 0 && !n.send(n.pred.Addr, HandoffMsg{Pred: m.Pred, Items: spill}) {
+		spill := n.app.HandoverOut(m.Pred.ID, n.view.Pred.ID)
+		if len(spill) > 0 && !n.send(n.view.Pred.Addr, HandoffMsg{Pred: m.Pred, Items: spill}) {
 			n.app.HandoverIn(spill)
 		}
 	}
@@ -275,10 +269,10 @@ func (n *Node) handleHandoff(m HandoffMsg) {
 func (n *Node) RebuildFingers() {
 	for i := 0; i < n.cfg.Space.Bits; i++ {
 		i := i
-		target := n.cfg.Space.Add(n.self.ID, uint64(1)<<uint(i))
+		target := n.cfg.Space.Add(n.view.Self.ID, uint64(1)<<uint(i))
 		n.FindSuccessor(target, 0, func(m FoundMsg, err error) {
 			if err == nil && !m.Owner.IsZero() {
-				n.fingers[i] = m.Owner
+				n.view.Fingers[i] = m.Owner
 			}
 		})
 	}
@@ -289,24 +283,15 @@ func (n *Node) RebuildFingers() {
 // neighbors together (paper: departure costs O(log N) messages to repair
 // affected finger tables, which stabilization performs lazily).
 func (n *Node) Leave() {
-	if !n.running {
+	if !n.view.Running {
 		return
 	}
-	n.running = false
-	if n.Succ().Addr == n.self.Addr {
+	n.view.Running = false
+	if n.Succ().Addr == n.view.Self.Addr {
 		return // singleton: nothing to hand over
 	}
-	items := n.app.HandoverOut(n.pred.ID, n.self.ID)
-	var adopted NodeRef
-	for _, s := range n.succs {
-		if s.IsZero() || s.Addr == n.self.Addr {
-			continue
-		}
-		if n.send(s.Addr, LeaveMsg{Leaving: n.self, Pred: n.pred, Items: items}) {
-			adopted = s
-			break
-		}
-	}
+	items := n.app.HandoverOut(n.view.Pred.ID, n.view.Self.ID)
+	adopted := n.sendToSucc(LeaveMsg{Leaving: n.view.Self, Pred: n.view.Pred, Items: items})
 	if adopted.IsZero() {
 		// No live successor to inherit the arc: keep the items locally
 		// rather than dropping them — a restart or manual recovery can
@@ -314,28 +299,39 @@ func (n *Node) Leave() {
 		n.app.HandoverIn(items)
 		return
 	}
-	if !n.pred.IsZero() && n.pred.Addr != n.self.Addr {
-		n.send(n.pred.Addr, SuccChangedMsg{NewSucc: adopted})
+	if !n.view.Pred.IsZero() && n.view.Pred.Addr != n.view.Self.Addr {
+		n.send(n.view.Pred.Addr, SuccChangedMsg{NewSucc: adopted})
 	}
+}
+
+// sendToSucc sends msg to the first successor-list entry that takes it,
+// and returns that entry (zero if none did).
+func (n *Node) sendToSucc(msg any) NodeRef {
+	for _, s := range n.view.Succs {
+		if !s.IsZero() && s.Addr != n.view.Self.Addr && n.send(s.Addr, msg) {
+			return s
+		}
+	}
+	return NodeRef{}
 }
 
 func (n *Node) handleLeave(m LeaveMsg) {
 	n.app.HandoverIn(m.Items)
-	if n.pred.Addr == m.Leaving.Addr {
+	if n.view.Pred.Addr == m.Leaving.Addr {
 		n.setPred(m.Pred)
 	}
-	n.dropDead(m.Leaving)
+	n.dropDead(m.Leaving.Addr)
 }
 
 func (n *Node) handleSuccChanged(m SuccChangedMsg) {
 	if m.NewSucc.IsZero() {
 		return
 	}
-	if m.NewSucc.Addr == n.self.Addr {
-		n.succs = n.trimSuccs([]NodeRef{n.self})
+	if m.NewSucc.Addr == n.view.Self.Addr {
+		n.view.Succs = n.trimSuccs([]NodeRef{n.view.Self})
 		return
 	}
-	n.succs = n.trimSuccs(append([]NodeRef{m.NewSucc}, n.succs...))
+	n.view.Succs = n.trimSuccs(append([]NodeRef{m.NewSucc}, n.view.Succs...))
 }
 
 // Stabilize runs one round of stabilization: learn the successor's
@@ -350,10 +346,10 @@ func (n *Node) handleSuccChanged(m SuccChangedMsg) {
 // candidate is adopted sight unseen — the Zave paper's counterexamples live
 // in exactly that gap.
 func (n *Node) Stabilize() {
-	if !n.running {
+	if !n.view.Running {
 		return
 	}
-	if n.Succ().Addr == n.self.Addr {
+	if n.Succ().Addr == n.view.Self.Addr {
 		return
 	}
 	n.ctr.stabilizeRounds.Inc()
@@ -368,18 +364,18 @@ func (n *Node) Stabilize() {
 // predecessor without probing it.
 func (n *Node) stabilizeLegacy() {
 	succ := n.Succ()
-	n.getState(succ.Addr, func(st StateMsg, err error) {
+	n.GetStateOf(succ.Addr, func(st StateMsg, err error) {
 		if err != nil {
-			n.dropDead(succ)
+			n.dropDead(succ.Addr)
 			return
 		}
 		cur := n.Succ()
-		if x := st.Pred; !x.IsZero() && x.Addr != n.self.Addr && n.cfg.Space.BetweenOpen(x.ID, n.self.ID, cur.ID) {
-			n.succs = n.trimSuccs(append([]NodeRef{x, cur}, st.Succs...))
+		if x := st.Pred; !x.IsZero() && x.Addr != n.view.Self.Addr && n.cfg.Space.BetweenOpen(x.ID, n.view.Self.ID, cur.ID) {
+			n.view.Succs = n.trimSuccs(append([]NodeRef{x, cur}, st.Succs...))
 		} else {
-			n.succs = n.trimSuccs(append([]NodeRef{cur}, st.Succs...))
+			n.view.Succs = n.trimSuccs(append([]NodeRef{cur}, st.Succs...))
 		}
-		n.send(n.Succ().Addr, NotifyMsg{Candidate: n.self})
+		n.send(n.Succ().Addr, NotifyMsg{Candidate: n.view.Self})
 	})
 }
 
@@ -387,12 +383,12 @@ func (n *Node) stabilizeLegacy() {
 // successor list (depth bounds the cascade) when it is dead.
 func (n *Node) stabilizeStep(depth int) {
 	succ := n.Succ()
-	if succ.Addr == n.self.Addr {
+	if succ.Addr == n.view.Self.Addr {
 		return
 	}
-	n.getState(succ.Addr, func(st StateMsg, err error) {
+	n.GetStateOf(succ.Addr, func(st StateMsg, err error) {
 		if err != nil {
-			n.dropDead(succ)
+			n.dropDead(succ.Addr)
 			if depth+1 < n.cfg.SuccListLen {
 				n.stabilizeStep(depth + 1)
 			}
@@ -405,25 +401,25 @@ func (n *Node) stabilizeStep(depth int) {
 		if cur.Addr != succ.Addr {
 			base = append(base, succ)
 		}
-		n.succs = n.trimSuccs(append(base, st.Succs...))
+		n.view.Succs = n.trimSuccs(append(base, st.Succs...))
 		cur = n.Succ()
 		x := st.Pred
-		if x.IsZero() || x.Addr == n.self.Addr || x.Addr == cur.Addr ||
-			!n.cfg.Space.BetweenOpen(x.ID, n.self.ID, cur.ID) {
+		if x.IsZero() || x.Addr == n.view.Self.Addr || x.Addr == cur.Addr ||
+			!n.cfg.Space.BetweenOpen(x.ID, n.view.Self.ID, cur.ID) {
 			n.notifySucc()
 			return
 		}
 		// The successor names a closer predecessor: adopt it only once its
 		// own probe answers (Zave's correction — the original rule adopts a
 		// possibly-dead candidate here and strands the ring).
-		n.getState(x.Addr, func(xst StateMsg, err error) {
+		n.GetStateOf(x.Addr, func(xst StateMsg, err error) {
 			if err != nil {
 				n.ctr.succRejects.Inc()
 				n.notifySucc()
 				return
 			}
-			if c := n.Succ(); n.cfg.Space.BetweenOpen(x.ID, n.self.ID, c.ID) {
-				n.succs = n.trimSuccs(append(append([]NodeRef{x}, xst.Succs...), n.succs...))
+			if c := n.Succ(); n.cfg.Space.BetweenOpen(x.ID, n.view.Self.ID, c.ID) {
+				n.view.Succs = n.trimSuccs(append(append([]NodeRef{x}, xst.Succs...), n.view.Succs...))
 			}
 			n.notifySucc()
 		})
@@ -431,8 +427,8 @@ func (n *Node) stabilizeStep(depth int) {
 }
 
 func (n *Node) notifySucc() {
-	if s := n.Succ(); s.Addr != n.self.Addr {
-		n.send(s.Addr, NotifyMsg{Candidate: n.self})
+	if s := n.Succ(); s.Addr != n.view.Self.Addr {
+		n.send(s.Addr, NotifyMsg{Candidate: n.view.Self})
 	}
 }
 
@@ -444,43 +440,43 @@ func (n *Node) notifySucc() {
 // owns travel with the splice. Under LegacyRules the original unguarded
 // between-check runs instead.
 func (n *Node) handleNotify(m NotifyMsg) {
-	if !n.running || m.Candidate.Addr == n.self.Addr {
+	if !n.view.Running || m.Candidate.Addr == n.view.Self.Addr {
 		return
 	}
 	if n.cfg.LegacyRules {
-		if n.pred.IsZero() || n.pred.Addr == n.self.Addr ||
-			n.cfg.Space.BetweenOpen(m.Candidate.ID, n.pred.ID, n.self.ID) {
+		if n.view.Pred.IsZero() || n.view.Pred.Addr == n.view.Self.Addr ||
+			n.cfg.Space.BetweenOpen(m.Candidate.ID, n.view.Pred.ID, n.view.Self.ID) {
 			n.setPred(m.Candidate)
 		}
 		return
 	}
-	if m.Candidate.Addr == n.pred.Addr {
-		n.predSuspect = false // our predecessor is alive and still claims us
+	if m.Candidate.Addr == n.view.Pred.Addr {
+		n.view.PredSuspect = false // our predecessor is alive and still claims us
 		return
 	}
-	if m.Candidate.ID == n.self.ID {
+	if m.Candidate.ID == n.view.Self.ID {
 		return // identifier collision; refuse
 	}
-	if n.pred.IsZero() || n.pred.Addr == n.self.Addr || n.predSuspect ||
-		n.cfg.Space.BetweenOpen(m.Candidate.ID, n.pred.ID, n.self.ID) {
+	if n.view.Pred.IsZero() || n.view.Pred.Addr == n.view.Self.Addr || n.view.PredSuspect ||
+		n.cfg.Space.BetweenOpen(m.Candidate.ID, n.view.Pred.ID, n.view.Self.ID) {
 		n.adoptPredHandoff(m.Candidate)
 		return
 	}
 	// The candidate does not tighten the arc and the predecessor is not
 	// under suspicion. Probe the predecessor before deciding: if it is
 	// dead, the candidate is a live replacement path (rectify's fallback).
-	pred := n.pred
+	pred := n.view.Pred
 	cand := m.Candidate
-	n.getState(pred.Addr, func(st StateMsg, err error) {
-		if n.pred.Addr != pred.Addr {
+	n.GetStateOf(pred.Addr, func(st StateMsg, err error) {
+		if n.view.Pred.Addr != pred.Addr {
 			return // predecessor changed while probing; decision is stale
 		}
 		if err != nil {
-			n.predSuspect = true
+			n.view.PredSuspect = true
 			n.adoptPredHandoff(cand)
 			return
 		}
-		n.predSuspect = false
+		n.view.PredSuspect = false
 	})
 }
 
@@ -489,16 +485,16 @@ func (n *Node) handleNotify(m NotifyMsg) {
 // stabilization algorithm where it chooses a random entry in its finger
 // table, checks for its state, and updates it", paper Section 3.2).
 func (n *Node) FixFingers() {
-	if !n.running {
+	if !n.view.Running {
 		return
 	}
 	i := n.fixNext
 	n.fixNext = (n.fixNext + 1) % n.cfg.Space.Bits
 	n.ctr.fingerFixes.Inc()
-	target := n.cfg.Space.Add(n.self.ID, uint64(1)<<uint(i))
+	target := n.cfg.Space.Add(n.view.Self.ID, uint64(1)<<uint(i))
 	n.FindSuccessor(target, 0, func(m FoundMsg, err error) {
 		if err == nil && !m.Owner.IsZero() {
-			n.fingers[i] = m.Owner
+			n.view.Fingers[i] = m.Owner
 		}
 	})
 }
@@ -509,22 +505,22 @@ func (n *Node) FixFingers() {
 // Under LegacyRules it is cleared outright, which momentarily widens this
 // node's arc over the whole ring.
 func (n *Node) CheckPredecessor() {
-	if !n.running || n.pred.IsZero() || n.pred.Addr == n.self.Addr {
+	if !n.view.Running || n.view.Pred.IsZero() || n.view.Pred.Addr == n.view.Self.Addr {
 		return
 	}
-	pred := n.pred
-	n.getState(pred.Addr, func(st StateMsg, err error) {
-		if n.pred.Addr != pred.Addr {
+	pred := n.view.Pred
+	n.GetStateOf(pred.Addr, func(st StateMsg, err error) {
+		if n.view.Pred.Addr != pred.Addr {
 			return
 		}
 		if err != nil {
 			if n.cfg.LegacyRules {
 				n.setPred(NodeRef{})
 			} else {
-				n.predSuspect = true
+				n.view.PredSuspect = true
 			}
 			return
 		}
-		n.predSuspect = false
+		n.view.PredSuspect = false
 	})
 }

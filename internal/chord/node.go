@@ -80,23 +80,14 @@ var ErrLookupFailed = errors.New("chord: lookup failed (ring unstable)")
 // from that goroutine — i.e. from an App upcall, from a callback passed to
 // one of the Node's own async methods, or from a closure passed to Invoke.
 type Node struct {
-	cfg  Config
-	self NodeRef
-	app  App
-	ep   transport.Endpoint
+	cfg Config
+	app App
+	ep  transport.Endpoint
 
-	pred    NodeRef
-	succs   []NodeRef
-	fingers []NodeRef
+	// view is the node's neighbor state: routing decides over it in place
+	// (nextHop), and Snapshot copies it for the ring checker.
+	view    Snapshot
 	fixNext int
-
-	// predSuspect marks the predecessor as unreachable without forgetting
-	// it. Under the corrected rules a node never clears its predecessor
-	// outright — a zero predecessor claims ownership of the whole ring,
-	// which overlaps every other node's arc — so failed probes only raise
-	// this flag, and rectify (handleNotify) adopts the next live candidate
-	// unconditionally while it is set.
-	predSuspect bool
 
 	nextToken     uint64
 	pendingFinds  map[uint64]findCall
@@ -108,8 +99,6 @@ type Node struct {
 	// goroutine like the rest of the mutable state.
 	rng *rand.Rand
 	ctr nodeMetrics
-
-	running bool
 }
 
 // findCall is one outstanding FindSuccessor attempt, keyed by its token in
@@ -186,9 +175,8 @@ func NewNode(cfg Config, id ID, app App) *Node {
 	folded := cfg.Space.Fold(uint64(id))
 	return &Node{
 		cfg:           cfg,
-		self:          NodeRef{ID: folded},
+		view:          Snapshot{Self: NodeRef{ID: folded}, Fingers: make([]NodeRef, cfg.Space.Bits)},
 		app:           app,
-		fingers:       make([]NodeRef, cfg.Space.Bits),
 		pendingFinds:  make(map[uint64]findCall),
 		pendingStates: make(map[uint64]stateCall),
 		rng:           rand.New(rand.NewSource(int64(uint64(id)) + 1)),
@@ -201,12 +189,12 @@ func NewNode(cfg Config, id ID, app App) *Node {
 // as handler, then Start with the returned endpoint).
 func (n *Node) Start(ep transport.Endpoint) {
 	n.ep = ep
-	n.self.Addr = ep.Addr()
+	n.view.Self.Addr = ep.Addr()
 }
 
 // Self returns the node's own reference. Safe from any goroutine: the
 // reference is immutable after Start.
-func (n *Node) Self() NodeRef { return n.self }
+func (n *Node) Self() NodeRef { return n.view.Self }
 
 // Space returns the ring geometry.
 func (n *Node) Space() Space { return n.cfg.Space }
@@ -218,7 +206,7 @@ func (n *Node) App() App { return n.app }
 // any goroutine; this is how external drivers call the goroutine-confined
 // API.
 func (n *Node) Invoke(fn func()) error {
-	return n.ep.Send(n.self.Addr, invokeMsg{fn: fn})
+	return n.ep.Send(n.view.Self.Addr, invokeMsg{fn: fn})
 }
 
 // Deliver implements transport.Handler: it dispatches chord's own messages
@@ -256,7 +244,7 @@ func (n *Node) Deliver(from transport.Addr, msg any) {
 	case SuccChangedMsg:
 		n.handleSuccChanged(m)
 	default:
-		n.app.Deliver(from, n.self.ID, msg)
+		n.app.Deliver(from, n.view.Self.ID, msg)
 	}
 }
 
@@ -269,33 +257,28 @@ func (n *Node) SendApp(to transport.Addr, payload any) bool {
 }
 
 // Running reports whether the node is an active ring member.
-func (n *Node) Running() bool { return n.running }
+func (n *Node) Running() bool { return n.view.Running }
 
 // Pred returns the current predecessor (zero if unknown).
-func (n *Node) Pred() NodeRef { return n.pred }
+func (n *Node) Pred() NodeRef { return n.view.Pred }
 
 // Succ returns the current immediate successor (self on a singleton ring).
-func (n *Node) Succ() NodeRef {
-	if len(n.succs) == 0 {
-		return n.self
-	}
-	return n.succs[0]
-}
+func (n *Node) Succ() NodeRef { return n.view.succ() }
 
 // SuccList returns a copy of the successor list.
-func (n *Node) SuccList() []NodeRef { return append([]NodeRef(nil), n.succs...) }
+func (n *Node) SuccList() []NodeRef { return append([]NodeRef(nil), n.view.Succs...) }
 
 // Fingers returns a copy of the finger table.
-func (n *Node) Fingers() []NodeRef { return append([]NodeRef(nil), n.fingers...) }
+func (n *Node) Fingers() []NodeRef { return append([]NodeRef(nil), n.view.Fingers...) }
 
 // Create initializes the node as the first member of a new ring.
 func (n *Node) Create() {
-	n.setPred(n.self)
-	n.succs = []NodeRef{n.self}
-	for i := range n.fingers {
-		n.fingers[i] = n.self
+	n.setPred(n.view.Self)
+	n.view.Succs = []NodeRef{n.view.Self}
+	for i := range n.view.Fingers {
+		n.view.Fingers[i] = n.view.Self
 	}
-	n.running = true
+	n.view.Running = true
 }
 
 // InstallRing overwrites the node's neighbor state directly. It is the
@@ -305,45 +288,33 @@ func (n *Node) Create() {
 // source of truth for dynamic behaviour.
 func (n *Node) InstallRing(pred NodeRef, succs, fingers []NodeRef) {
 	n.setPred(pred)
-	n.succs = append([]NodeRef(nil), succs...)
-	if len(n.succs) == 0 {
-		n.succs = []NodeRef{n.self}
+	n.view.Succs = append([]NodeRef(nil), succs...)
+	if len(n.view.Succs) == 0 {
+		n.view.Succs = []NodeRef{n.view.Self}
 	}
-	copy(n.fingers, fingers)
-	for i := range n.fingers {
-		if n.fingers[i].IsZero() {
-			n.fingers[i] = n.succs[0]
+	copy(n.view.Fingers, fingers)
+	for i := range n.view.Fingers {
+		if n.view.Fingers[i].IsZero() {
+			n.view.Fingers[i] = n.view.Succs[0]
 		}
 	}
-	n.running = true
+	n.view.Running = true
 }
 
 // Owns reports whether this node is the successor of key, i.e. key lies in
 // (pred, self].
-func (n *Node) Owns(key ID) bool {
-	if n.pred.IsZero() {
-		return true
-	}
-	return n.cfg.Space.Between(key, n.pred.ID, n.self.ID)
-}
-
-// maxHops bounds how many times a routed message may be forwarded. A
-// consistent ring resolves any target within Space.Bits hops; the slack
-// absorbs detours around failures. Messages exceeding it are dropped (finds
-// reply with a zero Owner) — transient routing loops during churn must not
-// live forever, or stabilization could never catch up.
-func (n *Node) maxHops() int { return 3*n.cfg.Space.Bits + 32 }
+func (n *Node) Owns(key ID) bool { return n.cfg.Space.InArc(key, n.view.Pred, n.view.Self) }
 
 // setPred updates the predecessor, notifying an ArcWatcher application of
 // the ownership change. Any change clears the suspicion flag: the new
 // reference has not failed a probe yet.
 func (n *Node) setPred(p NodeRef) {
-	if n.pred == p {
+	if n.view.Pred == p {
 		return
 	}
-	old := n.pred
-	n.pred = p
-	n.predSuspect = false
+	old := n.view.Pred
+	n.view.Pred = p
+	n.view.PredSuspect = false
 	if aw, ok := n.app.(ArcWatcher); ok {
 		aw.ArcChanged(old, p)
 	}
@@ -360,108 +331,25 @@ func (n *Node) send(to transport.Addr, msg any) bool {
 	return n.ep.Send(to, msg) == nil
 }
 
-// closestPreceding returns the live candidate most closely preceding
-// target from the finger table and successor list (Chord's
-// closest_preceding_node).
-func (n *Node) closestPreceding(target ID) NodeRef {
-	sp := n.cfg.Space
-	best := NodeRef{}
-	bestDist := uint64(0)
-	consider := func(c NodeRef) {
-		if c.IsZero() || c.ID == n.self.ID {
-			return
-		}
-		if !sp.BetweenOpen(c.ID, n.self.ID, target) {
-			return
-		}
-		if d := sp.Dist(n.self.ID, c.ID); best.IsZero() || d > bestDist {
-			best, bestDist = c, d
-		}
-	}
-	for i, f := range n.fingers {
-		// Fingers come in runs: every finger start inside one node's arc
-		// names that node. A repeat of the finger before it cannot change
-		// the choice (ties keep the first), so it is not weighed again.
-		if i > 0 && f == n.fingers[i-1] {
-			continue
-		}
-		consider(f)
-	}
-	for _, s := range n.succs {
-		consider(s)
-	}
-	if best.IsZero() {
-		return n.Succ()
-	}
-	return best
-}
-
-// forwardToward sends msg one hop toward successor(target), skipping dead
-// candidates. It reports whether the message was handed to someone.
-func (n *Node) forwardToward(target ID, msg any) bool {
-	// Primary candidate, then progressively safer fallbacks. The candidates
-	// number a few dozen at most, so the tried set is a short slice.
-	var buf [16]transport.Addr
-	tried := append(buf[:0], n.self.Addr)
-	try := func(c NodeRef) bool {
-		if c.IsZero() || slices.Contains(tried, c.Addr) {
-			return false
-		}
-		tried = append(tried, c.Addr)
-		if n.send(c.Addr, msg) {
-			return true
-		}
-		n.dropDead(c)
-		return false
-	}
-	if sp := n.cfg.Space; sp.Between(target, n.self.ID, n.Succ().ID) {
-		if try(n.Succ()) {
-			return true
-		}
-	}
-	if try(n.closestPreceding(target)) {
-		return true
-	}
-	// Fall back through the successor list.
-	for _, s := range n.SuccList() {
-		if try(s) {
-			return true
-		}
-	}
-	// Last resort: any live finger.
-	for _, f := range n.Fingers() {
-		if try(f) {
-			return true
-		}
-	}
-	return false
-}
-
 // dropDead removes a dead reference from the node's neighbor state. Under
 // the corrected rules the predecessor is only marked suspect, never cleared:
 // a zero predecessor widens this node's arc over everyone else's, and the
 // dead boundary stays valid for ownership until rectify installs a live one.
-func (n *Node) dropDead(dead NodeRef) {
-	if n.pred.Addr == dead.Addr {
+func (n *Node) dropDead(dead transport.Addr) {
+	if n.view.Pred.Addr == dead {
 		if n.cfg.LegacyRules {
 			n.setPred(NodeRef{})
 		} else {
-			n.predSuspect = true
+			n.view.PredSuspect = true
 		}
 	}
-	kept := n.succs[:0]
-	for _, s := range n.succs {
-		if s.Addr != dead.Addr {
-			kept = append(kept, s)
-		}
+	n.view.Succs = slices.DeleteFunc(n.view.Succs, func(s NodeRef) bool { return s.Addr == dead })
+	if len(n.view.Succs) == 0 {
+		n.view.Succs = []NodeRef{n.view.Self}
 	}
-	n.succs = kept
-	if len(n.succs) == 0 {
-		n.succs = []NodeRef{n.self}
-	}
-	for i, f := range n.fingers {
-		if f.Addr == dead.Addr {
-			n.fingers[i] = n.succs[0]
+	for i, f := range n.view.Fingers {
+		if f.Addr == dead {
+			n.view.Fingers[i] = n.view.Succs[0]
 		}
 	}
 }
@@ -470,26 +358,28 @@ func (n *Node) dropDead(dead NodeRef) {
 // message for per-operation metrics (0 = untraced).
 func (n *Node) Route(key ID, payload any, trace uint64) {
 	m := routes.Get()
-	*m = RouteMsg{Key: n.cfg.Space.Fold(uint64(key)), From: n.self.Addr, Payload: payload, Trace: trace}
+	*m = RouteMsg{Key: n.cfg.Space.Fold(uint64(key)), From: n.view.Self.Addr, Payload: payload, Trace: trace}
 	n.handleRoute(m)
 }
 
 // handleRoute owns m: it delivers the payload here, forwards m itself one
 // hop on, or drops it.
 func (n *Node) handleRoute(m *RouteMsg) {
-	if n.Owns(m.Key) {
+	kind, next := nextHop(n.cfg.Space, &n.view, m.Key, m.Hops, nil)
+	if kind == hopDeliver {
 		from, key, payload := m.From, m.Key, m.Payload
 		routes.Put(m)
 		n.app.Deliver(from, key, payload)
 		return
 	}
-	if m.Hops >= n.maxHops() {
+	if kind == hopOverLimit {
+		n.ctr.routeDrops.Inc()
 		routes.Put(m)
 		return // transient routing loop; drop rather than spin forever
 	}
 	m.Hops++
 	n.ctr.routeForwards.Inc()
-	if !n.forwardToward(m.Key, m) {
+	if !n.forward(m.Key, next, m) {
 		routes.Put(m)
 	}
 }
@@ -558,16 +448,17 @@ func (n *Node) FindSuccessorTo(target ID, trace uint64, h FoundHandler) {
 // findOnce performs one FindSuccessor attempt for c.
 func (n *Node) findOnce(c findCall) {
 	c.target = n.cfg.Space.Fold(uint64(c.target))
-	if n.Owns(c.target) {
-		c.h.Found(FoundMsg{Owner: n.self, Pred: n.pred}, nil)
+	kind, next := nextHop(n.cfg.Space, &n.view, c.target, 0, nil)
+	if kind == hopDeliver {
+		c.h.Found(FoundMsg{Owner: n.view.Self, Pred: n.view.Pred}, nil)
 		return
 	}
 	tok := n.token()
 	c.timer = n.armRPC(tok, findRPC)
 	n.pendingFinds[tok] = c
 	msg := finds.Get()
-	*msg = FindMsg{Target: c.target, Token: tok, ReplyTo: n.self.Addr, Hops: 1, Trace: c.trace}
-	if !n.forwardToward(c.target, msg) {
+	*msg = FindMsg{Target: c.target, Token: tok, ReplyTo: n.view.Self.Addr, Hops: 1, Trace: c.trace}
+	if !n.forward(c.target, next, msg) {
 		finds.Put(msg)
 		delete(n.pendingFinds, tok)
 		c.timer.Stop()
@@ -595,20 +486,22 @@ func (n *Node) findDone(c findCall, m FoundMsg, err error) {
 // handleFind owns m: it answers the lookup here or forwards m itself one
 // hop on.
 func (n *Node) handleFind(m *FindMsg) {
-	if n.Owns(m.Target) {
-		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Owner: n.self, Pred: n.pred, Hops: m.Hops, Trace: m.Trace})
+	kind, next := nextHop(n.cfg.Space, &n.view, m.Target, m.Hops, nil)
+	if kind == hopDeliver {
+		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Owner: n.view.Self, Pred: n.view.Pred, Hops: m.Hops, Trace: m.Trace})
 		finds.Put(m)
 		return
 	}
-	if m.Hops >= n.maxHops() {
+	if kind == hopOverLimit {
 		// Routing loop during churn: fail the lookup so the caller can
 		// retry after stabilization repairs the ring.
+		n.ctr.findDrops.Inc()
 		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Hops: m.Hops, Trace: m.Trace})
 		finds.Put(m)
 		return
 	}
 	m.Hops++
-	if !n.forwardToward(m.Target, m) {
+	if !n.forward(m.Target, next, m) {
 		finds.Put(m)
 	}
 }
@@ -637,9 +530,10 @@ func (n *Node) handleFound(m FoundMsg) {
 	n.findDone(c, m, nil)
 }
 
-// getState asks peer for its neighbor state, retrying transient failures
-// per the node's retry policy.
-func (n *Node) getState(peer transport.Addr, cb func(StateMsg, error)) {
+// GetStateOf asks peer for its neighbor state, retrying transient failures
+// per the node's retry policy. Stabilization probes with it, and so do
+// drivers and the load-balancing protocols.
+func (n *Node) GetStateOf(peer transport.Addr, cb func(StateMsg, error)) {
 	n.stateOnce(stateCall{peer: peer, cb: cb})
 }
 
@@ -648,7 +542,7 @@ func (n *Node) stateOnce(c stateCall) {
 	tok := n.token()
 	c.timer = n.armRPC(tok, stateRPC)
 	n.pendingStates[tok] = c
-	if !n.send(c.peer, GetStateMsg{Token: tok, ReplyTo: n.self.Addr}) {
+	if !n.send(c.peer, GetStateMsg{Token: tok, ReplyTo: n.view.Self.Addr}) {
 		delete(n.pendingStates, tok)
 		c.timer.Stop()
 		n.stateDone(c, StateMsg{}, transport.ErrUnreachable)
@@ -671,17 +565,11 @@ func (n *Node) stateDone(c stateCall, m StateMsg, err error) {
 	n.retryAfter(c.attempt-1, func() { n.stateOnce(c) })
 }
 
-// GetStateOf exposes the state probe for drivers and the load-balancing
-// protocols.
-func (n *Node) GetStateOf(peer transport.Addr, cb func(StateMsg, error)) {
-	n.getState(peer, cb)
-}
-
 func (n *Node) handleGetState(m GetStateMsg) {
 	n.send(m.ReplyTo, StateMsg{
 		Token: m.Token,
-		Self:  n.self,
-		Pred:  n.pred,
+		Self:  n.view.Self,
+		Pred:  n.view.Pred,
 		Succs: n.SuccList(),
 		Load:  n.app.Load(),
 	})
@@ -718,11 +606,11 @@ func (n *Node) trimSuccs(list []NodeRef) []NodeRef {
 		}
 	}
 	if len(out) == 0 {
-		out = append(out, n.self)
+		out = append(out, n.view.Self)
 	}
 	return out
 }
 
 func (n *Node) String() string {
-	return fmt.Sprintf("chord.Node(%s pred=%s succ=%s)", n.self, n.pred, n.Succ())
+	return fmt.Sprintf("chord.Node(%s pred=%s succ=%s)", n.view.Self, n.view.Pred, n.Succ())
 }

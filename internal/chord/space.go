@@ -81,3 +81,10 @@ func (s Space) BetweenOpen(x, a, b ID) bool {
 	d := s.Dist(a, x)
 	return d != 0 && d < s.Dist(a, b)
 }
+
+// InArc is Chord's ownership rule: it reports whether key lies in the arc
+// (pred, owner] that owner answers for. A zero pred is a node that knows no
+// predecessor, and it claims the whole ring.
+func (s Space) InArc(key ID, pred, owner NodeRef) bool {
+	return pred.IsZero() || s.Between(key, pred.ID, owner.ID)
+}

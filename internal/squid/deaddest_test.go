@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"squid/internal/chord"
 	"squid/internal/dessim"
 	"squid/internal/keyspace"
 	"squid/internal/squid"
@@ -23,6 +24,37 @@ import (
 // completes exactly. A child left tracked would be answered twice and
 // count the dead node's matches twice.
 func TestDispatchDestinationDiesBeforeFlush(t *testing.T) {
+	nw, victim := ringLosingFirstDestination(t)
+	q := keyspace.MustParse("(*, *)")
+	want := len(nw.BruteForceMatches(q))
+
+	res, _ := nw.Query(0, q)
+	if *victim == "" {
+		t.Fatal("the query flushed no dispatch round")
+	}
+	if res.Err != nil {
+		t.Fatalf("query with a destination dead at flush: %v", res.Err)
+	}
+	if len(res.Matches) != want {
+		t.Errorf("got %d matches, want %d", len(res.Matches), want)
+	}
+	for _, p := range nw.Peers {
+		if p.Addr() == *victim {
+			continue
+		}
+		if n := p.Engine.OpenChildren(); n != 0 {
+			t.Errorf("peer %s still tracks %d children after the query", p.Addr(), n)
+		}
+	}
+}
+
+// ringLosingFirstDestination builds a 16-member discrete-event ring with
+// 1,500 replicated elements and recovery deadlines armed, and sets the
+// first peer's dispatch hook to kill the first destination of the first
+// round it flushes, then to stabilize the survivors every virtual
+// millisecond for 8 ms. The returned address is the victim, once killed.
+func ringLosingFirstDestination(t *testing.T) (*dessim.Network, *transport.Addr) {
+	t.Helper()
 	space, err := keyspace.NewWordSpace(2, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -46,21 +78,18 @@ func TestDispatchDestinationDiesBeforeFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.PushReplicasAll()
-	q := keyspace.MustParse("(*, *)")
-	want := len(nw.BruteForceMatches(q))
 
-	var victim transport.Addr
-	root := nw.Peers[0]
-	root.Engine.SetDebugDispatch(func(dests []transport.Addr, _ int) {
-		if victim != "" {
+	victim := new(transport.Addr)
+	nw.Peers[0].Engine.SetDebugDispatch(func(dests []transport.Addr, _ int) {
+		if *victim != "" {
 			return
 		}
-		victim = dests[0]
-		nw.Net.Kill(victim)
+		*victim = dests[0]
+		nw.Net.Kill(*victim)
 		for r := 1; r <= 8; r++ {
 			nw.Schedule(time.Duration(r)*time.Millisecond, func() {
 				for _, p := range nw.Peers {
-					if p.Addr() != victim {
+					if p.Addr() != *victim {
 						p.Node.CheckPredecessor()
 						p.Node.Stabilize()
 						p.Node.FixFingers()
@@ -69,23 +98,51 @@ func TestDispatchDestinationDiesBeforeFlush(t *testing.T) {
 			})
 		}
 	})
+	return nw, victim
+}
 
-	res, _ := nw.Query(0, q)
-	if victim == "" {
-		t.Fatal("the query flushed no dispatch round")
-	}
-	if res.Err != nil {
-		t.Fatalf("query with a destination dead at flush: %v", res.Err)
-	}
-	if len(res.Matches) != want {
-		t.Errorf("got %d matches, want %d", len(res.Matches), want)
-	}
-	for _, p := range nw.Peers {
-		if p.Addr() == victim {
-			continue
+// TestStreamRedispatchKeepsStream kills an unlimited stream's first
+// destination from the dispatch hook, as TestDispatchDestinationDiesBeforeFlush
+// does for a plain query, so children lost to the stale ring are
+// re-dispatched after their SubtreeTimeout. Every ClusterQueryMsg of the
+// stream, first dispatch or re-dispatch, bare or routed, must carry Stream:
+// a subtree dispatched without it holds its matches for one terminal
+// SubResultMsg instead of relaying them as they come.
+func TestStreamRedispatchKeepsStream(t *testing.T) {
+	nw, victim := ringLosingFirstDestination(t)
+	q := keyspace.MustParse("(*, *)")
+	want := sortedData(nw.BruteForceMatches(q))
+
+	sent, bare := 0, 0
+	nw.Net.SetObserver(func(from, to transport.Addr, msg any) {
+		nw.Metrics.Observe(from, to, msg)
+		m, ok := msg.(*squid.ClusterQueryMsg)
+		if r, routed := msg.(*chord.RouteMsg); routed {
+			m, ok = r.Payload.(*squid.ClusterQueryMsg)
 		}
-		if n := p.Engine.OpenChildren(); n != 0 {
-			t.Errorf("peer %s still tracks %d children after the query", p.Addr(), n)
+		if !ok {
+			return
 		}
+		sent++
+		if !m.Stream {
+			bare++
+		}
+	})
+
+	sr, _ := nw.QueryStream(0, q)
+	if *victim == "" {
+		t.Fatal("the stream flushed no dispatch round")
+	}
+	if sr.Err != nil {
+		t.Fatalf("stream with a destination dead at flush: %v", sr.Err)
+	}
+	if nw.Telemetry.CounterVec("squid_engine_recovery_total", "", "node", "event").Sum("event", "redispatch") == 0 {
+		t.Fatal("no child was re-dispatched: the test exercises nothing")
+	}
+	if bare > 0 {
+		t.Errorf("%d of the stream's %d ClusterQueryMsgs went out without Stream", bare, sent)
+	}
+	if got := sortedData(sr.Matches); !equalSets(got, want) {
+		t.Errorf("streamed %d matches, brute force %d", len(got), len(want))
 	}
 }

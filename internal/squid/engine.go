@@ -629,10 +629,7 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 		e.startDeadline(st)
 		e.watchCtx(ctx, st)
 		tok := e.addChild(st, idx, nil)
-		e.node.Route(chord.ID(idx), LookupMsg{
-			QID: qid, Query: q, Key: idx, ReplyTo: e.node.Self().Addr, Token: tok,
-			Trace: st.childRef(),
-		}, uint64(qid))
+		e.node.Route(chord.ID(idx), e.childLookup(st, idx, tok), uint64(qid))
 		return nil
 	}
 
@@ -1194,20 +1191,32 @@ func (e *Engine) childExpired(tok uint64) {
 	st := c.st
 	st.retries++
 	if c.clusters == nil {
-		e.node.Route(chord.ID(c.key), LookupMsg{
-			QID: st.qid, Query: st.q, Key: c.key, ReplyTo: e.node.Self().Addr, Token: c.token,
-			Trace: st.childRef(),
-		}, uint64(st.qid))
+		e.node.Route(chord.ID(c.key), e.childLookup(st, c.key, c.token), uint64(st.qid))
 	} else {
-		m := clusterQueries.Get()
-		*m = ClusterQueryMsg{
-			QID: st.qid, Query: st.q, Clusters: c.clusters,
-			ReplyTo: e.node.Self().Addr, Token: c.token,
-			Keep: st.keep, From: st.from, Trace: st.childRef(),
-		}
-		e.node.Route(chord.ID(c.key), m, uint64(st.qid))
+		e.node.Route(chord.ID(c.key), e.childQuery(st, c.clusters, c.token), uint64(st.qid))
 	}
 	e.armChild(c)
+}
+
+// childQuery builds the ClusterQueryMsg for one child of st, in a pooled
+// message its send hands over. Dispatch and re-dispatch both build it here,
+// so a re-dispatched child carries every field the first dispatch did.
+func (e *Engine) childQuery(st *subtree, cls []sfc.Refined, tok uint64) *ClusterQueryMsg {
+	m := clusterQueries.Get()
+	*m = ClusterQueryMsg{
+		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: e.node.Self().Addr, Token: tok,
+		Stream: st.stream != nil || st.streamUp, Keep: st.keep, From: st.from, Trace: st.childRef(),
+	}
+	return m
+}
+
+// childLookup builds the LookupMsg of an exact query's one child, for its
+// dispatch and its re-dispatches alike.
+func (e *Engine) childLookup(st *subtree, key, tok uint64) LookupMsg {
+	return LookupMsg{
+		QID: st.qid, Query: st.q, Key: key, ReplyTo: e.node.Self().Addr, Token: tok,
+		Trace: st.childRef(),
+	}
 }
 
 // abandonChild gives up on a child that cannot be retried (its retries
@@ -1458,12 +1467,10 @@ type pendingDispatch struct {
 // exactly once per FindSuccessorTo, so no answer reaches a round after its
 // flush has given it back to the rounds pool.
 type dispatchRound struct {
-	e      *Engine
-	st     *subtree
-	root   bool
-	stream bool
-	self   transport.Addr
-	curve  sfc.Curve
+	e     *Engine
+	st    *subtree
+	root  bool
+	curve sfc.Curve
 
 	// rem is the sorted tail of clusters not yet resolved; rem[0] is the
 	// one being probed while a lookup is in flight.
@@ -1503,9 +1510,7 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree) {
 	r := rounds.Get()
 	*r = dispatchRound{
 		e: e, st: st, root: st.parent == "",
-		stream: st.stream != nil || st.streamUp,
-		self:   e.node.Self().Addr,
-		curve:  e.space.Curve(),
+		curve: e.space.Curve(),
 	}
 	e.take(st)
 	if e.opts.DisableAggregation {
@@ -1535,19 +1540,7 @@ func (r *dispatchRound) routeOne(cls []sfc.Refined) {
 		return
 	}
 	tok := e.addChild(st, lo, cls)
-	e.node.Route(chord.ID(lo), r.message(cls, tok), uint64(st.qid))
-}
-
-// message builds the ClusterQueryMsg for one child of the round, in a
-// pooled message its send hands over.
-func (r *dispatchRound) message(cls []sfc.Refined, tok uint64) *ClusterQueryMsg {
-	st := r.st
-	m := clusterQueries.Get()
-	*m = ClusterQueryMsg{
-		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: r.self, Token: tok,
-		Stream: r.stream, Keep: st.keep, From: st.from, Trace: st.childRef(),
-	}
-	return m
+	e.node.Route(chord.ID(lo), e.childQuery(st, cls, tok), uint64(st.qid))
 }
 
 // step resolves the owner of the lowest remaining cluster: from the probe
@@ -1563,7 +1556,7 @@ func (r *dispatchRound) step() {
 		if r.root && e.opts.ProbeCacheSize > 0 {
 			if arc, ok := e.cacheLookup(head); ok {
 				e.met.probeHits.Inc()
-				r.enqueue(arc.owner.Addr, r.runIn(arc.pred.ID, arc.owner.ID))
+				r.enqueue(arc.owner.Addr, r.runIn(arc.pred, arc.owner))
 				continue
 			}
 			e.met.probeMisses.Inc()
@@ -1591,7 +1584,7 @@ func (r *dispatchRound) Found(m chord.FoundMsg, err error) {
 		r.e.cacheInsert(m.Pred, m.Owner)
 		n := 1
 		if !m.Pred.IsZero() {
-			n = r.runIn(m.Pred.ID, m.Owner.ID)
+			n = r.runIn(m.Pred, m.Owner)
 		}
 		r.enqueue(m.Owner.Addr, n)
 	}
@@ -1601,10 +1594,10 @@ func (r *dispatchRound) Found(m chord.FoundMsg, err error) {
 // runIn returns the length of the run of remaining clusters (at least the
 // head) whose low ends fall inside the arc (pred, owner]. The list is
 // sorted, so the run is a prefix.
-func (r *dispatchRound) runIn(pred, owner chord.ID) int {
+func (r *dispatchRound) runIn(pred, owner chord.NodeRef) int {
 	sp := r.e.node.Space()
 	n := 1
-	for n < len(r.rem) && sp.Between(chord.ID(r.rem[n].Span(r.curve).Lo), pred, owner) {
+	for n < len(r.rem) && sp.InArc(chord.ID(r.rem[n].Span(r.curve).Lo), pred, owner) {
 		n++
 	}
 	return n
@@ -1632,7 +1625,7 @@ func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
 		}
 	}
 	tok := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
-	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.message(cls, tok)})
+	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.e.childQuery(r.st, cls, tok)})
 }
 
 // flush sends the buffered round, one ClusterQueryMsg per destination.

@@ -16,7 +16,7 @@ type cachedArc struct {
 func (e *Engine) cacheLookup(lo chord.ID) (cachedArc, bool) {
 	sp := e.node.Space()
 	for _, c := range e.arcCache {
-		if sp.Between(lo, c.pred.ID, c.owner.ID) {
+		if sp.InArc(lo, c.pred, c.owner) {
 			return c, true
 		}
 	}

@@ -35,7 +35,7 @@ func scanFixture(t *testing.T) (*keyspace.Space, *Store, arcView) {
 	if b := space.IndexBits(); b < 64 {
 		maxIdx = (uint64(1) << b) - 1
 	}
-	return space, store, arcView{predZero: true, maxIdx: maxIdx}
+	return space, store, arcView{maxIdx: maxIdx}
 }
 
 // TestRefineClustersCopiesOnce pins the scan's single copy: the matches

@@ -66,37 +66,25 @@ type refineJob struct {
 	enqueued time.Time // registry clock; zero (and wait reads 0) in simulation
 }
 
-// arcView is the immutable snapshot of a node's owned arc a worker
-// classifies clusters against; it mirrors chord.Node.Owns and
-// Engine.ownedRunEnd exactly.
+// arcView is the immutable snapshot of the arc (pred, self] a node owned
+// at submit time, which a worker classifies clusters against.
 type arcView struct {
-	node     chord.ID
-	space    chord.Space
-	self     uint64
-	pred     uint64
-	predZero bool
-	maxIdx   uint64
+	space      chord.Space
+	pred, self chord.NodeRef
+	maxIdx     uint64
 }
 
-func (a arcView) owns(key uint64) bool {
-	if a.predZero {
-		return true // transient sole-owner view, as in chord.Node.Owns
-	}
-	return a.space.Between(chord.ID(key), chord.ID(a.pred), chord.ID(a.self))
-}
+func (a arcView) owns(key uint64) bool { return a.space.InArc(chord.ID(key), a.pred, a.self) }
 
 // runEnd returns the last index of the contiguous owned run containing lo
 // (which must be owned): up to the node's identifier for the low/linear
 // segment, or the top of the index space when lo lies in the wrap segment
 // of an arc that crosses zero.
 func (a arcView) runEnd(lo uint64) uint64 {
-	if a.predZero {
+	if a.pred.IsZero() || lo > uint64(a.self.ID) {
 		return a.maxIdx
 	}
-	if lo <= a.self {
-		return a.self
-	}
-	return a.maxIdx
+	return uint64(a.self.ID)
 }
 
 // arcView snapshots the node's current arc; delivery goroutine only.
@@ -105,15 +93,7 @@ func (e *Engine) arcView() arcView {
 	if b := e.space.IndexBits(); b < 64 {
 		maxIdx = (uint64(1) << b) - 1
 	}
-	pred := e.node.Pred()
-	return arcView{
-		node:     e.node.Self().ID,
-		space:    e.node.Space(),
-		self:     uint64(e.node.Self().ID),
-		pred:     uint64(pred.ID),
-		predZero: pred.IsZero(),
-		maxIdx:   maxIdx,
-	}
+	return arcView{space: e.node.Space(), pred: e.node.Pred(), self: e.node.Self(), maxIdx: maxIdx}
 }
 
 func newScheduler(e *Engine, workers, cap int) *scheduler {
@@ -264,7 +244,7 @@ func refineClusters(store *Store, space *keyspace.Space, arc arcView, qid QueryI
 		}
 		if span.Hi <= arc.runEnd(span.Lo) {
 			if debugScan != nil {
-				debugScan(arc.node, qid, span)
+				debugScan(arc.self.ID, qid, span)
 			}
 			// The store holds only keys this node owns; the final filter
 			// applies the query's exact semantics (paper: only elements
