@@ -11,9 +11,12 @@
 // The backquoted (or double-quoted) string is a regexp matched against the
 // diagnostic message; several per line are allowed. Lines without a want
 // comment must produce no diagnostic. Fixture packages may import real
-// module packages ("squid/internal/chord") — the loader grafts the fixture
-// tree into the module's import space, so analyzers are exercised against
-// the genuine types they police.
+// module packages ("squid/internal/chord"), or fixture twins of them under
+// the same testdata/src ("chord") — the loader grafts the fixture tree into
+// the module's import space. A twin declares only what its fixtures use,
+// so a fixture type-checks without the real package and the standard
+// library below it; it stands in for the real one wherever an analyzer
+// matches a package by the last element of its path.
 package analysistest
 
 import (

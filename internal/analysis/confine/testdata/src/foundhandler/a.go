@@ -5,7 +5,7 @@
 // bound method value r.found would be.
 package foundhandler
 
-import "squid/internal/chord"
+import "chord"
 
 // Engine's state is touched only by the delivery goroutine.
 //

@@ -7,7 +7,7 @@ package timerhandler
 import (
 	"time"
 
-	"squid/internal/transport"
+	"transport"
 )
 
 // Engine's state is touched only by the delivery goroutine.

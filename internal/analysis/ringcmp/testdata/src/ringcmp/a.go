@@ -1,7 +1,7 @@
 // Fixture: relational operators on chord.ID are modular-arithmetic bugs.
 package ringcmp
 
-import "squid/internal/chord"
+import "chord"
 
 func cmp(a, b chord.ID) bool {
 	return a < b // want `ring identifier`

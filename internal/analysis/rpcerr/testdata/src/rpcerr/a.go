@@ -3,8 +3,8 @@
 package rpcerr
 
 import (
-	"squid/internal/chord"
-	"squid/internal/transport"
+	"chord"
+	"transport"
 )
 
 func drops(ep transport.Endpoint, to transport.Addr) {

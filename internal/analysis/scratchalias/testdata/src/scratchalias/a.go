@@ -1,7 +1,7 @@
 // Fixture: aliasing contract of the sfc ...Into(dst, scratch) APIs.
 package scratchalias
 
-import "squid/internal/sfc"
+import "sfc"
 
 type holder struct {
 	spans []sfc.Interval

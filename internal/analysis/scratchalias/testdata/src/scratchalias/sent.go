@@ -1,7 +1,7 @@
 // Fixture: a message handed to a send or back to its pool is dead.
 package scratchalias
 
-import "squid/internal/transport"
+import "transport"
 
 type msg struct {
 	Token    uint64

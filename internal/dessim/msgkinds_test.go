@@ -97,12 +97,12 @@ func TestQueryMessagesByKind(t *testing.T) {
 	}
 
 	want := map[string]int{
-		"*chord.FindMsg":                   2067,
-		"*chord.FoundMsg":                  931,
-		"*chord.RouteMsg[squid.LookupMsg]": 160,
-		"*squid.ClusterQueryMsg":           932,
-		"*squid.PartialResultMsg":          442,
-		"*squid.SubResultMsg":              968,
+		"*chord.FindMsg":                          2067,
+		"*chord.FoundMsg":                         931,
+		"*chord.RouteMsg[*squid.ClusterQueryMsg]": 160,
+		"*squid.ClusterQueryMsg":                  932,
+		"*squid.PartialResultMsg":                 442,
+		"*squid.SubResultMsg":                     968,
 	}
 	const wantTotal = 5500 // 55.56 per query
 	total := 0

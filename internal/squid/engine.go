@@ -181,7 +181,7 @@ type Engine struct {
 // subtree tracks one node's in-flight piece of a query's refinement tree:
 // the matches found locally plus the results still expected from child
 // messages. When complete, the aggregate flows to the parent (or, at the
-// root, to the query's callback).
+// root, out through the root's sink).
 type subtree struct {
 	qid         QueryID
 	q           keyspace.Query
@@ -194,18 +194,17 @@ type subtree struct {
 	incomplete  bool // some part of the subtree was lost to failures
 	finished    bool // result already delivered; ignore stragglers
 	deadline    transport.Timer
-	cb          func(Result)
 	cancelErr   error         // context cancellation cause; overrides ErrPartialResult
 	ctxStop     chan struct{} // closed on completion to release the context watcher
 
-	// Streaming state. A streaming root carries its sink; matches flow out
+	// Streaming state. Every root carries its sink; matches flow out
 	// through it as children report instead of accumulating in matches
-	// (an unlimited root holds only its own local matches there until its
-	// dispatch round completes). Non-root subtrees of a streaming query set
-	// streamUp and forward each increment to the parent as a
-	// PartialResultMsg; matches then keeps only what was not forwarded,
-	// which the terminal SubResultMsg carries.
-	stream    streamSink // non-nil at a streaming root
+	// (an unlimited stream's root holds only its own local matches there
+	// until its dispatch round completes). Non-root subtrees of a relaying
+	// root (relays) set streamUp and forward each increment to the parent
+	// as a PartialResultMsg; matches then keeps only what was not
+	// forwarded, which the terminal SubResultMsg carries.
+	stream    streamSink // non-nil exactly at a root
 	limit     int        // stop after this many delivered matches (0 = unlimited)
 	afterPos  uint64     // cursor restriction: deliver only curve indices >= afterPos
 	afterSkip int        // elements at afterPos already delivered (store order)
@@ -219,6 +218,9 @@ type subtree struct {
 	// and From): set at its root, copied down to every subtree.
 	keep int
 	from uint64
+	// cell backs an exact query's one cluster at its root: the point's
+	// full-resolution cell, the payload of the root's one child.
+	cell [1]sfc.Refined
 
 	// Ordered (paged) delivery state, used when limit > 0: arriving matches
 	// buffer here and flow out in curve order once every lower span has
@@ -352,8 +354,8 @@ func (st *subtree) childRef() telemetry.TraceRef {
 type childCall struct {
 	st       *subtree
 	token    uint64
-	clusters []sfc.Refined // re-dispatch payload, shared with the sent message; nil for exact lookups
-	key      uint64        // curve index the re-dispatch routes to
+	clusters []sfc.Refined // re-dispatch payload, shared with the sent message
+	key      uint64        // curve index the re-dispatch routes to: the lowest of clusters
 	attempts int
 	timer    transport.Timer
 }
@@ -501,23 +503,19 @@ func (e *Engine) span(st *subtree) telemetry.Span {
 // never reported, so the dispatcher records a synthetic placeholder in its
 // place (the node that should have answered is unknown by definition).
 func (e *Engine) lostSpan(st *subtree, c *childCall) telemetry.Span {
-	s := telemetry.Span{
+	return telemetry.Span{
 		QID:       st.qid,
 		ID:        e.newSpanID(),
 		Parent:    st.spanID,
 		Depth:     st.ref.Depth + 1,
 		Kind:      "lost",
-		Prefix:    c.key,
+		Prefix:    c.clusters[0].Prefix,
+		Level:     c.clusters[0].Level,
+		Clusters:  len(c.clusters),
 		Abandoned: true,
 		StartNS:   e.nowNS(),
 		EndNS:     e.nowNS(),
 	}
-	if len(c.clusters) > 0 {
-		s.Prefix = c.clusters[0].Prefix
-		s.Level = c.clusters[0].Level
-		s.Clusters = len(c.clusters)
-	}
-	return s
 }
 
 // LocalStore exposes the node's local index fragment (for inspection and
@@ -574,29 +572,40 @@ func (e *Engine) StoreDirectBatch(elems []Element) error {
 // errors.Is ErrOverloaded, the *OverloadError carrying a retry-after
 // hint) is reported through cb as well.
 //
-// Query's root accumulates: the inner subtrees of its refinement tree fold
-// their children's matches into their one SubResultMsg, where those of a
-// stream also relay each increment as a PartialResultMsg. Query therefore
-// sends fewer messages than an unlimited QueryStream of the same query.
-// For cancellation or a context deadline, use QueryStream or
-// QueryStreamFunc.
+// Query is an unlimited stream whose sink collects every batch for cb. Its
+// subtrees do not relay increments (ClusterQueryMsg.Stream): each folds
+// its children's matches into its one SubResultMsg, since the root waits
+// for the whole set anyway. Query therefore sends fewer messages than an
+// unlimited QueryStream of the same query. A query cut by the engine's
+// QueryDeadline or by CancelQuery tears its outstanding subtrees down with
+// QueryCancelMsg, as a stream does; for a context deadline, use
+// QueryStream or QueryStreamFunc.
 //
 // Like all engine entry points, call it from App upcalls or through
 // node.Invoke.
 //
 //lint:entry delivery
 func (e *Engine) Query(q keyspace.Query, cb func(Result)) QueryID {
+	return e.collect(q, 0, cb)
+}
+
+// collect runs q as a stream whose sink collects every batch into one
+// Result for cb, stopping after limit matches when limit > 0: the root of
+// Query and of a client's query. A query that cannot start reports through
+// cb too.
+func (e *Engine) collect(q keyspace.Query, limit int, cb func(Result)) QueryID {
 	qid := nextQID()
 	e.met.queries.Inc()
-	st := &subtree{qid: qid, q: q, cb: cb, kind: "root"}
+	c := &collector{cb: cb}
+	c.root = streamRoot(qid, q, c, queryConfig{limit: limit})
+	st := &c.root
 	if err := e.startRoot(context.Background(), q, st); err != nil {
 		cb(Result{QID: qid, Query: q, Err: err})
 	}
 	return qid
 }
 
-// startRoot starts a prepared root subtree — callback-delivering
-// (Query) or streaming (QueryStream) — as the root of the distributed
+// startRoot starts a prepared root subtree as the root of the distributed
 // refinement. A non-nil error means nothing was started and the subtree's
 // sink will never fire.
 func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) error {
@@ -612,24 +621,25 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 		return nil
 	}
 
-	// Exact queries identify one point: a plain DHT lookup (paper
-	// Section 3.4.1).
+	// An exact query identifies one point, whose cell is the cluster at
+	// full resolution: it is routed to the owner of its index (paper
+	// Section 3.4.1), which resolves it like any other cluster.
 	if pt, ok := region.IsPoint(); ok {
-		idx := e.space.Curve().Encode(pt)
+		curve := e.space.Curve()
+		idx := curve.Encode(pt)
+		st.dispatched = true
+		e.sampleRoot(st)
 		if st.hasPos && idx < st.afterPos {
 			// Resuming past the point: everything was already delivered.
-			st.dispatched = true
-			e.sampleRoot(st)
 			e.finishSubtree(st)
 			return nil
 		}
-		st.dispatched = true
-		e.sampleRoot(st)
 		e.roots[qid] = st
 		e.startDeadline(st)
 		e.watchCtx(ctx, st)
-		tok := e.addChild(st, idx, nil)
-		e.node.Route(chord.ID(idx), e.childLookup(st, idx, tok), uint64(qid))
+		st.cell[0] = sfc.Refined{Cluster: sfc.Cluster{Prefix: idx, Level: curve.Bits()}, Complete: true}
+		tok := e.addChild(st, idx, st.cell[:])
+		e.node.Route(chord.ID(idx), e.childQuery(st, st.cell[:], tok), uint64(qid))
 		return nil
 	}
 
@@ -689,22 +699,23 @@ func (e *Engine) rootResolved(st *subtree, matches []Element, remote []sfc.Refin
 	e.noteProcessed(st.qid, local, len(matches), e.opts.Sink != nil && local > 0)
 	st.localDone = local
 	st.localMatches = len(matches)
-	// A streaming root holds its local matches until the dispatch round
+	// A stream's root holds its local matches until the dispatch round
 	// has registered every child: a cancellation arriving before or
 	// during their delivery can then name both the held matches and the
 	// outstanding subtrees in the resume cursor, instead of reporting a
 	// falsely exhausted stream before any child existed. A limited
 	// stream holds them in its ordered buffer, an unlimited one as the
-	// filtered slice itself.
+	// filtered slice itself. An unlimited collector has no cursor to name
+	// them in, and takes them at once.
 	switch {
-	case st.stream == nil:
-		st.matches = matches
 	case st.limit > 0:
 		e.bufferMatches(st, e.filterResumed(st, matches))
-	default:
+	case st.relays():
 		st.matches = e.filterResumed(st, matches)
+	default:
+		e.pushUnordered(st, matches)
 	}
-	if st.stream != nil && st.limit > 0 && len(remote) > streamDispatchWindow {
+	if st.limit > 0 && len(remote) > streamDispatchWindow {
 		// Windowed dispatch: only the lowest clusters go out now; the
 		// rest wait in pending and are never sent if the limit is
 		// satisfied first. remote is this root's own slice, and the
@@ -718,11 +729,11 @@ func (e *Engine) rootResolved(st *subtree, matches []Element, remote []sfc.Refin
 }
 
 // roundDone ends a dispatch round of st: every child message is sent. A
-// streaming root then releases what it held back for the round — the
-// ordered buffer of a limited stream, the local matches of an unlimited
-// one — and the subtree completes if nothing is outstanding. A cluster
-// subtree has no stream, and only a limited stream refills its window,
-// so the one function serves every round.
+// root then releases what it held back for the round — the ordered buffer
+// of a limited stream, the local matches of an unlimited one — and the
+// subtree completes if nothing is outstanding. A cluster subtree has no
+// stream, and only a limited stream refills its window, so the one
+// function serves every round.
 func (e *Engine) roundDone(st *subtree) {
 	st.dispatched = true
 	if st.stream != nil && !st.finished {
@@ -1122,8 +1133,8 @@ func (e *Engine) noteProcessed(qid QueryID, clusters, matches int, sink bool) {
 }
 
 // addChild registers one dispatched child of st under a fresh token and
-// arms its recovery deadline. clusters is the re-dispatch payload (nil for
-// an exact lookup of key).
+// arms its recovery deadline. clusters is the re-dispatch payload, key the
+// lowest index in it.
 func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint64 {
 	e.nextToken++
 	c := childCalls.Get()
@@ -1190,11 +1201,7 @@ func (e *Engine) childExpired(tok uint64) {
 	e.met.redispatches.Inc()
 	st := c.st
 	st.retries++
-	if c.clusters == nil {
-		e.node.Route(chord.ID(c.key), e.childLookup(st, c.key, c.token), uint64(st.qid))
-	} else {
-		e.node.Route(chord.ID(c.key), e.childQuery(st, c.clusters, c.token), uint64(st.qid))
-	}
+	e.node.Route(chord.ID(c.key), e.childQuery(st, c.clusters, c.token), uint64(st.qid))
 	e.armChild(c)
 }
 
@@ -1205,18 +1212,21 @@ func (e *Engine) childQuery(st *subtree, cls []sfc.Refined, tok uint64) *Cluster
 	m := clusterQueries.Get()
 	*m = ClusterQueryMsg{
 		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: e.node.Self().Addr, Token: tok,
-		Stream: st.stream != nil || st.streamUp, Keep: st.keep, From: st.from, Trace: st.childRef(),
+		Stream: st.relays(), Keep: st.keep, From: st.from, Trace: st.childRef(),
 	}
 	return m
 }
 
-// childLookup builds the LookupMsg of an exact query's one child, for its
-// dispatch and its re-dispatches alike.
-func (e *Engine) childLookup(st *subtree, key, tok uint64) LookupMsg {
-	return LookupMsg{
-		QID: st.qid, Query: st.q, Key: key, ReplyTo: e.node.Self().Addr, Token: tok,
-		Trace: st.childRef(),
+// relays reports whether st's children relay their increments to it
+// (ClusterQueryMsg.Stream). Below the root a subtree relays what its root
+// does; every root relays except an unlimited collector, which waits for
+// the whole set anyway.
+func (st *subtree) relays() bool {
+	if st.parent != "" {
+		return st.streamUp
 	}
+	_, collecting := st.stream.(*collector)
+	return !collecting || st.limit > 0
 }
 
 // abandonChild gives up on a child that cannot be retried (its retries
@@ -1256,7 +1266,7 @@ func (t *deadlineTimers) Fire(qid uint64) {
 }
 
 // queryExpired force-completes a root subtree whose overall deadline
-// passed: outstanding children are cancelled and the callback fires with
+// passed: outstanding children are cancelled and the sink finishes with
 // whatever was gathered, marked partial. A root that already finished has
 // left e.roots, so its deadline finds nothing.
 func (e *Engine) queryExpired(qid QueryID) {
@@ -1266,51 +1276,43 @@ func (e *Engine) queryExpired(qid QueryID) {
 }
 
 // cancelQuery force-completes a root subtree before its children reported:
-// outstanding children are cancelled and the callback fires with whatever
-// was gathered. cause is the context's error for ctx-driven cancellation,
+// outstanding children are torn down and the sink finishes with whatever
+// was delivered. cause is the context's error for ctx-driven cancellation,
 // or nil for a deadline expiry (the result then carries ErrPartialResult).
+//
+// The tear-down is active: the consumer walked away, so each outstanding
+// subtree gets a QueryCancelMsg instead of being left to refine into a
+// void, and each is marked lost in the trace, so the dump shows where the
+// cut fell. Matches still held — in a limited stream's ordered buffer, or
+// an unlimited stream's local matches awaiting the end of its dispatch
+// round — were found but never delivered: their lowest coordinate feeds
+// the resume cursor.
 func (e *Engine) cancelQuery(st *subtree, cause error) {
 	if st.finished {
 		return
 	}
 	st.cancelErr = cause
-	if st.stream != nil {
-		// Streaming queries tear outstanding subtrees down actively: the
-		// consumer walked away, so the refinement tail is cancelled instead
-		// of left to finish into a void. Matches still held — in a limited
-		// stream's ordered buffer, or an unlimited root's local matches
-		// awaiting the end of its dispatch round — were found but never
-		// delivered: their lowest coordinate feeds the resume cursor.
-		e.bufferMatches(st, st.matches)
-		if len(st.buf) > 0 {
-			lo := st.buf[0].idx
-			for _, b := range st.buf[1:] {
-				if b.idx < lo {
-					lo = b.idx
-				}
+	e.bufferMatches(st, st.matches)
+	if len(st.buf) > 0 {
+		lo := st.buf[0].idx
+		for _, b := range st.buf[1:] {
+			if b.idx < lo {
+				lo = b.idx
 			}
-			st.noteCutSkip(lo, st.skipFor(lo))
 		}
-		e.dropPending(st)
-		e.teardownChildren(st)
-		st.incomplete = true
-		st.dispatched = true
-		e.finishSubtree(st)
-		return
+		st.noteCutSkip(lo, st.skipFor(lo))
 	}
-	for tok, c := range e.children {
-		if c.st == st {
-			delete(e.children, tok)
-			c.timer.Stop()
-			// Cancelled children never reported: mark them lost in the
-			// trace so the dump shows where the deadline cut the tree.
-			if st.spanID != 0 {
+	if st.spanID != 0 {
+		for _, c := range e.children {
+			if c.st == st {
 				st.spans = append(st.spans, e.lostSpan(st, c))
 			}
-			giveBack(e, &childCalls, c, st)
 		}
 	}
+	e.dropPending(st)
+	e.teardownChildren(st)
 	st.incomplete = true
+	st.dispatched = true
 	e.finishSubtree(st)
 }
 
@@ -1331,8 +1333,8 @@ func (e *Engine) checkSubtree(st *subtree) {
 }
 
 // finishSubtree delivers a subtree's aggregate exactly once: to the parent
-// node, or — at the root — to the query callback, surfacing lost subtrees
-// as ErrPartialResult rather than a silently short match set.
+// node, or — at the root — to the root's sink, surfacing lost subtrees as
+// ErrPartialResult rather than a silently short match set.
 func (e *Engine) finishSubtree(st *subtree) {
 	if st.finished {
 		return
@@ -1362,13 +1364,7 @@ func (e *Engine) finishSubtree(st *subtree) {
 		if st.spanID != 0 && e.opts.Traces != nil {
 			e.opts.Traces.Add(telemetry.Trace{QID: st.qid, Partial: st.incomplete, Spans: st.spans})
 		}
-		if st.stream != nil {
-			st.stream.finishStream(st.qid, err, st.rootCursor())
-			return
-		}
-		if st.cb != nil {
-			st.cb(Result{QID: st.qid, Query: st.q, Matches: st.matches, Err: err})
-		}
+		st.stream.finishStream(st, err)
 		return
 	}
 	delete(e.inbound, inboundKey{from: st.parent, token: st.parentToken})
@@ -1718,8 +1714,6 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 		e.replicate([]chord.Item{{Key: chord.ID(idx), Value: []Element{m.Elem}}})
 	case UnpublishMsg:
 		e.handleUnpublish(m)
-	case LookupMsg:
-		e.handleLookup(m)
 	case *ClusterQueryMsg:
 		v := *m
 		clusterQueries.Put(m)
@@ -1783,58 +1777,22 @@ func (e *Engine) handleUnpublish(m UnpublishMsg) {
 	}
 }
 
-// handleClientQuery serves a non-member client: parse, run the query as
-// root — a Limit(k) stream when the client asked for top-k, so the tail of
-// refinement is never dispatched — and ship the assembled result back.
+// handleClientQuery serves a non-member client: parse, collect the query
+// as root — limited to the client's top-k when it asked for one, so the
+// tail of refinement is never dispatched — and ship the result back.
 func (e *Engine) handleClientQuery(m ClientQueryMsg) {
 	q, err := keyspace.Parse(m.Query)
 	if err != nil {
 		e.send(m.ReplyTo, ClientResultMsg{Token: m.Token, Err: err.Error()})
 		return
 	}
-	reply := func(qid QueryID, matches []Element, qerr error) {
-		out := ClientResultMsg{Token: m.Token, QID: qid, Matches: matches}
-		if qerr != nil {
-			out.Err = qerr.Error()
+	e.collect(q, m.Limit, func(r Result) {
+		out := ClientResultMsg{Token: m.Token, QID: r.QID, Matches: r.Matches}
+		if r.Err != nil {
+			out.Err = r.Err.Error()
 		}
 		e.send(m.ReplyTo, out)
-	}
-	if m.Limit > 0 {
-		var got []Element
-		_, err := e.QueryStreamFunc(context.Background(), q, func(ev StreamEvent) {
-			if ev.Done {
-				reply(ev.QID, got, ev.Err)
-				return
-			}
-			got = append(got, ev.Matches...)
-		}, Limit(m.Limit))
-		if err != nil {
-			reply(0, nil, err)
-		}
-		return
-	}
-	e.Query(q, func(r Result) { reply(r.QID, r.Matches, r.Err) })
-}
-
-func (e *Engine) handleLookup(m LookupMsg) {
-	var matches []Element
-	for _, elem := range e.store.At(m.Key) {
-		if e.space.Matches(m.Query, elem.Values) {
-			matches = append(matches, elem)
-		}
-	}
-	e.noteProcessed(m.QID, 1, len(matches), e.opts.Sink != nil)
-	var spans []telemetry.Span
-	if ref := m.Trace.OrRoot(); ref.Sampled() {
-		now := e.nowNS()
-		spans = []telemetry.Span{{
-			QID: m.QID, ID: e.newSpanID(), Parent: ref.Parent, Depth: ref.Depth,
-			Node: uint64(e.node.Self().ID), Addr: string(e.node.Self().Addr),
-			Kind: "lookup", Prefix: m.Key, Clusters: 1, Local: 1,
-			Matches: len(matches), StartNS: now, EndNS: now,
-		}}
-	}
-	sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches, Spans: spans})
+	})
 }
 
 func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
@@ -1976,7 +1934,7 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 	}
 	st.done++
 	if st.stream != nil {
-		// Streaming root: the child's matches flow straight out (possibly
+		// Root: the child's matches flow straight out to the sink (possibly
 		// completing the query early); nothing accumulates in st.matches.
 		e.rootDeliver(st, m.Matches)
 		if st.finished {
@@ -2018,8 +1976,8 @@ func (e *Engine) forwardPartial(st *subtree, batch []Element) {
 }
 
 // handlePartialResult folds one streamed increment from a child subtree in:
-// a streaming root delivers it to the consumer immediately, an inner
-// streaming subtree relays it upward. Completion accounting is untouched —
+// a root delivers it to its sink immediately, an inner relaying subtree
+// relays it upward. Completion accounting is untouched —
 // only the terminal SubResultMsg advances it.
 func (e *Engine) handlePartialResult(m PartialResultMsg) {
 	c, ok := e.children[m.Token]

@@ -30,23 +30,11 @@ type UnpublishMsg struct {
 	Replica bool // true when fanned out to replica holders
 }
 
-// LookupMsg resolves an exact query (all terms exact → a single index) at
-// the index's owner, which answers ReplyTo with a SubResultMsg carrying
-// Token.
-type LookupMsg struct {
-	QID     QueryID
-	Query   keyspace.Query
-	Key     uint64
-	ReplyTo transport.Addr
-	Token   uint64
-	// Trace is the tracing context of the dispatching subtree. The zero
-	// ref carries no context; OrRoot turns it into a root span.
-	Trace telemetry.TraceRef
-}
-
 // ClusterQueryMsg ships one or more clusters of a query's refinement tree
 // to the node owning their lowest indices. With the aggregation
 // optimization a message batches all sibling clusters owned by one node.
+// An exact query's one message holds its point's full-resolution cell
+// (Level == the curve's Bits), routed to the owner of that index.
 //
 // ReplyTo/Token name the sender's subtree: the receiver answers with one
 // SubResultMsg carrying Token once its whole subtree of the refinement
@@ -80,8 +68,8 @@ type ClusterQueryMsg struct {
 	// every unlimited query. DESIGN.md §4l says why the cap is exact.
 	Keep int
 	From uint64
-	// Trace is the tracing context of the dispatching subtree (see
-	// LookupMsg.Trace).
+	// Trace is the tracing context of the dispatching subtree. The zero
+	// ref carries no context; OrRoot turns it into a root span.
 	Trace telemetry.TraceRef
 }
 

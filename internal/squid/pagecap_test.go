@@ -75,9 +75,9 @@ func TestCapReplyExact(t *testing.T) {
 			}), cfg)
 			st.dispatched = true
 			for _, b := range batches {
-				e.rootDeliver(st, b)
+				e.rootDeliver(&st, b)
 			}
-			e.checkSubtree(st)
+			e.checkSubtree(&st)
 			return got, cur
 		}
 		c := streamRoot(0, q, nil, cfg)

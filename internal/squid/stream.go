@@ -154,13 +154,14 @@ type StreamEvent struct {
 	Cursor  Cursor
 }
 
-// streamSink receives a streaming root subtree's deliveries on the node's
-// delivery goroutine. ResultStream bridges them to a consumer goroutine;
-// funcSink hands them to a callback in place (the simulators' deterministic
-// path).
+// streamSink receives a root subtree's deliveries on the node's delivery
+// goroutine. ResultStream bridges them to a consumer goroutine; funcSink
+// hands them to a callback in place (the simulators' deterministic path);
+// collector gathers them into Query's one Result. finishStream gets the
+// finished root, so only a sink that hands out a cursor derives one.
 type streamSink interface {
 	pushBatch(qid QueryID, batch []Element)
-	finishStream(qid QueryID, err error, cur Cursor)
+	finishStream(root *subtree, err error)
 }
 
 // funcSink adapts a StreamEvent callback to the streamSink contract.
@@ -170,8 +171,31 @@ func (f funcSink) pushBatch(qid QueryID, batch []Element) {
 	f(StreamEvent{QID: qid, Matches: batch})
 }
 
-func (f funcSink) finishStream(qid QueryID, err error, cur Cursor) {
-	f(StreamEvent{QID: qid, Done: true, Err: err, Cursor: cur})
+func (f funcSink) finishStream(root *subtree, err error) {
+	f(StreamEvent{QID: root.qid, Done: true, Err: err, Cursor: root.rootCursor()})
+}
+
+// collector is the sink of a collecting root (Engine.collect), and holds
+// that root, so a collected query allocates one object for both: it
+// gathers the stream's batches and hands them to cb as one Result.
+type collector struct {
+	root    subtree
+	matches []Element
+	cb      func(Result)
+}
+
+// pushBatch adopts the first batch rather than copying it, as
+// subtree.addMatches does.
+func (c *collector) pushBatch(_ QueryID, batch []Element) {
+	if len(c.matches) == 0 {
+		c.matches = batch[:len(batch):len(batch)]
+		return
+	}
+	c.matches = append(c.matches, batch...)
+}
+
+func (c *collector) finishStream(root *subtree, err error) {
+	c.cb(Result{QID: root.qid, Query: root.q, Matches: c.matches, Err: err})
 }
 
 // ResultStream is the consumer side of QueryStream: partial result batches
@@ -250,7 +274,8 @@ func (s *ResultStream) pushBatch(_ QueryID, batch []Element) {
 // finishStream implements streamSink (delivery goroutine side). The
 // stream's derived context is released here so a fully consumed stream
 // does not pin its parent context's cancellation list.
-func (s *ResultStream) finishStream(_ QueryID, err error, cur Cursor) {
+func (s *ResultStream) finishStream(root *subtree, err error) {
+	cur := root.rootCursor()
 	s.mu.Lock()
 	s.done = true
 	s.err = err
@@ -333,19 +358,21 @@ func (e *Engine) queryStream(ctx context.Context, qid QueryID, q keyspace.Query,
 	if cfg.exhausted {
 		// Resuming past the end: an empty, already-done stream.
 		st.dispatched = true
-		e.sampleRoot(st)
-		e.finishSubtree(st)
+		e.sampleRoot(&st)
+		e.finishSubtree(&st)
 		return nil
 	}
-	return e.startRoot(ctx, q, st)
+	return e.startRoot(ctx, q, &st)
 }
 
 // streamRoot builds the root subtree of a streaming query. A limited root
 // caps its subtrees' replies at k + skip + 1 matches from its cursor's
 // position (ClusterQueryMsg.Keep): the page, the boundary run the root
 // filters out again, and one more, whose coordinate the page's cut takes.
-func streamRoot(qid QueryID, q keyspace.Query, sink streamSink, cfg queryConfig) *subtree {
-	st := &subtree{
+// It returns the subtree by value, so a collector can hold its root in
+// place.
+func streamRoot(qid QueryID, q keyspace.Query, sink streamSink, cfg queryConfig) subtree {
+	st := subtree{
 		qid: qid, q: q, kind: "root",
 		stream: sink, limit: cfg.limit,
 		afterPos: cfg.afterPos, afterSkip: cfg.afterSkip, hasPos: cfg.hasPos,
@@ -357,11 +384,11 @@ func streamRoot(qid QueryID, q keyspace.Query, sink streamSink, cfg queryConfig)
 }
 
 // CancelQuery cancels a query rooted at this engine before it completes:
-// gathered results are delivered (callback roots fire with
-// context.Canceled; stream roots finish with it), and — for streaming
-// queries — outstanding remote subtrees are torn down with QueryCancelMsg.
-// Reports whether the query was found still in flight. Like all engine
-// entry points, call it from App upcalls or through node.Invoke.
+// outstanding remote subtrees are torn down with QueryCancelMsg, and the
+// query finishes with context.Canceled and what it had delivered (Query's
+// callback gets every match gathered so far). Reports whether the query
+// was found still in flight. Like all engine entry points, call it from App
+// upcalls or through node.Invoke.
 //
 //lint:entry delivery
 func (e *Engine) CancelQuery(qid QueryID) bool {

@@ -235,11 +235,13 @@ func TestStreamCursorPagination(t *testing.T) {
 
 // TestStreamLimitRepliesCapped pages a query whose matches include a run
 // at one curve index to exhaustion through cursors, at several page sizes,
-// on a ring with a result cache. Every SubResultMsg and PartialResultMsg of
-// a Limit(k) page must carry at most k + skip + 1 matches, skip being the
-// elements at the page's cursor position already delivered, and the pages
-// together must deliver the brute-force set in curve order. Unlimited
-// queries of the same query, streamed and one-shot, then return it all.
+// on a ring with a result cache; then, at k ∈ {1, 3}, the exact query of
+// that one index, whose every match sits in the run. Every SubResultMsg
+// and PartialResultMsg of a Limit(k) page must carry at most k + skip + 1
+// matches, skip being the elements at the page's cursor position already
+// delivered, and the pages together must deliver the brute-force set in
+// curve order. Unlimited queries of the range query, streamed and
+// one-shot, then return it all.
 func TestStreamLimitRepliesCapped(t *testing.T) {
 	des := onEventCore(t, sim.Config{Nodes: 30, Space: schedSpace(t), Seed: 11,
 		Engine: squid.Options{ResultCacheSize: 64}})
@@ -273,13 +275,14 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 		}
 	})
 
-	for _, k := range []int{1, 3, 10} {
+	paginate := func(q keyspace.Query, k int) {
+		want := sortedData(nw.BruteForceMatches(q))
 		var cur squid.Cursor
 		seen := map[string]bool{}
 		var firsts []squid.Element
 		for pageNo := 0; ; pageNo++ {
 			if pageNo > len(want)+5 {
-				t.Fatalf("Limit(%d): pagination did not converge", k)
+				t.Fatalf("%s Limit(%d): pagination did not converge", q, k)
 			}
 			opts := []squid.QueryOption{squid.Limit(k)}
 			skip := 0
@@ -289,10 +292,10 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 			}
 			sr, _ := nw.QueryStream(pageNo%len(nw.Peers), q, opts...)
 			if sr.Err != nil {
-				t.Fatalf("Limit(%d) page %d: %v", k, pageNo, sr.Err)
+				t.Fatalf("%s Limit(%d) page %d: %v", q, k, pageNo, sr.Err)
 			}
 			if n := largest[sr.QID]; n > k+skip+1 {
-				t.Errorf("Limit(%d) page %d (skip %d): a reply carried %d matches", k, pageNo, skip, n)
+				t.Errorf("%s Limit(%d) page %d (skip %d): a reply carried %d matches", q, k, pageNo, skip, n)
 			}
 			for _, e := range sr.Matches {
 				if !seen[e.Data] {
@@ -306,14 +309,24 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 			}
 		}
 		if got := sortedData(firsts); !equalSets(got, want) {
-			t.Errorf("Limit(%d): pages delivered %d distinct matches, brute force %d", k, len(got), len(want))
+			t.Errorf("%s Limit(%d): pages delivered %d distinct matches, brute force %d", q, k, len(got), len(want))
 		}
 		for i := 1; i < len(firsts); i++ {
 			if index(firsts[i]) < index(firsts[i-1]) {
-				t.Errorf("Limit(%d): match %d (%s) delivered after a higher curve index", k, i, firsts[i].Data)
+				t.Errorf("%s Limit(%d): match %d (%s) delivered after a higher curve index", q, k, i, firsts[i].Data)
 				break
 			}
 		}
+	}
+	for _, k := range []int{1, 3, 10} {
+		paginate(q, k)
+	}
+	point := keyspace.MustParse("(computer, network)")
+	if n := len(nw.BruteForceMatches(point)); n < 3+2 {
+		t.Fatalf("%s has %d matches: too few to cap a Limit(3) page", point, n)
+	}
+	for _, k := range []int{1, 3} {
+		paginate(point, k)
 	}
 
 	sr, _ := nw.QueryStream(0, q)

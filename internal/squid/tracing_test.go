@@ -78,7 +78,8 @@ func TestTraceCompleteness(t *testing.T) {
 		assertTraceCoversOwners(t, qs, nw, tr, res.Matches)
 	}
 
-	// The exact-point path (single DHT lookup) must trace too.
+	// The exact-point path (one full-resolution cell routed to its owner)
+	// must trace too.
 	e := elems[rng.Intn(len(elems))]
 	q := keyspace.MustParse(fmt.Sprintf("(%s, %s)", e.Values[0], e.Values[1]))
 	res, _ := nw.Query(0, q)
@@ -91,12 +92,12 @@ func TestTraceCompleteness(t *testing.T) {
 	}
 	found := false
 	for _, s := range tr.Spans {
-		if s.Kind == "lookup" {
+		if s.Kind == "cluster" && s.Level == nw.Space.Curve().Bits() && s.Clusters == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("exact query trace has no lookup span: %+v", tr.Spans)
+		t.Fatalf("exact query trace has no span of its one cell: %+v", tr.Spans)
 	}
 	assertTraceCoversOwners(t, "exact", nw, tr, res.Matches)
 }

@@ -28,7 +28,7 @@ import (
 const (
 	tagPublishMsg = wire.TagSquidBase + iota
 	tagUnpublishMsg
-	tagLookupMsg
+	_ // TagSquidBase+2, retired with LookupMsg: never reuse
 	tagClusterQueryMsg
 	_ // TagSquidBase+4, retired with QueryAckMsg: never reuse
 	_ // TagSquidBase+5, retired with BatchMsg: never reuse
@@ -305,26 +305,6 @@ func init() {
 			var m UnpublishMsg
 			m.Elem = decodeElement(d)
 			m.Replica = d.Bool()
-			return m
-		})
-	wire.Register(tagLookupMsg, LookupMsg{},
-		func(e *wire.Encoder, v any) {
-			m := v.(LookupMsg)
-			e.Uvarint(uint64(m.QID))
-			encodeQuery(e, m.Query)
-			e.U64(m.Key)
-			e.String(string(m.ReplyTo))
-			e.Uvarint(m.Token)
-			encodeTraceRef(e, m.Trace)
-		},
-		func(d *wire.Decoder) any {
-			var m LookupMsg
-			m.QID = QueryID(d.Uvarint())
-			m.Query = decodeQuery(d)
-			m.Key = d.U64()
-			m.ReplyTo = transport.Addr(d.String())
-			m.Token = d.Uvarint()
-			m.Trace = decodeTraceRef(d)
 			return m
 		})
 	wire.Register(tagClusterQueryMsg, (*ClusterQueryMsg)(nil),

@@ -240,10 +240,6 @@ var wireGens = map[reflect.Type]wireGen{
 	reflect.TypeOf(squid.UnpublishMsg{}): func(r *rand.Rand) any {
 		return squid.UnpublishMsg{Elem: genElement(r), Replica: r.Intn(2) == 0}
 	},
-	reflect.TypeOf(squid.LookupMsg{}): func(r *rand.Rand) any {
-		return squid.LookupMsg{QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
-			Key: r.Uint64(), ReplyTo: genAddr(r), Token: uint64(r.Intn(1 << 20)), Trace: genTraceRef(r)}
-	},
 	reflect.TypeOf(&squid.ClusterQueryMsg{}): func(r *rand.Rand) any { return genClusterQuery(r) },
 	reflect.TypeOf(squid.QueryShedMsg{}): func(r *rand.Rand) any {
 		return squid.QueryShedMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
@@ -387,7 +383,6 @@ func TestWireRoundTrip(t *testing.T) {
 		},
 		squid.QueryShedMsg{QID: 3, Token: 8, RetryAfterMS: 25},
 		&squid.SubResultMsg{QID: 3, Token: 8, Matches: []squid.Element{elem}},
-		squid.LookupMsg{QID: 1, Query: query, Key: 77, ReplyTo: "r", Token: 5},
 		squid.ReplicaMsg{Items: []chord.Item{{Key: 4, Value: []squid.Element{elem}}}},
 		squid.ClientPublishMsg{Elem: elem},
 		squid.ClientQueryMsg{Query: "(a*, *)", ReplyTo: "r", Token: 6},
@@ -592,6 +587,23 @@ func retiredAckFrame() []byte {
 	return e.Bytes()
 }
 
+// retiredLookupFrame is a frame in the layout of the deleted LookupMsg
+// (tag TagSquidBase+2, then QID, query, key, reply address, token and
+// trace ref), as a peer built before its removal would send it.
+func retiredLookupFrame() []byte {
+	var e wire.Encoder
+	e.Uvarint(wire.TagSquidBase + 2)
+	e.Uvarint(1)
+	e.Uvarint(0) // an empty query
+	e.U64(77)
+	e.String("r")
+	e.Uvarint(5)
+	e.Uvarint(0) // trace ref: parent, depth, mode
+	e.Int(0)
+	e.Uvarint(0)
+	return e.Bytes()
+}
+
 // fuzzDecoder is reused across every FuzzWireFrame input, the way a TCP
 // connection reuses its decoder frame after frame.
 var fuzzDecoder wire.Decoder
@@ -627,6 +639,7 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	f.Add(retiredBatchFrame(r))
 	f.Add(retiredAckFrame())
+	f.Add(retiredLookupFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.DecodeMessage(data)
 		reused, reusedErr := fuzzDecoder.Message(data)

@@ -35,7 +35,6 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagChordBase + 15: "[]chord.Item",
 		wire.TagSquidBase + 0:  "squid.PublishMsg",
 		wire.TagSquidBase + 1:  "squid.UnpublishMsg",
-		wire.TagSquidBase + 2:  "squid.LookupMsg",
 		wire.TagSquidBase + 3:  "*squid.ClusterQueryMsg",
 		wire.TagSquidBase + 6:  "squid.QueryShedMsg",
 		wire.TagSquidBase + 7:  "*squid.SubResultMsg",
@@ -52,6 +51,7 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 18: "squid.QueryCancelMsg",
 	}
 	retired := []uint64{
+		wire.TagSquidBase + 2, // LookupMsg
 		wire.TagSquidBase + 4, // QueryAckMsg
 		wire.TagSquidBase + 5, // BatchMsg
 	}
@@ -76,6 +76,9 @@ func TestWireTagRegistry(t *testing.T) {
 	}
 	if v, err := wire.DecodeMessage(retiredAckFrame()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("a frame under the retired QueryAckMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
+	}
+	if v, err := wire.DecodeMessage(retiredLookupFrame()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("a frame under the retired LookupMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
 	}
 	for tag, typ := range got {
 		if _, ok := want[tag]; !ok {

@@ -72,8 +72,9 @@ type Span struct {
 	Addr string // transport address of the recording node
 
 	// Kind classifies the span: "root" (query initiator), "cluster"
-	// (refinement hop), "lookup" (exact-point leaf), "lost" (subtree
-	// abandoned by the dispatcher after exhausting re-dispatch retries).
+	// (refinement hop, an exact query's one full-resolution cell
+	// included), "lost" (a subtree the dispatcher gave up on: abandoned
+	// after exhausting re-dispatch retries, or cut by a cancelled query).
 	Kind string
 
 	Prefix   uint64 // representative cluster prefix handled (first in batch)
@@ -192,10 +193,8 @@ func (t *Trace) Render(w io.Writer) {
 func (s Span) line() string {
 	switch s.Kind {
 	case "lost":
-		return fmt.Sprintf("LOST node=%x prefix=%x/%d depth=%d (abandoned after retries)",
+		return fmt.Sprintf("LOST node=%x prefix=%x/%d depth=%d (never reported)",
 			s.Node, s.Prefix, s.Level, s.Depth)
-	case "lookup":
-		return fmt.Sprintf("lookup node=%x depth=%d matches=%d", s.Node, s.Depth, s.Matches)
 	default:
 		return fmt.Sprintf("%s node=%x prefix=%x/%d depth=%d clusters=%d local=%d children=%d matches=%d retries=%d",
 			s.Kind, s.Node, s.Prefix, s.Level, s.Depth, s.Clusters, s.Local, s.Children, s.Matches, s.Retries)

@@ -13,7 +13,7 @@ func sampleTrace() Trace {
 			{QID: 7, ID: 1, Parent: 0, Kind: "root", Node: 0xa, Clusters: 4, Children: 2, Matches: 1},
 			{QID: 7, ID: 2, Parent: 1, Depth: 1, Kind: "cluster", Node: 0xb, Clusters: 2, Matches: 3},
 			{QID: 7, ID: 3, Parent: 1, Depth: 1, Kind: "lost", Node: 0xc, Abandoned: true},
-			{QID: 7, ID: 4, Parent: 2, Depth: 2, Kind: "lookup", Node: 0xd, Matches: 2},
+			{QID: 7, ID: 4, Parent: 2, Depth: 2, Kind: "cluster", Node: 0xd, Prefix: 0x3c, Level: 16, Clusters: 1, Local: 1, Matches: 2},
 		},
 	}
 }
@@ -54,7 +54,7 @@ func TestTraceRender(t *testing.T) {
 		"root node=a",
 		"cluster node=b",
 		"LOST node=c",
-		"lookup node=d",
+		"cluster node=d prefix=3c/16",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

@@ -42,10 +42,11 @@ var (
 // preamble's address as their sender; version 3 drops the query protocol's
 // receipt ack (ClusterQueryMsg lost a byte); version 4 turns
 // ClusterQueryMsg's Stream byte into a flags field that may carry a page
-// cap (Keep, From), which a version-3 peer would misdecode. See DESIGN.md
-// §4i.
+// cap (Keep, From), which a version-3 peer would misdecode; version 5
+// retires LookupMsg's tag, which an exact query no longer sends (its one
+// cell rides a ClusterQueryMsg). See DESIGN.md §4i.
 const (
-	wireVersion = 0x04
+	wireVersion = 0x05
 	wireAck     = 0x01
 )
 
