@@ -45,7 +45,7 @@ func newNodeMetrics(reg *telemetry.Registry, id ID) nodeMetrics {
 		findFailures:  failures.With(node, "find"),
 		stateFailures: failures.With(node, "state"),
 		lookupHops: reg.HistogramVec("squid_chord_lookup_hops",
-			"ring hops per resolved FindSuccessor lookup", lookupHopBuckets, "node").With(node),
+			"FindMsg sends per FindSuccessor lookup answered by another node (a lookup this node answers itself is not observed)", lookupHopBuckets, "node").With(node),
 		stabilizeRounds: reg.CounterVec("squid_chord_stabilize_rounds_total",
 			"stabilization rounds that probed the successor", "node").With(node),
 		fingerFixes: reg.CounterVec("squid_chord_finger_fixes_total",

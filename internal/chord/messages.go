@@ -39,9 +39,10 @@ var (
 )
 
 // FindMsg asks the ring to locate successor(Target). It is routed greedily
-// via finger tables; the owner replies to ReplyTo with a FoundMsg carrying
-// Token. Hops counts forwards; Trace tags the originating operation for
-// metrics (0 = untraced).
+// via finger tables until it reaches a node that owns Target or whose
+// successor does (the owner's predecessor, as in Chord's find_successor);
+// that node replies to ReplyTo with a FoundMsg carrying Token. Hops counts
+// sends; Trace tags the originating operation for metrics (0 = untraced).
 type FindMsg struct {
 	Target  ID
 	Token   uint64
@@ -50,9 +51,11 @@ type FindMsg struct {
 	Trace   uint64
 }
 
-// FoundMsg answers a FindMsg: Owner is successor(Target), Pred the owner's
-// predecessor at reply time. Trace carries the originating FindMsg's trace
-// tag for metrics.
+// FoundMsg answers a FindMsg: Owner is successor(Target) and Pred the
+// owner's predecessor, both as the answering node sees them. The answer
+// usually comes from that predecessor, and then Pred is the answering node
+// itself; an owner that answers for itself names its own predecessor.
+// Trace carries the originating FindMsg's trace tag for metrics.
 type FoundMsg struct {
 	Token uint64
 	Owner NodeRef

@@ -3,7 +3,6 @@ package chord
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -97,7 +96,7 @@ type Node struct {
 	// rng drives retry jitter; seeded by the node identifier so backoff
 	// schedules are deterministic per node. Confined to the delivery
 	// goroutine like the rest of the mutable state.
-	rng *rand.Rand
+	rng transport.SplitMix
 	ctr nodeMetrics
 }
 
@@ -179,7 +178,7 @@ func NewNode(cfg Config, id ID, app App) *Node {
 		app:           app,
 		pendingFinds:  make(map[uint64]findCall),
 		pendingStates: make(map[uint64]stateCall),
-		rng:           rand.New(rand.NewSource(int64(uint64(id)) + 1)),
+		rng:           transport.SplitMix(id),
 		ctr:           newNodeMetrics(cfg.Telemetry, folded),
 	}
 }
@@ -441,6 +440,8 @@ func (n *Node) FindSuccessor(target ID, trace uint64, cb func(FoundMsg, error)) 
 // optimization uses to batch sub-queries). Transient failures (timeout,
 // unstable ring, unreachable next hop) are retried up to Config.RPCRetries
 // times with jittered exponential backoff before h receives the error.
+// When this node or its successor owns target, h.Found runs before
+// FindSuccessorTo returns, and no message is sent.
 func (n *Node) FindSuccessorTo(target ID, trace uint64, h FoundHandler) {
 	n.findOnce(findCall{target: target, trace: trace, h: h})
 }
@@ -449,8 +450,8 @@ func (n *Node) FindSuccessorTo(target ID, trace uint64, h FoundHandler) {
 func (n *Node) findOnce(c findCall) {
 	c.target = n.cfg.Space.Fold(uint64(c.target))
 	kind, next := nextHop(n.cfg.Space, &n.view, c.target, 0, nil)
-	if kind == hopDeliver {
-		c.h.Found(FoundMsg{Owner: n.view.Self, Pred: n.view.Pred}, nil)
+	if owner, pred, ok := n.answer(kind, next); ok {
+		c.h.Found(FoundMsg{Owner: owner, Pred: pred}, nil)
 		return
 	}
 	tok := n.token()
@@ -483,12 +484,26 @@ func (n *Node) findDone(c findCall, m FoundMsg, err error) {
 	n.retryAfter(c.attempt-1, func() { n.findOnce(c) })
 }
 
+// answer is the owner of a lookup's target and that owner's predecessor,
+// when nextHop's verdict at this node settles them: this node owns the
+// target, or its successor does (hopLast), and then this node is the
+// predecessor that answers for it. Chord's find_successor stops there too.
+func (n *Node) answer(kind hopKind, next NodeRef) (owner, pred NodeRef, ok bool) {
+	switch kind {
+	case hopDeliver:
+		return n.view.Self, n.view.Pred, true
+	case hopLast:
+		return next, n.view.Self, true
+	}
+	return NodeRef{}, NodeRef{}, false
+}
+
 // handleFind owns m: it answers the lookup here or forwards m itself one
 // hop on.
 func (n *Node) handleFind(m *FindMsg) {
 	kind, next := nextHop(n.cfg.Space, &n.view, m.Target, m.Hops, nil)
-	if kind == hopDeliver {
-		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Owner: n.view.Self, Pred: n.view.Pred, Hops: m.Hops, Trace: m.Trace})
+	if owner, pred, ok := n.answer(kind, next); ok {
+		n.sendFound(m.ReplyTo, FoundMsg{Token: m.Token, Owner: owner, Pred: pred, Hops: m.Hops, Trace: m.Trace})
 		finds.Put(m)
 		return
 	}

@@ -60,7 +60,9 @@ func TestRetryExhaustion(t *testing.T) {
 
 // TestRetryRecovers: a lookup whose first attempts are eaten by a lossy
 // link succeeds once the fault clears — the backoff policy rides out the
-// outage instead of surfacing it.
+// outage instead of surfacing it. The lookup needs a remote hop: a names
+// b as its successor and b answers for its own successor c, so a cannot
+// answer it locally.
 func TestRetryRecovers(t *testing.T) {
 	net := transport.NewInproc()
 	space := MustSpace(10)
@@ -81,12 +83,12 @@ func TestRetryRecovers(t *testing.T) {
 	}
 	a := mk("a", 100)
 	b := mk("b", 600)
-	a.Invoke(func() {
-		a.InstallRing(b.Self(), []NodeRef{b.Self()}, nil)
-	})
-	b.Invoke(func() {
-		b.InstallRing(a.Self(), []NodeRef{a.Self()}, nil)
-	})
+	c := mk("c", 800)
+	for _, n := range []struct{ n, pred, succ, next *Node }{{a, c, b, c}, {b, a, c, a}, {c, b, a, b}} {
+		n.n.Invoke(func() {
+			n.n.InstallRing(n.pred.Self(), []NodeRef{n.succ.Self(), n.next.Self()}, nil)
+		})
+	}
 	net.Quiesce()
 
 	// Everything a sends to b vanishes; the find must fail over to the
@@ -94,7 +96,7 @@ func TestRetryRecovers(t *testing.T) {
 	net.Faults().SetLinkDrop("a", "b", 1.0)
 	done := make(chan FoundMsg, 1)
 	a.Invoke(func() {
-		a.FindSuccessor(500, 0, func(m FoundMsg, err error) {
+		a.FindSuccessor(700, 0, func(m FoundMsg, err error) {
 			if err != nil {
 				t.Errorf("find failed despite retries: %v", err)
 			}
@@ -107,8 +109,8 @@ func TestRetryRecovers(t *testing.T) {
 
 	select {
 	case m := <-done:
-		if m.Owner.ID != 600 {
-			t.Fatalf("successor(500) = %v, want id 600", m.Owner)
+		if m.Owner.ID != 800 || m.Pred.ID != 600 {
+			t.Fatalf("successor(700) = %v with predecessor %v, want ids 800 and 600", m.Owner, m.Pred)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("find never completed after the link healed")

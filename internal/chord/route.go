@@ -11,6 +11,7 @@ type hopKind uint8
 
 const (
 	hopForward   hopKind = iota // to the returned candidate
+	hopLast                     // to the returned successor, which owns the target
 	hopDeliver                  // here: the deciding node owns the target
 	hopOverLimit                // dropped: forwarded maxHops times already
 	hopExhausted                // dropped: no candidate is left untried
@@ -30,7 +31,9 @@ func maxHops(sp Space) int { return 3*sp.Bits + 32 }
 // Otherwise the candidates come in stage order: the successor when target
 // lies in (self, succ], the closest preceding finger or successor-list
 // entry, the successor list, every finger. The first that is not zero,
-// self or in tried is the next hop.
+// self or in tried is the next hop. A successor picked in the first stage
+// is the target's owner in v, so the verdict is hopLast: a lookup is
+// answered here, and everything else forwards as for hopForward.
 func nextHop(sp Space, v *Snapshot, target ID, hops int, tried []transport.Addr) (hopKind, NodeRef) {
 	if sp.InArc(target, v.Pred, v.Self) {
 		return hopDeliver, NodeRef{}
@@ -39,7 +42,7 @@ func nextHop(sp Space, v *Snapshot, target ID, hops int, tried []transport.Addr)
 		return hopOverLimit, NodeRef{}
 	}
 	if succ := v.succ(); sp.Between(target, v.Self.ID, succ.ID) && untried(v, tried, succ) {
-		return hopForward, succ
+		return hopLast, succ
 	}
 	if c := v.closestPreceding(sp, target); untried(v, tried, c) {
 		return hopForward, c

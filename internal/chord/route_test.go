@@ -212,15 +212,18 @@ func eachStaleState(sp Space, ids, dead []ID, stale []int, seen map[string]bool,
 	fn(r)
 }
 
+// forwards reports whether a routed message moves on under verdict k.
+func forwards(k hopKind) bool { return k == hopForward || k == hopLast }
+
 // decide is member at's routing of a message for target that has been
 // forwarded hops times, with dead candidates failing their send: nextHop's
-// verdict and, for hopForward, the live member the message goes to.
+// verdict and, for a forward, the live member the message goes to.
 func (r *smallRing) decide(sp Space, at, target ID, hops int) (hopKind, ID) {
 	v := r.views[at]
 	var buf [4]transport.Addr
 	tried := buf[:0]
 	kind, c := nextHop(sp, v, target, hops, nil)
-	for kind == hopForward && !r.live(c.ID) {
+	for forwards(kind) && !r.live(c.ID) {
 		tried = append(tried, c.Addr)
 		kind, c = nextHop(sp, v, target, hops, tried)
 	}
@@ -234,7 +237,7 @@ func walkSmall(sp Space, r *smallRing, from, target ID) ([]ID, hopKind) {
 	path := []ID{from}
 	for hops := 0; ; hops++ {
 		kind, next := r.decide(sp, path[len(path)-1], target, hops)
-		if kind != hopForward {
+		if !forwards(kind) {
 			return path, kind
 		}
 		path = append(path, next)
@@ -257,12 +260,21 @@ var gapLoop = struct {
 }{[]ID{0, 1, 2}, []ID{0}, []int{stalePred}, 1, 0, []ID{1, 2}}
 
 // TestNextHopSmallRings walks nextHop from every live member to every key
-// of every enumerated ring state. Where no live member's predecessor is
-// dead, every walk must reach the key's owner, every hop must bring the
-// message strictly closer to the key or land on the owner, and no walk
-// may visit a node twice. Where a dead predecessor is kept as an arc
-// boundary, a walk may circle instead; the first one that does must be
-// the committed gapLoop, which must circle until the hop limit.
+// of every enumerated ring state, once as a routed message and once as a
+// lookup. Where no live member's predecessor is dead, every route walk
+// must reach the key's owner, every hop must bring the message strictly
+// closer to the key or land on the owner, and no walk may visit a node
+// twice. Where a dead predecessor is kept as an arc boundary, a route walk
+// may circle instead; the first one that does must be the committed
+// gapLoop, which must circle until the hop limit.
+//
+// A lookup follows the route walk's path until a member's first verdict
+// settles the owner: the owner answers for itself, and the predecessor
+// (hopLast) names its successor without a send. With no dead arc boundary
+// every lookup is answered, one hop short of the route walk or at its end,
+// and names the true owner and that owner's live predecessor, unless the
+// answering member's successor is a dead entry it has not dropped yet:
+// then it names the dead member whose arc the true owner took over.
 //
 // Below the hop limit a member's decision does not depend on the hop
 // count, so each state's decisions are computed once per member and key,
@@ -270,59 +282,74 @@ var gapLoop = struct {
 func TestNextHopSmallRings(t *testing.T) {
 	t.Parallel()
 	sp := MustSpace(smallBits)
-	states, walks, circled := 0, 0, 0
-	var first *smallRing
-	var firstFrom, firstTarget ID
-	var kinds [1 << smallBits][1 << smallBits]hopKind
-	var nexts [1 << smallBits][1 << smallBits]ID
+	states, walks, circled, lookups, shorter, deadAnswers := 0, 0, 0, 0, 0, 0
+	var loop *smallRing
+	var loopFrom, loopTarget ID
+	var first, final decisions
 	eachSmallRing(func(r *smallRing) {
 		states++
 		boundary := r.deadBoundary()
 		for _, at := range r.ids {
 			for target := ID(0); r.live(at) && target < 1<<smallBits; target++ {
-				kinds[at][target], nexts[at][target] = r.decide(sp, at, target, 0)
+				final.kind[at][target], final.next[at][target] = r.decide(sp, at, target, 0)
+				k, c := nextHop(sp, r.views[at], target, 0, nil)
+				first.kind[at][target], first.next[at][target] = k, c.ID
 			}
 		}
 		for _, from := range r.ids {
 			for target := ID(0); r.live(from) && target < 1<<smallBits; target++ {
 				walks++
 				owner := r.owner(target)
-				at, seen, progress := from, uint64(0), true
-				for kinds[at][target] == hopForward && seen&(1<<at) == 0 {
+				at, seen, progress, hops := from, uint64(0), true, 0
+				for forwards(final.kind[at][target]) && seen&(1<<at) == 0 {
+					hops++
 					seen |= 1 << at
-					next := nexts[at][target]
+					next := final.next[at][target]
 					progress = progress && seen&(1<<next) == 0 &&
 						(next == owner || sp.Dist(next, target) < sp.Dist(at, target))
 					at = next
 				}
 				switch {
-				case kinds[at][target] == hopDeliver && at == owner:
+				case final.kind[at][target] == hopDeliver && at == owner:
 					if !boundary && !progress {
 						t.Fatalf("%s: the walk from %d for key %d revisits a node or makes no progress", r, from, target)
 					}
-				case !boundary || kinds[at][target] != hopForward:
+					if !boundary {
+						lookups++
+						switch r.checkFind(t, sp, &first, &final, from, target, hops) {
+						case hops - 1:
+							shorter++
+						case -1:
+							deadAnswers++
+						}
+					}
+				case !boundary || !forwards(final.kind[at][target]):
 					t.Fatalf("%s: the walk from %d for key %d ends at %d with verdict %d, owner %d",
-						r, from, target, at, kinds[at][target], owner)
+						r, from, target, at, final.kind[at][target], owner)
 				default:
 					circled++
-					if first == nil {
-						first, firstFrom, firstTarget = r, from, target
+					if loop == nil {
+						loop, loopFrom, loopTarget = r, from, target
 					}
 				}
 			}
 		}
 	})
-	t.Logf("%d ring states, %d walks, %d circle", states, walks, circled)
-	if first == nil {
+	t.Logf("%d ring states, %d walks, %d circle; of %d lookups with no dead boundary, %d take one hop fewer than the route and %d name a dead successor",
+		states, walks, circled, lookups, shorter, deadAnswers)
+	if shorter == 0 {
+		t.Fatal("no lookup was answered by the owner's predecessor")
+	}
+	if loop == nil {
 		t.Fatal("no walk circles: the gap loop is gone, so gapLoop and this test's expectation must flip")
 	}
 	g := gapLoop
-	if !slices.Equal(first.ids, g.ring) || !slices.Equal(first.dead, g.dead) || !slices.Equal(first.stale, g.stale) ||
-		firstFrom != g.from || firstTarget != g.target {
+	if !slices.Equal(loop.ids, g.ring) || !slices.Equal(loop.dead, g.dead) || !slices.Equal(loop.stale, g.stale) ||
+		loopFrom != g.from || loopTarget != g.target {
 		t.Fatalf("first circling walk: %s from %d for key %d; want ring %v dead %v stale %v from %d for key %d",
-			first, firstFrom, firstTarget, g.ring, g.dead, g.stale, g.from, g.target)
+			loop, loopFrom, loopTarget, g.ring, g.dead, g.stale, g.from, g.target)
 	}
-	path, kind := walkSmall(sp, first, g.from, g.target)
+	path, kind := walkSmall(sp, loop, g.from, g.target)
 	if kind != hopOverLimit || len(path) != maxHops(sp)+1 {
 		t.Fatalf("gap loop walk ends %d after %d nodes, want the hop limit after %d", kind, len(path), maxHops(sp)+1)
 	}
@@ -331,6 +358,59 @@ func TestNextHopSmallRings(t *testing.T) {
 			t.Fatalf("gap loop walk %v does not circle %v", path, g.cycle)
 		}
 	}
+}
+
+// decisions holds every live member's verdict and pick for every key of
+// one state, indexed by member and key.
+type decisions struct {
+	kind [1 << smallBits][1 << smallBits]hopKind
+	next [1 << smallBits][1 << smallBits]ID
+}
+
+// livePred is the last live member before id on the ring.
+func (r *smallRing) livePred(sp Space, id ID) ID {
+	p := sp.Add(id, 1<<smallBits-1)
+	for !r.live(p) {
+		p = sp.Add(p, 1<<smallBits-1)
+	}
+	return p
+}
+
+// checkFind walks a lookup for target from member from over a state with
+// no dead arc boundary and checks its answer against the oracle and the
+// route walk, which took routeHops. first holds each member's first
+// verdict and pick, final its decision once dead candidates failed their
+// send. It returns the lookup's hops, or -1 if the answer named a dead
+// successor.
+func (r *smallRing) checkFind(t *testing.T, sp Space, first, final *decisions, from, target ID, routeHops int) int {
+	t.Helper()
+	at, hops := from, 0
+	for ; first.kind[at][target] != hopDeliver && first.kind[at][target] != hopLast; hops++ {
+		if !forwards(final.kind[at][target]) || hops == len(r.ids) {
+			t.Fatalf("%s: the lookup from %d for key %d is not answered: verdict %d at %d after %d hops",
+				r, from, target, final.kind[at][target], at, hops)
+		}
+		at = final.next[at][target]
+	}
+	owner, pred := at, r.views[at].Pred.ID
+	if first.kind[at][target] == hopLast {
+		owner, pred = first.next[at][target], at
+	}
+	if !r.live(owner) {
+		if owner != r.views[at].Succs[0].ID || r.owner(owner) != r.owner(target) {
+			t.Fatalf("%s: the lookup from %d for key %d names dead %d, which is not %d's successor entry before the owner",
+				r, from, target, owner, at)
+		}
+		return -1
+	}
+	if owner != r.owner(target) || pred != r.livePred(sp, owner) {
+		t.Fatalf("%s: the lookup from %d for key %d answers owner %d pred %d, want %d and %d",
+			r, from, target, owner, pred, r.owner(target), r.livePred(sp, owner))
+	}
+	if hops != routeHops && hops != routeHops-1 {
+		t.Fatalf("%s: the lookup from %d for key %d takes %d hops, the route %d", r, from, target, hops, routeHops)
+	}
+	return hops
 }
 
 // refClosestPreceding and refForwardToward are the routing code nextHop

@@ -97,14 +97,14 @@ func TestQueryMessagesByKind(t *testing.T) {
 	}
 
 	want := map[string]int{
-		"*chord.FindMsg":                          2067,
-		"*chord.FoundMsg":                         931,
+		"*chord.FindMsg":                          1135,
+		"*chord.FoundMsg":                         546,
 		"*chord.RouteMsg[*squid.ClusterQueryMsg]": 160,
 		"*squid.ClusterQueryMsg":                  932,
-		"*squid.PartialResultMsg":                 442,
+		"*squid.PartialResultMsg":                 443,
 		"*squid.SubResultMsg":                     968,
 	}
-	const wantTotal = 5500 // 55.56 per query
+	const wantTotal = 4184 // 42.26 per query
 	total := 0
 	for _, n := range byKind {
 		total += n

@@ -44,7 +44,7 @@ type Options struct {
 	// root (0 disables): repeated queries over popular regions skip the
 	// FindSuccessor handshake — the hot-spot mitigation the paper lists as
 	// future work. Stale entries are harmless: a mis-directed batch is
-	// re-dispatched by its receiver, which always probes authoritatively.
+	// re-dispatched by its receiver, which always probes through the ring.
 	ProbeCacheSize int
 	// ResultCacheSize bounds the popular-cluster result cache (0 disables):
 	// leaf subtrees — cluster batches resolved entirely against the local
@@ -358,6 +358,10 @@ type childCall struct {
 	key      uint64        // curve index the re-dispatch routes to: the lowest of clusters
 	attempts int
 	timer    transport.Timer
+	// unsent marks a child whose message waits in its dispatch round until
+	// the round flushes: cutting the parent before then sends no cancel
+	// and records no lost span, since no subtree exists yet.
+	unsent bool
 }
 
 // newEngine fills in the Options defaults and builds the engine behind New.
@@ -638,8 +642,8 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 		e.startDeadline(st)
 		e.watchCtx(ctx, st)
 		st.cell[0] = sfc.Refined{Cluster: sfc.Cluster{Prefix: idx, Level: curve.Bits()}, Complete: true}
-		tok := e.addChild(st, idx, st.cell[:])
-		e.node.Route(chord.ID(idx), e.childQuery(st, st.cell[:], tok), uint64(qid))
+		c := e.addChild(st, idx, st.cell[:])
+		e.node.Route(chord.ID(idx), e.childQuery(st, st.cell[:], c.token), uint64(qid))
 		return nil
 	}
 
@@ -985,9 +989,11 @@ func (e *Engine) completeEarly(st *subtree) {
 	e.finishSubtree(st)
 }
 
-// teardownChildren cancels every outstanding child of st, sending each a
-// downstream QueryCancelMsg, and folds the children's curve positions into
-// st's resume-cursor cut point.
+// teardownChildren cancels every outstanding child of st, sending each
+// one that left the node a downstream QueryCancelMsg, and folds the
+// children's curve positions into st's resume-cursor cut point. A child
+// still buffered in a dispatch round has no subtree to cancel: the round's
+// flush drops its message.
 func (e *Engine) teardownChildren(st *subtree) {
 	for tok, c := range e.children {
 		if c.st != st {
@@ -996,7 +1002,9 @@ func (e *Engine) teardownChildren(st *subtree) {
 		delete(e.children, tok)
 		c.timer.Stop()
 		st.noteCut(c.key)
-		e.sendCancel(st, c)
+		if !c.unsent {
+			e.sendCancel(st, c)
+		}
 		giveBack(e, &childCalls, c, st)
 	}
 }
@@ -1135,7 +1143,7 @@ func (e *Engine) noteProcessed(qid QueryID, clusters, matches int, sink bool) {
 // addChild registers one dispatched child of st under a fresh token and
 // arms its recovery deadline. clusters is the re-dispatch payload, key the
 // lowest index in it.
-func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint64 {
+func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) *childCall {
 	e.nextToken++
 	c := childCalls.Get()
 	*c = childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
@@ -1144,7 +1152,7 @@ func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint6
 	st.sent++
 	e.met.subtreesSent.Inc()
 	e.armChild(c)
-	return c.token
+	return c
 }
 
 // dropChild unregisters a child whose dispatch failed before it left the
@@ -1201,6 +1209,7 @@ func (e *Engine) childExpired(tok uint64) {
 	e.met.redispatches.Inc()
 	st := c.st
 	st.retries++
+	c.unsent = false
 	e.node.Route(chord.ID(c.key), e.childQuery(st, c.clusters, c.token), uint64(st.qid))
 	e.armChild(c)
 }
@@ -1304,7 +1313,7 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 	}
 	if st.spanID != 0 {
 		for _, c := range e.children {
-			if c.st == st {
+			if c.st == st && !c.unsent {
 				st.spans = append(st.spans, e.lostSpan(st, c))
 			}
 		}
@@ -1535,8 +1544,8 @@ func (r *dispatchRound) routeOne(cls []sfc.Refined) {
 		st.noteCut(lo)
 		return
 	}
-	tok := e.addChild(st, lo, cls)
-	e.node.Route(chord.ID(lo), e.childQuery(st, cls, tok), uint64(st.qid))
+	c := e.addChild(st, lo, cls)
+	e.node.Route(chord.ID(lo), e.childQuery(st, cls, c.token), uint64(st.qid))
 }
 
 // step resolves the owner of the lowest remaining cluster: from the probe
@@ -1568,16 +1577,22 @@ func (r *dispatchRound) step() {
 
 // Found takes the probe's answer for rem[0]. A failed probe (ring
 // unstable) falls back to blind routing for the head cluster; a subtree
-// that finished while the probe was in flight stops in step.
+// that finished while the probe was in flight stops in step. An answer
+// naming this node for a head outside its own arc counts as failed: the
+// answering predecessor's successor view and this node's predecessor view
+// disagree (a join in progress, or a dead predecessor kept as suspect),
+// and sending the cluster here would probe it again and get the same
+// answer, without end. The route is bounded by the hop limit.
 func (r *dispatchRound) Found(m chord.FoundMsg, err error) {
 	r.st.checkLive()
+	e := r.e
 	switch {
 	case r.st.finished:
-	case err != nil:
+	case err != nil || m.Owner.Addr == e.node.Self().Addr && !e.node.Owns(chord.ID(r.rem[0].Span(r.curve).Lo)):
 		r.routeOne(r.rem[:1:1])
 		r.rem = r.rem[1:]
 	default:
-		r.e.cacheInsert(m.Pred, m.Owner)
+		e.cacheInsert(m.Pred, m.Owner)
 		n := 1
 		if !m.Pred.IsZero() {
 			n = r.runIn(m.Pred, m.Owner)
@@ -1620,8 +1635,9 @@ func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
 			return
 		}
 	}
-	tok := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
-	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.e.childQuery(r.st, cls, tok)})
+	c := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
+	c.unsent = true
+	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.e.childQuery(r.st, cls, c.token)})
 }
 
 // flush sends the buffered round, one ClusterQueryMsg per destination.
@@ -1651,6 +1667,9 @@ func (r *dispatchRound) flush() {
 		e.debugDispatch(dests, r.merged)
 	}
 	for _, p := range r.pending {
+		if c, ok := e.children[p.msg.Token]; ok {
+			c.unsent = false
+		}
 		if !e.send(p.dest, p.msg) {
 			// Destination died between probe and flush: untrack the
 			// buffered child and blind-route its clusters through the

@@ -19,11 +19,14 @@ import (
 // QueryCancelMsg per outstanding child, one "lost" span per cut child in
 // the trace, and no ClusterQueryMsg from a cut subtree once its cancel has
 // arrived. The callback still gets ErrPartialResult with every match the
-// root had gathered: its own and those of the children that answered.
+// root had gathered: its own and those of the children that answered. No
+// node cancels a child whose ClusterQueryMsg it never sent: a cut that
+// falls while a dispatch round waits on an owner probe drops the round's
+// buffered messages instead.
 func TestQueryCutTearsDown(t *testing.T) {
 	const link = 10 * time.Millisecond
 	des := onEventCore(t, sim.Config{Nodes: 100, Space: schedSpace(t), Seed: 3, Trace: true,
-		Engine: squid.Options{QueryDeadline: 50 * link},
+		Engine: squid.Options{QueryDeadline: 35 * link},
 		Net:    transport.FaultConfig{Seed: 1, MinLatency: link, MaxLatency: link}})
 	nw := des.Network
 	preloadDocs(t, nw, 3000)
@@ -38,10 +41,16 @@ func TestQueryCutTearsDown(t *testing.T) {
 		replyTo  transport.Addr
 		token    uint64
 	}
+	type child struct {
+		replyTo transport.Addr
+		token   uint64
+	}
 	var (
 		queries []dispatch              // every ClusterQueryMsg, bare or routed
 		cancels []dispatch              // every hop of every QueryCancelMsg
 		replies = map[uint64][]string{} // SubResultMsg matches sent to the root, by token
+		sent    = map[child]bool{}      // every child a ClusterQueryMsg carried so far
+		unsent  []child                 // cancelled before any ClusterQueryMsg carried them
 	)
 	var qid squid.QueryID
 	des.Net.SetObserver(func(from, to transport.Addr, msg any) {
@@ -53,10 +62,14 @@ func TestQueryCutTearsDown(t *testing.T) {
 		case *squid.ClusterQueryMsg:
 			if m.QID == qid {
 				queries = append(queries, dispatch{at, from, to, m.ReplyTo, m.Token})
+				sent[child{m.ReplyTo, m.Token}] = true
 			}
 		case squid.QueryCancelMsg:
 			if m.QID == qid {
 				cancels = append(cancels, dispatch{at, from, to, m.ReplyTo, m.Token})
+				if c := (child{m.ReplyTo, m.Token}); !sent[c] {
+					unsent = append(unsent, c)
+				}
 			}
 		case *squid.SubResultMsg:
 			if m.QID == qid && to == root {
@@ -79,6 +92,9 @@ func TestQueryCutTearsDown(t *testing.T) {
 	}
 	if !errors.Is(res.Err, squid.ErrPartialResult) {
 		t.Fatalf("cut query: err %v, want ErrPartialResult", res.Err)
+	}
+	if len(unsent) > 0 {
+		t.Fatalf("%d cancels for children no ClusterQueryMsg had carried, the first %+v", len(unsent), unsent[0])
 	}
 
 	// The root's children, and the first hop of each cancel it sent.

@@ -91,7 +91,7 @@ func TestBookkeepingRecycles(t *testing.T) {
 	// A limited stream's early completion cancels remote subtrees, on the
 	// event core, where the cut falls in the same place every run.
 	t.Run("streams", func(t *testing.T) {
-		nw := onEventCore(t, sim.Config{Nodes: 30, Space: schedSpace(t), Seed: 42}).Network
+		nw := onEventCore(t, sim.Config{Nodes: 30, Space: schedSpace(t), Seed: 7}).Network
 		preloadDocs(t, nw, 2000)
 		var cur squid.Cursor
 		for page := range 4 {

@@ -36,7 +36,7 @@ import (
 // A stale arcView is harmless for the same reason a stale probe-cache
 // entry is: the store only holds keys the node owns, scans of handed-over
 // spans find nothing, and clusters misclassified as remote are re-routed
-// by the ring to the current owner, which re-probes authoritatively.
+// by the ring to the current owner, which re-probes through the ring.
 type scheduler struct {
 	e       *Engine
 	workers int

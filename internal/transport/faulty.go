@@ -73,7 +73,7 @@ type Faults struct {
 // determinism guarantee: a link's schedule depends only on the seed and its
 // own message order.
 type linkState struct {
-	rng   uint64
+	rng   SplitMix
 	floor int64
 }
 
@@ -157,19 +157,24 @@ func linkHash(k uint64) uint64 {
 	return k ^ (k >> 31)
 }
 
-// next advances the splitmix64 sequence (Steele et al., "Fast Splittable
-// Pseudorandom Number Generators").
-func (s *linkState) next() uint64 {
-	s.rng += 0x9e3779b97f4a7c15
-	z := s.rng
+// SplitMix is a splitmix64 sequence (Steele et al., "Fast Splittable
+// Pseudorandom Number Generators") whose state is a 64-bit counter: 8 bytes
+// and a few arithmetic ops per draw. Set it to a seed before the first
+// draw. Not safe for concurrent use.
+type SplitMix uint64
+
+// Next advances the sequence and returns its next draw.
+func (s *SplitMix) Next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// float64 returns a uniform draw in [0, 1) from the link's sequence.
-func (s *linkState) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
+// Float64 returns a uniform draw in [0, 1).
+func (s *SplitMix) Float64() float64 {
+	return float64(s.Next()>>11) / (1 << 53)
 }
 
 // NewFaults returns a fault plan configured by cfg.
@@ -341,10 +346,10 @@ func (f *Faults) admit(from, to uint32, now int64) (at int64, ok bool) {
 	}
 	st, fresh := f.links.get(key)
 	if fresh {
-		st.rng = f.linkSeed(from, to)
+		st.rng = SplitMix(f.linkSeed(from, to))
 	}
-	dropDraw := st.float64()
-	latDraw := st.float64()
+	dropDraw := st.rng.Float64()
+	latDraw := st.rng.Float64()
 	if rate > 0 && dropDraw < rate {
 		f.stats.Dropped++
 		if met != nil {
