@@ -487,6 +487,37 @@ func TestJoinUnreachableSeed(t *testing.T) {
 	}
 }
 
+// TestJoinPastDeadSuccessorEntry: the seed still names a dead member as
+// its successor, whose arc the live owner has already taken over, so the
+// seed answers the joiner's lookup with the dead member. The joiner's
+// request then goes to the seed, whose routing forwards it past the dead
+// entry to the live owner, and the join succeeds.
+func TestJoinPastDeadSuccessorEntry(t *testing.T) {
+	r := newTestRing(t, 10, []uint64{100, 600, 800})
+	a, b, c := r.nodes[0], r.nodes[1], r.nodes[2]
+	r.net.Kill(b.Self().Addr)
+	// c has rectified its predecessor to a; a has not yet dropped b.
+	a.Invoke(func() { a.InstallRing(c.Self(), []NodeRef{b.Self(), c.Self()}, nil) })
+	c.Invoke(func() { c.InstallRing(a.Self(), []NodeRef{a.Self()}, nil) })
+	r.net.Quiesce()
+	found := make(chan FoundMsg, 1)
+	a.Invoke(func() { a.FindSuccessor(500, 0, func(m FoundMsg, err error) { found <- m }) })
+	if m := <-found; m.Owner.Addr != b.Self().Addr {
+		t.Fatalf("a answers the lookup for 500 with %v, want the dead %v", m.Owner, b.Self())
+	}
+
+	j := NewNode(Config{Space: r.space}, 500, newKVApp(r.space))
+	ep, err := r.net.Listen("j", j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start(ep)
+	r.join(j, a.Self().Addr)
+	if st := r.state(j); st.succ.Addr != c.Self().Addr || st.pred.Addr != a.Self().Addr {
+		t.Errorf("joiner linked as pred %v / succ %v, want %v / %v", st.pred, st.succ, a.Self(), c.Self())
+	}
+}
+
 func TestSequentialGrowthKeepsLookupLogarithmic(t *testing.T) {
 	// Grow a ring to 64 nodes and confirm lookups resolve with hop counts
 	// far below N (finger tables work).

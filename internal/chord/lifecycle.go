@@ -52,7 +52,11 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 			n.finishJoin(fmt.Errorf("%w: identifier %x already taken", ErrJoinRefused, uint64(n.view.Self.ID)))
 			return
 		}
-		if !n.send(m.Owner.Addr, JoinReqMsg{New: n.view.Self}) {
+		// The answering predecessor may still name a dead successor as the
+		// owner; then the request goes to that predecessor, whose routing
+		// forwards it past dead candidates to the live owner.
+		req := JoinReqMsg{New: n.view.Self}
+		if !n.send(m.Owner.Addr, req) && (m.Pred.IsZero() || m.Pred.Addr == m.Owner.Addr || !n.send(m.Pred.Addr, req)) {
 			n.finishJoin(transport.ErrUnreachable)
 		}
 	})}

@@ -13,7 +13,8 @@ import (
 // lookup stops its RPC timeout at once. A handle whose Stop missed its
 // entry's generation would leave the timeout armed: the heap would not be
 // empty in the callback, and draining it would run the clock out to
-// RPCTimeout.
+// RPCTimeout. The lookup needs a remote hop: a names b as its successor
+// and b answers for its own successor c, so a cannot answer it locally.
 func TestFindSuccessorCancelsTimeout(t *testing.T) {
 	const timeout = 5 * time.Second
 	core := dessim.NewCore()
@@ -28,22 +29,27 @@ func TestFindSuccessorCancelsTimeout(t *testing.T) {
 		n.Start(ep)
 		return n
 	}
-	a, b := mk("a", 100), mk("b", 600)
-	a.InstallRing(b.Self(), []chord.NodeRef{b.Self()}, nil)
-	b.InstallRing(a.Self(), []chord.NodeRef{a.Self()}, nil)
+	a, b, c := mk("a", 100), mk("b", 600), mk("c", 800)
+	a.InstallRing(c.Self(), []chord.NodeRef{b.Self(), c.Self()}, nil)
+	b.InstallRing(a.Self(), []chord.NodeRef{c.Self(), a.Self()}, nil)
+	c.InstallRing(b.Self(), []chord.NodeRef{a.Self(), b.Self()}, nil)
 
 	calls, pending := 0, -1
 	var owner chord.NodeRef
-	a.FindSuccessor(500, 0, func(m chord.FoundMsg, err error) {
+	var at time.Duration
+	a.FindSuccessor(700, 0, func(m chord.FoundMsg, err error) {
 		if err != nil {
 			t.Errorf("lookup failed: %v", err)
 		}
 		calls++
-		owner, pending = m.Owner, core.Pending()
+		owner, pending, at = m.Owner, core.Pending(), core.Elapsed()
 	})
 	core.Run()
-	if calls != 1 || owner.ID != 600 {
-		t.Fatalf("callback ran %d times with owner %v, want once with id 600", calls, owner)
+	if calls != 1 || owner.ID != 800 {
+		t.Fatalf("callback ran %d times with owner %v, want once with id 800", calls, owner)
+	}
+	if at == 0 {
+		t.Fatal("the lookup was answered before any message crossed a link: no timeout was armed")
 	}
 	if pending != 0 {
 		t.Errorf("Pending = %d in the callback, want 0: the timeout is still armed", pending)

@@ -151,7 +151,7 @@ func TestStormDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed diverged:\n run1 %s\n run2 %s", a, b)
 	}
-	checkPinned(t, storm, events, 0x110c650970808726, 215_668)
+	checkPinned(t, storm, events, 0xb5aa3b5e7416c263, 214_928)
 	c, _, _ := stormFixture(t, 7002)
 	if a == c {
 		t.Fatalf("different seeds replayed identically: %s", a)

@@ -103,7 +103,7 @@ func TestDesScale(t *testing.T) {
 	if v := nw.RingViolations(); v != 0 {
 		t.Errorf("hard ring violations = %d", v)
 	}
-	checkPinned(t, storm, nw.Core.Steps(), 0xcd05aa3204e44dac, 625_979)
+	checkPinned(t, storm, nw.Core.Steps(), 0x0fec0fd0586fd22b, 650_307)
 	t.Logf("1k-node experiment: %v in %v (%d events, %.0f events/sec, virtual %v)",
 		storm, elapsed.Round(time.Millisecond), nw.Core.Steps(),
 		float64(nw.Core.Steps())/elapsed.Seconds(), nw.Core.Elapsed().Round(time.Second))
@@ -127,7 +127,7 @@ func TestDesPaperScale(t *testing.T) {
 	if v := nw.RingViolations(); v != 0 {
 		t.Errorf("hard ring violations = %d", v)
 	}
-	checkPinned(t, storm, nw.Core.Steps(), 0x05613d89e6a3f914, 4_766_261)
+	checkPinned(t, storm, nw.Core.Steps(), 0xcc361a8db2c630de, 4_599_738)
 	if elapsed > 60*time.Second {
 		t.Fatalf("10⁴-node experiment took %v, budget 60s", elapsed)
 	}

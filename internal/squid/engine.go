@@ -214,6 +214,9 @@ type subtree struct {
 	cutLo     uint64
 	cutSkip   int  // elements at cutLo already delivered
 	cutSet    bool // (cutLo, cutSkip) is the lowest coordinate never delivered
+	// round is the aggregated dispatch round in progress, if any, whose
+	// unsent clusters a cut folds into the cut point.
+	round *dispatchRound
 	// keep and from are a limited stream's reply cap (ClusterQueryMsg.Keep
 	// and From): set at its root, copied down to every subtree.
 	keep int
@@ -358,10 +361,6 @@ type childCall struct {
 	key      uint64        // curve index the re-dispatch routes to: the lowest of clusters
 	attempts int
 	timer    transport.Timer
-	// unsent marks a child whose message waits in its dispatch round until
-	// the round flushes: cutting the parent before then sends no cancel
-	// and records no lost span, since no subtree exists yet.
-	unsent bool
 }
 
 // newEngine fills in the Options defaults and builds the engine behind New.
@@ -642,8 +641,8 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 		e.startDeadline(st)
 		e.watchCtx(ctx, st)
 		st.cell[0] = sfc.Refined{Cluster: sfc.Cluster{Prefix: idx, Level: curve.Bits()}, Complete: true}
-		c := e.addChild(st, idx, st.cell[:])
-		e.node.Route(chord.ID(idx), e.childQuery(st, st.cell[:], c.token), uint64(qid))
+		tok := e.addChild(st, idx, st.cell[:])
+		e.node.Route(chord.ID(idx), e.childQuery(st, st.cell[:], tok), uint64(qid))
 		return nil
 	}
 
@@ -989,12 +988,20 @@ func (e *Engine) completeEarly(st *subtree) {
 	e.finishSubtree(st)
 }
 
-// teardownChildren cancels every outstanding child of st, sending each
-// one that left the node a downstream QueryCancelMsg, and folds the
-// children's curve positions into st's resume-cursor cut point. A child
-// still buffered in a dispatch round has no subtree to cancel: the round's
-// flush drops its message.
+// teardownChildren cancels every outstanding child of st, sending each a
+// downstream QueryCancelMsg, and folds the children's curve positions into
+// st's resume-cursor cut point, as it does the lowest cluster that st's
+// dispatch round in progress has not sent: its buffered runs come first
+// in curve order, then its unresolved tail. The round's flush sends none
+// of them.
 func (e *Engine) teardownChildren(st *subtree) {
+	if r := st.round; r != nil {
+		if len(r.pending) > 0 {
+			st.noteCut(r.pending[0].clusters[0].Span(r.curve).Lo)
+		} else if len(r.rem) > 0 {
+			st.noteCut(r.rem[0].Span(r.curve).Lo)
+		}
+	}
 	for tok, c := range e.children {
 		if c.st != st {
 			continue
@@ -1002,9 +1009,7 @@ func (e *Engine) teardownChildren(st *subtree) {
 		delete(e.children, tok)
 		c.timer.Stop()
 		st.noteCut(c.key)
-		if !c.unsent {
-			e.sendCancel(st, c)
-		}
+		e.sendCancel(st, c)
 		giveBack(e, &childCalls, c, st)
 	}
 }
@@ -1143,7 +1148,7 @@ func (e *Engine) noteProcessed(qid QueryID, clusters, matches int, sink bool) {
 // addChild registers one dispatched child of st under a fresh token and
 // arms its recovery deadline. clusters is the re-dispatch payload, key the
 // lowest index in it.
-func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) *childCall {
+func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) uint64 {
 	e.nextToken++
 	c := childCalls.Get()
 	*c = childCall{st: st, token: e.nextToken, key: key, clusters: clusters}
@@ -1152,7 +1157,7 @@ func (e *Engine) addChild(st *subtree, key uint64, clusters []sfc.Refined) *chil
 	st.sent++
 	e.met.subtreesSent.Inc()
 	e.armChild(c)
-	return c
+	return c.token
 }
 
 // dropChild unregisters a child whose dispatch failed before it left the
@@ -1209,7 +1214,6 @@ func (e *Engine) childExpired(tok uint64) {
 	e.met.redispatches.Inc()
 	st := c.st
 	st.retries++
-	c.unsent = false
 	e.node.Route(chord.ID(c.key), e.childQuery(st, c.clusters, c.token), uint64(st.qid))
 	e.armChild(c)
 }
@@ -1313,7 +1317,7 @@ func (e *Engine) cancelQuery(st *subtree, cause error) {
 	}
 	if st.spanID != 0 {
 		for _, c := range e.children {
-			if c.st == st && !c.unsent {
+			if c.st == st {
 				st.spans = append(st.spans, e.lostSpan(st, c))
 			}
 		}
@@ -1458,11 +1462,11 @@ func (e *Engine) processClusters(qid QueryID, cls []sfc.Refined, q keyspace.Quer
 }
 
 // pendingDispatch is one resolved send of a dispatch round, buffered until
-// the round flushes. The message's clusters double as the blind-route
-// fallback payload should the destination be dead at flush time.
+// the round flushes: the destination and its runs of clusters, which
+// become one child there.
 type pendingDispatch struct {
-	dest transport.Addr
-	msg  *ClusterQueryMsg
+	dest     transport.Addr
+	clusters []sfc.Refined
 }
 
 // dispatchRound is one dispatchRemote call in progress: the subtree it
@@ -1529,6 +1533,7 @@ func (e *Engine) dispatchRemote(remote []sfc.Refined, st *subtree) {
 	sortBySpan(remote, r.curve)
 	r.rem = remote
 	r.pending = r.inline[:0]
+	st.round = r
 	r.step()
 }
 
@@ -1544,15 +1549,14 @@ func (r *dispatchRound) routeOne(cls []sfc.Refined) {
 		st.noteCut(lo)
 		return
 	}
-	c := e.addChild(st, lo, cls)
-	e.node.Route(chord.ID(lo), e.childQuery(st, cls, c.token), uint64(st.qid))
+	tok := e.addChild(st, lo, cls)
+	e.node.Route(chord.ID(lo), e.childQuery(st, cls, tok), uint64(st.qid))
 }
 
 // step resolves the owner of the lowest remaining cluster: from the probe
 // cache at the root, else by a FindSuccessor probe answered in Found. With
-// nothing left, or the subtree finished mid-probe (limit satisfied by an
-// earlier batch), it flushes; the sorted tail then starts at rem[0], the
-// lowest undispatched position.
+// nothing left, or the subtree cut mid-probe (its teardown noted the
+// round's lowest unsent position), it flushes.
 func (r *dispatchRound) step() {
 	e := r.e
 	r.st.checkLive()
@@ -1568,9 +1572,6 @@ func (r *dispatchRound) step() {
 		}
 		e.node.FindSuccessorTo(head, uint64(r.st.qid), r)
 		return
-	}
-	if len(r.rem) > 0 {
-		r.st.noteCut(r.rem[0].Span(r.curve).Lo)
 	}
 	r.flush()
 }
@@ -1615,71 +1616,51 @@ func (r *dispatchRound) runIn(pred, owner chord.NodeRef) int {
 }
 
 // enqueue buffers the first n remaining clusters for dest. A destination
-// already buffered this round takes them into its pending message and that
-// message's child, whose key stays its lowest cluster; otherwise they
-// become a new child. The run is capped, so appending to it copies.
+// already buffered this round takes them into its pending run; otherwise
+// they become a new pending send. The run is capped, so appending to it
+// copies.
 func (r *dispatchRound) enqueue(dest transport.Addr, n int) {
 	cls := r.rem[:n:n]
 	r.rem = r.rem[n:]
 	for i := range r.pending {
-		p := &r.pending[i]
-		if p.dest != dest {
-			continue
-		}
-		// A child abandoned while the round waited on a probe is not
-		// extended; the run then becomes a child of its own.
-		if c, ok := r.e.children[p.msg.Token]; ok {
-			p.msg.Clusters = append(p.msg.Clusters, cls...)
-			c.clusters = p.msg.Clusters
+		if p := &r.pending[i]; p.dest == dest {
+			p.clusters = append(p.clusters, cls...)
 			r.merged++
 			return
 		}
 	}
-	c := r.e.addChild(r.st, cls[0].Span(r.curve).Lo, cls)
-	c.unsent = true
-	r.pending = append(r.pending, pendingDispatch{dest: dest, msg: r.e.childQuery(r.st, cls, c.token)})
+	r.pending = append(r.pending, pendingDispatch{dest: dest, clusters: cls})
 }
 
-// flush sends the buffered round, one ClusterQueryMsg per destination.
+// flush sends the buffered round, one ClusterQueryMsg per destination, and
+// registers each as a child of st as it leaves, keyed by its lowest
+// cluster. A subtree cut while probes were in flight (limit hit,
+// cancelled) sends nothing: nobody will read the work.
 func (r *dispatchRound) flush() {
 	e, st := r.e, r.st
 	st.checkLive()
-	if st.finished {
-		// The subtree completed while probes were in flight (limit hit,
-		// cancelled): the buffered children were already torn down — drop
-		// the round instead of dispatching work nobody will read.
+	st.round = nil
+	if !st.finished {
+		if e.debugDispatch != nil {
+			dests := make([]transport.Addr, len(r.pending))
+			for i, p := range r.pending {
+				dests[i] = p.dest
+			}
+			e.debugDispatch(dests, r.merged)
+		}
 		for _, p := range r.pending {
-			e.dropChild(p.msg.Token)
-			for _, c := range p.msg.Clusters {
-				st.noteCut(c.Span(r.curve).Lo)
+			tok := e.addChild(st, p.clusters[0].Span(r.curve).Lo, p.clusters)
+			if msg := e.childQuery(st, p.clusters, tok); !e.send(p.dest, msg) {
+				// Destination died between probe and flush: untrack the
+				// child and blind-route its clusters through the ring,
+				// which resolves to the current owner.
+				e.cacheDrop(p.dest)
+				e.dropChild(tok)
+				for i := range p.clusters {
+					r.routeOne(p.clusters[i : i+1 : i+1])
+				}
+				clusterQueries.Put(msg)
 			}
-			clusterQueries.Put(p.msg)
-		}
-		e.roundDone(st)
-		giveBack(e, &rounds, r, st)
-		return
-	}
-	if e.debugDispatch != nil {
-		dests := make([]transport.Addr, len(r.pending))
-		for i, p := range r.pending {
-			dests[i] = p.dest
-		}
-		e.debugDispatch(dests, r.merged)
-	}
-	for _, p := range r.pending {
-		if c, ok := e.children[p.msg.Token]; ok {
-			c.unsent = false
-		}
-		if !e.send(p.dest, p.msg) {
-			// Destination died between probe and flush: untrack the
-			// buffered child and blind-route its clusters through the
-			// ring, which resolves to the current owner.
-			e.cacheDrop(p.dest)
-			e.dropChild(p.msg.Token)
-			for i := range p.msg.Clusters {
-				r.routeOne(p.msg.Clusters[i : i+1 : i+1])
-			}
-			clusterQueries.Put(p.msg)
 		}
 	}
 	e.roundDone(st)

@@ -1,6 +1,7 @@
 package squid_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -205,4 +206,85 @@ func TestQueryCutTearsDown(t *testing.T) {
 		t.Fatal("no cut child was checked for dispatches after its cancel")
 	}
 	t.Logf("%d children, %d cut, %d checked; %d of %d matches", len(children), len(cut), checked, len(got), len(all))
+}
+
+// TestCutMidRoundCursor cuts a stream at every 5 ms of its first 300 ms on
+// an event-core ring whose links all take 10 ms, so some cuts fall while
+// the root's dispatch round waits on an owner probe, with runs buffered
+// for a flush that will send nothing. Resuming from each cut's cursor must
+// deliver every match the cut stream did not: the cut point takes the
+// round's lowest unsent cluster, which no child covers. The root starts
+// from 64 coarse clusters, so its first round buffers several runs before
+// it flushes. Both an unlimited
+// stream (its own matches held until its first round ends) and a limited
+// one (its later rounds refill the window) are cut.
+func TestCutMidRoundCursor(t *testing.T) {
+	const link = 10 * time.Millisecond
+	des := onEventCore(t, sim.Config{Nodes: 100, Space: schedSpace(t), Seed: 3,
+		Engine: squid.Options{InitialClusters: 64}, // a root round of many clusters
+		Net:    transport.FaultConfig{Seed: 1, MinLatency: link, MaxLatency: link}})
+	nw := des.Network
+	preloadDocs(t, nw, 3000)
+	q := keyspace.MustParse("(*, c*)")
+	want := sortedData(nw.BruteForceMatches(q))
+	p := nw.Peers[50]
+
+	// stream runs q from p with opts, cut after cut unless it is negative,
+	// adds what it delivers to seen and returns its final cursor.
+	stream := func(seen map[string]bool, cut time.Duration, opts ...squid.QueryOption) squid.Cursor {
+		var cur squid.Cursor
+		done := false
+		var qid squid.QueryID
+		sim.MustInvoke(p, func() {
+			var err error
+			qid, err = p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
+				for _, m := range ev.Matches {
+					seen[m.Data] = true
+				}
+				if ev.Done {
+					cur, done = ev.Cursor, true
+				}
+			}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if cut >= 0 {
+			des.Schedule(cut, func() { sim.MustInvoke(p, func() { p.Engine.CancelQuery(qid) }) })
+		}
+		des.Run()
+		if !done {
+			t.Fatal("stream never finished")
+		}
+		return cur
+	}
+	for _, limit := range []int{0, 400} {
+		resumed := 0
+		for cut := time.Duration(0); cut <= 300*time.Millisecond; cut += 5 * time.Millisecond {
+			seen := map[string]bool{}
+			var opts []squid.QueryOption
+			if limit > 0 {
+				opts = append(opts, squid.Limit(limit))
+			}
+			cur := stream(seen, cut, opts...)
+			before := len(seen)
+			for n := 0; !cur.Exhausted(); n++ {
+				if n > len(want) {
+					t.Fatalf("limit %d, cut at %v: resuming did not converge", limit, cut)
+				}
+				cur = stream(seen, -1, append(opts, squid.WithCursor(cur))...)
+			}
+			if len(seen) > before {
+				resumed++
+			}
+			for _, d := range want {
+				if !seen[d] {
+					t.Fatalf("limit %d, cut at %v: %s is neither delivered before the cut nor after its cursor", limit, cut, d)
+				}
+			}
+		}
+		if resumed == 0 {
+			t.Fatalf("limit %d: no cut left anything for its cursor to resume", limit)
+		}
+	}
 }
