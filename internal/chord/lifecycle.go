@@ -2,6 +2,7 @@ package chord
 
 import (
 	"fmt"
+	"time"
 
 	"squid/internal/transport"
 )
@@ -25,8 +26,9 @@ import (
 // tests can reproduce the invariant violations the corrections prevent.
 
 // Join makes the node a member of the ring reachable through seed. done is
-// called (in the node's goroutine) with nil on success, ErrJoinRefused on an
-// identifier collision, or a transport/timeout error. The join cost is
+// called (in the node's goroutine) with nil on success, ErrJoinRefused when
+// a member refuses the join (an identifier collision, or no live route to
+// the owner), or a transport/timeout error. The join cost is
 // O(log N) messages to locate the admission point (paper Section 3.2) plus
 // the eager finger-table construction.
 func (n *Node) Join(seed transport.Addr, done func(error)) {
@@ -43,7 +45,7 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 	}
 	n.joinDone = done
 	tok := n.token()
-	n.pendingFinds[tok] = findCall{join: true, h: FoundFunc(func(m FoundMsg, err error) {
+	c := findCall{join: true, h: FoundFunc(func(m FoundMsg, err error) {
 		if err != nil {
 			n.finishJoin(err)
 			return
@@ -60,11 +62,22 @@ func (n *Node) Join(seed transport.Addr, done func(error)) {
 			n.finishJoin(transport.ErrUnreachable)
 		}
 	})}
+	// The lookup times out like findOnce's, so a FindMsg lost on the way
+	// (a seed with no live route forward drops it) ends the join. It is
+	// not retried, so its one attempt gets the time a retried lookup has:
+	// RPCTimeout for each of 1+RPCRetries attempts. RPCTimeout alone would
+	// fail a join whose lookup is slow but live, one crossing ten WAN
+	// links for instance.
+	if n.cfg.RPCTimeout > 0 {
+		c.timer = n.cfg.Clock.Arm(time.Duration(1+n.cfg.RPCRetries)*n.cfg.RPCTimeout, (*rpcTimers)(n), tok<<1|findRPC)
+	}
+	n.pendingFinds[tok] = c
 	m := finds.Get()
 	*m = FindMsg{Target: n.view.Self.ID, Token: tok, ReplyTo: n.view.Self.Addr, Hops: 1}
 	if !n.send(seed, m) {
 		finds.Put(m)
 		delete(n.pendingFinds, tok)
+		c.timer.Stop()
 		n.finishJoin(transport.ErrUnreachable)
 	}
 }
@@ -95,7 +108,9 @@ func (n *Node) handleJoinReq(m JoinReqMsg) {
 			return
 		}
 		m.Hops++
-		n.forward(m.New.ID, next, m)
+		if !n.forward(m.New.ID, next, m) {
+			n.send(m.New.Addr, JoinNackMsg{Reason: "no live route to the owner, retry"})
+		}
 		return
 	}
 	if !n.view.Pred.IsZero() && m.New.ID == n.view.Pred.ID && m.New.Addr != n.view.Pred.Addr {

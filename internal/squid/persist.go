@@ -19,10 +19,16 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	var e wire.Encoder
 	s.mu.RLock()
 	e.Uvarint(storeImageVersion)
-	e.Uvarint(uint64(len(s.sorted)))
-	for _, k := range s.sorted {
-		e.U64(k)
-		encodeElements(&e, s.byKey[k])
+	e.Uvarint(uint64(s.nkeys))
+	for _, r := range s.runs {
+		for i := 0; i < len(r.keys); {
+			j := groupEnd(r.keys, i)
+			e.U64(r.keys[i])
+			e.Uvarint(uint64(j - i))
+			for ; i < j; i++ {
+				encodeElement(&e, r.elems[r.at[i]])
+			}
+		}
 	}
 	s.mu.RUnlock()
 	n, err := w.Write(e.Bytes())
@@ -45,23 +51,22 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	if v := d.Uvarint(); d.Err() == nil && v != storeImageVersion {
 		return n, fmt.Errorf("squid: store image version %d unsupported", v)
 	}
-	keys := make([]uint64, d.Len(9)) // ≥ 8-byte key + bucket count
-	buckets := make([][]Element, len(keys))
-	for i := range keys {
-		keys[i] = d.U64()
-		buckets[i] = decodeElements(d)
+	var in entries
+	for range d.Len(9) { // ≥ 8-byte key + bucket count
+		k := d.U64()
+		for _, e := range decodeElements(d) {
+			in.keys, in.elems = append(in.keys, k), append(in.elems, e)
+		}
 	}
 	if err := d.Close(); err != nil {
 		return n, fmt.Errorf("squid: store load: %w", err)
 	}
+	in = sortStable(in)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byKey = make(map[uint64][]Element, len(keys))
-	s.sorted = s.sorted[:0]
-	for i, k := range keys {
-		for _, e := range buckets[i] {
-			s.addLocked(k, e)
-		}
+	s.runs, s.nkeys = nil, 0
+	if len(in.keys) > 0 {
+		s.merge(in)
 	}
 	return n, nil
 }
