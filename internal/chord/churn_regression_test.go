@@ -410,9 +410,14 @@ func TestLeaveFallsBackThroughSuccList(t *testing.T) {
 	}
 	r.net.Quiesce()
 
-	for _, k := range keys {
-		if !r.holds(d, k) {
-			t.Fatalf("key %d did not reach the fallback successor", k)
+	r.store(b, 200) // a routed write reaching the departed b is passed on
+	owns := make(chan bool, 1)
+	for _, k := range append(keys, 200) {
+		if err := d.Invoke(func() { owns <- d.Owns(ID(k)) }); err != nil {
+			t.Fatal(err)
+		}
+		if !r.holds(d, k) || r.holds(b, k) || !<-owns {
+			t.Fatalf("key %d did not reach the fallback successor's arc", k)
 		}
 	}
 	// The leaver's predecessor was told about the surviving successor.

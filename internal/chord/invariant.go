@@ -40,6 +40,10 @@ func (n *Node) Snapshot() Snapshot {
 	return s
 }
 
+// View is Snapshot without the copies: it shares the node's slices, so
+// read it before the node runs again. Call it on the delivery goroutine.
+func (n *Node) View() Snapshot { return n.view }
+
 // ViolationKind names one broken ring invariant.
 type ViolationKind string
 
@@ -105,18 +109,23 @@ func HardViolations(vs []Violation) []Violation {
 // trivially correct. The returned violations are deterministic for a given
 // snapshot (sorted by node identifier within each phase of the check).
 func CheckRing(space Space, snaps []Snapshot) []Violation {
-	members := make(map[transport.Addr]Snapshot)
+	// order holds the members sorted by identifier; idx maps an address
+	// to its position there.
+	idx := make(map[transport.Addr]int, len(snaps))
+	order := make([]Snapshot, 0, len(snaps))
 	for _, s := range snaps {
-		if s.Running && !s.Self.IsZero() {
-			members[s.Self.Addr] = s
+		if !s.Running || s.Self.IsZero() {
+			continue
 		}
-	}
-	if len(members) <= 1 {
-		return nil
-	}
-	order := make([]Snapshot, 0, len(members))
-	for _, s := range members {
+		if i, dup := idx[s.Self.Addr]; dup {
+			order[i] = s
+			continue
+		}
+		idx[s.Self.Addr] = len(order)
 		order = append(order, s)
+	}
+	if len(order) <= 1 {
+		return nil
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].Self.ID != order[j].Self.ID {
@@ -125,6 +134,9 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 		}
 		return order[i].Self.Addr < order[j].Self.Addr
 	})
+	for i, s := range order {
+		idx[s.Self.Addr] = i
+	}
 
 	var out []Violation
 
@@ -137,8 +149,9 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 	// the list must lead somewhere alive. This is Zave's continuous
 	// formulation: the invariant holds at every reachable state, not just
 	// after healing, so the simulator can assert it after every round.
-	eff := make(map[transport.Addr]transport.Addr, len(order))
-	for _, s := range order {
+	eff := make([]int, len(order)) // position of the effective successor, or -1
+	for u, s := range order {
+		eff[u] = -1
 		if len(s.Succs) == 0 {
 			out = append(out, Violation{ViolationSuccList, s.Self, "empty successor list"})
 			continue
@@ -154,7 +167,8 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 			if e.Addr == s.Self.Addr {
 				break // loop closure: the rest is one lap stale
 			}
-			if _, live := members[e.Addr]; !live {
+			j, live := idx[e.Addr]
+			if !live {
 				continue // tombstone awaiting lazy removal
 			}
 			d := space.Dist(s.Self.ID, e.ID)
@@ -165,14 +179,11 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 				break
 			}
 			prev = d
-			if _, found := eff[s.Self.Addr]; !found {
-				eff[s.Self.Addr] = e.Addr
+			if eff[u] < 0 {
+				eff[u] = j
 			}
 		}
-		if !ok {
-			continue
-		}
-		if _, found := eff[s.Self.Addr]; !found {
+		if ok && eff[u] < 0 {
 			out = append(out, Violation{ViolationDisconnected, s.Self,
 				"no live successor: every successor-list entry is dead"})
 		}
@@ -187,30 +198,27 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 		onPath    = 1
 		done      = 2
 	)
-	state := make(map[transport.Addr]int, len(order))
-	var cycles [][]Snapshot
-	for _, start := range order {
-		if state[start.Self.Addr] != unvisited {
+	state := make([]int8, len(order))
+	var cycles [][]int
+	var path []int
+	for start := range order {
+		if state[start] != unvisited {
 			continue
 		}
-		var path []transport.Addr
-		u := start.Self.Addr
-		for u != "" && state[u] == unvisited {
+		path = path[:0]
+		u := start
+		for u >= 0 && state[u] == unvisited {
 			state[u] = onPath
 			path = append(path, u)
 			u = eff[u]
 		}
-		if u != "" && state[u] == onPath {
+		if u >= 0 && state[u] == onPath {
 			// New cycle: the path suffix starting at u.
 			i := 0
 			for path[i] != u {
 				i++
 			}
-			cyc := make([]Snapshot, 0, len(path)-i)
-			for _, a := range path[i:] {
-				cyc = append(cyc, members[a])
-			}
-			cycles = append(cycles, cyc)
+			cycles = append(cycles, append([]int(nil), path[i:]...))
 		}
 		for _, a := range path {
 			state[a] = done
@@ -226,7 +234,7 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 			continue
 		}
 		//lint:allow-ringcmp deterministic tie-break between equal-size cycles, not ring-relative
-		if c[0].Self.ID < cycles[principal][0].Self.ID {
+		if order[c[0]].Self.ID < order[cycles[principal][0]].Self.ID {
 			principal = i
 		}
 	}
@@ -235,10 +243,10 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 			continue
 		}
 		names := make([]string, len(c))
-		for j, s := range c {
-			names[j] = s.Self.String()
+		for j, a := range c {
+			names[j] = order[a].Self.String()
 		}
-		out = append(out, Violation{ViolationMultipleRings, c[0].Self,
+		out = append(out, Violation{ViolationMultipleRings, order[c[0]].Self,
 			fmt.Sprintf("cycle of %d nodes disjoint from the principal ring: %v", len(c), names)})
 	}
 
@@ -251,14 +259,15 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 	if principal >= 0 {
 		cyc := cycles[principal]
 		byID := make([]Snapshot, len(cyc))
-		copy(byID, cyc)
+		for i, a := range cyc {
+			byID[i] = order[a]
+		}
 		sort.Slice(byID, func(i, j int) bool {
 			//lint:allow-ringcmp absolute oracle ordering for the witness search, not ring-relative
 			return byID[i].Self.ID < byID[j].Self.ID
 		})
-		for _, u := range cyc {
-			sAddr := eff[u.Self.Addr]
-			s := members[sAddr]
+		for _, a := range cyc {
+			u, s := order[a], order[eff[a]]
 			j := sort.Search(len(byID), func(k int) bool {
 				//lint:allow-ringcmp finding the next identifier clockwise of u in the sorted oracle order
 				return byID[k].Self.ID > u.Self.ID
@@ -267,7 +276,7 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 				j = 0 // wrap: the nearest clockwise member is the smallest ID
 			}
 			w := byID[j]
-			if w.Self.Addr == u.Self.Addr || w.Self.Addr == sAddr {
+			if w.Self.Addr == u.Self.Addr || w.Self.Addr == s.Self.Addr {
 				continue
 			}
 			if space.BetweenOpen(w.Self.ID, u.Self.ID, s.Self.ID) {
@@ -275,13 +284,17 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 					fmt.Sprintf("successor %s skips ring member %s", s.Self, w.Self)})
 			}
 		}
+		order = byID // the ownership partition below is over ring members
 	}
 
-	// Ownership partition: live members sorted by identifier define the
-	// oracle arcs; each member's predecessor pointer must match its oracle
-	// predecessor (complete partition), may lag behind a dead node inside
-	// its oracle arc (gap, transient), and must never reach past the oracle
-	// predecessor (overlap — two nodes would accept the same key).
+	// Ownership partition: the principal ring's members sorted by
+	// identifier define the oracle arcs; each member's predecessor pointer
+	// must match its oracle predecessor (complete partition), may lag
+	// behind a dead node inside its oracle arc (gap, transient), and must
+	// never reach past the oracle predecessor (overlap — two nodes would
+	// accept the same key). An appendage — a joiner whose owner has not yet
+	// spliced it in — is not a member yet: no successor pointer leads a key
+	// to it, so its arc cannot overlap.
 	for i, s := range order {
 		oracle := order[(i+len(order)-1)%len(order)].Self
 		p := s.Pred

@@ -176,7 +176,7 @@ func (n *Node) handleJoinAck(m JoinAckMsg) {
 		// the HandoffMsg the owner sends on adoption. If the owner died
 		// since acking, any live successor forwards the confirmation to the
 		// current owner of our identifier.
-		n.sendToSucc(JoinConfirmMsg{New: n.view.Self, Hops: 1})
+		n.SendToSucc(JoinConfirmMsg{New: n.view.Self, Hops: 1})
 	}
 	// Eagerly resolve the finger table; correctness does not depend on it
 	// (stabilization repairs fingers), only routing speed.
@@ -310,7 +310,7 @@ func (n *Node) Leave() {
 		return // singleton: nothing to hand over
 	}
 	items := n.app.HandoverOut(n.view.Pred.ID, n.view.Self.ID)
-	adopted := n.sendToSucc(LeaveMsg{Leaving: n.view.Self, Pred: n.view.Pred, Items: items})
+	adopted := n.SendToSucc(LeaveMsg{Leaving: n.view.Self, Pred: n.view.Pred, Items: items})
 	if adopted.IsZero() {
 		// No live successor to inherit the arc: keep the items locally
 		// rather than dropping them — a restart or manual recovery can
@@ -323,9 +323,10 @@ func (n *Node) Leave() {
 	}
 }
 
-// sendToSucc sends msg to the first successor-list entry that takes it,
-// and returns that entry (zero if none did).
-func (n *Node) sendToSucc(msg any) NodeRef {
+// SendToSucc sends msg to the first successor-list entry that takes it,
+// and returns that entry (zero if none did). Call it on the delivery
+// goroutine.
+func (n *Node) SendToSucc(msg any) NodeRef {
 	for _, s := range n.view.Succs {
 		if !s.IsZero() && s.Addr != n.view.Self.Addr && n.send(s.Addr, msg) {
 			return s
@@ -335,8 +336,17 @@ func (n *Node) sendToSucc(msg any) NodeRef {
 }
 
 func (n *Node) handleLeave(m LeaveMsg) {
+	// A leaver that skipped our predecessor (between it and us) could not
+	// reach it: pass the arc on to it, or, if it is dead, grow our arc back
+	// to the leaver's predecessor.
+	p := n.view.Pred
+	skipped := !n.cfg.LegacyRules && !p.IsZero() && p.Addr != m.Leaving.Addr &&
+		n.cfg.Space.BetweenOpen(p.ID, m.Leaving.ID, n.view.Self.ID)
+	if skipped && n.send(p.Addr, m) {
+		return
+	}
 	n.app.HandoverIn(m.Items)
-	if n.view.Pred.Addr == m.Leaving.Addr {
+	if skipped || p.Addr == m.Leaving.Addr {
 		n.setPred(m.Pred)
 	}
 	n.dropDead(m.Leaving.Addr)

@@ -365,6 +365,16 @@ func (n *Node) Route(key ID, payload any, trace uint64) {
 // hop on, or drops it.
 func (n *Node) handleRoute(m *RouteMsg) {
 	kind, next := nextHop(n.cfg.Space, &n.view, m.Key, m.Hops, nil)
+	if kind == hopDeliver && !n.view.Running {
+		// A node that has left owns nothing: the successor that adopted
+		// its arc routes the message on, and over a FIFO link it arrives
+		// after the items did.
+		m.Hops++
+		if n.SendToSucc(m).IsZero() {
+			routes.Put(m)
+		}
+		return
+	}
 	if kind == hopDeliver {
 		from, key, payload := m.From, m.Key, m.Payload
 		routes.Put(m)

@@ -13,21 +13,21 @@ const (
 	hopForward   hopKind = iota // to the returned candidate
 	hopLast                     // to the returned successor, which owns the target
 	hopDeliver                  // here: the deciding node owns the target
-	hopOverLimit                // dropped: forwarded maxHops times already
+	hopOverLimit                // dropped: forwarded MaxHops times already
 	hopExhausted                // dropped: no candidate is left untried
 )
 
-// maxHops bounds how many times a routed message may be forwarded. A
+// MaxHops bounds how many times a routed message may be forwarded. A
 // consistent ring resolves any target within Space.Bits hops; the slack
 // absorbs detours around failures. Past it a message is dropped (a find is
 // answered with a zero Owner): a transient loop during churn must not live
 // forever, or stabilization could never catch up.
-func maxHops(sp Space) int { return 3*sp.Bits + 32 }
+func (sp Space) MaxHops() int { return 3*sp.Bits + 32 }
 
 // nextHop is every forwarding decision of the ring — routed payloads,
 // lookups, join requests and confirmations — as a pure function of the
 // deciding node's view v. A message for target, forwarded hops times so
-// far, is delivered if target lies in v's arc and dropped past maxHops.
+// far, is delivered if target lies in v's arc and dropped past MaxHops.
 // Otherwise the candidates come in stage order: the successor when target
 // lies in (self, succ], the closest preceding finger or successor-list
 // entry, the successor list, every finger. The first that is not zero,
@@ -38,7 +38,7 @@ func nextHop(sp Space, v *Snapshot, target ID, hops int, tried []transport.Addr)
 	if sp.InArc(target, v.Pred, v.Self) {
 		return hopDeliver, NodeRef{}
 	}
-	if hops >= maxHops(sp) {
+	if hops >= sp.MaxHops() {
 		return hopOverLimit, NodeRef{}
 	}
 	if succ := v.succ(); sp.Between(target, v.Self.ID, succ.ID) && untried(v, tried, succ) {

@@ -350,8 +350,8 @@ func TestNextHopSmallRings(t *testing.T) {
 			loop, loopFrom, loopTarget, g.ring, g.dead, g.stale, g.from, g.target)
 	}
 	path, kind := walkSmall(sp, loop, g.from, g.target)
-	if kind != hopOverLimit || len(path) != maxHops(sp)+1 {
-		t.Fatalf("gap loop walk ends %d after %d nodes, want the hop limit after %d", kind, len(path), maxHops(sp)+1)
+	if kind != hopOverLimit || len(path) != sp.MaxHops()+1 {
+		t.Fatalf("gap loop walk ends %d after %d nodes, want the hop limit after %d", kind, len(path), sp.MaxHops()+1)
 	}
 	for i, id := range path {
 		if id != g.cycle[i%len(g.cycle)] {
@@ -606,7 +606,7 @@ func TestHopLimitDropsCounted(t *testing.T) {
 	ep := &scriptedEndpoint{}
 	install(n, ep, buildView(sp, []ID{0, 4, 8}, 0, new([1 << smallBits]int)))
 	n.view.Running = true
-	hops := maxHops(sp)
+	hops := sp.MaxHops()
 	n.Deliver("x", &FindMsg{Target: 5, ReplyTo: "x", Hops: hops})
 	n.Deliver("x", &RouteMsg{Key: 5, Hops: hops})
 	n.Deliver("x", JoinReqMsg{New: smallRef(5), Hops: hops})

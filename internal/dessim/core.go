@@ -190,6 +190,16 @@ func (c *Core) release(id uint32) {
 	c.free = append(c.free, id)
 }
 
+// inFlight calls fn with every message scheduled for delivery to the
+// mailbox named to, in no particular order.
+func (c *Core) inFlight(to transport.Addr, fn func(msg any)) {
+	for _, sl := range c.heap {
+		if ev := &c.events[sl.id]; ev.box != nil && ev.box.addr == to {
+			fn(ev.msg)
+		}
+	}
+}
+
 // Step executes the next event, advancing the virtual clock to its instant.
 // It returns false when no event remains.
 func (c *Core) Step() bool {

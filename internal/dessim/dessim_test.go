@@ -237,82 +237,6 @@ func TestPublishRoutesThroughOverlay(t *testing.T) {
 	}
 }
 
-// TestLatencyAndFaults drives queries over lossy, slow links, all on
-// virtual time: chord RPC retries, subtree recovery, and the query deadline
-// fire as scheduled events. The contract is the chaos soak's — results are
-// always sound (a subset of ground truth, no duplicates) and a nil-error
-// result has full recall — plus the DES-specific checks that latency
-// advanced the virtual clock and the fault lottery is accounted.
-func TestLatencyAndFaults(t *testing.T) {
-	nw, err := Build(Config{
-		Nodes: 25,
-		Space: testSpace(t),
-		Seed:  21,
-		Net: NetConfig{
-			Seed:       22,
-			MinLatency: 10 * time.Millisecond,
-			MaxLatency: 120 * time.Millisecond,
-			DropRate:   0.15,
-		},
-		Chord: chord.Config{
-			RPCTimeout: 500 * time.Millisecond,
-			RPCRetries: 4,
-			RPCBackoff: 20 * time.Millisecond,
-		},
-		Engine: squid.Options{
-			SubtreeTimeout: 2 * time.Second,
-			SubtreeRetries: 2,
-			QueryDeadline:  60 * time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vocab := workload.NewVocabulary(1, 200, 1.2)
-	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, 2, 1000, 2))); err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.NewQueryGen(vocab, 3, 2)
-	complete := 0
-	for i := 0; i < 40; i++ {
-		q := gen.Q2()
-		truth := make(map[string]bool)
-		for _, e := range nw.BruteForceMatches(q) {
-			truth[e.Data] = true
-		}
-		res, _ := nw.Query(i%len(nw.Peers), q)
-		seen := make(map[string]bool, len(res.Matches))
-		for _, m := range res.Matches {
-			if !truth[m.Data] {
-				t.Fatalf("query %d %s: phantom match %q", i, q, m.Data)
-			}
-			if seen[m.Data] {
-				t.Fatalf("query %d %s: duplicate match %q", i, q, m.Data)
-			}
-			seen[m.Data] = true
-		}
-		if res.Err == nil {
-			if len(seen) != len(truth) {
-				t.Fatalf("query %d %s: silent partial %d/%d", i, q, len(seen), len(truth))
-			}
-			complete++
-		}
-	}
-	if complete == 0 {
-		t.Error("no query completed despite full recovery stack")
-	}
-	if nw.Core.Elapsed() == 0 {
-		t.Error("latency injection did not advance virtual time")
-	}
-	st := nw.Faults.Stats()
-	if st.Delayed == 0 {
-		t.Error("no messages recorded as delayed")
-	}
-	if st.Dropped == 0 {
-		t.Errorf("drop lottery never fired at 15%% (stats %+v)", st)
-	}
-}
-
 // TestCrashPartitionFaults exercises the black-hole and partition surface:
 // traffic into a crashed or partitioned-away peer is lost and accounted.
 // No stabilization runs while the partition is up (a split ring cannot be

@@ -5,11 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"squid/internal/chord"
 	"squid/internal/dessim"
-	"squid/internal/keyspace"
 	"squid/internal/squid"
-	"squid/internal/workload"
 )
 
 // stormFixture builds a 1 000-node ring over lossy, slow links, preloads a
@@ -20,42 +17,7 @@ import (
 // total event count are also returned for pinning.
 func stormFixture(t *testing.T, seed int64) (string, dessim.StormResult, uint64) {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := dessim.Build(dessim.Config{
-		Nodes: 1000,
-		Space: space,
-		Seed:  seed,
-		Net: dessim.NetConfig{
-			Seed:       seed + 1,
-			MinLatency: 5 * time.Millisecond,
-			MaxLatency: 80 * time.Millisecond,
-			DropRate:   0.01,
-		},
-		Chord: chord.Config{
-			RPCTimeout: 400 * time.Millisecond,
-			RPCRetries: 3,
-			RPCBackoff: 10 * time.Millisecond,
-		},
-		Engine: squid.Options{
-			// Comfortably above a deep query's honest completion time, so
-			// retries mean real loss rather than impatience (see the scale
-			// test for the full rationale).
-			SubtreeTimeout: 8 * time.Second,
-			SubtreeRetries: 2,
-			QueryDeadline:  2 * time.Minute,
-		},
-		CheckInvariants: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vocab := workload.NewVocabulary(seed+2, 500, 1.2)
-	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, seed+3, 5000, 2))); err != nil {
-		t.Fatal(err)
-	}
+	nw, vocab := stormNet(t, wanConfig(1000, seed, 0.01), 500, 5000)
 	storm := nw.RunStorm(dessim.StormConfig{
 		Seed:            seed + 4,
 		Queries:         300,
@@ -91,13 +53,8 @@ func checkPinned(t *testing.T, storm dessim.StormResult, events, wantFP, wantEve
 // teardown, partial forwarding) breaks replay equality.
 func streamStormFixture(t *testing.T, seed int64) (dessim.StormResult, string) {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := dessim.Build(dessim.Config{
+	nw, vocab := stormNet(t, dessim.Config{
 		Nodes: 200,
-		Space: space,
 		Seed:  seed,
 		Net: dessim.NetConfig{
 			Seed:       seed + 1,
@@ -105,14 +62,7 @@ func streamStormFixture(t *testing.T, seed int64) (dessim.StormResult, string) {
 			MaxLatency: 60 * time.Millisecond,
 		},
 		Engine: squid.Options{QueryDeadline: 2 * time.Minute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vocab := workload.NewVocabulary(seed+2, 300, 1.2)
-	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, seed+3, 3000, 2))); err != nil {
-		t.Fatal(err)
-	}
+	}, 300, 3000)
 	storm := nw.RunStorm(dessim.StormConfig{
 		Seed:    seed + 4,
 		Queries: 120,

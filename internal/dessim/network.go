@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"squid/internal/chord"
-	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/telemetry"
@@ -60,22 +59,6 @@ func (nw *Network) Run() { nw.Core.Run() }
 // overlap work before a single Run — e.g. a query storm launching hundreds
 // of concurrent queries at staggered virtual instants.
 func (nw *Network) Schedule(d time.Duration, fn func()) { nw.Core.After(d, fn) }
-
-// StartQuery launches a query at a future virtual instant without waiting
-// for it; cb (which may be nil) receives the result when it completes.
-// Pair with Run to drive overlapping query storms.
-func (nw *Network) StartQuery(at time.Duration, via int, q keyspace.Query, cb func(squid.Result)) {
-	nw.Schedule(at, func() {
-		p := nw.Peers[via]
-		sim.MustInvoke(p, func() {
-			p.Engine.Query(q, func(r squid.Result) {
-				if cb != nil {
-					cb(r)
-				}
-			})
-		})
-	})
-}
 
 // driver is the harness's event-core driver: peers attach to Net, engines
 // and chord timers run on the virtual clock, and waiting is running the

@@ -7,6 +7,7 @@ import (
 
 	"squid/internal/dessim"
 	"squid/internal/keyspace"
+	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/workload"
 )
@@ -53,11 +54,16 @@ func TestDesQueryAllocs(t *testing.T) {
 	done, failed := 0, 0
 	pass := func() {
 		for i, q := range queries {
-			nw.StartQuery(time.Duration(i)*20*time.Millisecond, i%len(nw.Peers), q, func(r squid.Result) {
-				done++
-				if r.Err != nil {
-					failed++
-				}
+			nw.Schedule(time.Duration(i)*20*time.Millisecond, func() {
+				p := nw.Peers[i%len(nw.Peers)]
+				sim.MustInvoke(p, func() {
+					p.Engine.Query(q, func(r squid.Result) {
+						done++
+						if r.Err != nil {
+							failed++
+						}
+					})
+				})
 			})
 		}
 		nw.Run()

@@ -2,15 +2,12 @@ package dessim_test
 
 import (
 	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"squid/internal/chord"
 	"squid/internal/dessim"
-	"squid/internal/keyspace"
 	"squid/internal/squid"
-	"squid/internal/workload"
 )
 
 // paperScaleRun is the full planet-scale experiment at a given size:
@@ -19,19 +16,32 @@ import (
 // links. It returns the storm result and the network for assertions.
 func paperScaleRun(t *testing.T, nodes, keys int, seed int64) (dessim.StormResult, *dessim.Network) {
 	t.Helper()
-	space, err := keyspace.NewWordSpace(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := dessim.Build(dessim.Config{
+	nw, vocab := stormNet(t, wanConfig(nodes, seed, 0.005), 2000, keys)
+	nw.StabilizeAll(10) // invariant-checked: CheckRing runs every round
+	storm := nw.RunStorm(dessim.StormConfig{
+		Seed:            seed + 4,
+		Queries:         1000,
+		Vocab:           vocab,
+		Dims:            2,
+		Joins:           25,
+		Kills:           25,
+		StabilizeRounds: 10,
+	})
+	nw.CheckRing()
+	return storm, nw
+}
+
+// wanConfig is the paper-scale storms' network: 5–80 ms links dropping
+// drop of all messages, chord RPC retries, and the ring checker on.
+func wanConfig(nodes int, seed int64, drop float64) dessim.Config {
+	return dessim.Config{
 		Nodes: nodes,
-		Space: space,
 		Seed:  seed,
 		Net: dessim.NetConfig{
 			Seed:       seed + 1,
 			MinLatency: 5 * time.Millisecond,
 			MaxLatency: 80 * time.Millisecond,
-			DropRate:   0.005,
+			DropRate:   drop,
 		},
 		Chord: chord.Config{
 			RPCTimeout: 400 * time.Millisecond,
@@ -50,26 +60,7 @@ func paperScaleRun(t *testing.T, nodes, keys int, seed int64) (dessim.StormResul
 			QueryDeadline:  2 * time.Minute,
 		},
 		CheckInvariants: true,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	vocab := workload.NewVocabulary(seed+2, 2000, 1.2)
-	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, seed+3, keys, 2))); err != nil {
-		t.Fatal(err)
-	}
-	nw.StabilizeAll(10) // invariant-checked: CheckRing runs every round
-	storm := nw.RunStorm(dessim.StormConfig{
-		Seed:            seed + 4,
-		Queries:         1000,
-		Vocab:           vocab,
-		Dims:            2,
-		Joins:           25,
-		Kills:           25,
-		StabilizeRounds: 10,
-	})
-	nw.CheckRing()
-	return storm, nw
 }
 
 // skipUnderRace skips a scale test in -race builds. The event core is
@@ -141,34 +132,28 @@ func TestDesPaperScale(t *testing.T) {
 // the pinned seeds. It skips unless SQUID_STORM_SWEEP=N (the scheduled
 // churn-soak CI job sets 20). Seed i is 9001+10·i (the runs draw seeds
 // seed..seed+4, so a stride of 10 keeps them disjoint). Every seed must end
-// with zero hard ring violations and every query answered, complete or
-// partial, unless its initiator was killed before the answer came; the
-// totals are logged for comparing two commits:
+// with zero hard ring violations, no answer the storm's model rejects, and
+// every query answered, complete or partial, unless its initiator was
+// killed before the answer came; the totals are logged for comparing two
+// commits:
 //
 //	SQUID_STORM_SWEEP=20 go test -run TestStormSweep -count=1 -v ./internal/dessim
 //
-// The 20-seed sweep must also be no less complete than it was when owner
-// lookups still went to the owner itself: at least 19,750 complete and at
-// most 247 partial answers.
+// The 20-seed sweep must also stay as complete as it was when the model
+// came in: at least 19,807 complete and at most 190 partial answers.
 func TestStormSweep(t *testing.T) {
-	s := os.Getenv("SQUID_STORM_SWEEP")
-	if s == "" {
+	if os.Getenv("SQUID_STORM_SWEEP") == "" {
 		t.Skip("set SQUID_STORM_SWEEP=N to sweep N seeds")
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		t.Fatalf("bad SQUID_STORM_SWEEP=%q", s)
 	}
 	skipUnderRace(t)
 	var total dessim.StormResult
+	n := len(sweepSeeds(t, []int64{0}))
 	for i := range n {
 		seed := int64(9001 + 10*i)
 		storm, nw := paperScaleRun(t, 1000, 4000, seed)
-		if v := nw.RingViolations(); v != 0 {
-			t.Errorf("seed %d: hard ring violations = %d", seed, v)
-		}
-		if storm.Stranded != 0 {
-			t.Errorf("seed %d: %d queries at live initiators never answered", seed, storm.Stranded)
+		if v := nw.RingViolations(); v != 0 || storm.Stranded != 0 || storm.Violations != 0 {
+			t.Errorf("seed %d: %d hard ring violations, %d queries at live initiators never answered, %d model violations %v",
+				seed, v, storm.Stranded, storm.Violations, storm.FirstViolations)
 		}
 		t.Logf("seed %d: %v", seed, storm)
 		total.Complete += storm.Complete
@@ -180,7 +165,7 @@ func TestStormSweep(t *testing.T) {
 	}
 	t.Logf("%d seeds: complete=%d partial=%d incomplete=%d stranded=%d matches=%d events=%d",
 		n, total.Complete, total.Partial, total.Incomplete, total.Stranded, total.Matches, total.Steps)
-	if n == 20 && (total.Complete < 19_750 || total.Partial > 247) {
-		t.Errorf("20 seeds: %d complete and %d partial, want at least 19750 and at most 247", total.Complete, total.Partial)
+	if n == 20 && (total.Complete < 19_807 || total.Partial > 190) {
+		t.Errorf("20 seeds: %d complete and %d partial, want at least 19807 and at most 190", total.Complete, total.Partial)
 	}
 }

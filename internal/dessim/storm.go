@@ -14,11 +14,14 @@ import (
 	"squid/internal/workload"
 )
 
-// StormConfig drives a churn + query storm: queries, joins, kills, and
-// stabilization rounds interleaved across a window of virtual time, all
-// scheduled up front and executed by one Run. This is the planet-scale
-// workload of the paper's experiments — thousands of concurrent queries
-// against a ring that is losing and gaining members while they run.
+// StormConfig drives a churn + query storm: queries, writes, joins, leaves,
+// kills, and stabilization rounds interleaved across a window of virtual
+// time, all scheduled up front and executed by one Run. This is the
+// planet-scale workload of the paper's experiments — thousands of
+// concurrent queries against a ring that is losing and gaining members
+// while they run — and every scenario test's driver: a test schedules
+// fault phases (drop rate, crash, restart) of its own with
+// Network.Schedule before it calls RunStorm.
 type StormConfig struct {
 	// Seed drives every storm decision: query mix, initiating peers, churn
 	// victims, join identifiers.
@@ -31,8 +34,21 @@ type StormConfig struct {
 	Dims  int
 	// Joins and Kills are protocol-level churn events spread over Span.
 	Joins, Kills int
+	// Leaves are graceful departures spread over Span: a random member
+	// hands its arc to its successor and leaves the ring. Its process
+	// keeps answering what reaches it for ten link latencies (MaxLatency),
+	// then exits.
+	Leaves int
+	// Publishes and Unpublishes are writes spread over Span: a publish
+	// routes a fresh element (a Zipf tuple from Vocab) from a random
+	// member; an unpublish withdraws a random live element, preloaded or
+	// published, whose publish has settled.
+	Publishes, Unpublishes int
 	// StabilizeRounds full stabilization sweeps are interleaved over Span
-	// so the ring heals around the churn while queries are in flight.
+	// so the ring heals around the churn while queries are in flight. When
+	// the engines replicate, each round also pushes replicas; when the
+	// network checks invariants, each round first checks the ring as it
+	// stands.
 	StabilizeRounds int
 	// TopK > 0 runs every other query as a streaming Limit(TopK) query
 	// (QueryStreamFunc) instead of a full drain — the browsing-style storm
@@ -47,7 +63,8 @@ type StormConfig struct {
 // StormResult summarizes a storm deterministically: identical seeds must
 // reproduce it field for field, and Fingerprint folds the full per-query
 // outcome sequence, so two runs agree byte-for-byte iff the simulation
-// replayed exactly.
+// replayed exactly. The model's verdicts (Violations, Lost, Live) stay out
+// of the fingerprint: they judge the run without being part of it.
 type StormResult struct {
 	Complete    int    // queries that finished with nil error
 	Partial     int    // queries that finished with an error
@@ -58,18 +75,23 @@ type StormResult struct {
 	JoinErrs    int    // protocol joins that failed (e.g. id collision)
 	Steps       uint64 // events executed during the storm
 	Fingerprint uint64
+
+	Violations      int     // answers the model rejected
+	FirstViolations []error // the first few, naming query, time and element
+	Lost            int     // stored elements lost with a member that died holding the only copy
+	Live            int     // elements published, not withdrawn and not lost at the end
 }
 
 func (r StormResult) String() string {
-	return fmt.Sprintf("complete=%d partial=%d incomplete=%d stranded=%d matches=%d streamed=%d joinErrs=%d steps=%d fp=%016x",
-		r.Complete, r.Partial, r.Incomplete, r.Stranded, r.Matches, r.Streamed, r.JoinErrs, r.Steps, r.Fingerprint)
+	return fmt.Sprintf("complete=%d partial=%d incomplete=%d stranded=%d matches=%d streamed=%d joinErrs=%d steps=%d fp=%016x violations=%d lost=%d",
+		r.Complete, r.Partial, r.Incomplete, r.Stranded, r.Matches, r.Streamed, r.JoinErrs, r.Steps, r.Fingerprint, r.Violations, r.Lost)
 }
 
 // RunStorm schedules the whole storm and runs the event loop to
 // quiescence. Every decision that depends on network state (which peer
 // initiates, who dies) is made at its event's virtual instant from the
 // storm's seeded rng, so the run is a pure function of (network state,
-// config).
+// config). The storm's model checks every answer as it arrives.
 func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 	if cfg.Span <= 0 {
 		cfg.Span = 10 * time.Minute
@@ -109,6 +131,8 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 
 	startBase := nw.Core.Steps()
 	space := chord.Space{Bits: nw.Space.IndexBits()}
+	netCfg := nw.Config()
+	m := newModel(nw)
 	// initiator[i] is query i's root peer until its callback fires.
 	initiator := make([]*sim.Peer, cfg.Queries)
 
@@ -121,25 +145,28 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 			}
 			p := nw.Peers[rng.Intn(len(nw.Peers))]
 			initiator[i] = p
+			start := nw.Core.Now()
 			if cfg.TopK > 0 && i%2 == 1 {
 				sim.MustInvoke(p, func() {
 					res.Streamed++
-					batches, delivered := 0, 0
+					batches := 0
+					var got []squid.Element
 					_, err := p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
 						if !ev.Done {
 							batches++
-							delivered += len(ev.Matches)
+							got = append(got, ev.Matches...)
 							return
 						}
 						initiator[i] = nil
+						m.check(i, q, start, got, false)
 						if ev.Err != nil {
 							res.Partial++
 							fold(i, -1, batches)
 							return
 						}
 						res.Complete++
-						res.Matches += delivered
-						fold(i, delivered, batches)
+						res.Matches += len(got)
+						fold(i, len(got), batches)
 					}, squid.Limit(cfg.TopK))
 					if err != nil {
 						initiator[i] = nil
@@ -152,6 +179,7 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 			sim.MustInvoke(p, func() {
 				p.Engine.Query(q, func(r squid.Result) {
 					initiator[i] = nil
+					m.check(i, q, start, r.Matches, r.Err == nil)
 					if r.Err != nil {
 						res.Partial++
 						fold(i, -1)
@@ -165,51 +193,84 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 		})
 	}
 
-	for k := 0; k < cfg.Kills; k++ {
-		at := cfg.Span * time.Duration(k+1) / time.Duration(cfg.Kills+1)
-		nw.Schedule(at, func() {
-			if len(nw.Peers) < 2 {
-				return
-			}
-			nw.KillPeer(rng.Intn(len(nw.Peers)))
-		})
+	// spread schedules n events evenly over Span, each offset by off.
+	spread := func(n int, off time.Duration, fn func(k int)) {
+		for k := 0; k < n; k++ {
+			nw.Schedule(cfg.Span*time.Duration(k+1)/time.Duration(n+1)+off, func() { fn(k) })
+		}
 	}
-
-	for j := 0; j < cfg.Joins; j++ {
-		at := cfg.Span*time.Duration(j+1)/time.Duration(cfg.Joins+1) + time.Millisecond
-		nw.Schedule(at, func() {
-			id := chord.ID(rng.Uint64() & space.Mask())
-			p, err := nw.NewPeer(id)
-			if err != nil {
-				res.JoinErrs++
-				return
-			}
-			seed := nw.Peers[rng.Intn(len(nw.Peers))]
-			sim.MustInvoke(p, func() {
-				p.Node.Join(seed.Addr(), func(e error) {
-					if e != nil {
-						res.JoinErrs++
-						nw.Net.Kill(p.Addr())
-						return
-					}
-					nw.Admit(p)
-				})
+	spread(cfg.Kills, 0, func(int) {
+		if len(nw.Peers) < 2 {
+			return
+		}
+		i := rng.Intn(len(nw.Peers))
+		m.kill(nw.Peers[i])
+		nw.KillPeer(i)
+	})
+	spread(cfg.Joins, time.Millisecond, func(int) {
+		id := chord.ID(rng.Uint64() & space.Mask())
+		p, err := nw.NewPeer(id)
+		if err != nil {
+			res.JoinErrs++
+			return
+		}
+		seed := nw.Peers[rng.Intn(len(nw.Peers))]
+		sim.MustInvoke(p, func() {
+			p.Node.Join(seed.Addr(), func(e error) {
+				if e != nil {
+					res.JoinErrs++
+					nw.Net.Kill(p.Addr())
+					return
+				}
+				nw.Admit(p)
 			})
 		})
-	}
-
-	for r := 0; r < cfg.StabilizeRounds; r++ {
-		at := cfg.Span*time.Duration(r+1)/time.Duration(cfg.StabilizeRounds+1) + 2*time.Millisecond
-		nw.Schedule(at, func() {
-			for _, p := range nw.Peers {
-				sim.MustInvoke(p, func() {
-					p.Node.CheckPredecessor()
-					p.Node.Stabilize()
-					p.Node.FixFingers()
-				})
-			}
+	})
+	spread(cfg.StabilizeRounds, 2*time.Millisecond, func(int) {
+		if netCfg.CheckInvariants {
+			nw.checkRing()
+		}
+		for _, p := range nw.Peers {
+			sim.MustInvoke(p, func() {
+				p.Node.CheckPredecessor()
+				p.Node.Stabilize()
+				p.Node.FixFingers()
+				p.Engine.PushReplicas() // a no-op without replication
+			})
+		}
+	})
+	spread(cfg.Leaves, 3*time.Millisecond, func(int) {
+		if len(nw.Peers) < 2 {
+			return
+		}
+		i := rng.Intn(len(nw.Peers))
+		p := nw.Peers[i]
+		nw.Peers = append(nw.Peers[:i], nw.Peers[i+1:]...)
+		sim.MustInvoke(p, p.Node.Leave)
+		nw.Schedule(10*netCfg.Net.MaxLatency, func() {
+			m.kill(p)
+			nw.Net.Kill(p.Addr())
 		})
+	})
+	var tuples [][]string
+	if cfg.Publishes > 0 {
+		tuples = workload.KeyTuples(cfg.Vocab, cfg.Seed+2, cfg.Publishes, cfg.Dims)
 	}
+	spread(cfg.Publishes, 4*time.Millisecond, func(k int) {
+		e := squid.Element{Values: tuples[k], Data: fmt.Sprintf("storm%d-%05d", cfg.Seed, k)}
+		p := nw.Peers[rng.Intn(len(nw.Peers))]
+		m.publish(e)
+		sim.MustInvoke(p, func() { _ = p.Engine.Publish(e) })
+	})
+	spread(cfg.Unpublishes, 5*time.Millisecond, func(int) {
+		if len(m.truth) == 0 {
+			return
+		}
+		if me := m.unpublish(rng.Intn(len(m.truth))); me != nil {
+			p := nw.Peers[rng.Intn(len(nw.Peers))]
+			sim.MustInvoke(p, func() { _ = p.Engine.Unpublish(me.e) })
+		}
+	})
 
 	nw.Run()
 	res.Incomplete = cfg.Queries - res.Complete - res.Partial
@@ -225,5 +286,24 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 	res.Steps = nw.Core.Steps() - startBase
 	fold(res.Complete, res.Partial, res.Incomplete, res.Matches, res.Streamed, res.JoinErrs, int(res.Steps), len(nw.Peers))
 	res.Fingerprint = h.Sum64()
+	res.Violations, res.FirstViolations, res.Lost = m.violations, m.first, m.lost
+	for _, me := range m.truth {
+		if me.live() {
+			res.Live++
+		}
+	}
 	return res
+}
+
+// checkRing runs the global ring check on the members' state as it stands,
+// read in place: the event core is one goroutine, so a storm checks the
+// ring mid-run without running an event.
+func (nw *Network) checkRing() {
+	snaps := make([]chord.Snapshot, 0, len(nw.Peers))
+	for _, p := range nw.Peers {
+		if !nw.Faults.Crashed(p.Addr()) {
+			snaps = append(snaps, p.Node.View())
+		}
+	}
+	nw.RecordRing(snaps)
 }

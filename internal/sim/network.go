@@ -237,6 +237,9 @@ func (nw *Network) NewPeer(id chord.ID) (*Peer, error) {
 	return &Peer{Node: node, Engine: eng}, nil
 }
 
+// Config returns the configuration the network was built with.
+func (nw *Network) Config() Config { return nw.cfg }
+
 // Admit adds a joined peer to the ring-ordered peer table.
 func (nw *Network) Admit(p *Peer) {
 	nw.Peers = append(nw.Peers, p)
@@ -583,9 +586,13 @@ func (nw *Network) SnapshotRing() []chord.Snapshot {
 // family and accumulating hard ones in RingViolations. It returns the
 // round's violations (transient ones included) for callers that want the
 // detail.
-func (nw *Network) CheckRing() []chord.Violation {
+func (nw *Network) CheckRing() []chord.Violation { return nw.RecordRing(nw.SnapshotRing()) }
+
+// RecordRing is CheckRing over snapshots the caller took, for a driver that
+// can read its peers' state without waiting for the network to go idle.
+func (nw *Network) RecordRing(snaps []chord.Snapshot) []chord.Violation {
 	space := chord.Space{Bits: nw.Space.IndexBits()}
-	vs := chord.CheckRing(space, nw.SnapshotRing())
+	vs := chord.CheckRing(space, snaps)
 	for _, v := range vs {
 		nw.ringViolations.With(string(v.Kind)).Inc()
 	}

@@ -8,7 +8,6 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/dessim"
-	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/transport"
@@ -97,179 +96,20 @@ func chaosPublish(t *testing.T, nw *sim.Network, rng *rand.Rand, n int) []squid.
 	return elems
 }
 
-// dataSet collapses elements to their unique payload tags.
-func dataSet(elems []squid.Element) map[string]bool {
-	out := make(map[string]bool, len(elems))
-	for _, e := range elems {
-		out[e.Data] = true
+// randSoakWord draws a random lowercase word of 3 to 7 letters.
+func randSoakWord(rng *rand.Rand) string {
+	b := make([]byte, 3+rng.Intn(5))
+	for i := range b {
+		b[i] = byte('a' + rng.Intn(26))
 	}
-	return out
+	return string(b)
 }
 
-// checkSound asserts the chaos invariants on one query result against the
-// ground truth taken immediately before it ran: no phantom matches, no
-// duplicates, and — whenever the result claims success — full recall.
-// Returns whether the result was complete.
-func checkSound(t *testing.T, label string, res squid.Result, truth map[string]bool) bool {
+// checkAnswer fails the test unless res obeys sim.CheckAnswer against the
+// ground truth taken just before the query ran.
+func checkAnswer(t *testing.T, label string, res squid.Result, truth []squid.Element) {
 	t.Helper()
-	seen := make(map[string]bool, len(res.Matches))
-	for _, m := range res.Matches {
-		if !truth[m.Data] {
-			t.Fatalf("%s: phantom match %q not in ground truth", label, m.Data)
-		}
-		if seen[m.Data] {
-			t.Fatalf("%s: duplicate match %q", label, m.Data)
-		}
-		seen[m.Data] = true
-	}
-	if res.Err == nil && len(seen) != len(truth) {
-		t.Fatalf("%s: silent partial: %d/%d matches with nil error",
-			label, len(seen), len(truth))
-	}
-	return res.Err == nil
-}
-
-// TestChaosSoak drives queries through a lossy transport with a crashed
-// node per block of 50 queries. The contract under fire: results are
-// always sound (a subset of the pre-query ground truth, no duplicates),
-// and a query either achieves full recall or reports a non-nil error —
-// never a silently short match set. Once faults clear, one stabilization
-// round restores exact recall.
-func TestChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in short mode")
-	}
-	cfg := chaosConfig(t, 16, 4001)
-	seeds := seedsOf(cfg)
-	nw := onEventCore(t, cfg).Network
-	rng := rand.New(rand.NewSource(4002))
-	chaosPublish(t, nw, rng, 300)
-
-	queries := []keyspace.Query{
-		keyspace.MustParse("(a*, *)"),
-		keyspace.MustParse("(*, m*)"),
-		keyspace.MustParse("(b-f, *)"),
-		keyspace.MustParse("(*, *)"),
-	}
-
-	// Baseline: with the fault plan configured but quiet, recall is exact.
-	for _, q := range queries {
-		truth := dataSet(nw.BruteForceMatches(q))
-		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
-		label := fmt.Sprintf("%s: baseline %s", seeds, q)
-		if res.Err != nil {
-			t.Fatalf("%s: %v", label, res.Err)
-		}
-		checkSound(t, label, res, truth)
-	}
-
-	// Chaos phase: ≥10% message loss plus one crashed (black-holed) node
-	// per 50-query block.
-	nw.Faults.SetDropRate(0.12)
-	complete, partial := 0, 0
-	for block := 0; block < 2; block++ {
-		crashed := rng.Intn(len(nw.Peers))
-		nw.Faults.Crash(nw.Peers[crashed].Addr())
-		for i := 0; i < 50; i++ {
-			q := queries[rng.Intn(len(queries))]
-			via := rng.Intn(len(nw.Peers))
-			if via == crashed {
-				via = (via + 1) % len(nw.Peers)
-			}
-			truth := dataSet(nw.BruteForceMatches(q))
-			res, _ := nw.Query(via, q)
-			label := fmt.Sprintf("%s: block %d query %d %s", seeds, block, i, q)
-			if checkSound(t, label, res, truth) {
-				complete++
-			} else {
-				partial++
-			}
-		}
-		nw.Faults.Restart(nw.Peers[crashed].Addr())
-	}
-	if partial == 0 {
-		t.Errorf("%s: chaos phase produced no partial results — faults were not exercised", seeds)
-	}
-	st := nw.Faults.Stats()
-	if st.Dropped == 0 || st.CrashDrops == 0 {
-		t.Errorf("%s: fault stats %+v: expected injected drops and crash drops", seeds, st)
-	}
-	redispatches := nw.Telemetry.CounterVec("squid_engine_recovery_total", "", "node", "event").Sum("event", "redispatch")
-	if redispatches == 0 {
-		t.Errorf("%s: no subtree re-dispatches despite message loss", seeds)
-	}
-	findRetries := nw.Telemetry.CounterVec("squid_chord_rpc_retries_total", "", "node", "op").Sum("op", "find")
-	if findRetries == 0 {
-		t.Errorf("%s: no chord RPC retries despite message loss", seeds)
-	}
-	t.Logf("chaos: %d complete / %d partial; faults %+v; %d redispatches; %d find retries",
-		complete, partial, st, redispatches, findRetries)
-
-	// Faults clear: one stabilization round must restore exact recall.
-	nw.Faults.SetDropRate(0)
-	nw.StabilizeAll(1)
-	nw.PushReplicasAll()
-	for _, q := range queries {
-		truth := dataSet(nw.BruteForceMatches(q))
-		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
-		label := fmt.Sprintf("%s: post-heal %s", seeds, q)
-		if res.Err != nil {
-			t.Fatalf("%s: %v", label, res.Err)
-		}
-		if !checkSound(t, label, res, truth) || len(res.Matches) != len(truth) {
-			t.Fatalf("%s: %d/%d matches", label, len(res.Matches), len(truth))
-		}
-	}
-	if n := nw.RingViolations(); n != 0 {
-		t.Fatalf("%s: %d hard ring violations after heal — crashes and message loss must not break membership", seeds, n)
-	}
-}
-
-// TestChaosQuerySubsetProperty is the property-style check: randomized
-// queries through a heavily lossy transport always return a subset of the
-// brute-force ground truth — matches may be missing (flagged via Err) but
-// are never fabricated or duplicated.
-func TestChaosQuerySubsetProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos property test skipped in short mode")
-	}
-	cfg := chaosConfig(t, 12, 5001)
-	seeds := seedsOf(cfg)
-	nw := onEventCore(t, cfg).Network
-	rng := rand.New(rand.NewSource(5002))
-	elems := chaosPublish(t, nw, rng, 200)
-	nw.Faults.SetDropRate(0.25)
-
-	randTerm := func() string {
-		switch rng.Intn(3) {
-		case 0:
-			return "*"
-		case 1:
-			return string(rune('a'+rng.Intn(26))) + "*"
-		default:
-			a, b := rune('a'+rng.Intn(26)), rune('a'+rng.Intn(26))
-			if a > b {
-				a, b = b, a
-			}
-			return fmt.Sprintf("%c-%c", a, b)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		var qs string
-		if rng.Intn(5) == 0 {
-			// Exact query for a published element: exercises the lookup
-			// path's recovery under the same faults.
-			e := elems[rng.Intn(len(elems))]
-			qs = fmt.Sprintf("(%s, %s)", e.Values[0], e.Values[1])
-		} else {
-			qs = fmt.Sprintf("(%s, %s)", randTerm(), randTerm())
-		}
-		q, err := keyspace.Parse(qs)
-		if err != nil {
-			t.Fatalf("%s: generated unparsable query %q: %v", seeds, qs, err)
-		}
-		truth := dataSet(nw.BruteForceMatches(q))
-		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
-		checkSound(t, fmt.Sprintf("%s: property query %d %s", seeds, i, qs), res, truth)
+	if err := sim.CheckAnswer(res.Matches, res.Err == nil, truth, truth); err != nil {
+		t.Fatalf("%s: %v (err %v)", label, err, res.Err)
 	}
 }

@@ -19,10 +19,6 @@ func (e *Engine) OpenChildren() int { return len(e.children) }
 // and refinement jobs. Call it on the delivery goroutine.
 func (e *Engine) HeldBookkeeping() int { return e.held }
 
-// ReplicaStore (test hook) returns the node's replica buffer. Call it on
-// the delivery goroutine.
-func (e *Engine) ReplicaStore() *Store { return e.replicas }
-
 // PushReplicasFull (test hook) pushes every locally owned item to the
 // current successors, as PushReplicas does when the replica set changed.
 // Call it on the delivery goroutine.

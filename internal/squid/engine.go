@@ -525,6 +525,11 @@ func (e *Engine) lostSpan(st *subtree, c *childCall) telemetry.Span {
 // oracle preloading by the simulator).
 func (e *Engine) LocalStore() *Store { return e.store }
 
+// ReplicaStore exposes the copies this node holds for its predecessors
+// (for inspection by the simulator's storm model and by tests). Call it on
+// the delivery goroutine.
+func (e *Engine) ReplicaStore() *Store { return e.replicas }
+
 // Publish routes a data element to the node owning its curve index.
 func (e *Engine) Publish(elem Element) error {
 	idx, err := e.space.Index(elem.Values)
@@ -1713,10 +1718,14 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 		e.syncKeys()
 		e.replicate([]chord.Item{{Key: chord.ID(idx), Value: []Element{m.Elem}}})
 	case UnpublishMsg:
-		e.handleUnpublish(m)
+		e.handleUnpublish(from, m)
 	case *ClusterQueryMsg:
 		v := *m
 		clusterQueries.Put(m)
+		if !e.node.Running() {
+			e.handOnQuery(v)
+			return
+		}
 		e.handleClusterQuery(v)
 	case QueryShedMsg:
 		e.handleShed(m)
@@ -1741,10 +1750,23 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 	}
 }
 
+// handOnQuery passes a batch that reached this node after it left the ring
+// to the first successor that takes it, the one Leave handed the arc to
+// (over a FIFO link the items arrive first), instead of answering from the
+// emptied store. With no successor to take it, the subtree is lost.
+func (e *Engine) handOnQuery(m ClusterQueryMsg) {
+	fwd := clusterQueries.Get()
+	*fwd = m
+	if e.node.SendToSucc(fwd).IsZero() {
+		clusterQueries.Put(fwd)
+		sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{QID: m.QID, Token: m.Token, Incomplete: true})
+	}
+}
+
 // handleUnpublish removes the element locally (from the primary store at
 // the owner, from the replica store at replica holders) and, at the owner,
 // fans the removal out to the successors that may hold replicas.
-func (e *Engine) handleUnpublish(m UnpublishMsg) {
+func (e *Engine) handleUnpublish(from transport.Addr, m UnpublishMsg) {
 	idx, err := e.space.Index(m.Elem.Values)
 	if err != nil {
 		return
@@ -1756,22 +1778,23 @@ func (e *Engine) handleUnpublish(m UnpublishMsg) {
 		e.store.Remove(idx, m.Elem)
 		e.noteMutation(idx)
 		e.syncKeys()
+		// A predecessor adopted between the key and this node got copies
+		// from ArcChanged the owner may not know of; pass the removal back.
+		if p := e.node.Pred(); p.Addr != from && e.node.Succ().Addr != from &&
+			e.node.Space().BetweenOpen(p.ID, chord.ID(idx), e.node.Self().ID) {
+			e.send(p.Addr, m)
+		}
 		return
 	}
 	e.store.Remove(idx, m.Elem)
 	e.noteMutation(idx)
 	e.syncKeys()
 	if e.opts.Replicas > 0 {
-		fanned := 0
+		// The whole successor list: a former replica holder would promote
+		// its stale copy once its arc grew over the key.
 		for _, s := range e.node.SuccList() {
-			if s.Addr == e.node.Self().Addr {
-				continue
-			}
-			if e.send(s.Addr, UnpublishMsg{Elem: m.Elem, Replica: true}) {
-				fanned++
-				if fanned == e.opts.Replicas {
-					break
-				}
+			if s.Addr != e.node.Self().Addr {
+				e.send(s.Addr, UnpublishMsg{Elem: m.Elem, Replica: true})
 			}
 		}
 	}

@@ -142,10 +142,17 @@ func (e *Engine) ArcChanged(oldPred, newPred chord.NodeRef) {
 	if newPred.IsZero() {
 		return
 	}
+	self := e.node.Self()
 	// Demote: everything outside (newPred, self] stops being primary.
-	e.replicas.AddBatchUnique(e.store.HandoverOut(e.node.Self().ID, newPred.ID))
+	e.replicas.AddBatchUnique(e.store.HandoverOut(self.ID, newPred.ID))
 	e.noteBulkMutation()
 	e.syncKeys()
+	// A predecessor adopted inside the old arc now succeeds the nodes this
+	// one holds replicas for: if one died unnoticed, it inherits that arc
+	// and needs the copies.
+	if !oldPred.IsZero() && e.replicas.Keys() > 0 && e.node.Space().BetweenOpen(newPred.ID, oldPred.ID, self.ID) {
+		e.send(newPred.Addr, ReplicaMsg{Items: e.replicas.Snapshot()})
+	}
 	// Promote: replicas inside the (possibly grown) arc become primary.
 	if e.replicas.Keys() == 0 {
 		return
