@@ -111,18 +111,11 @@ func HardViolations(vs []Violation) []Violation {
 func CheckRing(space Space, snaps []Snapshot) []Violation {
 	// order holds the members sorted by identifier; idx maps an address
 	// to its position there.
-	idx := make(map[transport.Addr]int, len(snaps))
 	order := make([]Snapshot, 0, len(snaps))
 	for _, s := range snaps {
-		if !s.Running || s.Self.IsZero() {
-			continue
+		if s.Running && !s.Self.IsZero() {
+			order = append(order, s)
 		}
-		if i, dup := idx[s.Self.Addr]; dup {
-			order[i] = s
-			continue
-		}
-		idx[s.Self.Addr] = len(order)
-		order = append(order, s)
 	}
 	if len(order) <= 1 {
 		return nil
@@ -134,6 +127,7 @@ func CheckRing(space Space, snaps []Snapshot) []Violation {
 		}
 		return order[i].Self.Addr < order[j].Self.Addr
 	})
+	idx := make(map[transport.Addr]int, len(order))
 	for i, s := range order {
 		idx[s.Self.Addr] = i
 	}

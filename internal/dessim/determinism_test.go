@@ -35,15 +35,17 @@ func stormFixture(t *testing.T, seed int64) (string, dessim.StormResult, uint64)
 }
 
 // checkPinned fails unless a seeded storm reproduced the fingerprint and
-// total event count recorded for its seed. Determinism across runs of one
-// build is asserted separately; the pin holds the outcome across commits,
-// so a refactor that claims to leave the protocol alone can prove it.
+// total event count recorded for its seed, with no answer its model
+// rejected. Determinism across runs of one build is asserted separately;
+// the pin holds the outcome across commits, so a refactor that claims to
+// leave the protocol alone can prove it.
 func checkPinned(t *testing.T, storm dessim.StormResult, events, wantFP, wantEvents uint64) {
 	t.Helper()
-	if storm.Fingerprint != wantFP || events != wantEvents {
-		t.Errorf("storm fp=%016x events=%d, pinned fp=%016x events=%d: the seeded storm no longer replays "+
-			"as recorded. A deliberate protocol change updates these constants in the same commit; "+
-			"anything else is a regression", storm.Fingerprint, events, wantFP, wantEvents)
+	if storm.Fingerprint != wantFP || events != wantEvents || storm.Violations != 0 {
+		t.Errorf("storm fp=%016x events=%d model violations %d %v, pinned fp=%016x events=%d and none: the seeded "+
+			"storm no longer replays as recorded. A deliberate protocol change updates these constants in the "+
+			"same commit; anything else is a regression", storm.Fingerprint, events, storm.Violations,
+			storm.FirstViolations, wantFP, wantEvents)
 	}
 }
 
