@@ -237,6 +237,69 @@ func TestPublishRoutesThroughOverlay(t *testing.T) {
 	}
 }
 
+// TestLatencyAndFaults drives queries over lossy, slow links, all on
+// virtual time: chord RPC retries, subtree recovery, and the query deadline
+// fire as scheduled events. Every answer obeys sim.CheckAnswer against the
+// brute-force ground truth — no phantom, no duplicate, and a nil-error
+// result has full recall — plus the DES-specific checks that latency
+// advanced the virtual clock and the fault lottery is accounted.
+func TestLatencyAndFaults(t *testing.T) {
+	nw, err := Build(Config{
+		Nodes: 25,
+		Space: testSpace(t),
+		Seed:  21,
+		Net: NetConfig{
+			Seed:       22,
+			MinLatency: 10 * time.Millisecond,
+			MaxLatency: 120 * time.Millisecond,
+			DropRate:   0.15,
+		},
+		Chord: chord.Config{
+			RPCTimeout: 500 * time.Millisecond,
+			RPCRetries: 4,
+			RPCBackoff: 20 * time.Millisecond,
+		},
+		Engine: squid.Options{
+			SubtreeTimeout: 2 * time.Second,
+			SubtreeRetries: 2,
+			QueryDeadline:  60 * time.Second,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := workload.NewVocabulary(1, 200, 1.2)
+	if err := nw.Preload(workload.Elements(workload.KeyTuples(vocab, 2, 1000, 2))); err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.NewQueryGen(vocab, 3, 2)
+	complete := 0
+	for i := 0; i < 40; i++ {
+		q := gen.Q2()
+		truth := nw.BruteForceMatches(q)
+		res, _ := nw.Query(i%len(nw.Peers), q)
+		if err := sim.CheckAnswer(res.Matches, res.Err == nil, truth, truth); err != nil {
+			t.Fatalf("query %d %s: %v (err %v)", i, q, err, res.Err)
+		}
+		if res.Err == nil {
+			complete++
+		}
+	}
+	if complete == 0 {
+		t.Error("no query completed despite full recovery stack")
+	}
+	if nw.Core.Elapsed() == 0 {
+		t.Error("latency injection did not advance virtual time")
+	}
+	st := nw.Faults.Stats()
+	if st.Delayed == 0 {
+		t.Error("no messages recorded as delayed")
+	}
+	if st.Dropped == 0 {
+		t.Errorf("drop lottery never fired at 15%% (stats %+v)", st)
+	}
+}
+
 // TestCrashPartitionFaults exercises the black-hole and partition surface:
 // traffic into a crashed or partitioned-away peer is lost and accounted.
 // No stabilization runs while the partition is up (a split ring cannot be

@@ -8,6 +8,7 @@ import (
 
 	"squid/internal/chord"
 	"squid/internal/dessim"
+	"squid/internal/keyspace"
 	"squid/internal/sim"
 	"squid/internal/squid"
 	"squid/internal/transport"
@@ -111,5 +112,54 @@ func checkAnswer(t *testing.T, label string, res squid.Result, truth []squid.Ele
 	t.Helper()
 	if err := sim.CheckAnswer(res.Matches, res.Err == nil, truth, truth); err != nil {
 		t.Fatalf("%s: %v (err %v)", label, err, res.Err)
+	}
+}
+
+// TestChaosQuerySubsetProperty is the property-style check: randomized
+// queries through a heavily lossy transport always obey sim.CheckAnswer
+// against the brute-force ground truth — matches may be missing (flagged
+// via Err) but are never fabricated or duplicated.
+func TestChaosQuerySubsetProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos property test skipped in short mode")
+	}
+	cfg := chaosConfig(t, 12, 5001)
+	seeds := seedsOf(cfg)
+	nw := onEventCore(t, cfg).Network
+	rng := rand.New(rand.NewSource(5002))
+	elems := chaosPublish(t, nw, rng, 200)
+	nw.Faults.SetDropRate(0.25)
+
+	randTerm := func() string {
+		switch rng.Intn(3) {
+		case 0:
+			return "*"
+		case 1:
+			return string(rune('a'+rng.Intn(26))) + "*"
+		default:
+			a, b := rune('a'+rng.Intn(26)), rune('a'+rng.Intn(26))
+			if a > b {
+				a, b = b, a
+			}
+			return fmt.Sprintf("%c-%c", a, b)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		var qs string
+		if rng.Intn(5) == 0 {
+			// Exact query for a published element: exercises the lookup
+			// path's recovery under the same faults.
+			e := elems[rng.Intn(len(elems))]
+			qs = fmt.Sprintf("(%s, %s)", e.Values[0], e.Values[1])
+		} else {
+			qs = fmt.Sprintf("(%s, %s)", randTerm(), randTerm())
+		}
+		q, err := keyspace.Parse(qs)
+		if err != nil {
+			t.Fatalf("%s: generated unparsable query %q: %v", seeds, qs, err)
+		}
+		truth := nw.BruteForceMatches(q)
+		res, _ := nw.Query(rng.Intn(len(nw.Peers)), q)
+		checkAnswer(t, fmt.Sprintf("%s: property query %d %s", seeds, i, qs), res, truth)
 	}
 }
