@@ -115,18 +115,21 @@ func TestEveryMessageEncodable(t *testing.T) {
 			}
 		})
 	}
-	// A consumer that walks away after the first batch.
+	// A consumer that walks away while the stream's subtrees are still
+	// out, before any has reported.
 	invoke(t, nw, nw.Peers[6], func(p *sim.Peer) {
-		var qid squid.QueryID
-		var err error
-		qid, err = p.Engine.QueryStreamFunc(context.Background(), all, func(ev squid.StreamEvent) {
-			if !ev.Done {
-				p.Engine.CancelQuery(qid)
-			}
-		})
+		qid, err := p.Engine.QueryStreamFunc(context.Background(), all, func(squid.StreamEvent) {})
 		if err != nil {
 			t.Errorf("stream: %v", err)
+			return
 		}
+		nw.Schedule(300*time.Millisecond, func() {
+			sim.MustInvoke(p, func() {
+				if !p.Engine.CancelQuery(qid) {
+					t.Error("the stream finished before its consumer walked away")
+				}
+			})
+		})
 	})
 
 	nw.RemovePeer(5)
@@ -147,7 +150,7 @@ func TestEveryMessageEncodable(t *testing.T) {
 		"chord.JoinReqMsg", "chord.LeaveMsg", "chord.HandoffMsg", "chord.StateMsg",
 		"squid.ReplicaMsg", "*chord.RouteMsg(squid.PublishMsg)", "*chord.RouteMsg(squid.UnpublishMsg)",
 		"*squid.ClusterQueryMsg", "*squid.SubResultMsg",
-		"*squid.PartialResultMsg", "*chord.RouteMsg(squid.QueryCancelMsg)",
+		"*chord.RouteMsg(squid.QueryCancelMsg)",
 	} {
 		if seen[want] == 0 {
 			t.Errorf("scenario sent no %s", want)

@@ -53,7 +53,9 @@ type StormConfig struct {
 	// TopK > 0 runs every other query as a streaming Limit(TopK) query
 	// (QueryStreamFunc) instead of a full drain — the browsing-style storm
 	// mix. Batch and delivery counts fold into the fingerprint, so a
-	// nondeterministic streaming path breaks replay equality.
+	// nondeterministic streaming path breaks replay equality. Either way
+	// every other full drain runs as an unlimited stream rather than a
+	// Query.
 	TopK int
 	// Span is the virtual-time window everything is scheduled across
 	// (default 10 minutes of virtual time).
@@ -176,19 +178,43 @@ func (nw *Network) RunStorm(cfg StormConfig) StormResult {
 				})
 				return
 			}
+			// A full drain: every other one runs as an unlimited stream, which
+			// sends what a Query collector sends and is checked, counted and
+			// folded as one.
+			drained := func(matches []squid.Element, err error) {
+				initiator[i] = nil
+				m.check(i, q, start, matches, err == nil)
+				if err != nil {
+					res.Partial++
+					fold(i, -1)
+					return
+				}
+				res.Complete++
+				res.Matches += len(matches)
+				fold(i, len(matches))
+			}
+			slot := i
+			if cfg.TopK > 0 {
+				slot = i / 2
+			}
+			if slot%2 == 0 {
+				sim.MustInvoke(p, func() {
+					p.Engine.Query(q, func(r squid.Result) { drained(r.Matches, r.Err) })
+				})
+				return
+			}
 			sim.MustInvoke(p, func() {
-				p.Engine.Query(q, func(r squid.Result) {
-					initiator[i] = nil
-					m.check(i, q, start, r.Matches, r.Err == nil)
-					if r.Err != nil {
-						res.Partial++
-						fold(i, -1)
+				var got []squid.Element
+				_, err := p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
+					if !ev.Done {
+						got = append(got, ev.Matches...)
 						return
 					}
-					res.Complete++
-					res.Matches += len(r.Matches)
-					fold(i, len(r.Matches))
+					drained(got, ev.Err)
 				})
+				if err != nil {
+					drained(nil, err)
+				}
 			})
 		})
 	}

@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"squid/internal/stats"
 )
 
 // Tiny scales keep the suite fast; the shapes under test are the paper's
@@ -187,9 +189,9 @@ func TestFig19BalanceOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gu := gini(dists.Uniform)
-	gj := gini(dists.JoinOnly)
-	gr := gini(dists.JoinAndRun)
+	gu := stats.Gini(dists.Uniform)
+	gj := stats.Gini(dists.JoinOnly)
+	gr := stats.Gini(dists.JoinAndRun)
 	t.Logf("gini uniform=%.3f joinOnly=%.3f join+runtime=%.3f", gu, gj, gr)
 	// Paper Fig 19: join-time LB improves on the raw distribution; adding
 	// runtime LB improves it significantly further.
@@ -199,11 +201,6 @@ func TestFig19BalanceOrdering(t *testing.T) {
 	if gr >= gj {
 		t.Errorf("runtime LB should improve further: %.3f vs %.3f", gr, gj)
 	}
-}
-
-func gini(v []int) float64 {
-	// small local wrapper to keep the test readable
-	return giniOf(v)
 }
 
 func TestAblationAggregationSaves(t *testing.T) {
@@ -341,32 +338,5 @@ func TestAblationCurve(t *testing.T) {
 	}
 	if hilbert.AvgMatchesFound != morton.AvgMatchesFound {
 		t.Errorf("curves disagree on matches: %.1f vs %.1f", hilbert.AvgMatchesFound, morton.AvgMatchesFound)
-	}
-}
-
-// giniOf duplicates stats.Gini locally so the test reads standalone.
-func giniOf(values []int) float64 {
-	n := len(values)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), values...)
-	sortInts(sorted)
-	var cum, total float64
-	for i, v := range sorted {
-		cum += float64(v) * float64(2*(i+1)-n-1)
-		total += float64(v)
-	}
-	if total == 0 {
-		return 0
-	}
-	return cum / (float64(n) * total)
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

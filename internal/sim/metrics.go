@@ -31,10 +31,6 @@ type QueryMetrics struct {
 	PayloadHops int
 	// ResultMessages counts result reports back to the initiator.
 	ResultMessages int
-	// PartialMessages counts PartialResultMsg transmissions — early result
-	// batches flowing up a streaming query's tree ahead of subtree
-	// completion.
-	PartialMessages int
 	// CancelMessages counts QueryCancelMsg transmissions — the teardown a
 	// top-k stream sends when Limit is reached before refinement finishes.
 	CancelMessages int
@@ -61,8 +57,7 @@ func (m *QueryMetrics) Messages() int {
 // TotalTransmissions counts every message transmission attributable to the
 // query, replies included.
 func (m *QueryMetrics) TotalTransmissions() int {
-	return m.Messages() + m.ProbeReplies + m.ResultMessages +
-		m.PartialMessages + m.CancelMessages
+	return m.Messages() + m.ProbeReplies + m.ResultMessages + m.CancelMessages
 }
 
 // ClusteringRatio is the paper's measure of the Hilbert mapping's locality
@@ -198,10 +193,6 @@ func (ms *Metrics) Observe(from, to transport.Addr, msg any) {
 	case *squid.SubResultMsg:
 		ms.mu.Lock()
 		ms.query(m.QID).ResultMessages++
-		ms.mu.Unlock()
-	case *squid.PartialResultMsg:
-		ms.mu.Lock()
-		ms.query(m.QID).PartialMessages++
 		ms.mu.Unlock()
 	case squid.QueryCancelMsg:
 		ms.mu.Lock()

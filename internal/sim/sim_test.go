@@ -317,8 +317,8 @@ func TestMustInvokeRunsOnLivePeer(t *testing.T) {
 
 // TestMetricsCountBarePayloads: direct sends carry engine payloads bare,
 // so the observer must count them by their own types. A wrapping observer
-// tallies every ClusterQueryMsg, SubResultMsg and PartialResultMsg of one
-// streamed query; the query's metrics must agree with it exactly.
+// tallies every ClusterQueryMsg and SubResultMsg of one streamed query;
+// the query's metrics must agree with it exactly.
 func TestMetricsCountBarePayloads(t *testing.T) {
 	nw, err := Build(Config{Nodes: 30, Space: testSpace(t), Seed: 5})
 	if err != nil {
@@ -334,7 +334,7 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 	}
 
 	var mu sync.Mutex
-	clusters, results, partials := map[squid.QueryID]int{}, map[squid.QueryID]int{}, map[squid.QueryID]int{}
+	clusters, results := map[squid.QueryID]int{}, map[squid.QueryID]int{}
 	nw.drv.(*goroutineDriver).in.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
 		mu.Lock()
@@ -344,8 +344,6 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 			clusters[m.QID]++
 		case *squid.SubResultMsg:
 			results[m.QID]++
-		case *squid.PartialResultMsg:
-			partials[m.QID]++
 		}
 	})
 	sr, _ := nw.QueryStream(0, keyspace.MustParse("(*, *)"))
@@ -357,7 +355,7 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 	qm := nw.Metrics.ForQuery(sr.QID)
 	mu.Lock()
 	defer mu.Unlock()
-	t.Logf("cluster %d, result %d, partial %d messages", qm.ClusterMessages, qm.ResultMessages, qm.PartialMessages)
+	t.Logf("cluster %d, result %d messages", qm.ClusterMessages, qm.ResultMessages)
 	if qm.ClusterMessages == 0 {
 		t.Fatal("no ClusterQueryMsg counted: the query never left its root")
 	}
@@ -366,8 +364,5 @@ func TestMetricsCountBarePayloads(t *testing.T) {
 	}
 	if qm.ResultMessages != results[sr.QID] {
 		t.Errorf("ResultMessages = %d, observer saw %d", qm.ResultMessages, results[sr.QID])
-	}
-	if qm.PartialMessages != partials[sr.QID] {
-		t.Errorf("PartialMessages = %d, observer saw %d", qm.PartialMessages, partials[sr.QID])
 	}
 }

@@ -120,7 +120,7 @@ func BenchmarkEngineQuery_Instrumented(b *testing.B) {
 
 // BenchmarkStreamRangeQuery drains a QueryStream of the full-space query
 // from a consumer goroutine, as a client of a ring does: the streaming
-// result path (scan, partial relays at inner nodes, root delivery) with
+// result path (scan, reports linked at inner nodes, root delivery) with
 // every stored element matching.
 func BenchmarkStreamRangeQuery(b *testing.B) {
 	nw := benchNetwork(b, 100, 10_000)

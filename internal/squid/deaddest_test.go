@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"squid/internal/chord"
 	"squid/internal/dessim"
 	"squid/internal/keyspace"
 	"squid/internal/squid"
@@ -99,50 +98,4 @@ func ringLosingFirstDestination(t *testing.T) (*dessim.Network, *transport.Addr)
 		}
 	})
 	return nw, victim
-}
-
-// TestStreamRedispatchKeepsStream kills an unlimited stream's first
-// destination from the dispatch hook, as TestDispatchDestinationDiesBeforeFlush
-// does for a plain query, so children lost to the stale ring are
-// re-dispatched after their SubtreeTimeout. Every ClusterQueryMsg of the
-// stream, first dispatch or re-dispatch, bare or routed, must carry Stream:
-// a subtree dispatched without it holds its matches for one terminal
-// SubResultMsg instead of relaying them as they come.
-func TestStreamRedispatchKeepsStream(t *testing.T) {
-	nw, victim := ringLosingFirstDestination(t)
-	q := keyspace.MustParse("(*, *)")
-	want := sortedData(nw.BruteForceMatches(q))
-
-	sent, bare := 0, 0
-	nw.Net.SetObserver(func(from, to transport.Addr, msg any) {
-		nw.Metrics.Observe(from, to, msg)
-		m, ok := msg.(*squid.ClusterQueryMsg)
-		if r, routed := msg.(*chord.RouteMsg); routed {
-			m, ok = r.Payload.(*squid.ClusterQueryMsg)
-		}
-		if !ok {
-			return
-		}
-		sent++
-		if !m.Stream {
-			bare++
-		}
-	})
-
-	sr, _ := nw.QueryStream(0, q)
-	if *victim == "" {
-		t.Fatal("the stream flushed no dispatch round")
-	}
-	if sr.Err != nil {
-		t.Fatalf("stream with a destination dead at flush: %v", sr.Err)
-	}
-	if nw.Telemetry.CounterVec("squid_engine_recovery_total", "", "node", "event").Sum("event", "redispatch") == 0 {
-		t.Fatal("no child was re-dispatched: the test exercises nothing")
-	}
-	if bare > 0 {
-		t.Errorf("%d of the stream's %d ClusterQueryMsgs went out without Stream", bare, sent)
-	}
-	if got := sortedData(sr.Matches); !equalSets(got, want) {
-		t.Errorf("streamed %d matches, brute force %d", len(got), len(want))
-	}
 }

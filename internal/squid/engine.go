@@ -197,20 +197,22 @@ type subtree struct {
 	cancelErr   error         // context cancellation cause; overrides ErrPartialResult
 	ctxStop     chan struct{} // closed on completion to release the context watcher
 
+	// reports chains the reports of a remote subtree's children as they
+	// arrive, uncopied: its one SubResultMsg links them behind its own
+	// matches. The subtree owns them until it sends that report or is torn
+	// down.
+	reports *SubResultMsg
+
 	// Streaming state. Every root carries its sink; matches flow out
 	// through it as children report instead of accumulating in matches
-	// (an unlimited stream's root holds only its own local matches there
-	// until its dispatch round completes). Non-root subtrees of a relaying
-	// root (relays) set streamUp and forward each increment to the parent
-	// as a PartialResultMsg; matches then keeps only what was not
-	// forwarded, which the terminal SubResultMsg carries.
+	// (a stream's root holds only its own local matches there until its
+	// dispatch round completes).
 	stream    streamSink // non-nil exactly at a root
 	limit     int        // stop after this many delivered matches (0 = unlimited)
 	afterPos  uint64     // cursor restriction: deliver only curve indices >= afterPos
 	afterSkip int        // elements at afterPos already delivered (store order)
 	hasPos    bool
-	delivered int  // matches pushed to the stream so far
-	streamUp  bool // non-root: forward increments to the parent
+	delivered int // matches pushed to the stream so far
 	cutLo     uint64
 	cutSkip   int  // elements at cutLo already delivered
 	cutSet    bool // (cutLo, cutSkip) is the lowest coordinate never delivered
@@ -254,7 +256,7 @@ type subtree struct {
 	level        int
 	clustersIn   int // clusters this subtree received
 	localDone    int // clusters resolved against the local store
-	localMatches int // matches found locally (st.matches may also hold children's)
+	localMatches int // matches found locally
 	retries      int // re-dispatches this subtree performed on its children
 	startNS      int64
 	spans        []telemetry.Span
@@ -580,14 +582,11 @@ func (e *Engine) StoreDirectBatch(elems []Element) error {
 // errors.Is ErrOverloaded, the *OverloadError carrying a retry-after
 // hint) is reported through cb as well.
 //
-// Query is an unlimited stream whose sink collects every batch for cb. Its
-// subtrees do not relay increments (ClusterQueryMsg.Stream): each folds
-// its children's matches into its one SubResultMsg, since the root waits
-// for the whole set anyway. Query therefore sends fewer messages than an
-// unlimited QueryStream of the same query. A query cut by the engine's
-// QueryDeadline or by CancelQuery tears its outstanding subtrees down with
-// QueryCancelMsg, as a stream does; for a context deadline, use
-// QueryStream or QueryStreamFunc.
+// Query is an unlimited stream whose sink collects every batch for cb, so
+// it sends exactly the messages an unlimited QueryStream of the same query
+// sends. A query cut by the engine's QueryDeadline or by CancelQuery tears
+// its outstanding subtrees down with QueryCancelMsg, as a stream does; for
+// a context deadline, use QueryStream or QueryStreamFunc.
 //
 // Like all engine entry points, call it from App upcalls or through
 // node.Invoke.
@@ -715,13 +714,13 @@ func (e *Engine) rootResolved(st *subtree, matches []Element, remote []sfc.Refin
 	// stream holds them in its ordered buffer, an unlimited one as the
 	// filtered slice itself. An unlimited collector has no cursor to name
 	// them in, and takes them at once.
-	switch {
+	switch _, collecting := st.stream.(*collector); {
 	case st.limit > 0:
 		e.bufferMatches(st, e.filterResumed(st, matches))
-	case st.relays():
-		st.matches = e.filterResumed(st, matches)
-	default:
+	case collecting:
 		e.pushUnordered(st, matches)
+	default:
+		st.matches = e.filterResumed(st, matches)
 	}
 	if st.limit > 0 && len(remote) > streamDispatchWindow {
 		// Windowed dispatch: only the lowest clusters go out now; the
@@ -763,20 +762,30 @@ type bufferedMatch struct {
 	idx uint64
 }
 
-// rootDeliver feeds one batch of arriving matches into a streaming root.
-// The cursor restriction drops already-delivered coordinates first. An
-// unlimited stream pushes the remainder straight out (completion order);
-// a limited stream buffers it and advances the ordered frontier — which
-// must happen even for an empty batch, because the arrival that carried it
-// may have completed a child and unblocked buffered lower positions.
-func (e *Engine) rootDeliver(st *subtree, batch []Element) {
-	batch = e.filterResumed(st, batch)
-	if st.limit > 0 {
-		e.bufferMatches(st, batch)
-		e.advanceOrdered(st)
-		return
+// rootDeliver feeds a child's report into a streaming root batch by
+// batch, its own matches and then each linked report's, and puts every
+// report of the chain back in its pool. The cursor restriction drops
+// already-delivered coordinates first. An unlimited stream pushes the
+// remainder straight out (completion order), unless its consumer
+// cancelled from inside the sink; a limited stream buffers it and then
+// advances the ordered frontier — which must happen even for an empty
+// report, because its arrival completed a child and may have unblocked
+// buffered lower positions.
+func (e *Engine) rootDeliver(st *subtree, r *SubResultMsg) {
+	for r != nil {
+		done, batch := r, e.filterResumed(st, r.Matches)
+		r = r.next
+		subResults.Put(done)
+		switch {
+		case st.limit > 0:
+			e.bufferMatches(st, batch)
+		case !st.finished:
+			e.pushUnordered(st, batch)
+		}
 	}
-	e.pushUnordered(st, batch)
+	if st.limit > 0 {
+		e.advanceOrdered(st)
+	}
 }
 
 // pushUnordered pushes already-filtered matches out of an unlimited stream
@@ -1230,21 +1239,9 @@ func (e *Engine) childQuery(st *subtree, cls []sfc.Refined, tok uint64) *Cluster
 	m := clusterQueries.Get()
 	*m = ClusterQueryMsg{
 		QID: st.qid, Query: st.q, Clusters: cls, ReplyTo: e.node.Self().Addr, Token: tok,
-		Stream: st.relays(), Keep: st.keep, From: st.from, Trace: st.childRef(),
+		Keep: st.keep, From: st.from, Trace: st.childRef(),
 	}
 	return m
-}
-
-// relays reports whether st's children relay their increments to it
-// (ClusterQueryMsg.Stream). Below the root a subtree relays what its root
-// does; every root relays except an unlimited collector, which waits for
-// the whole set anyway.
-func (st *subtree) relays() bool {
-	if st.parent != "" {
-		return st.streamUp
-	}
-	_, collecting := st.stream.(*collector)
-	return !collecting || st.limit > 0
 }
 
 // abandonChild gives up on a child that cannot be retried (its retries
@@ -1400,43 +1397,57 @@ func (e *Engine) finishSubtree(st *subtree) {
 			e.met.cacheBypass.Inc()
 		}
 	}
-	// A leaf's matches, or an accumulating subtree's union, originate here
-	// and take the page cap; a streaming subtree's remainder is a relayed
-	// batch, capped already, which the cap leaves as it is.
-	sendPooled(e, &subResults, st.parent, SubResultMsg{
-		QID: st.qid, Token: st.parentToken, Matches: e.capReply(st.matches, st.keep, st.from),
+	// The subtree's one report: its local matches, with its children's
+	// reports linked behind them, capped together to the page.
+	r := SubResultMsg{
+		QID: st.qid, Token: st.parentToken, Matches: st.matches,
 		Incomplete: st.incomplete, Spans: st.spans,
-	})
+	}
+	r.link(st.reports)
+	st.reports = nil
+	e.capReport(&r, st.keep, st.from)
+	sendPooled(e, &subResults, st.parent, r)
 }
 
-// capReply sizes one reply batch of a limited stream's subtree to its page
-// (ClusterQueryMsg.Keep): it drops the matches below curve index from and
-// keeps the lowest keep of the rest, in store order within one index.
-// keep <= 0 leaves the batch uncapped. batch itself is never written: a
-// result-cache entry may share it.
-func (e *Engine) capReply(batch []Element, keep int, from uint64) []Element {
-	if keep <= 0 || (from == 0 && len(batch) <= keep) {
-		return batch
+// capReport sizes a limited stream subtree's report to its page
+// (ClusterQueryMsg.Keep): across the report's own matches and those of
+// every report linked behind it, it drops the matches below curve index
+// from and keeps the lowest keep of the rest, in store order within one
+// index. When that drops anything, r takes the page in one new slice and
+// the linked reports go back to their pool. keep <= 0 leaves r uncapped.
+// No batch is written: a result-cache entry may share one.
+func (e *Engine) capReport(r *SubResultMsg, keep int, from uint64) {
+	if keep <= 0 {
+		return
+	}
+	n := 0
+	for b := range r.Batches() {
+		n += len(b)
+	}
+	if from == 0 && n <= keep {
+		return
 	}
 	keyed := e.capKeys[:0]
-	for _, m := range batch {
-		idx, err := e.space.Index(m.Values)
-		if err == nil && idx < from {
-			continue
+	for b := range r.Batches() {
+		for _, m := range b {
+			idx, err := e.space.Index(m.Values)
+			if err == nil && idx < from {
+				continue
+			}
+			keyed = append(keyed, bufferedMatch{el: m, idx: idx}) // unindexable: idx 0, as bufferMatches
 		}
-		keyed = append(keyed, bufferedMatch{el: m, idx: idx}) // unindexable: idx 0, as bufferMatches
 	}
-	out := batch
-	if len(keyed) < len(batch) || len(keyed) > keep {
+	if len(keyed) < n || len(keyed) > keep {
 		slices.SortStableFunc(keyed, func(a, b bufferedMatch) int { return cmp.Compare(a.idx, b.idx) })
-		out = make([]Element, min(keep, len(keyed)))
+		out := make([]Element, min(keep, len(keyed)))
 		for i := range out {
 			out[i] = keyed[i].el
 		}
+		putReports(r.next)
+		r.Matches, r.next, r.last = out, nil, nil
 	}
 	clear(keyed)
 	e.capKeys = keyed[:0]
-	return out
 }
 
 // debugScan, when set (tests only), observes every cluster scan.
@@ -1730,13 +1741,7 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 	case QueryShedMsg:
 		e.handleShed(m)
 	case *SubResultMsg:
-		v := *m
-		subResults.Put(m)
-		e.handleSubResult(v)
-	case *PartialResultMsg:
-		v := *m
-		partialResults.Put(m)
-		e.handlePartialResult(v)
+		e.handleSubResult(m) // kept: linked into a report, or put back
 	case QueryCancelMsg:
 		e.handleQueryCancel(m)
 	case ReplicaMsg:
@@ -1835,9 +1840,9 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 			// leaf against a store that has not mutated under it since. Skip
 			// refinement entirely and answer now.
 			e.met.cacheHits.Inc()
-			sendPooled(e, &subResults, m.ReplyTo, SubResultMsg{
-				QID: m.QID, Token: m.Token, Matches: e.capReply(matches, m.Keep, m.From),
-			})
+			r := SubResultMsg{QID: m.QID, Token: m.Token, Matches: matches}
+			e.capReport(&r, m.Keep, m.From)
+			sendPooled(e, &subResults, m.ReplyTo, r)
 			return
 		}
 		// Not counted as a miss yet: whether this lookup was cacheable at
@@ -1848,7 +1853,7 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	*st = subtree{
 		qid: m.QID, q: m.Query, parent: m.ReplyTo, parentToken: m.Token,
 		kind: "cluster", clustersIn: len(m.Clusters),
-		streamUp: m.Stream, keep: m.Keep, from: m.From, cacheKey: cacheKey,
+		keep: m.Keep, from: m.From, cacheKey: cacheKey,
 		holds: 1, // this frame's, released on return
 	}
 	e.held++
@@ -1879,32 +1884,20 @@ func (e *Engine) handleClusterQuery(m ClusterQueryMsg) {
 	e.release(st)
 }
 
-// clusterResolved takes a remote subtree's refined clusters: a leaf of the
-// query tree finishes at once, an inner subtree keeps or streams up its
-// local matches and dispatches the rest.
+// clusterResolved takes a remote subtree's refined clusters and keeps its
+// local matches for its report: a leaf of the query tree finishes at once,
+// an inner subtree dispatches the rest.
 func (e *Engine) clusterResolved(st *subtree, matches []Element, remote []sfc.Refined, local int) {
 	e.noteProcessed(st.qid, local, len(matches), e.opts.Sink != nil)
 	st.localDone = local
 	st.localMatches = len(matches)
+	st.matches = matches
 	if len(remote) == 0 {
 		// Leaf of the query tree: finish immediately (records the span
 		// and ships it with the result).
-		st.matches = matches
 		st.dispatched = true
 		e.finishSubtree(st)
 		return
-	}
-	if st.streamUp {
-		// Stream the local matches up right away: the initiator can act
-		// on them (fill a page, satisfy a limit) while this subtree's
-		// children are still refining. A leaf (no remote children)
-		// completes immediately — its terminal SubResultMsg carries the
-		// matches, so a separate partial would only double the traffic.
-		// Relayed child batches were capped where they originated; this
-		// one originates here.
-		e.forwardPartial(st, e.capReply(matches, st.keep, st.from))
-	} else {
-		st.matches = matches
 	}
 	e.dispatchRemote(remote, st)
 }
@@ -1936,9 +1929,13 @@ func (e *Engine) handleShed(m QueryShedMsg) {
 	c.timer.Reset(retry)
 }
 
-func (e *Engine) handleSubResult(m SubResultMsg) {
+// handleSubResult takes a child's report, which it owns from here: a
+// root delivers it, an inner subtree links it into its own report, and a
+// straggler's, or one for a finished subtree, goes back to the pool.
+func (e *Engine) handleSubResult(m *SubResultMsg) {
 	c, ok := e.children[m.Token]
 	if !ok {
+		putReports(m)
 		return // straggler: child already answered, abandoned, or expired
 	}
 	delete(e.children, m.Token)
@@ -1947,6 +1944,7 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 	defer giveBack(e, &childCalls, c, st) // the child holds st until the handler returns
 	st.checkLive()
 	if st.finished {
+		putReports(m)
 		return
 	}
 	if st.spanID != 0 {
@@ -1959,67 +1957,14 @@ func (e *Engine) handleSubResult(m SubResultMsg) {
 	if st.stream != nil {
 		// Root: the child's matches flow straight out to the sink (possibly
 		// completing the query early); nothing accumulates in st.matches.
-		e.rootDeliver(st, m.Matches)
+		e.rootDeliver(st, m)
 		if st.finished {
 			return
 		}
-	} else if last := st.dispatched && st.done >= st.sent; st.streamUp && !last {
-		// Relay the increment upward now — unless this report completes
-		// the subtree, in which case the terminal SubResultMsg about to go
-		// out carries it.
-		e.forwardPartial(st, m.Matches)
 	} else {
-		st.addMatches(m.Matches)
+		st.reports = st.reports.link(m)
 	}
 	e.checkSubtree(st)
-}
-
-// addMatches folds a child's matches into st.matches. An empty subtree
-// adopts the child's slice instead of copying it, clipped to its length:
-// another holder (a result-cache entry sent to many parents) may share its
-// backing array, so the next append must reallocate rather than write into
-// spare capacity.
-func (st *subtree) addMatches(batch []Element) {
-	if len(st.matches) == 0 {
-		st.matches = batch[:len(batch):len(batch)]
-		return
-	}
-	st.matches = append(st.matches, batch...)
-}
-
-// forwardPartial ships one increment of a streaming subtree's matches to
-// its parent; the subtree keeps nothing of it, so the terminal SubResultMsg
-// carries only what was never forwarded.
-func (e *Engine) forwardPartial(st *subtree, batch []Element) {
-	if len(batch) == 0 {
-		return
-	}
-	e.met.partialsSent.Inc()
-	sendPooled(e, &partialResults, st.parent, PartialResultMsg{QID: st.qid, Token: st.parentToken, Matches: batch})
-}
-
-// handlePartialResult folds one streamed increment from a child subtree in:
-// a root delivers it to its sink immediately, an inner relaying subtree
-// relays it upward. Completion accounting is untouched —
-// only the terminal SubResultMsg advances it.
-func (e *Engine) handlePartialResult(m PartialResultMsg) {
-	c, ok := e.children[m.Token]
-	if !ok {
-		return // straggler: child already answered, abandoned, or cancelled
-	}
-	st := c.st
-	st.checkLive()
-	if st.finished || len(m.Matches) == 0 {
-		return
-	}
-	switch {
-	case st.stream != nil:
-		e.rootDeliver(st, m.Matches)
-	case st.streamUp:
-		e.forwardPartial(st, m.Matches)
-	default:
-		st.addMatches(m.Matches)
-	}
 }
 
 // handleQueryCancel tears down the addressed remote subtree: it stops
@@ -2036,6 +1981,8 @@ func (e *Engine) handleQueryCancel(m QueryCancelMsg) {
 	e.met.cancelsRecv.Inc()
 	delete(e.inbound, key)
 	st.finished = true
+	putReports(st.reports)
+	st.reports = nil
 	e.teardownChildren(st)
 }
 

@@ -1,21 +1,24 @@
 package squid
 
 import (
+	"iter"
+
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
 	"squid/internal/telemetry"
 	"squid/internal/transport"
 )
 
-// The per-hop query kinds — ClusterQueryMsg, SubResultMsg and
-// PartialResultMsg — travel by pointer and are recycled through one pool
-// per kind (transport.MsgPool): a message passed to a send is dead to the
-// sender, and the engine copies a received one out and puts the pointer
-// back before handling it. Every other kind travels as a value.
+// The per-hop query kinds — ClusterQueryMsg and SubResultMsg — travel by
+// pointer and are recycled through one pool per kind (transport.MsgPool):
+// a message passed to a send is dead to the sender. The engine copies a
+// received ClusterQueryMsg out and puts the pointer back before handling
+// it. A received SubResultMsg is kept: the subtree it reports to links it
+// into its own report, and the query's root, a straggler check or a
+// teardown puts it back. Every other kind travels as a value.
 var (
 	clusterQueries transport.MsgPool[ClusterQueryMsg]
 	subResults     transport.MsgPool[SubResultMsg]
-	partialResults transport.MsgPool[PartialResultMsg]
 )
 
 // PublishMsg carries a data element to the node owning its curve index.
@@ -51,17 +54,11 @@ type ClusterQueryMsg struct {
 	Clusters []sfc.Refined
 	ReplyTo  transport.Addr
 	Token    uint64
-	// Stream marks a subtree of a streaming query: the receiver forwards
-	// matches toward ReplyTo incrementally (PartialResultMsg) as its own
-	// children complete, instead of holding everything for the terminal
-	// SubResultMsg, and propagates the flag to its own dispatches. The final
-	// SubResultMsg then carries only the not-yet-forwarded remainder.
-	Stream bool
 	// Keep and From size the replies of a Limit(k) stream's subtree to the
-	// page: every batch of matches the receiver originates (its local
-	// matches, a leaf's terminal result, a result-cache hit) drops those
-	// below curve index From and keeps only the lowest Keep by curve index,
-	// in store order within one index. The root sets Keep = k + skip + 1 and
+	// page: every report the receiver sends (its local matches with its
+	// children's reports, or a result-cache hit) drops the matches below
+	// curve index From and keeps only the lowest Keep by curve index, in
+	// store order within one index. The root sets Keep = k + skip + 1 and
 	// From to its cursor's position, where skip counts the elements at that
 	// position already delivered (both 0 without a cursor); inner subtrees
 	// copy the pair into their own dispatches. Keep 0 is uncapped, as for
@@ -88,11 +85,17 @@ type QueryShedMsg struct {
 }
 
 // SubResultMsg reports a completed subtree of the query's refinement tree
-// to its parent: the matches found in that subtree, less those a streaming
-// subtree already relayed in PartialResultMsgs (it keeps nothing it
-// relayed). Incomplete marks a subtree that abandoned part of its
-// refinement to failures; it propagates up so the root can degrade to an
-// explicit partial Result instead of a silently short one.
+// to its parent, once: every match found in that subtree. Incomplete marks
+// a subtree that abandoned part of its refinement to failures; it
+// propagates up so the root can degrade to an explicit partial Result
+// instead of a silently short one.
+//
+// Matches holds the sender's own matches. In process, the reports its
+// children sent it follow by pointer, uncopied (Batches walks them); the
+// codec flattens them into Matches, so the bytes on the wire are one list
+// and a decoded report has none linked. Only the first report's
+// Incomplete and Spans count: a subtree folds each child's into its own
+// as it links the child's report.
 type SubResultMsg struct {
 	QID        QueryID
 	Token      uint64
@@ -101,23 +104,52 @@ type SubResultMsg struct {
 	// Spans carries the subtree's collected trace spans up toward the query
 	// root (empty when the query is not sampled).
 	Spans []telemetry.Span
+
+	// next is the following report of the chain; last, set on a chain's
+	// first report only, is its final one (nil when it is alone).
+	next, last *SubResultMsg
 }
 
-// PartialResultMsg streams one increment of a subtree's matches toward the
-// query root before the subtree completes: the dispatching subtree's local
-// matches as soon as its own refinement finishes, and each child batch as
-// it reports. Token names the parent's child call, exactly as in
-// SubResultMsg; the parent relays the matches on (or, at the root,
-// delivers them) without advancing its completion accounting (only the
-// terminal SubResultMsg does that), so streaming rides the existing
-// Dijkstra-Scholten termination unchanged.
-// Sent only inside subtrees flagged ClusterQueryMsg.Stream; stragglers
-// arriving after the child completed or was abandoned are dropped like
-// straggler SubResultMsgs.
-type PartialResultMsg struct {
-	QID     QueryID
-	Token   uint64
-	Matches []Element
+// Batches yields the report's matches batch by batch: its own, then those
+// of each report linked behind it, in the order the codec flattens them.
+func (m *SubResultMsg) Batches() iter.Seq[[]Element] {
+	return func(yield func([]Element) bool) {
+		for r := m; r != nil; r = r.next {
+			if !yield(r.Matches) {
+				return
+			}
+		}
+	}
+}
+
+// link appends the chain c heads behind the chain m heads; c may be nil.
+// It returns m, or c when m is nil.
+func (m *SubResultMsg) link(c *SubResultMsg) *SubResultMsg {
+	switch {
+	case m == nil:
+		return c
+	case c == nil:
+		return m
+	}
+	end := m
+	if m.last != nil {
+		end = m.last
+	}
+	end.next = c
+	m.last = c
+	if c.last != nil {
+		m.last, c.last = c.last, nil
+	}
+	return m
+}
+
+// putReports puts every report of the chain r heads back in its pool.
+func putReports(r *SubResultMsg) {
+	for r != nil {
+		done := r
+		r = r.next
+		subResults.Put(done)
+	}
 }
 
 // QueryCancelMsg tears down an in-flight remote subtree: the dispatcher no

@@ -10,11 +10,12 @@ import (
 	"squid/internal/telemetry"
 )
 
-// TestCapReplyExact checks the reply cap against the root it feeds: for
+// TestCapReplyExact checks the report cap against the root it feeds: for
 // random batches with runs of equal curve indices and a random page size
 // and cursor, a limited root delivers the same page and takes the same
-// resume cursor from batches capped at the cap streamRoot sets as from the
-// uncapped batches.
+// resume cursor from reports capped at the cap streamRoot sets as from the
+// uncapped ones, whether each batch is capped in its own report or both
+// are capped together, one report linked behind the other.
 func TestCapReplyExact(t *testing.T) {
 	space, err := keyspace.NewWordSpace(2, 16)
 	if err != nil {
@@ -62,7 +63,19 @@ func TestCapReplyExact(t *testing.T) {
 				hi = append(hi, m)
 			}
 		}
-		page := func(batches ...[]Element) ([]string, Cursor) {
+		report := func(batches ...[]Element) *SubResultMsg {
+			var head *SubResultMsg
+			for _, b := range batches {
+				head = head.link(&SubResultMsg{Matches: b})
+			}
+			return head
+		}
+		capped := func(r *SubResultMsg) *SubResultMsg {
+			c := streamRoot(0, q, nil, cfg)
+			e.capReport(r, c.keep, c.from)
+			return r
+		}
+		page := func(reports ...*SubResultMsg) ([]string, Cursor) {
 			var got []string
 			var cur Cursor
 			st := streamRoot(QueryID(trial+1), q, funcSink(func(ev StreamEvent) {
@@ -74,22 +87,34 @@ func TestCapReplyExact(t *testing.T) {
 				}
 			}), cfg)
 			st.dispatched = true
-			for _, b := range batches {
-				e.rootDeliver(&st, b)
+			for _, r := range reports {
+				e.rootDeliver(&st, r)
 			}
 			e.checkSubtree(&st)
 			return got, cur
 		}
-		c := streamRoot(0, q, nil, cfg)
-		capLo, capHi := e.capReply(lo, c.keep, c.from), e.capReply(hi, c.keep, c.from)
-		if len(capLo)+len(capHi) < len(batch) {
+		capLo, capHi := capped(report(lo)), capped(report(hi))
+		both := capped(report(lo, hi))
+		n := 0
+		for b := range both.Batches() {
+			n += len(b)
+		}
+		if n < len(batch) {
 			shortened++
 		}
-		wantPage, wantCur := page(lo, hi)
-		gotPage, gotCur := page(capLo, capHi)
-		if !slices.Equal(gotPage, wantPage) || gotCur != wantCur {
-			t.Fatalf("trial %d (limit %d, cursor %v at %d skip %d): capped batches give page %v, uncapped %v; cursors equal: %v",
-				trial, cfg.limit, cfg.hasPos, cfg.afterPos, cfg.afterSkip, gotPage, wantPage, gotCur == wantCur)
+		for _, c := range []struct {
+			name          string
+			reports, want []*SubResultMsg
+		}{
+			{"each", []*SubResultMsg{capLo, capHi}, []*SubResultMsg{report(lo), report(hi)}},
+			{"linked", []*SubResultMsg{both}, []*SubResultMsg{report(lo, hi)}},
+		} {
+			wantPage, wantCur := page(c.want...)
+			gotPage, gotCur := page(c.reports...)
+			if !slices.Equal(gotPage, wantPage) || gotCur != wantCur {
+				t.Fatalf("trial %d (limit %d, cursor %v at %d skip %d): reports capped %s give page %v, uncapped %v; cursors equal: %v",
+					trial, cfg.limit, cfg.hasPos, cfg.afterPos, cfg.afterSkip, c.name, gotPage, wantPage, gotCur == wantCur)
+			}
 		}
 	}
 	if shortened == 0 {

@@ -49,7 +49,7 @@ func TestQueryCutTearsDown(t *testing.T) {
 	var (
 		queries []dispatch              // every ClusterQueryMsg, bare or routed
 		cancels []dispatch              // every hop of every QueryCancelMsg
-		replies = map[uint64][]string{} // SubResultMsg matches sent to the root, by token
+		replies = map[uint64][]string{} // SubResultMsg matches sent to the root, linked ones included, by token
 		sent    = map[child]bool{}      // every child a ClusterQueryMsg carried so far
 		unsent  []child                 // cancelled before any ClusterQueryMsg carried them
 	)
@@ -74,7 +74,11 @@ func TestQueryCutTearsDown(t *testing.T) {
 			}
 		case *squid.SubResultMsg:
 			if m.QID == qid && to == root {
-				replies[m.Token] = append([]string(nil), sortedData(m.Matches)...)
+				var all []squid.Element
+				for b := range m.Batches() {
+					all = append(all, b...)
+				}
+				replies[m.Token] = sortedData(all)
 			}
 		}
 	})

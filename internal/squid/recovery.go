@@ -36,11 +36,10 @@ type engineMetrics struct {
 	replicaFulls *telemetry.Counter
 
 	// Streaming-delivery instruments: streams opened, batches pushed to
-	// consumers, increments forwarded upstream, cancel teardown traffic in
-	// both directions, and popular-cluster result-cache outcomes.
+	// consumers, cancel teardown traffic in both directions, and
+	// popular-cluster result-cache outcomes.
 	streams       *telemetry.Counter
 	streamBatches *telemetry.Counter
-	partialsSent  *telemetry.Counter
 	cancelsSent   *telemetry.Counter
 	cancelsRecv   *telemetry.Counter
 	cacheHits     *telemetry.Counter
@@ -100,8 +99,6 @@ func newEngineMetrics(reg *telemetry.Registry, id uint64) engineMetrics {
 			"streaming queries (QueryStream/QueryStreamFunc) initiated at this node", "node").With(node),
 		streamBatches: reg.CounterVec("squid_stream_batches_total",
 			"partial match batches delivered to local stream consumers", "node").With(node),
-		partialsSent: reg.CounterVec("squid_stream_partials_sent_total",
-			"PartialResultMsg increments forwarded toward a remote query root", "node").With(node),
 		cancelsSent: cancel.With(node, "sent"),
 		cancelsRecv: cancel.With(node, "recv"),
 		cacheHits:   rcache.With(node, "hit"),

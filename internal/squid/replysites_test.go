@@ -14,7 +14,7 @@ import (
 
 // replyKinds are the messages that end a subtree or answer a query: a
 // literal of one builds a reply.
-var replyKinds = []string{"SubResultMsg", "PartialResultMsg", "ClientResultMsg", "QueryShedMsg"}
+var replyKinds = []string{"SubResultMsg", "ClientResultMsg", "QueryShedMsg"}
 
 // earlyReturnFuncs are the functions whose early returns end a subtree, or
 // give up on a child, without a reply of their own: the subtree's finish

@@ -8,6 +8,7 @@ import (
 	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
+	"squid/internal/telemetry"
 )
 
 // scanFixture builds a small store over a 2-D word space holding every
@@ -121,11 +122,13 @@ func TestRefineClustersCopiesOnce(t *testing.T) {
 	}
 }
 
-// TestResultCacheAdoptionNoAlias pins the clip-on-adopt rule: a cached
-// leaf result sent to two parents is adopted by both without a copy, and
-// each parent's next append must reallocate instead of writing into spare
-// capacity of the shared cache entry. The parents run on their own
-// goroutines, as they do on a ring, so -race reports any shared write.
+// TestResultCacheAdoptionNoAlias pins that a cached leaf result shared by
+// two parents is never written: each parent links the cached report
+// uncopied behind its own child reports, and each query root's collector
+// adopts the cached batch as its first, clipped, so its next append
+// reallocates instead of writing into spare capacity of the shared cache
+// entry. The parents run on their own goroutines, as they do on a ring,
+// so -race reports any shared write.
 func TestResultCacheAdoptionNoAlias(t *testing.T) {
 	space, err := keyspace.NewWordSpace(2, 16)
 	if err != nil {
@@ -141,34 +144,49 @@ func TestResultCacheAdoptionNoAlias(t *testing.T) {
 		t.Fatal("cache entry missing")
 	}
 
+	linked := make([][]Element, 2)
 	results := make([][]Element, 2)
 	var wg sync.WaitGroup
 	for p := range results {
 		e := newEngine(space, Options{})
-		// Two children outstanding and the dispatch round still open, so
-		// neither report completes the subtree. Each child holds it.
-		st := &subtree{qid: 1, sent: 2, holds: 2}
+		e.met = newEngineMetrics(telemetry.NewRegistry(nil), uint64(p+1))
+		// An inner subtree with two children outstanding and its dispatch
+		// round still open, so neither report completes it. Each child
+		// holds it.
+		st := &subtree{qid: 1, parent: "up", sent: 2, holds: 2}
 		e.children[1] = &childCall{st: st, token: 1}
 		e.children[2] = &childCall{st: st, token: 2}
+		// The query's root, a collector, with the inner subtree as its one
+		// child.
+		c := &collector{cb: func(Result) {}}
+		c.root = streamRoot(1, nil, c, queryConfig{})
+		c.root.sent, c.root.holds = 1, 1
+		e.children[3] = &childCall{st: &c.root, token: 3}
 		own := []Element{{Values: []string{"data", "data"}, Data: fmt.Sprintf("parent%d", p)}}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.handleSubResult(SubResultMsg{QID: 1, Token: 1, Matches: cached})
-			e.handleSubResult(SubResultMsg{QID: 1, Token: 2, Matches: own})
-			results[p] = st.matches
+			e.handleSubResult(&SubResultMsg{QID: 1, Token: 1, Matches: cached})
+			e.handleSubResult(&SubResultMsg{QID: 1, Token: 2, Matches: own})
+			for b := range st.reports.Batches() {
+				linked[p] = append(linked[p], b...)
+			}
+			e.handleSubResult((&SubResultMsg{QID: 1, Token: 3}).link(st.reports))
+			results[p] = c.matches
 		}()
 	}
 	wg.Wait()
 
-	for p, got := range results {
+	for p := range results {
 		want := []string{"a", "b", fmt.Sprintf("parent%d", p)}
-		if len(got) != len(want) {
-			t.Fatalf("parent %d holds %d matches, want %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Data != want[i] {
-				t.Errorf("parent %d match %d = %q, want %q", p, i, got[i].Data, want[i])
+		for _, got := range [][]Element{linked[p], results[p]} {
+			if len(got) != len(want) {
+				t.Fatalf("parent %d holds %d matches, want %d", p, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Data != want[i] {
+					t.Errorf("parent %d match %d = %q, want %q", p, i, got[i].Data, want[i])
+				}
 			}
 		}
 	}

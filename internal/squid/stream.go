@@ -36,10 +36,10 @@ type queryConfig struct {
 // trading order for latency).
 //
 // The subtrees of a limited stream send it no more than the page needs:
-// each batch of matches a subtree finds is cut to the lowest k + skip + 1
-// at or past the cursor's position (skip: the elements there already
-// delivered), which leaves the page and its resume cursor exactly as
-// the full batch would (see ClusterQueryMsg.Keep).
+// each subtree's report is cut to the lowest k + skip + 1 matches at or
+// past the cursor's position (skip: the elements there already
+// delivered), which leaves the page and its resume cursor exactly as the
+// full report would (see ClusterQueryMsg.Keep).
 func Limit(k int) QueryOption {
 	return func(c *queryConfig) { c.limit = k }
 }
@@ -184,8 +184,10 @@ type collector struct {
 	cb      func(Result)
 }
 
-// pushBatch adopts the first batch rather than copying it, as
-// subtree.addMatches does.
+// pushBatch adopts the first batch rather than copying it, clipped to its
+// length: another holder (a result-cache entry sent to many parents) may
+// share its backing array, so the next append must reallocate rather than
+// write into spare capacity.
 func (c *collector) pushBatch(_ QueryID, batch []Element) {
 	if len(c.matches) == 0 {
 		c.matches = batch[:len(batch):len(batch)]

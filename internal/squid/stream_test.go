@@ -61,11 +61,11 @@ func TestStreamMatchesQuery(t *testing.T) {
 
 // TestStreamExactlyOnce follows every match of a streamed broad query up
 // the refinement tree, with recovery deadlines armed on every child.
-// Each node must send upward, in PartialResultMsg and SubResultMsg, exactly
-// the matches it found locally plus those its children sent it — the root
-// delivering instead of sending — and the root must deliver exactly the
-// brute-force set. An inner node that relayed an increment and then sent
-// it again in its terminal result breaks the first equation.
+// Each node must send upward, in its one SubResultMsg with the reports
+// linked behind it, exactly the matches it found locally plus those its
+// children sent it — the root delivering instead of sending — and the root
+// must deliver exactly the brute-force set. An inner node that dropped a
+// child's report, or passed one on twice, breaks the first equation.
 func TestStreamExactlyOnce(t *testing.T) {
 	des := onEventCore(t, sim.Config{Nodes: 40, Space: schedSpace(t), Seed: 42,
 		Engine: squid.Options{SubtreeTimeout: 30 * time.Second}})
@@ -77,31 +77,24 @@ func TestStreamExactlyOnce(t *testing.T) {
 	out := map[transport.Addr]int{}
 	des.Net.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
-		var n int
-		switch m := msg.(type) {
-		case *squid.PartialResultMsg:
-			n = len(m.Matches)
-		case *squid.SubResultMsg:
-			n = len(m.Matches)
-		default:
+		m, ok := msg.(*squid.SubResultMsg)
+		if !ok {
 			return
 		}
+		n := reportLen(m)
 		out[from] += n
 		in[to] += n
 	})
-	sr, qm := nw.QueryStream(0, q)
+	sr, _ := nw.QueryStream(0, q)
 	if sr.Err != nil {
 		t.Fatal(sr.Err)
 	}
 	if want := len(nw.BruteForceMatches(q)); len(sr.Matches) != want {
 		t.Fatalf("delivered %d matches, brute force %d", len(sr.Matches), want)
 	}
-	if qm.PartialMessages == 0 {
-		t.Fatal("no PartialResultMsg sent: the query never streamed")
-	}
 
 	root := nw.Peers[0].Addr()
-	relays := 0
+	inner := 0
 	for _, p := range nw.Peers {
 		a := p.Addr()
 		local := 0
@@ -118,12 +111,22 @@ func TestStreamExactlyOnce(t *testing.T) {
 			t.Errorf("node %s: sent up %d matches, found %d and received %d", a, up, local, in[a])
 		}
 		if a != root && in[a] > 0 && out[a] > 0 {
-			relays++
+			inner++
 		}
 	}
-	if relays == 0 {
-		t.Error("no inner node relayed its children's matches")
+	if inner == 0 {
+		t.Error("no inner node passed its children's matches on")
 	}
+}
+
+// reportLen counts the matches a SubResultMsg carries, its linked
+// reports' included: the list its encoding would hold.
+func reportLen(m *squid.SubResultMsg) int {
+	n := 0
+	for b := range m.Batches() {
+		n += len(b)
+	}
+	return n
 }
 
 // TestStreamLimitTopK pins the tentpole's economy claim: a Limit(k) stream
@@ -237,10 +240,10 @@ func TestStreamCursorPagination(t *testing.T) {
 // at one curve index to exhaustion through cursors, at several page sizes,
 // on a ring with a result cache; then, at k ∈ {1, 3}, the exact query of
 // that one index, whose every match sits in the run. Every SubResultMsg
-// and PartialResultMsg of a Limit(k) page must carry at most k + skip + 1
-// matches, skip being the elements at the page's cursor position already
-// delivered, and the pages together must deliver the brute-force set in
-// curve order. Unlimited queries of the range query, streamed and
+// of a Limit(k) page, with the reports linked behind it, must carry at
+// most k + skip + 1 matches, skip being the elements at the page's cursor
+// position already delivered, and the pages together must deliver the
+// brute-force set in curve order. Unlimited queries of the range query, streamed and
 // one-shot, then return it all.
 func TestStreamLimitRepliesCapped(t *testing.T) {
 	des := onEventCore(t, sim.Config{Nodes: 30, Space: schedSpace(t), Seed: 11,
@@ -267,11 +270,8 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 	largest := map[squid.QueryID]int{}
 	des.Net.SetObserver(func(from, to transport.Addr, msg any) {
 		nw.Metrics.Observe(from, to, msg)
-		switch m := msg.(type) {
-		case *squid.SubResultMsg:
-			largest[m.QID] = max(largest[m.QID], len(m.Matches))
-		case *squid.PartialResultMsg:
-			largest[m.QID] = max(largest[m.QID], len(m.Matches))
+		if m, ok := msg.(*squid.SubResultMsg); ok {
+			largest[m.QID] = max(largest[m.QID], reportLen(m))
 		}
 	})
 

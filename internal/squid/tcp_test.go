@@ -151,3 +151,80 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatal("no status reply")
 	}
 }
+
+// TestTCPQueryFlattensLinkedReports runs a full-space query on an
+// eight-member TCP ring holding 400 elements. The query's inner subtrees
+// link their children's reports behind their own, and the codec must
+// flatten each chain into the one match list it sends, so the query
+// returns every element.
+func TestTCPQueryFlattensLinkedReports(t *testing.T) {
+	space, err := keyspace.NewWordSpace(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const members, elements = 8, 400
+	step := (uint64(1) << space.IndexBits()) / members
+	a := startTCPNode(t, space, 1111)
+	if err := a.node.Invoke(a.node.Create); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i < members; i++ {
+		n := startTCPNode(t, space, i*step+1111)
+		done := make(chan error, 1)
+		n.node.Invoke(func() {
+			n.node.Join(a.ep.Addr(), func(err error) { done <- err })
+		})
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("join %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("join %d timed out", i)
+		}
+	}
+
+	sink := &clientSink{results: make(chan any, 4)}
+	client, err := transport.ListenTCP("127.0.0.1:0", sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	words := []string{"computer", "network", "grid", "data", "zebra", "compiler", "music", "video"}
+	for i := 0; i < elements; i++ {
+		el := squid.Element{Values: []string{words[i%len(words)], words[i/len(words)%len(words)] + fmt.Sprint(i)},
+			Data: fmt.Sprintf("doc%d", i)}
+		if err := client.Send(a.ep.Addr(), squid.ClientPublishMsg{Elem: el}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Publishes route asynchronously; poll until every one has landed.
+	var got squid.ClientResultMsg
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
+		q := squid.ClientQueryMsg{Query: "(*, *)", ReplyTo: client.Addr(), Token: uint64(time.Now().UnixNano())}
+		if err := client.Send(a.ep.Addr(), q); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case raw := <-sink.results:
+			if res, ok := raw.(squid.ClientResultMsg); ok {
+				got = res
+			}
+		case <-time.After(2 * time.Second):
+		}
+		if len(got.Matches) == elements {
+			break
+		}
+	}
+	if got.Err != "" || len(got.Matches) != elements {
+		t.Fatalf("full-space query over TCP: %d matches (err %q), want %d", len(got.Matches), got.Err, elements)
+	}
+	seen := map[string]bool{}
+	for _, m := range got.Matches {
+		if seen[m.Data] {
+			t.Fatalf("%s returned twice", m.Data)
+		}
+		seen[m.Data] = true
+	}
+}

@@ -43,7 +43,7 @@ const (
 	tagElements
 	tagKeyspaceQuery
 	tagKeyspaceTerm
-	tagPartialResultMsg
+	_ // TagSquidBase+17, retired with PartialResultMsg: never reuse
 	tagQueryCancelMsg
 )
 
@@ -84,7 +84,7 @@ func decodeElements(d *wire.Decoder) []Element {
 }
 
 // decodeMatches decodes a transient result list — the matches of a
-// SubResultMsg, PartialResultMsg or ClientResultMsg — in three
+// SubResultMsg or ClientResultMsg — in three
 // allocations whatever its length: the []Element, one []string slab for
 // every element's Values, and one shared copy of the list's bytes that
 // every string slices. A caller holding one match holds its batch's
@@ -116,6 +116,27 @@ func decodeMatches(d *wire.Decoder) []Element {
 	}
 	d.Unshare()
 	return out
+}
+
+// encodeSubResult writes a report with the matches of every report linked
+// behind it flattened into one list, as encodeElements lays it out.
+//
+//lint:allocfree
+func encodeSubResult(e *wire.Encoder, m *SubResultMsg) {
+	e.Uvarint(uint64(m.QID))
+	e.Uvarint(m.Token)
+	n := 0
+	for r := m; r != nil; r = r.next {
+		n += len(r.Matches)
+	}
+	e.Uvarint(uint64(n))
+	for r := m; r != nil; r = r.next {
+		for _, el := range r.Matches {
+			encodeElement(e, el)
+		}
+	}
+	e.Bool(m.Incomplete)
+	encodeSpans(e, m.Spans)
 }
 
 //lint:allocfree
@@ -235,28 +256,21 @@ func encodeClusterQuery(e *wire.Encoder, m *ClusterQueryMsg) {
 	}
 	e.String(string(m.ReplyTo))
 	e.Uvarint(m.Token)
-	var flags uint64
-	if m.Stream {
-		flags |= clusterStream
-	}
 	if m.Keep > 0 {
-		flags |= clusterCapped
-	}
-	e.Uvarint(flags)
-	if m.Keep > 0 {
+		e.Uvarint(clusterCapped)
 		e.Uvarint(uint64(m.Keep))
 		e.Uvarint(m.From)
+	} else {
+		e.Uvarint(0)
 	}
 	encodeTraceRef(e, m.Trace)
 }
 
-// ClusterQueryMsg's flags field: Stream, and a page cap whose Keep and From
-// follow. An uncapped message's flags are one byte, 0 or 1, exactly the
-// Stream bool of the version-3 layout.
-const (
-	clusterStream = 1 << iota
-	clusterCapped
-)
+// clusterCapped is the one flag of ClusterQueryMsg's flags field: a page
+// cap, whose Keep and From follow. Bit 0 was the retired Stream flag. An
+// uncapped message's flags are the one byte 0, exactly the Stream false
+// of the version-3 layout.
+const clusterCapped = 2
 
 // decodeClusterQuery fills a pooled message, which the receiving handler
 // owns.
@@ -276,10 +290,9 @@ func decodeClusterQuery(d *wire.Decoder) *ClusterQueryMsg {
 	m.ReplyTo = transport.Addr(d.String())
 	m.Token = d.Uvarint()
 	flags := d.Uvarint()
-	if flags > clusterStream|clusterCapped {
+	if flags&^clusterCapped != 0 {
 		d.Corrupt()
 	}
-	m.Stream = flags&clusterStream != 0
 	if flags&clusterCapped != 0 {
 		keep := d.Uvarint()
 		if keep == 0 || keep > math.MaxInt {
@@ -325,14 +338,7 @@ func init() {
 			return m
 		})
 	wire.Register(tagSubResultMsg, (*SubResultMsg)(nil),
-		func(e *wire.Encoder, v any) {
-			m := v.(*SubResultMsg)
-			e.Uvarint(uint64(m.QID))
-			e.Uvarint(m.Token)
-			encodeElements(e, m.Matches)
-			e.Bool(m.Incomplete)
-			encodeSpans(e, m.Spans)
-		},
+		func(e *wire.Encoder, v any) { encodeSubResult(e, v.(*SubResultMsg)) },
 		func(d *wire.Decoder) any {
 			m := subResults.Get()
 			m.QID = QueryID(d.Uvarint())
@@ -411,20 +417,6 @@ func init() {
 	wire.Register(tagKeyspaceTerm, keyspace.Term{},
 		func(e *wire.Encoder, v any) { encodeTerm(e, v.(keyspace.Term)) },
 		func(d *wire.Decoder) any { return decodeTerm(d) })
-	wire.Register(tagPartialResultMsg, (*PartialResultMsg)(nil),
-		func(e *wire.Encoder, v any) {
-			m := v.(*PartialResultMsg)
-			e.Uvarint(uint64(m.QID))
-			e.Uvarint(m.Token)
-			encodeElements(e, m.Matches)
-		},
-		func(d *wire.Decoder) any {
-			m := partialResults.Get()
-			m.QID = QueryID(d.Uvarint())
-			m.Token = d.Uvarint()
-			m.Matches = decodeMatches(d)
-			return m
-		})
 	wire.Register(tagQueryCancelMsg, QueryCancelMsg{},
 		func(e *wire.Encoder, v any) {
 			m := v.(QueryCancelMsg)

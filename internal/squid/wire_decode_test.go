@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"squid/internal/chord"
+	"squid/internal/telemetry"
 	"squid/internal/wire"
 )
 
@@ -64,7 +65,6 @@ func TestDecodeMatchesCopiesFrame(t *testing.T) {
 	matches := resultList(16, 3)
 	msgs := []any{
 		&SubResultMsg{QID: 7, Token: 3, Matches: matches, Incomplete: true},
-		&PartialResultMsg{QID: 7, Token: 3, Matches: matches},
 		ClientResultMsg{Token: 3, QID: 7, Matches: matches, Err: "partial result"},
 		ReplicaMsg{Items: []chord.Item{{Key: 5, Value: matches}}},
 	}
@@ -82,15 +82,50 @@ func TestDecodeMatchesCopiesFrame(t *testing.T) {
 	}
 }
 
+// TestLinkedReportEncodesFlat encodes a report with two reports linked
+// behind it: the frame must be byte for byte the frame of one report
+// holding all three batches in chain order, under the head's Incomplete
+// and Spans, so a decoded report has nothing linked. The encode allocates
+// nothing.
+func TestLinkedReportEncodesFlat(t *testing.T) {
+	all := resultList(9, 2)
+	spans := []telemetry.Span{{QID: 7, ID: 1, Kind: "cluster"}}
+	head := &SubResultMsg{QID: 7, Token: 3, Matches: all[:2], Incomplete: true, Spans: spans}
+	mid := (&SubResultMsg{QID: 7, Token: 8, Matches: all[2:2]}).link(&SubResultMsg{QID: 7, Token: 9, Matches: all[2:6]})
+	head.link(mid)
+	head.link(&SubResultMsg{QID: 7, Token: 4, Matches: all[6:], Incomplete: false, Spans: spans})
+	flat := &SubResultMsg{QID: 7, Token: 3, Matches: all, Incomplete: true, Spans: spans}
+	got, want := encodeFrame(t, head), encodeFrame(t, flat)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("linked report encodes as\n %x\nwant\n %x", got, want)
+	}
+	back, err := wire.DecodeMessage(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, flat) {
+		t.Errorf("linked report decodes as %+v, want %+v", back, flat)
+	}
+	if !raceEnabled {
+		var e wire.Encoder
+		if n := testing.AllocsPerRun(100, func() {
+			e.Reset()
+			wire.EncodeMessage(&e, head)
+		}); n != 0 {
+			t.Errorf("%.1f allocs per encode of a linked report, want 0", n)
+		}
+	}
+}
+
 // TestDecodeMatchesValuesCapped checks that each element's Values is
 // capped at its own length, so appending to one never overwrites the
 // next element's values in the shared slab.
 func TestDecodeMatchesValuesCapped(t *testing.T) {
-	got, err := wire.DecodeMessage(encodeFrame(t, &PartialResultMsg{Matches: resultList(4, 2)}))
+	got, err := wire.DecodeMessage(encodeFrame(t, &SubResultMsg{Matches: resultList(4, 2)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, el := range got.(*PartialResultMsg).Matches {
+	for i, el := range got.(*SubResultMsg).Matches {
 		if cap(el.Values) != len(el.Values) {
 			t.Fatalf("element %d: Values len %d cap %d", i, len(el.Values), cap(el.Values))
 		}
@@ -132,13 +167,13 @@ func TestReplicaDecodeDoesNotPin(t *testing.T) {
 	runtime.KeepAlive(kept)
 }
 
-// TestDecodeHostileCounts feeds a ~4 KB PartialResultMsg frame that
-// claims 2000 elements, the first with 2000 values. The decode must fail
-// without sizing anything by the claimed counts' product: the values
-// slab is bounded by the frame's remaining bytes.
+// TestDecodeHostileCounts feeds a ~4 KB SubResultMsg frame that claims
+// 2000 elements, the first with 2000 values. The decode must fail without
+// sizing anything by the claimed counts' product: the values slab is
+// bounded by the frame's remaining bytes.
 func TestDecodeHostileCounts(t *testing.T) {
 	var e wire.Encoder
-	e.Uvarint(tagPartialResultMsg)
+	e.Uvarint(tagSubResultMsg)
 	e.Uvarint(1) // QID
 	e.Uvarint(2) // Token
 	e.Uvarint(2000)

@@ -169,8 +169,8 @@ func genClusterQuery(r *rand.Rand) *squid.ClusterQueryMsg {
 	return &squid.ClusterQueryMsg{
 		QID: telemetry.QueryID(r.Intn(1 << 20)), Query: genQuery(r),
 		Clusters: genClusters(r), ReplyTo: genAddr(r),
-		Token: uint64(r.Intn(1 << 20)), Stream: r.Intn(2) == 0,
-		Keep: keep, From: from,
+		Token: uint64(r.Intn(1 << 20)),
+		Keep:  keep, From: from,
 		Trace: genTraceRef(r),
 	}
 }
@@ -249,10 +249,6 @@ var wireGens = map[reflect.Type]wireGen{
 		return &squid.SubResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
 			Token: uint64(r.Intn(1 << 20)), Matches: genElements(r),
 			Incomplete: r.Intn(4) == 0, Spans: genSpans(r)}
-	},
-	reflect.TypeOf(&squid.PartialResultMsg{}): func(r *rand.Rand) any {
-		return &squid.PartialResultMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
-			Token: uint64(r.Intn(1 << 20)), Matches: genElements(r)}
 	},
 	reflect.TypeOf(squid.QueryCancelMsg{}): func(r *rand.Rand) any {
 		return squid.QueryCancelMsg{QID: telemetry.QueryID(r.Intn(1 << 20)),
@@ -413,7 +409,6 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 	msgs := []any{
 		genClusterQuery(r),
 		&squid.SubResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
-		&squid.PartialResultMsg{QID: 9, Token: 4, Matches: genElements(r)},
 		squid.QueryCancelMsg{QID: 9, Token: 4, ReplyTo: "10.0.0.1:4000"},
 		chord.AppMsg{From: "10.0.0.1:4000", Payload: genClusterQuery(r)},
 		chord.StateMsg{Token: 1, Self: genNodeRef(r), Pred: genNodeRef(r), Succs: genNodeRefs(r), Load: 12},
@@ -434,38 +429,27 @@ func TestWireEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// clusterGolden is the ClusterQueryMsg of TestWireClusterQueryGolden.
-func clusterGolden(stream bool) *squid.ClusterQueryMsg {
-	return &squid.ClusterQueryMsg{
-		QID: 300, Query: keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard()},
-		Clusters: []sfc.Refined{refined(0x1234, 3, true), refined(7, 5, false)},
-		ReplyTo:  "10.0.0.1:7001", Token: 42, Stream: stream,
-		Trace: telemetry.TraceRef{Parent: 9, Depth: 2, Mode: telemetry.TraceOn},
-	}
-}
-
 // TestWireClusterQueryGolden pins the uncapped ClusterQueryMsg layout to
-// the bytes of wire version 3, whose Stream bool is now the flags field:
-// every unlimited query's messages keep their size to the byte. A flags
-// value with an undefined bit, or a cap bit with Keep 0, is corrupt.
+// the bytes of wire version 3, whose Stream bool false is now the empty
+// flags field: every unlimited query's messages keep their size to the
+// byte. A flags value with an undefined bit — the retired Stream bit 0
+// among them — or a cap bit with Keep 0, is corrupt.
 func TestWireClusterQueryGolden(t *testing.T) {
 	const prefix = "23ac02020204636f6d7000000000000002b4240601070a000d31302e302e302e313a373030312a"
-	for _, c := range []struct {
-		stream bool
-		hex    string
-	}{
-		{false, prefix + "00" + "090402"},
-		{true, prefix + "01" + "090402"},
-	} {
-		var e wire.Encoder
-		if !wire.EncodeMessage(&e, clusterGolden(c.stream)) {
-			t.Fatal("EncodeMessage declined the golden message")
-		}
-		if got := hex.EncodeToString(e.Bytes()); got != c.hex {
-			t.Errorf("Stream %v encodes as\n %s\nwant\n %s", c.stream, got, c.hex)
-		}
+	golden := &squid.ClusterQueryMsg{
+		QID: 300, Query: keyspace.Query{keyspace.Prefix("comp"), keyspace.Wildcard()},
+		Clusters: []sfc.Refined{refined(0x1234, 3, true), refined(7, 5, false)},
+		ReplyTo:  "10.0.0.1:7001", Token: 42,
+		Trace: telemetry.TraceRef{Parent: 9, Depth: 2, Mode: telemetry.TraceOn},
 	}
-	for _, tail := range []string{"04", "05", "7f", "8001", "0200" + "0000"} {
+	var e wire.Encoder
+	if !wire.EncodeMessage(&e, golden) {
+		t.Fatal("EncodeMessage declined the golden message")
+	}
+	if got, want := hex.EncodeToString(e.Bytes()), prefix+"00"+"090402"; got != want {
+		t.Errorf("golden message encodes as\n %s\nwant\n %s", got, want)
+	}
+	for _, tail := range []string{"01", "03" + "0100", "04", "05", "7f", "8001", "0200" + "0000"} {
 		raw, err := hex.DecodeString(prefix + tail + "090402")
 		if err != nil {
 			t.Fatal(err)
@@ -496,12 +480,13 @@ func FuzzWireCluster(f *testing.F) {
 			Token:    token,
 			Trace:    telemetry.TraceRef{Parent: qid, Depth: level & 0xff, Mode: telemetry.TraceOn},
 		}
-		// Locate the flags byte of the uncapped layout: the one byte in
-		// which Stream false and Stream true differ.
+		// Locate the flags byte of the uncapped layout: the first byte in
+		// which the uncapped and a capped encoding differ.
 		var off, on wire.Encoder
 		wire.EncodeMessage(&off, msg)
-		msg.Stream = true
+		msg.Keep = 1
 		wire.EncodeMessage(&on, msg)
+		msg.Keep = 0
 		at := 0
 		for off.Bytes()[at] == on.Bytes()[at] {
 			at++
@@ -515,7 +500,7 @@ func FuzzWireCluster(f *testing.F) {
 		raw := append(append(append([]byte(nil), off.Bytes()[:at]...), mid.Bytes()...), off.Bytes()[at+1:]...)
 
 		got, err := wire.DecodeMessage(raw)
-		if flags > 3 || (flags&2 != 0 && (keep == 0 || keep > math.MaxInt)) {
+		if flags&^2 != 0 || (flags&2 != 0 && (keep == 0 || keep > math.MaxInt)) {
 			if !errors.Is(err, wire.ErrCorrupt) {
 				t.Fatalf("flags %d keep %d: decode error %v, want ErrCorrupt", flags, keep, err)
 			}
@@ -524,7 +509,6 @@ func FuzzWireCluster(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		msg.Stream = flags&1 != 0
 		if flags&2 != 0 {
 			msg.Keep, msg.From = int(keep), from
 		}
@@ -604,6 +588,18 @@ func retiredLookupFrame() []byte {
 	return e.Bytes()
 }
 
+// retiredPartialFrame is a frame in the layout of the deleted
+// PartialResultMsg (tag TagSquidBase+17, then QID, token and a result
+// list), as a peer built before its removal would send it.
+func retiredPartialFrame() []byte {
+	var e wire.Encoder
+	e.Uvarint(wire.TagSquidBase + 17)
+	e.Uvarint(1)
+	e.Uvarint(2)
+	e.Uvarint(0) // an empty result list
+	return e.Bytes()
+}
+
 // fuzzDecoder is reused across every FuzzWireFrame input, the way a TCP
 // connection reuses its decoder frame after frame.
 var fuzzDecoder wire.Decoder
@@ -621,7 +617,7 @@ func FuzzWireFrame(f *testing.F) {
 	// A result list cut off mid-way, so the reused decoder meets the next
 	// seed with a failed list behind it.
 	var cut wire.Encoder
-	wire.EncodeMessage(&cut, &squid.PartialResultMsg{QID: 1, Token: 2, Matches: []squid.Element{
+	wire.EncodeMessage(&cut, &squid.SubResultMsg{QID: 1, Token: 2, Matches: []squid.Element{
 		{Values: []string{"computer", "network"}, Data: "report.pdf"},
 		{Values: []string{"grid"}, Data: "x"},
 	}})
@@ -640,6 +636,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(retiredBatchFrame(r))
 	f.Add(retiredAckFrame())
 	f.Add(retiredLookupFrame())
+	f.Add(retiredPartialFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wire.DecodeMessage(data)
 		reused, reusedErr := fuzzDecoder.Message(data)

@@ -47,13 +47,13 @@ func TestWireTagRegistry(t *testing.T) {
 		wire.TagSquidBase + 14: "[]squid.Element",
 		wire.TagSquidBase + 15: "keyspace.Query",
 		wire.TagSquidBase + 16: "keyspace.Term",
-		wire.TagSquidBase + 17: "*squid.PartialResultMsg",
 		wire.TagSquidBase + 18: "squid.QueryCancelMsg",
 	}
 	retired := []uint64{
-		wire.TagSquidBase + 2, // LookupMsg
-		wire.TagSquidBase + 4, // QueryAckMsg
-		wire.TagSquidBase + 5, // BatchMsg
+		wire.TagSquidBase + 2,  // LookupMsg
+		wire.TagSquidBase + 4,  // QueryAckMsg
+		wire.TagSquidBase + 5,  // BatchMsg
+		wire.TagSquidBase + 17, // PartialResultMsg
 	}
 	got := map[uint64]string{}
 	for _, c := range wire.Codecs() {
@@ -79,6 +79,9 @@ func TestWireTagRegistry(t *testing.T) {
 	}
 	if v, err := wire.DecodeMessage(retiredLookupFrame()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Errorf("a frame under the retired LookupMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
+	}
+	if v, err := wire.DecodeMessage(retiredPartialFrame()); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("a frame under the retired PartialResultMsg tag decoded as %T (err %v), want ErrCorrupt", v, err)
 	}
 	for tag, typ := range got {
 		if _, ok := want[tag]; !ok {

@@ -6,8 +6,10 @@ import "sync"
 // ownership rule it serves: a message passed to Send is dead to the
 // sender, and the handler that receives it owns it — a forwarding hop
 // re-sends the same pointer, a terminal one copies the value out and
-// hands the pointer back with Put. A send that fails puts its message
-// back too. A message nobody puts back (dropped by a fault, stranded in
+// hands the pointer back with Put, or keeps it: a query subtree links
+// each report its children send it into its own report, which carries
+// them on until the query's root, a straggler check or a teardown puts
+// them back. A send that fails puts its message back too. A message nobody puts back (dropped by a fault, stranded in
 // a dead mailbox, written to a socket) is simply collected.
 //
 // The query engine recycles its per-hop bookkeeping through the same

@@ -44,9 +44,11 @@ var (
 // ClusterQueryMsg's Stream byte into a flags field that may carry a page
 // cap (Keep, From), which a version-3 peer would misdecode; version 5
 // retires LookupMsg's tag, which an exact query no longer sends (its one
-// cell rides a ClusterQueryMsg). See DESIGN.md §4i.
+// cell rides a ClusterQueryMsg); version 6 retires PartialResultMsg's tag
+// and the flags field's Stream bit, which a version-5 peer would still
+// send. See DESIGN.md §4i.
 const (
-	wireVersion = 0x05
+	wireVersion = 0x06
 	wireAck     = 0x01
 )
 
