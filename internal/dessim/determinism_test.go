@@ -52,8 +52,10 @@ func checkPinned(t *testing.T, storm dessim.StormResult, events, wantFP, wantEve
 // streamStormFixture runs a smaller storm where every other query streams
 // with Limit(TopK): delivery and batch counts fold into the fingerprint,
 // so any nondeterminism in the streaming path (windowed dispatch, cancel
-// teardown, partial forwarding) breaks replay equality.
-func streamStormFixture(t *testing.T, seed int64) (dessim.StormResult, string) {
+// teardown, partial forwarding) breaks replay equality. It returns the
+// storm result, the total event count and the final virtual time for
+// pinning, and the transcript.
+func streamStormFixture(t *testing.T, seed int64) (dessim.StormResult, uint64, time.Duration, string) {
 	t.Helper()
 	nw, vocab := stormNet(t, dessim.Config{
 		Nodes: 200,
@@ -72,17 +74,24 @@ func streamStormFixture(t *testing.T, seed int64) (dessim.StormResult, string) {
 		Dims:    2,
 		TopK:    5,
 	})
-	return storm, fmt.Sprintf("storm{%v} steps=%d vtime=%v", storm, nw.Core.Steps(), nw.Core.Elapsed())
+	events, vtime := nw.Core.Steps(), nw.Core.Elapsed()
+	return storm, events, vtime, fmt.Sprintf("storm{%v} steps=%d vtime=%v", storm, events, vtime)
 }
 
 // TestStreamStormDeterminism extends the determinism contract to the
 // streaming mix: Limit(k) streams replay byte-identically, every query
-// resolves, and the streamed half is exactly half the storm.
+// resolves, and the streamed half is exactly half the storm. Seed 9001's
+// outcome is pinned, with its storm steps and final virtual time: it is
+// the one pinned storm that runs Limit(k) streams.
 func TestStreamStormDeterminism(t *testing.T) {
-	sa, a := streamStormFixture(t, 9001)
-	_, b := streamStormFixture(t, 9001)
+	sa, events, vtime, a := streamStormFixture(t, 9001)
+	_, _, _, b := streamStormFixture(t, 9001)
 	if a != b {
 		t.Fatalf("same seed diverged:\n run1 %s\n run2 %s", a, b)
+	}
+	checkPinned(t, sa, events, 0xba7ab70af84e64dd, 5_662)
+	if sa.Steps != 5_377 || vtime != 9*time.Minute+55_450_367_680*time.Nanosecond {
+		t.Errorf("stream storm ran %d storm steps to virtual time %v, pinned 5377 and 9m55.45036768s", sa.Steps, vtime)
 	}
 	if sa.Streamed != 60 {
 		t.Errorf("streamed %d of 120 queries, want 60", sa.Streamed)
