@@ -1,6 +1,9 @@
 package squid
 
-import "squid/internal/transport"
+import (
+	"squid/internal/keyspace"
+	"squid/internal/transport"
+)
 
 // SetDebugDispatch (test hook) reports each dispatch round the engine
 // flushes as its destinations in flush order and the number of cluster runs
@@ -29,4 +32,17 @@ func (e *Engine) PushReplicasFull() int { return e.pushReplicasFull() }
 func CursorSkip(c Cursor) int {
 	st, _ := c.decode()
 	return st.skip
+}
+
+// CursorPos (test hook) returns the cursor's curve position; 0 for an
+// undecodable cursor.
+func CursorPos(c Cursor) uint64 {
+	st, _ := c.decode()
+	return st.pos
+}
+
+// CursorAt (test hook) returns a cursor of q at curve position pos, with
+// skip elements there already delivered.
+func CursorAt(q keyspace.Query, pos uint64, skip int) Cursor {
+	return encodeCursor(q, pos, skip, false)
 }

@@ -668,12 +668,6 @@ func (e *Engine) startRoot(ctx context.Context, q keyspace.Query, st *subtree) e
 			}
 		}
 		coarse = kept
-		if len(coarse) == 0 {
-			st.dispatched = true
-			e.sampleRoot(st)
-			e.finishSubtree(st)
-			return nil
-		}
 	}
 	cls := coarse
 	if e.sched != nil {
@@ -735,24 +729,44 @@ func (e *Engine) rootResolved(st *subtree, matches []Element, remote []sfc.Refin
 	e.dispatchRemote(remote, st)
 }
 
-// roundDone ends a dispatch round of st: every child message is sent. A
-// root then releases what it held back for the round — the ordered buffer
-// of a limited stream, the local matches of an unlimited one — and the
-// subtree completes if nothing is outstanding. A cluster subtree has no
-// stream, and only a limited stream refills its window, so the one
-// function serves every round.
+// roundDone ends a dispatch round of st: every child message is sent, so
+// st settles.
 func (e *Engine) roundDone(st *subtree) {
 	st.dispatched = true
-	if st.stream != nil && !st.finished {
-		if st.limit > 0 {
-			e.advanceOrdered(st)
-		} else {
-			held := st.matches
-			st.matches = nil
-			e.pushUnordered(st, held)
+	e.settle(st)
+}
+
+// settle moves st on after an event that changed its outstanding work: a
+// child's report, an abandoned or shed child, the end of a dispatch round.
+// Root and remote subtrees alike, in order: a root delivers what is
+// deliverable (a limited stream's ordered prefix below the frontier, an
+// unlimited one's local matches held for the round), a limited root
+// completes early once its limit is met and otherwise refills its window,
+// and st finishes once nothing is outstanding or pending. During a round
+// it does nothing: delivery then could precede a child not yet registered.
+func (e *Engine) settle(st *subtree) {
+	if st.finished || !st.dispatched {
+		return
+	}
+	switch {
+	case st.stream == nil:
+	case st.limit == 0:
+		held := st.matches
+		st.matches = nil
+		e.pushUnordered(st, held)
+	default:
+		e.deliverOrdered(st)
+		if st.delivered >= st.limit {
+			e.endEarly(st, false)
+			return
 		}
 	}
-	e.checkSubtree(st)
+	if e.refillWindow(st) {
+		return // the refill's round settles st when it ends
+	}
+	if st.done == st.sent && len(st.pending) == 0 {
+		e.finishSubtree(st)
+	}
 }
 
 // bufferedMatch is one match held back by a limited (ordered) stream until
@@ -767,10 +781,8 @@ type bufferedMatch struct {
 // report of the chain back in its pool. The cursor restriction drops
 // already-delivered coordinates first. An unlimited stream pushes the
 // remainder straight out (completion order), unless its consumer
-// cancelled from inside the sink; a limited stream buffers it and then
-// advances the ordered frontier — which must happen even for an empty
-// report, because its arrival completed a child and may have unblocked
-// buffered lower positions.
+// cancelled from inside the sink; a limited stream buffers it for settle
+// to deliver in curve order.
 func (e *Engine) rootDeliver(st *subtree, r *SubResultMsg) {
 	for r != nil {
 		done, batch := r, e.filterResumed(st, r.Matches)
@@ -782,9 +794,6 @@ func (e *Engine) rootDeliver(st *subtree, r *SubResultMsg) {
 		case !st.finished:
 			e.pushUnordered(st, batch)
 		}
-	}
-	if st.limit > 0 {
-		e.advanceOrdered(st)
 	}
 }
 
@@ -880,14 +889,10 @@ func (st *subtree) skipFor(idx uint64) int {
 	return s
 }
 
-// advanceOrdered delivers the deliverable prefix of a limited stream's
+// deliverOrdered delivers the deliverable prefix of a limited stream's
 // buffer: everything below the frontier of outstanding children, up to the
-// limit. Runs after every arrival and after the dispatch round completes
-// (delivery before then could precede a child not yet registered).
-func (e *Engine) advanceOrdered(st *subtree) {
-	if st.finished || !st.dispatched {
-		return
-	}
+// limit.
+func (e *Engine) deliverOrdered(st *subtree) {
 	frontier, bounded := e.frontierOf(st)
 	slices.SortStableFunc(st.buf, func(a, b bufferedMatch) int { return cmp.Compare(a.idx, b.idx) })
 	n := 0
@@ -897,37 +902,27 @@ func (e *Engine) advanceOrdered(st *subtree) {
 	if st.delivered+n > st.limit {
 		n = st.limit - st.delivered
 	}
-	if n > 0 {
-		batch := make([]Element, n)
-		for i := range batch {
-			batch[i] = st.buf[i].el
-		}
-		last := st.buf[n-1].idx
-		cnt := 0
-		for i := n - 1; i >= 0 && st.buf[i].idx == last; i-- {
-			cnt++
-		}
-		if st.runSet && st.runIdx == last {
-			st.runCount += cnt
-		} else {
-			st.runIdx, st.runCount, st.runSet = last, cnt, true
-		}
-		st.buf = st.buf[n:]
-		st.delivered += n
-		st.stream.pushBatch(st.qid, batch)
-		e.met.streamBatches.Inc()
-		if st.finished {
-			return // consumer cancelled reentrantly from the callback
-		}
-	}
-	if st.delivered >= st.limit {
-		if len(st.buf) > 0 {
-			st.noteCutSkip(st.buf[0].idx, st.skipFor(st.buf[0].idx))
-		}
-		e.completeEarly(st)
+	if n <= 0 {
 		return
 	}
-	e.refillWindow(st)
+	batch := make([]Element, n)
+	for i := range batch {
+		batch[i] = st.buf[i].el
+	}
+	last := st.buf[n-1].idx
+	cnt := 0
+	for i := n - 1; i >= 0 && st.buf[i].idx == last; i-- {
+		cnt++
+	}
+	if st.runSet && st.runIdx == last {
+		st.runCount += cnt
+	} else {
+		st.runIdx, st.runCount, st.runSet = last, cnt, true
+	}
+	st.buf = st.buf[n:]
+	st.delivered += n
+	st.stream.pushBatch(st.qid, batch)
+	e.met.streamBatches.Inc()
 }
 
 // streamDispatchWindow bounds how many clusters a limited stream keeps in
@@ -938,65 +933,70 @@ const streamDispatchWindow = 2
 
 // refillWindow dispatches the next pending clusters of a limited stream
 // once the in-flight window has drained below its bound and the limit is
-// still unmet. Clusters never dispatched this way are the top-k message
-// saving: a full-drain query would have sent them all.
-func (e *Engine) refillWindow(st *subtree) {
-	if st.finished || !st.dispatched || len(st.pending) == 0 {
-		return
-	}
-	out := 0
-	for _, c := range e.children {
-		if c.st == st {
-			out++
-		}
-	}
-	if out >= streamDispatchWindow {
-		return
+// still unmet, and reports whether it did. Clusters never dispatched this
+// way are the top-k message saving: a full-drain query would have sent
+// them all.
+func (e *Engine) refillWindow(st *subtree) bool {
+	out := st.sent - st.done
+	if len(st.pending) == 0 || out >= streamDispatchWindow {
+		return false
 	}
 	// If the matches already buffered below the first pending cluster cover
 	// the rest of the limit, they will deliver as the outstanding children
 	// complete — dispatching more clusters would be pure waste. With no
-	// children outstanding advanceOrdered has already delivered everything
-	// below the pending frontier, so avail is zero and refill proceeds.
-	if need := st.limit - st.delivered; need > 0 {
-		lo := st.pending[0].Span(e.space.Curve()).Lo
-		avail := 0
-		for _, b := range st.buf {
-			if b.idx < lo {
-				avail++
-			}
+	// children outstanding settle has already delivered everything below
+	// the pending frontier, so avail is zero and refill proceeds.
+	lo := st.pending[0].Span(e.space.Curve()).Lo
+	avail := 0
+	for _, b := range st.buf {
+		if b.idx < lo {
+			avail++
 		}
-		if avail >= need {
-			return
-		}
+	}
+	if avail >= st.limit-st.delivered {
+		return false
 	}
 	n := min(streamDispatchWindow-out, len(st.pending))
 	next := st.pending[:n]
 	st.pending = st.pending[n:]
 	st.dispatched = false
 	e.dispatchRemote(next, st)
+	return true
 }
 
-// dropPending folds a limited stream's never-dispatched clusters into the
-// resume cursor and forgets them (the lowest comes first — pending is
-// curve-sorted).
-func (e *Engine) dropPending(st *subtree) {
-	if len(st.pending) == 0 {
-		return
+// endEarly finishes a root before everything it dispatched has reported:
+// its limit was met, a successful top-k result, or — partial — it was
+// cancelled or its deadline passed. Outstanding children are torn down
+// with QueryCancelMsg, so the tail of refinement messages is never sent.
+// What was found or planned but never delivered feeds the resume cursor:
+// the lowest held match (a limited stream's ordered buffer, an unlimited
+// stream's local matches awaiting the end of its dispatch round), the
+// never-dispatched clusters (pending is curve-sorted), the torn-down
+// children. A partial end also marks each outstanding child lost in the
+// trace, so the dump shows where the cut fell.
+func (e *Engine) endEarly(st *subtree, partial bool) {
+	e.bufferMatches(st, st.matches)
+	if len(st.buf) > 0 {
+		lo := st.buf[0].idx
+		for _, b := range st.buf[1:] {
+			lo = min(lo, b.idx)
+		}
+		st.noteCutSkip(lo, st.skipFor(lo))
 	}
-	st.noteCut(st.pending[0].Span(e.space.Curve()).Lo)
-	st.pending = nil
-}
-
-// completeEarly finishes a streaming root whose limit was satisfied:
-// outstanding children are torn down with QueryCancelMsg (so the tail of
-// refinement messages is never sent) and the stream completes cleanly —
-// early termination is a successful top-k result, not a partial one.
-func (e *Engine) completeEarly(st *subtree) {
-	if st.finished {
-		return
+	if len(st.pending) > 0 {
+		st.noteCut(st.pending[0].Span(e.space.Curve()).Lo)
+		st.pending = nil
 	}
-	e.dropPending(st)
+	if partial {
+		st.incomplete = true
+		if st.spanID != 0 {
+			for _, c := range e.children {
+				if c.st == st {
+					st.spans = append(st.spans, e.lostSpan(st, c))
+				}
+			}
+		}
+	}
 	e.teardownChildren(st)
 	st.dispatched = true
 	e.finishSubtree(st)
@@ -1052,13 +1052,14 @@ func (e *Engine) sendCancel(st *subtree, c *childCall) {
 }
 
 // rootCursor derives a finished root's resume cursor: exhausted when every
-// dispatched subtree delivered, else the lowest coordinate that was
-// cancelled or never dispatched. The cut is clamped to the cursor this
-// page resumed from — a boundary cluster's span can start below the resume
-// position, and a cursor that regressed would re-deliver whole pages and
-// stall paginated browsing.
+// dispatched subtree delivered, else the lowest coordinate that was lost,
+// cancelled or never dispatched — the beginning, for a root cut before it
+// dispatched anything. The cut is clamped to the cursor this page resumed
+// from — a boundary cluster's span can start below the resume position,
+// and a cursor that regressed would re-deliver whole pages and stall
+// paginated browsing.
 func (st *subtree) rootCursor() Cursor {
-	if !st.cutSet {
+	if !st.cutSet && !st.incomplete {
 		return encodeCursor(st.q, 0, 0, true)
 	}
 	pos, skip := st.cutLo, st.cutSkip
@@ -1245,9 +1246,10 @@ func (e *Engine) childQuery(st *subtree, cls []sfc.Refined, tok uint64) *Cluster
 }
 
 // abandonChild gives up on a child that cannot be retried (its retries
-// are spent, or no recovery deadline is armed): the subtree completes
+// are spent, or no recovery deadline is armed): the subtree settles
 // without it, marked incomplete, so the query degrades to an explicit
-// partial result.
+// partial result, and the child's position enters the cut, so a resumed
+// query retries what was lost.
 func (e *Engine) abandonChild(c *childCall) {
 	st := c.st
 	delete(e.children, c.token)
@@ -1256,8 +1258,9 @@ func (e *Engine) abandonChild(c *childCall) {
 		st.spans = append(st.spans, e.lostSpan(st, c))
 	}
 	st.incomplete = true
+	st.noteCut(c.key)
 	st.done++
-	e.checkSubtree(st)
+	e.settle(st)
 	giveBack(e, &childCalls, c, st)
 }
 
@@ -1290,61 +1293,17 @@ func (e *Engine) queryExpired(qid QueryID) {
 	}
 }
 
-// cancelQuery force-completes a root subtree before its children reported:
-// outstanding children are torn down and the sink finishes with whatever
-// was delivered. cause is the context's error for ctx-driven cancellation,
-// or nil for a deadline expiry (the result then carries ErrPartialResult).
-//
-// The tear-down is active: the consumer walked away, so each outstanding
-// subtree gets a QueryCancelMsg instead of being left to refine into a
-// void, and each is marked lost in the trace, so the dump shows where the
-// cut fell. Matches still held — in a limited stream's ordered buffer, or
-// an unlimited stream's local matches awaiting the end of its dispatch
-// round — were found but never delivered: their lowest coordinate feeds
-// the resume cursor.
+// cancelQuery cuts a root subtree short, partial: the consumer walked
+// away, so its outstanding subtrees are torn down instead of being left to
+// refine into a void, and the sink finishes with whatever was delivered.
+// cause is the context's error for ctx-driven cancellation, or nil for a
+// deadline expiry (the result then carries ErrPartialResult).
 func (e *Engine) cancelQuery(st *subtree, cause error) {
 	if st.finished {
 		return
 	}
 	st.cancelErr = cause
-	e.bufferMatches(st, st.matches)
-	if len(st.buf) > 0 {
-		lo := st.buf[0].idx
-		for _, b := range st.buf[1:] {
-			if b.idx < lo {
-				lo = b.idx
-			}
-		}
-		st.noteCutSkip(lo, st.skipFor(lo))
-	}
-	if st.spanID != 0 {
-		for _, c := range e.children {
-			if c.st == st {
-				st.spans = append(st.spans, e.lostSpan(st, c))
-			}
-		}
-	}
-	e.dropPending(st)
-	e.teardownChildren(st)
-	st.incomplete = true
-	st.dispatched = true
-	e.finishSubtree(st)
-}
-
-// checkSubtree completes a subtree whose children have all reported. A
-// limited stream with pending (windowed) clusters is not complete — the
-// refill path dispatches them when the window drains.
-func (e *Engine) checkSubtree(st *subtree) {
-	if st.finished || !st.dispatched || st.done < st.sent {
-		return
-	}
-	if len(st.pending) > 0 {
-		// The in-flight window drained with clusters still pending: refill
-		// (a no-op when buffered matches already cover the limit).
-		e.refillWindow(st)
-		return
-	}
-	e.finishSubtree(st)
+	e.endEarly(st, true)
 }
 
 // finishSubtree delivers a subtree's aggregate exactly once: to the parent
@@ -1952,19 +1911,17 @@ func (e *Engine) handleSubResult(m *SubResultMsg) {
 	}
 	if m.Incomplete {
 		st.incomplete = true
+		st.noteCut(c.key) // a subtree below the child was lost
 	}
 	st.done++
 	if st.stream != nil {
-		// Root: the child's matches flow straight out to the sink (possibly
-		// completing the query early); nothing accumulates in st.matches.
+		// Root: the child's matches flow out to the sink; nothing
+		// accumulates in st.matches.
 		e.rootDeliver(st, m)
-		if st.finished {
-			return
-		}
 	} else {
 		st.reports = st.reports.link(m)
 	}
-	e.checkSubtree(st)
+	e.settle(st)
 }
 
 // handleQueryCancel tears down the addressed remote subtree: it stops

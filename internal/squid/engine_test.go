@@ -1,6 +1,7 @@
 package squid_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -334,6 +335,23 @@ func (s *replySink) Deliver(_ transport.Addr, _ chord.ID, payload any) {
 	s.got = append(s.got, payload)
 }
 
+// nodeStarter returns an event core and a function that starts chord
+// nodes on it over instant links, in a ring of the given index bits.
+func nodeStarter(t *testing.T, bits int) (*dessim.Core, func(transport.Addr, chord.ID, chord.App) *chord.Node) {
+	core := dessim.NewCore()
+	net := dessim.NewNet(core, dessim.NetConfig{})
+	cfg := chord.Config{Space: chord.Space{Bits: bits}, Clock: core.Clock()}
+	return core, func(name transport.Addr, id chord.ID, app chord.App) *chord.Node {
+		n := chord.NewNode(cfg, id, app)
+		ep, err := net.Listen(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start(ep)
+		return n
+	}
+}
+
 // TestUnevaluableClusterQueryReportsIncomplete sends a remote hop a
 // ClusterQueryMsg whose query has more terms than the space has
 // dimensions. The hop cannot evaluate it, so its reply must say the
@@ -345,18 +363,7 @@ func TestUnevaluableClusterQueryReportsIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := dessim.NewCore()
-	net := dessim.NewNet(core, dessim.NetConfig{})
-	cfg := chord.Config{Space: chord.Space{Bits: space.IndexBits()}, Clock: core.Clock()}
-	start := func(name transport.Addr, id chord.ID, app chord.App) *chord.Node {
-		n := chord.NewNode(cfg, id, app)
-		ep, err := net.Listen(name, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Start(ep)
-		return n
-	}
+	core, start := nodeStarter(t, space.IndexBits())
 	sink := &replySink{}
 	root := start("root", 10, sink)
 	eng := squid.New(space, squid.FromOptions(squid.Options{Workers: -1, Clock: core.Clock()}))
@@ -380,5 +387,46 @@ func TestUnevaluableClusterQueryReportsIncomplete(t *testing.T) {
 	}
 	if !r.Incomplete {
 		t.Errorf("a hop that cannot evaluate its query replied complete: %#v", r)
+	}
+}
+
+// TestIncompleteChildEntersCut streams a query over a two-member ring
+// whose second member cannot evaluate it (its space has one dimension,
+// the query two), so the root's child there reports Incomplete. The
+// stream must end partial with its cursor inside that member's arc, where
+// the lost child began: an exhausted cursor would let a resumed query skip
+// what was lost, and one at the start would re-deliver what was not.
+func TestIncompleteChildEntersCut(t *testing.T) {
+	rootSpace, err := keyspace.NewWordSpace(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hopSpace, err := keyspace.NewWordSpace(1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, start := nodeStarter(t, rootSpace.IndexBits())
+	opts := squid.FromOptions(squid.Options{Workers: -1, Clock: core.Clock()})
+	eng, hopEng := squid.New(rootSpace, opts), squid.New(hopSpace, opts)
+	root, hop := start("root", 10, eng), start("hop", 200, hopEng)
+	eng.Attach(root)
+	hopEng.Attach(hop)
+	root.InstallRing(hop.Self(), []chord.NodeRef{hop.Self()}, nil)
+	hop.InstallRing(root.Self(), []chord.NodeRef{root.Self()}, nil)
+
+	var done []squid.StreamEvent
+	if _, err := eng.QueryStreamFunc(context.Background(), keyspace.MustParse("(*, *)"), func(ev squid.StreamEvent) {
+		if ev.Done {
+			done = append(done, ev)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	core.Run()
+	if len(done) != 1 || done[0].Err != squid.ErrPartialResult {
+		t.Fatalf("stream ended %d times (%v), want once with ErrPartialResult", len(done), done)
+	}
+	if cur := done[0].Cursor; cur.Exhausted() || squid.CursorPos(cur) <= 10 || squid.CursorPos(cur) > 200 {
+		t.Errorf("cursor at %d (exhausted %v), want one in the lost member's arc (10, 200]", squid.CursorPos(cur), cur.Exhausted())
 	}
 }

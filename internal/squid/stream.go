@@ -144,8 +144,8 @@ func (c Cursor) Exhausted() bool {
 
 // StreamEvent is one delivery of a streaming query: a batch of fresh
 // matches, or the terminal event (Done true) carrying the stream's error
-// and resume cursor. Matches batches arrive in subtree-completion order,
-// not curve order.
+// and resume cursor. An unlimited stream's batches arrive in
+// subtree-completion order; a Limit(k) stream's arrive in curve order.
 type StreamEvent struct {
 	QID     QueryID
 	Matches []Element
@@ -256,8 +256,10 @@ func (s *ResultStream) Err() error {
 
 // Cursor returns the stream's resume cursor: after early termination
 // (Limit reached, context cancelled or past its deadline) it marks where
-// refinement was cut so a follow-up query continues from there; after full
-// delivery it is exhausted. Empty until the stream completes.
+// refinement was cut so a follow-up query continues from there; after a
+// partial result it marks the lowest position lost with a subtree, so a
+// follow-up query retries what was lost; after full delivery it is
+// exhausted. Empty until the stream completes.
 func (s *ResultStream) Cursor() Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()

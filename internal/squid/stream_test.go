@@ -177,9 +177,11 @@ func TestStreamLimitTopK(t *testing.T) {
 // TestStreamCursorPagination browses a query in Limit-sized pages, feeding
 // each page's cursor into the next, and checks the union of pages is the
 // exact full result set (pages may overlap at resume boundaries —
-// at-least-once — so the union is deduplicated first). A cursor handed to
-// a different query must be refused before anything starts: resuming
-// another query's curve position would silently skip matches.
+// at-least-once — so the union is deduplicated first). A page cancelled
+// before it delivered anything must hand back the cursor it resumed from,
+// not one below it or an exhausted one. A cursor handed to a different
+// query must be refused before anything starts: resuming another query's
+// curve position would silently skip matches.
 func TestStreamCursorPagination(t *testing.T) {
 	nw := buildNetwork(t, 30, 2000, squid.Options{})
 	q := keyspace.MustParse("(comp*, *)")
@@ -222,6 +224,28 @@ func TestStreamCursorPagination(t *testing.T) {
 	if !equalSets(got, want) {
 		t.Errorf("pagination union has %d distinct matches, brute force %d", len(got), len(want))
 	}
+
+	// A page cancelled before its refinement resolved delivered nothing
+	// past its cursor, so it hands back the cursor it resumed from.
+	p := nw.Peers[3]
+	cut := make(chan squid.StreamEvent, 1)
+	sim.MustInvoke(p, func() {
+		qid, err := p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
+			if ev.Done {
+				cut <- ev
+			}
+		}, squid.Limit(page), squid.WithCursor(mid))
+		if err != nil {
+			cut <- squid.StreamEvent{Err: err}
+			return
+		}
+		p.Engine.CancelQuery(qid)
+	})
+	if ev := <-cut; ev.Err != context.Canceled || ev.Cursor != mid {
+		t.Errorf("page cancelled at once: error %v, cursor %q (exhausted %v), want context.Canceled and the cursor it resumed from",
+			ev.Err, ev.Cursor, ev.Cursor.Exhausted())
+	}
+	nw.Quiesce()
 
 	other := keyspace.MustParse("(computer, *)")
 	for _, c := range []squid.Cursor{mid, cur} {
@@ -328,6 +352,20 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		paginate(point, k)
 	}
+	// Resumed past every match, the point query and the range query end at
+	// once, exhausted, without a message.
+	for _, c := range []struct {
+		q   keyspace.Query
+		pos uint64
+	}{
+		{point, index(run[0]) + 1},
+		{q, 1 << nw.Space.IndexBits()},
+	} {
+		sr, qm := nw.QueryStream(0, c.q, squid.Limit(3), squid.WithCursor(squid.CursorAt(c.q, c.pos, 0)))
+		if sr.Err != nil || len(sr.Matches) != 0 || !sr.Cursor.Exhausted() || qm.RouteMessages+qm.ClusterMessages+qm.ProbeMessages != 0 {
+			t.Errorf("%s resumed at %d: %d matches, error %v, exhausted %v, %+v", c.q, c.pos, len(sr.Matches), sr.Err, sr.Cursor.Exhausted(), qm)
+		}
+	}
 
 	sr, _ := nw.QueryStream(0, q)
 	if sr.Err != nil || !equalSets(sortedData(sr.Matches), want) {
@@ -346,84 +384,87 @@ func TestStreamLimitRepliesCapped(t *testing.T) {
 // delivery callback — the deterministic cancellation point: the first batch
 // has arrived while sibling subtrees are still refining. The stream must
 // finish exactly once with context.Canceled, deliver nothing after Done,
-// and tear its outstanding subtrees down with QueryCancelMsg.
+// and tear its outstanding subtrees down with QueryCancelMsg. A Limit(k)
+// stream cancelled inside its first ordered batch must do the same.
 func TestStreamCancelMidStream(t *testing.T) {
 	nw := buildNetwork(t, 40, 3000, squid.Options{})
 	q := keyspace.MustParse("(*, *)")
 	p := nw.Peers[0]
 
-	var (
-		events       []squid.StreamEvent
-		afterDone    int
-		doneCount    int
-		batchesSeen  int
-		qidCh        = make(chan squid.QueryID, 1)
-		finishedCh   = make(chan struct{}, 1)
-		startErrCh   = make(chan error, 1)
-		cancelResult bool
-	)
-	sim.MustInvoke(p, func() {
-		var qid squid.QueryID
-		var err error
-		qid, err = p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
-			events = append(events, ev)
-			if ev.Done {
-				doneCount++
-				finishedCh <- struct{}{}
-				return
-			}
-			if doneCount > 0 {
-				afterDone++
-				return
-			}
-			batchesSeen++
-			if batchesSeen == 1 {
-				// First partial page in hand: the consumer walks away.
-				// Reentrant cancellation from the delivery callback is the
-				// documented upcall context for engine entry points.
-				cancelResult = p.Engine.CancelQuery(qid)
-			}
+	for _, limit := range []int{0, 20} {
+		var (
+			events       []squid.StreamEvent
+			afterDone    int
+			doneCount    int
+			batchesSeen  int
+			qidCh        = make(chan squid.QueryID, 1)
+			finishedCh   = make(chan struct{}, 1)
+			startErrCh   = make(chan error, 1)
+			cancelResult bool
+		)
+		sim.MustInvoke(p, func() {
+			var qid squid.QueryID
+			var err error
+			qid, err = p.Engine.QueryStreamFunc(context.Background(), q, func(ev squid.StreamEvent) {
+				events = append(events, ev)
+				if ev.Done {
+					doneCount++
+					finishedCh <- struct{}{}
+					return
+				}
+				if doneCount > 0 {
+					afterDone++
+					return
+				}
+				batchesSeen++
+				if batchesSeen == 1 {
+					// First partial page in hand: the consumer walks away.
+					// Reentrant cancellation from the delivery callback is the
+					// documented upcall context for engine entry points.
+					cancelResult = p.Engine.CancelQuery(qid)
+				}
+			}, squid.Limit(limit))
+			qidCh <- qid
+			startErrCh <- err
 		})
-		qidCh <- qid
-		startErrCh <- err
-	})
-	qid := <-qidCh
-	if err := <-startErrCh; err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-finishedCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled stream never finished")
-	}
-	nw.Quiesce()
+		qid := <-qidCh
+		if err := <-startErrCh; err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-finishedCh:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Limit(%d): cancelled stream never finished", limit)
+		}
+		nw.Quiesce()
 
-	if !cancelResult {
-		t.Error("CancelQuery did not find the in-flight query")
-	}
-	if doneCount != 1 {
-		t.Fatalf("stream finished %d times", doneCount)
-	}
-	if afterDone != 0 {
-		t.Fatalf("%d batches delivered after Done", afterDone)
-	}
-	last := events[len(events)-1]
-	if !last.Done {
-		t.Fatal("Done is not the final event")
-	}
-	if last.Err != context.Canceled {
-		t.Fatalf("cancelled stream error = %v, want context.Canceled", last.Err)
-	}
-	if last.Cursor.Exhausted() {
-		t.Error("cancelled stream reports an exhausted cursor")
-	}
-	qm := nw.Metrics.ForQuery(qid)
-	if qm.CancelMessages == 0 {
-		t.Error("cancellation sent no QueryCancelMsg teardown")
-	}
-	// The network is quiet and the root is gone: a second cancel is a no-op.
-	if nw.CancelQuery(0, qid) {
-		t.Error("finished query still cancellable")
+		if !cancelResult {
+			t.Errorf("Limit(%d): CancelQuery did not find the in-flight query", limit)
+		}
+		if doneCount != 1 {
+			t.Fatalf("Limit(%d): stream finished %d times", limit, doneCount)
+		}
+		if afterDone != 0 {
+			t.Fatalf("Limit(%d): %d batches delivered after Done", limit, afterDone)
+		}
+		last := events[len(events)-1]
+		if !last.Done {
+			t.Fatalf("Limit(%d): Done is not the final event", limit)
+		}
+		if last.Err != context.Canceled {
+			t.Fatalf("Limit(%d): cancelled stream error = %v, want context.Canceled", limit, last.Err)
+		}
+		if last.Cursor.Exhausted() {
+			t.Errorf("Limit(%d): cancelled stream reports an exhausted cursor", limit)
+		}
+		qm := nw.Metrics.ForQuery(qid)
+		if qm.CancelMessages == 0 {
+			t.Errorf("Limit(%d): cancellation sent no QueryCancelMsg teardown", limit)
+		}
+		// The network is quiet and the root is gone: a second cancel is a no-op.
+		if nw.CancelQuery(0, qid) {
+			t.Errorf("Limit(%d): finished query still cancellable", limit)
+		}
 	}
 }
 
@@ -556,7 +597,7 @@ func resultCacheCounts(nw *sim.Network) (hits, misses uint64) {
 // TestStreamResultCache pins the popular-cluster cache end to end: a
 // repeated query hits the cache (and still answers exactly), and a write
 // into a cached cluster invalidates it — the next repeat sees the new
-// element instead of a stale page.
+// elements instead of a stale page, and then their removal.
 func TestStreamResultCache(t *testing.T) {
 	nw := buildNetwork(t, 30, 2000, squid.Options{ResultCacheSize: 64})
 	q := keyspace.MustParse("(comp*, *)")
@@ -586,17 +627,27 @@ func TestStreamResultCache(t *testing.T) {
 		t.Errorf("repeat of an identical query recorded no cache hits (%d -> %d)", hits0, hits1)
 	}
 
-	// A publish into the cached clusters must invalidate them: the next
-	// repeat returns the new element, not the cached page.
-	if err := nw.Publish(3, squid.Element{Values: []string{"computer", "computer"}, Data: "fresh"}); err != nil {
-		t.Fatal(err)
+	// A publish into cached clusters must invalidate them: the next repeat
+	// returns the new elements, not the cached page. The elements spread
+	// over the query's region, so some land in leaves cached away from the
+	// root.
+	var fresh []squid.Element
+	for _, w := range []string{"computer", "computation", "company", "compiler"} {
+		for _, v := range testVocab {
+			fresh = append(fresh, squid.Element{Values: []string{w, v}, Data: fmt.Sprintf("fresh-%d", len(fresh))})
+		}
+	}
+	for i, e := range fresh {
+		if err := nw.Publish(i%len(nw.Peers), e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	nw.Quiesce()
 	want2 := sortedData(nw.BruteForceMatches(q))
-	if len(want2) != len(want)+1 {
-		t.Fatalf("publish did not land: %d vs %d", len(want2), len(want))
+	if len(want2) != len(want)+len(fresh) {
+		t.Fatalf("publish did not land: %d vs %d", len(want2), len(want)+len(fresh))
 	}
-	third, _ := nw.QueryStream(2, q)
+	third, _ := nw.QueryStream(1, q)
 	if third.Err != nil {
 		t.Fatal(third.Err)
 	}
@@ -605,13 +656,41 @@ func TestStreamResultCache(t *testing.T) {
 			len(third.Matches), len(want2))
 	}
 
+	// An unpublish out of cached clusters invalidates them as well.
+	errs := make(chan error, len(fresh))
+	for i, e := range fresh {
+		p := nw.Peers[i%len(nw.Peers)]
+		sim.MustInvoke(p, func() { errs <- p.Engine.Unpublish(e) })
+	}
+	for range fresh {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Quiesce()
+	if n := len(nw.BruteForceMatches(q)); n != len(want) {
+		t.Fatalf("unpublish did not land: %d vs %d", n, len(want))
+	}
+	fourth, _ := nw.QueryStream(1, q)
+	if fourth.Err != nil {
+		t.Fatal(fourth.Err)
+	}
+	if !equalSets(sortedData(fourth.Matches), want) {
+		t.Errorf("post-unpublish query stale: %d matches, want %d (cache not invalidated)",
+			len(fourth.Matches), len(want))
+	}
+	hits2, _ := resultCacheCounts(nw)
+	if hits2 <= hits1 {
+		t.Errorf("repeats after the writes recorded no cache hits (%d -> %d): the writes cleared the whole cache", hits1, hits2)
+	}
+
 	// Legacy (non-streaming) repeats ride the same cache.
 	res, _ := nw.Query(4, q)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if !equalSets(sortedData(res.Matches), want2) {
-		t.Errorf("legacy query through cache wrong: %d vs %d", len(res.Matches), len(want2))
+	if !equalSets(sortedData(res.Matches), want) {
+		t.Errorf("legacy query through cache wrong: %d vs %d", len(res.Matches), len(want))
 	}
 }
 
