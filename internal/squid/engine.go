@@ -977,10 +977,7 @@ func (e *Engine) refillWindow(st *subtree) bool {
 func (e *Engine) endEarly(st *subtree, partial bool) {
 	e.bufferMatches(st, st.matches)
 	if len(st.buf) > 0 {
-		lo := st.buf[0].idx
-		for _, b := range st.buf[1:] {
-			lo = min(lo, b.idx)
-		}
+		lo := slices.MinFunc(st.buf, func(a, b bufferedMatch) int { return cmp.Compare(a.idx, b.idx) }).idx
 		st.noteCutSkip(lo, st.skipFor(lo))
 	}
 	if len(st.pending) > 0 {
