@@ -15,8 +15,8 @@
 // owning goroutine. The one sanctioned way back is re-entry: a function
 // literal passed to a callee named Invoke is re-executed on the delivery
 // goroutine by the node's delivery loop, so it counts as a fresh
-// entrypoint for every label. Timer callbacks run on the runtime timer
-// goroutine and are treated like go launches: literals handed to the time
+// entrypoint for every label. Timer callbacks run on a timer goroutine
+// and are treated like go launches: literals handed to the time
 // package (AfterFunc, …), every Fire method whose receiver implements
 // transport.TimerHandler, and literals converted to a func type that
 // implements it (transport.TimerFunc). A bound method value (x.m) passed
@@ -213,7 +213,7 @@ func passedToTimer(n *analysis.FuncNode) bool {
 // timerCallbacks returns the package's transport.TimerHandler callbacks:
 // every method named Fire whose receiver implements the interface, and
 // every function literal converted to a func type that implements it.
-// A Clock runs them on its own goroutine (the runtime timer goroutine for
+// A Clock runs them on its own goroutine (a fresh goroutine per fire for
 // the real clock), so they must re-enter via Invoke like a time.AfterFunc
 // literal.
 func timerCallbacks(pass *analysis.Pass, g *analysis.CallGraph) map[*analysis.FuncNode]bool {

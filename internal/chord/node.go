@@ -37,9 +37,9 @@ type Config struct {
 	// path and Node.Counters keeps working standalone.
 	Telemetry *telemetry.Registry
 	// Clock supplies the node's timers (RPC timeouts, retry backoff). Nil
-	// uses the runtime timers (transport.RealClock); the discrete-event
-	// simulator injects its virtual clock so timeouts and backoff advance
-	// in virtual time.
+	// uses the wall clock's deadline heap (transport.RealClock); the
+	// discrete-event simulator injects its virtual clock so timeouts and
+	// backoff advance in virtual time.
 	Clock transport.Clock
 	// LegacyRules reverts membership to the original Chord pseudo-code:
 	// successors adopted without a reachability probe, predecessors cleared

@@ -103,9 +103,9 @@ type Options struct {
 	// at tracing peers are still recorded and shipped up).
 	Traces *telemetry.TraceStore
 	// Clock supplies the engine's recovery and deadline timers (subtree
-	// re-dispatch, overall query deadline). Nil uses the runtime timers
-	// (transport.RealClock); the discrete-event simulator injects its
-	// virtual clock so recovery runs in virtual time.
+	// re-dispatch, overall query deadline). Nil uses the wall clock's
+	// deadline heap (transport.RealClock); the discrete-event simulator
+	// injects its virtual clock so recovery runs in virtual time.
 	Clock transport.Clock
 }
 

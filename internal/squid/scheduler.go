@@ -21,13 +21,17 @@ import (
 //     an immutable arcView of the node's owned arc at submit time. Workers
 //     read only that snapshot, the Store (whose readers are lock-protected)
 //     and the immutable keyword space — never live engine or node state.
-//   - Results return to the delivery goroutine via node.Invoke, which
-//     hands them with the job's subtree to Engine.resolved; all
-//     engine/subtree mutation stays confined there. A worker never reads
-//     the subtree: it rebuilds the query region in its own RegionBuf.
-//     Self-sends are exempt from fault injection, so a completion can
-//     only be lost if the node itself died — in which case finish() still
-//     runs, keeping the pending count exact for the simulator's quiesce
+//   - A worker writes its outcome into the job and queues the job on the
+//     completion FIFO; the worker whose push makes that FIFO non-empty
+//     posts one drain to the delivery goroutine via node.Invoke, and the
+//     drain hands every queued job, in order, with its subtree to
+//     Engine.resolved — so a burst of completions costs one self-send,
+//     and all engine/subtree mutation stays confined to the delivery
+//     goroutine. A worker never reads the subtree: it rebuilds the query
+//     region in its own RegionBuf. Self-sends are exempt from fault
+//     injection, so a drain can only fail to post if the node itself died
+//     — in which case the posting worker runs finish() for every queued
+//     job, keeping the pending count exact for the simulator's quiesce
 //     protocol.
 //   - Admission control: at most cap jobs may be admitted-but-unfinished;
 //     beyond that trySubmit refuses and the caller sheds the work with
@@ -46,17 +50,21 @@ type scheduler struct {
 	jobsCond *sync.Cond                 // signaled when queue gains a job (workers wait here)
 	idleCond *sync.Cond                 // broadcast when pending returns to zero (waitIdle)
 	queue    transport.FIFO[*refineJob] //lint:guarded-by mu
+	// done holds jobs whose worker finished refining, awaiting the drain.
+	done transport.FIFO[*refineJob] //lint:guarded-by mu
 	// pending counts admitted jobs whose completion has not yet run.
 	pending int //lint:guarded-by mu
 	// started flips when the workers are spawned (lazily, on first submit).
 	started bool //lint:guarded-by mu
+	// drainFn is drain bound once, so posting it allocates nothing.
+	drainFn func()
 }
 
 // refineJob carries one batch of clusters from the delivery goroutine to a
 // worker, and its outcome back to the subtree st. Jobs come from the
 // refineJobs pool on the delivery goroutine and go back there once the
-// completion has run resolved (giveBack); the worker reads a job only
-// before it hands the completion to Invoke.
+// drain has run resolved (giveBack); the worker touches a job only before
+// it queues it on the completion FIFO.
 type refineJob struct {
 	st       *subtree // delivery goroutine only: the worker passes it through
 	qid      QueryID
@@ -64,6 +72,12 @@ type refineJob struct {
 	clusters []sfc.Refined
 	arc      arcView
 	enqueued time.Time // registry clock; zero (and wait reads 0) in simulation
+
+	// The outcome, written by the worker: the local matches, the clusters
+	// to forward and the number resolved here.
+	matches []Element
+	remote  []sfc.Refined
+	local   int
 }
 
 // arcView is the immutable snapshot of the arc (pred, self] a node owned
@@ -100,6 +114,7 @@ func newScheduler(e *Engine, workers, cap int) *scheduler {
 	s := &scheduler{e: e, workers: workers, cap: cap}
 	s.jobsCond = sync.NewCond(&s.mu)
 	s.idleCond = sync.NewCond(&s.mu)
+	s.drainFn = s.drain
 	return s
 }
 
@@ -141,8 +156,8 @@ func (s *scheduler) next() *refineJob {
 }
 
 // finish retires one admitted job. It runs on the delivery goroutine for
-// live nodes (inside the completion Invoke), or synchronously in the worker
-// when the node is already detached — either way exactly once per job.
+// live nodes (inside the drain), or synchronously in the worker when the
+// node is already detached — either way exactly once per job.
 func (s *scheduler) finish() {
 	s.mu.Lock()
 	s.pending--
@@ -171,7 +186,7 @@ func (s *scheduler) depth() int {
 	return s.pending
 }
 
-// worker drains the job channel with its own region buffer and refinement
+// worker refines queued jobs with its own region buffer and refinement
 // scratch (the per-worker counterpart of the engine's zero-alloc buffers).
 func (s *scheduler) worker() {
 	var rbuf keyspace.RegionBuf
@@ -184,18 +199,54 @@ func (s *scheduler) worker() {
 		// The delivery goroutine built this query's region before it
 		// submitted the job, so rebuilding it cannot fail.
 		region, _ := e.space.RegionInto(j.q, &rbuf)
-		var matches []Element
-		var remote []sfc.Refined
-		var local int
-		matches, remote, local, frontier = refineClusters(
+		j.matches, j.remote, j.local, frontier = refineClusters(
 			e.store, e.space, j.arc, j.qid, j.clusters, j.q, region, &scratch, frontier)
-		if err := e.node.Invoke(func() {
-			e.resolved(j.st, matches, remote, local)
-			giveBack(e, &refineJobs, j, j.st)
-			s.finish()
-		}); err != nil {
-			s.finish() // node detached: the query died with its node
-		}
+		s.complete(j)
+	}
+}
+
+// complete queues a refined job for the drain, posting the drain if the
+// queue was empty: a drain already posted takes every job queued before it
+// runs.
+func (s *scheduler) complete(j *refineJob) {
+	s.mu.Lock()
+	s.done.Push(j)
+	first := s.done.Len() == 1
+	s.mu.Unlock()
+	if !first {
+		return
+	}
+	if err := s.e.node.Invoke(s.drainFn); err == nil {
+		return
+	}
+	// Node detached: its queries died with it. Retire every queued job,
+	// as the drain would have; one queued later posts, fails and retires
+	// itself.
+	for s.popDone() != nil {
+		s.finish()
+	}
+}
+
+// popDone pops the next job awaiting the drain, or nil.
+func (s *scheduler) popDone() *refineJob {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.done.Len() == 0 {
+		return nil
+	}
+	return s.done.Pop()
+}
+
+// drain hands every refined job to resolved in completion order, then
+// returns it to its pool and retires it.
+//
+//lint:entry delivery
+func (s *scheduler) drain() {
+	e := s.e
+	for j := s.popDone(); j != nil; j = s.popDone() {
+		e.resolved(j.st, j.matches, j.remote, j.local)
+		giveBack(e, &refineJobs, j, j.st)
+		s.finish()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"squid/internal/keyspace"
+	"squid/internal/transport"
 	"squid/internal/wire"
 )
 
@@ -210,7 +211,7 @@ type ResultStream struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	batches [][]Element
+	batches transport.FIFO[[]Element]
 	total   int
 	done    bool
 	err     error
@@ -233,15 +234,13 @@ func (s *ResultStream) QID() QueryID { return s.qid }
 func (s *ResultStream) Next() (batch []Element, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.batches) == 0 && !s.done {
+	for s.batches.Len() == 0 && !s.done {
 		s.cond.Wait()
 	}
-	if len(s.batches) == 0 {
+	if s.batches.Len() == 0 {
 		return nil, false
 	}
-	batch = s.batches[0]
-	s.batches = s.batches[1:]
-	return batch, true
+	return s.batches.Pop(), true
 }
 
 // Err returns the stream's terminal error: nil for a complete result set,
@@ -269,7 +268,7 @@ func (s *ResultStream) Cursor() Cursor {
 // pushBatch implements streamSink (delivery goroutine side).
 func (s *ResultStream) pushBatch(_ QueryID, batch []Element) {
 	s.mu.Lock()
-	s.batches = append(s.batches, batch)
+	s.batches.Push(batch)
 	s.total += len(batch)
 	s.mu.Unlock()
 	s.cond.Broadcast()

@@ -1,6 +1,9 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // BenchmarkInprocSend measures mailbox throughput: one sender, one
 // draining receiver; Quiesce bounds the measured region.
@@ -19,4 +22,15 @@ func BenchmarkInprocSend(b *testing.B) {
 		}
 	}
 	net.Quiesce()
+}
+
+// BenchmarkRealClockArmStop measures arming a wall-clock timer and
+// stopping it before it fires, the fate of almost every recovery timer.
+func BenchmarkRealClockArmStop(b *testing.B) {
+	var h TimerHandler = TimerFunc(func(uint64) {})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tm := RealClock{}.Arm(time.Hour, h, uint64(i))
+		tm.Stop()
+	}
 }

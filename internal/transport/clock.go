@@ -1,6 +1,10 @@
 package transport
 
-import "time"
+import (
+	"math"
+	"sync"
+	"time"
+)
 
 // TimerHandler receives the expiries of timers armed on a Clock. The tag is
 // the value given to Arm, so one handler (a node, an engine) serves every
@@ -19,12 +23,12 @@ func (f TimerFunc) Fire(tag uint64) { f(tag) }
 // Clock arms timers. Protocol code (chord RPC timeouts and retry backoff,
 // squid subtree recovery and query deadlines) takes its timers from a
 // Clock instead of the time package, so the same code runs against the
-// runtime timers in production and against the discrete-event simulator's
+// wall clock in production and against the discrete-event simulator's
 // virtual clock in planet-scale experiments.
 //
 // Arm calls h.Fire(tag) once d elapses on the clock's timeline. Which
-// goroutine Fire runs on is implementation-defined (the runtime's timer
-// goroutine for RealClock, the event loop for the simulator), so Fire must
+// goroutine Fire runs on is implementation-defined (a fresh goroutine per
+// fire for RealClock, the event loop for the simulator), so Fire must
 // hand off to the owning goroutine itself — in this codebase always via
 // Node.Invoke, which is safe from anywhere.
 type Clock interface {
@@ -85,29 +89,220 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return was
 }
 
-// RealClock is the wall-clock Clock backed by the runtime's timers. The
-// zero value is ready to use; it is the default everywhere a Clock is
-// injectable.
+// RealClock is the wall-clock Clock. Every RealClock shares one
+// process-wide deadline heap driven by one runtime timer, so arming,
+// stopping and resetting a timer allocate nothing. The zero value is ready
+// to use; it is the default everywhere a Clock is injectable.
 type RealClock struct{}
 
-// Arm implements Clock via time.AfterFunc.
+// Arm implements Clock on the process-wide deadline heap.
+//
+//lint:allocfree
 func (RealClock) Arm(d time.Duration, h TimerHandler, tag uint64) Timer {
-	t := time.AfterFunc(d, func() { h.Fire(tag) })
-	return NewTimer((*realTimer)(t), h, tag, 0, 0)
+	id, gen := wall.Schedule(d, h, tag)
+	return NewTimer(&wall, h, tag, id, gen)
 }
 
-// realTimer is the TimerQueue of one runtime timer: the timer keeps its
-// callback across Stop and Reset, so the handle's id and generation are
-// unused.
-type realTimer time.Timer
+// wall is the deadline heap behind every RealClock.
+var wall = deadlineHeap{armed: math.MaxInt64}
 
-//lint:allow-allocfree the runtime timer's Stop allocates nothing
-func (t *realTimer) Cancel(uint32, uint32) bool { return (*time.Timer)(t).Stop() }
+// wallEpoch is the origin of the heap's timeline: deadlines are monotonic
+// nanoseconds since it.
+var wallEpoch = time.Now()
 
-//lint:allow-allocfree the runtime timer's Reset allocates nothing
-func (t *realTimer) Schedule(d time.Duration, _ TimerHandler, _ uint64) (uint32, uint32) {
-	(*time.Timer)(t).Reset(d)
-	return 0, 0
+// deadlineHeap is the TimerQueue of RealClock: a binary min-heap of
+// deadlines over a slab of pooled entries, as in the event core's virtual
+// clock (dessim). A cancelled or fired entry returns to a free list with
+// its generation bumped, so a stale handle cannot touch the entry's next
+// occupant. One runtime timer is armed for the earliest deadline; it is
+// touched only when a new deadline is earlier than the one it is armed
+// for, and a cancel leaves it armed (its expiry then finds nothing due and
+// re-arms for the new earliest). On expiry every due entry is popped and
+// each Fire runs on its own goroutine, as each time.AfterFunc callback
+// does, so a Fire that blocks (a TCP self-send) holds up no other timer.
+type deadlineHeap struct {
+	// mu guards every field below. Schedule, Cancel and expire take it
+	// through lock and unlock, which keep the allocation-free audit off
+	// the sync and time packages.
+	mu      sync.Mutex
+	heap    []deadline   // the min-heap of pending deadlines
+	entries []timerEntry // the entry slab, indexed by deadline.id
+	pos     []int32      // heap position of each entry; -1 while it is free
+	gens    []uint32     // generation of each entry, bumped on release
+	free    []uint32     // free entries, reused last-in first-out
+	timer   *time.Timer  // the runtime timer; nil until the first Schedule
+	armed   int64        // the deadline timer is armed for; MaxInt64 when none
 }
 
-var _ Clock = RealClock{}
+// deadline is one heap position: the entry's instant in nanoseconds since
+// wallEpoch, held inline so sifting compares contiguous values, and the
+// entry's slab index.
+type deadline struct {
+	at int64
+	id uint32
+}
+
+// timerEntry is what a pending timer fires.
+type timerEntry struct {
+	h   TimerHandler
+	tag uint64
+}
+
+// Schedule implements TimerQueue.
+//
+//lint:allocfree
+func (q *deadlineHeap) Schedule(d time.Duration, h TimerHandler, tag uint64) (uint32, uint32) {
+	now := q.lock()
+	var id uint32
+	if n := len(q.free); n > 0 {
+		id = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		id = uint32(len(q.entries))
+		q.entries = append(q.entries, timerEntry{})
+		q.pos = append(q.pos, -1)
+		q.gens = append(q.gens, 0)
+	}
+	q.entries[id] = timerEntry{h: h, tag: tag}
+	q.heap = append(q.heap, deadline{})
+	q.siftUp(len(q.heap)-1, deadline{at: now + int64(max(d, 0)), id: id})
+	gen := q.gens[id]
+	q.unlock(now)
+	return id, gen
+}
+
+// Cancel implements TimerQueue. Removal is eager, so the heap holds only
+// pending timers.
+//
+//lint:allocfree
+func (q *deadlineHeap) Cancel(id, gen uint32) bool {
+	now := q.lock()
+	ok := q.gens[id] == gen && q.pos[id] >= 0
+	if ok {
+		q.remove(int(q.pos[id]))
+		q.release(id)
+	}
+	q.unlock(now)
+	return ok
+}
+
+// expire is the runtime timer's callback: it pops every due entry and
+// starts its Fire on a goroutine of its own.
+func (q *deadlineHeap) expire() {
+	now := q.lock()
+	q.armed = math.MaxInt64 // the timer fired; unlock re-arms it
+	for len(q.heap) > 0 && q.heap[0].at <= now {
+		id := q.heap[0].id
+		e := q.entries[id]
+		q.remove(0)
+		q.release(id)
+		go e.h.Fire(e.tag)
+	}
+	q.unlock(now)
+}
+
+// lock takes the heap's lock and returns the current instant.
+//
+//lint:allow-allocfree Mutex.Lock and the monotonic clock read allocate nothing
+func (q *deadlineHeap) lock() int64 {
+	q.mu.Lock()
+	return int64(time.Since(wallEpoch))
+}
+
+// unlock arms the runtime timer for the earliest deadline if that is
+// earlier than the one it is armed for, then releases the lock. now is
+// the instant lock returned.
+//
+//lint:allow-allocfree Mutex.Unlock and Timer.Reset allocate nothing; the runtime timer is created once per process
+func (q *deadlineHeap) unlock(now int64) {
+	if len(q.heap) > 0 && q.heap[0].at < q.armed {
+		q.armed = q.heap[0].at
+		d := time.Duration(q.armed - now)
+		if q.timer == nil {
+			q.timer = time.AfterFunc(d, q.expire)
+		} else {
+			q.timer.Reset(d)
+		}
+	}
+	q.mu.Unlock()
+}
+
+// release returns a removed entry to the free list, invalidating every
+// outstanding handle to it and dropping its handler for the collector.
+//
+//lint:allocfree
+func (q *deadlineHeap) release(id uint32) {
+	q.entries[id] = timerEntry{}
+	q.gens[id]++
+	q.pos[id] = -1
+	q.free = append(q.free, id)
+}
+
+// remove deletes the deadline at heap index i, restoring the heap order.
+// The caller releases the entry.
+//
+//lint:allocfree
+func (q *deadlineHeap) remove(i int) {
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && moved.at < q.heap[(i-1)/2].at {
+		q.siftUp(i, moved)
+	} else {
+		q.siftDown(i, moved)
+	}
+}
+
+// siftUp fills the hole at index i with x, moving later ancestors down.
+//
+//lint:allocfree
+func (q *deadlineHeap) siftUp(i int, x deadline) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := q.heap[parent]
+		if x.at >= p.at {
+			break
+		}
+		q.place(i, p)
+		i = parent
+	}
+	q.place(i, x)
+}
+
+// siftDown fills the hole at index i with x, moving earlier children up.
+//
+//lint:allocfree
+func (q *deadlineHeap) siftDown(i int, x deadline) {
+	n := len(q.heap)
+	for {
+		next := 2*i + 1
+		if next >= n {
+			break
+		}
+		if right := next + 1; right < n && q.heap[right].at < q.heap[next].at {
+			next = right
+		}
+		if q.heap[next].at >= x.at {
+			break
+		}
+		q.place(i, q.heap[next])
+		i = next
+	}
+	q.place(i, x)
+}
+
+// place stores x at heap index i and records the position for Cancel.
+//
+//lint:allocfree
+func (q *deadlineHeap) place(i int, x deadline) {
+	q.heap[i] = x
+	q.pos[x.id] = int32(i)
+}
+
+var (
+	_ Clock      = RealClock{}
+	_ TimerQueue = (*deadlineHeap)(nil)
+)

@@ -9,8 +9,8 @@ package transport
 // instead of growing the array.
 //
 // The zero value is an empty queue. A FIFO is not safe for concurrent use:
-// its owner guards it (the Inproc mailbox and the query scheduler hold
-// their locks).
+// its owner guards it (the Inproc mailbox, the query scheduler and a
+// result stream hold their locks).
 type FIFO[T any] struct {
 	buf  []T
 	head int
