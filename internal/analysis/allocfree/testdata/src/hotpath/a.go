@@ -3,7 +3,11 @@
 // pulled onto the hot path by the call graph, and documented cold paths.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+
+	"slab"
+)
 
 type enc struct {
 	buf []byte
@@ -65,4 +69,13 @@ func Closure() func() int {
 func Allowed() {
 	//lint:allow-allocfree scratch grows at most once per doubling
 	_ = make([]int, 4)
+}
+
+// Generic calls the methods of an instantiated generic type declared in
+// another package: the annotated one is audited, the other is not.
+//
+//lint:allocfree
+func Generic(p *slab.Pool[uint64]) {
+	*p.Push() = 1
+	p.Reset() // want `call to slab\.Reset \(outside the allocfree audited set\)`
 }

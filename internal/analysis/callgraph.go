@@ -638,11 +638,13 @@ func HasDirective(name string, groups ...*ast.CommentGroup) (args string, ok boo
 // FuncDirective reports whether fn's declaration in pkg carries
 // //lint:<name>. It is the cross-package summary hook: an analyzer
 // checking squid/internal/chord can ask whether a wire.Encoder method it
-// calls is itself annotated //lint:allocfree.
+// calls is itself annotated //lint:allocfree. A method of an instantiated
+// generic type is looked up by its generic declaration.
 func FuncDirective(pkg *Package, fn *types.Func, name string) (args string, ok bool) {
 	if pkg == nil || fn == nil {
 		return "", false
 	}
+	fn = fn.Origin()
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, okd := decl.(*ast.FuncDecl)

@@ -42,11 +42,14 @@ func (vc virtualClock) Arm(d time.Duration, h transport.TimerHandler, tag uint64
 
 //lint:allocfree
 func (vc virtualClock) Schedule(d time.Duration, h transport.TimerHandler, tag uint64) (uint32, uint32) {
-	return vc.core.schedule(vc.core.deadline(d), h, tag)
+	c := vc.core
+	id, gen, ev := c.events.Push(int64(c.now + VTime(max(d, 0))))
+	ev.h, ev.tag = h, tag
+	return id, gen
 }
 
 //lint:allocfree
-func (vc virtualClock) Cancel(id, gen uint32) bool { return vc.core.cancel(id, gen) }
+func (vc virtualClock) Cancel(id, gen uint32) bool { return vc.core.events.Cancel(id, gen) }
 
 var (
 	_ transport.Clock      = virtualClock{}

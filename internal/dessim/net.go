@@ -109,7 +109,8 @@ func (n *Net) send(e *endpoint, to transport.Addr, msg any) error {
 		at = VTime(t)
 	}
 	n.accept(from, to, msg)
-	n.core.scheduleDelivery(at, r.b, from, msg)
+	_, _, ev := n.core.events.Push(int64(max(at, n.core.now)))
+	ev.box, ev.from, ev.msg = r.b, from, msg
 	return nil
 }
 

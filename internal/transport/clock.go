@@ -110,36 +110,21 @@ var wall = deadlineHeap{armed: math.MaxInt64}
 // nanoseconds since it.
 var wallEpoch = time.Now()
 
-// deadlineHeap is the TimerQueue of RealClock: a binary min-heap of
-// deadlines over a slab of pooled entries, as in the event core's virtual
-// clock (dessim). A cancelled or fired entry returns to a free list with
-// its generation bumped, so a stale handle cannot touch the entry's next
-// occupant. One runtime timer is armed for the earliest deadline; it is
-// touched only when a new deadline is earlier than the one it is armed
-// for, and a cancel leaves it armed (its expiry then finds nothing due and
-// re-arms for the new earliest). On expiry every due entry is popped and
-// each Fire runs on its own goroutine, as each time.AfterFunc callback
-// does, so a Fire that blocks (a TCP self-send) holds up no other timer.
+// deadlineHeap is the TimerQueue of RealClock. One runtime timer is armed
+// for the earliest deadline; it is touched only when a new deadline is
+// earlier than the one it is armed for, and a cancel leaves it armed (its
+// expiry then finds nothing due and re-arms for the new earliest). On
+// expiry every due entry is popped and each Fire runs on its own
+// goroutine, as each time.AfterFunc callback does, so a Fire that blocks
+// (a TCP self-send) holds up no other timer.
 type deadlineHeap struct {
 	// mu guards every field below. Schedule, Cancel and expire take it
 	// through lock and unlock, which keep the allocation-free audit off
 	// the sync and time packages.
-	mu      sync.Mutex
-	heap    []deadline   // the min-heap of pending deadlines
-	entries []timerEntry // the entry slab, indexed by deadline.id
-	pos     []int32      // heap position of each entry; -1 while it is free
-	gens    []uint32     // generation of each entry, bumped on release
-	free    []uint32     // free entries, reused last-in first-out
-	timer   *time.Timer  // the runtime timer; nil until the first Schedule
-	armed   int64        // the deadline timer is armed for; MaxInt64 when none
-}
-
-// deadline is one heap position: the entry's instant in nanoseconds since
-// wallEpoch, held inline so sifting compares contiguous values, and the
-// entry's slab index.
-type deadline struct {
-	at int64
-	id uint32
+	mu    sync.Mutex
+	d     Deadlines[timerEntry] // deadlines in nanoseconds since wallEpoch
+	timer *time.Timer           // the runtime timer; nil until the first Schedule
+	armed int64                 // the deadline timer is armed for; MaxInt64 when none
 }
 
 // timerEntry is what a pending timer fires.
@@ -153,35 +138,18 @@ type timerEntry struct {
 //lint:allocfree
 func (q *deadlineHeap) Schedule(d time.Duration, h TimerHandler, tag uint64) (uint32, uint32) {
 	now := q.lock()
-	var id uint32
-	if n := len(q.free); n > 0 {
-		id = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		id = uint32(len(q.entries))
-		q.entries = append(q.entries, timerEntry{})
-		q.pos = append(q.pos, -1)
-		q.gens = append(q.gens, 0)
-	}
-	q.entries[id] = timerEntry{h: h, tag: tag}
-	q.heap = append(q.heap, deadline{})
-	q.siftUp(len(q.heap)-1, deadline{at: now + int64(max(d, 0)), id: id})
-	gen := q.gens[id]
+	id, gen, e := q.d.Push(now + int64(max(d, 0)))
+	e.h, e.tag = h, tag
 	q.unlock(now)
 	return id, gen
 }
 
-// Cancel implements TimerQueue. Removal is eager, so the heap holds only
-// pending timers.
+// Cancel implements TimerQueue.
 //
 //lint:allocfree
 func (q *deadlineHeap) Cancel(id, gen uint32) bool {
 	now := q.lock()
-	ok := q.gens[id] == gen && q.pos[id] >= 0
-	if ok {
-		q.remove(int(q.pos[id]))
-		q.release(id)
-	}
+	ok := q.d.Cancel(id, gen)
 	q.unlock(now)
 	return ok
 }
@@ -191,11 +159,8 @@ func (q *deadlineHeap) Cancel(id, gen uint32) bool {
 func (q *deadlineHeap) expire() {
 	now := q.lock()
 	q.armed = math.MaxInt64 // the timer fired; unlock re-arms it
-	for len(q.heap) > 0 && q.heap[0].at <= now {
-		id := q.heap[0].id
-		e := q.entries[id]
-		q.remove(0)
-		q.release(id)
+	for at, ok := q.d.Min(); ok && at <= now; at, ok = q.d.Min() {
+		_, e, _ := q.d.Pop()
 		go e.h.Fire(e.tag)
 	}
 	q.unlock(now)
@@ -215,9 +180,9 @@ func (q *deadlineHeap) lock() int64 {
 //
 //lint:allow-allocfree Mutex.Unlock and Timer.Reset allocate nothing; the runtime timer is created once per process
 func (q *deadlineHeap) unlock(now int64) {
-	if len(q.heap) > 0 && q.heap[0].at < q.armed {
-		q.armed = q.heap[0].at
-		d := time.Duration(q.armed - now)
+	if at, ok := q.d.Min(); ok && at < q.armed {
+		q.armed = at
+		d := time.Duration(at - now)
 		if q.timer == nil {
 			q.timer = time.AfterFunc(d, q.expire)
 		} else {
@@ -225,81 +190,6 @@ func (q *deadlineHeap) unlock(now int64) {
 		}
 	}
 	q.mu.Unlock()
-}
-
-// release returns a removed entry to the free list, invalidating every
-// outstanding handle to it and dropping its handler for the collector.
-//
-//lint:allocfree
-func (q *deadlineHeap) release(id uint32) {
-	q.entries[id] = timerEntry{}
-	q.gens[id]++
-	q.pos[id] = -1
-	q.free = append(q.free, id)
-}
-
-// remove deletes the deadline at heap index i, restoring the heap order.
-// The caller releases the entry.
-//
-//lint:allocfree
-func (q *deadlineHeap) remove(i int) {
-	last := len(q.heap) - 1
-	moved := q.heap[last]
-	q.heap = q.heap[:last]
-	if i == last {
-		return
-	}
-	if i > 0 && moved.at < q.heap[(i-1)/2].at {
-		q.siftUp(i, moved)
-	} else {
-		q.siftDown(i, moved)
-	}
-}
-
-// siftUp fills the hole at index i with x, moving later ancestors down.
-//
-//lint:allocfree
-func (q *deadlineHeap) siftUp(i int, x deadline) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := q.heap[parent]
-		if x.at >= p.at {
-			break
-		}
-		q.place(i, p)
-		i = parent
-	}
-	q.place(i, x)
-}
-
-// siftDown fills the hole at index i with x, moving earlier children up.
-//
-//lint:allocfree
-func (q *deadlineHeap) siftDown(i int, x deadline) {
-	n := len(q.heap)
-	for {
-		next := 2*i + 1
-		if next >= n {
-			break
-		}
-		if right := next + 1; right < n && q.heap[right].at < q.heap[next].at {
-			next = right
-		}
-		if q.heap[next].at >= x.at {
-			break
-		}
-		q.place(i, q.heap[next])
-		i = next
-	}
-	q.place(i, x)
-}
-
-// place stores x at heap index i and records the position for Cancel.
-//
-//lint:allocfree
-func (q *deadlineHeap) place(i int, x deadline) {
-	q.heap[i] = x
-	q.pos[x.id] = int32(i)
 }
 
 var (

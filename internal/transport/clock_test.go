@@ -82,15 +82,8 @@ func pendingTimers(t *testing.T) int {
 	q := &wall
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, x := range q.heap {
-		if i > 0 && x.at < q.heap[(i-1)/2].at {
-			t.Fatalf("heap order broken at %d: %d before its parent's %d", i, x.at, q.heap[(i-1)/2].at)
-		}
-		if q.pos[x.id] != int32(i) {
-			t.Fatalf("entry %d sits at %d, its position index says %d", x.id, i, q.pos[x.id])
-		}
-	}
-	return len(q.heap)
+	checkHeap(t, &q.d.heap)
+	return q.d.Len()
 }
 
 // TestRealClockAllocFree pins the deadline heap: once it has a pooled
