@@ -93,14 +93,10 @@ func run(cfg config) error {
 		squid.WithReplication(cfg.replicas),
 		squid.WithSubtreeTimeout(5 * time.Second),
 		squid.WithQueryDeadline(60 * time.Second),
+		squid.WithWorkers(cfg.workers),
 		squid.WithMaxInflight(cfg.inflight),
 		squid.WithTelemetry(reg),
 		squid.WithTraces(traces),
-	}
-	if cfg.workers < 0 {
-		engOpts = append(engOpts, squid.WithSerialProcessing())
-	} else if cfg.workers > 0 {
-		engOpts = append(engOpts, squid.WithWorkers(cfg.workers))
 	}
 	eng := squid.New(space, engOpts...)
 	node := chord.NewNode(chord.Config{
@@ -135,7 +131,11 @@ func run(cfg config) error {
 
 	if cfg.statePath != "" {
 		if f, err := os.Open(cfg.statePath); err == nil {
-			loadErr := eng.LoadState(f)
+			done := make(chan error, 1)
+			if ierr := node.Invoke(func() { done <- eng.LoadState(f) }); ierr != nil {
+				done <- ierr // endpoint gone: report it as the load outcome
+			}
+			loadErr := <-done
 			f.Close()
 			if loadErr != nil {
 				return fmt.Errorf("load state %s: %w", cfg.statePath, loadErr)

@@ -127,8 +127,8 @@ func sendSequence(t *testing.T, listen func(transport.Addr, transport.Handler) (
 }
 
 // TestFaultPlanSameOnBothDrivers pins the single fault plan: one seed drops
-// exactly the same messages on the goroutine transport (wall clock) and on
-// the event core (virtual time), and both account them identically.
+// exactly the same messages on the goroutine transport and on the event
+// core (virtual time), and both account them identically.
 func TestFaultPlanSameOnBothDrivers(t *testing.T) {
 	cfg := dessim.NetConfig{Seed: 42, DropRate: 0.3}
 	const n = 400

@@ -53,7 +53,8 @@ type Config struct {
 	Chord chord.Config
 	// Net configures the links' fault plan (seed, latency range, drop
 	// rate), exposed as Network.Faults for drops, partitions and crashes at
-	// run time. The zero value is instant reliable delivery.
+	// run time. The zero value is instant reliable delivery. A latency
+	// range needs the event core: Build refuses MaxLatency > 0.
 	Net transport.FaultConfig
 	// Trace enables distributed query tracing: every Query records its
 	// reassembled refinement-tree spans in Network.Traces.
@@ -131,8 +132,13 @@ type Network struct {
 // AddPeer/RemovePeer/KillPeer for protocol-level dynamics afterwards.
 func Build(cfg Config) (*Network, error) { return BuildWithIDs(cfg, nil) }
 
-// BuildWithIDs is Build with explicit node identifiers (tests).
+// BuildWithIDs is Build with explicit node identifiers (tests). The
+// goroutine driver has no link latency: a plan with MaxLatency > 0 is
+// refused.
 func BuildWithIDs(cfg Config, ids []uint64) (*Network, error) {
+	if cfg.Net.MaxLatency > 0 {
+		return nil, fmt.Errorf("sim: link latency needs the event core (dessim.Build), got MaxLatency %v", cfg.Net.MaxLatency)
+	}
 	d := &goroutineDriver{in: transport.NewInproc()}
 	return BuildOn(cfg, d, telemetry.NewRegistry(nil), ids, func(nw *Network) {
 		d.nw = nw

@@ -27,6 +27,11 @@ func (e *Engine) HeldBookkeeping() int { return e.held }
 // Call it on the delivery goroutine.
 func (e *Engine) PushReplicasFull() int { return e.pushReplicasFull() }
 
+// QueuedReplicaKeys (test hook) returns how many changed keys the engine
+// holds for its next delta push, repeats included. Call it on the
+// delivery goroutine.
+func (e *Engine) QueuedReplicaKeys() int { return len(e.dirtyKeys) }
+
 // CursorSkip (test hook) returns how many elements at its curve position
 // the cursor counts as already delivered; 0 for an undecodable cursor.
 func CursorSkip(c Cursor) int {

@@ -50,7 +50,7 @@ type Options struct {
 	// leaf subtrees — cluster batches resolved entirely against the local
 	// store — are remembered by (query, cluster set), so Zipf-popular repeat
 	// queries skip refinement and scanning. Entries are invalidated by the
-	// store's dirty-key signal the moment a covered index mutates; see
+	// engine's mutation signal the moment a covered index mutates; see
 	// resultcache.go for why only leaves are cached.
 	ResultCacheSize int
 	// Replicas is the number of successor copies kept of every stored
@@ -167,8 +167,9 @@ type Engine struct {
 	frontier []sfc.Refined      //lint:confine delivery
 	capKeys  []bufferedMatch    //lint:confine delivery
 
-	// Delta-replication state: the keys mutated since the last push and
-	// the fingerprint of the replica set the last full push went to.
+	// Delta-replication state: the keys of the primary store changed since
+	// the last push, once per change and only when Replicas > 0, and the
+	// fingerprint of the replica set the last full push went to.
 	dirtyKeys      []uint64 //lint:confine delivery
 	lastReplicaSet string   //lint:confine delivery
 
@@ -394,11 +395,6 @@ func newEngine(space *keyspace.Space, opts Options) *Engine {
 		roots:    make(map[QueryID]*subtree),
 		inbound:  make(map[inboundKey]*subtree),
 	}
-	if opts.Replicas > 0 || opts.ResultCacheSize > 0 {
-		// Replication pushes deltas and the result cache invalidates by
-		// mutated key: both consume the store's dirty tracking.
-		e.store.TrackDirty()
-	}
 	if opts.ResultCacheSize > 0 {
 		e.rcache = newResultCache(opts.ResultCacheSize)
 	}
@@ -414,20 +410,36 @@ type inboundKey struct {
 	token uint64
 }
 
-// noteMutation feeds the result cache the dirty-key signal for one mutated
-// curve index: any cached leaf whose span covers it is now stale.
-func (e *Engine) noteMutation(idx uint64) {
+// mutated is the one signal that the primary store changed under key:
+// the cached leaves whose spans cover key are dropped, key is queued for
+// the next delta push, and the keys gauge is refreshed. Every change to
+// the primary store is followed by one call of mutated or mutatedBatch.
+func (e *Engine) mutated(key uint64) {
 	if e.rcache != nil {
-		e.rcache.invalidate(idx)
+		e.rcache.invalidate(key)
 	}
+	e.track(key)
 }
 
-// noteBulkMutation invalidates the whole result cache after a mutation
-// whose touched keys are not enumerated (handover, replica promotion,
-// batch preload).
-func (e *Engine) noteBulkMutation() {
+// mutatedBatch is mutated for a batch: it drops the whole result cache
+// and queues keys, the keys whose contents the batch added to (none for a
+// removal: deletions are not delta-replicated, they age out on full
+// pushes).
+func (e *Engine) mutatedBatch(keys []uint64) {
 	if e.rcache != nil {
 		e.rcache.clear()
+	}
+	e.track(keys...)
+}
+
+// track queues keys for the next delta push and refreshes the keys gauge,
+// the one store statistic a scrape goroutine may read.
+func (e *Engine) track(keys ...uint64) {
+	if e.opts.Replicas > 0 {
+		e.dirtyKeys = append(e.dirtyKeys, keys...)
+	}
+	if e.met.keysHeld != nil { // nil before Attach (bulk preload)
+		e.met.keysHeld.Set(int64(e.store.Keys()))
 	}
 }
 
@@ -569,9 +581,7 @@ func (e *Engine) StoreDirectBatch(elems []Element) error {
 		}
 		items = append(items, chord.Item{Key: chord.ID(idx), Value: []Element{elem}})
 	}
-	e.store.AddBatch(items)
-	e.noteBulkMutation()
-	e.syncKeys()
+	e.mutatedBatch(e.store.addBatch(items, false))
 	return nil
 }
 
@@ -1348,7 +1358,7 @@ func (e *Engine) finishSubtree(st *subtree) {
 			e.rcache.put(st.cacheKey, st.cacheSpans, st.matches) // uncapped: any page may read it
 		} else {
 			// Subtrees with remote children aggregate other nodes' data,
-			// which local dirty-key tracking cannot invalidate — never
+			// which the local mutation signal cannot invalidate — never
 			// cacheable, so they count as bypasses, not misses.
 			e.met.cacheBypass.Inc()
 		}
@@ -1660,16 +1670,6 @@ func sendPooled[T any](e *Engine, pool *transport.MsgPool[T], to transport.Addr,
 	}
 }
 
-// syncKeys refreshes the keys-held gauge after a store mutation. The Store
-// itself is goroutine-confined, so the gauge (atomic) is the only store
-// statistic a scrape goroutine may read.
-func (e *Engine) syncKeys() {
-	if e.met.keysHeld == nil {
-		return // not attached yet (bulk preload before Attach)
-	}
-	e.met.keysHeld.Set(int64(e.store.Keys()))
-}
-
 // Deliver implements chord.App: application payloads routed to this node.
 //
 //lint:entry delivery
@@ -1681,8 +1681,7 @@ func (e *Engine) Deliver(from transport.Addr, key chord.ID, payload any) {
 			return
 		}
 		e.store.Add(idx, m.Elem)
-		e.noteMutation(idx)
-		e.syncKeys()
+		e.mutated(idx)
 		e.replicate([]chord.Item{{Key: chord.ID(idx), Value: []Element{m.Elem}}})
 	case UnpublishMsg:
 		e.handleUnpublish(from, m)
@@ -1736,9 +1735,9 @@ func (e *Engine) handleUnpublish(from transport.Addr, m UnpublishMsg) {
 		e.replicas.Remove(idx, m.Elem)
 		// The arc may have shifted since replication: clear a promoted copy
 		// too so owner changes cannot resurrect the element.
-		e.store.Remove(idx, m.Elem)
-		e.noteMutation(idx)
-		e.syncKeys()
+		if e.store.Remove(idx, m.Elem) {
+			e.mutated(idx)
+		}
 		// A predecessor adopted between the key and this node got copies
 		// from ArcChanged the owner may not know of; pass the removal back.
 		if p := e.node.Pred(); p.Addr != from && e.node.Succ().Addr != from &&
@@ -1747,9 +1746,9 @@ func (e *Engine) handleUnpublish(from transport.Addr, m UnpublishMsg) {
 		}
 		return
 	}
-	e.store.Remove(idx, m.Elem)
-	e.noteMutation(idx)
-	e.syncKeys()
+	if e.store.Remove(idx, m.Elem) {
+		e.mutated(idx)
+	}
 	if e.opts.Replicas > 0 {
 		// The whole successor list: a former replica holder would promote
 		// its stale copy once its arc grew over the key.
@@ -1950,8 +1949,7 @@ func (e *Engine) HandoverOut(a, b chord.ID) []chord.Item {
 	if e.opts.Replicas > 0 {
 		e.replicas.AddBatchUnique(items)
 	}
-	e.noteBulkMutation()
-	e.syncKeys()
+	e.mutatedBatch(nil)
 	return items
 }
 
@@ -1959,9 +1957,7 @@ func (e *Engine) HandoverOut(a, b chord.ID) []chord.Item {
 //
 //lint:entry delivery
 func (e *Engine) HandoverIn(items []chord.Item) {
-	e.store.HandoverIn(items)
-	e.noteBulkMutation()
-	e.syncKeys()
+	e.mutatedBatch(e.store.addBatch(items, false))
 }
 
 // Load implements chord.App: the number of stored keys.

@@ -3,6 +3,7 @@ package squid_test
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"squid/internal/chord"
@@ -230,5 +231,38 @@ func TestEngineStateRoundTripAndReconcile(t *testing.T) {
 	}
 	if reRouted == 0 {
 		t.Error("expected some keys to be re-routed")
+	}
+}
+
+// TestLoadStateSetsKeysGauge: a restored store shows in the keys gauge.
+func TestLoadStateSetsKeysGauge(t *testing.T) {
+	space, err := keyspace.NewWordSpace(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := squid.NewStore(chord.Space{Bits: space.IndexBits()})
+	for i := 0; i < 50; i++ {
+		img.Add(uint64(i)<<20, squid.Element{Values: []string{fmt.Sprintf("w%02d", i), "x"}, Data: fmt.Sprintf("d%d", i)})
+	}
+	var buf bytes.Buffer
+	if _, err := img.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	nw, err := sim.Build(sim.Config{Nodes: 2, Space: space, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := nw.Peers[0]
+	var keys int
+	onPeer(p, func() {
+		err = p.Engine.LoadState(&buf)
+		keys = p.Engine.LocalStore().Keys()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := nw.Telemetry.GaugeVec("squid_store_keys_held", "", "node").With(strconv.FormatUint(uint64(p.ID()), 16))
+	if keys != 50 || gauge.Value() != int64(keys) {
+		t.Fatalf("after LoadState: %d keys stored, gauge %d; want 50 and 50", keys, gauge.Value())
 	}
 }

@@ -78,17 +78,11 @@ func WithSubtreeTimeout(d time.Duration) Option {
 	return func(o *Options) { o.SubtreeTimeout = d }
 }
 
-// WithWorkers sets the query scheduler's pool size. See Options.Workers;
-// WithSerialProcessing disables the pool entirely.
+// WithWorkers sets the query scheduler's pool size; a negative n disables
+// the pool and refines inline on the delivery goroutine. See
+// Options.Workers.
 func WithWorkers(n int) Option {
 	return func(o *Options) { o.Workers = n }
-}
-
-// WithSerialProcessing disables the query scheduler: refinement runs inline
-// on the delivery goroutine, as before the scheduler existed. The ablation
-// baseline for the concurrent-load benchmark.
-func WithSerialProcessing() Option {
-	return func(o *Options) { o.Workers = -1 }
 }
 
 // WithMaxInflight caps admitted-but-unfinished refinement jobs; beyond it

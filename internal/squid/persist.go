@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"squid/internal/chord"
-	"squid/internal/sfc"
 	"squid/internal/wire"
 )
 
@@ -42,14 +40,21 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 // whole image is decoded and checked before the store changes, so a
 // refused image leaves it as it was. Implements io.ReaderFrom.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
+	n, _, err := s.load(r)
+	return n, err
+}
+
+// load is ReadFrom that also returns the key of every loaded element, in
+// ascending order.
+func (s *Store) load(r io.Reader) (int64, []uint64, error) {
 	b, err := io.ReadAll(r)
 	n := int64(len(b))
 	if err != nil {
-		return n, fmt.Errorf("squid: store load: %w", err)
+		return n, nil, fmt.Errorf("squid: store load: %w", err)
 	}
 	d := wire.NewDecoder(b)
 	if v := d.Uvarint(); d.Err() == nil && v != storeImageVersion {
-		return n, fmt.Errorf("squid: store image version %d unsupported", v)
+		return n, nil, fmt.Errorf("squid: store image version %d unsupported", v)
 	}
 	var in entries
 	for range d.Len(9) { // ≥ 8-byte key + bucket count
@@ -59,7 +64,7 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 		}
 	}
 	if err := d.Close(); err != nil {
-		return n, fmt.Errorf("squid: store load: %w", err)
+		return n, nil, fmt.Errorf("squid: store load: %w", err)
 	}
 	in = sortStable(in)
 	s.mu.Lock()
@@ -68,7 +73,7 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	if len(in.keys) > 0 {
 		s.merge(in)
 	}
-	return n, nil
+	return n, in.keys, nil
 }
 
 // SaveState serializes the engine's primary store (replicas are soft state
@@ -78,37 +83,35 @@ func (e *Engine) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState restores a saved store. Call before joining a ring; after the
-// join completes, run ReconcileOwnership so items whose arc moved while
-// the node was down are re-routed to their current owners.
+// LoadState restores a saved store. Call it on the delivery goroutine
+// before joining a ring; after the join completes, run ReconcileOwnership
+// so items whose arc moved while the node was down are re-routed to their
+// current owners.
 func (e *Engine) LoadState(r io.Reader) error {
-	_, err := e.store.ReadFrom(r)
+	_, keys, err := e.store.load(r)
+	if err == nil {
+		e.mutatedBatch(keys)
+	}
 	return err
 }
 
 // ReconcileOwnership re-publishes every stored item this node no longer
-// owns (after a restart-and-rejoin, ownership may have shifted). Returns
-// how many items were re-routed.
+// owns (after a restart-and-rejoin, ownership may have shifted) and drops
+// it locally. Returns how many elements were re-routed: none while the
+// node's arc is the whole ring.
 func (e *Engine) ReconcileOwnership() int {
-	var stale []chord.Item
-	e.store.ScanSpan(sfc.Interval{Lo: 0, Hi: ^uint64(0)}, func(key uint64, elem Element) {
-		if !e.node.Owns(chord.ID(key)) {
-			stale = append(stale, chord.Item{Key: chord.ID(key), Value: elem})
-		}
-	})
+	self, pred := e.node.Self(), e.node.Pred()
+	if pred.IsZero() || pred.ID == self.ID {
+		return 0
+	}
+	stale := e.store.HandoverOut(self.ID, pred.ID)
+	e.mutatedBatch(nil)
+	n := 0
 	for _, it := range stale {
-		elem := it.Value.(Element)
-		e.node.Route(it.Key, PublishMsg{Elem: elem}, 0)
+		for _, elem := range it.Value.([]Element) {
+			e.node.Route(it.Key, PublishMsg{Elem: elem}, 0)
+			n++
+		}
 	}
-	// Drop the re-routed keys locally; arcs (pred, self] keep the rest.
-	if len(stale) > 0 {
-		keep := NewStore(e.store.space)
-		e.store.ScanSpan(sfc.Interval{Lo: 0, Hi: ^uint64(0)}, func(key uint64, elem Element) {
-			if e.node.Owns(chord.ID(key)) {
-				keep.Add(key, elem)
-			}
-		})
-		e.store.replaceWith(keep)
-	}
-	return len(stale)
+	return n
 }

@@ -1,6 +1,7 @@
 package squid
 
 import (
+	"slices"
 	"strings"
 
 	"squid/internal/chord"
@@ -52,11 +53,12 @@ func (e *Engine) PushReplicas() (items int, full bool) {
 	if e.replicaSet() != e.lastReplicaSet {
 		return e.pushReplicasFull(), true
 	}
-	e.dirtyKeys = e.store.TakeDirty(e.dirtyKeys[:0])
-	if len(e.dirtyKeys) == 0 {
+	slices.Sort(e.dirtyKeys)
+	delta := e.store.SnapshotKeys(slices.Compact(e.dirtyKeys))
+	e.dirtyKeys = e.dirtyKeys[:0]
+	if len(delta) == 0 {
 		return 0, false
 	}
-	delta := e.store.SnapshotKeys(e.dirtyKeys)
 	e.replicate(delta)
 	e.met.replicaItems.Add(uint64(len(delta)))
 	return len(delta), false
@@ -68,9 +70,9 @@ func (e *Engine) pushReplicasFull() int {
 	if e.opts.Replicas <= 0 {
 		return 0
 	}
-	// The full snapshot covers everything; pending dirty keys are hereby
+	// The full snapshot covers everything; the queued keys are hereby
 	// consumed too.
-	e.dirtyKeys = e.store.TakeDirty(e.dirtyKeys[:0])
+	e.dirtyKeys = e.dirtyKeys[:0]
 	snap := e.store.Snapshot()
 	e.replicate(snap)
 	e.lastReplicaSet = e.replicaSet()
@@ -113,12 +115,10 @@ func (e *Engine) handleReplica(m ReplicaMsg) {
 			held = append(held, it)
 		}
 	}
-	e.store.AddBatchUnique(owned)
 	if len(owned) > 0 {
-		e.noteBulkMutation()
+		e.mutatedBatch(e.store.addBatch(owned, true))
 	}
 	e.replicas.AddBatchUnique(held)
-	e.syncKeys()
 }
 
 // ArcChanged implements chord.ArcWatcher and keeps the primary/replica
@@ -145,8 +145,7 @@ func (e *Engine) ArcChanged(oldPred, newPred chord.NodeRef) {
 	self := e.node.Self()
 	// Demote: everything outside (newPred, self] stops being primary.
 	e.replicas.AddBatchUnique(e.store.HandoverOut(self.ID, newPred.ID))
-	e.noteBulkMutation()
-	e.syncKeys()
+	e.mutatedBatch(nil)
 	// A predecessor adopted inside the old arc now succeeds the nodes this
 	// one holds replicas for: if one died unnoticed, it inherits that arc
 	// and needs the copies.
@@ -166,8 +165,7 @@ func (e *Engine) ArcChanged(oldPred, newPred chord.NodeRef) {
 	if len(promoted) == 0 {
 		return
 	}
-	e.store.AddBatchUnique(promoted)
-	e.syncKeys()
+	e.mutatedBatch(e.store.addBatch(promoted, true))
 	// Remove the promoted keys from the replica set and push fresh copies
 	// of the newly owned data onward so the replication degree recovers.
 	e.replicas.HandoverOut(newPred.ID, e.node.Self().ID)

@@ -1,8 +1,10 @@
 package squid_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"squid/internal/keyspace"
@@ -285,6 +287,105 @@ func TestDeltaReplicationConverges(t *testing.T) {
 			if !want[item] {
 				t.Errorf("peer %s: delta replication left stale %s", addr, item)
 			}
+		}
+	}
+}
+
+// onPeer runs fn on p's delivery goroutine and waits for it.
+func onPeer(p *sim.Peer, fn func()) {
+	done := make(chan struct{})
+	sim.MustInvoke(p, func() { fn(); close(done) })
+	<-done
+}
+
+// TestDeltaReplicationAfterReconcile: re-routing restored items does not
+// stop delta replication. On a two-member ring with one replica, a member
+// that loads the other's image re-routes what it does not own; a later
+// publish it owns is then delta-pushed by its next PushReplicas.
+func TestDeltaReplicationAfterReconcile(t *testing.T) {
+	space, err := keyspace.NewWordSpace(2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems := make([]squid.Element, 50)
+	idx := make([]uint64, len(elems))
+	for i := range elems {
+		elems[i] = squid.Element{Values: []string{testVocab[i%len(testVocab)], fmt.Sprintf("w%02d", i)}, Data: fmt.Sprintf("d%d", i)}
+		if idx[i], err = space.Index(elems[i].Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The members split the elements' keys: the second owns (lo, hi].
+	sorted := slices.Clone(idx)
+	slices.Sort(sorted)
+	lo, hi := sorted[10], sorted[40]
+	nw, err := sim.BuildWithIDs(sim.Config{Space: space, Engine: squid.Options{Replicas: 1}}, []uint64{lo, hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owned squid.Element // an element whose key the second member owns
+	for i, e := range elems {
+		if idx[i] > lo && idx[i] <= hi {
+			owned = e
+		}
+		if err := nw.Publish(0, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Quiesce()
+	nw.PushReplicasAll()
+
+	p0, p1 := nw.Peers[0], nw.Peers[1]
+	var buf bytes.Buffer
+	var moved int
+	onPeer(p0, func() { err = p0.Engine.SaveState(&buf) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	onPeer(p1, func() {
+		if err = p1.Engine.LoadState(&buf); err == nil {
+			moved = p1.Engine.ReconcileOwnership()
+			p1.Engine.PushReplicas() // drains what the load queued
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Quiesce()
+	if moved == 0 {
+		t.Fatal("reconcile re-routed nothing")
+	}
+
+	owned.Data = "fresh"
+	if err := nw.Publish(0, owned); err != nil {
+		t.Fatal(err)
+	}
+	nw.Quiesce()
+	var items int
+	var full bool
+	onPeer(p1, func() { items, full = p1.Engine.PushReplicas() })
+	if items != 1 || full {
+		t.Fatalf("push after reconcile and one publish: %d items (full %v), want 1 delta item", items, full)
+	}
+}
+
+// TestCacheOnlyEngineQueuesNothing: the result cache keeps an engine
+// without replicas free of replication bookkeeping. After a preload, a
+// publish and an unpublish, no peer holds a key for a delta push.
+func TestCacheOnlyEngineQueuesNothing(t *testing.T) {
+	nw := buildNetwork(t, 8, 500, squid.Options{ResultCacheSize: 64})
+	e := squid.Element{Values: []string{"computer", "network"}, Data: "fresh"}
+	if err := nw.Publish(0, e); err != nil {
+		t.Fatal(err)
+	}
+	p := nw.Peers[0]
+	sim.MustInvoke(p, func() { _ = p.Engine.Unpublish(e) })
+	nw.Quiesce()
+	for _, p := range nw.Peers {
+		var n int
+		onPeer(p, func() { n = p.Engine.QueuedReplicaKeys() })
+		if n != 0 {
+			t.Errorf("peer %s queued %d keys for replication, want 0", p.Addr(), n)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 //
 // Only leaf subtrees are cached, deliberately: their matches depend on
 // nothing but the local store's content inside the clusters' spans, so the
-// dirty-key tracking the store already runs for delta replication (PR 2) is
-// an exact invalidation signal. Subtrees with remote children aggregate
+// engine's signal after every change to that store (Engine.mutated) is an
+// exact invalidation signal. Subtrees with remote children aggregate
 // other nodes' data, which local tracking cannot see — those are never
 // cached, so a hit is always as fresh as the local store.
 //
@@ -28,7 +28,7 @@ import (
 // Options.ResultCacheSize.
 type resultCacheEntry struct {
 	key     string
-	spans   []sfc.Interval // curve spans covered, for dirty-key invalidation
+	spans   []sfc.Interval // curve spans covered, for per-key invalidation
 	matches []Element
 }
 
@@ -98,7 +98,7 @@ func (rc *resultCache) evictOldest() {
 }
 
 // invalidate drops every entry whose covered spans contain the mutated
-// curve index — the cache-side consumer of the store's dirty-key signal.
+// curve index — the cache side of the engine's mutation signal.
 func (rc *resultCache) invalidate(idx uint64) {
 	if len(rc.entries) == 0 {
 		return

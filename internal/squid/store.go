@@ -102,6 +102,10 @@ func (r *run) delete(i int) {
 // internal RWMutex makes every read atomic with respect to concurrent
 // mutation: a span scan sees either all or none of a handover, never half
 // of one.
+//
+// The store keeps no record of what changed. The engine signals each
+// mutation of its primary store once, to the result cache, to delta
+// replication and to the keys gauge.
 type Store struct {
 	mu    sync.RWMutex
 	space chord.Space
@@ -110,12 +114,6 @@ type Store struct {
 	runs []run //lint:guarded-by mu
 	// nkeys counts the distinct keys across runs.
 	nkeys int //lint:guarded-by mu
-
-	// dirty accumulates keys mutated since the last TakeDirty, for delta
-	// replication pushes. nil unless TrackDirty was called: stores that are
-	// never replicated (replica buffers, Replicas=0 deployments) skip the
-	// bookkeeping entirely.
-	dirty map[uint64]struct{} //lint:guarded-by mu
 }
 
 // NewStore returns an empty store over the given identifier space.
@@ -157,40 +155,6 @@ func locate(runs []run, key uint64) (ri, lo, hi int) {
 	return ri, lo, groupEnd(ks, lo)
 }
 
-// TrackDirty enables dirty-key tracking. Mutations from this point on are
-// recorded and handed out by TakeDirty.
-func (s *Store) TrackDirty() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dirty == nil {
-		s.dirty = make(map[uint64]struct{})
-	}
-}
-
-//lint:holds s.mu
-func (s *Store) markDirty(key uint64) {
-	if s.dirty != nil {
-		s.dirty[key] = struct{}{}
-	}
-}
-
-// TakeDirty appends the tracked dirty keys to dst in ascending order and
-// clears the tracking set. Keys whose items were since removed entirely are
-// skipped (deletions are not delta-replicated; they age out on full pushes).
-func (s *Store) TakeDirty(dst []uint64) []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	base := len(dst)
-	for k := range s.dirty {
-		if _, lo, hi := locate(s.runs, k); lo < hi {
-			dst = append(dst, k)
-		}
-		delete(s.dirty, k)
-	}
-	slices.Sort(dst[base:])
-	return dst
-}
-
 // SnapshotKeys copies the stored items under exactly the given keys (the
 // delta counterpart of Snapshot). Keys with nothing stored are skipped.
 func (s *Store) SnapshotKeys(keys []uint64) []chord.Item {
@@ -214,7 +178,6 @@ func (s *Store) SnapshotKeys(keys []uint64) []chord.Item {
 func (s *Store) Add(key uint64, e Element) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markDirty(key)
 	ri, lo, hi := locate(s.runs, key)
 	if lo == hi {
 		s.nkeys++
@@ -374,10 +337,12 @@ func (s *Store) AddBatch(items []chord.Item) {
 // many elements were actually added. Replication uses it so repeated
 // pushes and promotions never duplicate.
 func (s *Store) AddBatchUnique(items []chord.Item) int {
-	return s.addBatch(items, true)
+	return len(s.addBatch(items, true))
 }
 
-func (s *Store) addBatch(items []chord.Item, unique bool) int {
+// addBatch is AddBatch, or AddBatchUnique when unique is set. It returns
+// the key of every element it added, in ascending order.
+func (s *Store) addBatch(items []chord.Item, unique bool) []uint64 {
 	n := 0
 	for _, it := range items {
 		if bucket, ok := it.Value.([]Element); ok {
@@ -398,11 +363,10 @@ func (s *Store) addBatch(items []chord.Item, unique bool) int {
 	if unique {
 		in = s.dropKnown(in)
 	}
-	if len(in.keys) == 0 {
-		return 0
+	if len(in.keys) > 0 {
+		s.merge(in)
 	}
-	s.merge(in)
-	return len(in.keys)
+	return in.keys
 }
 
 // sortStable orders in by key, keeping the order of entries that share a
@@ -462,7 +426,6 @@ func (s *Store) merge(in entries) {
 		if _, lo, hi := locate(s.runs, in.keys[i]); lo == hi {
 			s.nkeys++
 		}
-		s.markDirty(in.keys[i])
 	}
 	out := make([]run, 0, len(s.runs)+len(in.keys)/maxRun+1)
 	j := 0
@@ -559,7 +522,6 @@ func (s *Store) Remove(key uint64, e Element) bool {
 	if len(r.keys) == 0 {
 		s.runs = slices.Delete(s.runs, ri, ri+1)
 	}
-	s.markDirty(key)
 	return true
 }
 
@@ -616,20 +578,4 @@ func (s *Store) HandoverOut(a, b chord.ID) []chord.Item {
 	clear(s.runs[len(kept):])
 	s.runs = kept
 	return items
-}
-
-// replaceWith adopts o's contents wholesale (restart reconciliation). The
-// receiver's own lock stays in place — copying a Store by value would copy
-// its RWMutex.
-func (s *Store) replaceWith(o *Store) {
-	s.mu.Lock()
-	o.mu.Lock()
-	s.runs, s.nkeys, s.dirty = o.runs, o.nkeys, o.dirty
-	o.mu.Unlock()
-	s.mu.Unlock()
-}
-
-// HandoverIn ingests items transferred from another node.
-func (s *Store) HandoverIn(items []chord.Item) {
-	s.AddBatch(items)
 }

@@ -84,7 +84,7 @@ func TestStoreHandover(t *testing.T) {
 
 	// Round trip back in.
 	other := NewStore(chord.Space{Bits: 8})
-	other.HandoverIn(items)
+	other.AddBatch(items)
 	if other.Keys() != 4 {
 		t.Errorf("handover-in got %d keys", other.Keys())
 	}
@@ -93,7 +93,7 @@ func TestStoreHandover(t *testing.T) {
 	other.ScanSpan(sfc.Interval{Lo: 0, Hi: 255}, func(k uint64, e Element) { keys = append(keys, k) })
 	for i := 1; i < len(keys); i++ {
 		if keys[i] <= keys[i-1] {
-			t.Fatalf("unordered after HandoverIn: %v", keys)
+			t.Fatalf("unordered after AddBatch: %v", keys)
 		}
 	}
 }
@@ -204,36 +204,12 @@ func TestStoreAddBatchUnique(t *testing.T) {
 	}
 }
 
-func TestStoreDirtyTracking(t *testing.T) {
+// TestStoreSnapshotKeys: SnapshotKeys copies exactly the asked-for keys
+// that hold something.
+func TestStoreSnapshotKeys(t *testing.T) {
 	s := NewStore(chord.Space{Bits: 16})
-	s.Add(1, Element{Data: "before"}) // untracked: TrackDirty not yet on
-	s.TrackDirty()
-	if got := s.TakeDirty(nil); len(got) != 0 {
-		t.Fatalf("dirty before any tracked mutation: %v", got)
-	}
 	s.Add(300, Element{Data: "a"})
 	s.Add(100, Element{Data: "b"})
-	s.AddBatch([]chord.Item{{Key: 200, Value: []Element{{Data: "c"}}}})
-	got := s.TakeDirty(nil)
-	want := []uint64{100, 200, 300}
-	if len(got) != len(want) {
-		t.Fatalf("dirty = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dirty = %v, want %v (sorted)", got, want)
-		}
-	}
-	// Cleared after Take; removals of the whole key are not reported.
-	if got := s.TakeDirty(nil); len(got) != 0 {
-		t.Fatalf("dirty not cleared: %v", got)
-	}
-	s.Add(400, Element{Data: "d"})
-	s.Remove(400, Element{Data: "d"})
-	if got := s.TakeDirty(nil); len(got) != 0 {
-		t.Fatalf("fully removed key reported dirty: %v", got)
-	}
-	// SnapshotKeys copies exactly the asked-for keys.
 	snap := s.SnapshotKeys([]uint64{100, 999})
 	if len(snap) != 1 || uint64(snap[0].Key) != 100 {
 		t.Fatalf("SnapshotKeys = %v", snap)

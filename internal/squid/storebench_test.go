@@ -72,7 +72,7 @@ func BenchmarkStoreHandover(b *testing.B) {
 		b.StartTimer()
 		items := s.HandoverOut(1<<30, 1<<31)
 		other := NewStore(chord.Space{Bits: 32})
-		other.HandoverIn(items)
+		other.AddBatch(items)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"squid/internal/chord"
 	"squid/internal/keyspace"
 	"squid/internal/sfc"
 	"squid/internal/sim"
@@ -469,22 +470,18 @@ func TestStreamCancelMidStream(t *testing.T) {
 }
 
 // TestStreamContextCancel drives cancellation through the context instead
-// of CancelQuery, under injected latency so the query is still in flight
-// when the cancel lands. The terminal event must carry the context's error
-// and arrive exactly once.
+// of CancelQuery, with half the members crashed so the query is still in
+// flight when the cancel lands. The terminal event must carry the
+// context's error and arrive exactly once.
 func TestStreamContextCancel(t *testing.T) {
 	space, err := keyspace.NewWordSpace(2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := sim.Build(sim.Config{
-		Nodes: 30, Space: space, Seed: 42,
-		Net: transport.FaultConfig{
-			Seed:       43,
-			MinLatency: 2 * time.Millisecond,
-			MaxLatency: 6 * time.Millisecond,
-		},
-	})
+	// Probes into the crashed half time out, so each dispatch round still
+	// flushes what the live half owns.
+	nw, err := sim.Build(sim.Config{Nodes: 30, Space: space, Seed: 42,
+		Chord: chord.Config{RPCTimeout: 50 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,6 +494,9 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 	if err := nw.Preload(elems); err != nil {
 		t.Fatal(err)
+	}
+	for i := 1; i < len(nw.Peers); i += 2 {
+		nw.Faults.Crash(nw.Peers[i].Addr())
 	}
 
 	p := nw.Peers[0]

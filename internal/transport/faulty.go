@@ -16,8 +16,10 @@ type FaultConfig struct {
 	// delays regardless of how sends interleave across links — on either
 	// driver.
 	Seed int64
-	// MinLatency/MaxLatency bound a uniform per-message delivery latency.
-	// MaxLatency <= 0 delivers at the sending instant.
+	// MinLatency/MaxLatency bound a uniform per-message delivery latency,
+	// which only the event core (dessim) applies; the in-process transport
+	// delivers every survivor at once. MaxLatency <= 0 delivers at the
+	// sending instant.
 	MinLatency, MaxLatency time.Duration
 	// DropRate is the default probability in [0, 1) that a message is
 	// silently lost (the sender sees success). Per-link overrides win.
@@ -35,10 +37,12 @@ type FaultStats struct {
 
 // Faults is a deterministic, seeded fault plan: per-link message drops,
 // latency, partitions, and endpoint crash/restart. It decides the fate of
-// every non-self message on both simulator drivers — the in-process
-// transport on the wall clock and the discrete-event transport on virtual
-// time — so one seed means one schedule on either. The same protocol code
-// runs unchanged; only the network misbehaves.
+// every non-self message on both simulator drivers, the in-process
+// transport and the discrete-event transport, so one seed means one
+// schedule of drops on either. Latency exists only on the discrete-event
+// transport, in virtual time: the in-process transport ignores the
+// arrival instant Admit returns. The same protocol code runs unchanged;
+// only the network misbehaves.
 //
 // Self-sends are never offered to the plan: both node layers use them to
 // inject work into their own delivery context, and faulting them would

@@ -183,35 +183,6 @@ func TestFaultyCrashRestart(t *testing.T) {
 	}
 }
 
-// TestFaultyDelayQuiesce: Quiesce must account for messages held back by an
-// injected delay, not just queued ones.
-func TestFaultyDelayQuiesce(t *testing.T) {
-	f := faultyInproc(FaultConfig{
-		Seed: 3, MinLatency: 2 * time.Millisecond, MaxLatency: 10 * time.Millisecond,
-	})
-	rec := &faultRecorder{}
-	a, err := f.Listen("a", HandlerFunc(func(Addr, any) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Listen("b", rec); err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := a.Send("b", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Quiesce()
-	if got := len(rec.snapshot()); got != n {
-		t.Fatalf("delivered %d/%d after Quiesce", got, n)
-	}
-	if s := f.Faults().Stats(); s.Delayed != n {
-		t.Fatalf("Delayed = %d, want %d", s.Delayed, n)
-	}
-}
-
 // TestFaultyAdmitNumberedAgrees: two plans that numbered the same
 // endpoints in opposite orders give every message the same fate — drops,
 // arrival instants, crash and partition losses, per-link overrides —

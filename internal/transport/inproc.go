@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Observer inspects every message accepted for delivery on an in-process
@@ -24,16 +23,16 @@ type Observer func(from, to Addr, msg any)
 // repository.
 //
 // Every send between distinct endpoints runs through the network's fault
-// plan on the wall clock: a dropped message vanishes (the sender sees
-// success) and a delayed one is enqueued by a timer when it arrives. A
-// fresh network's plan is empty and injects nothing.
+// plan: a dropped message vanishes (the sender sees success) and a
+// survivor is enqueued at once. The plan's latency is ignored here; it
+// acts only on the event core (dessim), in virtual time. A fresh
+// network's plan is empty and injects nothing.
 type Inproc struct {
 	mu       sync.Mutex
 	boxes    map[Addr]*mailbox
 	observer Observer
 	faults   *Faults
 	met      *inprocMetrics
-	epoch    time.Time // origin of the timeline the fault plan sees
 
 	// In-flight accounting is a cond-guarded counter rather than a
 	// WaitGroup: recovery timers may inject messages concurrently with
@@ -54,7 +53,6 @@ func NewInproc() *Inproc {
 	n := &Inproc{
 		boxes:  make(map[Addr]*mailbox),
 		faults: NewFaults(FaultConfig{}),
-		epoch:  time.Now(),
 	}
 	n.icond = sync.NewCond(&n.imu)
 	return n
@@ -124,8 +122,8 @@ func (n *Inproc) Kill(name Addr) {
 	}
 }
 
-// Quiesce blocks until no message is queued, being handled, or held back
-// by an injected delay anywhere in the network. It is only meaningful while
+// Quiesce blocks until no message is queued or being handled anywhere in
+// the network. It is only meaningful while
 // no external goroutine keeps injecting messages.
 func (n *Inproc) Quiesce() {
 	n.imu.Lock()
@@ -157,7 +155,8 @@ func (n *Inproc) done() {
 }
 
 // send runs one message from src's endpoint through the fault plan, which
-// sees both ends by their numbers, and enqueues the survivors.
+// sees both ends by their numbers, and enqueues a survivor into the
+// destination's mailbox.
 func (n *Inproc) send(src *mailbox, to Addr, msg any) error {
 	n.mu.Lock()
 	box, faults, fromNum := n.boxes[to], n.faults, src.num
@@ -167,36 +166,14 @@ func (n *Inproc) send(src *mailbox, to Addr, msg any) error {
 		toNum = box.num
 	}
 	n.mu.Unlock()
-	from := src.addr
-	if box != nil && from != to {
-		now := int64(time.Since(n.epoch))
-		at, ok := faults.Admit(fromNum, toNum, now)
-		if !ok {
-			return nil
-		}
-		if at > now {
-			// The delayed message counts as in flight until its timer
-			// enqueues it, so Quiesce waits for it.
-			n.track()
-			time.AfterFunc(time.Duration(at-now), func() {
-				n.mu.Lock()
-				box := n.boxes[to]
-				n.mu.Unlock()
-				_ = n.deliver(box, obs, met, from, msg) // destination may have died meanwhile
-				n.done()
-			})
-			return nil
-		}
-	}
-	return n.deliver(box, obs, met, from, msg)
-}
-
-// deliver enqueues a message that survived the fault plan into box, the
-// destination's mailbox (nil once the endpoint is gone).
-func (n *Inproc) deliver(box *mailbox, obs Observer, met *inprocMetrics, from Addr, msg any) error {
 	if box != nil {
+		if src.addr != to {
+			if _, ok := faults.Admit(fromNum, toNum, 0); !ok {
+				return nil
+			}
+		}
 		n.track()
-		if box.enqueue(from, msg, obs) {
+		if box.enqueue(src.addr, msg, obs) {
 			n.activity.Add(1)
 			if met != nil {
 				met.sent.Inc()
